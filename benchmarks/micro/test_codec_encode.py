@@ -5,13 +5,10 @@ back; this suite times the frames that dominate real traffic — a
 ``JoinMessage`` carrying rewritten queries inside a routed envelope, a
 ``MultiFrame`` sweep, and a ``NotificationMessage`` batch — so a codec
 regression shows up in ``run_all`` without spinning up a live cluster.
-Each shape is measured under the current (fast) codec *and* under the
-seed codec (``use_legacy_codec``), so the row pair doubles as a live
-view of the optimization's margin.
 
 Runnable under pytest too (``pytest benchmarks/micro/test_codec_encode.py``):
-the test functions assert round-trip identity and that the fast and
-seed codecs produce byte-identical wire frames for every shape.
+the test function asserts round-trip identity for every shape (the wire
+bytes themselves are pinned by ``tests/net/golden_wire_frames.json``).
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from __future__ import annotations
 import random
 
 from repro.core.notifications import Notification
-from repro.net.codec import decode_frame, encode_frame, use_legacy_codec
+from repro.net.codec import decode_frame, encode_frame
 from repro.net.frames import MultiFrame, RouteFrame
 from repro.sim.messages import JoinMessage, NotificationMessage, VLIndexMessage
 from repro.sql.parser import parse_query
@@ -84,26 +81,20 @@ def run(loops: int = 4_000) -> list[dict]:
     rows = []
     for name, frame in _frames().items():
         wire = encode_frame(frame)
-        for legacy in (False, True):
-            use_legacy_codec(legacy)
-            try:
-                suffix = "seed" if legacy else "fast"
-                rows.append(
-                    report(
-                        f"codec.encode.{name}.{suffix}",
-                        best_of(lambda f=frame: encode_frame(f), loops=loops),
-                        bytes=len(wire),
-                    )
-                )
-                rows.append(
-                    report(
-                        f"codec.decode.{name}.{suffix}",
-                        best_of(lambda w=wire: decode_frame(w), loops=loops),
-                        bytes=len(wire),
-                    )
-                )
-            finally:
-                use_legacy_codec(False)
+        rows.append(
+            report(
+                f"codec.encode.{name}",
+                best_of(lambda f=frame: encode_frame(f), loops=loops),
+                bytes=len(wire),
+            )
+        )
+        rows.append(
+            report(
+                f"codec.decode.{name}",
+                best_of(lambda w=wire: decode_frame(w), loops=loops),
+                bytes=len(wire),
+            )
+        )
     return rows
 
 
@@ -119,20 +110,6 @@ def test_round_trip_identity():
         decoded, consumed = decode_frame(wire)
         assert consumed == len(wire), name
         assert encode_frame(decoded) == wire, name
-
-
-def test_fast_and_seed_codecs_are_wire_identical():
-    for name, frame in _frames().items():
-        fast = encode_frame(frame)
-        use_legacy_codec(True)
-        try:
-            seed = encode_frame(frame)
-            decoded, _ = decode_frame(fast)
-            redecoded_wire = encode_frame(decoded)
-        finally:
-            use_legacy_codec(False)
-        assert fast == seed, name
-        assert redecoded_wire == fast, name
 
 
 if __name__ == "__main__":

@@ -338,12 +338,12 @@ def _import_loadgen(db: ExperimentDB, report: dict, worker: str) -> int:
     point = report["point"]
     imported = 0
     for algorithm, entry in report.get("algorithms", {}).items():
-        measured = entry.get("batched") or entry.get("per_frame") or {}
+        measured = entry["batched"]
         metrics = {
             "kind": "live",
             "notifications_delivered": entry["notifications"],
             "notification_digest": entry["digest"],
-            "mode": "batched" if entry.get("batched") else "per_frame",
+            "mode": "batched",
             "live": measured,
         }
         params = {
@@ -359,6 +359,7 @@ def _import_loadgen(db: ExperimentDB, report: dict, worker: str) -> int:
         }
         resources = {
             "wall_seconds": measured.get("wall_seconds"),
+            "total_seconds": measured.get("total_seconds"),
             "events_per_sec": measured.get("events_per_sec"),
             "notifications_per_sec": measured.get("notifications_per_sec"),
             "latency_ms": measured.get("latency_ms"),

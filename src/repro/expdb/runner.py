@@ -162,6 +162,7 @@ def _run_live(params: dict) -> ExperimentOutcome:
         metrics=report.to_row(),
         resources={
             "wall_seconds": round(report.stream_seconds, 4),
+            "total_seconds": round(report.total_seconds, 4),
             "peak_rss_kb": peak_rss_kb(),
             "events_per_sec": report.events_per_sec,
             "notifications_per_sec": report.notifications_per_sec,

@@ -71,7 +71,6 @@ from .codec import (
     decode_value_at,
     encode_frame,
     frame_for_payload,
-    legacy_codec_active,
     read_frame,
     read_frame_raw,
 )
@@ -108,7 +107,17 @@ class InjectedWireFault(Exception):
     """
 
 
-def set_nodelay(writer: asyncio.StreamWriter, enabled: bool = True) -> None:
+#: Most frames coalesced into one socket write, and the byte ceiling
+#: on such a write: a batch stops growing once it reaches either (the
+#: frame that crossed the byte line still ships with the batch, so a
+#: single frame may exceed it alone).  The outbox never *waits* for a
+#: batch to fill — it only coalesces what handler cascades already
+#: queued, so an idle connection pays no added latency.
+MAX_BATCH_FRAMES = 64
+MAX_BATCH_BYTES = 256 * 1024
+
+
+def set_nodelay(writer: asyncio.StreamWriter) -> None:
     """Disable Nagle's algorithm on a stream's underlying socket.
 
     Batching is *our* policy (the outbox coalesces frames explicitly);
@@ -116,12 +125,7 @@ def set_nodelay(writer: asyncio.StreamWriter, enabled: bool = True) -> None:
     uncontrolled delay on top and put latency numbers at Nagle's mercy.
     Applied to every accepted and outbound TCP connection; a transport
     without a real socket (tests, non-TCP) is silently left alone.
-    ``enabled=False`` is a no-op — it exists so the load generator's
-    pre-PR baseline mode can run with the socket options the seed
-    transport actually had (:class:`NetConfig` ``nodelay``).
     """
-    if not enabled:
-        return
     sock = writer.get_extra_info("socket")
     if sock is None:
         return
@@ -156,32 +160,6 @@ class NetConfig:
     send_window: int = 1024
     #: Cluster-wide ceiling on in-flight deliveries (the credit budget).
     credit_budget: int = 4096
-    #: Most frames coalesced into one socket write (1 = per-frame
-    #: writes with one drain each, the pre-batching behaviour).  Chaos
-    #: runs always deliver per-frame so the seeded per-frame fault
-    #: decisions keep their exact semantics.
-    max_batch_frames: int = 64
-    #: Byte ceiling on one coalesced write; a batch stops growing once
-    #: it would exceed this (the frame that crossed the line still
-    #: ships with the batch, so a single frame may exceed it alone).
-    max_batch_bytes: int = 256 * 1024
-    #: How long (seconds) a non-full batch waits for more frames after
-    #: the queue runs dry.  0 (default) never waits: batching then only
-    #: coalesces what handler cascades already queued, adding no
-    #: latency on an idle connection.
-    batch_linger: float = 0.0
-    #: Set ``TCP_NODELAY`` on every accepted and outbound socket.
-    #: Always leave this on; ``False`` exists only so the load
-    #: generator's pre-PR baseline can measure Nagle's tax.
-    nodelay: bool = True
-    #: Handle routed frames structurally wherever possible: pass-through
-    #: RouteFrames/MultiFrames forward as raw wire bytes (hop counter
-    #: bumped in place), and delivering multisend hops decode only the
-    #: pair messages they own, splicing the remainder onward as verbatim
-    #: byte slices.  ``False`` exists only for the pre-PR benchmark
-    #: baseline; chaos runs disable the fast path automatically either
-    #: way.
-    raw_relay: bool = True
 
     @classmethod
     def from_fault_plan(cls, plan, **overrides) -> "NetConfig":
@@ -318,15 +296,6 @@ def _frame_labels(frame, weight: int) -> tuple[str, ...]:
     return ("control",) * weight
 
 
-def _frame_label(frame) -> str:
-    """The message type a frame's failure should be billed to."""
-    if type(frame) is RouteFrame or type(frame) is DirectFrame:
-        return frame.message.type
-    if type(frame) is MultiFrame:
-        return "multisend"
-    return "control"
-
-
 class _RawFrame:
     """A relayed frame that was never decoded (raw wire bytes only).
 
@@ -342,6 +311,11 @@ class _RawFrame:
 
     def materialize(self):
         return decode(self.data[HEADER_SIZE:])
+
+
+#: Frame kinds the send window may shed: data frames, decoded or raw.
+#: Control frames and beacons always queue.
+_SHEDDABLE = frozenset((RouteFrame, MultiFrame, DirectFrame, _RawFrame))
 
 
 class _OutItem:
@@ -370,10 +344,10 @@ class _Outbox:
     The writer coalesces queued frames into multi-frame socket writes
     with a **single drain per batch** (DESIGN.md §13): whatever a
     synchronous handler cascade queued in one event-loop turn usually
-    ships as one ``write()``.  Batches are bounded by frame count and
-    byte size (:class:`NetConfig`); with a chaos layer installed the
-    writer falls back to strict per-frame delivery so the seeded
-    per-frame fault decisions (reset/truncate/garble *this* frame)
+    ships as one ``write()``.  Batches are bounded by
+    :data:`MAX_BATCH_FRAMES` and :data:`MAX_BATCH_BYTES`; with a chaos
+    layer installed the writer ships strictly one frame per write so
+    the seeded fault decisions (reset/truncate/garble *this* frame)
     keep their exact semantics.
     """
 
@@ -431,7 +405,7 @@ class _Outbox:
                     return
                 batch = self.current
                 batch.append(item)
-                closing = self._fill_batch(batch, config)
+                closing = self._fill_batch(batch)
                 if len(batch) == 1:
                     await self._deliver(item, config)
                     batch.clear()
@@ -442,23 +416,19 @@ class _Outbox:
         finally:
             self.reset()
 
-    def _fill_batch(self, batch: list[_OutItem], config: NetConfig) -> bool:
+    def _fill_batch(self, batch: list[_OutItem]) -> bool:
         """Greedily take more queued frames into ``batch`` (no awaits).
 
         Returns True when the close sentinel was consumed while
         filling, so the caller ships the batch and then exits.  With
-        chaos installed, or ``max_batch_frames <= 1``, the batch stays
-        at one frame and delivery keeps its per-frame semantics.
+        chaos installed the batch stays at one frame, so every frame
+        gets its own seeded fault decision.
         """
         if self.peer.cluster.chaos is not None:
             return False
-        max_frames = config.max_batch_frames
-        max_bytes = config.max_batch_bytes
-        if max_frames <= 1:
-            return False
         nbytes = len(batch[0].data)
         queue = self.queue
-        while len(batch) < max_frames and nbytes < max_bytes:
+        while len(batch) < MAX_BATCH_FRAMES and nbytes < MAX_BATCH_BYTES:
             try:
                 item = queue.get_nowait()
             except asyncio.QueueEmpty:
@@ -474,67 +444,21 @@ class _Outbox:
     ) -> None:
         """One coalesced write + one drain for the whole batch.
 
-        A failed batch write falls back to the per-frame path: every
+        A failed batch write falls back to :meth:`_deliver`: every
         frame of the batch then gets the full retry/backoff/fallback
-        treatment individually, exactly as if batching were disabled.
-        (Benign runs never take that path — a localhost write only
-        fails under injected faults or a genuinely dead peer.)
+        treatment individually.  (Benign runs never take that path — a
+        localhost write only fails under a genuinely dead peer.)
         """
-        peer = self.peer
-        linger = config.batch_linger
-        if linger > 0.0 and len(batch) < config.max_batch_frames:
-            # Time threshold: give an almost-empty batch one bounded
-            # chance to pick up stragglers before paying the write.
-            with suppress(asyncio.TimeoutError):
-                while len(batch) < config.max_batch_frames:
-                    item = await asyncio.wait_for(self.queue.get(), linger)
-                    if item is None:
-                        self.queue.put_nowait(None)
-                        break
-                    batch.append(item)
         try:
-            await self._attempt_batch(batch, config)
+            await self._attempt(batch, config)
             batch.clear()
             return
         except (OSError, asyncio.TimeoutError, InjectedWireFault):
             self.reset()
-            peer.note_send_failure(self.target_ident)
+            self.peer.note_send_failure(self.target_ident)
         while batch:
             await self._deliver(batch[0], config)
             batch.pop(0)
-
-    async def _attempt_batch(
-        self, batch: list[_OutItem], config: NetConfig
-    ) -> None:
-        peer = self.peer
-        cluster = peer.cluster
-        if cluster.is_dead(self.target_ident):
-            raise InjectedWireFault(f"peer {self.target_ident} crashed")
-        if (
-            self.writer is None
-            or self.writer.is_closing()
-            or (self.reader is not None and self.reader.at_eof())
-        ):
-            self.reset()
-            await self._connect(config)
-        data = b"".join(item.data for item in batch)
-        self.writer.write(data)
-        # ``drain()`` below the high-water mark is a no-op, but
-        # ``wait_for`` still builds a Task and a timer per call — on
-        # the hot path that is most of the flush cost.  When the
-        # kernel took the whole write synchronously there is nothing
-        # to wait for; any connection failure surfaces on the next
-        # write or on the serve side.
-        if self.writer.transport.get_write_buffer_size():
-            await asyncio.wait_for(self.writer.drain(), config.io_timeout)
-        peer.bytes_sent += len(data)
-        peer.batches_sent += 1
-        peer.note_send_success(self.target_ident)
-        if PERF.enabled:
-            PERF.count("net.writes")
-            PERF.count("net.batches")
-            PERF.count("net.frames_flushed", len(batch))
-            PERF.count("net.bytes_flushed", len(data))
 
     async def _deliver(self, item: _OutItem, config: NetConfig) -> None:
         peer = self.peer
@@ -543,7 +467,7 @@ class _Outbox:
         attempt = 1
         while True:
             try:
-                await self._attempt(item, config)
+                await self._attempt((item,), config)
                 return
             except (OSError, asyncio.TimeoutError, InjectedWireFault):
                 self.reset()
@@ -563,7 +487,16 @@ class _Outbox:
                 )
                 attempt += 1
 
-    async def _attempt(self, item: _OutItem, config: NetConfig) -> None:
+    async def _attempt(
+        self, items: Sequence[_OutItem], config: NetConfig
+    ) -> None:
+        """Write ``items`` — one frame, or a whole batch — exactly once.
+
+        The only place an outbox touches its socket: dead-peer check,
+        lazy (re)connect, one ``write()``, at most one drain, then the
+        send accounting.  Any failure raises; retry policy belongs to
+        the callers.
+        """
         peer = self.peer
         cluster = peer.cluster
         if cluster.is_dead(self.target_ident):
@@ -580,43 +513,49 @@ class _Outbox:
         ):
             self.reset()
             await self._connect(config)
+        data = b"".join([item.data for item in items])
         # Chaos faults are decided *before* any clean byte hits the
         # wire, so a faulted attempt was certainly not delivered and
-        # can be retried without risking a duplicate.
+        # can be retried without risking a duplicate.  (``data`` is a
+        # single frame here: chaos never batches, see ``_fill_batch``.)
         fault = chaos.sample_frame_fault() if chaos is not None else None
         if fault == "reset":
             self.reset(abort=True)
             raise InjectedWireFault("connection reset")
         if fault == "truncate":
-            self.writer.write(item.data[: max(1, len(item.data) // 2)])
+            self.writer.write(data[: max(1, len(data) // 2)])
             with suppress(OSError, asyncio.TimeoutError):
                 await asyncio.wait_for(self.writer.drain(), config.io_timeout)
             self.reset(abort=True)
             raise InjectedWireFault("frame truncated on the wire")
         if fault == "garble":
-            self.writer.write(chaos.corrupt(item.data))
+            self.writer.write(chaos.corrupt(data))
             with suppress(OSError, asyncio.TimeoutError):
                 await asyncio.wait_for(self.writer.drain(), config.io_timeout)
             # The receiver will fail decoding and drop the connection.
             self.reset()
             raise InjectedWireFault("frame garbled on the wire")
-        self.writer.write(item.data)
-        # Same no-op-drain elision as the batch path, but only outside
-        # chaos and baseline-emulation runs: chaos semantics lean on a
-        # drain per faulted attempt, and the pre-PR transport always
-        # paid the ``wait_for`` (see ``legacy_codec_active``).
-        if (
-            chaos is not None
-            or legacy_codec_active()
-            or self.writer.transport.get_write_buffer_size()
-        ):
+        self.writer.write(data)
+        # ``drain()`` below the high-water mark is a no-op, but
+        # ``wait_for`` still builds a Task and a timer per call — on
+        # the hot path that is most of the flush cost.  When the
+        # kernel took the whole write synchronously there is nothing
+        # to wait for; any connection failure surfaces on the next
+        # write or on the serve side.  Chaos runs always drain: their
+        # semantics lean on a drain per faulted attempt.
+        if chaos is not None or self.writer.transport.get_write_buffer_size():
             await asyncio.wait_for(self.writer.drain(), config.io_timeout)
-        peer.bytes_sent += len(item.data)
+        batched = len(items) > 1
+        peer.bytes_sent += len(data)
+        if batched:
+            peer.batches_sent += 1
         peer.note_send_success(self.target_ident)
         if PERF.enabled:
             PERF.count("net.writes")
-            PERF.count("net.frames_flushed")
-            PERF.count("net.bytes_flushed", len(item.data))
+            if batched:
+                PERF.count("net.batches")
+            PERF.count("net.frames_flushed", len(items))
+            PERF.count("net.bytes_flushed", len(data))
 
     async def _connect(self, config: NetConfig) -> None:
         cluster = self.peer.cluster
@@ -632,7 +571,7 @@ class _Outbox:
             asyncio.open_connection(info.host, info.port),
             config.connect_timeout,
         )
-        set_nodelay(self.writer, config.nodelay)
+        set_nodelay(self.writer)
 
 
 class NetPeer:
@@ -783,29 +722,32 @@ class NetPeer:
     # ------------------------------------------------------------------
     # Outbound
     # ------------------------------------------------------------------
-    def post(
-        self, target_ident: int, frame, *, weight: int, fallback: bool = False
+    def _enqueue(
+        self,
+        target_ident: int,
+        frame,
+        labels: tuple[str, ...],
+        weight: int,
+        fallback: bool = False,
     ) -> None:
-        """Queue a frame for ``target_ident``; never blocks the caller."""
-        info = self.book.get(target_ident)
-        if info is None:
+        """The one way onto an outbox: address check, lazy outbox
+        creation, send-window shed, encode, queue.  Never blocks."""
+        if target_ident not in self.book:
             self.cluster.frame_failed(
                 NetworkError(
                     f"peer {self.node.ident} has no address for "
                     f"{target_ident} in its book"
                 ),
-                _frame_labels(frame, weight),
+                labels,
             )
             return
         outbox = self._outboxes.get(target_ident)
         if outbox is None:
             outbox = _Outbox(self, target_ident)
             self._outboxes[target_ident] = outbox
-        labels = _frame_labels(frame, weight)
         window = self.cluster.net_config.send_window
         kind = type(frame)
-        sheddable = kind is RouteFrame or kind is MultiFrame or kind is DirectFrame
-        if sheddable and window > 0 and outbox.queue.qsize() >= window:
+        if kind in _SHEDDABLE and window > 0 and outbox.queue.qsize() >= window:
             # Bounded backpressure: a saturated peer sheds instead of
             # buffering without bound; the lease refresh re-creates
             # whatever the shed frames would have built.
@@ -813,14 +755,23 @@ class NetPeer:
             self.cluster.frame_failed(
                 NetworkError(
                     f"send window to peer {target_ident} full "
-                    f"({window} frames); shed {_frame_label(frame)}"
+                    f"({window} frames); shed "
+                    f"{labels[0] if labels else 'control'}"
                 ),
                 labels,
             )
             return
-        self.frames_sent += 1
-        outbox.queue.put_nowait(
-            _OutItem(frame, encode_frame(frame), weight, labels, fallback)
+        if weight:  # weightless beacons are not traffic
+            self.frames_sent += 1
+        data = frame.data if kind is _RawFrame else encode_frame(frame)
+        outbox.queue.put_nowait(_OutItem(frame, data, weight, labels, fallback))
+
+    def post(
+        self, target_ident: int, frame, *, weight: int, fallback: bool = False
+    ) -> None:
+        """Queue a frame for ``target_ident``; never blocks the caller."""
+        self._enqueue(
+            target_ident, frame, _frame_labels(frame, weight), weight, fallback
         )
 
     def post_raw(
@@ -832,55 +783,19 @@ class NetPeer:
     ) -> None:
         """Queue pre-encoded wire bytes (the raw-relay fast path).
 
-        Mirrors :meth:`post` — address check, shed-on-saturation,
-        counters — but skips :func:`encode_frame` entirely: ``data``
-        is the original frame as read off the inbound socket, hop
-        counter already bumped.  ``labels``/``weight`` carry the same
-        settlement accounting the decoded path would have derived from
-        the frame (one label per delivery the frame still owes).
+        ``data`` is the original frame as read off the inbound socket,
+        hop counter already bumped, so :func:`encode_frame` is skipped
+        entirely.  ``labels``/``weight`` carry the same settlement
+        accounting the decoded path would have derived from the frame
+        (one label per delivery the frame still owes).
         """
-        info = self.book.get(target_ident)
-        if info is None:
-            self.cluster.frame_failed(
-                NetworkError(
-                    f"peer {self.node.ident} has no address for "
-                    f"{target_ident} in its book"
-                ),
-                labels,
-            )
-            return
-        outbox = self._outboxes.get(target_ident)
-        if outbox is None:
-            outbox = _Outbox(self, target_ident)
-            self._outboxes[target_ident] = outbox
-        window = self.cluster.net_config.send_window
-        if window > 0 and outbox.queue.qsize() >= window:
-            self.frames_shed += 1
-            self.cluster.frame_failed(
-                NetworkError(
-                    f"send window to peer {target_ident} full "
-                    f"({window} frames); shed {labels[0] if labels else 'control'}"
-                ),
-                labels,
-            )
-            return
-        self.frames_sent += 1
-        outbox.queue.put_nowait(
-            _OutItem(_RawFrame(data), data, weight, labels, False)
-        )
+        self._enqueue(target_ident, _RawFrame(data), labels, weight)
 
     def post_heartbeat(self, target_ident: int) -> None:
         """Queue a weightless liveness beacon (single attempt, no retry)."""
         if self.crashed or target_ident not in self.book:
             return
-        outbox = self._outboxes.get(target_ident)
-        if outbox is None:
-            outbox = _Outbox(self, target_ident)
-            self._outboxes[target_ident] = outbox
-        frame = Heartbeat(sender=self.node.ident)
-        outbox.queue.put_nowait(
-            _OutItem(frame, encode_frame(frame), 0, (), False)
-        )
+        self._enqueue(target_ident, Heartbeat(sender=self.node.ident), (), 0)
 
     def reset_connection(self, target_ident: int) -> None:
         """Drop the pooled connection to one peer (queue survives)."""
@@ -982,11 +897,7 @@ class NetPeer:
         about decoded frames, so soaks keep the seed semantics).
         """
         cluster = self.cluster
-        if (
-            not cluster.net_config.raw_relay
-            or cluster.chaos is not None
-            or self.crashed
-        ):
+        if cluster.chaos is not None or self.crashed:
             return False
         tag = payload[0] if payload else 0
         if tag == TAG_ROUTE_FRAME:
@@ -1128,7 +1039,7 @@ class NetPeer:
         if task is not None:
             self._serve_tasks.add(task)
         self._inbound.add(writer)
-        set_nodelay(writer, self.cluster.net_config.nodelay)
+        set_nodelay(writer)
         loop = asyncio.get_running_loop()
         abort_connection = False
         try:

@@ -3,10 +3,10 @@
 The pipelined driver removes the per-event drain, so DAI-Q/DAI-T pair
 races become possible (both one-shot probes overtake the other tuple's
 store); the settle pass — a paced soft-state replay — must close them.
-These tests pin the whole contract on a small point: per-frame and
-batched modes produce the simulator's exact notification set, the raw
-relay is digest-neutral, and the engine's stepwise lease refresh is
-equivalent to the one-shot form.
+These tests pin the whole contract on a small point: the pipelined run
+produces the simulator's exact notification set and gates itself, a
+benign run really takes the zero-copy relay, and the engine's stepwise
+lease refresh is equivalent to the one-shot form.
 """
 
 import asyncio
@@ -19,27 +19,30 @@ from repro.chord.network import ChordNetwork
 from repro.core.engine import ContinuousQueryEngine, EngineConfig
 from repro.net.cluster import ClusterConfig, LiveCluster, simulate_reference
 from repro.net.loadgen import LoadgenConfig, build_report, compare_reports
-from repro.net.peer import NetConfig
+from repro.perf import PERF
 from repro.workload.generator import WorkloadParams, build_workload
 
 POINT = LoadgenConfig(n_nodes=6, n_queries=8, n_tuples=48, domain_size=16, seed=3)
 
 
-def test_both_modes_match_simulator_and_each_other():
+def test_loadgen_matches_simulator_and_gates_itself():
     # build_report itself raises on any digest disagreement: between
-    # repeated runs, between modes, and against the simulator oracle.
-    report = build_report(
-        POINT, algorithms=("dai-t",), modes=("per_frame", "batched"), check_sim=True
-    )
+    # repeated runs and against the simulator oracle.
+    report = build_report(POINT, algorithms=("dai-t",), check_sim=True)
     entry = report["algorithms"]["dai-t"]
+    measured = entry["batched"]
     assert entry["digest"] == entry["sim_digest"]
-    assert entry["per_frame"]["batches_sent"] == 0
-    assert entry["batched"]["batches_sent"] > 0
-    assert "batched_speedup" in entry
+    assert measured["batches_sent"] > 0
     # The settle pass may legitimately recover nothing at this size,
     # but must never *lose* notifications.
-    assert entry["batched"]["recovered_notifications"] >= 0
-    assert entry["batched"]["settle_seconds"] >= 0.0
+    assert measured["recovered_notifications"] >= 0
+    assert measured["settle_seconds"] >= 0.0
+    assert measured["total_seconds"] == pytest.approx(
+        measured["install_seconds"]
+        + measured["wall_seconds"]
+        + measured["settle_seconds"],
+        abs=2e-4,
+    )
 
     # The report gates green against itself.
     assert compare_reports(report, report) == []
@@ -54,21 +57,33 @@ def test_both_modes_match_simulator_and_each_other():
     problems = compare_reports(report, tampered)
     assert any("digest changed" in problem for problem in problems)
 
+    # ... or when the whole path (install + stream + settle) got slow:
+    # a baseline a third of today's total is a 3x regression.
+    faster = {
+        **report,
+        "algorithms": {
+            "dai-t": {
+                **entry,
+                "batched": {
+                    **measured,
+                    "total_seconds": measured["total_seconds"] / 3,
+                },
+            }
+        },
+    }
+    problems = compare_reports(report, faster)
+    assert any("throughput regression" in problem for problem in problems)
 
-def test_raw_relay_is_digest_neutral():
+
+def test_benign_run_takes_raw_relay_and_matches_simulator():
     """The zero-copy relay forwards original bytes; answers identical."""
     workload = build_workload(
         WorkloadParams(n_queries=6, n_tuples=30, domain_size=12, seed=5)
     )
 
-    async def digest_with(raw_relay: bool) -> str:
+    async def run() -> str:
         cluster = LiveCluster(
-            ClusterConfig(
-                algorithm="sai",
-                n_nodes=6,
-                seed=5,
-                net=NetConfig(raw_relay=raw_relay),
-            )
+            ClusterConfig(algorithm="sai", n_nodes=6, seed=5)
         )
         await cluster.start()
         try:
@@ -77,10 +92,16 @@ def test_raw_relay_is_digest_neutral():
             await cluster.stop()
         return report.notification_digest
 
-    with_relay = asyncio.run(digest_with(True))
-    without_relay = asyncio.run(digest_with(False))
-    assert with_relay == without_relay
-    assert with_relay == simulate_reference(
+    PERF.reset()
+    PERF.enable()
+    try:
+        digest = asyncio.run(run())
+    finally:
+        PERF.disable()
+    relayed = PERF.counter("net.frames_relayed_raw")
+    PERF.reset()
+    assert relayed > 0
+    assert digest == simulate_reference(
         workload, algorithm="sai", n_nodes=6, seed=5
     )[0]
 

@@ -1,18 +1,21 @@
 """Tests for the live-throughput path: structural peeks, raw relay
-splicing, batched stream decode, and the baseline codec swap.
+splicing, batched stream decode, and the golden wire bytes.
 
 The zero-copy relay never materializes the messages it forwards, so
 every structural helper here is proven byte-exact against the full
 decode/encode round trip: a peek must read exactly what decode reads, a
 splice must produce exactly the bytes a re-encode would, and the hop
-bump must equal re-encoding the frame with ``hops + 1``.  The legacy
-codec swap used for baseline measurement must be wire-identical to the
-fast paths, or the measured speedup would be comparing two protocols.
+bump must equal re-encoding the frame with ``hops + 1``.  The wire
+format itself is pinned by a golden fixture produced by the seed codec,
+so a codec edit that changes bytes fails here instead of silently
+breaking mixed-version rings.
 """
 
 import asyncio
 import dataclasses
+import json
 import socket
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +28,6 @@ from repro.net.codec import (
     encode,
     encode_frame,
     skip_value,
-    use_legacy_codec,
 )
 from repro.net.frames import (
     DirectFrame,
@@ -36,7 +38,7 @@ from repro.net.frames import (
     peek_route,
     splice_multi,
 )
-from repro.net.peer import NetConfig
+from repro.net.peer import MAX_BATCH_FRAMES, NetConfig
 from repro.sim.messages import ALIndexMessage, UnsubscribeMessage
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple
@@ -199,28 +201,34 @@ class TestMultiPeekAndSplice:
         peek_multi(junk)  # must not raise
 
 
-class TestLegacyCodecIdentity:
-    """`use_legacy_codec` swaps implementations, never the wire format."""
+class TestGoldenWireBytes:
+    """The wire format is pinned by bytes, not by a second codec.
 
-    def test_wire_bytes_identical_across_swap(self):
-        samples = [
-            message_for(n) for n in range(4)
-        ] + [
-            RouteFrame(2**159, message_for(1), hops=3),
-            MultiFrame(((5, message_for(2)), (9, message_for(3))), hops=1),
-            ("mixed", (1, 2.5, None), {"k": [True, b"x"]}),
-        ]
-        fast = [encode_frame(sample) for sample in samples]
-        use_legacy_codec(True)
-        try:
-            legacy = [encode_frame(sample) for sample in samples]
-            decoded_legacy = [decode_frame(data) for data in fast]
-        finally:
-            use_legacy_codec(False)
-        assert fast == legacy
-        assert [repr(decode_frame(d)) for d in legacy] == [
-            repr(obj) for obj in decoded_legacy
-        ]
+    ``golden_wire_frames.json`` holds these samples as encoded by the
+    seed (pre-memo, pre-buffer-pool) codec just before it was deleted.
+    """
+
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "golden_wire_frames.json").read_text()
+    )["frames"]
+    SAMPLES = {
+        **{f"message_{n}": message_for(n) for n in range(4)},
+        "route_frame_2pow159": RouteFrame(2**159, message_for(1), hops=3),
+        "multi_frame": MultiFrame(
+            ((5, message_for(2)), (9, message_for(3))), hops=1
+        ),
+        "mixed_tuple": ("mixed", (1, 2.5, None), {"k": [True, b"x"]}),
+    }
+
+    def test_encode_matches_golden_and_round_trips(self):
+        assert self.SAMPLES.keys() == self.GOLDEN.keys()
+        for name, sample in self.SAMPLES.items():
+            golden = self.GOLDEN[name]
+            assert encode_frame(sample).hex() == golden, name
+            decoded, consumed = decode_frame(bytes.fromhex(golden))
+            assert consumed == len(golden) // 2
+            assert decoded == sample, name
+            assert repr(decoded) == repr(sample), name  # 1 vs 1.0
 
 
 def make_cluster(**net_kwargs):
@@ -324,7 +332,7 @@ class TestCoalescedStream:
 class TestBatchingAndNodelay:
     def test_rapid_posts_coalesce_into_batches(self):
         async def scenario():
-            cluster = make_cluster(max_batch_frames=64)
+            cluster = make_cluster()
             await cluster.start()
             try:
                 received = []
@@ -357,9 +365,57 @@ class TestBatchingAndNodelay:
         assert frames >= 12
         assert 1 <= batches < frames
 
+    def test_failed_batch_falls_back_to_per_frame_retries(self):
+        """A burst queued behind a stopped listener ships as one batch
+        write that fails; every frame must then be retried on its own
+        and land exactly once when the server returns on its old port."""
+        n_frames = 16
+        assert 12 <= n_frames <= MAX_BATCH_FRAMES
+
+        async def scenario():
+            cluster = make_cluster(max_attempts=8)
+            await cluster.start()
+            try:
+                received = []
+                for node in cluster.network.nodes:
+                    node.register_handler(
+                        "unsubscribe",
+                        lambda node, message: received.append(message.query_key),
+                    )
+                sender, target = list(cluster.peers.values())
+                port = target.info.port
+                await target.stop_server()
+                for i in range(n_frames):
+                    cluster.in_flight.inc("unsubscribe")
+                    sender.post(
+                        target.node.ident,
+                        DirectFrame(
+                            message=UnsubscribeMessage(query_key=f"q{i}")
+                        ),
+                        weight=1,
+                    )
+                # Let the batch write hit the refused port, then bring
+                # the listener back well inside the retry budget
+                # (0.01 * 2**k backoff, 8 attempts ~ 1.3 s).
+                await asyncio.sleep(0.05)
+                await target.start(target.info.host, port)
+                await cluster.drain()
+                return (
+                    received,
+                    list(cluster.fault_log),
+                    cluster.stats.snapshot().retries,
+                )
+            finally:
+                await cluster.stop()
+
+        received, fault_log, retries = asyncio.run(scenario())
+        assert sorted(received) == sorted(f"q{i}" for i in range(n_frames))
+        assert fault_log == []
+        assert retries >= 1
+
     def test_tcp_nodelay_set_on_outbox_sockets(self):
         async def scenario():
-            cluster = make_cluster(nodelay=True)
+            cluster = make_cluster()
             await cluster.start()
             try:
                 sender, target = list(cluster.peers.values())
