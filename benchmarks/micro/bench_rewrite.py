@@ -1,16 +1,19 @@
 """Hot path 5: query rewriting and its allocation churn.
 
-``rewrite()`` runs once per (stored query, trigger tuple) pair — the
-hottest application-level call of the simulator — and allocates one
-``RewrittenQuery`` each time.  The second figure isolates simulator
-event/message construction, the per-hop allocation the ``__slots__``
-pass trimmed.
+``rewrite()`` runs once per (query group, trigger tuple) pair and
+returns one ``RewrittenGroup`` however many queries share the join
+condition, so its cost *per member* must fall with the group size:
+``sql.rewrite.group1`` is the floor a lone query pays (the routing-bound
+workloads), ``.group8``/``.group64`` the amortized cost with two select
+lists in the group.  The other figures isolate simulator event/message
+construction, the per-hop allocation the ``__slots__`` pass trimmed.
 """
 
 from __future__ import annotations
 
 import random
 
+from repro.core.tables import AttributeLevelQueryTable, StoredQuery
 from repro.sim.events import Event
 from repro.sim.messages import ALIndexMessage
 from repro.sql.parser import parse_query
@@ -24,11 +27,19 @@ R = Relation("R", ("A", "B", "C"))
 SUB = Subscriber("bench", 1, "10.0.0.1")
 
 
+def _group(size: int):
+    """A rewriter's group of ``size`` queries over two select lists."""
+    table = AttributeLevelQueryTable()
+    for i in range(size):
+        select = "R.A, S.D" if i % 2 == 0 else "R.C, S.D"
+        query = parse_query(f"SELECT {select} FROM R, S WHERE R.B = S.E")
+        table.add(StoredQuery(query.with_subscription(f"bench#{i}", 0.0, SUB), LEFT, 0))
+    (group,) = table.groups_for("R", "B")
+    return group
+
+
 def run(loops: int = 30_000) -> list[dict]:
     rng = random.Random(19)
-    query = parse_query("SELECT R.A, S.D FROM R, S WHERE R.B = S.E").with_subscription(
-        "bench#0", 0.0, SUB
-    )
     tuples = [
         DataTuple(R, (rng.randrange(900), rng.randrange(900), rng.randrange(900)), float(i))
         for i in range(512)
@@ -36,10 +47,15 @@ def run(loops: int = 30_000) -> list[dict]:
     n_tuples = len(tuples)
     state = {"i": 0}
 
-    def one_rewrite():
-        i = state["i"]
-        state["i"] = (i + 1) % n_tuples
-        rewrite(query, LEFT, tuples[i])
+    def rewrite_group(size: int) -> float:
+        group = _group(size)
+
+        def one_rewrite():
+            i = state["i"]
+            state["i"] = (i + 1) % n_tuples
+            rewrite(group, LEFT, tuples[i])
+
+        return best_of(one_rewrite, loops=loops) / size
 
     def nothing():
         pass
@@ -51,7 +67,10 @@ def run(loops: int = 30_000) -> list[dict]:
         ALIndexMessage(tuple=tuples[0], index_attribute="B")
 
     return [
-        report("sql.rewrite", best_of(one_rewrite, loops=loops)),
+        *[
+            report(f"sql.rewrite.group{size}", rewrite_group(size), unit="ns/member")
+            for size in (1, 8, 64)
+        ],
         report("sim.event_alloc", best_of(one_event, loops=loops)),
         report("sim.message_alloc", best_of(one_message, loops=loops)),
     ]

@@ -1,7 +1,7 @@
 """Hot path 2: value-level table maintenance (add + window eviction).
 
-The VLQT absorbs one ``add`` per delivered rewritten query and one
-``evict_older_than`` sweep every eviction round.  The lazy min-heap
+The VLQT absorbs one ``add`` per delivered group record (here: groups
+of one) and one ``evict_older_than`` sweep every eviction round.  The lazy min-heap
 keeps eviction proportional to the number of expirations; this bench
 drives a sliding window over a continuous add stream, the same access
 pattern the windowed experiments (E8/E9) produce.
@@ -13,28 +13,26 @@ import random
 import time
 
 from repro.core.tables import ValueLevelQueryTable
-from repro.sql.query import RewrittenQuery, Subscriber
+from repro.sql.query import GroupMember, RewrittenGroup, Subscriber
 
 from _common import report
 
 SUB = Subscriber("bench", 1, "10.0.0.1")
 
 
-def _rewritten(i: int, value: int, trigger_time: float) -> RewrittenQuery:
-    return RewrittenQuery(
-        key=f"q{i}+{value}",
-        original_key=f"q{i}",
+def _rewritten(i: int, value: int, trigger_time: float) -> RewrittenGroup:
+    return RewrittenGroup(
         group_signature="sig",
-        subscriber=SUB,
-        insertion_time=0.0,
         relation="R",
         expr=None,
         required_value=value,
         dis_attribute="A",
         dis_value=value,
         filters=(),
-        select=(),
         trigger_pub_time=trigger_time,
+        selects=((),),
+        suffixes=(f"+{value}",),
+        members=(GroupMember(f"q{i}", SUB, 0.0, 0),),
     )
 
 

@@ -103,8 +103,7 @@ def run(loops: int = 4_000) -> list[dict]:
 # ----------------------------------------------------------------------
 
 def test_round_trip_identity():
-    # RewrittenQuery compares by identity (eq=False), so round-trip
-    # fidelity is asserted on the re-encoded wire bytes instead.
+    # Round-trip fidelity is asserted on the re-encoded wire bytes.
     for name, frame in _frames().items():
         wire = encode_frame(frame)
         decoded, consumed = decode_frame(wire)

@@ -30,8 +30,9 @@ from ..sim.messages import (
     VLIndexMessage,
 )
 from ..sim.stats import NodeLoad
-from ..sql.query import JoinQuery, RewrittenQuery, rewrite
-from ..sql.tuples import DataTuple, ProjectedTuple
+from ..perf import PERF
+from ..sql.query import JoinQuery, RewrittenGroup, RewrittenQuery, rewrite
+from ..sql.tuples import DataTuple
 from ..sql.expr import canonical_value
 from .index_choice import ArrivalStats
 from .jfrt import JoinFingersRoutingTable
@@ -137,16 +138,6 @@ class NodeState:
                 other.parked.setdefault(subscriber_ident, []).extend(batch)
                 moved += len(batch)
         return moved
-
-
-def index_side_needed_attributes(query: JoinQuery, label: str) -> tuple[str, ...]:
-    """Attributes of side ``label`` a DAI-V projection must carry.
-
-    The projection of a trigger tuple must later satisfy rewritten
-    queries of the *opposite* side, which need this side's select
-    attributes, join-expression attributes and filter attributes.
-    """
-    return query.side_needed_attributes[label]
 
 
 class Algorithm:
@@ -301,116 +292,74 @@ class Algorithm:
             return
         state.load.add_attribute_level(sum(len(group) for group in groups))
 
-        batches: dict[int, tuple[list[RewrittenQuery], list[Any]]] = {}
-        sent_by_group: list[tuple[QueryGroup, list[str]]] = []
+        batches: dict[int, tuple[list[RewrittenGroup], list[Any]]] = {}
+        sent_by_group: list[tuple[QueryGroup, tuple[str, ...]]] = []
+        remembers = self.remembers_sent_keys(engine)
+        splits = self.splits_groups(engine)
         for group in groups:
-            sent_keys = self._rewrite_group(
-                engine, state, group, tup, batches, force_resend=msg.refresh
-            )
-            if sent_keys:
-                sent_by_group.append((group, sent_keys))
+            record = rewrite(group, group.index_label, tup)
+            if record is None:
+                continue
+            if remembers:
+                keys = record.member_keys()
+                # ``msg.refresh`` bypasses the never-resend memory so
+                # republished tuples rebuild evaluator state lost to a crash.
+                if not msg.refresh:
+                    already_sent = group.sent_rewritten_keys
+                    unsent = [i for i, key in enumerate(keys) if key not in already_sent]
+                    if not unsent:
+                        continue
+                    if len(unsent) < len(keys):
+                        record = record.restrict(unsent)
+                        keys = record.member_keys()
+                sent_by_group.append((group, keys))
+            projection = None
+            if self.wants_projection:
+                plan = group.rewrite_plan(group.index_label)
+                projection = tup.project(plan.needed_attributes)
+            for shipped in record.split() if splits else (record,):
+                ident = self.evaluator_ident(engine, shipped)
+                batch = batches.get(ident)
+                if batch is None:
+                    batch = batches[ident] = ([], [])
+                batch[0].append(shipped)
+                if projection is not None:
+                    batch[1].append(projection)
         if batches:
             self._dispatch_join_batches(engine, node, batches)
             for group, keys in sent_by_group:
                 group.sent_rewritten_keys.update(keys)
 
-    def _rewrite_group(
-        self,
-        engine: "ContinuousQueryEngine",
-        state: NodeState,
-        group: QueryGroup,
-        tup: DataTuple,
-        batches: dict[int, tuple[list[RewrittenQuery], list[Any]]],
-        *,
-        force_resend: bool = False,
-    ) -> list[str]:
-        """Trigger one query group with ``tup``; fill evaluator batches.
-
-        Returns the rewritten keys to remember as "sent" (DAI-T only).
-        ``force_resend`` bypasses the never-resend memory so republished
-        tuples can rebuild evaluator state lost to a crash.
-        """
-        sent_keys: list[str] = []
-        seen_keys: set[str] = set()
-        projection: Optional[ProjectedTuple] = None
-        pub_time = tup.pub_time
-        remembers = self.remembers_sent_keys(engine)
-        already_sent = group.sent_rewritten_keys
-        wants_projection = self.wants_projection
-        evaluator_ident = self.evaluator_ident
-        batches_get = batches.get
-        for entry in group.entries:
-            query = entry.query
-            side = query.side(entry.index_label)
-            if pub_time < query.insertion_time:
-                continue
-            if not side.accepts(tup):
-                continue
-            rewritten = rewrite(query, entry.index_label, tup)
-            key = rewritten.key
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            if remembers and not force_resend and key in already_sent:
-                continue
-            ident = evaluator_ident(engine, rewritten)
-            batch = batches_get(ident)
-            if batch is None:
-                batch = batches[ident] = ([], [])
-            batch[0].append(rewritten)
-            if wants_projection:
-                if projection is None:
-                    projection = self._group_projection(group, tup)
-                batch[1].append(projection)
-            sent_keys.append(key)
-        return sent_keys if remembers else []
-
-    @staticmethod
-    def _group_projection(group: QueryGroup, tup: DataTuple) -> ProjectedTuple:
-        """Project the trigger tuple for a whole query group (DAI-V).
-
-        The stored projection must later satisfy the opposite-side
-        rewritten queries of *every* query in the group, whose select
-        lists can differ, so it carries the union of their needs.
-        (Queries subscribed later never match: a pair involving this
-        tuple and a younger query fails the ``pubT >= insT`` rule.)
-        """
-        needed: set[str] = set()
-        for entry in group.entries:
-            needed.update(
-                index_side_needed_attributes(entry.query, entry.index_label)
-            )
-        return tup.project(tuple(sorted(needed)))
-
     # Hooks specialized by the algorithms -------------------------------
-    #: DAI-V ships a projected trigger tuple with every rewritten query.
+    #: DAI-V ships, per group record, the trigger tuple projected on the
+    #: union of what its members need (their select lists can differ;
+    #: queries subscribed later never match it: ``pubT >= insT`` fails).
     wants_projection = False
 
     def remembers_sent_keys(self, engine: "ContinuousQueryEngine") -> bool:
         """DAI-T's never-resend optimization (see its docstring)."""
         return False
 
-    def _skip_already_sent(
-        self,
-        engine: "ContinuousQueryEngine",
-        group: QueryGroup,
-        rewritten: RewrittenQuery,
-    ) -> bool:
-        if not self.remembers_sent_keys(engine):
-            return False
-        return rewritten.key in group.sent_rewritten_keys
-
     def evaluator_ident(
-        self, engine: "ContinuousQueryEngine", rewritten: RewrittenQuery
+        self, engine: "ContinuousQueryEngine", record: RewrittenGroup
     ) -> int:
-        """The value-level identifier a rewritten query is sent to."""
-        raise NotImplementedError
+        """The value-level identifier a group record is sent to:
+        ``VIndex = Hash(DisR + DisA + valDA)`` (Section 4.3.2)."""
+        return engine.network.hash.hash_parts(
+            record.relation, record.dis_attribute, record.dis_value
+        )
+
+    def splits_groups(self, engine: "ContinuousQueryEngine") -> bool:
+        """Whether members of one group go to different evaluators.  They
+        do not — "for the same incoming tuple all similar queries will
+        require the same evaluator" (§4.3.5) — except under keyed DAI-V."""
+        return False
 
     def _dispatch_join_batches(
         self,
         engine: "ContinuousQueryEngine",
         node: ChordNode,
-        batches: dict[int, tuple[list[RewrittenQuery], list[Any]]],
+        batches: dict[int, tuple[list[RewrittenGroup], list[Any]]],
     ) -> None:
         """Ship one ``join()`` message per evaluator (grouping, §4.3.5).
 
@@ -422,9 +371,9 @@ class Algorithm:
         transport = engine.transport
         routed_idents: list[int] = []
         routed_messages: list[JoinMessage] = []
-        for ident, (rewritten_list, projection_list) in batches.items():
+        for ident, (records, projections) in batches.items():
             message = JoinMessage(
-                rewritten=tuple(rewritten_list), projections=tuple(projection_list)
+                rewritten=tuple(records), projections=tuple(projections)
             )
             cached = state.jfrt.lookup(ident) if state.jfrt is not None else None
             if cached is not None:
@@ -459,21 +408,6 @@ class Algorithm:
     # ------------------------------------------------------------------
     # Shared value-level helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _within_window(
-        engine: "ContinuousQueryEngine", time_a: float, time_b: float
-    ) -> bool:
-        """Sliding-window check between the two contributing times.
-
-        A pair joins only when its publication times are at most one
-        window apart; the check is symmetric because either side may
-        have been stored first.
-        """
-        window = engine.config.window
-        if window is None:
-            return True
-        return abs(time_b - time_a) <= window
-
     def _emit(
         self,
         engine: "ContinuousQueryEngine",
@@ -486,6 +420,8 @@ class Algorithm:
         row = rewritten.result_row(match)
         identity = (rewritten.original_key, repr(rewritten.required_value), row)
         if identity in state.emitted:
+            if PERF.enabled:
+                PERF.count("evaluator.rejected.repeat")
             return None
         state.emitted.add(identity)
         state.load.notifications_created += 1
@@ -503,26 +439,64 @@ class Algorithm:
         self,
         engine: "ContinuousQueryEngine",
         state: NodeState,
-        rewritten: RewrittenQuery,
+        record: RewrittenGroup,
+        rewritten: Optional[list[RewrittenQuery]] = None,
     ) -> list[Notification]:
-        """Evaluate one rewritten query against the local VLTT."""
-        candidates = state.vltt.candidates(
-            rewritten.relation, rewritten.dis_attribute or "", rewritten.dis_value
-        )
-        state.load.add_value_level(len(candidates))
+        """Evaluate members of ``record`` against the stored dis-side
+        tuples (VLTT; under DAI-V the stored projections), fetched once.
+
+        ``rewritten`` are the expanded members to evaluate — by default
+        all, expanded only once a candidate passes the checks the group
+        shares (window, filters and, for projections, the join value,
+        which makes identifier collisions harmless), so an empty bucket
+        costs O(1).  TF still counts every (member, candidate) pair.
+        """
+        check_value = self.wants_projection
+        if check_value:
+            tuples = [
+                stored.projection
+                for stored in state.projections.candidates(
+                    record.group_signature, record.relation, record.required_value
+                )
+            ]
+        else:
+            tuples = [
+                stored.tuple
+                for stored in state.vltt.candidates(
+                    record.relation, record.dis_attribute or "", record.dis_value
+                )
+            ]
+        pairs = len(record.members) if rewritten is None else len(rewritten)
+        state.load.add_value_level(len(tuples) * pairs)
+        perf = PERF.enabled
+        window = engine.config.window
+        trigger_time = record.trigger_pub_time
+        checked = check_value or record.filters
+        live = []
+        for tup in tuples:
+            if window is not None and abs(trigger_time - tup.pub_time) > window:
+                if perf:
+                    PERF.count("evaluator.rejected.window", pairs)
+            elif checked and not record.accepts(tup, check_value=check_value):
+                if perf:
+                    PERF.count("evaluator.rejected.filter", pairs)
+            else:
+                live.append(tup)
+        if not live:
+            return []
+        if rewritten is None:
+            rewritten = [record.expand(member) for member in record.members]
         notifications = []
-        for stored in candidates:
-            if not self._within_window(
-                engine, stored.tuple.pub_time, rewritten.trigger_pub_time
-            ):
-                continue
-            if not rewritten.matches(stored.tuple, check_value=False):
-                continue
-            notification = self._emit(
-                engine, state, rewritten, stored.tuple, rewritten.trigger_pub_time
-            )
-            if notification is not None:
-                notifications.append(notification)
+        for flat in rewritten:
+            insertion_time = flat.insertion_time
+            for tup in live:
+                if tup.pub_time < insertion_time:
+                    if perf:
+                        PERF.count("evaluator.rejected.time")
+                    continue
+                notification = self._emit(engine, state, flat, tup, trigger_time)
+                if notification is not None:
+                    notifications.append(notification)
         return notifications
 
     def _match_tuple_against_rewritten(
@@ -537,16 +511,25 @@ class Algorithm:
             tup.relation.name, attribute, tup.value(attribute)
         )
         state.load.add_value_level(len(candidates))
+        perf = PERF.enabled
+        window = engine.config.window
         notifications = []
         for entry in candidates:
-            if not self._within_window(
-                engine, entry.latest_trigger_time, tup.pub_time
-            ):
+            rewritten = entry.rewritten
+            if window is not None and abs(tup.pub_time - entry.latest_trigger_time) > window:
+                if perf:
+                    PERF.count("evaluator.rejected.window")
                 continue
-            if not entry.rewritten.matches(tup, check_value=False):
+            if not rewritten.matches(tup, check_value=False):
+                if perf:
+                    PERF.count(
+                        "evaluator.rejected.time"
+                        if tup.pub_time < rewritten.insertion_time
+                        else "evaluator.rejected.filter"
+                    )
                 continue
             notification = self._emit(
-                engine, state, entry.rewritten, tup, entry.latest_trigger_time
+                engine, state, rewritten, tup, entry.latest_trigger_time
             )
             if notification is not None:
                 notifications.append(notification)

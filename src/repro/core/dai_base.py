@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..chord.node import ChordNode
-from ..sql.query import LEFT, RIGHT, JoinQuery, RewrittenQuery
+from ..sql.query import LEFT, RIGHT, JoinQuery
 from .base import Algorithm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -29,11 +29,3 @@ class DoubleAttributeIndex(Algorithm):
     ) -> list[str]:
         """Both sides: ``Hash(R + B)`` and ``Hash(S + E)`` (Section 4.4.1)."""
         return [LEFT, RIGHT]
-
-    def evaluator_ident(
-        self, engine: "ContinuousQueryEngine", rewritten: RewrittenQuery
-    ) -> int:
-        """T1 placement, identical to SAI: ``Hash(DisR + DisA + valDA)``."""
-        return engine.network.hash.hash_parts(
-            rewritten.relation, rewritten.dis_attribute, rewritten.dis_value
-        )

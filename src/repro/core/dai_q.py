@@ -38,9 +38,9 @@ class DAIQuery(DoubleAttributeIndex):
         state = engine.state(node)
         state.load.messages_processed += 1
         notifications = []
-        for rewritten in msg.rewritten:
+        for record in msg.rewritten:
             notifications.extend(
-                self._match_rewritten_against_tuples(engine, state, rewritten)
+                self._match_rewritten_against_tuples(engine, state, record)
             )
         engine.deliver_notifications(node, notifications)
 

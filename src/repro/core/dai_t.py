@@ -41,17 +41,17 @@ class DAITuple(DoubleAttributeIndex):
     def on_join(
         self, engine: "ContinuousQueryEngine", node: ChordNode, msg: JoinMessage
     ) -> None:
-        """Store (or time-refresh) the rewritten queries; no evaluation —
-        stored tuples do not exist under DAI-T."""
+        """Store (or time-refresh) every member's rewritten query; no
+        evaluation — stored tuples do not exist under DAI-T."""
         state = engine.state(node)
         state.load.messages_processed += 1
         # Batches are grouped per evaluator identifier (§4.3.5), so every
-        # rewritten query in the message shares the same ident.
+        # record in the message shares the same ident.
         ident = None
-        for rewritten in msg.rewritten:
+        for record in msg.rewritten:
             if ident is None:
-                ident = self.evaluator_ident(engine, rewritten)
-            state.vlqt.add(rewritten, ident)
+                ident = self.evaluator_ident(engine, record)
+            state.vlqt.add(record, ident)
 
     def on_vl_index(
         self, engine: "ContinuousQueryEngine", node: ChordNode, msg: VLIndexMessage

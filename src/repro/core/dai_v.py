@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from ..chord.node import ChordNode
 from ..errors import QueryError
 from ..sim.messages import JoinMessage, VLIndexMessage
-from ..sql.query import RewrittenQuery
+from ..sql.query import RewrittenGroup
 from .dai_base import DoubleAttributeIndex
 from .tables import StoredProjection
 
@@ -45,22 +45,29 @@ class DAIValue(DoubleAttributeIndex):
     wants_projection = True
 
     def evaluator_ident(
-        self, engine: "ContinuousQueryEngine", rewritten: RewrittenQuery
+        self, engine: "ContinuousQueryEngine", record: RewrittenGroup
     ) -> int:
-        """``Hash(str(value))`` — or ``Hash(Key(q) + value)`` when keyed."""
+        """``Hash(str(value))`` — or ``Hash(Key(q) + value)`` when keyed
+        (records then hold one member, see :meth:`splits_groups`)."""
         if engine.config.daiv_keyed:
             return engine.network.hash.hash_parts(
-                rewritten.original_key, rewritten.required_value
+                record.members[0].query_key, record.required_value
             )
         # ``make_key(v) == str(v)`` for a single part, so the memoized
         # parts lookup computes the same identifier.
-        return engine.network.hash.hash_parts(rewritten.required_value)
+        return engine.network.hash.hash_parts(record.required_value)
+
+    def splits_groups(self, engine: "ContinuousQueryEngine") -> bool:
+        """Keyed identifiers are per query, so grouping disappears: each
+        record is shipped as single-member records."""
+        return engine.config.daiv_keyed
 
     def on_join(
         self, engine: "ContinuousQueryEngine", node: ChordNode, msg: JoinMessage
     ) -> None:
-        """Match each rewritten query against stored opposite-relation
-        projections, then store this trigger's projection.
+        """Match each record against stored opposite-relation
+        projections, then store this trigger's projection — once per
+        record, it is the same for every member.
 
         The join value is re-checked on every candidate, so identifier
         collisions between different values are harmless.
@@ -71,36 +78,19 @@ class DAIValue(DoubleAttributeIndex):
             raise QueryError("DAI-V join message lost its projections")
         notifications = []
         # Batches are grouped per evaluator identifier (§4.3.5), so every
-        # rewritten query in the message shares the same ident.
+        # record in the message shares the same ident.
         ident = None
-        for rewritten, projection in zip(msg.rewritten, msg.projections):
-            candidates = state.projections.candidates(
-                rewritten.group_signature, rewritten.relation, rewritten.required_value
-            )
-            state.load.add_value_level(len(candidates))
-            for stored in candidates:
-                if not self._within_window(
-                    engine, stored.projection.pub_time, rewritten.trigger_pub_time
-                ):
-                    continue
-                if not rewritten.matches(stored.projection, check_value=True):
-                    continue
-                notification = self._emit(
-                    engine,
-                    state,
-                    rewritten,
-                    stored.projection,
-                    rewritten.trigger_pub_time,
-                )
-                if notification is not None:
-                    notifications.append(notification)
+        for record, projection in zip(msg.rewritten, msg.projections):
             if ident is None:
-                ident = self.evaluator_ident(engine, rewritten)
+                ident = self.evaluator_ident(engine, record)
+            notifications.extend(
+                self._match_rewritten_against_tuples(engine, state, record)
+            )
             state.projections.add(
                 StoredProjection(
                     projection=projection,
-                    group_signature=rewritten.group_signature,
-                    value=rewritten.required_value,
+                    group_signature=record.group_signature,
+                    value=record.required_value,
                     routing_ident=ident,
                 )
             )

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from ..sql.expr import canonical_value
 from ..chord.node import ChordNode
 from ..sim.messages import JoinMessage, VLIndexMessage
-from ..sql.query import JoinQuery, RewrittenQuery
+from ..sql.query import JoinQuery
 from .base import Algorithm
 from .tables import StoredTuple
 
@@ -45,18 +45,11 @@ class SingleAttributeIndex(Algorithm):
         """One side, picked by the configured choice strategy."""
         return [engine.index_choice.choose(engine, origin, query)]
 
-    def evaluator_ident(
-        self, engine: "ContinuousQueryEngine", rewritten: RewrittenQuery
-    ) -> int:
-        """``VIndex = Hash(DisR + DisA + valDA)`` (Section 4.3.2)."""
-        return engine.network.hash.hash_parts(
-            rewritten.relation, rewritten.dis_attribute, rewritten.dis_value
-        )
-
     def on_join(
         self, engine: "ContinuousQueryEngine", node: ChordNode, msg: JoinMessage
     ) -> None:
-        """Store each rewritten query; match the new ones against VLTT.
+        """Store each member's rewritten query; match the new ones
+        against VLTT.
 
         A key seen before only refreshes its stored time — unless the
         stored entry had already slid out of the window, in which case
@@ -68,21 +61,17 @@ class SingleAttributeIndex(Algorithm):
         window = engine.config.window
         notifications = []
         # Batches are grouped per evaluator identifier (§4.3.5), so every
-        # rewritten query in the message shares the same ident.
+        # record in the message shares the same ident.
         ident = None
-        for rewritten in msg.rewritten:
+        for record in msg.rewritten:
             if ident is None:
-                ident = self.evaluator_ident(engine, rewritten)
-            previous = state.vlqt.peek(rewritten)
-            was_expired = (
-                previous is not None
-                and window is not None
-                and rewritten.trigger_pub_time - previous.latest_trigger_time > window
-            )
-            _, is_new = state.vlqt.add(rewritten, ident)
-            if is_new or was_expired:
+                ident = self.evaluator_ident(engine, record)
+            unevaluated = state.vlqt.add(record, ident, window)
+            if unevaluated:
                 notifications.extend(
-                    self._match_rewritten_against_tuples(engine, state, rewritten)
+                    self._match_rewritten_against_tuples(
+                        engine, state, record, unevaluated
+                    )
                 )
         engine.deliver_notifications(node, notifications)
 

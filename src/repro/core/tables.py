@@ -28,11 +28,11 @@ time-ordered structure helps with, and runs only on churn events.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
 from ..perf import PERF
-from ..sql.query import JoinQuery, RewrittenQuery
+from ..sql.query import JoinQuery, RewritePlan, RewrittenGroup, RewrittenQuery
 from ..sql.tuples import DataTuple, ProjectedTuple
 
 
@@ -49,7 +49,6 @@ class StoredQuery:
     routing_ident: int
 
 
-@dataclass
 class QueryGroup:
     """Queries sharing an equivalent join condition (Section 4.3.5).
 
@@ -58,14 +57,57 @@ class QueryGroup:
     queries since for the same incoming tuple all similar queries will
     require the same evaluator."
 
+    All entries share one index side (the level-1 bucket fixes the
+    relation, the signature the side it sits on).
+
     ``sent_rewritten_keys`` is the DAI-T rewriter-side memory: "a
     rewriter does not need to reindex the same rewritten query more
     than once at the value level" (Section 4.4.3).
     """
 
-    signature: str
-    entries: list[StoredQuery] = field(default_factory=list)
-    sent_rewritten_keys: set[str] = field(default_factory=set)
+    def __init__(self, signature: str, index_label: str):
+        self.signature = signature
+        self.index_label = index_label
+        self.entries: list[StoredQuery] = []
+        self.sent_rewritten_keys: set[str] = set()
+        #: ``(query key, index side, routing identifier)`` of every entry.
+        self._entry_ids: set[tuple[str, str, int]] = set()
+        #: Member snapshot of ``entries``; dropped on every change.
+        self._plan: Optional[RewritePlan] = None
+
+    def add(self, stored: StoredQuery) -> bool:
+        """Append ``stored`` unless an identical copy is present."""
+        entry_id = (stored.query.key, stored.index_label, stored.routing_ident)
+        if entry_id in self._entry_ids:
+            return False
+        self._entry_ids.add(entry_id)
+        self.entries.append(stored)
+        self._plan = None
+        return True
+
+    def drop(self, should_drop: Callable[[StoredQuery], bool]) -> list[StoredQuery]:
+        """Remove and return the entries satisfying ``should_drop``."""
+        kept: list[StoredQuery] = []
+        dropped: list[StoredQuery] = []
+        for entry in self.entries:
+            (dropped if should_drop(entry) else kept).append(entry)
+        if dropped:
+            self.entries = kept
+            self._entry_ids = {
+                (entry.query.key, entry.index_label, entry.routing_ident)
+                for entry in kept
+            }
+            self._plan = None
+        return dropped
+
+    def rewrite_plan(self, index_label: str) -> RewritePlan:
+        """The members' rewrite skeleton, rebuilt after a change."""
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = RewritePlan(
+                [entry.query for entry in self.entries], index_label
+            )
+        return plan
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -94,60 +136,38 @@ class AttributeLevelQueryTable:
         signature = query.join_signature()
         group = groups.get(signature)
         if group is None:
-            group = QueryGroup(signature)
-            groups[signature] = group
-        for entry in group.entries:
-            if (
-                entry.query.key == query.key
-                and entry.index_label == stored.index_label
-                and entry.routing_ident == stored.routing_ident
-            ):
-                return group, False
-        group.entries.append(stored)
-        self._count += 1
-        return group, True
+            group = groups[signature] = QueryGroup(signature, stored.index_label)
+        is_new = group.add(stored)
+        if is_new:
+            self._count += 1
+        return group, is_new
 
     def groups_for(self, relation: str, attribute: str) -> list[QueryGroup]:
         """All groups a tuple indexed by ``(relation, attribute)`` can hit."""
         return list(self._buckets.get((relation, attribute), {}).values())
 
-    def remove(self, query_key: str) -> int:
-        """Unsubscribe: drop every copy of the query; returns removals."""
-        removed = 0
-        for groups in self._buckets.values():
-            for signature in list(groups):
-                group = groups[signature]
-                before = len(group.entries)
-                group.entries = [
-                    entry for entry in group.entries if entry.query.key != query_key
-                ]
-                removed += before - len(group.entries)
-                if not group.entries:
-                    del groups[signature]
-        self._count -= removed
-        return removed
-
-    def pop_matching(self, should_move: Callable[[int], bool]) -> list[StoredQuery]:
-        """Remove and return entries whose routing ident satisfies the
-        predicate (responsibility handoff)."""
-        moved: list[StoredQuery] = []
+    def _drop(self, should_drop: Callable[[StoredQuery], bool]) -> list[StoredQuery]:
+        dropped: list[StoredQuery] = []
         for level1 in list(self._buckets):
             groups = self._buckets[level1]
             for signature in list(groups):
                 group = groups[signature]
-                keep = []
-                for entry in group.entries:
-                    if should_move(entry.routing_ident):
-                        moved.append(entry)
-                    else:
-                        keep.append(entry)
-                group.entries = keep
-                if not keep:
+                dropped.extend(group.drop(should_drop))
+                if not group.entries:
                     del groups[signature]
             if not groups:
                 del self._buckets[level1]
-        self._count -= len(moved)
-        return moved
+        self._count -= len(dropped)
+        return dropped
+
+    def remove(self, query_key: str) -> int:
+        """Unsubscribe: drop every copy of the query; returns removals."""
+        return len(self._drop(lambda entry: entry.query.key == query_key))
+
+    def pop_matching(self, should_move: Callable[[int], bool]) -> list[StoredQuery]:
+        """Remove and return entries whose routing ident satisfies the
+        predicate (responsibility handoff)."""
+        return self._drop(lambda entry: should_move(entry.routing_ident))
 
     def __len__(self) -> int:
         return self._count
@@ -205,26 +225,44 @@ class ValueLevelQueryTable:
         heap = self._evict_heap
         return bool(heap) and heap[0][0] < cutoff
 
-    def add(self, rewritten: RewrittenQuery, routing_ident: int) -> tuple[StoredRewritten, bool]:
-        """Store (or refresh) a rewritten query; returns (entry, is_new).
+    def add(
+        self,
+        record: RewrittenGroup,
+        routing_ident: int,
+        window: Optional[float] = None,
+    ) -> list[RewrittenQuery]:
+        """Store (or time-refresh) one entry per member of ``record``.
 
         The level-2 key is ``dis_value`` — the attribute value a
-        matching tuple carries — so arriving ``vl-index`` tuples find
-        their candidates by their own attribute values even when the
-        dis side is a linear expression.
+        matching tuple carries, even when the dis side is a linear
+        expression; the group shares it, so the bucket is resolved once.
+
+        Returns the members still to be evaluated against stored
+        tuples, expanded: those whose key was not stored yet and, given
+        a ``window``, those whose stored entry had already slid out of
+        it (their pairs with recently stored tuples were never made).
         """
-        level1 = (rewritten.relation, rewritten.dis_attribute or "")
-        level2 = self._buckets.setdefault(level1, {})
-        by_key = level2.setdefault(rewritten.dis_value, {})
-        existing = by_key.get(rewritten.key)
-        if existing is not None:
-            existing.refresh(rewritten.trigger_pub_time)
-            return existing, False
-        entry = StoredRewritten(rewritten, routing_ident, rewritten.trigger_pub_time)
-        by_key[rewritten.key] = entry
+        level1 = (record.relation, record.dis_attribute or "")
+        value = record.dis_value
+        by_key = self._buckets.setdefault(level1, {}).setdefault(value, {})
+        trigger_time = record.trigger_pub_time
+        unevaluated = []
+        for member, key in zip(record.members, record.member_keys()):
+            existing = by_key.get(key)
+            if existing is None:
+                rewritten = record.expand(member, key)
+                self._store(level1, value, by_key, rewritten, routing_ident, trigger_time)
+                unevaluated.append(rewritten)
+                continue
+            if window is not None and trigger_time - existing.latest_trigger_time > window:
+                unevaluated.append(record.expand(member, key))
+            existing.refresh(trigger_time)
+        return unevaluated
+
+    def _store(self, level1, value, by_key, rewritten, routing_ident, time) -> None:
+        entry = by_key[rewritten.key] = StoredRewritten(rewritten, routing_ident, time)
         self._count += 1
-        self._arm(entry.latest_trigger_time, level1, rewritten.dis_value, entry)
-        return entry, True
+        self._arm(time, level1, value, entry)
 
     def peek(self, rewritten: RewrittenQuery) -> Optional[StoredRewritten]:
         """The stored entry with this rewritten query's key, if any."""
@@ -236,10 +274,18 @@ class ValueLevelQueryTable:
 
     def insert_entry(self, entry: StoredRewritten) -> None:
         """Re-insert a previously stored entry (responsibility handoff)."""
-        stored, is_new = self.add(entry.rewritten, entry.routing_ident)
-        stored.refresh(entry.latest_trigger_time)
-        if not is_new:
+        rewritten = entry.rewritten
+        stored = self.peek(rewritten)
+        if stored is not None:
+            stored.refresh(entry.latest_trigger_time)
             stored.routing_ident = entry.routing_ident
+            return
+        level1 = (rewritten.relation, rewritten.dis_attribute or "")
+        value = rewritten.dis_value
+        by_key = self._buckets.setdefault(level1, {}).setdefault(value, {})
+        self._store(
+            level1, value, by_key, rewritten, entry.routing_ident, entry.latest_trigger_time
+        )
 
     def candidates(
         self, relation: str, attribute: str, value: Any

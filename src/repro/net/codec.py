@@ -19,7 +19,7 @@ The payload is one *value* in a tagged, self-describing encoding:
   IEEE-754 doubles, UTF-8 strings, bytes;
 * containers — tuples, lists, dicts (recursively encoded);
 * records — every dataclass that can appear in a message: schema
-  objects, tuples, expressions, queries, rewritten queries,
+  objects, tuples, expressions, queries, rewritten query groups,
   notifications, the :mod:`repro.sim.messages` hierarchy and the
   :mod:`repro.net.frames` envelopes.  A record is its tag byte followed
   by its fields in declaration order, each encoded as a value.
@@ -67,18 +67,19 @@ from ..sim.messages import (
 from ..sql.expr import AttrRef, BinaryOp, Const, Negate
 from ..sql.query import (
     BoundValue,
+    GroupMember,
     JoinQuery,
     LocalFilter,
     PendingAttr,
     QuerySide,
-    RewrittenQuery,
+    RewrittenGroup,
     Subscriber,
 )
 from ..sql.schema import Relation
 from ..sql.tuples import DataTuple, ProjectedTuple
 
 #: Wire protocol version; bump when the payload encoding changes.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 MAGIC = b"RJ"
 
@@ -121,8 +122,9 @@ TAG_SUBSCRIBER = 0x19
 TAG_JOIN_QUERY = 0x1A
 TAG_BOUND_VALUE = 0x1B
 TAG_PENDING_ATTR = 0x1C
-TAG_REWRITTEN_QUERY = 0x1D
+TAG_REWRITTEN_GROUP = 0x1D
 TAG_NOTIFICATION = 0x1E
+TAG_GROUP_MEMBER = 0x1F
 
 TAG_MESSAGE = 0x20
 TAG_QUERY_INDEX = 0x21
@@ -601,22 +603,27 @@ register_record(
 register_record(BoundValue, TAG_BOUND_VALUE, ("value",))
 register_record(PendingAttr, TAG_PENDING_ATTR, ("attribute",))
 register_record(
-    RewrittenQuery,
-    TAG_REWRITTEN_QUERY,
+    GroupMember,
+    TAG_GROUP_MEMBER,
+    ("query_key", "subscriber", "insertion_time", "select_index"),
+)
+# The join-condition fields travel once per group; ``keys`` is a local
+# memo the receiver rebuilds from ``suffixes``.
+register_record(
+    RewrittenGroup,
+    TAG_REWRITTEN_GROUP,
     (
-        "key",
-        "original_key",
         "group_signature",
-        "subscriber",
-        "insertion_time",
         "relation",
         "expr",
         "required_value",
         "dis_attribute",
         "dis_value",
         "filters",
-        "select",
         "trigger_pub_time",
+        "selects",
+        "suffixes",
+        "members",
     ),
 )
 register_record(

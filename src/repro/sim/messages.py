@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sql.query import JoinQuery, RewrittenQuery
+    from ..sql.query import JoinQuery, RewrittenGroup
     from ..sql.tuples import DataTuple
 
 
@@ -91,14 +91,16 @@ class JoinMessage(Message):
     """``join(q'_1 .. q'_k)`` — rewritten queries bound for one evaluator.
 
     Grouping (Section 4.3.5) lets a rewriter ship every rewritten query
-    that shares the same evaluator in a single message, so the payload
-    is a tuple of rewritten queries.  For DAI-V the projected triggering
-    tuple rides along (Section 4.5: ``join(q'_L, t'_1)``).
+    that shares the same evaluator in a single message: the payload is
+    one :class:`~repro.sql.query.RewrittenGroup` record per triggered
+    query group, each covering all its member queries.  For DAI-V the
+    projected triggering tuple rides along (Section 4.5:
+    ``join(q'_L, t'_1)``).
     """
 
     type: ClassVar[str] = "join"
-    rewritten: tuple["RewrittenQuery", ...] = field(default_factory=tuple)
-    #: DAI-V only: the projected trigger tuple per rewritten query,
+    rewritten: tuple["RewrittenGroup", ...] = field(default_factory=tuple)
+    #: DAI-V only: the projected trigger tuple per group record,
     #: aligned with ``rewritten`` (empty for the other algorithms).
     projections: tuple[Any, ...] = field(default_factory=tuple)
 

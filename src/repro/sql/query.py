@@ -11,12 +11,16 @@ of Chapter 4:
 * a :class:`RewrittenQuery` is the select-project query produced when an
   incoming tuple triggers a query at a rewriter node: the triggering
   relation's attributes are replaced by values and the query is
-  reindexed at the value level.
+  reindexed at the value level;
+* a :class:`RewrittenGroup` is one trigger's rewrite of every query that
+  shares a join condition (Section 4.3.5) — what :func:`rewrite`
+  produces and a ``join()`` message carries; it expands to per-member
+  :class:`RewrittenQuery` rows only where one is matched or stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Optional
 
@@ -256,8 +260,11 @@ class JoinQuery:
     # ------------------------------------------------------------------
     @cached_property
     def _rewrite_plans(self) -> dict:
-        """Per-side :class:`RewritePlan`, built on first trigger."""
-        return {LEFT: RewritePlan(self, LEFT), RIGHT: RewritePlan(self, RIGHT)}
+        return {LEFT: RewritePlan((self,), LEFT), RIGHT: RewritePlan((self,), RIGHT)}
+
+    def rewrite_plan(self, index_label: str) -> "RewritePlan":
+        """This query as a group of one (built on first trigger)."""
+        return self._rewrite_plans[index_label]
 
     @cached_property
     def side_needed_attributes(self) -> dict[str, tuple[str, ...]]:
@@ -331,15 +338,29 @@ class PendingAttr:
 SelectItem = BoundValue | PendingAttr
 
 
+def _satisfies(tuple_like, filters, expr, required_value, check_value: bool) -> bool:
+    """Local filters hold and (on request) ``expr`` takes ``required_value``."""
+    for f in filters:
+        if not f.holds(tuple_like):
+            return False
+    if check_value:
+        try:
+            return evaluate(expr, tuple_like) == required_value
+        except QueryError:
+            return False
+    return True
+
+
 @dataclass(slots=True, eq=False)
 class RewrittenQuery:
-    """A select-project query produced by rewriting a join query.
+    """A select-project query produced by rewriting a join query: one
+    member of a :class:`RewrittenGroup`, expanded.
 
-    One is allocated per (query, trigger tuple) pair — the hottest
-    allocation of the simulator — so the class is slotted and skips the
-    frozen machinery (a frozen dataclass pays ``object.__setattr__`` per
-    field on *every* construction, ~8x slower).  Instances are immutable
-    by convention: nothing mutates one after ``rewrite()`` returns, and
+    One is allocated per stored or matched (query, trigger tuple) pair,
+    so the class is slotted and skips the frozen machinery (a frozen
+    dataclass pays ``object.__setattr__`` per field on *every*
+    construction, ~8x slower).  Instances are immutable by convention:
+    nothing mutates one after :meth:`RewrittenGroup.expand` returns, and
     identity/equality is always taken on ``key`` (Section 4.3.3), never
     on field-wise comparison.
 
@@ -381,17 +402,9 @@ class RewrittenQuery:
         (``pubT >= insT(q)``) and — unless the caller already guarantees
         it through hash placement — the join-value equality.
         """
-        if tuple_like.pub_time < self.insertion_time:
-            return False
-        if not all(f.holds(tuple_like) for f in self.filters):
-            return False
-        if check_value:
-            try:
-                if evaluate(self.expr, tuple_like) != self.required_value:
-                    return False
-            except QueryError:
-                return False
-        return True
+        return tuple_like.pub_time >= self.insertion_time and _satisfies(
+            tuple_like, self.filters, self.expr, self.required_value, check_value
+        )
 
     def result_row(self, tuple_like) -> tuple[Any, ...]:
         """Materialize the notification row from a matching tuple."""
@@ -416,84 +429,155 @@ class RewrittenQuery:
         return tuple(sorted(needed))
 
 
-class RewritePlan:
-    """The trigger-independent skeleton of a rewrite (one per query side).
+@dataclass(slots=True)
+class GroupMember:
+    """What tells the queries of one group apart (Section 4.3.5): key,
+    subscriber, insertion time and — through ``select_index`` into the
+    group's distinct select lists — the select list."""
 
-    ``rewrite()`` runs once per (query entry, trigger tuple) pair — by
-    far the hottest application-level call of the simulator — yet most
-    of what it computes depends only on the query: which side is the
-    index side, whether the dis side is invertible (and its linear
-    coefficients), which select items bind from the trigger versus stay
-    pending.  A plan precomputes all of that once per query instance
-    (built lazily via :attr:`JoinQuery._rewrite_plans`), so the per-trigger
-    work shrinks to value lookups and one string join.
+    query_key: str
+    subscriber: Subscriber
+    insertion_time: float
+    select_index: int
+
+
+@dataclass(slots=True)
+class RewrittenGroup:
+    """One trigger's rewrite of a whole query group — the unit a rewriter
+    ships, ``join()`` carries and an evaluator consumes.
+
+    The join-condition fields are held once; ``selects``/``suffixes``
+    hold the bound select items and the key suffix (``+v_1..+v_l+valJC``)
+    once per distinct select list.  A member's rewritten key is
+    ``member.query_key + suffixes[member.select_index]`` — the
+    ``Key(q) + v_1 + ... + v_l + valDA`` of Section 4.3.3.  Immutable by
+    convention; ``keys`` only memoizes :meth:`member_keys` (it does not
+    travel: a receiver rebuilds it from the suffixes).
     """
 
-    __slots__ = (
-        "index_relation",
-        "index_side",
-        "index_expr",
-        "index_attr",
-        "dis_side",
-        "dis_attribute",
-        "dis_identity",
-        "dis_a",
-        "dis_b",
-        "select_spec",
-        "query_key",
-        "group_signature",
-        "subscriber",
-        "insertion_time",
-        "dis_relation",
-        "dis_expr",
-        "dis_filters",
-        "pos_relation",
-        "index_pos",
-        "select_pos_spec",
-    )
+    # The join-condition fields mean what they do on RewrittenQuery.
+    group_signature: str
+    relation: str
+    expr: Expression
+    required_value: Any
+    dis_attribute: Optional[str]
+    dis_value: Any
+    filters: tuple[LocalFilter, ...]
+    trigger_pub_time: float
+    selects: tuple[tuple[SelectItem, ...], ...]
+    suffixes: tuple[str, ...]
+    members: tuple[GroupMember, ...]
+    keys: Optional[tuple[str, ...]] = field(default=None, compare=False, repr=False)
 
-    def __init__(self, query: "JoinQuery", index_label: str):
+    def accepts(self, tuple_like, *, check_value: bool = True) -> bool:
+        """The part of :meth:`RewrittenQuery.matches` every member
+        shares: the local filters and the join-value equality.  The time
+        semantics (``pubT >= insT(q)``) stay per member."""
+        return _satisfies(
+            tuple_like, self.filters, self.expr, self.required_value, check_value
+        )
+
+    def member_keys(self) -> tuple[str, ...]:
+        """The rewritten key of every member, aligned with ``members``."""
+        keys = self.keys
+        if keys is None:
+            suffixes = self.suffixes
+            keys = self.keys = tuple(
+                [m.query_key + suffixes[m.select_index] for m in self.members]
+            )
+        return keys
+
+    def restrict(self, positions) -> "RewrittenGroup":
+        """The same rewrite covering only ``members[i] for i in positions``."""
+        members, keys = self.members, self.keys
+        return replace(
+            self,
+            members=tuple([members[i] for i in positions]),
+            keys=None if keys is None else tuple([keys[i] for i in positions]),
+        )
+
+    def split(self) -> list["RewrittenGroup"]:
+        """One single-member record per member."""
+        return [self.restrict((i,)) for i in range(len(self.members))]
+
+    def expand(self, member: GroupMember, key: Optional[str] = None) -> RewrittenQuery:
+        """The flat per-subscriber query of one member."""
+        index = member.select_index
+        query_key = member.query_key
+        return RewrittenQuery(
+            key if key is not None else query_key + self.suffixes[index], query_key,
+            self.group_signature, member.subscriber, member.insertion_time,
+            self.relation, self.expr, self.required_value, self.dis_attribute,
+            self.dis_value, self.filters, self.selects[index], self.trigger_pub_time,
+        )
+
+
+class RewritePlan:
+    """The trigger-independent skeleton of a group rewrite.
+
+    Most of what ``rewrite()`` computes depends only on the group: which
+    side is the index side, whether the dis side is invertible, who the
+    members are and which select items bind from the trigger versus stay
+    pending.  A plan precomputes that for the queries of one group
+    indexed on side ``index_label`` (a lone query is a group of one), so
+    the per-trigger work shrinks to value lookups and one string join
+    per distinct select list.
+    """
+
+    def __init__(self, queries, index_label: str):
+        query = queries[0]
         index_side = query.side(index_label)
         dis_side = query.side(query.other_label(index_label))
         self.index_relation = index_side.relation
         self.index_side = index_side
-        self.index_expr = index_side.expr
-        self.query_key = query.key
+        self.dis_side = dis_side
         self.group_signature = query.join_signature()
-        self.subscriber = query.subscriber
-        self.insertion_time = query.insertion_time
-        self.dis_relation = dis_side.relation
-        self.dis_expr = dis_side.expr
-        self.dis_filters = dis_side.filters
         #: Bare-attribute fast path: substitution folds straight to the
         #: trigger's value of this attribute.
         self.index_attr = (
-            self.index_expr.attribute if type(self.index_expr) is AttrRef else None
+            index_side.expr.attribute if type(index_side.expr) is AttrRef else None
         )
-        self.dis_side = dis_side
         self.dis_attribute = dis_side.invertible_attribute
         form = dis_side._linear_form
-        if form is not None:
-            _, self.dis_a, self.dis_b = form
-            self.dis_identity = self.dis_a == 1 and self.dis_b == 0
-        else:
-            self.dis_a = self.dis_b = None
-            self.dis_identity = False
-        #: Per select item: the trigger attribute to bind, or the shared
-        #: (immutable) ``PendingAttr`` to reuse verbatim.
-        self.select_spec: tuple[tuple[Optional[str], Optional[PendingAttr]], ...] = tuple(
-            (ref.attribute, None)
-            if ref.relation == index_side.relation
-            else (None, PendingAttr(ref.attribute))
-            for ref in query.select
-        )
-        #: Positional variants of :attr:`index_attr`/:attr:`select_spec`,
+        self.dis_identity = form is not None and form[1] == 1 and form[2] == 0
+        #: Per distinct select list, per item: the trigger attribute to
+        #: bind, or the shared (immutable) ``PendingAttr`` to reuse.
+        self.select_specs: list[tuple[tuple[Optional[str], Optional[PendingAttr]], ...]] = []
+        select_index: dict[tuple[AttrRef, ...], int] = {}
+        members: dict[str, GroupMember] = {}
+        needed: set[str] = set()
+        for query in queries:
+            if query.key in members:
+                continue  # another replica's copy of the same query
+            index = select_index.get(query.select)
+            if index is None:
+                index = select_index[query.select] = len(self.select_specs)
+                self.select_specs.append(
+                    tuple(
+                        (ref.attribute, None)
+                        if ref.relation == index_side.relation
+                        else (None, PendingAttr(ref.attribute))
+                        for ref in query.select
+                    )
+                )
+                needed.update(query.side_needed_attributes[index_label])
+            members[query.key] = GroupMember(
+                query.key, query.subscriber, query.insertion_time, index
+            )
+        #: One member per distinct query key, in installation order.
+        self.members = tuple(members.values())
+        self.newest_insertion = max(m.insertion_time for m in self.members)
+        #: Index-side attributes a DAI-V projection of the trigger must
+        #: carry to later satisfy the opposite-side rewritten queries of
+        #: *every* member (select, join-expression and filter attributes).
+        self.needed_attributes = tuple(sorted(needed))
+        #: Positional variants of :attr:`index_attr`/:attr:`select_specs`,
         #: bound lazily to the first trigger's ``Relation`` object so
         #: ``rewrite()`` can index ``trigger.values`` directly instead of
         #: going through ``DataTuple.value`` name lookups.
         self.pos_relation = None
         self.index_pos: Optional[int] = None
-        self.select_pos_spec: tuple[tuple[Optional[int], Optional[PendingAttr]], ...] = ()
+        self.select_pos_specs: tuple = ()
 
     def bind_positions(self, relation) -> None:
         """Resolve attribute names to positions in ``relation``.
@@ -504,32 +588,46 @@ class RewritePlan:
         positions = relation._positions
         if self.index_attr is not None:
             self.index_pos = positions[self.index_attr]
-        self.select_pos_spec = tuple(
-            (None, pending) if attribute is None else (positions[attribute], None)
-            for attribute, pending in self.select_spec
+        self.select_pos_specs = tuple(
+            tuple(
+                (None, pending) if attribute is None else (positions[attribute], None)
+                for attribute, pending in spec
+            )
+            for spec in self.select_specs
         )
         self.pos_relation = relation
 
 
-def rewrite(query: JoinQuery, index_label: str, trigger) -> RewrittenQuery:
-    """Rewrite ``query`` triggered by tuple ``trigger`` on side ``index_label``.
+def rewrite(source, index_label: str, trigger) -> Optional[RewrittenGroup]:
+    """Rewrite a query group triggered by tuple ``trigger`` on side ``index_label``.
 
+    ``source`` is anything with a ``rewrite_plan(index_label)`` — a
+    :class:`JoinQuery` (a group of one) or a rewriter's query group.
     Replaces every attribute of the index relation in the Select and
     Where clauses with the trigger tuple's values (Section 4.3.2),
-    computes the value the remaining side must take, and forms the
-    rewritten-query key.  The query-invariant parts come from the
-    memoized :class:`RewritePlan`.
+    computes the value the remaining side must take, and forms the key
+    suffix per distinct select list — once for the whole group (§4.3.5).
+    Returns ``None`` when the trigger fails the index side's filters or
+    predates every member (``pubT < insT``).
     """
-    if PERF.enabled:
-        PERF.count("sql.rewrites")
-    plan = query._rewrite_plans[index_label]
-
+    plan = source.rewrite_plan(index_label)
     relation = trigger.relation
     if relation.name != plan.index_relation:
         raise QueryError(
-            f"tuple of {relation.name} cannot trigger side "
-            f"{index_label} ({plan.index_relation}) of query {query.key!r}"
+            f"tuple of {relation.name} cannot trigger side {index_label} "
+            f"({plan.index_relation}) of {plan.group_signature}"
         )
+    members = plan.members
+    pub_time = trigger.pub_time
+    if pub_time < plan.newest_insertion:
+        members = tuple([m for m in members if pub_time >= m.insertion_time])
+        if not members:
+            return None
+    if not plan.index_side.accepts(trigger):
+        return None
+    if PERF.enabled:
+        PERF.count("sql.rewrites")
+        PERF.count("sql.rewrite.members", len(members))
     if plan.pos_relation is not relation:
         plan.bind_positions(relation)
 
@@ -538,10 +636,11 @@ def rewrite(query: JoinQuery, index_label: str, trigger) -> RewrittenQuery:
         value = trigger_values[plan.index_pos]
         required_value = value if type(value) is int else canonical_value(value)
     else:
-        substituted = substitute(plan.index_expr, plan.index_relation, trigger)
+        index_expr = plan.index_side.expr
+        substituted = substitute(index_expr, plan.index_relation, trigger)
         if not isinstance(substituted, Const):
             raise QueryError(
-                f"index-side expression {plan.index_expr} did not fold to a "
+                f"index-side expression {index_expr} did not fold to a "
                 f"constant for tuple {trigger}"
             )
         required_value = canonical_value(substituted.value)
@@ -552,36 +651,27 @@ def rewrite(query: JoinQuery, index_label: str, trigger) -> RewrittenQuery:
         # Identity linear form: already canonical (also covers strings).
         dis_value = required_value
     else:
-        try:
-            dis_value = canonical_value((required_value - plan.dis_b) / plan.dis_a)
-        except TypeError as exc:
-            raise QueryError(
-                f"cannot solve {plan.dis_side.expr} = {required_value!r}: {exc}"
-            ) from exc
+        dis_value = plan.dis_side.solve_for_attribute(required_value)
 
-    select_items: list[SelectItem] = []
-    key_parts = [plan.query_key]
-    for bind_position, pending in plan.select_pos_spec:
-        if bind_position is None:
-            select_items.append(pending)
-        else:
-            value = trigger_values[bind_position]
-            select_items.append(BoundValue(value))
-            key_parts.append(str(value))
-    key_parts.append(str(required_value))
+    selects = []
+    suffixes = []
+    for spec in plan.select_pos_specs:
+        items: list[SelectItem] = []
+        key_parts = [""]
+        for bind_position, pending in spec:
+            if bind_position is None:
+                items.append(pending)
+            else:
+                value = trigger_values[bind_position]
+                items.append(BoundValue(value))
+                key_parts.append(str(value))
+        key_parts.append(str(required_value))
+        selects.append(tuple(items))
+        suffixes.append("+".join(key_parts))
 
-    return RewrittenQuery(
-        key="+".join(key_parts),
-        original_key=plan.query_key,
-        group_signature=plan.group_signature,
-        subscriber=plan.subscriber,
-        insertion_time=plan.insertion_time,
-        relation=plan.dis_relation,
-        expr=plan.dis_expr,
-        required_value=required_value,
-        dis_attribute=plan.dis_attribute,
-        dis_value=dis_value,
-        filters=plan.dis_filters,
-        select=tuple(select_items),
-        trigger_pub_time=trigger.pub_time,
+    dis_side = plan.dis_side
+    return RewrittenGroup(
+        plan.group_signature, dis_side.relation, dis_side.expr, required_value,
+        plan.dis_attribute, dis_value, dis_side.filters, pub_time,
+        tuple(selects), tuple(suffixes), members,
     )

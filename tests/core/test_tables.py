@@ -104,24 +104,46 @@ class TestALQT:
 class TestVLQT:
     def test_add_new(self):
         table = ValueLevelQueryTable()
-        entry, is_new = table.add(rewritten(), routing_ident=9)
-        assert is_new
+        (new,) = table.add(rewritten(), routing_ident=9)
+        (entry,) = table
+        assert entry.rewritten is new and new.key == "q0+10+7"
         assert entry.latest_trigger_time == 1.0
         assert len(table) == 1
 
     def test_duplicate_key_refreshes_time(self):
         table = ValueLevelQueryTable()
         table.add(rewritten(pub=1.0), 9)
-        entry, is_new = table.add(rewritten(pub=5.0), 9)
-        assert not is_new
+        assert table.add(rewritten(pub=5.0), 9) == []
+        (entry,) = table
         assert entry.latest_trigger_time == 5.0
         assert len(table) == 1
 
     def test_refresh_never_moves_backwards(self):
         table = ValueLevelQueryTable()
         table.add(rewritten(pub=5.0), 9)
-        entry, _ = table.add(rewritten(pub=1.0), 9)
+        table.add(rewritten(pub=1.0), 9)
+        (entry,) = table
         assert entry.latest_trigger_time == 5.0
+
+    def test_window_expired_entry_is_returned_for_evaluation(self):
+        table = ValueLevelQueryTable()
+        table.add(rewritten(pub=1.0), 9, window=3.0)
+        assert table.add(rewritten(pub=3.0), 9, window=3.0) == []
+        (again,) = table.add(rewritten(pub=9.0), 9, window=3.0)
+        assert again.trigger_pub_time == 9.0 and len(table) == 1
+
+    def test_one_entry_per_group_member(self):
+        """TS counts members: a group record stores one entry each."""
+        alqt = AttributeLevelQueryTable()
+        for key in ("q1", "q2", "q3"):
+            alqt.add(StoredQuery(bound_query(key=key), LEFT, 0))
+        (group,) = alqt.groups_for("R", "B")
+        record = rewrite(group, LEFT, DataTuple(R, (10, 7), 1.0))
+        table = ValueLevelQueryTable()
+        assert [rq.key for rq in table.add(record, 0)] == [
+            "q1+10+7", "q2+10+7", "q3+10+7"
+        ]
+        assert len(table) == len(table.candidates("S", "E", 7)) == 3
 
     def test_candidates_by_attribute_and_value(self):
         table = ValueLevelQueryTable()
@@ -134,9 +156,10 @@ class TestVLQT:
 
     def test_peek(self):
         table = ValueLevelQueryTable()
-        rq = rewritten()
+        record = rewritten()
+        rq = record.expand(record.members[0])
         assert table.peek(rq) is None
-        table.add(rq, 0)
+        table.add(record, 0)
         assert table.peek(rq) is not None
 
     def test_evict_older_than(self):
@@ -155,7 +178,8 @@ class TestVLQT:
 
     def test_insert_entry_preserves_time(self):
         source = ValueLevelQueryTable()
-        entry, _ = source.add(rewritten(pub=7.0), 3)
+        source.add(rewritten(pub=7.0), 3)
+        (entry,) = source
         target = ValueLevelQueryTable()
         target.insert_entry(entry)
         assert target.peek(entry.rewritten).latest_trigger_time == 7.0

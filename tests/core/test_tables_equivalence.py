@@ -7,7 +7,8 @@ eviction rescans everything — the seed implementation's semantics)
 through the same random add/evict/pop/candidates sequences and asserts
 the observable state never diverges: same resident entries, same
 trigger times, same eviction counts, same candidate sets, same handoff
-results.
+results.  The ALQT test does the same for the per-group duplicate set
+and member snapshot against a list that is rescanned on every install.
 """
 
 from __future__ import annotations
@@ -16,13 +17,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.tables import (
+    AttributeLevelQueryTable,
     ProjectionStore,
     StoredProjection,
+    StoredQuery,
     StoredTuple,
     ValueLevelQueryTable,
     ValueLevelTupleTable,
 )
-from repro.sql.query import RewrittenQuery, Subscriber
+from repro.sql.parser import parse_query
+from repro.sql.query import (
+    LEFT,
+    GroupMember,
+    RewrittenGroup,
+    RewrittenQuery,
+    Subscriber,
+)
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple, ProjectedTuple
 
@@ -36,22 +46,88 @@ values = st.integers(min_value=0, max_value=4)
 idents = st.integers(min_value=0, max_value=3)
 
 
-def _rewritten(key_index: int, value: int, trigger_time: float) -> RewrittenQuery:
-    return RewrittenQuery(
-        key=f"q{key_index}+{value}",
-        original_key=f"q{key_index}",
+def _record(key_indexes, value: int, trigger_time: float) -> RewrittenGroup:
+    """A group record whose members rewrite to the keys ``q<i>+<value>``."""
+    return RewrittenGroup(
         group_signature="sig",
-        subscriber=SUB,
-        insertion_time=0.0,
         relation="R",
         expr=None,
         required_value=value,
         dis_attribute="A",
         dis_value=value,
         filters=(),
-        select=(),
         trigger_pub_time=trigger_time,
+        selects=((),),
+        suffixes=(f"+{value}",),
+        members=tuple(GroupMember(f"q{i}", SUB, 0.0, 0) for i in key_indexes),
     )
+
+
+# ----------------------------------------------------------------------
+# ALQT
+# ----------------------------------------------------------------------
+
+ALQT_QUERIES = [
+    parse_query(f"SELECT {select} FROM R, S WHERE R.A = S.D").with_subscription(
+        f"q{i}", float(i), SUB
+    )
+    for i, select in enumerate(["R.A, S.E", "R.B, S.E", "R.A, S.E", "S.E"])
+]
+
+alqt_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 3), idents),
+        st.tuples(st.just("remove"), st.integers(0, 3)),
+        st.tuples(st.just("pop"), idents),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(alqt_ops)
+def test_alqt_matches_naive_reference(ops):
+    """One group (all four queries share the join condition): the table
+    against a flat list scanned for duplicates on every install."""
+    table = AttributeLevelQueryTable()
+    naive: list[StoredQuery] = []
+    for op in ops:
+        if op[0] == "add":
+            stored = StoredQuery(ALQT_QUERIES[op[1]], LEFT, op[2])
+            duplicate = any(
+                e.query.key == stored.query.key and e.routing_ident == op[2]
+                for e in naive
+            )
+            assert table.add(stored)[1] == (not duplicate)
+            if not duplicate:
+                naive.append(stored)
+        elif op[0] == "remove":
+            key = ALQT_QUERIES[op[1]].key
+            assert table.remove(key) == sum(e.query.key == key for e in naive)
+            naive = [e for e in naive if e.query.key != key]
+        else:
+            moved = table.pop_matching(lambda ident: ident <= op[1])
+            assert moved == [e for e in naive if e.routing_ident <= op[1]]
+            naive = [e for e in naive if e.routing_ident > op[1]]
+        groups = table.groups_for("R", "A")
+        assert len(table) == len(naive) and bool(groups) == bool(naive)
+        if not naive:
+            continue
+        (group,) = groups
+        assert group.entries == naive
+        # The member snapshot: one member per query key, install order.
+        plan = group.rewrite_plan(LEFT)
+        assert [m.query_key for m in plan.members] == list(
+            dict.fromkeys(e.query.key for e in naive)
+        )
+        assert plan.newest_insertion == max(e.query.insertion_time for e in naive)
+        for member in plan.members:
+            query = ALQT_QUERIES[int(member.query_key[1:])]
+            bound = [ref.attribute for ref in query.select if ref.relation == "R"]
+            assert [
+                attribute for attribute, _ in plan.select_specs[member.select_index]
+                if attribute is not None
+            ] == bound
 
 
 # ----------------------------------------------------------------------
@@ -60,7 +136,13 @@ def _rewritten(key_index: int, value: int, trigger_time: float) -> RewrittenQuer
 
 vlqt_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("add"), keys, values, times, idents),
+        st.tuples(
+            st.just("add"),
+            st.lists(keys, min_size=1, max_size=3, unique=True),
+            values,
+            times,
+            idents,
+        ),
         st.tuples(st.just("evict"), times),
         st.tuples(st.just("pop"), idents),
         st.tuples(st.just("candidates"), values),
@@ -109,10 +191,14 @@ def test_vlqt_matches_naive_reference(ops):
     naive = NaiveVLQT()
     for op in ops:
         if op[0] == "add":
-            _, key_index, value, time, ident = op
-            rewritten = _rewritten(key_index, value, time)
-            table.add(rewritten, ident)
-            naive.add(rewritten, ident)
+            _, key_indexes, value, time, ident = op
+            record = _record(key_indexes, value, time)
+            new = table.add(record, ident)
+            assert [rq.key for rq in new] == [
+                key for key in record.member_keys() if key not in naive.entries
+            ]
+            for member in record.members:
+                naive.add(record.expand(member), ident)
         elif op[0] == "evict":
             assert table.evict_older_than(op[1]) == naive.evict_older_than(op[1])
         elif op[0] == "pop":

@@ -98,8 +98,8 @@ class TestVLQTProperties:
         for query_index, a, b, pub in inserts:
             rewritten = make_rewritten(query_index, a, b, pub)
             table.add(rewritten, routing_ident=0)
-            previous = model.get(rewritten.key, -1.0)
-            model[rewritten.key] = max(previous, pub)
+            (key,) = rewritten.member_keys()
+            model[key] = max(model.get(key, -1.0), pub)
         assert len(table) == len(model)
         for entry in table:
             assert entry.latest_trigger_time == model[entry.rewritten.key]
@@ -118,7 +118,8 @@ class TestVLQTProperties:
         for query_index, a, b, pub in inserts:
             rewritten = make_rewritten(query_index, a, b, pub)
             table.add(rewritten, 0)
-            model[rewritten.key] = max(model.get(rewritten.key, -1.0), pub)
+            (key,) = rewritten.member_keys()
+            model[key] = max(model.get(key, -1.0), pub)
         table.evict_older_than(cutoff)
         survivors = {k for k, t in model.items() if t >= cutoff}
         assert {e.rewritten.key for e in table} == survivors

@@ -42,13 +42,16 @@ from repro.sql.expr import AttrRef, BinaryOp, Const
 from repro.sql.parser import parse_query
 from repro.sql.query import (
     BoundValue,
+    GroupMember,
     LocalFilter,
     PendingAttr,
-    RewrittenQuery,
+    RewrittenGroup,
     Subscriber,
 )
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple, ProjectedTuple
+
+from ..core.reference_rewriter import flat_fields
 
 COMMON = settings(max_examples=50, deadline=None)
 
@@ -111,26 +114,47 @@ queries = st.builds(
     subscribers,
 )
 
-rewritten_queries = st.builds(
-    RewrittenQuery,
-    key=st.text(max_size=20),
-    original_key=st.text(max_size=20),
-    group_signature=st.text(max_size=20),
-    subscriber=subscribers,
-    insertion_time=times,
-    relation=st.just("R"),
-    expr=st.sampled_from(
-        [AttrRef("R", "B"), BinaryOp("+", AttrRef("R", "B"), Const(1))]
-    ),
-    required_value=scalars,
-    dis_attribute=st.one_of(st.none(), st.just("B")),
-    dis_value=scalars,
-    filters=st.tuples(st.builds(LocalFilter, attribute=st.just("A"), value=scalars)),
-    select=st.tuples(
-        st.one_of(st.builds(BoundValue, value=scalars), st.just(PendingAttr("A")))
-    ),
-    trigger_pub_time=times,
+select_lists = st.tuples(
+    st.one_of(st.builds(BoundValue, value=scalars), st.just(PendingAttr("A")))
 )
+
+
+@st.composite
+def rewritten_groups(draw):
+    """A group record: 1..3 distinct select lists, 1..6 members."""
+    selects = draw(st.lists(select_lists, min_size=1, max_size=3))
+    members = draw(
+        st.lists(
+            st.builds(
+                GroupMember,
+                query_key=st.text(max_size=20),
+                subscriber=subscribers,
+                insertion_time=times,
+                select_index=st.integers(0, len(selects) - 1),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return RewrittenGroup(
+        group_signature=draw(st.text(max_size=20)),
+        relation="R",
+        expr=draw(
+            st.sampled_from(
+                [AttrRef("R", "B"), BinaryOp("+", AttrRef("R", "B"), Const(1))]
+            )
+        ),
+        required_value=draw(scalars),
+        dis_attribute=draw(st.one_of(st.none(), st.just("B"))),
+        dis_value=draw(scalars),
+        filters=draw(
+            st.tuples(st.builds(LocalFilter, attribute=st.just("A"), value=scalars))
+        ),
+        trigger_pub_time=draw(times),
+        selects=tuple(selects),
+        suffixes=tuple(draw(st.text(max_size=20)) for _ in selects),
+        members=tuple(members),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -169,15 +193,18 @@ class TestMessageRoundTrips:
         assert roundtrip(message) == message
 
     @COMMON
-    @given(rewritten=rewritten_queries)
-    def test_join_message_rewritten_fields(self, rewritten):
-        # RewrittenQuery compares by identity (eq=False), so the decoded
-        # copy is checked field by field.
-        message = JoinMessage(rewritten=(rewritten,))
-        decoded = roundtrip(message)
-        (got,) = decoded.rewritten
-        for f in dataclasses.fields(RewrittenQuery):
-            assert getattr(got, f.name) == getattr(rewritten, f.name), f.name
+    @given(record=rewritten_groups())
+    def test_join_message_rewritten_fields(self, record):
+        keys = record.member_keys()  # the memo must not travel
+        (got,) = roundtrip(JoinMessage(rewritten=(record,))).rewritten
+        assert got.keys is None
+        for f in dataclasses.fields(RewrittenGroup):
+            if f.name != "keys":
+                assert getattr(got, f.name) == getattr(record, f.name), f.name
+        assert got.member_keys() == keys
+        for mine, theirs in zip(got.members, record.members):
+            # RewrittenQuery compares by identity, hence field by field.
+            assert flat_fields(got.expand(mine)) == flat_fields(record.expand(theirs))
 
     @COMMON
     @given(batch=st.tuples(notifications), ident=idents)
@@ -282,6 +309,14 @@ class TestFraming:
         frame = b"XX" + encode_frame(Message())[2:]
         with pytest.raises(CodecError, match="magic"):
             decode_header(frame[:HEADER_SIZE])
+
+    def test_previous_version_rejected(self):
+        """Version 1 shipped one flat record per rewritten query; a peer
+        still speaking it must be refused, not misparsed."""
+        assert PROTOCOL_VERSION == 2
+        header = struct.pack(">2sBI", MAGIC, 1, 0)
+        with pytest.raises(CodecError, match="version 1"):
+            decode_header(header)
 
     def test_unknown_version_rejected(self):
         header = struct.pack(">2sBI", MAGIC, PROTOCOL_VERSION + 1, 0)

@@ -39,7 +39,16 @@ from repro.net.frames import (
     splice_multi,
 )
 from repro.net.peer import MAX_BATCH_FRAMES, NetConfig
-from repro.sim.messages import ALIndexMessage, UnsubscribeMessage
+from repro.sim.messages import ALIndexMessage, JoinMessage, UnsubscribeMessage
+from repro.sql.expr import AttrRef
+from repro.sql.query import (
+    BoundValue,
+    GroupMember,
+    LocalFilter,
+    PendingAttr,
+    RewrittenGroup,
+    Subscriber,
+)
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple
 
@@ -201,11 +210,41 @@ class TestMultiPeekAndSplice:
         peek_multi(junk)  # must not raise
 
 
+def join_group_message():
+    """A ``join()`` carrying one group record: two select lists, three
+    members, the join-condition fields once."""
+    subscriber = Subscriber("n7", 2**100 + 7, "10.0.0.7")
+    record = RewrittenGroup(
+        group_signature="R:R.B[]=S:S.E[F=1]",
+        relation="S",
+        expr=AttrRef("S", "E"),
+        required_value=7,
+        dis_attribute="E",
+        dis_value=7,
+        filters=(LocalFilter("F", 1),),
+        trigger_pub_time=5.0,
+        selects=(
+            (BoundValue(10), PendingAttr("D")),
+            (PendingAttr("D"), BoundValue("x"), BoundValue(2.5)),
+        ),
+        suffixes=("+10+7", "+x+2.5+7"),
+        members=(
+            GroupMember("n7#1", subscriber, 1.0, 0),
+            GroupMember("n9#4", Subscriber("n9", 9, "10.0.0.9"), 2.0, 1),
+            GroupMember("n7#2", subscriber, 3.0, 0),
+        ),
+    )
+    return JoinMessage(rewritten=(record,))
+
+
 class TestGoldenWireBytes:
     """The wire format is pinned by bytes, not by a second codec.
 
     ``golden_wire_frames.json`` holds these samples as encoded by the
-    seed (pre-memo, pre-buffer-pool) codec just before it was deleted.
+    seed (pre-memo, pre-buffer-pool) codec just before it was deleted,
+    re-stamped with version byte 2 when ``join()`` went from one flat
+    record per rewritten query to one group record (``join_group``, the
+    only frame whose payload that changed).
     """
 
     GOLDEN = json.loads(
@@ -218,6 +257,7 @@ class TestGoldenWireBytes:
             ((5, message_for(2)), (9, message_for(3))), hops=1
         ),
         "mixed_tuple": ("mixed", (1, 2.5, None), {"k": [True, b"x"]}),
+        "join_group": join_group_message(),
     }
 
     def test_encode_matches_golden_and_round_trips(self):

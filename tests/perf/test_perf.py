@@ -89,9 +89,53 @@ class TestInstrumentedSites:
             PERF.disable()
         counters = PERF.snapshot()["counters"]
         PERF.reset()
-        assert counters.get("sql.rewrites", 0) > 0
+        # One rewrite per (group, trigger), covering at least one member.
+        assert 0 < counters["sql.rewrites"] <= counters["sql.rewrite.members"]
         assert "vlqt.evicted" in counters
         assert counters.get("hash.parts_hit", 0) > 0
+
+    def test_rewrites_count_groups_and_rejections_explain_match_share(self):
+        """Twelve similar queries are rewritten once per trigger, and
+        every examined (member, candidate) pair is either a created
+        notification, an emitted-identity repeat, or a counted rejection
+        (window / time / filter)."""
+        from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema
+
+        schema = Schema.from_dict({"R": ["A", "B"], "S": ["D", "E"]})
+        network = ChordNetwork.build(8)
+        engine = ContinuousQueryEngine(
+            network, EngineConfig(algorithm="dai-q", window=3.0)
+        )
+        node = network.nodes[0]
+        R, S = schema.relation("R"), schema.relation("S")
+        PERF.reset()
+        PERF.enable()
+        try:
+            for _ in range(12):
+                engine.subscribe(
+                    node, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E AND S.D = 1", schema
+                )
+            for d, gap in ((1, 1.0), (2, 5.0), (1, 1.0)):
+                engine.clock.advance(gap)
+                engine.publish(node, S, {"D": d, "E": 7})
+            for _ in range(2):  # the second R tuple re-creates the same rows
+                engine.clock.advance(1.0)
+                engine.publish(node, R, {"A": 5, "B": 7})
+        finally:
+            PERF.disable()
+        counters = PERF.snapshot()["counters"]
+        PERF.reset()
+        # Two R triggers plus the two S triggers that pass ``S.D = 1``.
+        assert counters["sql.rewrites"] == 4
+        assert counters["sql.rewrite.members"] == 48
+        load = engine.load_snapshot()
+        examined = sum(load.value_level_filtering.values())
+        created = sum(load.notifications_created.values())
+        assert (examined, created) == (72, 12)
+        assert counters["evaluator.rejected.window"] == 24  # the S tuple 7-8 s back
+        assert counters["evaluator.rejected.filter"] == 24  # S.D = 2
+        assert counters["evaluator.rejected.repeat"] == 12
+        assert "evaluator.rejected.time" not in counters
 
     def test_scale_counters_record(self):
         """The §14 fast-path sites: snapshot rebuilds, epochs, batches."""

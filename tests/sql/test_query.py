@@ -14,8 +14,8 @@ from repro.sql.query import (
     PendingAttr,
     QuerySide,
     Subscriber,
-    rewrite,
 )
+from repro.sql.query import rewrite as rewrite_group
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple
 
@@ -29,6 +29,13 @@ def simple_query(**kwargs):
     return query.with_subscription(
         kwargs.get("key", "n1#0"), kwargs.get("insertion_time", 1.0), SUB
     )
+
+
+def rewrite(query, label, trigger):
+    """A lone query is a group of one: its only member, expanded."""
+    record = rewrite_group(query, label, trigger)
+    (member,) = record.members
+    return record.expand(member)
 
 
 def r_tuple(a, b, c, pub=5.0):
@@ -234,3 +241,61 @@ class TestRewrittenQueryMatching:
         ).with_subscription("k", 0.0, SUB)
         rewritten = rewrite(query, LEFT, r_tuple(10, 7, 0))
         assert rewritten.needed_attributes == ("D", "E", "F")
+
+
+class TestRewrittenGroup:
+    """One rewrite covers every query of a group (Section 4.3.5)."""
+
+    class Group:
+        """The least a rewrite source is: something with a plan."""
+
+        def __init__(self, *queries):
+            from repro.sql.query import RewritePlan
+
+            self.plan = RewritePlan(queries, LEFT)
+
+        def rewrite_plan(self, index_label):
+            return self.plan
+
+    def query(self, key, select="R.A, S.D", insertion_time=1.0):
+        sql = f"SELECT {select} FROM R, S WHERE R.B = S.E"
+        return parse_query(sql).with_subscription(key, insertion_time, SUB)
+
+    def test_shared_fields_once_and_one_suffix_per_select_list(self):
+        group = self.Group(
+            self.query("q1"), self.query("q2", "R.C, S.D"), self.query("q3")
+        )
+        record = rewrite_group(group, LEFT, r_tuple(10, 7, 3))
+        assert record.required_value == record.dis_value == 7
+        assert record.suffixes == ("+10+7", "+3+7")
+        assert [m.select_index for m in record.members] == [0, 1, 0]
+        assert record.member_keys() == ("q1+10+7", "q2+3+7", "q3+10+7")
+        flat = record.expand(record.members[1])
+        assert flat.key == "q2+3+7" and flat.original_key == "q2"
+        assert flat.select == (BoundValue(3), PendingAttr("D"))
+
+    def test_replica_copies_of_a_query_are_one_member(self):
+        query = self.query("q1")
+        record = rewrite_group(self.Group(query, query), LEFT, r_tuple(10, 7, 0))
+        assert len(record.members) == 1
+
+    def test_members_younger_than_the_trigger_are_left_out(self):
+        group = self.Group(self.query("old"), self.query("new", insertion_time=9.0))
+        record = rewrite_group(group, LEFT, r_tuple(10, 7, 0, pub=5.0))
+        assert [m.query_key for m in record.members] == ["old"]
+        assert rewrite_group(group, LEFT, r_tuple(10, 7, 0, pub=0.5)) is None
+
+    def test_index_side_filter_rejects_the_whole_group(self):
+        query = parse_query(
+            "SELECT R.A, S.D FROM R, S WHERE R.B = S.E AND R.C = 1"
+        ).with_subscription("k", 0.0, SUB)
+        assert rewrite_group(query, LEFT, r_tuple(10, 7, 2)) is None
+        assert rewrite_group(query, LEFT, r_tuple(10, 7, 1)) is not None
+
+    def test_restrict_keeps_the_chosen_members(self):
+        group = self.Group(self.query("q1"), self.query("q2"), self.query("q3"))
+        record = rewrite_group(group, LEFT, r_tuple(10, 7, 0))
+        record.member_keys()
+        kept = record.restrict((0, 2))
+        assert [m.query_key for m in kept.members] == ["q1", "q3"]
+        assert kept.member_keys() == ("q1+10+7", "q3+10+7")
