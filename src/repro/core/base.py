@@ -31,7 +31,7 @@ from ..sim.messages import (
 )
 from ..sim.stats import NodeLoad
 from ..perf import PERF
-from ..sql.query import JoinQuery, RewrittenGroup, RewrittenQuery, rewrite
+from ..sql.query import JoinQuery, RewrittenGroup, rewrite, select_row
 from ..sql.tuples import DataTuple
 from ..sql.expr import canonical_value
 from .index_choice import ArrivalStats
@@ -123,9 +123,9 @@ class NodeState:
         for stored_query in self.alqt.pop_matching(should_move):
             other.alqt.add(stored_query)
             moved += 1
-        for stored_rewritten in self.vlqt.pop_matching(should_move):
-            other.vlqt.insert_entry(stored_rewritten)
-            moved += 1
+        for cohort in self.vlqt.pop_matching(should_move):
+            other.vlqt.insert_cohort(cohort)
+            moved += len(cohort)
         for stored_tuple in self.vltt.pop_matching(should_move):
             other.vltt.add(stored_tuple)
             moved += 1
@@ -408,48 +408,82 @@ class Algorithm:
     # ------------------------------------------------------------------
     # Shared value-level helpers
     # ------------------------------------------------------------------
-    def _emit(
+    def _notify(
         self,
         engine: "ContinuousQueryEngine",
         state: NodeState,
-        rewritten: RewrittenQuery,
-        match,
+        record: RewrittenGroup,
+        tuples: list,
         trigger_time: float,
-    ) -> Optional[Notification]:
-        """Create one notification unless its identity was already emitted."""
-        row = rewritten.result_row(match)
-        identity = (rewritten.original_key, repr(rewritten.required_value), row)
-        if identity in state.emitted:
-            if PERF.enabled:
-                PERF.count("evaluator.rejected.repeat")
-            return None
-        state.emitted.add(identity)
-        state.load.notifications_created += 1
-        return Notification(
-            query_key=rewritten.original_key,
-            subscriber_ident=rewritten.subscriber.ident,
-            row=row,
-            join_value_repr=repr(rewritten.required_value),
-            trigger_pub_time=trigger_time,
-            match_pub_time=match.pub_time,
-            created_at=engine.clock.now,
-        )
+    ) -> list[Notification]:
+        """One notification per (member of ``record``, tuple) pair whose
+        tuple is not older than the member (``pubT >= insT``) and whose
+        identity this node has not emitted yet.
+
+        ``tuples`` already passed everything the members share; what is
+        left differs per member.  The answer row depends only on the
+        member's select list, so it is built once per (select list,
+        tuple) — and only once a member passes the time test: a DAI-V
+        projection stored before a member subscribed may lack the
+        attributes that member selects (see ``wants_projection``).  No
+        member is expanded to a flat query.
+        """
+        perf = PERF.enabled
+        emitted = state.emitted
+        value_repr = repr(record.required_value)
+        selects = record.selects
+        created_at = engine.clock.now
+        rows_by_select: dict[int, list[Optional[tuple]]] = {}
+        notifications = []
+        for member in record.members:
+            select_index = member.select_index
+            rows = rows_by_select.get(select_index)
+            if rows is None:
+                rows = rows_by_select[select_index] = [None] * len(tuples)
+            query_key = member.query_key
+            insertion_time = member.insertion_time
+            for position, tup in enumerate(tuples):
+                if tup.pub_time < insertion_time:
+                    if perf:
+                        PERF.count("evaluator.rejected.time")
+                    continue
+                row = rows[position]
+                if row is None:
+                    row = rows[position] = select_row(selects[select_index], tup)
+                identity = (query_key, value_repr, row)
+                if identity in emitted:
+                    if perf:
+                        PERF.count("evaluator.rejected.repeat")
+                    continue
+                emitted.add(identity)
+                notifications.append(
+                    Notification(
+                        query_key=query_key,
+                        subscriber_ident=member.subscriber.ident,
+                        row=row,
+                        join_value_repr=value_repr,
+                        trigger_pub_time=trigger_time,
+                        match_pub_time=tup.pub_time,
+                        created_at=created_at,
+                    )
+                )
+        state.load.notifications_created += len(notifications)
+        return notifications
 
     def _match_rewritten_against_tuples(
         self,
         engine: "ContinuousQueryEngine",
         state: NodeState,
         record: RewrittenGroup,
-        rewritten: Optional[list[RewrittenQuery]] = None,
     ) -> list[Notification]:
-        """Evaluate members of ``record`` against the stored dis-side
-        tuples (VLTT; under DAI-V the stored projections), fetched once.
+        """Evaluate the members of ``record`` against the stored
+        dis-side tuples (VLTT; under DAI-V the stored projections),
+        fetched once.
 
-        ``rewritten`` are the expanded members to evaluate — by default
-        all, expanded only once a candidate passes the checks the group
-        shares (window, filters and, for projections, the join value,
-        which makes identifier collisions harmless), so an empty bucket
-        costs O(1).  TF still counts every (member, candidate) pair.
+        Window, filters and, for projections, the join value (which
+        makes identifier collisions harmless) are checked once per
+        candidate for the whole record, so an empty bucket costs O(1).
+        TF still counts every (member, candidate) pair.
         """
         check_value = self.wants_projection
         if check_value:
@@ -466,7 +500,7 @@ class Algorithm:
                     record.relation, record.dis_attribute or "", record.dis_value
                 )
             ]
-        pairs = len(record.members) if rewritten is None else len(rewritten)
+        pairs = len(record.members)
         state.load.add_value_level(len(tuples) * pairs)
         perf = PERF.enabled
         window = engine.config.window
@@ -484,20 +518,7 @@ class Algorithm:
                 live.append(tup)
         if not live:
             return []
-        if rewritten is None:
-            rewritten = [record.expand(member) for member in record.members]
-        notifications = []
-        for flat in rewritten:
-            insertion_time = flat.insertion_time
-            for tup in live:
-                if tup.pub_time < insertion_time:
-                    if perf:
-                        PERF.count("evaluator.rejected.time")
-                    continue
-                notification = self._emit(engine, state, flat, tup, trigger_time)
-                if notification is not None:
-                    notifications.append(notification)
-        return notifications
+        return self._notify(engine, state, record, live, trigger_time)
 
     def _match_tuple_against_rewritten(
         self,
@@ -506,31 +527,37 @@ class Algorithm:
         tup: DataTuple,
         attribute: str,
     ) -> list[Notification]:
-        """Evaluate an arriving tuple against the local VLQT."""
-        candidates = state.vlqt.candidates(
+        """Evaluate an arriving tuple against the local VLQT: window and
+        filters once per stored cohort, the rest per member.  TF counts
+        members."""
+        cohorts = state.vlqt.candidates(
             tup.relation.name, attribute, tup.value(attribute)
         )
-        state.load.add_value_level(len(candidates))
         perf = PERF.enabled
         window = engine.config.window
+        pub_time = tup.pub_time
+        live = [tup]
+        examined = 0
         notifications = []
-        for entry in candidates:
-            rewritten = entry.rewritten
-            if window is not None and abs(tup.pub_time - entry.latest_trigger_time) > window:
+        for cohort in cohorts:
+            record = cohort.record
+            examined += len(record.members)
+            trigger_time = cohort.latest_trigger_time
+            if window is not None and abs(pub_time - trigger_time) > window:
                 if perf:
-                    PERF.count("evaluator.rejected.window")
-                continue
-            if not rewritten.matches(tup, check_value=False):
+                    PERF.count("evaluator.rejected.window", len(cohort))
+            elif record.filters and not record.accepts(tup, check_value=False):
                 if perf:
-                    PERF.count(
-                        "evaluator.rejected.time"
-                        if tup.pub_time < rewritten.insertion_time
-                        else "evaluator.rejected.filter"
-                    )
-                continue
-            notification = self._emit(
-                engine, state, rewritten, tup, entry.latest_trigger_time
-            )
-            if notification is not None:
-                notifications.append(notification)
+                    # Counted as a per-member test would: time before filter.
+                    for member in record.members:
+                        PERF.count(
+                            "evaluator.rejected.time"
+                            if pub_time < member.insertion_time
+                            else "evaluator.rejected.filter"
+                        )
+            else:
+                notifications.extend(
+                    self._notify(engine, state, record, live, trigger_time)
+                )
+        state.load.add_value_level(examined)
         return notifications

@@ -154,6 +154,18 @@ class ContinuousQueryEngine:
         #: ring, so lazily adopted million-node networks pay per
         #: *touched* node, not per member (see :meth:`adopted_states`).
         self._adopted: dict[int, NodeState] = {}
+        #: The protocol handlers every adopted node registers — built
+        #: once, lazy adoption attaches thousands of nodes per run.  The
+        #: algorithm's methods are looked up per message, not bound here.
+        algorithm = self.algorithm
+        self._handlers = (
+            ("query", lambda n, m: algorithm.on_query(self, n, m)),
+            ("al-index", lambda n, m: algorithm.on_al_index(self, n, m)),
+            ("vl-index", lambda n, m: algorithm.on_vl_index(self, n, m)),
+            ("join", lambda n, m: algorithm.on_join(self, n, m)),
+            ("notification", self._on_notification),
+            ("unsubscribe", self._on_unsubscribe),
+        )
 
         lazy = self.config.lazy_adoption
         if lazy is None:
@@ -189,21 +201,8 @@ class ContinuousQueryEngine:
         state = NodeState(node, self.config.jfrt_capacity)
         node.app = state
         self._adopted[node.ident] = state
-        algorithm = self.algorithm
-        node.register_handler(
-            "query", lambda n, m: algorithm.on_query(self, n, m)
-        )
-        node.register_handler(
-            "al-index", lambda n, m: algorithm.on_al_index(self, n, m)
-        )
-        node.register_handler(
-            "vl-index", lambda n, m: algorithm.on_vl_index(self, n, m)
-        )
-        node.register_handler(
-            "join", lambda n, m: algorithm.on_join(self, n, m)
-        )
-        node.register_handler("notification", self._on_notification)
-        node.register_handler("unsubscribe", self._on_unsubscribe)
+        for message_type, handler in self._handlers:
+            node.register_handler(message_type, handler)
         return state
 
     def state(self, node: ChordNode) -> NodeState:

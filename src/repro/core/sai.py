@@ -48,11 +48,10 @@ class SingleAttributeIndex(Algorithm):
     def on_join(
         self, engine: "ContinuousQueryEngine", node: ChordNode, msg: JoinMessage
     ) -> None:
-        """Store each member's rewritten query; match the new ones
-        against VLTT.
+        """Store each record's members; match the new ones against VLTT.
 
         A key seen before only refreshes its stored time — unless the
-        stored entry had already slid out of the window, in which case
+        stored copy had already slid out of the window, in which case
         the arrival behaves like a fresh one (its pairs with recently
         stored tuples have not been produced yet).
         """
@@ -67,11 +66,9 @@ class SingleAttributeIndex(Algorithm):
             if ident is None:
                 ident = self.evaluator_ident(engine, record)
             unevaluated = state.vlqt.add(record, ident, window)
-            if unevaluated:
+            if unevaluated is not None:
                 notifications.extend(
-                    self._match_rewritten_against_tuples(
-                        engine, state, record, unevaluated
-                    )
+                    self._match_rewritten_against_tuples(engine, state, unevaluated)
                 )
         engine.deliver_notifications(node, notifications)
 

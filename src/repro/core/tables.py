@@ -23,6 +23,11 @@ or below its current time — only the work is proportional to the number
 of expirations, not the table size.  ``pop_matching`` (responsibility
 handoff) stays a scan: it filters by routing identifier, which no
 time-ordered structure helps with, and runs only on churn events.
+
+The VLQT's stored item is the *cohort* — the members of one group record
+that were stored together (see :class:`StoredCohort`) — so a record of N
+similar queries costs one object and one heap record, while ``len()``,
+eviction counts and the filtering load keep counting members.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
 from ..perf import PERF
-from ..sql.query import JoinQuery, RewritePlan, RewrittenGroup, RewrittenQuery
+from ..sql.query import JoinQuery, RewritePlan, RewrittenGroup
 from ..sql.tuples import DataTuple, ProjectedTuple
 
 
@@ -182,38 +187,99 @@ class AttributeLevelQueryTable:
 # Value level: rewritten queries at evaluators
 # ----------------------------------------------------------------------
 
-@dataclass(slots=True)
-class StoredRewritten:
-    """A rewritten query at an evaluator, with its trigger-time memory.
+class _ValueBucket:
+    """The cohorts stored under one ``(level-1 key, value)``.
 
-    When a rewritten query with a key that is already present arrives,
-    "only pubT(t) is stored along with q'" (Section 4.3.3) — hence the
-    ``latest_trigger_time`` update instead of a second copy.
+    ``cohorts`` keeps them in insertion order (the order a ``vl-index``
+    probe visits them).  ``slots`` finds the holder of a member key
+    without building it: a key is ``query_key + suffix``, so under one
+    ``(group signature, suffix)`` the query key alone tells members
+    apart.  A slot is the cohort itself while it is the only one using
+    that suffix, and a ``query key -> cohort`` index once several do.
     """
 
-    rewritten: RewrittenQuery
+    __slots__ = ("level1", "value", "cohorts", "slots")
+
+    def __init__(self, level1: tuple[str, str], value: Any):
+        self.level1 = level1
+        self.value = value
+        self.cohorts: dict[StoredCohort, None] = {}
+        self.slots: dict[tuple[str, str], Any] = {}
+
+
+@dataclass(slots=True, eq=False)
+class StoredCohort:
+    """Members of one group record that an evaluator stored together.
+
+    They share the record's join condition and select lists, one
+    routing identifier and one trigger time, so they are refreshed,
+    window-checked, evicted and handed off as a unit; ``record.members``
+    is exactly the cohort.  When a rewritten query with a key that is
+    already present arrives, "only pubT(t) is stored along with q'"
+    (Section 4.3.3) — hence the ``latest_trigger_time`` update instead
+    of a second copy.  Identity-hashed: a cohort is a dict key in its
+    bucket.
+    """
+
+    record: RewrittenGroup
     routing_ident: int
     latest_trigger_time: float
+    #: Where it is stored; ``None`` once evicted or popped for handoff.
+    bucket: Optional[_ValueBucket] = None
 
-    def refresh(self, trigger_time: float) -> None:
-        if trigger_time > self.latest_trigger_time:
-            self.latest_trigger_time = trigger_time
+    def __len__(self) -> int:
+        return len(self.record.members)
+
+
+def _by_member(cohort: StoredCohort, suffix: str) -> dict[str, StoredCohort]:
+    """The ``query key -> cohort`` index of one cohort's ``suffix`` members."""
+    suffixes = cohort.record.suffixes
+    return {
+        member.query_key: cohort
+        for member in cohort.record.members
+        if suffixes[member.select_index] == suffix
+    }
+
+
+def _same_keys(stored: RewrittenGroup, record: RewrittenGroup) -> bool:
+    """Do two records rewrite to the same member keys, position by
+    position?  Decided without building a key; ``False`` only sends the
+    caller to the exact per-member path."""
+    if stored.suffixes != record.suffixes:
+        return False
+    ours, theirs = stored.members, record.members
+    if ours is theirs:
+        return True
+    if len(ours) != len(theirs):
+        return False
+    for mine, other in zip(ours, theirs):
+        if mine.query_key != other.query_key or mine.select_index != other.select_index:
+            return False
+    return True
 
 
 class ValueLevelQueryTable:
-    """VLQT: level 1 = load-distributing attribute, level 2 = value."""
+    """VLQT: level 1 = load-distributing attribute, level 2 = value.
+
+    The stored unit is the :class:`StoredCohort`, not the member: one
+    object and one eviction record per stored group record, however many
+    queries it covers.  ``len()`` still counts members (the paper's
+    storage load).
+    """
 
     def __init__(self):
-        self._buckets: dict[tuple[str, str], dict[Any, dict[str, StoredRewritten]]] = {}
+        self._buckets: dict[tuple[str, str], dict[Any, _ValueBucket]] = {}
         self._count = 0
-        #: Lazy eviction queue: ``(trigger_time, seq, level1, value, entry)``
-        #: records; see the module docstring.
-        self._evict_heap: list[tuple[float, int, tuple[str, str], Any, StoredRewritten]] = []
+        #: Lazy eviction queue: ``(trigger_time, seq, cohort)`` records;
+        #: see the module docstring.
+        self._evict_heap: list[tuple[float, int, StoredCohort]] = []
         self._evict_seq = 0
 
-    def _arm(self, time: float, level1, value, entry: StoredRewritten) -> None:
+    def _arm(self, cohort: StoredCohort) -> None:
         self._evict_seq += 1
-        heapq.heappush(self._evict_heap, (time, self._evict_seq, level1, value, entry))
+        heapq.heappush(
+            self._evict_heap, (cohort.latest_trigger_time, self._evict_seq, cohort)
+        )
 
     def pending_before(self, cutoff: float) -> bool:
         """True when :meth:`evict_older_than` could evict anything.
@@ -230,129 +296,279 @@ class ValueLevelQueryTable:
         record: RewrittenGroup,
         routing_ident: int,
         window: Optional[float] = None,
-    ) -> list[RewrittenQuery]:
-        """Store (or time-refresh) one entry per member of ``record``.
+    ) -> Optional[RewrittenGroup]:
+        """Store (or time-refresh) the members of ``record``.
 
         The level-2 key is ``dis_value`` — the attribute value a
         matching tuple carries, even when the dis side is a linear
         expression; the group shares it, so the bucket is resolved once.
 
-        Returns the members still to be evaluated against stored
-        tuples, expanded: those whose key was not stored yet and, given
-        a ``window``, those whose stored entry had already slid out of
-        it (their pairs with recently stored tuples were never made).
+        Returns the part of ``record`` still to be evaluated against
+        stored tuples — the members whose key was not stored yet and,
+        given a ``window``, those whose stored copy had already slid out
+        of it (their pairs with recently stored tuples were never made):
+        ``record`` itself when that is every member, ``None`` when none.
         """
-        level1 = (record.relation, record.dis_attribute or "")
-        value = record.dis_value
-        by_key = self._buckets.setdefault(level1, {}).setdefault(value, {})
-        trigger_time = record.trigger_pub_time
-        unevaluated = []
-        for member, key in zip(record.members, record.member_keys()):
-            existing = by_key.get(key)
-            if existing is None:
-                rewritten = record.expand(member, key)
-                self._store(level1, value, by_key, rewritten, routing_ident, trigger_time)
-                unevaluated.append(rewritten)
-                continue
-            if window is not None and trigger_time - existing.latest_trigger_time > window:
-                unevaluated.append(record.expand(member, key))
-            existing.refresh(trigger_time)
-        return unevaluated
+        return self._add(record, routing_ident, window, record.trigger_pub_time, False)
 
-    def _store(self, level1, value, by_key, rewritten, routing_ident, time) -> None:
-        entry = by_key[rewritten.key] = StoredRewritten(rewritten, routing_ident, time)
-        self._count += 1
-        self._arm(time, level1, value, entry)
-
-    def peek(self, rewritten: RewrittenQuery) -> Optional[StoredRewritten]:
-        """The stored entry with this rewritten query's key, if any."""
-        level2 = self._buckets.get((rewritten.relation, rewritten.dis_attribute or ""))
-        if not level2:
-            return None
-        by_key = level2.get(rewritten.dis_value)
-        return by_key.get(rewritten.key) if by_key else None
-
-    def insert_entry(self, entry: StoredRewritten) -> None:
-        """Re-insert a previously stored entry (responsibility handoff)."""
-        rewritten = entry.rewritten
-        stored = self.peek(rewritten)
-        if stored is not None:
-            stored.refresh(entry.latest_trigger_time)
-            stored.routing_ident = entry.routing_ident
-            return
-        level1 = (rewritten.relation, rewritten.dis_attribute or "")
-        value = rewritten.dis_value
-        by_key = self._buckets.setdefault(level1, {}).setdefault(value, {})
-        self._store(
-            level1, value, by_key, rewritten, entry.routing_ident, entry.latest_trigger_time
+    def insert_cohort(self, cohort: StoredCohort) -> None:
+        """Re-insert a cohort popped from another table (responsibility
+        handoff): members already stored take its routing identifier
+        and, if newer, its time; the rest are stored with both."""
+        self._add(
+            cohort.record, cohort.routing_ident, None, cohort.latest_trigger_time, True
         )
+
+    def _add(self, record, routing_ident, window, time, handoff):
+        """:meth:`add`, storing ``time`` as the trigger time; on
+        ``handoff`` stored copies also take over ``routing_ident``."""
+        buckets = self._buckets
+        level1 = (record.relation, record.dis_attribute or "")
+        level2 = buckets.get(level1)
+        if level2 is None:
+            level2 = buckets[level1] = {}
+        value = record.dis_value
+        bucket = level2.get(value)
+        if bucket is None:
+            bucket = level2[value] = _ValueBucket(level1, value)
+        slots = bucket.slots
+        signature = record.group_signature
+        suffixes = record.suffixes
+        found = []
+        for suffix in suffixes:
+            found.append(slots.get((signature, suffix)))
+        first = found[0]
+        uniform = found.count(first) == len(found)
+        if uniform and first is None:
+            # All of it is new: one cohort, no member touched.
+            if PERF.enabled:
+                PERF.count("vlqt.add.examined", len(found))
+            pending = record
+            cohort = StoredCohort(record, routing_ident, time, bucket)
+            for suffix in suffixes:
+                slots[(signature, suffix)] = cohort
+        elif (
+            uniform
+            and type(first) is StoredCohort
+            and _same_keys(first.record, record)
+        ):
+            # All of it is a refresh of one cohort: no member touched.
+            if PERF.enabled:
+                PERF.count("vlqt.add.examined", len(found))
+            expired = window is not None and time - first.latest_trigger_time > window
+            if time > first.latest_trigger_time:
+                first.latest_trigger_time = time
+            if handoff:
+                first.routing_ident = routing_ident
+            return record if expired else None
+        else:
+            if not (uniform and type(first) is dict):  # else: indexes already
+                self._index_shared_slots(slots, signature, suffixes, found)
+            pending, cohort = self._settle_members(
+                record, routing_ident, window, time, handoff, bucket, found
+            )
+            if cohort is None:
+                return pending
+        # Enter the new cohort into its bucket, the count and the heap.
+        bucket.cohorts[cohort] = None
+        self._count += len(cohort.record.members)
+        self._arm(cohort)
+        return pending
+
+    def _index_shared_slots(self, slots, signature, suffixes, found) -> None:
+        """Turn every single-cohort slot in ``found`` into a ``query key
+        -> cohort`` index, in ``slots`` and in ``found``."""
+        for position, slot in enumerate(found):
+            if type(slot) is StoredCohort:
+                key = (signature, suffixes[position])
+                index = slots[key]
+                if index is slot:  # not yet replaced through an equal suffix
+                    if PERF.enabled:
+                        PERF.count("vlqt.add.examined", len(slot.record.members))
+                    index = slots[key] = _by_member(slot, key[1])
+                found[position] = index
+
+    def _settle_members(
+        self, record, routing_ident, window, time, handoff, bucket, found
+    ):
+        """The per-member path of :meth:`_add`: ``record`` covers part
+        of what is stored, or shares a suffix with other cohorts.
+
+        ``found`` holds, per select list, ``None`` or the index of its
+        slot.  Members stored nowhere form one new cohort (indexed here,
+        entered into the bucket by the caller); a cohort the record
+        covers wholly is refreshed in place, one it covers partly is
+        split first.  Returns ``(still to evaluate, new cohort or None)``.
+        """
+        members = record.members
+        if PERF.enabled:
+            PERF.count("vlqt.add.examined", len(found) + len(members))
+        cohort = None
+        fresh: list[int] = []
+        expired: list[int] = []
+        #: Stored cohort -> query keys of its members the record covers;
+        #: built on the first hit (most per-member adds store new keys only).
+        held: Optional[dict[StoredCohort, list[str]]] = None
+        for position, member in enumerate(members):
+            slot = found[member.select_index]
+            if slot is not None:
+                query_key = member.query_key
+                holder = slot.get(query_key)
+                if holder is not None:
+                    if held is None:
+                        held = {holder: [query_key]}
+                    elif holder in held:
+                        held[holder].append(query_key)
+                    else:
+                        held[holder] = [query_key]
+                    if window is not None and time - holder.latest_trigger_time > window:
+                        expired.append(position)
+                    continue
+                if cohort is None:
+                    cohort = StoredCohort(record, routing_ident, time, bucket)
+                slot[query_key] = cohort
+            fresh.append(position)
+        for holder, keys in held.items() if held is not None else ():
+            newer = time > holder.latest_trigger_time
+            takeover = handoff and holder.routing_ident != routing_ident
+            if newer or takeover:
+                if len(keys) < len(holder.record.members):
+                    # Only these members change: they leave the cohort.
+                    holder = self._split_off(holder, keys)
+                if newer:
+                    holder.latest_trigger_time = time
+                if takeover:
+                    holder.routing_ident = routing_ident
+        if fresh:
+            if cohort is None:
+                cohort = StoredCohort(record, routing_ident, time, bucket)
+            if len(fresh) < len(members):
+                cohort.record = record.restrict(fresh)
+            if None in found:
+                slots = bucket.slots
+                signature = record.group_signature
+                for suffix, slot in zip(record.suffixes, found):
+                    if slot is None:
+                        slots[(signature, suffix)] = cohort
+        pending = sorted(fresh + expired) if expired else fresh
+        if len(pending) == len(members):
+            return record, cohort
+        return (record.restrict(pending) if pending else None), cohort
+
+    def _split_off(self, holder: StoredCohort, query_keys: list[str]) -> StoredCohort:
+        """Move the members named by ``query_keys`` out of ``holder``
+        into a cohort of their own (same record fields, time and
+        routing identifier) and return it."""
+        stored = holder.record
+        leaving = set(query_keys)
+        taken: list[int] = []
+        kept: list[int] = []
+        for position, member in enumerate(stored.members):
+            (taken if member.query_key in leaving else kept).append(position)
+        holder.record = stored.restrict(kept)
+        bucket = holder.bucket
+        part = StoredCohort(
+            stored.restrict(taken),
+            holder.routing_ident,
+            holder.latest_trigger_time,
+            bucket,
+        )
+        bucket.cohorts[part] = None
+        # A member reached through a single-cohort slot would have taken
+        # the whole-record path, so every slot of a leaving member is an index.
+        slots = bucket.slots
+        signature = stored.group_signature
+        suffixes = stored.suffixes
+        for member in part.record.members:
+            slots[(signature, suffixes[member.select_index])][member.query_key] = part
+        # ``holder`` keeps its eviction record; the part needs its own.
+        self._arm(part)
+        if PERF.enabled:
+            PERF.count("vlqt.cohorts.split")
+        return part
+
+    def _remove(self, cohorts: list[StoredCohort]) -> int:
+        """Take ``cohorts`` out of their buckets (eviction, handoff);
+        returns how many members that were."""
+        buckets = self._buckets
+        removed = 0
+        for cohort in cohorts:
+            bucket = cohort.bucket
+            cohort.bucket = None
+            del bucket.cohorts[cohort]
+            record = cohort.record
+            members = record.members
+            removed += len(members)
+            slots = bucket.slots
+            signature = record.group_signature
+            suffixes = record.suffixes
+            for suffix in suffixes:
+                key = (signature, suffix)
+                slot = slots.get(key)
+                if slot is cohort:
+                    del slots[key]
+                elif type(slot) is dict:
+                    # An index holds every member stored under its suffix.
+                    for member in members:
+                        if suffixes[member.select_index] == suffix:
+                            slot.pop(member.query_key, None)
+                    if not slot:
+                        del slots[key]
+            if not bucket.cohorts:
+                level2 = buckets[bucket.level1]
+                del level2[bucket.value]
+                if not level2:
+                    del buckets[bucket.level1]
+        self._count -= removed
+        return removed
 
     def candidates(
         self, relation: str, attribute: str, value: Any
-    ) -> list[StoredRewritten]:
-        """Rewritten queries a ``vl-index`` tuple can possibly trigger."""
+    ) -> list[StoredCohort]:
+        """Cohorts of rewritten queries a ``vl-index`` tuple can
+        possibly trigger, in the order they were stored."""
         level2 = self._buckets.get((relation, attribute))
         if not level2:
             return []
-        by_key = level2.get(value)
-        return list(by_key.values()) if by_key else []
+        bucket = level2.get(value)
+        return list(bucket.cohorts) if bucket is not None else []
 
     def evict_older_than(self, cutoff: float) -> int:
-        """Drop entries whose latest trigger is before ``cutoff``
-        (sliding-window semantics); returns evictions.
+        """Drop cohorts whose latest trigger is before ``cutoff``
+        (sliding-window semantics); returns evicted *members*.
 
         Pops the lazy heap instead of scanning every bucket: a record
-        whose entry is gone or replaced is discarded; one whose entry
-        was refreshed past the cutoff is re-armed at its current time;
-        only records that still describe an expired live entry evict.
+        whose cohort is gone is discarded; one whose cohort was
+        refreshed past the cutoff is re-armed at its current time; only
+        records that still describe an expired live cohort evict.
         """
         heap = self._evict_heap
-        buckets = self._buckets
-        evicted = 0
+        expired = []
         while heap and heap[0][0] < cutoff:
-            _, _, level1, value, entry = heapq.heappop(heap)
-            level2 = buckets.get(level1)
-            by_key = level2.get(value) if level2 is not None else None
-            if by_key is None or by_key.get(entry.rewritten.key) is not entry:
-                continue  # stale record: entry was handed off or replaced
-            current_time = entry.latest_trigger_time
-            if current_time >= cutoff:
-                self._arm(current_time, level1, value, entry)
-                continue
-            del by_key[entry.rewritten.key]
-            evicted += 1
-            if not by_key:
-                del level2[value]
-                if not level2:
-                    del buckets[level1]
-        self._count -= evicted
+            cohort = heapq.heappop(heap)[2]
+            if cohort.bucket is None:
+                continue  # stale record: cohort was evicted or handed off
+            if cohort.latest_trigger_time >= cutoff:
+                self._arm(cohort)
+            else:
+                expired.append(cohort)
+        evicted = self._remove(expired)
         if PERF.enabled:
             PERF.count("vlqt.evicted", evicted)
         return evicted
 
-    def pop_matching(self, should_move: Callable[[int], bool]) -> list[StoredRewritten]:
-        moved: list[StoredRewritten] = []
-        for level1 in list(self._buckets):
-            level2 = self._buckets[level1]
-            for value in list(level2):
-                by_key = level2[value]
-                for key in list(by_key):
-                    if should_move(by_key[key].routing_ident):
-                        moved.append(by_key.pop(key))
-                if not by_key:
-                    del level2[value]
-            if not level2:
-                del self._buckets[level1]
-        self._count -= len(moved)
+    def pop_matching(self, should_move: Callable[[int], bool]) -> list[StoredCohort]:
+        moved = [cohort for cohort in self if should_move(cohort.routing_ident)]
+        self._remove(moved)
         return moved
 
     def __len__(self) -> int:
         return self._count
 
-    def __iter__(self) -> Iterator[StoredRewritten]:
+    def __iter__(self) -> Iterator[StoredCohort]:
         for level2 in self._buckets.values():
-            for by_key in level2.values():
-                yield from by_key.values()
+            for bucket in level2.values():
+                yield from bucket.cohorts
 
 
 # ----------------------------------------------------------------------

@@ -14,8 +14,9 @@ of Chapter 4:
   reindexed at the value level;
 * a :class:`RewrittenGroup` is one trigger's rewrite of every query that
   shares a join condition (Section 4.3.5) — what :func:`rewrite`
-  produces and a ``join()`` message carries; it expands to per-member
-  :class:`RewrittenQuery` rows only where one is matched or stored.
+  produces, a ``join()`` message carries and an evaluator stores and
+  matches; :meth:`RewrittenGroup.expand` gives the per-member
+  :class:`RewrittenQuery` view of it.
 """
 
 from __future__ import annotations
@@ -351,18 +352,30 @@ def _satisfies(tuple_like, filters, expr, required_value, check_value: bool) -> 
     return True
 
 
+def select_row(select: tuple[SelectItem, ...], tuple_like) -> tuple[Any, ...]:
+    """The notification row of one bound select list for a matching
+    dis-side tuple: bound values as they are, pending attributes read."""
+    return tuple(
+        [
+            item.value if type(item) is BoundValue else tuple_like.value(item.attribute)
+            for item in select
+        ]
+    )
+
+
 @dataclass(slots=True, eq=False)
 class RewrittenQuery:
     """A select-project query produced by rewriting a join query: one
     member of a :class:`RewrittenGroup`, expanded.
 
-    One is allocated per stored or matched (query, trigger tuple) pair,
-    so the class is slotted and skips the frozen machinery (a frozen
-    dataclass pays ``object.__setattr__`` per field on *every*
-    construction, ~8x slower).  Instances are immutable by convention:
-    nothing mutates one after :meth:`RewrittenGroup.expand` returns, and
-    identity/equality is always taken on ``key`` (Section 4.3.3), never
-    on field-wise comparison.
+    The engine works on group records throughout; this flat form is the
+    per-(query, trigger tuple) view of one.  Slotted, and it skips the
+    frozen machinery (a frozen dataclass pays ``object.__setattr__`` per
+    field on *every* construction, ~8x slower).  Instances are immutable
+    by convention: nothing mutates one after
+    :meth:`RewrittenGroup.expand` returns, and identity/equality is
+    always taken on ``key`` (Section 4.3.3), never on field-wise
+    comparison.
 
     Example from Section 4.3.2: triggering
     ``SELECT R.A, S.B FROM R, S WHERE R.C = S.C`` with ``S(3, 4, 7)``
@@ -408,13 +421,7 @@ class RewrittenQuery:
 
     def result_row(self, tuple_like) -> tuple[Any, ...]:
         """Materialize the notification row from a matching tuple."""
-        row = []
-        for item in self.select:
-            if isinstance(item, BoundValue):
-                row.append(item.value)
-            else:
-                row.append(tuple_like.value(item.attribute))
-        return tuple(row)
+        return select_row(self.select, tuple_like)
 
     @property
     def needed_attributes(self) -> tuple[str, ...]:
@@ -490,22 +497,26 @@ class RewrittenGroup:
     def restrict(self, positions) -> "RewrittenGroup":
         """The same rewrite covering only ``members[i] for i in positions``."""
         members, keys = self.members, self.keys
-        return replace(
-            self,
-            members=tuple([members[i] for i in positions]),
-            keys=None if keys is None else tuple([keys[i] for i in positions]),
+        # Spelled out: ``dataclasses.replace`` re-reads the field list on
+        # every call, and evaluators restrict a record per split or store.
+        return RewrittenGroup(
+            self.group_signature, self.relation, self.expr, self.required_value,
+            self.dis_attribute, self.dis_value, self.filters, self.trigger_pub_time,
+            self.selects, self.suffixes,
+            tuple([members[i] for i in positions]),
+            None if keys is None else tuple([keys[i] for i in positions]),
         )
 
     def split(self) -> list["RewrittenGroup"]:
         """One single-member record per member."""
         return [self.restrict((i,)) for i in range(len(self.members))]
 
-    def expand(self, member: GroupMember, key: Optional[str] = None) -> RewrittenQuery:
+    def expand(self, member: GroupMember) -> RewrittenQuery:
         """The flat per-subscriber query of one member."""
         index = member.select_index
         query_key = member.query_key
         return RewrittenQuery(
-            key if key is not None else query_key + self.suffixes[index], query_key,
+            query_key + self.suffixes[index], query_key,
             self.group_signature, member.subscriber, member.insertion_time,
             self.relation, self.expr, self.required_value, self.dis_attribute,
             self.dis_value, self.filters, self.selects[index], self.trigger_pub_time,

@@ -2,15 +2,16 @@
 
 Until the group record (DESIGN.md §4.3.5) a rewriter called
 ``rewrite()`` and ``evaluator_ident()`` once per *member* of a query
-group, shipped one flat ``RewrittenQuery`` per member and every
-evaluator fetched its candidate bucket once per member.  That path is
-gone from ``src/``; this module is its body, moved here verbatim in
-behaviour, so ``test_group_rewrite_differential`` can replay random
-workloads through both and demand identical keys, batches, load
-counters and notifications.
+group, shipped one flat ``RewrittenQuery`` per member, every evaluator
+fetched its candidate bucket once per member and stored one VLQT entry
+per member.  That path is gone from ``src/``; this module is its body,
+moved here verbatim in behaviour, so ``test_group_rewrite_differential``
+can replay random workloads through both and demand identical keys,
+batches, load counters and notifications.
 
 :func:`reference_engine` builds an engine whose algorithm is one of the
-``Reference*`` classes below.  Their ``join()`` messages carry flat
+``Reference*`` classes below and whose nodes keep the per-member VLQT
+of :mod:`reference_tables`.  Their ``join()`` messages carry flat
 ``RewrittenQuery`` tuples (and one projection per query), exactly as
 protocol version 1 did.
 """
@@ -26,10 +27,13 @@ from repro.core.dai_t import DAITuple
 from repro.core.dai_v import DAIValue
 from repro.core.index_choice import ArrivalStats
 from repro.core.sai import SingleAttributeIndex
-from repro.core.tables import StoredProjection, StoredRewritten
+from repro.core.notifications import Notification
+from repro.core.tables import StoredProjection
 from repro.errors import QueryError
 from repro.sql.expr import AttrRef, Const, canonical_value, substitute
 from repro.sql.query import BoundValue, PendingAttr, RewrittenQuery
+
+from .reference_tables import FlatValueLevelQueryTable, StoredRewritten
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +167,43 @@ class PerMemberRewriter(Algorithm):
         return engine.network.hash.hash_parts(
             rewritten.relation, rewritten.dis_attribute, rewritten.dis_value
         )
+
+    def _emit(self, engine, state, rewritten: RewrittenQuery, match, trigger_time):
+        """Create one notification unless its identity was already emitted."""
+        row = rewritten.result_row(match)
+        identity = (rewritten.original_key, repr(rewritten.required_value), row)
+        if identity in state.emitted:
+            return None
+        state.emitted.add(identity)
+        state.load.notifications_created += 1
+        return Notification(
+            query_key=rewritten.original_key,
+            subscriber_ident=rewritten.subscriber.ident,
+            row=row,
+            join_value_repr=repr(rewritten.required_value),
+            trigger_pub_time=trigger_time,
+            match_pub_time=match.pub_time,
+            created_at=engine.clock.now,
+        )
+
+    def _match_tuple_against_rewritten(self, engine, state, tup, attribute):
+        """An arriving tuple against the per-member VLQT, entry by entry."""
+        candidates = state.vlqt.candidates(
+            tup.relation.name, attribute, tup.value(attribute)
+        )
+        state.load.add_value_level(len(candidates))
+        notifications = []
+        for entry in candidates:
+            if not _within_window(engine, tup.pub_time, entry.latest_trigger_time):
+                continue
+            if not entry.rewritten.matches(tup, check_value=False):
+                continue
+            notification = self._emit(
+                engine, state, entry.rewritten, tup, entry.latest_trigger_time
+            )
+            if notification is not None:
+                notifications.append(notification)
+        return notifications
 
     def _match_flat_against_tuples(self, engine, state, rewritten: RewrittenQuery):
         candidates = state.vltt.candidates(
@@ -298,12 +339,22 @@ REFERENCE_ALGORITHMS = {
 }
 
 
+class ReferenceEngine(engine_module.ContinuousQueryEngine):
+    """Every adopted node keeps the per-member VLQT."""
+
+    def adopt(self, node):
+        state = super().adopt(node)
+        if not isinstance(state.vlqt, FlatValueLevelQueryTable):
+            state.vlqt = FlatValueLevelQueryTable()
+        return state
+
+
 def reference_engine(network, config):
     """An engine over ``network`` running the per-member reference."""
     make_algorithm = engine_module.make_algorithm
     engine_module.make_algorithm = lambda name: REFERENCE_ALGORITHMS[name]()
     try:
-        return engine_module.ContinuousQueryEngine(network, config)
+        return ReferenceEngine(network, config)
     finally:
         engine_module.make_algorithm = make_algorithm
 

@@ -218,6 +218,33 @@ class TestTargetedScenarios:
         assert [len(keys) for keys in shipped_members(run)] == [1, 1, 1]
         assert len({ident for _, ident, _ in run["batches"]}) == 3
 
+    @pytest.mark.parametrize("late_queries, keyed", [(1, False), (10, True)])
+    def test_dai_v_projection_predating_a_member_lacks_its_attributes(
+        self, late_queries, keyed
+    ):
+        # The S tuple is projected on what the first query needs, {D, E};
+        # the later queries select S.F too.  The R tuple's record then
+        # meets that projection with the late members aboard: they must
+        # be skipped on time before an answer row is built for them.
+        # Keyed, evaluators are per query: of ten late queries one lands
+        # on the node that holds the projection (asserted below).
+        late = ("query", SELECTS[2], CONDITIONS[0])
+        workload = [Q, ("S", 1, 0, 1), *[late] * late_queries, R000]
+        run = self.both(workload, algorithm="dai-v", daiv_keyed=keyed)
+        assert sorted(len(rows) for rows in run["delivered"].values()) == (
+            [0] * late_queries + [1]
+        )
+        # The scenario is reached: a batch carrying more than the first
+        # query's member lands where the S projection is stored.
+        network = self.engine.network
+        (_, s_ident, s_rows), *r_batches = run["batches"]
+        first_query = s_rows[0][0][1]  # ``original_key``
+        assert any(
+            network.responsible_node(ident) is network.responsible_node(s_ident)
+            and any(fields[1] != first_query for fields, _ in rows)
+            for _, ident, rows in r_batches
+        )
+
     def test_replicas_of_one_query_at_one_rewriter_are_one_member(self):
         run = self.both([Q, R000, R000], algorithm="dai-q", replication_factor=6)
         groups = [

@@ -104,16 +104,18 @@ class TestALQT:
 class TestVLQT:
     def test_add_new(self):
         table = ValueLevelQueryTable()
-        (new,) = table.add(rewritten(), routing_ident=9)
-        (entry,) = table
-        assert entry.rewritten is new and new.key == "q0+10+7"
-        assert entry.latest_trigger_time == 1.0
+        record = rewritten()
+        assert table.add(record, routing_ident=9) is record  # all of it is new
+        (cohort,) = table
+        assert cohort.record is record and record.member_keys() == ("q0+10+7",)
+        assert cohort.routing_ident == 9
+        assert cohort.latest_trigger_time == 1.0
         assert len(table) == 1
 
     def test_duplicate_key_refreshes_time(self):
         table = ValueLevelQueryTable()
         table.add(rewritten(pub=1.0), 9)
-        assert table.add(rewritten(pub=5.0), 9) == []
+        assert table.add(rewritten(pub=5.0), 9) is None
         (entry,) = table
         assert entry.latest_trigger_time == 5.0
         assert len(table) == 1
@@ -128,22 +130,50 @@ class TestVLQT:
     def test_window_expired_entry_is_returned_for_evaluation(self):
         table = ValueLevelQueryTable()
         table.add(rewritten(pub=1.0), 9, window=3.0)
-        assert table.add(rewritten(pub=3.0), 9, window=3.0) == []
-        (again,) = table.add(rewritten(pub=9.0), 9, window=3.0)
-        assert again.trigger_pub_time == 9.0 and len(table) == 1
+        assert table.add(rewritten(pub=3.0), 9, window=3.0) is None
+        late = rewritten(pub=9.0)
+        assert table.add(late, 9, window=3.0) is late
+        (entry,) = table
+        assert entry.latest_trigger_time == 9.0 and len(table) == 1
 
-    def test_one_entry_per_group_member(self):
-        """TS counts members: a group record stores one entry each."""
+    def group_record(self, keys=("q1", "q2", "q3"), a=10, pub=1.0):
         alqt = AttributeLevelQueryTable()
-        for key in ("q1", "q2", "q3"):
+        for key in keys:
             alqt.add(StoredQuery(bound_query(key=key), LEFT, 0))
         (group,) = alqt.groups_for("R", "B")
-        record = rewrite(group, LEFT, DataTuple(R, (10, 7), 1.0))
+        return rewrite(group, LEFT, DataTuple(R, (a, 7), pub))
+
+    def test_one_entry_per_group_member(self):
+        """TS counts members: a group record is stored as one cohort
+        that counts as three entries."""
+        record = self.group_record()
         table = ValueLevelQueryTable()
-        assert [rq.key for rq in table.add(record, 0)] == [
-            "q1+10+7", "q2+10+7", "q3+10+7"
-        ]
-        assert len(table) == len(table.candidates("S", "E", 7)) == 3
+        assert table.add(record, 0) is record
+        assert record.member_keys() == ("q1+10+7", "q2+10+7", "q3+10+7")
+        (cohort,) = table.candidates("S", "E", 7)
+        assert cohort.record is record and len(cohort) == len(table) == 3
+        # The same keys from a second rewrite (other members tuple) refresh.
+        assert table.add(self.group_record(pub=2.0), 0) is None
+        assert len(table) == 3 and cohort.latest_trigger_time == 2.0
+
+    def test_partial_refresh_splits_the_cohort(self):
+        """A record covering part of a cohort refreshes exactly that
+        part; only its unseen members are reported for evaluation."""
+        table = ValueLevelQueryTable()
+        table.add(self.group_record(), 0, window=3.0)
+        later = self.group_record(keys=("q2", "q4"), pub=2.0)
+        pending = table.add(later, 0, window=3.0)
+        assert pending.member_keys() == ("q4+10+7",)
+        assert len(table) == 4
+        times = {
+            key: cohort.latest_trigger_time
+            for cohort in table.candidates("S", "E", 7)
+            for key in cohort.record.member_keys()
+        }
+        assert times == {
+            "q1+10+7": 1.0, "q3+10+7": 1.0, "q2+10+7": 2.0, "q4+10+7": 2.0
+        }
+        assert table.evict_older_than(1.5) == 2 and len(table) == 2
 
     def test_candidates_by_attribute_and_value(self):
         table = ValueLevelQueryTable()
@@ -153,14 +183,6 @@ class TestVLQT:
         assert len(table.candidates("S", "E", 8)) == 1
         assert table.candidates("S", "E", 9) == []
         assert table.candidates("S", "D", 7) == []
-
-    def test_peek(self):
-        table = ValueLevelQueryTable()
-        record = rewritten()
-        rq = record.expand(record.members[0])
-        assert table.peek(rq) is None
-        table.add(record, 0)
-        assert table.peek(rq) is not None
 
     def test_evict_older_than(self):
         table = ValueLevelQueryTable()
@@ -176,13 +198,44 @@ class TestVLQT:
         moved = table.pop_matching(lambda ident: ident == 1)
         assert len(moved) == 1 and len(table) == 1
 
-    def test_insert_entry_preserves_time(self):
+    def test_insert_cohort_preserves_time(self):
         source = ValueLevelQueryTable()
         source.add(rewritten(pub=7.0), 3)
-        (entry,) = source
+        (cohort,) = source.pop_matching(lambda ident: True)
         target = ValueLevelQueryTable()
-        target.insert_entry(entry)
-        assert target.peek(entry.rewritten).latest_trigger_time == 7.0
+        target.add(rewritten(pub=2.0), 5)  # already there, older, other ident
+        target.add(rewritten(key="q1", pub=9.0), 5)  # unrelated, newer
+        target.insert_cohort(cohort)
+        assert len(target) == 2 and len(source) == 0
+        # The stored copy takes the moved cohort's time and identifier.
+        assert {
+            c.record.member_keys(): (c.latest_trigger_time, c.routing_ident)
+            for c in target
+        } == {("q0+10+7",): (7.0, 3), ("q1+10+7",): (9.0, 5)}
+
+    def test_insert_cohort_hands_its_ident_to_the_part_it_covers(self):
+        """Handoff onto a cohort it covers in part: those members take
+        the moved identifier (and keep their newer time), so they leave
+        the cohort; the uncovered one keeps everything."""
+        source = ValueLevelQueryTable()
+        source.add(self.group_record(keys=("q2", "q3", "q4"), pub=1.0), 3)
+        (cohort,) = source.pop_matching(lambda ident: True)
+        target = ValueLevelQueryTable()
+        target.add(self.group_record(pub=2.0), 5)  # q1, q2, q3
+        target.insert_cohort(cohort)
+        assert len(target) == 4
+        assert {
+            key: (c.latest_trigger_time, c.routing_ident)
+            for c in target
+            for key in c.record.member_keys()
+        } == {
+            "q1+10+7": (2.0, 5),
+            "q2+10+7": (2.0, 3),
+            "q3+10+7": (2.0, 3),
+            "q4+10+7": (1.0, 3),
+        }
+        assert len(target.pop_matching(lambda ident: ident == 3)) == 2
+        assert len(target) == 1
 
 
 class TestVLTT:

@@ -3,7 +3,8 @@
 The optimized tables in :mod:`repro.core.tables` replace full-bucket
 eviction scans with lazy min-heaps.  Each test here drives the real
 table and a deliberately naive reference model (a flat store whose
-eviction rescans everything — the seed implementation's semantics)
+eviction rescans everything — the seed implementation's semantics; for
+the VLQT the per-member table that cohort storage replaced)
 through the same random add/evict/pop/candidates sequences and asserts
 the observable state never diverges: same resident entries, same
 trigger times, same eviction counts, same candidate sets, same handoff
@@ -26,41 +27,27 @@ from repro.core.tables import (
     ValueLevelTupleTable,
 )
 from repro.sql.parser import parse_query
+from repro.perf import PERF
 from repro.sql.query import (
     LEFT,
+    BoundValue,
     GroupMember,
+    PendingAttr,
     RewrittenGroup,
-    RewrittenQuery,
     Subscriber,
 )
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple, ProjectedTuple
+
+from .reference_tables import FlatValueLevelQueryTable
 
 SUB = Subscriber("prop", 1, "10.0.0.1")
 R = Relation("R", ("A", "B"))
 
 # Small pools keep collisions (duplicate keys, shared values) frequent.
 times = st.integers(min_value=0, max_value=50).map(float)
-keys = st.integers(min_value=0, max_value=9)
 values = st.integers(min_value=0, max_value=4)
 idents = st.integers(min_value=0, max_value=3)
-
-
-def _record(key_indexes, value: int, trigger_time: float) -> RewrittenGroup:
-    """A group record whose members rewrite to the keys ``q<i>+<value>``."""
-    return RewrittenGroup(
-        group_signature="sig",
-        relation="R",
-        expr=None,
-        required_value=value,
-        dis_attribute="A",
-        dis_value=value,
-        filters=(),
-        trigger_pub_time=trigger_time,
-        selects=((),),
-        suffixes=(f"+{value}",),
-        members=tuple(GroupMember(f"q{i}", SUB, 0.0, 0) for i in key_indexes),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -134,86 +121,178 @@ def test_alqt_matches_naive_reference(ops):
 # VLQT
 # ----------------------------------------------------------------------
 
+#: Eight queries in two groups; within a group three select lists.  List
+#: 0 and 1 each bind one trigger value, list 2 binds none, so two lists
+#: of one record can share a suffix and two triggers can agree on one
+#: list's suffix while differing on another's.
+VLQT_QUERIES = [
+    (f"q{i}", "sigX" if i < 6 else "sigY", i % 3, float(i % 4)) for i in range(8)
+]
+VLQT_SELECTS = [
+    lambda bound: (BoundValue(bound[0]), PendingAttr("B")),
+    lambda bound: (PendingAttr("A"), BoundValue(bound[1])),
+    lambda bound: (PendingAttr("A"), PendingAttr("B")),
+]
+
+
+def _group_record(signature, query_indexes, list_order, bound, value, time):
+    """What ``rewrite()`` would ship for one trigger of one group.
+
+    ``list_order`` fixes how the record numbers its select lists (plans
+    renumber them as queries come and go); lists no member uses still
+    get a slot, as after ``restrict``.
+    """
+    suffixes = [
+        "".join(f"+{bound[i]}" for i in (0, 1) if i == select_list) + f"+{value}"
+        for select_list in list_order
+    ]
+    members = tuple(
+        GroupMember(key, SUB, inserted, list_order.index(select_list))
+        for key, sig, select_list, inserted in (VLQT_QUERIES[i] for i in query_indexes)
+        if sig == signature
+    )
+    if not members:
+        return None
+    return RewrittenGroup(
+        group_signature=signature,
+        relation="R",
+        expr=None,
+        required_value=value,
+        dis_attribute="A",
+        dis_value=value,
+        filters=(),
+        trigger_pub_time=time,
+        selects=tuple(VLQT_SELECTS[select_list](bound) for select_list in list_order),
+        suffixes=tuple(suffixes),
+        members=members,
+    )
+
+
+vlqt_values = st.integers(min_value=0, max_value=2)
 vlqt_ops = st.lists(
     st.one_of(
         st.tuples(
             st.just("add"),
-            st.lists(keys, min_size=1, max_size=3, unique=True),
-            values,
+            st.sampled_from(["sigX", "sigY"]),
+            st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),
+            st.permutations([0, 1, 2]),
+            st.tuples(st.integers(0, 1), st.integers(0, 1)),
+            vlqt_values,
+            times,
+            idents,
+        ),
+        # The previous record's keys again (a member subset, any list
+        # numbering) under a new time and identifier: refreshes, partial
+        # covers and, across a "pop", handoff onto a stored copy.
+        st.tuples(
+            st.just("again"),
+            st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True),
+            st.permutations([0, 1, 2]),
             times,
             idents,
         ),
         st.tuples(st.just("evict"), times),
-        st.tuples(st.just("pop"), idents),
-        st.tuples(st.just("candidates"), values),
+        st.tuples(st.just("pop"), idents, st.booleans()),
+        st.tuples(st.just("candidates"), vlqt_values),
     ),
     max_size=60,
 )
 
 
-class NaiveVLQT:
-    """Reference model: one flat dict, eviction rescans every entry."""
-
-    def __init__(self):
-        self.entries: dict[str, list] = {}  # key -> [ident, latest_time, value]
-
-    def add(self, rewritten: RewrittenQuery, ident: int) -> None:
-        entry = self.entries.get(rewritten.key)
-        if entry is not None:
-            if rewritten.trigger_pub_time > entry[1]:
-                entry[1] = rewritten.trigger_pub_time
-            return
-        self.entries[rewritten.key] = [ident, rewritten.trigger_pub_time, rewritten.dis_value]
-
-    def evict_older_than(self, cutoff: float) -> int:
-        dead = [key for key, entry in self.entries.items() if entry[1] < cutoff]
-        for key in dead:
-            del self.entries[key]
-        return len(dead)
-
-    def pop_matching(self, should_move) -> list[str]:
-        moved = [key for key, entry in self.entries.items() if should_move(entry[0])]
-        for key in moved:
-            del self.entries[key]
-        return sorted(moved)
-
-    def candidates(self, value: int) -> list[str]:
-        return sorted(key for key, entry in self.entries.items() if entry[2] == value)
-
-    def state(self) -> dict:
-        return {key: (entry[0], entry[1]) for key, entry in self.entries.items()}
+def _cohort_views(cohorts) -> list[tuple]:
+    """What a probe sees per member: key, select items, TS fields."""
+    return [
+        (key, cohort.record.selects[member.select_index],
+         cohort.routing_ident, cohort.latest_trigger_time)
+        for cohort in cohorts
+        for member, key in zip(cohort.record.members, cohort.record.member_keys())
+    ]
 
 
-@settings(max_examples=80, deadline=None)
-@given(vlqt_ops)
-def test_vlqt_matches_naive_reference(ops):
-    table = ValueLevelQueryTable()
-    naive = NaiveVLQT()
-    for op in ops:
-        if op[0] == "add":
-            _, key_indexes, value, time, ident = op
-            record = _record(key_indexes, value, time)
-            new = table.add(record, ident)
-            assert [rq.key for rq in new] == [
-                key for key in record.member_keys() if key not in naive.entries
-            ]
-            for member in record.members:
-                naive.add(record.expand(member), ident)
-        elif op[0] == "evict":
-            assert table.evict_older_than(op[1]) == naive.evict_older_than(op[1])
-        elif op[0] == "pop":
-            threshold = op[1]
-            moved = table.pop_matching(lambda ident: ident <= threshold)
-            assert sorted(e.rewritten.key for e in moved) == naive.pop_matching(
-                lambda ident: ident <= threshold
-            )
-        else:
-            got = table.candidates("R", "A", op[1])
-            assert sorted(e.rewritten.key for e in got) == naive.candidates(op[1])
-        assert len(table) == len(naive.entries)
-        assert {
-            e.rewritten.key: (e.routing_ident, e.latest_trigger_time) for e in table
-        } == naive.state()
+def _flat_views(entries) -> list[tuple]:
+    return [
+        (e.rewritten.key, e.rewritten.select, e.routing_ident, e.latest_trigger_time)
+        for e in entries
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(vlqt_ops, st.sampled_from([None, 4.0, 15.0]))
+def test_vlqt_matches_naive_reference(ops, window):
+    """The cohort table against the per-member table it replaced
+    (``reference_tables``), driven with group records: the same suffix
+    under different ``suffixes`` tuples, member subsets, members that
+    joined between triggers, refresh times older than the stored one,
+    window expiry, eviction interleaved with adds, and handoff into a
+    second table (and back).  Routing identifiers are drawn per step, so
+    one bucket mixes them: a refresh keeps the stored one, a handoff onto
+    a stored copy hands its own over (splitting a cohort it covers in
+    part).
+
+    After every step both agree on ``len``, eviction counts, what
+    ``add`` reports as still to evaluate (in record order) and, per
+    member, on key, select items, routing identifier and trigger time.
+    A probe visits members in the per-member table's order until a
+    cohort is split; from then on the refreshed part of a split cohort
+    comes after its remainder (the per-member table kept them
+    interleaved), so only the visited *set* is compared — a probe's
+    notifications are a set, the order only arranges the batch.
+    """
+    tables = (ValueLevelQueryTable(), ValueLevelQueryTable())
+    flats = (FlatValueLevelQueryTable(), FlatValueLevelQueryTable())
+    PERF.reset()
+    PERF.enable()
+    last_add = None
+    try:
+        for op in ops:
+            if op[0] == "again":
+                if last_add is None:
+                    continue
+                _, signature, _, _, bound, value, _, _ = last_add
+                op = ("add", signature, op[1], op[2], bound, value, op[3], op[4])
+            if op[0] == "add":
+                last_add = op
+                _, signature, query_indexes, list_order, bound, value, time, ident = op
+                record = _group_record(
+                    signature, query_indexes, list_order, bound, value, time
+                )
+                if record is None:
+                    continue
+                pending = tables[0].add(record, ident, window)
+                expected = flats[0].add(record, ident, window)
+                assert (
+                    [] if pending is None else list(pending.member_keys())
+                ) == [rq.key for rq in expected]
+                if pending is not None and len(expected) == len(record.members):
+                    assert pending is record
+            elif op[0] == "evict":
+                for table, flat in zip(tables, flats):
+                    assert table.evict_older_than(op[1]) == flat.evict_older_than(op[1])
+            elif op[0] == "pop":
+                _, threshold, backwards = op
+                source, target = (1, 0) if backwards else (0, 1)
+                moved = tables[source].pop_matching(lambda ident: ident <= threshold)
+                flat_moved = flats[source].pop_matching(lambda ident: ident <= threshold)
+                assert sorted(_cohort_views(moved)) == sorted(_flat_views(flat_moved))
+                for cohort in moved:
+                    tables[target].insert_cohort(cohort)
+                for entry in flat_moved:
+                    flats[target].insert_entry(entry)
+            else:
+                for table, flat in zip(tables, flats):
+                    seen = _cohort_views(table.candidates("R", "A", op[1]))
+                    expected = _flat_views(flat.candidates("R", "A", op[1]))
+                    assert len(seen) == len(expected)  # TF of the probe
+                    if not PERF.counter("vlqt.cohorts.split"):
+                        assert seen == expected
+                    assert sorted(seen) == sorted(expected)
+            for table, flat in zip(tables, flats):
+                assert len(table) == len(flat)
+                assert sorted(_cohort_views(table)) == sorted(_flat_views(flat))
+                assert sum(len(cohort) for cohort in table) == len(table)
+    finally:
+        PERF.disable()
+        PERF.reset()
 
 
 # ----------------------------------------------------------------------

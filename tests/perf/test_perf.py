@@ -4,7 +4,27 @@ from __future__ import annotations
 
 import time
 
+from repro.core.tables import ValueLevelQueryTable
 from repro.perf import PERF, PerfRegistry
+from repro.sql.query import GroupMember, RewrittenGroup, Subscriber
+
+
+def _member_record(query_keys, trigger_time: float) -> RewrittenGroup:
+    """A group record over one signature, one value and one suffix."""
+    subscriber = Subscriber("perf", 1, "10.0.0.1")
+    return RewrittenGroup(
+        group_signature="sig",
+        relation="R",
+        expr=None,
+        required_value=7,
+        dis_attribute="A",
+        dis_value=7,
+        filters=(),
+        trigger_pub_time=trigger_time,
+        selects=((),),
+        suffixes=("+7",),
+        members=tuple(GroupMember(key, subscriber, 0.0, 0) for key in query_keys),
+    )
 
 
 class TestDisabled:
@@ -137,6 +157,84 @@ class TestInstrumentedSites:
         assert counters["evaluator.rejected.repeat"] == 12
         assert "evaluator.rejected.time" not in counters
 
+    def test_filter_rejected_cohort_counts_young_members_as_time(self):
+        """A cohort is filtered as one, but counted as its members would
+        be one by one (time test first): a lease-refresh replay of an S
+        tuple that fails ``S.D = 1`` meets a stored cohort of two, one of
+        them subscribed after the tuple."""
+        from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema
+
+        schema = Schema.from_dict({"R": ["A", "B"], "S": ["D", "E"]})
+        network = ChordNetwork.build(8)
+        engine = ContinuousQueryEngine(network, EngineConfig(algorithm="dai-t"))
+        node = network.nodes[0]
+        R, S = schema.relation("R"), schema.relation("S")
+        sql = "SELECT R.A, S.D FROM R, S WHERE R.B = S.E AND S.D = 1"
+        PERF.reset()
+        PERF.enable()
+        try:
+            engine.clock.advance(1.0)
+            engine.subscribe(node, sql, schema)
+            engine.clock.advance(1.0)
+            engine.publish(node, S, {"D": 2, "E": 7})
+            engine.clock.advance(1.0)
+            engine.subscribe(node, sql, schema)
+            engine.clock.advance(1.0)
+            engine.publish(node, R, {"A": 5, "B": 7})
+            assert [len(c) for n in network for c in engine.state(n).vlqt] == [2]
+            engine.clock.advance(1.0)
+            engine.refresh_leases()
+        finally:
+            PERF.disable()
+        counters = PERF.snapshot()["counters"]
+        PERF.reset()
+        assert counters["evaluator.rejected.filter"] == 1
+        assert counters["evaluator.rejected.time"] == 1
+
+    def test_vlqt_add_examines_the_record_not_the_bucket(self):
+        """Counted, not timed: adding a one-member record examines the
+        same number of slots/keys whether its ``(signature, suffix)`` is
+        already shared by 2, 64 or 512 one-member cohorts (they are
+        indexed by query key), and no more than beside a single cohort
+        (which is indexed on that occasion)."""
+        counts = {}
+        for resident in (1, 2, 64, 512):
+            table = ValueLevelQueryTable()
+            for i in range(resident):
+                table.add(_member_record([f"q{i}"], 1.0), 0)
+            PERF.reset()
+            PERF.enable()
+            try:
+                assert table.add(_member_record(["new"], 2.0), 0) is not None
+                fresh = PERF.counter("vlqt.add.examined")
+                assert table.add(_member_record(["q0"], 3.0), 0) is None
+                refresh = PERF.counter("vlqt.add.examined") - fresh
+            finally:
+                PERF.disable()
+                PERF.reset()
+            counts[resident] = (fresh, refresh)
+            assert len(table) == resident + 1
+        # One slot lookup + one member probe; the lone cohort's member is
+        # examined once more while its slot becomes an index.
+        assert counts[2] == counts[64] == counts[512] == (2, 2)
+        assert counts[1] == (3, 2)
+
+    def test_vlqt_split_is_counted(self):
+        table = ValueLevelQueryTable()
+        table.add(_member_record(["a", "b", "c"], 1.0), 0)
+        PERF.reset()
+        PERF.enable()
+        try:
+            table.add(_member_record(["a", "b", "c"], 2.0), 0)  # whole: no split
+            assert PERF.counter("vlqt.cohorts.split") == 0
+            table.add(_member_record(["b"], 3.0), 0)  # part of it: one split
+            counters = PERF.snapshot()["counters"]
+        finally:
+            PERF.disable()
+            PERF.reset()
+        assert counters["vlqt.cohorts.split"] == 1
+        assert sorted(len(cohort) for cohort in table) == [1, 2] and len(table) == 3
+
     def test_scale_counters_record(self):
         """The §14 fast-path sites: snapshot rebuilds, epochs, batches."""
         from repro.bench.configs import Scale
@@ -231,6 +329,11 @@ class TestInstrumentedSites:
         )
         assert PERF.enabled is False
         run_sharded(engine, workload_for(tiny), shards=1, batch_size=8, evict_every=8)
+        # The cohort sites of the VLQT, split included.
+        table = ValueLevelQueryTable()
+        table.add(_member_record(["a", "b"], 1.0), 0)
+        table.add(_member_record(["b", "c"], 2.0), 0)
+        assert [len(cohort) for cohort in table] == [1, 1, 1]
         assert PERF.snapshot()["counters"] == {}
         assert PERF.snapshot()["timers"] == {}
 
