@@ -24,7 +24,15 @@ import random
 import time
 
 from repro.core.tables import ValueLevelQueryTable
-from repro.sql.query import LEFT, GroupMember, RewrittenGroup, Subscriber, rewrite
+from repro.sql.query import (
+    LEFT,
+    GroupMember,
+    GroupShape,
+    RewrittenGroup,
+    Subscriber,
+    bind,
+    rewrite,
+)
 from repro.sql.tuples import DataTuple
 
 from _common import report
@@ -34,19 +42,10 @@ SUB = Subscriber("bench", 1, "10.0.0.1")
 
 
 def _rewritten(i: int, value: int, trigger_time: float) -> RewrittenGroup:
-    return RewrittenGroup(
-        group_signature="sig",
-        relation="R",
-        expr=None,
-        required_value=value,
-        dis_attribute="A",
-        dis_value=value,
-        filters=(),
-        trigger_pub_time=trigger_time,
-        selects=((),),
-        suffixes=(f"+{value}",),
-        members=(GroupMember(f"q{i}", SUB, 0.0, 0),),
+    shape = GroupShape(
+        "sig", "R", None, "A", (), (GroupMember(f"q{i}", SUB, 0.0, 0),), ((),)
     )
+    return bind(shape, value, value, trigger_time, ())
 
 
 def _group_add(size: int, n_records: int = 256, repeats: int = 3) -> dict:

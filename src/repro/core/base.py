@@ -345,8 +345,9 @@ class Algorithm:
     ) -> int:
         """The value-level identifier a group record is sent to:
         ``VIndex = Hash(DisR + DisA + valDA)`` (Section 4.3.2)."""
+        shape = record.shape
         return engine.network.hash.hash_parts(
-            record.relation, record.dis_attribute, record.dis_value
+            shape.relation, shape.dis_attribute, record.dis_value
         )
 
     def splits_groups(self, engine: "ContinuousQueryEngine") -> bool:
@@ -435,7 +436,7 @@ class Algorithm:
         created_at = engine.clock.now
         rows_by_select: dict[int, list[Optional[tuple]]] = {}
         notifications = []
-        for member in record.members:
+        for member in record.shape.members:
             select_index = member.select_index
             rows = rows_by_select.get(select_index)
             if rows is None:
@@ -486,26 +487,27 @@ class Algorithm:
         TF still counts every (member, candidate) pair.
         """
         check_value = self.wants_projection
+        shape = record.shape
         if check_value:
             tuples = [
                 stored.projection
                 for stored in state.projections.candidates(
-                    record.group_signature, record.relation, record.required_value
+                    shape.group_signature, shape.relation, record.required_value
                 )
             ]
         else:
             tuples = [
                 stored.tuple
                 for stored in state.vltt.candidates(
-                    record.relation, record.dis_attribute or "", record.dis_value
+                    shape.relation, shape.dis_attribute or "", record.dis_value
                 )
             ]
-        pairs = len(record.members)
+        pairs = len(shape.members)
         state.load.add_value_level(len(tuples) * pairs)
         perf = PERF.enabled
         window = engine.config.window
         trigger_time = record.trigger_pub_time
-        checked = check_value or record.filters
+        checked = check_value or shape.filters
         live = []
         for tup in tuples:
             if window is not None and abs(trigger_time - tup.pub_time) > window:
@@ -541,15 +543,16 @@ class Algorithm:
         notifications = []
         for cohort in cohorts:
             record = cohort.record
-            examined += len(record.members)
+            shape = record.shape
+            examined += len(shape.members)
             trigger_time = cohort.latest_trigger_time
             if window is not None and abs(pub_time - trigger_time) > window:
                 if perf:
                     PERF.count("evaluator.rejected.window", len(cohort))
-            elif record.filters and not record.accepts(tup, check_value=False):
+            elif shape.filters and not record.accepts(tup, check_value=False):
                 if perf:
                     # Counted as a per-member test would: time before filter.
-                    for member in record.members:
+                    for member in shape.members:
                         PERF.count(
                             "evaluator.rejected.time"
                             if pub_time < member.insertion_time

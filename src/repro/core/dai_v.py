@@ -51,7 +51,7 @@ class DAIValue(DoubleAttributeIndex):
         (records then hold one member, see :meth:`splits_groups`)."""
         if engine.config.daiv_keyed:
             return engine.network.hash.hash_parts(
-                record.members[0].query_key, record.required_value
+                record.shape.members[0].query_key, record.required_value
             )
         # ``make_key(v) == str(v)`` for a single part, so the memoized
         # parts lookup computes the same identifier.
@@ -89,7 +89,7 @@ class DAIValue(DoubleAttributeIndex):
             state.projections.add(
                 StoredProjection(
                     projection=projection,
-                    group_signature=record.group_signature,
+                    group_signature=record.shape.group_signature,
                     value=record.required_value,
                     routing_ident=ident,
                 )

@@ -228,7 +228,7 @@ class StoredCohort:
     bucket: Optional[_ValueBucket] = None
 
     def __len__(self) -> int:
-        return len(self.record.members)
+        return len(self.record.shape.members)
 
 
 def _by_member(cohort: StoredCohort, suffix: str) -> dict[str, StoredCohort]:
@@ -236,7 +236,7 @@ def _by_member(cohort: StoredCohort, suffix: str) -> dict[str, StoredCohort]:
     suffixes = cohort.record.suffixes
     return {
         member.query_key: cohort
-        for member in cohort.record.members
+        for member in cohort.record.shape.members
         if suffixes[member.select_index] == suffix
     }
 
@@ -247,7 +247,7 @@ def _same_keys(stored: RewrittenGroup, record: RewrittenGroup) -> bool:
     caller to the exact per-member path."""
     if stored.suffixes != record.suffixes:
         return False
-    ours, theirs = stored.members, record.members
+    ours, theirs = stored.shape.members, record.shape.members
     if ours is theirs:
         return True
     if len(ours) != len(theirs):
@@ -323,7 +323,8 @@ class ValueLevelQueryTable:
         """:meth:`add`, storing ``time`` as the trigger time; on
         ``handoff`` stored copies also take over ``routing_ident``."""
         buckets = self._buckets
-        level1 = (record.relation, record.dis_attribute or "")
+        shape = record.shape
+        level1 = (shape.relation, shape.dis_attribute or "")
         level2 = buckets.get(level1)
         if level2 is None:
             level2 = buckets[level1] = {}
@@ -332,7 +333,7 @@ class ValueLevelQueryTable:
         if bucket is None:
             bucket = level2[value] = _ValueBucket(level1, value)
         slots = bucket.slots
-        signature = record.group_signature
+        signature = shape.group_signature
         suffixes = record.suffixes
         found = []
         for suffix in suffixes:
@@ -371,7 +372,7 @@ class ValueLevelQueryTable:
                 return pending
         # Enter the new cohort into its bucket, the count and the heap.
         bucket.cohorts[cohort] = None
-        self._count += len(cohort.record.members)
+        self._count += len(cohort.record.shape.members)
         self._arm(cohort)
         return pending
 
@@ -384,7 +385,7 @@ class ValueLevelQueryTable:
                 index = slots[key]
                 if index is slot:  # not yet replaced through an equal suffix
                     if PERF.enabled:
-                        PERF.count("vlqt.add.examined", len(slot.record.members))
+                        PERF.count("vlqt.add.examined", len(slot.record.shape.members))
                     index = slots[key] = _by_member(slot, key[1])
                 found[position] = index
 
@@ -400,7 +401,7 @@ class ValueLevelQueryTable:
         covers wholly is refreshed in place, one it covers partly is
         split first.  Returns ``(still to evaluate, new cohort or None)``.
         """
-        members = record.members
+        members = record.shape.members
         if PERF.enabled:
             PERF.count("vlqt.add.examined", len(found) + len(members))
         cohort = None
@@ -432,7 +433,7 @@ class ValueLevelQueryTable:
             newer = time > holder.latest_trigger_time
             takeover = handoff and holder.routing_ident != routing_ident
             if newer or takeover:
-                if len(keys) < len(holder.record.members):
+                if len(keys) < len(holder.record.shape.members):
                     # Only these members change: they leave the cohort.
                     holder = self._split_off(holder, keys)
                 if newer:
@@ -446,7 +447,7 @@ class ValueLevelQueryTable:
                 cohort.record = record.restrict(fresh)
             if None in found:
                 slots = bucket.slots
-                signature = record.group_signature
+                signature = record.shape.group_signature
                 for suffix, slot in zip(record.suffixes, found):
                     if slot is None:
                         slots[(signature, suffix)] = cohort
@@ -463,7 +464,7 @@ class ValueLevelQueryTable:
         leaving = set(query_keys)
         taken: list[int] = []
         kept: list[int] = []
-        for position, member in enumerate(stored.members):
+        for position, member in enumerate(stored.shape.members):
             (taken if member.query_key in leaving else kept).append(position)
         holder.record = stored.restrict(kept)
         bucket = holder.bucket
@@ -477,9 +478,9 @@ class ValueLevelQueryTable:
         # A member reached through a single-cohort slot would have taken
         # the whole-record path, so every slot of a leaving member is an index.
         slots = bucket.slots
-        signature = stored.group_signature
+        signature = stored.shape.group_signature
         suffixes = stored.suffixes
-        for member in part.record.members:
+        for member in part.record.shape.members:
             slots[(signature, suffixes[member.select_index])][member.query_key] = part
         # ``holder`` keeps its eviction record; the part needs its own.
         self._arm(part)
@@ -497,10 +498,11 @@ class ValueLevelQueryTable:
             cohort.bucket = None
             del bucket.cohorts[cohort]
             record = cohort.record
-            members = record.members
+            shape = record.shape
+            members = shape.members
             removed += len(members)
             slots = bucket.slots
-            signature = record.group_signature
+            signature = shape.group_signature
             suffixes = record.suffixes
             for suffix in suffixes:
                 key = (signature, suffix)

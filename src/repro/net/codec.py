@@ -22,7 +22,16 @@ The payload is one *value* in a tagged, self-describing encoding:
   objects, tuples, expressions, queries, rewritten query groups,
   notifications, the :mod:`repro.sim.messages` hierarchy and the
   :mod:`repro.net.frames` envelopes.  A record is its tag byte followed
-  by its fields in declaration order, each encoded as a value.
+  by its fields in declaration order, each encoded as a value;
+* one *sealed* record — the :class:`~repro.sql.query.GroupShape` of a
+  rewritten query group: its tag, a varint length and that many bytes
+  holding its fields.  A group record is its sealed shape followed by
+  the trigger's four values (``selects`` and ``suffixes`` are derived on
+  arrival by :func:`~repro.sql.query.bind`).  The sender seals a shape
+  once and keeps the bytes on the shape object; the receiver interns
+  shapes in a bounded table keyed by those bytes, so a shape seen before
+  costs one slice and one dict probe whatever its member count, and
+  :func:`skip_value` steps over one without looking inside.
 
 Records are registered via :func:`register_record`, which derives the
 encoder/decoder from a field list; payload classes round-trip through
@@ -40,7 +49,14 @@ Python-specific caveats handled here:
 * :class:`~repro.sql.schema.Relation` decoding interns through a small
   cache so every tuple of a relation shares one schema object per
   process — handlers and rewrite plans bind positional lookups to the
-  relation *object* (see ``RewritePlan.bind_positions``).
+  relation *object* (see ``RewritePlan.bind_positions``);
+* an interned shape is shared by every record decoded from equal bytes,
+  across all the peers of one process: like a decoded ``Relation`` it
+  must never be mutated.  Interning assumes nothing about *who* sent the
+  bytes or when — equal bytes are the same shape by construction — and a
+  shape enters the table only after its bytes decoded and validated to
+  the last one, so a garbled shape can neither poison a later frame nor
+  be returned by one.
 """
 
 from __future__ import annotations
@@ -52,7 +68,7 @@ import struct
 from typing import Any, Callable, Optional
 
 from ..core.notifications import Notification
-from ..errors import CodecError
+from ..errors import CodecError, QueryError
 from ..perf import PERF
 from ..sim.messages import (
     ALIndexMessage,
@@ -68,18 +84,20 @@ from ..sql.expr import AttrRef, BinaryOp, Const, Negate
 from ..sql.query import (
     BoundValue,
     GroupMember,
+    GroupShape,
     JoinQuery,
     LocalFilter,
     PendingAttr,
     QuerySide,
     RewrittenGroup,
     Subscriber,
+    bind,
 )
 from ..sql.schema import Relation
 from ..sql.tuples import DataTuple, ProjectedTuple
 
 #: Wire protocol version; bump when the payload encoding changes.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 MAGIC = b"RJ"
 
@@ -106,6 +124,8 @@ _TAG_BYTES = 0x06
 _TAG_TUPLE = 0x07
 _TAG_LIST = 0x08
 _TAG_DICT = 0x09
+#: A sealed :class:`GroupShape`: varint length, then its fields.
+TAG_SEALED_SHAPE = 0x0A
 
 # Record tags: 0x10–0x1F payload records, 0x20–0x2F overlay messages,
 # 0x30–0x3F net control frames (registered by repro.net.frames).
@@ -229,10 +249,10 @@ def skip_value(data: bytes, pos: int) -> int:
     """Advance past one encoded value without materializing it.
 
     The structural twin of ``_decode_value``: every tag's body length
-    is derivable from the bytes alone (varints self-terminate, blobs
-    carry their length, containers and records their arity), so a
-    relay can locate field boundaries inside a payload it never
-    decodes.  Returns the position just past the value; raises
+    is derivable from the bytes alone (varints self-terminate, blobs and
+    sealed shapes carry their length, containers and records their
+    arity), so a relay can locate field boundaries inside a payload it
+    never decodes.  Returns the position just past the value; raises
     :class:`CodecError` on truncation or an unknown tag.
 
     Iterative on purpose: skipping never needs the nesting structure,
@@ -265,7 +285,7 @@ def skip_value(data: bytes, pos: int) -> int:
             if pos > size:
                 raise CodecError("truncated frame: value body cut short")
             continue
-        if tag == _TAG_STR or tag == _TAG_BYTES:
+        if tag == _TAG_STR or tag == _TAG_BYTES or tag == TAG_SEALED_SHAPE:
             length = 0
             shift = 0
             while True:
@@ -607,24 +627,115 @@ register_record(
     TAG_GROUP_MEMBER,
     ("query_key", "subscriber", "insertion_time", "select_index"),
 )
-# The join-condition fields travel once per group; ``keys`` is a local
-# memo the receiver rebuilds from ``suffixes``.
+
+# -- the sealed group shape ---------------------------------------------
+
+_SHAPE_FIELDS = (
+    "group_signature",
+    "relation",
+    "expr",
+    "dis_attribute",
+    "filters",
+    "members",
+    "select_specs",
+)
+_shape_values = operator.attrgetter(*_SHAPE_FIELDS)
+
+#: Decode-side intern table: the bytes of a sealed shape -> the one
+#: ``GroupShape`` decoded from them.  Bounded; when full the oldest
+#: entry leaves (records that hold its shape keep it alive, a later
+#: frame just decodes the bytes again).
+_SHAPE_TABLE: dict[bytes, GroupShape] = {}
+_SHAPE_TABLE_MAX = 512
+
+
+def _encode_shape(out: bytearray, shape: GroupShape) -> None:
+    sealed = shape.sealed
+    if sealed is None:
+        body = bytearray()
+        for value in _shape_values(shape):
+            _encode_value(body, value)
+        scratch = bytearray((TAG_SEALED_SHAPE,))
+        _write_uvarint(scratch, len(body))
+        scratch += body
+        sealed = shape.sealed = bytes(scratch)
+        if PERF.enabled:
+            PERF.count("codec.shape.sealed")
+    elif PERF.enabled:
+        PERF.count("codec.shape.reused")
+    out += sealed
+
+
+def _decode_shape(reader: _Reader) -> GroupShape:
+    blob = reader.read_bytes(reader.read_uvarint())
+    shape = _SHAPE_TABLE.get(blob)
+    if shape is None:
+        shape = _intern_shape(blob)
+    elif PERF.enabled:
+        PERF.count("codec.shape.interned_hits")
+    return shape
+
+
+def _intern_shape(blob: bytes) -> GroupShape:
+    """Decode and validate a sealed shape never seen before; only a
+    shape that passes both enters the intern table."""
+    inner = _Reader(blob)
+    shape = GroupShape(*[_decode_value(inner) for _ in _SHAPE_FIELDS])
+    if inner.pos != len(blob):
+        raise CodecError(
+            f"{len(blob) - inner.pos} trailing bytes inside a sealed shape"
+        )
+    # What bind() and the evaluators index by without looking again.
+    specs = shape.select_specs
+    if type(specs) is not tuple or not all(
+        type(spec) is tuple
+        and all(item is None or type(item) is PendingAttr for item in spec)
+        for spec in specs
+    ):
+        raise CodecError("sealed shape with malformed select lists")
+    members = shape.members
+    if type(members) is not tuple or not members or not all(
+        type(member) is GroupMember
+        and type(member.select_index) is int
+        and 0 <= member.select_index < len(specs)
+        for member in members
+    ):
+        raise CodecError("sealed shape with malformed members")
+    if type(shape.filters) is not tuple or not all(
+        type(f) is LocalFilter for f in shape.filters
+    ):
+        raise CodecError("sealed shape with malformed filters")
+    if len(_SHAPE_TABLE) >= _SHAPE_TABLE_MAX:
+        del _SHAPE_TABLE[next(iter(_SHAPE_TABLE))]
+    _SHAPE_TABLE[blob] = shape
+    if PERF.enabled:
+        PERF.count("codec.shape.decoded")
+    return shape
+
+
+_ENCODERS[GroupShape] = _encode_shape
+_DECODER_TABLE[TAG_SEALED_SHAPE] = _decode_shape
+
+
+def _bind_decoded(
+    *, shape, required_value, dis_value, trigger_pub_time, bound
+) -> RewrittenGroup:
+    if type(shape) is not GroupShape or type(bound) is not tuple:
+        raise CodecError("group record without a sealed shape and bound values")
+    try:
+        return bind(shape, required_value, dis_value, trigger_pub_time, bound)
+    except (IndexError, QueryError) as exc:
+        raise CodecError(f"group record does not fit its shape: {exc!r}") from None
+
+
+# A group record travels as its sealed shape plus one trigger's values;
+# ``selects``/``suffixes`` are derived by ``bind`` on arrival and
+# ``keys`` is a local memo.
 register_record(
     RewrittenGroup,
     TAG_REWRITTEN_GROUP,
-    (
-        "group_signature",
-        "relation",
-        "expr",
-        "required_value",
-        "dis_attribute",
-        "dis_value",
-        "filters",
-        "trigger_pub_time",
-        "selects",
-        "suffixes",
-        "members",
-    ),
+    ("shape", "required_value", "dis_value", "trigger_pub_time", "bound"),
+    build=_bind_decoded,
 )
 register_record(
     Notification,
@@ -690,28 +801,28 @@ def encode(obj: Any) -> bytes:
     return bytes(out)
 
 
-def decode(payload: bytes) -> Any:
-    """Inverse of :func:`encode`; raises :class:`CodecError` on junk."""
+def decode(payload: bytes, start: int = 0, end: Optional[int] = None) -> Any:
+    """Inverse of :func:`encode`; raises :class:`CodecError` on junk.
+
+    Decodes the one value that occupies ``payload[start:end]`` — the
+    whole payload by default — and insists that it ends exactly at
+    ``end``: a relay that located a field with :func:`skip_value` (a
+    delivering multisend hop materializing only the pair messages it
+    owns) gets the structural walk and the decoder checked against each
+    other for free.
+    """
+    if end is None:
+        end = len(payload)
     reader = _Reader(payload)
+    reader.pos = start
     obj = _decode_value(reader)
-    if reader.pos != len(payload):
+    if reader.pos < end:
+        raise CodecError(f"{end - reader.pos} trailing bytes after payload")
+    if reader.pos > end:
         raise CodecError(
-            f"{len(payload) - reader.pos} trailing bytes after payload"
+            f"value overruns its {end - start}-byte span by {reader.pos - end}"
         )
     return obj
-
-
-def decode_value_at(data: bytes, pos: int) -> tuple[Any, int]:
-    """Decode the single value starting at ``pos`` inside ``data``.
-
-    Returns ``(value, end_position)``.  Lets a relay that located a
-    field with :func:`skip_value` materialize just that field — e.g. a
-    delivering multisend hop decoding only the pair messages it owns —
-    without decoding the surrounding frame.
-    """
-    reader = _Reader(data)
-    reader.pos = pos
-    return _decode_value(reader), reader.pos
 
 
 def frame_for_payload(payload: bytes) -> bytes:
@@ -844,14 +955,24 @@ async def read_frame_raw(
     return header, payload
 
 
-def decode_frame_payload(payload: bytes) -> Any:
-    """Decode one frame payload, with :func:`read_frame`'s accounting."""
+def decode_frame_payload(
+    payload: bytes, start: int = 0, end: Optional[int] = None
+) -> Any:
+    """Decode a frame payload — or the one value at ``payload[start:end]``
+    of it — with ``REPRO_PERF`` accounting.
+
+    The single decode entry point of the receive path: whole frames and
+    the messages a delivering hop carves out of one are timed and
+    counted alike (``codec.bytes_decoded`` counts payload bytes).
+    """
     if not PERF.enabled:
-        return decode(payload)
+        return decode(payload, start, end)
     with PERF.timer("codec.decode"):
-        obj = decode(payload)
+        obj = decode(payload, start, end)
     PERF.count("codec.frames_decoded")
-    PERF.count("codec.bytes_decoded", HEADER_SIZE + len(payload))
+    PERF.count(
+        "codec.bytes_decoded", (len(payload) if end is None else end) - start
+    )
     return obj
 
 

@@ -68,7 +68,6 @@ from .codec import (
     MESSAGE_TYPE_BY_TAG,
     decode,
     decode_frame_payload,
-    decode_value_at,
     encode_frame,
     frame_for_payload,
     read_frame,
@@ -895,6 +894,8 @@ class NetPeer:
         hop bound is exceeded (the decoded path raises the proper
         RoutingError), or chaos is installed (fault injection reasons
         about decoded frames, so soaks keep the seed semantics).
+        Raises :class:`CodecError` — before anything is delivered — when
+        a message this node owns does not decode.
         """
         cluster = self.cluster
         if cluster.chaos is not None or self.crashed:
@@ -948,9 +949,21 @@ class NetPeer:
                 # Delivering hop: materialize ONLY the owned messages;
                 # the rest of the sweep travels on as verbatim slices,
                 # so across a whole sweep each pair's message is
-                # decoded exactly once — at its owner.
-                for i in owned:
-                    message, _ = decode_value_at(payload, message_starts[i])
+                # decoded exactly once — at its owner.  All of them are
+                # decoded (each must end where the structural walk said
+                # its pair ends) before any is delivered: a corrupt
+                # frame raises CodecError with nothing handled.
+                last = len(pair_starts) - 1
+                tail = len(payload) - 2
+                messages = [
+                    decode_frame_payload(
+                        payload,
+                        message_starts[i],
+                        pair_starts[i + 1] if i < last else tail,
+                    )
+                    for i in owned
+                ]
+                for message in messages:
                     self.handle_delivery(message)
                 if not keep:
                     return True

@@ -16,14 +16,17 @@ of Chapter 4:
   shares a join condition (Section 4.3.5) — what :func:`rewrite`
   produces, a ``join()`` message carries and an evaluator stores and
   matches; :meth:`RewrittenGroup.expand` gives the per-member
-  :class:`RewrittenQuery` view of it.
+  :class:`RewrittenQuery` view of it.  It is a :class:`GroupShape` —
+  what the group alone decides, built once per rewrite plan — bound to
+  one trigger's values by :func:`bind`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Optional
+from operator import itemgetter
+from typing import Any, Callable, Optional
 
 from ..errors import QueryError
 from ..perf import PERF
@@ -449,39 +452,93 @@ class GroupMember:
 
 
 @dataclass(slots=True)
+class GroupShape:
+    """The trigger-independent half of a group record: everything about
+    a rewrite that is decided by the group alone.
+
+    Built once per :class:`RewritePlan` and shared by every record the
+    plan produces (and, on a receiving peer, by every record decoded
+    from equal wire bytes), so nothing may mutate a shape or the members
+    it holds.  :func:`bind` adds one trigger's values to make a record.
+    """
+
+    group_signature: str
+    #: The load-distributing relation whose tuples can satisfy the group.
+    relation: str
+    #: The dis-side join expression (over ``relation``).
+    expr: Expression
+    #: ``DisA`` — the level-1 VLQT key for SAI/DAI-Q/DAI-T; ``None``
+    #: when the dis side is not invertible (T2, DAI-V only).
+    dis_attribute: Optional[str]
+    filters: tuple[LocalFilter, ...]
+    members: tuple[GroupMember, ...]
+    #: Per distinct select list, per item: the ``PendingAttr`` every
+    #: record reuses, or ``None`` where a value of the trigger binds.
+    select_specs: tuple[tuple[Optional[PendingAttr], ...], ...]
+    #: The wire form, kept here by the codec after the first encode so
+    #: that it dies with the shape — with the plan, when the group changes.
+    sealed: Optional[bytes] = field(default=None, compare=False, repr=False)
+
+    def restrict(self, positions) -> "GroupShape":
+        """The same shape over ``members[i] for i in positions`` only
+        (select lists keep their numbering; not sealed yet)."""
+        members = self.members
+        return GroupShape(
+            self.group_signature, self.relation, self.expr, self.dis_attribute,
+            self.filters, tuple([members[i] for i in positions]), self.select_specs,
+        )
+
+
+@dataclass(slots=True)
 class RewrittenGroup:
     """One trigger's rewrite of a whole query group — the unit a rewriter
     ships, ``join()`` carries and an evaluator consumes.
 
-    The join-condition fields are held once; ``selects``/``suffixes``
-    hold the bound select items and the key suffix (``+v_1..+v_l+valJC``)
-    once per distinct select list.  A member's rewritten key is
+    A record is a :class:`GroupShape` (join condition, filters, members,
+    select-list layout — held once per group, not per trigger) bound to
+    one trigger's values by :func:`bind`: ``valJC``, ``valDA``,
+    ``pubT(t)`` and the trigger values the select lists use.  ``selects``
+    and ``suffixes`` — the bound select items and the key suffix
+    ``+v_1..+v_l+valJC``, once per distinct select list — are derived
+    from those by :func:`bind` and nowhere else, so they do not travel.
+    A member's rewritten key is
     ``member.query_key + suffixes[member.select_index]`` — the
     ``Key(q) + v_1 + ... + v_l + valDA`` of Section 4.3.3.  Immutable by
-    convention; ``keys`` only memoizes :meth:`member_keys` (it does not
-    travel: a receiver rebuilds it from the suffixes).
+    convention; ``keys`` only memoizes :meth:`member_keys`.
     """
 
-    # The join-condition fields mean what they do on RewrittenQuery.
-    group_signature: str
-    relation: str
-    expr: Expression
+    shape: GroupShape
+    #: The value the dis-side *expression* must take (``valJC``).
     required_value: Any
-    dis_attribute: Optional[str]
+    #: ``valDA`` — the solved value of ``DisA`` (equals
+    #: ``required_value`` for bare-attribute sides); ``None`` when the
+    #: dis side is not invertible.
     dis_value: Any
-    filters: tuple[LocalFilter, ...]
+    #: ``pubT`` of the tuple that triggered the rewrite — "the time
+    #: information is necessary when creating notifications".
     trigger_pub_time: float
+    #: The trigger values the select lists bind, flat, in list order.
+    bound: tuple[Any, ...]
     selects: tuple[tuple[SelectItem, ...], ...]
     suffixes: tuple[str, ...]
-    members: tuple[GroupMember, ...]
     keys: Optional[tuple[str, ...]] = field(default=None, compare=False, repr=False)
+
+    # The shape's fields, readable on the record (``record.shape.members``
+    # is the same tuple without the call, for code that runs per trigger).
+    group_signature = property(lambda self: self.shape.group_signature)
+    relation = property(lambda self: self.shape.relation)
+    expr = property(lambda self: self.shape.expr)
+    dis_attribute = property(lambda self: self.shape.dis_attribute)
+    filters = property(lambda self: self.shape.filters)
+    members = property(lambda self: self.shape.members)
 
     def accepts(self, tuple_like, *, check_value: bool = True) -> bool:
         """The part of :meth:`RewrittenQuery.matches` every member
         shares: the local filters and the join-value equality.  The time
         semantics (``pubT >= insT(q)``) stay per member."""
+        shape = self.shape
         return _satisfies(
-            tuple_like, self.filters, self.expr, self.required_value, check_value
+            tuple_like, shape.filters, shape.expr, self.required_value, check_value
         )
 
     def member_keys(self) -> tuple[str, ...]:
@@ -490,37 +547,80 @@ class RewrittenGroup:
         if keys is None:
             suffixes = self.suffixes
             keys = self.keys = tuple(
-                [m.query_key + suffixes[m.select_index] for m in self.members]
+                [m.query_key + suffixes[m.select_index] for m in self.shape.members]
             )
         return keys
 
     def restrict(self, positions) -> "RewrittenGroup":
         """The same rewrite covering only ``members[i] for i in positions``."""
-        members, keys = self.members, self.keys
+        keys = self.keys
         # Spelled out: ``dataclasses.replace`` re-reads the field list on
         # every call, and evaluators restrict a record per split or store.
         return RewrittenGroup(
-            self.group_signature, self.relation, self.expr, self.required_value,
-            self.dis_attribute, self.dis_value, self.filters, self.trigger_pub_time,
-            self.selects, self.suffixes,
-            tuple([members[i] for i in positions]),
+            self.shape.restrict(positions), self.required_value, self.dis_value,
+            self.trigger_pub_time, self.bound, self.selects, self.suffixes,
             None if keys is None else tuple([keys[i] for i in positions]),
         )
 
     def split(self) -> list["RewrittenGroup"]:
         """One single-member record per member."""
-        return [self.restrict((i,)) for i in range(len(self.members))]
+        return [self.restrict((i,)) for i in range(len(self.shape.members))]
 
     def expand(self, member: GroupMember) -> RewrittenQuery:
         """The flat per-subscriber query of one member."""
         index = member.select_index
         query_key = member.query_key
+        shape = self.shape
         return RewrittenQuery(
             query_key + self.suffixes[index], query_key,
-            self.group_signature, member.subscriber, member.insertion_time,
-            self.relation, self.expr, self.required_value, self.dis_attribute,
-            self.dis_value, self.filters, self.selects[index], self.trigger_pub_time,
+            shape.group_signature, member.subscriber, member.insertion_time,
+            shape.relation, shape.expr, self.required_value, shape.dis_attribute,
+            self.dis_value, shape.filters, self.selects[index], self.trigger_pub_time,
         )
+
+
+def bind(
+    shape: GroupShape,
+    required_value: Any,
+    dis_value: Any,
+    trigger_pub_time: float,
+    bound: tuple[Any, ...],
+) -> RewrittenGroup:
+    """The group record of ``shape`` for one trigger's values.
+
+    Both :func:`rewrite` and the wire decoder build records here, so this
+    is the one place a bound select list and its key suffix
+    ``+v_1..+v_l+valJC`` are formed.  ``bound`` must hold one value per
+    ``None`` item of the shape's select lists: fewer is an
+    :class:`IndexError`, more a :class:`QueryError`.
+    """
+    tail = str(required_value)
+    selects = []
+    suffixes = []
+    position = 0
+    for spec in shape.select_specs:
+        items: list[SelectItem] = []
+        key_parts = [""]
+        for pending in spec:
+            if pending is None:
+                value = bound[position]
+                position += 1
+                items.append(BoundValue(value))
+                key_parts.append(str(value))
+            else:
+                items.append(pending)
+        key_parts.append(tail)
+        selects.append(tuple(items))
+        suffixes.append("+".join(key_parts))
+    if position != len(bound):
+        raise QueryError(
+            f"{len(bound)} bound values for the {position} a record of "
+            f"{shape.group_signature} binds"
+        )
+    return RewrittenGroup(
+        shape, required_value, dis_value, trigger_pub_time, bound,
+        tuple(selects), tuple(suffixes),
+    )
 
 
 class RewritePlan:
@@ -530,9 +630,10 @@ class RewritePlan:
     side is the index side, whether the dis side is invertible, who the
     members are and which select items bind from the trigger versus stay
     pending.  A plan precomputes that for the queries of one group
-    indexed on side ``index_label`` (a lone query is a group of one), so
-    the per-trigger work shrinks to value lookups and one string join
-    per distinct select list.
+    indexed on side ``index_label`` (a lone query is a group of one) —
+    the part a record carries as its :class:`GroupShape`, the rest as
+    lookup positions — so the per-trigger work shrinks to value lookups
+    and :func:`bind`.
     """
 
     def __init__(self, queries, index_label: str):
@@ -542,18 +643,16 @@ class RewritePlan:
         self.index_relation = index_side.relation
         self.index_side = index_side
         self.dis_side = dis_side
-        self.group_signature = query.join_signature()
+        group_signature = query.join_signature()
         #: Bare-attribute fast path: substitution folds straight to the
         #: trigger's value of this attribute.
         self.index_attr = (
             index_side.expr.attribute if type(index_side.expr) is AttrRef else None
         )
-        self.dis_attribute = dis_side.invertible_attribute
         form = dis_side._linear_form
         self.dis_identity = form is not None and form[1] == 1 and form[2] == 0
-        #: Per distinct select list, per item: the trigger attribute to
-        #: bind, or the shared (immutable) ``PendingAttr`` to reuse.
-        self.select_specs: list[tuple[tuple[Optional[str], Optional[PendingAttr]], ...]] = []
+        select_specs: list[tuple[Optional[PendingAttr], ...]] = []
+        bound_attributes: list[str] = []
         select_index: dict[tuple[AttrRef, ...], int] = {}
         members: dict[str, GroupMember] = {}
         needed: set[str] = set()
@@ -562,33 +661,42 @@ class RewritePlan:
                 continue  # another replica's copy of the same query
             index = select_index.get(query.select)
             if index is None:
-                index = select_index[query.select] = len(self.select_specs)
-                self.select_specs.append(
-                    tuple(
-                        (ref.attribute, None)
-                        if ref.relation == index_side.relation
-                        else (None, PendingAttr(ref.attribute))
-                        for ref in query.select
-                    )
-                )
+                index = select_index[query.select] = len(select_specs)
+                spec = []
+                for ref in query.select:
+                    if ref.relation == index_side.relation:
+                        spec.append(None)
+                        bound_attributes.append(ref.attribute)
+                    else:
+                        spec.append(PendingAttr(ref.attribute))
+                select_specs.append(tuple(spec))
                 needed.update(query.side_needed_attributes[index_label])
             members[query.key] = GroupMember(
                 query.key, query.subscriber, query.insertion_time, index
             )
-        #: One member per distinct query key, in installation order.
-        self.members = tuple(members.values())
-        self.newest_insertion = max(m.insertion_time for m in self.members)
+        #: What every record of this plan shares; its members are one
+        #: per distinct query key, in installation order.
+        self.shape = GroupShape(
+            group_signature, dis_side.relation, dis_side.expr,
+            dis_side.invertible_attribute, dis_side.filters,
+            tuple(members.values()), tuple(select_specs),
+        )
+        self.newest_insertion = max(m.insertion_time for m in self.shape.members)
+        #: The trigger attributes a record binds, flat, in the order of
+        #: the shape's ``None`` select items.
+        self.bound_attributes = tuple(bound_attributes)
         #: Index-side attributes a DAI-V projection of the trigger must
         #: carry to later satisfy the opposite-side rewritten queries of
         #: *every* member (select, join-expression and filter attributes).
         self.needed_attributes = tuple(sorted(needed))
-        #: Positional variants of :attr:`index_attr`/:attr:`select_specs`,
+        #: Positional variants of :attr:`index_attr`/:attr:`bound_attributes`,
         #: bound lazily to the first trigger's ``Relation`` object so
         #: ``rewrite()`` can index ``trigger.values`` directly instead of
         #: going through ``DataTuple.value`` name lookups.
         self.pos_relation = None
         self.index_pos: Optional[int] = None
-        self.select_pos_specs: tuple = ()
+        #: ``trigger.values`` -> the flat tuple of values a record binds.
+        self.bound_values: Optional[Callable[[tuple], tuple]] = None
 
     def bind_positions(self, relation) -> None:
         """Resolve attribute names to positions in ``relation``.
@@ -599,13 +707,14 @@ class RewritePlan:
         positions = relation._positions
         if self.index_attr is not None:
             self.index_pos = positions[self.index_attr]
-        self.select_pos_specs = tuple(
-            tuple(
-                (None, pending) if attribute is None else (positions[attribute], None)
-                for attribute, pending in spec
-            )
-            for spec in self.select_specs
-        )
+        bound = [positions[attribute] for attribute in self.bound_attributes]
+        if len(bound) > 1:
+            self.bound_values = itemgetter(*bound)  # the tuple, built in C
+        elif bound:
+            (only,) = bound
+            self.bound_values = lambda values: (values[only],)
+        else:
+            self.bound_values = lambda values: ()
         self.pos_relation = relation
 
 
@@ -615,30 +724,33 @@ def rewrite(source, index_label: str, trigger) -> Optional[RewrittenGroup]:
     ``source`` is anything with a ``rewrite_plan(index_label)`` — a
     :class:`JoinQuery` (a group of one) or a rewriter's query group.
     Replaces every attribute of the index relation in the Select and
-    Where clauses with the trigger tuple's values (Section 4.3.2),
-    computes the value the remaining side must take, and forms the key
-    suffix per distinct select list — once for the whole group (§4.3.5).
+    Where clauses with the trigger tuple's values (Section 4.3.2) and
+    computes the value the remaining side must take — once for the whole
+    group (§4.3.5); :func:`bind` makes the record from the plan's shape.
     Returns ``None`` when the trigger fails the index side's filters or
     predates every member (``pubT < insT``).
     """
     plan = source.rewrite_plan(index_label)
     relation = trigger.relation
+    shape = plan.shape
     if relation.name != plan.index_relation:
         raise QueryError(
             f"tuple of {relation.name} cannot trigger side {index_label} "
-            f"({plan.index_relation}) of {plan.group_signature}"
+            f"({plan.index_relation}) of {shape.group_signature}"
         )
-    members = plan.members
     pub_time = trigger.pub_time
     if pub_time < plan.newest_insertion:
-        members = tuple([m for m in members if pub_time >= m.insertion_time])
-        if not members:
+        old_enough = [
+            i for i, m in enumerate(shape.members) if pub_time >= m.insertion_time
+        ]
+        if not old_enough:
             return None
+        shape = shape.restrict(old_enough)
     if not plan.index_side.accepts(trigger):
         return None
     if PERF.enabled:
         PERF.count("sql.rewrites")
-        PERF.count("sql.rewrite.members", len(members))
+        PERF.count("sql.rewrite.members", len(shape.members))
     if plan.pos_relation is not relation:
         plan.bind_positions(relation)
 
@@ -656,7 +768,7 @@ def rewrite(source, index_label: str, trigger) -> Optional[RewrittenGroup]:
             )
         required_value = canonical_value(substituted.value)
 
-    if plan.dis_attribute is None:
+    if shape.dis_attribute is None:
         dis_value = None
     elif plan.dis_identity:
         # Identity linear form: already canonical (also covers strings).
@@ -664,25 +776,7 @@ def rewrite(source, index_label: str, trigger) -> Optional[RewrittenGroup]:
     else:
         dis_value = plan.dis_side.solve_for_attribute(required_value)
 
-    selects = []
-    suffixes = []
-    for spec in plan.select_pos_specs:
-        items: list[SelectItem] = []
-        key_parts = [""]
-        for bind_position, pending in spec:
-            if bind_position is None:
-                items.append(pending)
-            else:
-                value = trigger_values[bind_position]
-                items.append(BoundValue(value))
-                key_parts.append(str(value))
-        key_parts.append(str(required_value))
-        selects.append(tuple(items))
-        suffixes.append("+".join(key_parts))
-
-    dis_side = plan.dis_side
-    return RewrittenGroup(
-        plan.group_signature, dis_side.relation, dis_side.expr, required_value,
-        plan.dis_attribute, dis_value, dis_side.filters, pub_time,
-        tuple(selects), tuple(suffixes), members,
+    return bind(
+        shape, required_value, dis_value, pub_time,
+        plan.bound_values(trigger_values),
     )

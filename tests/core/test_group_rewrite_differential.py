@@ -256,5 +256,5 @@ class TestTargetedScenarios:
         # Six replica identifiers over six nodes: some rewriter holds
         # several copies, and TF (``len(group)``) counts every one.
         assert max(len(group) for group in groups) > 1
-        assert all(len(group.rewrite_plan(group.index_label).members) == 1 for group in groups)
+        assert all(len(group.rewrite_plan(group.index_label).shape.members) == 1 for group in groups)
         assert all(len(keys) == 1 for keys in shipped_members(run))

@@ -30,11 +30,11 @@ from repro.sql.parser import parse_query
 from repro.perf import PERF
 from repro.sql.query import (
     LEFT,
-    BoundValue,
     GroupMember,
+    GroupShape,
     PendingAttr,
-    RewrittenGroup,
     Subscriber,
+    bind,
 )
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple, ProjectedTuple
@@ -104,17 +104,21 @@ def test_alqt_matches_naive_reference(ops):
         assert group.entries == naive
         # The member snapshot: one member per query key, install order.
         plan = group.rewrite_plan(LEFT)
-        assert [m.query_key for m in plan.members] == list(
+        shape = plan.shape
+        assert [m.query_key for m in shape.members] == list(
             dict.fromkeys(e.query.key for e in naive)
         )
         assert plan.newest_insertion == max(e.query.insertion_time for e in naive)
-        for member in plan.members:
+        # The flat bound attributes, cut back into one run per select list.
+        flat = iter(plan.bound_attributes)
+        bound_by_list = [
+            [next(flat) for item in spec if item is None] for spec in shape.select_specs
+        ]
+        assert next(flat, None) is None
+        for member in shape.members:
             query = ALQT_QUERIES[int(member.query_key[1:])]
             bound = [ref.attribute for ref in query.select if ref.relation == "R"]
-            assert [
-                attribute for attribute, _ in plan.select_specs[member.select_index]
-                if attribute is not None
-            ] == bound
+            assert bound_by_list[member.select_index] == bound
 
 
 # ----------------------------------------------------------------------
@@ -128,11 +132,9 @@ def test_alqt_matches_naive_reference(ops):
 VLQT_QUERIES = [
     (f"q{i}", "sigX" if i < 6 else "sigY", i % 3, float(i % 4)) for i in range(8)
 ]
-VLQT_SELECTS = [
-    lambda bound: (BoundValue(bound[0]), PendingAttr("B")),
-    lambda bound: (PendingAttr("A"), BoundValue(bound[1])),
-    lambda bound: (PendingAttr("A"), PendingAttr("B")),
-]
+#: Per select list: which of the trigger's two bound values each item
+#: binds (an int), or the attribute it leaves pending.
+VLQT_SELECTS = [(0, "B"), ("A", 1), ("A", "B")]
 
 
 def _group_record(signature, query_indexes, list_order, bound, value, time):
@@ -142,10 +144,6 @@ def _group_record(signature, query_indexes, list_order, bound, value, time):
     renumber them as queries come and go); lists no member uses still
     get a slot, as after ``restrict``.
     """
-    suffixes = [
-        "".join(f"+{bound[i]}" for i in (0, 1) if i == select_list) + f"+{value}"
-        for select_list in list_order
-    ]
     members = tuple(
         GroupMember(key, SUB, inserted, list_order.index(select_list))
         for key, sig, select_list, inserted in (VLQT_QUERIES[i] for i in query_indexes)
@@ -153,18 +151,22 @@ def _group_record(signature, query_indexes, list_order, bound, value, time):
     )
     if not members:
         return None
-    return RewrittenGroup(
+    lists = [VLQT_SELECTS[select_list] for select_list in list_order]
+    shape = GroupShape(
         group_signature=signature,
         relation="R",
         expr=None,
-        required_value=value,
         dis_attribute="A",
-        dis_value=value,
         filters=(),
-        trigger_pub_time=time,
-        selects=tuple(VLQT_SELECTS[select_list](bound) for select_list in list_order),
-        suffixes=tuple(suffixes),
         members=members,
+        select_specs=tuple(
+            tuple(None if type(item) is int else PendingAttr(item) for item in items)
+            for items in lists
+        ),
+    )
+    return bind(
+        shape, value, value, time,
+        tuple(bound[item] for items in lists for item in items if type(item) is int),
     )
 
 

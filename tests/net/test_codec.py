@@ -11,21 +11,25 @@ import dataclasses
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.notifications import Notification
-from repro.errors import CodecError
+from repro.core.tables import QueryGroup, StoredQuery
+from repro.errors import CodecError, QueryError
+from repro.net import codec, frames
 from repro.net.codec import (
     HEADER_SIZE,
     MAGIC,
     MAX_PAYLOAD,
     PROTOCOL_VERSION,
+    TAG_SEALED_SHAPE,
     decode,
     decode_frame,
     decode_header,
     encode,
     encode_frame,
     register_record,
+    skip_value,
 )
 from repro.net.frames import MultiFrame, PeerInfo, RouteFrame
 from repro.sim.messages import (
@@ -38,15 +42,20 @@ from repro.sim.messages import (
     UnsubscribeMessage,
     VLIndexMessage,
 )
-from repro.sql.expr import AttrRef, BinaryOp, Const
+from repro.sql.expr import AttrRef, BinaryOp, Const, Negate
 from repro.sql.parser import parse_query
 from repro.sql.query import (
+    LEFT,
     BoundValue,
     GroupMember,
+    GroupShape,
+    JoinQuery,
     LocalFilter,
     PendingAttr,
+    QuerySide,
     RewrittenGroup,
     Subscriber,
+    rewrite,
 )
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple, ProjectedTuple
@@ -59,6 +68,8 @@ MAX_IDENT = 2**160 - 1
 
 R = Relation("R", ("A", "B"))
 S = Relation("S", ("D", "E"))
+#: The trigger relation of the generated group records.
+T = Relation("T", ("A", "B", "C"))
 BASE_QUERY = parse_query("SELECT R.A, S.D FROM R, S WHERE R.B = S.E")
 
 
@@ -114,47 +125,83 @@ queries = st.builds(
     subscribers,
 )
 
-select_lists = st.tuples(
-    st.one_of(st.builds(BoundValue, value=scalars), st.just(PendingAttr("A")))
+def rewriter_group(queries) -> QueryGroup:
+    """``queries`` (one join condition) as a rewriter holds them."""
+    group = QueryGroup(queries[0].join_signature(), LEFT)
+    for query in queries:
+        group.add(StoredQuery(query, LEFT, 0))
+    return group
+
+
+#: Select lists over ``T`` (bound from the trigger) and ``S`` (pending):
+#: zero to two bound items, in either order.
+GROUP_SELECTS = [
+    (AttrRef("T", "A"), AttrRef("S", "D")),
+    (AttrRef("S", "D"), AttrRef("T", "C"), AttrRef("T", "A")),
+    (AttrRef("T", "C"),),
+    (AttrRef("S", "D"),),
+]
+numbers = st.one_of(
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
 )
 
 
 @st.composite
 def rewritten_groups(draw):
-    """A group record: 1..3 distinct select lists, 1..6 members."""
-    selects = draw(st.lists(select_lists, min_size=1, max_size=3))
-    members = draw(
-        st.lists(
-            st.builds(
-                GroupMember,
-                query_key=st.text(max_size=20),
-                subscriber=subscribers,
-                insertion_time=times,
-                select_index=st.integers(0, len(selects) - 1),
-            ),
-            min_size=1,
-            max_size=6,
+    """A group record as the engine makes one: ``rewrite()`` of a group
+    of 1..6 queries over 1..4 select lists, then possibly restricted to
+    some members or split — never a hand-built suffix."""
+    bare = draw(st.booleans())
+    index_expr = (
+        AttrRef("T", "B") if bare else BinaryOp("+", AttrRef("T", "B"), Const(1))
+    )
+    dis_expr = draw(
+        st.sampled_from(
+            [
+                AttrRef("S", "E"),
+                BinaryOp("*", AttrRef("S", "E"), Const(2)),
+                BinaryOp("+", AttrRef("S", "E"), AttrRef("S", "D")),  # T2
+            ]
         )
     )
-    return RewrittenGroup(
-        group_signature=draw(st.text(max_size=20)),
-        relation="R",
-        expr=draw(
-            st.sampled_from(
-                [AttrRef("R", "B"), BinaryOp("+", AttrRef("R", "B"), Const(1))]
-            )
-        ),
-        required_value=draw(scalars),
-        dis_attribute=draw(st.one_of(st.none(), st.just("B"))),
-        dis_value=draw(scalars),
-        filters=draw(
-            st.tuples(st.builds(LocalFilter, attribute=st.just("A"), value=scalars))
-        ),
-        trigger_pub_time=draw(times),
-        selects=tuple(selects),
-        suffixes=tuple(draw(st.text(max_size=20)) for _ in selects),
-        members=tuple(members),
+    filters = draw(
+        st.lists(
+            st.builds(LocalFilter, attribute=st.just("D"), value=scalars), max_size=2
+        )
     )
+    queries = [
+        JoinQuery(
+            select=draw(st.sampled_from(GROUP_SELECTS)),
+            left=QuerySide("T", index_expr),
+            right=QuerySide("S", dis_expr, tuple(filters)),
+            key=draw(st.text(max_size=20)),
+            insertion_time=draw(st.floats(min_value=0.0, max_value=10.0)),
+            subscriber=draw(subscribers),
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    trigger = DataTuple(
+        T,
+        (draw(scalars), draw(scalars if bare else numbers), draw(scalars)),
+        draw(st.floats(min_value=5.0, max_value=1e9)),
+    )
+    try:
+        record = rewrite(rewriter_group(queries), LEFT, trigger)
+    except QueryError:  # a dis side that cannot be solved for this value
+        record = None
+    assume(record is not None)
+    how = draw(st.sampled_from(["whole", "restrict", "split"]))
+    if how == "restrict":
+        positions = draw(
+            st.lists(
+                st.integers(0, len(record.members) - 1), min_size=1, unique=True
+            )
+        )
+        record = record.restrict(sorted(positions))
+    elif how == "split":
+        record = draw(st.sampled_from(record.split()))
+    return record
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +248,11 @@ class TestMessageRoundTrips:
         for f in dataclasses.fields(RewrittenGroup):
             if f.name != "keys":
                 assert getattr(got, f.name) == getattr(record, f.name), f.name
+        for f in dataclasses.fields(GroupShape):
+            if f.name != "sealed":
+                assert getattr(got.shape, f.name) == getattr(record.shape, f.name), f.name
+        # ``1``, ``1.0``, ``"1"``, ``True`` and ``None`` stay what they were.
+        assert repr(got) == repr(record)
         assert got.member_keys() == keys
         for mine, theirs in zip(got.members, record.members):
             # RewrittenQuery compares by identity, hence field by field.
@@ -289,6 +341,180 @@ class TestFrameEnvelopes:
 
 
 # ----------------------------------------------------------------------
+# The sealed group shape
+# ----------------------------------------------------------------------
+
+def group_record(n_members=3, tag=""):
+    """A record whose shape differs from every other ``tag``'s."""
+    queries = [
+        JoinQuery(
+            select=GROUP_SELECTS[i % 2],
+            left=QuerySide("T", AttrRef("T", "B")),
+            right=QuerySide("S", AttrRef("S", "E"), (LocalFilter("D", 1),)),
+            key=f"q{tag}#{i}",
+            insertion_time=float(i),
+            subscriber=Subscriber("n7", 2**100 + 7, "10.0.0.7"),
+        )
+        for i in range(n_members)
+    ]
+    return rewrite(rewriter_group(queries), LEFT, DataTuple(T, (10, 7, "x"), 50.0))
+
+
+def sealed_span(payload: bytes) -> tuple[int, int, int]:
+    """``(tag position, body start, body end)`` of the one sealed shape
+    inside an encoded group record (shapes here stay under 16 KiB)."""
+    at = payload.index(bytes((TAG_SEALED_SHAPE,)))
+    reader = codec._Reader(payload)
+    reader.pos = at + 1
+    length = reader.read_uvarint()
+    return at, reader.pos, reader.pos + length
+
+
+#: One instance of every record class the codec registers, so a record
+#: added later without a structural-skip check fails the census below.
+RECORD_SAMPLES = [
+    R,
+    DataTuple(R, (1, 2.5), 1.0),
+    ProjectedTuple("S", (("D", None),), 2.0),
+    Const(1),
+    AttrRef("R", "B"),
+    BinaryOp("+", AttrRef("R", "B"), Const(1)),
+    Negate(AttrRef("R", "B")),
+    LocalFilter("A", "x"),
+    QuerySide("R", AttrRef("R", "B"), (LocalFilter("A", 1),)),
+    Subscriber("n1", MAX_IDENT, "10.0.0.1"),
+    BASE_QUERY,
+    BoundValue(1.0),
+    PendingAttr("D"),
+    GroupMember("q#1", Subscriber("n1", 1, "ip"), 1.0, 0),
+    group_record().shape,
+    group_record(),
+    Notification("q", 1, (1, "x"), "7", 1.0, 2.0, 3.0),
+    Message(),
+    QueryIndexMessage(query=BASE_QUERY, index_side="left", routing_ident=5),
+    ALIndexMessage(tuple=DataTuple(R, (1, 2), 0.0), index_attribute="B"),
+    VLIndexMessage(tuple=DataTuple(R, (1, 2), 0.0), index_attribute="B"),
+    JoinMessage(rewritten=(group_record(), group_record(1))),
+    NotificationMessage(notifications=(), subscriber_ident=3),
+    UnsubscribeMessage(query_key="q"),
+    RateProbeMessage(relation="R", attribute="B"),
+    PeerInfo(1, "127.0.0.1", 9),
+    RouteFrame(7, JoinMessage(rewritten=(group_record(),)), 2),
+    MultiFrame(((5, JoinMessage(rewritten=(group_record(),))), (9, Message())), 1),
+    frames.DirectFrame(Message()),
+    frames.JoinRequest(PeerInfo(1, "h", 2)),
+    frames.JoinReply((PeerInfo(1, "h", 2),)),
+    frames.MemberUpdate((PeerInfo(1, "h", 2),)),
+    frames.Heartbeat(4),
+]
+
+
+class TestSealedShape:
+    def test_skip_spans_every_registered_record(self):
+        registered = {
+            cls for cls in codec._ENCODERS if dataclasses.is_dataclass(cls)
+        }
+        assert {type(sample) for sample in RECORD_SAMPLES} == registered
+        for sample in RECORD_SAMPLES:
+            payload = encode(sample)
+            assert skip_value(payload, 0) == len(payload), type(sample).__name__
+            assert skip_value(payload + b"\x00", 0) == len(payload)
+
+    @COMMON
+    @given(record=rewritten_groups())
+    def test_skip_spans_generated_group_records(self, record):
+        payload = encode(JoinMessage(rewritten=(record, record)))
+        assert skip_value(payload, 0) == len(payload)
+
+    def test_equal_bytes_decode_to_the_same_shape_object(self):
+        payload = encode(group_record(tag="same"))
+        first, second = decode(payload), decode(payload)
+        assert first is not second and first.shape is second.shape
+        # Another trigger of the same plan: other values, the same shape.
+        source = dataclasses.replace(
+            BASE_QUERY, key="k", subscriber=Subscriber("n", 1, "ip")
+        )
+        a = rewrite(source, LEFT, DataTuple(R, (1, 2), 5.0))
+        b = rewrite(source, LEFT, DataTuple(R, ("1", 2.5), 6.0))
+        assert a.shape is b.shape and a.shape.sealed is None
+        got_a, got_b = roundtrip(a), roundtrip(b)
+        assert a.shape.sealed is not None  # sealed by the first encode, reused
+        assert got_a.shape is got_b.shape and got_a.suffixes != got_b.suffixes
+        assert (got_a, got_b) == (a, b)
+
+    def test_restrict_and_split_start_unsealed(self):
+        record = group_record()
+        encode(record)
+        assert record.shape.sealed is not None
+        assert record.restrict((0, 2)).shape.sealed is None
+        assert all(part.shape.sealed is None for part in record.split())
+        assert roundtrip(record.restrict((0, 2))).member_keys() == (
+            "q#0+10+7", "q#2+10+7"
+        )
+
+    @pytest.mark.parametrize(
+        "garble",
+        [
+            "flipped_bit",
+            "short_length",
+            "long_length",
+            "trailing_inner_bytes",
+            "select_index_out_of_range",
+            "bound_values_missing",
+        ],
+    )
+    def test_garbled_shape_raises_and_is_never_interned(self, garble):
+        record = group_record(tag=garble)
+        payload = encode(record)
+        at, start, end = sealed_span(payload)
+        body = payload[start:end]
+
+        def resealed(body: bytes, announced: int) -> bytes:
+            head = bytearray(payload[: at + 1])
+            codec._write_uvarint(head, announced)
+            return bytes(head) + body + payload[end:]
+
+        if garble == "flipped_bit":
+            # The first inner tag: TAG_STR -> a tag nothing registers.
+            payload = resealed(bytes((body[0] ^ 0x80,)) + body[1:], len(body))
+        elif garble == "short_length":
+            payload = resealed(body, len(body) - 1)
+        elif garble == "long_length":
+            payload = resealed(body, len(body) + 1)
+        elif garble == "trailing_inner_bytes":
+            # The fields decode, but the shape does not end where its
+            # seal says it does.
+            payload = resealed(body + b"\x00", len(body) + 1)
+        elif garble == "select_index_out_of_range":
+            shape = dataclasses.replace(
+                record.shape,
+                sealed=None,
+                members=(GroupMember("q", Subscriber("n", 1, "ip"), 0.0, 2),),
+            )
+            payload = encode(dataclasses.replace(record, shape=shape))
+        else:
+            payload = encode(dataclasses.replace(record, bound=record.bound[:-1]))
+        before = dict(codec._SHAPE_TABLE)
+        with pytest.raises(CodecError):
+            decode(payload)
+        if garble != "bound_values_missing":  # there the shape itself is sound
+            assert codec._SHAPE_TABLE == before
+        # The honest bytes still decode, and intern, afterwards.
+        assert decode(encode(record)) == record
+
+    def test_intern_table_stays_within_its_bound(self):
+        bound = codec._SHAPE_TABLE_MAX
+        first = encode(group_record(1, tag="bound-first"))
+        kept = decode(first).shape
+        for i in range(bound + 8):
+            decode(encode(group_record(1, tag=f"bound-{i}")))
+            assert len(codec._SHAPE_TABLE) <= bound
+        # The oldest entry left; its bytes decode again to an equal shape.
+        again = decode(first).shape
+        assert again == kept and again is not kept
+
+
+# ----------------------------------------------------------------------
 # Framing and failure modes
 # ----------------------------------------------------------------------
 
@@ -311,11 +537,12 @@ class TestFraming:
             decode_header(frame[:HEADER_SIZE])
 
     def test_previous_version_rejected(self):
-        """Version 1 shipped one flat record per rewritten query; a peer
-        still speaking it must be refused, not misparsed."""
-        assert PROTOCOL_VERSION == 2
-        header = struct.pack(">2sBI", MAGIC, 1, 0)
-        with pytest.raises(CodecError, match="version 1"):
+        """Version 2 shipped every member, select item and suffix of a
+        group record per trigger; a peer still speaking it must be
+        refused, not misparsed."""
+        assert PROTOCOL_VERSION == 3
+        header = struct.pack(">2sBI", MAGIC, 2, 0)
+        with pytest.raises(CodecError, match=r"version 2 \(this peer speaks 3\)"):
             decode_header(header)
 
     def test_unknown_version_rejected(self):

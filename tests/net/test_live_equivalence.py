@@ -9,6 +9,7 @@ up as a digest mismatch here.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.core.engine import ContinuousQueryEngine, EngineConfig
 from repro.core.oracle import CentralizedOracle
 from repro.bench.harness import run_workload
 from repro.bench.macro import notification_digest
+from repro.net import codec
 from repro.net.cluster import ClusterConfig, LiveCluster
 from repro.sql.tuples import DataTuple
 from repro.workload.generator import WorkloadParams, build_workload
@@ -95,13 +97,40 @@ def test_live_ring_matches_centralized_oracle(algorithm):
         assert engine.delivered_rows(key) == oracle.rows_for(key), key
 
 
+def fresh_seal(shape) -> bytes:
+    """What ``shape`` seals to now, ignoring the bytes it cached."""
+    return codec.encode(dataclasses.replace(shape, sealed=None))
+
+
+def assert_shared_shapes_untouched(cluster) -> int:
+    """Every shape the run shared — a rewriter's plan shape, sealed at
+    its first ``join()``, and every shape a receiver interned — still
+    seals to the bytes it had then: nothing mutated one."""
+    engine = cluster.engine
+    plans = [
+        group._plan
+        for node in engine.network
+        for buckets in engine.state(node).alqt._buckets.values()
+        for group in buckets.values()
+    ]
+    sealed = [plan.shape for plan in plans if plan and plan.shape.sealed]
+    for shape in sealed:
+        assert fresh_seal(shape) == shape.sealed
+    for blob, shape in codec._SHAPE_TABLE.items():
+        assert fresh_seal(shape).endswith(blob)
+    return len(sealed)
+
+
 def test_all_four_algorithms_match_on_a_small_ring():
     workload = build_workload(
         WorkloadParams(n_queries=6, n_tuples=24, domain_size=12, seed=SEED)
     )
     for algorithm in ("sai", "dai-q", "dai-t", "dai-v"):
-        _, report = asyncio.run(live_run(algorithm, workload, n_nodes=6))
+        codec._SHAPE_TABLE.clear()
+        cluster, report = asyncio.run(live_run(algorithm, workload, n_nodes=6))
         sim_engine = simulator_run(algorithm, workload, n_nodes=6)
         assert report.notification_digest == notification_digest(sim_engine), (
             algorithm
         )
+        assert assert_shared_shapes_untouched(cluster) > 0, algorithm
+        assert codec._SHAPE_TABLE, algorithm

@@ -20,11 +20,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import CodecError
 from repro.net.cluster import ClusterConfig, LiveCluster
 from repro.net.codec import (
     HEADER_SIZE,
+    TAG_SEALED_SHAPE,
     decode_frame,
-    decode_value_at,
+    decode_frame_payload,
     encode,
     encode_frame,
     skip_value,
@@ -42,12 +44,12 @@ from repro.net.peer import MAX_BATCH_FRAMES, NetConfig
 from repro.sim.messages import ALIndexMessage, JoinMessage, UnsubscribeMessage
 from repro.sql.expr import AttrRef
 from repro.sql.query import (
-    BoundValue,
     GroupMember,
+    GroupShape,
     LocalFilter,
     PendingAttr,
-    RewrittenGroup,
     Subscriber,
+    bind,
 )
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple
@@ -91,9 +93,14 @@ class TestStructuralSkip:
     def test_skip_matches_decode_span(self, value):
         payload = encode(value)
         assert skip_value(payload, 0) == len(payload)
-        decoded, end = decode_value_at(payload, 0)
-        assert end == len(payload)
+        decoded = decode_frame_payload(payload)
         assert repr(decoded) == repr(value)  # repr: 1.0 != 1 distinction
+        # The same value embedded at an offset, located by the skip.
+        framed = b"\x00" + payload + b"\x00"
+        assert repr(decode_frame_payload(framed, 1, len(framed) - 1)) == repr(value)
+        for wrong_end in (len(framed) - 2, len(framed)):
+            with pytest.raises(CodecError):
+                decode_frame_payload(framed, 1, wrong_end)
 
     @COMMON
     @given(value=values, n=st.integers(min_value=0, max_value=40))
@@ -176,9 +183,9 @@ class TestMultiPeekAndSplice:
         got_idents, tags, message_starts, pair_starts, got_hops = peeked
         assert got_idents == list(idents)
         assert got_hops == hops
+        pair_ends = pair_starts[1:] + [len(payload) - 2]
         for i, start in enumerate(message_starts):
-            message, _ = decode_value_at(payload, start)
-            assert message == pairs[i][1]
+            assert decode_frame_payload(payload, start, pair_ends[i]) == pairs[i][1]
             assert tags[i] == encode(pairs[i][1])[0]
 
         # A pure relay forwards the identical bytes with hops + 1.
@@ -214,26 +221,21 @@ def join_group_message():
     """A ``join()`` carrying one group record: two select lists, three
     members, the join-condition fields once."""
     subscriber = Subscriber("n7", 2**100 + 7, "10.0.0.7")
-    record = RewrittenGroup(
+    shape = GroupShape(
         group_signature="R:R.B[]=S:S.E[F=1]",
         relation="S",
         expr=AttrRef("S", "E"),
-        required_value=7,
         dis_attribute="E",
-        dis_value=7,
         filters=(LocalFilter("F", 1),),
-        trigger_pub_time=5.0,
-        selects=(
-            (BoundValue(10), PendingAttr("D")),
-            (PendingAttr("D"), BoundValue("x"), BoundValue(2.5)),
-        ),
-        suffixes=("+10+7", "+x+2.5+7"),
         members=(
             GroupMember("n7#1", subscriber, 1.0, 0),
             GroupMember("n9#4", Subscriber("n9", 9, "10.0.0.9"), 2.0, 1),
             GroupMember("n7#2", subscriber, 3.0, 0),
         ),
+        select_specs=((None, PendingAttr("D")), (PendingAttr("D"), None, None)),
     )
+    record = bind(shape, 7, 7, 5.0, (10, "x", 2.5))
+    assert record.suffixes == ("+10+7", "+x+2.5+7")
     return JoinMessage(rewritten=(record,))
 
 
@@ -242,9 +244,11 @@ class TestGoldenWireBytes:
 
     ``golden_wire_frames.json`` holds these samples as encoded by the
     seed (pre-memo, pre-buffer-pool) codec just before it was deleted,
-    re-stamped with version byte 2 when ``join()`` went from one flat
-    record per rewritten query to one group record (``join_group``, the
-    only frame whose payload that changed).
+    re-stamped with the version byte each time ``join()`` changed what it
+    carries — version 2: one group record instead of one flat record per
+    rewritten query; version 3: the record as a sealed shape plus the
+    trigger's values.  ``join_group`` is the only frame whose payload
+    those changed.
     """
 
     GOLDEN = json.loads(
@@ -367,6 +371,83 @@ class TestCoalescedStream:
                 await cluster.stop()
 
         assert asyncio.run(scenario()) == [f"q{i}" for i in range(4)]
+
+
+class TestDeliveringHopIsAtomic:
+    """A multisend hop that owns several pairs decodes all of them
+    before it delivers any."""
+
+    def test_corrupt_second_owned_message_delivers_nothing(self):
+        async def send(peer, wire):
+            _, writer = await asyncio.open_connection(peer.info.host, peer.info.port)
+            writer.write(wire)
+            await writer.drain()
+            return writer
+
+        async def scenario():
+            cluster = make_cluster()
+            await cluster.start()
+            writers = []
+            try:
+                received = []
+                for node in cluster.network.nodes:
+                    node.register_handler(
+                        "unsubscribe",
+                        lambda node, message: received.append(
+                            (node.ident, message.query_key)
+                        ),
+                    )
+                target, other = cluster.peers.values()
+                own, far = target.node.ident, other.node.ident
+                first = UnsubscribeMessage(query_key="first")
+                third = UnsubscribeMessage(query_key="third")
+                wire = bytearray(
+                    encode_frame(
+                        MultiFrame(
+                            ((own, first), (own, join_group_message()), (far, third)),
+                            hops=0,
+                        )
+                    )
+                )
+                # Smash the first byte inside the sealed shape of the
+                # second pair: the structural walk steps over a sealed
+                # shape by its length, so only the decoder can notice.
+                starts = peek_multi(bytes(wire[HEADER_SIZE:]))[2]
+                sealed_at = HEADER_SIZE + starts[1] + 4  # join, tuple(1), record
+                assert wire[sealed_at] == TAG_SEALED_SHAPE
+                assert wire[sealed_at + 1] >= 0x80 > wire[sealed_at + 2]
+                wire[sealed_at + 3] = 0xFF
+                assert peek_multi(bytes(wire[HEADER_SIZE:])) is not None
+                writers.append(await send(target, bytes(wire)))
+                for _ in range(200):
+                    if cluster.codec_faults:
+                        break
+                    await asyncio.sleep(0.01)
+                outcome = (
+                    cluster.codec_faults,
+                    list(received),
+                    target.frames_sent,
+                    len(cluster.errors),
+                )
+                cluster.errors.clear()  # acknowledged: the frame was corrupt
+
+                # The same hop with sound pairs delivers and forwards.
+                for _ in range(2):
+                    cluster.in_flight.inc("unsubscribe")
+                good = encode_frame(MultiFrame(((own, first), (far, third)), hops=0))
+                writers.append(await send(target, good))
+                await cluster.drain()
+                return outcome, sorted(received), sorted([(own, "first"), (far, "third")])
+            finally:
+                for writer in writers:
+                    writer.close()
+                cluster.errors.clear()
+                await cluster.stop()
+
+        outcome, delivered, expected = asyncio.run(scenario())
+        # One codec fault noted, nothing delivered, nothing forwarded.
+        assert outcome == (1, [], 0, 1)
+        assert delivered == expected
 
 
 class TestBatchingAndNodelay:

@@ -6,25 +6,22 @@ import time
 
 from repro.core.tables import ValueLevelQueryTable
 from repro.perf import PERF, PerfRegistry
-from repro.sql.query import GroupMember, RewrittenGroup, Subscriber
+from repro.sql.query import GroupMember, GroupShape, RewrittenGroup, Subscriber, bind
 
 
 def _member_record(query_keys, trigger_time: float) -> RewrittenGroup:
     """A group record over one signature, one value and one suffix."""
     subscriber = Subscriber("perf", 1, "10.0.0.1")
-    return RewrittenGroup(
+    shape = GroupShape(
         group_signature="sig",
         relation="R",
         expr=None,
-        required_value=7,
         dis_attribute="A",
-        dis_value=7,
         filters=(),
-        trigger_pub_time=trigger_time,
-        selects=((),),
-        suffixes=("+7",),
         members=tuple(GroupMember(key, subscriber, 0.0, 0) for key in query_keys),
+        select_specs=((),),
     )
+    return bind(shape, 7, 7, trigger_time, ())
 
 
 class TestDisabled:
