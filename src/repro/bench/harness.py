@@ -23,6 +23,7 @@ from ..chord.network import ChordNetwork
 from ..core.engine import ContinuousQueryEngine, EngineConfig
 from ..core.metrics import LoadSnapshot
 from ..core.oracle import CentralizedOracle
+from ..sim.collector import CollectorPause
 from ..sim.stats import TrafficSnapshot
 from ..sql.query import JoinQuery
 from .configs import Scale, current_scale
@@ -189,7 +190,8 @@ def run_workload(
     ``evict_every`` events so storage gauges track the window.
     """
     rng = random.Random(seed)
-    oracle = CentralizedOracle(window=engine.config.window) if with_oracle else None
+    window = engine.config.window
+    oracle = CentralizedOracle(window=window) if with_oracle else None
     queries: list[JoinQuery] = []
     per_tuple_hops: list[int] = []
 
@@ -199,48 +201,53 @@ def run_workload(
     events_since_evict = 0
     evictions = 0
 
-    for event in workload:
-        engine.clock.advance_to(event.time)
-        origin = engine.network.random_node(rng)
-        if event.kind == "query":
-            if in_stream_phase:
-                raise ValueError("workloads must install all queries first")
-            bound = engine.subscribe(origin, event.payload)
-            queries.append(bound)
-            if oracle is not None:
-                oracle.subscribe(bound)
-        else:
-            if queries and not in_stream_phase:
-                in_stream_phase = True
-                stream_start = engine.traffic.snapshot()
-            before = engine.traffic.hops if collect_per_tuple_hops else 0
-            relation, values = event.payload
-            tup = engine.publish(origin, relation, values)
-            if collect_per_tuple_hops:
-                per_tuple_hops.append(engine.traffic.hops - before)
-            if oracle is not None:
-                oracle.insert(tup)
-        events_since_evict += 1
-        if engine.config.window is not None and events_since_evict >= evict_every:
-            evictions += engine.evict_expired()
-            events_since_evict = 0
+    # The replay makes no reference cycles, so the cycle collector only
+    # runs where the loop already pauses (see repro.sim.collector).
+    with CollectorPause() as pause:
+        for event in workload:
+            engine.clock.advance_to(event.time)
+            origin = engine.network.random_node(rng)
+            if event.kind == "query":
+                if in_stream_phase:
+                    raise ValueError("workloads must install all queries first")
+                bound = engine.subscribe(origin, event.payload)
+                queries.append(bound)
+                if oracle is not None:
+                    oracle.subscribe(bound)
+            else:
+                if queries and not in_stream_phase:
+                    in_stream_phase = True
+                    stream_start = engine.traffic.snapshot()
+                before = engine.traffic.hops if collect_per_tuple_hops else 0
+                relation, values = event.payload
+                tup = engine.publish(origin, relation, values)
+                if collect_per_tuple_hops:
+                    per_tuple_hops.append(engine.traffic.hops - before)
+                if oracle is not None:
+                    oracle.insert(tup)
+            events_since_evict += 1
+            if events_since_evict >= evict_every:
+                events_since_evict = 0
+                if window is not None:
+                    evictions += engine.evict_expired()
+                pause.young()
 
-    if engine.config.window is not None:
-        evictions += engine.evict_expired()
-    end = engine.traffic.snapshot()
-    install_traffic = _diff(stream_start, install_start)
-    stream_traffic = _diff(end, stream_start)
-    return RunResult(
-        engine=engine,
-        workload=workload,
-        queries=queries,
-        install_traffic=install_traffic,
-        stream_traffic=stream_traffic,
-        load=engine.load_snapshot(),
-        per_tuple_hops=per_tuple_hops,
-        oracle=oracle,
-        evictions=evictions,
-    )
+        if window is not None:
+            evictions += engine.evict_expired()
+        end = engine.traffic.snapshot()
+        install_traffic = _diff(stream_start, install_start)
+        stream_traffic = _diff(end, stream_start)
+        return RunResult(
+            engine=engine,
+            workload=workload,
+            queries=queries,
+            install_traffic=install_traffic,
+            stream_traffic=stream_traffic,
+            load=engine.load_snapshot(),
+            per_tuple_hops=per_tuple_hops,
+            oracle=oracle,
+            evictions=evictions,
+        )
 
 
 def _diff(later: TrafficSnapshot, earlier: TrafficSnapshot) -> TrafficSnapshot:

@@ -42,6 +42,7 @@ Shard count follows ``REPRO_BENCH_PROCS`` (see
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -247,6 +248,12 @@ def run_scale(
                     best["build_seconds"] = sample["build_seconds"]
                     best["resources"] = sample["resources"]
             hash_key_cache_clear()
+            # A finished point's ring is cyclic garbage, and the paused
+            # replay (repro.sim.collector) no longer runs the full
+            # collections that used to free it in passing: free it here,
+            # outside the timed region, or the next point's peak RSS
+            # carries it.
+            gc.collect()
         per_algorithm[algorithm] = best
     total_wall = sum(entry["wall_seconds"] for entry in per_algorithm.values())
     features = next(iter(per_algorithm.values()))["features"] if per_algorithm else []

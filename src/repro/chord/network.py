@@ -77,8 +77,10 @@ class ChordNetwork:
         self._ring_exact = False
         #: Finger tables deferred (large fast-routing rings): snapshot
         #: routing never reads them, and building them dominates ring
-        #: construction time.  Materialized on the first membership
-        #: change so the object walk stays available as a fallback.
+        #: construction time and a third of its memory, so nodes share
+        #: one empty placeholder.  Materialized on the first membership
+        #: change (or maintenance round) so the object walk stays
+        #: available as a fallback.
         self._lazy_fingers = False
         #: Bumped on every membership change; O(1) snapshot invalidation.
         self._membership_generation = 0
@@ -148,6 +150,7 @@ class ChordNetwork:
                 ident,
                 network.space,
                 successor_list_size=successor_list_size,
+                defer_fingers=fast_routing,
             )
         # Bulk registration: one sort instead of n_nodes insorts (the
         # repeated-memmove cost is what made >=100k-node builds crawl).
@@ -204,8 +207,10 @@ class ChordNetwork:
             node.successor_list = successors
             node.predecessor = self._nodes[idents[(position - 1) % count]] if count > 1 else node
             if not lazy:
-                for j in range(self.space.m):
-                    node.fingers[j] = self._oracle_successor(node.finger_start(j))
+                node.fingers = [
+                    self._oracle_successor(node.finger_start(j))
+                    for j in range(self.space.m)
+                ]
         self._ring_exact = True
 
     # ------------------------------------------------------------------
@@ -359,6 +364,7 @@ class ChordNetwork:
     # ------------------------------------------------------------------
     def run_stabilization(self, rounds: int = 1, *, fix_all_fingers: bool = False) -> None:
         """Run the periodic maintenance protocol on every live node."""
+        self._materialize_fingers()  # fix_finger writes into the tables
         for _ in range(rounds):
             for node in list(self._nodes.values()):
                 maintenance.check_predecessor(node)

@@ -26,6 +26,14 @@ DEFAULT_SUCCESSOR_LIST_SIZE = 4
 
 MessageHandler = Callable[["ChordNode", "Message"], None]
 
+#: The finger table every node of a deferred-finger ring shares until
+#: the ring materializes real ones (``ChordNetwork.build(fast_routing=
+#: True)``): snapshot routing never reads fingers, and ``[None] * m``
+#: per node is a third of such a ring's memory.  Empty, so the finger
+#: scan falls through to the successor list exactly as it does over a
+#: table of ``None``.
+NO_FINGERS: tuple = ()
+
 
 class ChordNode:
     """One overlay node.
@@ -40,6 +48,10 @@ class ChordNode:
         the same hash function.
     space:
         The shared identifier space.
+    defer_fingers:
+        Start on the shared :data:`NO_FINGERS` placeholder instead of
+        allocating a finger table (the owning network assigns one when
+        it materializes fingers).
     """
 
     __slots__ = (
@@ -65,6 +77,7 @@ class ChordNode:
         space: IdentifierSpace,
         ip: str | None = None,
         successor_list_size: int = DEFAULT_SUCCESSOR_LIST_SIZE,
+        defer_fingers: bool = False,
     ):
         self.key = key
         self.ident = space.validate(ident)
@@ -72,7 +85,9 @@ class ChordNode:
         self.ip = ip if ip is not None else f"10.0.0.0/{key}"
         self.alive = True
         self.predecessor: Optional[ChordNode] = None
-        self.fingers: list[Optional[ChordNode]] = [None] * space.m
+        self.fingers: list[Optional[ChordNode]] | tuple = (
+            NO_FINGERS if defer_fingers else [None] * space.m
+        )
         self.successor_list: list[ChordNode] = []
         self.successor_list_size = successor_list_size
         #: Round-robin position of the periodic finger refresh

@@ -98,8 +98,8 @@ class Router(Transport):
         """
         snapshot = self._live_snapshot()
         if snapshot is not None and start.ident in snapshot:
-            position, hops = snapshot.find_successor(start.ident, ident)
-            return self.ring._nodes[snapshot.idents[position]], hops
+            owner, hops = snapshot.find_successor(start.ident, ident)
+            return self.ring._nodes[snapshot.idents[owner]], hops
         size = self.space.size
         max_hops = self.max_hops
         current = start
@@ -350,45 +350,40 @@ class Router(Transport):
         messages: list[Message],
         idents: Sequence[int],
     ) -> list[ChordNode]:
-        """Snapshot-arithmetic replica of the recursive sweep.
+        """Rank-space replica of the recursive sweep.
 
         Same clockwise traversal, same per-head walk semantics, same
-        mixed-batch accounting — only the per-hop object walks are
-        replaced by bisect lookups over the sorted identifier array, so
-        the hop totals and delivery order are identical to the object
-        path on any exact ring.
+        mixed-batch accounting as the object path on any exact ring.
+        Each target is resolved to its owner's rank once; the sweep then
+        visits target *indices* in clockwise identifier order (a stable
+        sort, so equal identifiers are delivered in input order), moving
+        on only when the owner changes: the node reached strips every
+        target it owns.
         """
-        order = self.space.sort_clockwise(source.ident, list(idents))
-        pending: dict[int, list[int]] = {}
-        for position, ident in enumerate(idents):
-            pending.setdefault(ident, []).append(position)
+        owner_pos = snapshot.owner_pos
+        owners = [owner_pos(ident) for ident in idents]
+        size = self.space.size
+        source_ident = source.ident
+        order = sorted(
+            range(len(idents)), key=lambda i: (idents[i] - source_ident) % size
+        )
         targets: list[ChordNode | None] = [None] * len(idents)
 
         ring_nodes = self.ring._nodes
         ring_idents = snapshot.idents
-        walk_pos = snapshot.walk_pos
-        owns = snapshot.owns
-        cursor = 0
-        n_order = len(order)
-        pos = snapshot.position(source.ident)
-        responsible = source
+        route_hops = snapshot.route_hops
+        pos = snapshot.position(source_ident)
+        responsible = ring_nodes[source_ident]
         total_hops = 0
-        while cursor < n_order:
-            head = order[cursor]
-            pos, hops = walk_pos(pos, head)
-            total_hops += hops
-            responsible = ring_nodes[ring_idents[pos]]
-            while cursor < n_order and owns(pos, order[cursor]):
-                ident = order[cursor]
-                cursor += 1
-                for position in pending[ident]:
-                    if targets[position] is None:
-                        targets[position] = self._deliver(
-                            messages[position], responsible
-                        )
-                        break
+        for index in order:
+            owner = owners[index]
+            if owner != pos:
+                total_hops += route_hops(pos, owner)
+                pos = owner
+                responsible = ring_nodes[ring_idents[pos]]
+            targets[index] = self._deliver(messages[index], responsible)
         self._record_mixed_batch(messages, total_hops)
-        return [target if target is not None else responsible for target in targets]
+        return targets
 
     def _record_mixed_batch(self, messages: list[Message], total_hops: int) -> None:
         """Attribute a shared routing path to each message type.

@@ -6,23 +6,31 @@ is a pure function of the sorted identifier array, so the per-hop walk
 through ``ChordNode`` objects can be replaced by ``bisect`` arithmetic
 over one ``list[int]``.  :class:`RingSnapshot` is that function table.
 
-The snapshot replicates the object walk *exactly*, hop for hop:
+The snapshot replicates the object walk *exactly*, hop for hop, but
+not in identifier space: on an exact ring the walk is a function of
+node *order*, so each target identifier is resolved to its owner's rank
+once (one ``bisect``) and the route is walked in ranks
+(:meth:`RingSnapshot._forward`).  Four equivalences carry it, each true
+only while every pointer is exact:
 
-* ``find_successor`` mirrors :meth:`repro.chord.routing.Router.find_successor`
-  (ownership test, successor shortcut, greedy finger forwarding);
-* ``walk`` mirrors the recursive-multisend traversal
-  (:meth:`repro.chord.routing.Router._walk`), which counts the final
-  handover hop only when the walk actually moves;
-* ``closest_preceding_finger`` evaluates the finger-table scan of
-  :meth:`repro.chord.node.ChordNode.closest_preceding_finger` in
-  closed form: on an exact ring finger ``j`` points at
-  ``Successor(n + 2**j)``, so the best in-interval finger is the one
-  whose power-of-two start lies just below the last ring member before
-  the target — two bisects instead of an ``m + r`` entry scan.  The
-  successor-list candidates are covered by the same argument (entry
-  ``k`` is the ``k``-th clockwise member), with the object scan's
-  strict ``>`` tie-break preserved (a finger beats an equal successor
-  entry).
+* *ownership* — the member at rank ``p`` owns the target iff
+  ``p == owner``;
+* *successor shortcut* — the target lies in ``(p, successor(p)]`` iff
+  ``owner == p + 1``;
+* *members strictly inside* ``(p, target)`` — ``(owner - p - 1) mod n``
+  of them, whichever identifier in the owner's range was asked for;
+* *finger against successor list* — finger ``j`` points at
+  ``Successor(p + 2**j)`` and list entry ``k`` at the member ``k`` ranks
+  ahead; clockwise distance grows with rank, so the farther candidate
+  is the one more ranks ahead.
+
+``find_successor`` (mirrors :meth:`repro.chord.routing.Router.find_successor`),
+``walk`` (mirrors :meth:`repro.chord.routing.Router._walk`) and the
+recursive-multisend sweep are thin entries to that one loop;
+``closest_preceding_finger_pos`` is one step of it.  A ring with a stale
+finger, a dead member or a half-joined node satisfies none of the four,
+which is why churn, stabilization and perturbing fault injectors stay on
+the object walk.
 
 Validity is the caller's contract: a snapshot describes one membership
 generation of a ring whose pointers are exact (as after
@@ -68,6 +76,7 @@ class RingSnapshot:
         "max_hops",
         "generation",
         "_pos",
+        "_successor_reach",
     )
 
     def __init__(
@@ -88,6 +97,8 @@ class RingSnapshot:
         self.max_hops = 4 * m + 8
         self.generation = generation
         self._pos = {ident: index for index, ident in enumerate(idents)}
+        #: Deepest successor-list entry a member has: ``min(r, n - 1)``.
+        self._successor_reach = min(successor_list_size, self.n - 1)
 
     # ------------------------------------------------------------------
     # Membership / positions
@@ -124,118 +135,95 @@ class RingSnapshot:
         """Ring predecessor of member ``ident`` (itself on a 1-ring)."""
         return self.idents[self.node_predecessor_pos(self._pos[ident])]
 
-    def owns(self, pos: int, ident: int) -> bool:
-        """Ownership test of the member at ``pos``: ``(pred, self]``."""
-        if self.n == 1:
-            return True
-        idents = self.idents
-        low = idents[pos - 1]  # negative index wraps, matching the ring
-        size = self.size
-        return 0 < (ident - low) % size <= (idents[pos] - low) % size
-
     # ------------------------------------------------------------------
-    # Greedy forwarding
+    # Greedy forwarding, in rank space
     # ------------------------------------------------------------------
-    def closest_preceding_finger_pos(self, pos: int, ident: int) -> int:
-        """Closed-form replica of the object node's finger scan.
+    def _forward(self, pos: int, owner: int, budget: int) -> tuple[int, int]:
+        """The one routing loop: greedy forwarding from rank ``pos``
+        toward the member of rank ``owner``.
 
-        Returns the position of the node the member at ``pos`` would
-        forward toward ``ident``; ``pos`` itself when no finger or
-        successor-list entry lies strictly inside ``(self, ident)``.
+        Returns ``(inside, hops)``: ``hops`` forwarding hops were taken
+        (at most ``budget``) and ``inside`` members still lie strictly
+        between the node reached and ``owner``.  ``inside == 0`` means
+        the node reached is ``owner``'s predecessor — the successor
+        shortcut of the object walk fires there and one more hop hands
+        the message over.  ``pos == owner`` is the full circle, as in
+        the object scan for a target equal to the node's identifier.
+
+        Each hop takes the larger of two rank offsets (module
+        docstring): the best finger's — ``Successor(current + 2**j)``
+        for the highest power of two not past ``last``, the last member
+        before the target, one bisect — and the deepest fitting
+        successor-list entry's, ``min(r, n - 1, inside)``.  Equal
+        offsets are the same node, which is all the object scan's
+        strict ``>`` (a finger beats an equal list entry) ever decided.
         """
-        idents = self.idents
         n = self.n
-        if n == 1:
-            return pos
-        current = idents[pos]
+        inside = owner - pos - 1
+        if inside < 0:
+            inside += n
+        idents = self.idents
         size = self.size
-        span = (ident - current) % size
-        if span == 0:
-            span = size
-        # Members strictly inside the open interval (current, ident).
-        if span == size:
-            inside = n - 1
-        elif current < ident:
-            inside = bisect_left(idents, ident) - (pos + 1)
-        else:
-            inside = (n - (pos + 1)) + bisect_left(idents, ident)
-        if inside == 0:
-            return pos
-        # The farthest member inside the interval sits ``inside`` steps
-        # clockwise; the best finger is Successor(current + 2**j) where
-        # 2**j is the highest power of two not exceeding that distance.
-        last_pos = pos + inside
-        if last_pos >= n:
-            last_pos -= n
-        farthest = (idents[last_pos] - current) % size
-        finger_pos = self.owner_pos((current + (1 << (farthest.bit_length() - 1))) % size)
-        finger_distance = (idents[finger_pos] - current) % size
-        # Best successor-list entry inside the interval: entry k is the
-        # k-th clockwise member, so take the deepest one that fits.
-        reach = min(self.successor_list_size, n - 1, inside)
-        successor_pos = pos + reach
-        if successor_pos >= n:
-            successor_pos -= n
-        successor_distance = (idents[successor_pos] - current) % size
-        # Strict ``>``: the object scan only replaces the best finger
-        # with a successor-list entry that is strictly closer.
-        if successor_distance > finger_distance:
-            return successor_pos
-        return finger_pos
+        cap = self._successor_reach
+        last = idents[owner - 1]  # negative index wraps, matching the ring
+        hops = 0
+        while inside and hops < budget:
+            current = idents[pos]
+            distance = last - current
+            if distance < 0:
+                distance += size
+            start = current + (1 << (distance.bit_length() - 1))
+            if start >= size:
+                start -= size
+            step = bisect_left(idents, start) - pos  # == n wraps to rank 0
+            if step <= 0:
+                step += n
+            if step < cap:
+                step = cap if cap < inside else inside
+            pos += step
+            if pos >= n:
+                pos -= n
+            inside -= step
+            hops += 1
+        return inside, hops
+
+    def route_hops(self, pos: int, owner: int) -> int:
+        """Hops of a routed message from rank ``pos`` to rank ``owner``.
+
+        What both object loops bill on an exact ring:
+        ``Router.find_successor`` returns the successor directly,
+        ``Router._walk`` steps onto it and re-checks ownership — same
+        node, same count.  Zero when the start already owns the target.
+        """
+        if pos == owner:
+            return 0
+        inside, hops = self._forward(pos, owner, self.max_hops)
+        if inside:
+            raise RoutingError(
+                f"routing from rank {pos} toward rank {owner} exceeded "
+                f"{self.max_hops} hops; ring snapshot is inconsistent"
+            )
+        return hops + 1
 
     def find_successor(self, start_ident: int, ident: int) -> tuple[int, int]:
         """``(owner position, hops)`` — mirrors ``Router.find_successor``."""
-        pos, hops = self._route(self._pos[start_ident], ident, lookup=True)
-        return pos, hops
+        owner = self.owner_pos(ident)
+        return owner, self.route_hops(self._pos[start_ident], owner)
 
     def walk(self, start_ident: int, ident: int) -> tuple[int, int]:
         """``(owner position, hops)`` — mirrors the multisend ``_walk``."""
-        return self._route(self._pos[start_ident], ident, lookup=False)
+        return self.find_successor(start_ident, ident)
 
-    def walk_pos(self, start_pos: int, ident: int) -> tuple[int, int]:
-        """:meth:`walk` addressed by array position (hot path)."""
-        return self._route(start_pos, ident, lookup=False)
+    def closest_preceding_finger_pos(self, pos: int, ident: int) -> int:
+        """One step of the routing loop from ``pos`` toward ``ident``.
 
-    def _route(self, pos: int, ident: int, *, lookup: bool) -> tuple[int, int]:
-        """Shared forwarding loop of ``find_successor`` and ``walk``.
-
-        The two object loops differ only in where the successor
-        shortcut stops: ``find_successor`` returns the successor
-        directly (billing the handover hop), ``_walk`` steps onto the
-        successor and re-checks ownership — same node, same hop count,
-        so one loop serves both.  ``lookup`` is kept for symmetry with
-        the object code and for the hop-bound error message.
+        The position the object node's finger scan would forward to;
+        ``pos`` itself when no finger or successor-list entry lies
+        strictly inside ``(self, ident)``.
         """
-        idents = self.idents
-        n = self.n
-        if n == 1:
-            return pos, 0
-        size = self.size
-        max_hops = self.max_hops
-        hops = 0
-        while True:
-            current = idents[pos]
-            # owns: (predecessor, current]
-            low = idents[pos - 1]
-            if 0 < (ident - low) % size <= (current - low) % size:
-                return pos, hops
-            successor_pos = pos + 1
-            if successor_pos == n:
-                successor_pos = 0
-            # in_half_open(ident, current, successor)
-            if 0 < (ident - current) % size <= (idents[successor_pos] - current) % size:
-                return successor_pos, hops + 1
-            next_pos = self.closest_preceding_finger_pos(pos, ident)
-            if next_pos == pos:
-                next_pos = successor_pos
-            pos = next_pos
-            hops += 1
-            if hops > max_hops:
-                kind = "lookup" if lookup else "multisend walk"
-                raise RoutingError(
-                    f"{kind} toward {ident} exceeded {max_hops} hops; "
-                    f"ring snapshot is inconsistent"
-                )
+        owner = self.owner_pos(ident)
+        inside, _ = self._forward(pos, owner, 1)
+        return (owner - 1 - inside) % self.n
 
     # ------------------------------------------------------------------
     # Derivation

@@ -16,6 +16,13 @@ instrumented site is one attribute load and a branch
 (``if PERF.enabled:``) — no allocation, no dict access, no timestamps —
 so permanent probes in hot loops are fine.
 
+An enabled registry also accounts for the cycle collector — one
+``gc.callbacks`` hook, installed by :meth:`PerfRegistry.enable` and
+removed by :meth:`PerfRegistry.disable`, feeds ``gc.collections.gen0|
+gen1|gen2`` and ``gc.unreachable`` counters and a ``gc.pause`` timer —
+because no span or profiler can: a collection pause is booked to
+whichever frame happens to be open.
+
 The registry is deliberately process-local.  Benchmark workers (see
 :mod:`repro.bench.parallel`) each own their registry; aggregate in the
 parent from the row payloads, not from globals.
@@ -23,6 +30,7 @@ parent from the row payloads, not from globals.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from typing import Iterator
@@ -47,14 +55,7 @@ class _Timer:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        elapsed = time.perf_counter() - self._start
-        timers = self._registry._timers
-        slot = timers.get(self._name)
-        if slot is None:
-            timers[self._name] = [elapsed, 1]
-        else:
-            slot[0] += elapsed
-            slot[1] += 1
+        self._registry._add_time(self._name, time.perf_counter() - self._start)
 
 
 class _NullTimer:
@@ -71,23 +72,47 @@ class _NullTimer:
 
 _NULL_TIMER = _NullTimer()
 
+#: Counter per collector generation (the hook runs inside a collection:
+#: no string building there).
+_GC_COUNTERS = ("gc.collections.gen0", "gc.collections.gen1", "gc.collections.gen2")
+
 
 class PerfRegistry:
     """A bag of named counters and timers (see module docstring)."""
 
-    __slots__ = ("enabled", "_counters", "_timers")
+    __slots__ = ("enabled", "_counters", "_timers", "_gc_started")
 
     def __init__(self, enabled: bool = False):
+        #: Presets the recording flag only: the collector is
+        #: process-wide, so its hook follows :meth:`enable` /
+        #: :meth:`disable` and a registry built switched-on (the
+        #: isolated ones tests make) records just what it is handed.
         self.enabled = enabled
         self._counters: dict[str, int] = {}
         self._timers: dict[str, list] = {}  # name -> [seconds, calls]
+        self._gc_started = 0.0
 
     # -- control ------------------------------------------------------
     def enable(self) -> None:
+        """Start recording, collector accounting included."""
         self.enabled = True
+        if self._on_collection not in gc.callbacks:
+            gc.callbacks.append(self._on_collection)
 
     def disable(self) -> None:
+        """Stop recording and leave nothing registered with ``gc``."""
         self.enabled = False
+        if self._on_collection in gc.callbacks:
+            gc.callbacks.remove(self._on_collection)
+
+    def _on_collection(self, phase: str, info: dict) -> None:
+        """``gc.callbacks`` hook: count and time every collection."""
+        if phase == "start":
+            self._gc_started = time.perf_counter()
+            return
+        self._add_time("gc.pause", time.perf_counter() - self._gc_started)
+        self.count(_GC_COUNTERS[info["generation"]])
+        self.count("gc.unreachable", info["collected"] + info["uncollectable"])
 
     def reset(self) -> None:
         """Drop all recorded values (the enabled flag is untouched)."""
@@ -101,6 +126,14 @@ class PerfRegistry:
             return
         counters = self._counters
         counters[name] = counters.get(name, 0) + n
+
+    def _add_time(self, name: str, elapsed: float) -> None:
+        slot = self._timers.get(name)
+        if slot is None:
+            self._timers[name] = [elapsed, 1]
+        else:
+            slot[0] += elapsed
+            slot[1] += 1
 
     def timer(self, name: str):
         """Context manager timing its body into slot ``name``.
@@ -141,4 +174,6 @@ class PerfRegistry:
 
 
 #: The process-wide registry every instrumented site shares.
-PERF = PerfRegistry(os.environ.get(ENV_VAR, "").strip() not in ("", "0"))
+PERF = PerfRegistry()
+if os.environ.get(ENV_VAR, "").strip() not in ("", "0"):
+    PERF.enable()

@@ -89,6 +89,7 @@ from ..chord.routing import Router
 from ..chord.snapshot import SegmentMap
 from ..core.notifications import group_by_subscriber
 from ..perf import PERF
+from .collector import CollectorPause
 from .events import EventRing
 from .messages import NotificationMessage
 from .stats import TrafficSnapshot
@@ -427,6 +428,18 @@ def run_sharded(
     configuration and ``evict_every``: traffic counters, notification
     digest, delivery, eviction and suppression counts.
     """
+    # One pause around the install prefix, the fork and every epoch:
+    # the workers are forked inside it and inherit the paused collector.
+    with CollectorPause() as pause:
+        return _run_staged(
+            engine, events, pause, shards, batch_size, seed, evict_every
+        )
+
+
+def _run_staged(
+    engine, events, pause: CollectorPause, shards, batch_size, seed, evict_every
+) -> ShardRunResult:
+    """The body of :func:`run_sharded`, inside its collector pause."""
     from ..bench.parallel import fork_available
 
     _validate(engine)
@@ -461,9 +474,11 @@ def run_sharded(
             relation, values = event.payload
             engine.publish(origin, relation, values)
         events_since_evict += 1
-        if window is not None and events_since_evict >= evict_every:
-            evictions += engine.evict_expired()
+        if events_since_evict >= evict_every:
             events_since_evict = 0
+            if window is not None:
+                evictions += engine.evict_expired()
+            pause.young()
     install_snapshot = network.stats.snapshot()
 
     if shards > 1 and not fork_available():  # pragma: no cover - platform
@@ -499,6 +514,7 @@ def run_sharded(
                         _process_stage(engine, worker_transport, items, phase)
                         a, b, c, candidates = worker_transport.drain()
                         conn.send(("produced", a + b + c, candidates))
+                        pause.young()
                     elif command[0] == "evict":
                         # Barrier-aligned eviction: sweep only the nodes
                         # this shard owns, against the driver's cutoff
@@ -656,6 +672,7 @@ def run_sharded(
             if window is not None and events_since_evict >= evict_every:
                 evictions += barrier_evict()
                 events_since_evict = 0
+            pause.young()
         ring.clear()
         if window is not None:
             # The serial replay's unconditional final sweep.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chord import ChordNetwork
+from repro.chord.node import NO_FINGERS
 from repro.errors import NetworkError
 
 
@@ -138,6 +139,63 @@ class TestJoin:
         a = small_network.join("dup")
         b = small_network.join("dup")
         assert a.ident != b.ident
+
+
+class TestDeferredFingers:
+    """``build(fast_routing=True)`` defers the finger tables — and their
+    allocation: every node shares one empty placeholder until a
+    membership change or a maintenance round needs real tables."""
+
+    def test_lazy_ring_allocates_no_finger_tables(self):
+        network = ChordNetwork.build(24, fast_routing=True)
+        assert all(node.fingers is NO_FINGERS for node in network)
+        eager = ChordNetwork.build(24)
+        assert all(len(node.fingers) == eager.space.m for node in eager)
+
+    def test_object_walk_on_lazy_ring_is_the_successor_list_walk(self, rng):
+        """Hop for hop what a ring of all-``None`` finger tables does."""
+        lazy = ChordNetwork.build(40, fast_routing=True)
+        lazy.fast_routing = False  # force the object walk, fingers still deferred
+        blank = ChordNetwork.build(40)
+        for node in blank:
+            node.fingers = [None] * blank.space.m
+        for _ in range(60):
+            ident = rng.randrange(lazy.space.size)
+            start = lazy.random_node(rng)
+            found, hops = lazy.router.find_successor(start, ident)
+            expected, expected_hops = blank.router.find_successor(
+                blank.node_at(start.ident), ident
+            )
+            assert found is lazy.responsible_node(ident)
+            assert (found.ident, hops) == (expected.ident, expected_hops)
+        assert all(node.fingers is NO_FINGERS for node in lazy)
+
+    def test_join_on_lazy_ring_materializes_exact_fingers(self, rng):
+        network = ChordNetwork.build(24, fast_routing=True)
+        exact = ChordNetwork.build(24)  # same keys, fingers built eagerly
+        newcomer = network.join("late")
+        assert len(newcomer.fingers) == network.space.m
+        # Materialized before the newcomer registered: every old node
+        # holds the exact fingers of the old membership.
+        for node in exact:
+            assert [f.ident for f in network.node_at(node.ident).fingers] == [
+                f.ident for f in node.fingers
+            ]
+        network.run_stabilization(3, fix_all_fingers=True)
+        assert network.ring_is_consistent()
+        for _ in range(50):
+            ident = rng.randrange(network.space.size)
+            found, _ = network.router.find_successor(network.random_node(rng), ident)
+            assert found is network.responsible_node(ident)
+
+    def test_maintenance_round_on_lazy_ring_materializes_first(self):
+        network = ChordNetwork.build(16, fast_routing=True)
+        network.run_stabilization(1)
+        for node in network:
+            assert [f.ident for f in node.fingers] == [
+                network.responsible_node(node.finger_start(j)).ident
+                for j in range(network.space.m)
+            ]
 
 
 class TestLeave:

@@ -11,11 +11,17 @@ side by side; any divergence is a routing bug, not a tolerance issue.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import ClassVar
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chord.network import ChordNetwork
+from repro.chord.node import ChordNode
 from repro.chord.snapshot import RingSnapshot
+from repro.errors import RoutingError
+from repro.sim.messages import Message
 
 #: Cached exact rings per size: examples only ever *read* them, and
 #: building the ring (not checking it) dominates each example.
@@ -66,8 +72,7 @@ def test_successor_matches_global_oracle(case):
     for target in targets:
         expected = network._oracle_successor(target).ident
         assert snapshot.successor_ident(target) == expected
-        assert snapshot.idents[snapshot.owner_pos(target)] == expected
-        assert snapshot.owns(snapshot.position(expected), target)
+        assert snapshot.owner_pos(target) == snapshot.position(expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,3 +152,185 @@ def test_membership_edits_match_full_rebuild(n_nodes, seed):
         assert grown.find_successor(joiner, probe) == rebuilt.find_successor(
             joiner, probe
         )
+
+
+# ----------------------------------------------------------------------
+# Rank-space routing: hand-placed rings and the multisend sweep
+# ----------------------------------------------------------------------
+def ring_with(idents, m: int = 8, successor_list_size: int = 4) -> ChordNetwork:
+    """An exact fast-routing ring with exactly these identifiers."""
+    network = ChordNetwork(m=m, successor_list_size=successor_list_size)
+    for ident in idents:
+        network._nodes[ident] = ChordNode(
+            f"n{ident}", ident, network.space, successor_list_size=successor_list_size
+        )
+    network._sorted_idents = sorted(idents)
+    network._membership_generation += 1
+    network.rebuild_ring_state()
+    network.enable_fast_routing()
+    return network
+
+
+def assert_routes_match(network: ChordNetwork, source: int, target: int) -> int:
+    """Snapshot ≡ object walk from ``source`` toward ``target``: next
+    hop, owner and hop count of both loops.  Returns the hop count."""
+    snapshot = snapshot_of(network)
+    node = network._nodes[source]
+    pos = snapshot.position(source)
+    assert (
+        snapshot.idents[snapshot.closest_preceding_finger_pos(pos, target)]
+        == node.closest_preceding_finger(target).ident
+    )
+    network.fast_routing = False
+    try:
+        expected_node, expected_hops = network.router.find_successor(node, target)
+        walk_node, walk_hops = network.router._walk(node, target)
+    finally:
+        network.fast_routing = True
+    assert walk_node is expected_node and walk_hops == expected_hops
+    owner, hops = snapshot.find_successor(source, target)
+    assert (snapshot.idents[owner], hops) == (expected_node.ident, expected_hops)
+    assert snapshot.walk(source, target) == (owner, hops)
+    return hops
+
+
+@pytest.mark.parametrize("idents", [[9], [9, 40], [3, 9, 40], [0, 9, 40, 255]])
+def test_every_source_and_target_on_tiny_rings(idents):
+    """n = 1, 2, 3 and a ring holding both ends of the identifier
+    space: every (source, target) pair, so each wrap-around shape —
+    target owned by rank 0 from either side of zero, source at rank
+    ``n - 1``, target equal to a member, equal to the source — occurs."""
+    network = ring_with(idents)
+    for source in idents:
+        for target in range(network.space.size):
+            assert_routes_match(network, source, target)
+
+
+def test_wrap_around_cases_by_name():
+    idents = [5, 17, 30, 44, 58]
+    network = ring_with(idents)
+    snapshot = snapshot_of(network)
+    # Owned by rank 0 from both sides of zero.
+    assert snapshot.owner_pos(61) == snapshot.owner_pos(2) == 0
+    assert assert_routes_match(network, 17, 61) == assert_routes_match(network, 17, 2)
+    # Source at rank n - 1: its successor is rank 0.
+    assert assert_routes_match(network, 58, 3) == 1
+    assert assert_routes_match(network, 58, 10) == 2
+    # Target equal to a member / to the source / just past the source.
+    assert assert_routes_match(network, 5, 44) >= 1
+    assert assert_routes_match(network, 30, 30) == 0
+    assert assert_routes_match(network, 30, 31) == 1
+
+
+def test_successor_list_reach_beats_the_finger():
+    """From 0 toward 14 the best finger is 10 (start 8) but the
+    successor list reaches 13, the last member before the target."""
+    network = ring_with([0, 10, 11, 12, 13, 40])
+    snapshot = snapshot_of(network)
+    assert snapshot.idents[snapshot.closest_preceding_finger_pos(0, 14)] == 13
+    assert assert_routes_match(network, 0, 14) == 2
+    # A shorter list loses its reach: r = 2 ends at 11.
+    network = ring_with([0, 10, 11, 12, 13, 40], successor_list_size=2)
+    snapshot = snapshot_of(network)
+    assert snapshot.idents[snapshot.closest_preceding_finger_pos(0, 14)] == 11
+    assert_routes_match(network, 0, 14)
+
+
+def test_finger_and_successor_list_tie_is_one_node():
+    """From 0 toward 6: finger start 4 and list entry 4 are both node
+    4 — the object scan keeps the finger, rank space cannot tell."""
+    network = ring_with([0, 1, 2, 3, 4, 5, 40])
+    snapshot = snapshot_of(network)
+    assert snapshot.idents[snapshot.closest_preceding_finger_pos(0, 6)] == 4
+    assert assert_routes_match(network, 0, 6) == 3  # 0 -> 4 -> 5 -> 40
+
+
+def test_inconsistent_snapshot_hits_the_hop_bound():
+    """A membership array that was never sorted: bisect answers are
+    garbage, the walk never lands on the owner's predecessor, and the
+    ``4 m + 8`` bound stops it instead of looping or answering."""
+    snapshot = RingSnapshot(list(range(200, 0, -1)), m=8, successor_list_size=1)
+    assert snapshot.max_hops == 40
+    with pytest.raises(RoutingError, match="exceeded 40 hops"):
+        snapshot.find_successor(100, 50)
+    with pytest.raises(RoutingError, match="ring snapshot is inconsistent"):
+        snapshot.walk(150, 149)
+
+
+@dataclass(frozen=True, slots=True)
+class _Red(Message):
+    type: ClassVar[str] = "red"
+    tag: int
+
+
+@dataclass(frozen=True, slots=True)
+class _Blue(Message):
+    type: ClassVar[str] = "blue"
+    tag: int
+
+
+#: Dense rings (256 identifiers, the smallest space the hash allows) so
+#: several targets share an owner and most sweeps wrap past zero.
+_DENSE: dict[int, ChordNetwork] = {}
+
+
+def dense_ring(n_nodes: int) -> ChordNetwork:
+    network = _DENSE.get(n_nodes)
+    if network is None:
+        network = ChordNetwork.build(n_nodes, m=8)
+        network.enable_fast_routing()
+        _DENSE[n_nodes] = network
+    return network
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_nodes=st.integers(min_value=1, max_value=20),
+    source_rank=st.integers(min_value=0, max_value=19),
+    targets=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=255), st.booleans()),
+        min_size=1,
+        max_size=10,
+    ),
+    repeat=st.integers(min_value=0, max_value=3),
+)
+def test_fast_sweep_matches_object_sweep(n_nodes, source_rank, targets, repeat):
+    """``_multisend_recursive_fast`` ≡ ``_multisend_recursive``:
+    recipients per input position, global delivery order (duplicate
+    identifiers included) and ``TrafficStats`` per message type."""
+    network = dense_ring(n_nodes)
+    source = network.nodes[source_rank % n_nodes]
+    targets = targets + targets[:repeat]  # guaranteed duplicate identifiers
+    idents = [ident for ident, _ in targets]
+    messages = [
+        (_Red if red else _Blue)(tag) for tag, (_, red) in enumerate(targets)
+    ]
+    deliveries: list[tuple[int, int]] = []
+    for node in network:
+        for kind in ("red", "blue"):
+            node.register_handler(
+                kind, lambda n, message: deliveries.append((n.ident, message.tag))
+            )
+    router = network.router
+    outcomes = []
+    for fast in (True, False):
+        network.fast_routing = fast
+        before = network.stats.snapshot()
+        del deliveries[:]
+        try:
+            recipients = router.multisend(source, messages, idents)
+        finally:
+            network.fast_routing = True
+        delta = network.stats.since(before)
+        outcomes.append(
+            (
+                [node.ident for node in recipients],
+                list(deliveries),
+                delta.hops,
+                delta.messages,
+                delta.hops_by_type,
+                delta.messages_by_type,
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == [network.responsible_node(i).ident for i in idents]

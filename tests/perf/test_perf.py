@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.core.tables import ValueLevelQueryTable
@@ -90,6 +91,88 @@ class TestEnabled:
         registry.disable()
         registry.count("x")
         assert registry.counter("x") == 1
+
+
+def _collector_hooks(registry: PerfRegistry) -> list:
+    return [
+        hook for hook in gc.callbacks if getattr(hook, "__self__", None) is registry
+    ]
+
+
+class TestCollectorAccounting:
+    """``enable()`` installs one ``gc.callbacks`` hook, ``disable()``
+    removes it; in between every collection is counted and timed."""
+
+    def test_hook_follows_enable_and_disable(self):
+        registry = PerfRegistry()
+        assert _collector_hooks(registry) == []
+        registry.enable()
+        registry.enable()  # idempotent: still one hook
+        try:
+            assert len(_collector_hooks(registry)) == 1
+        finally:
+            registry.disable()
+        assert _collector_hooks(registry) == []
+        registry.disable()  # and removing twice is harmless
+
+    def test_a_registry_built_enabled_registers_nothing(self):
+        registry = PerfRegistry(enabled=True)
+        assert _collector_hooks(registry) == []
+        gc.collect()
+        assert registry.snapshot()["counters"] == {}
+
+    def test_collections_are_counted_by_generation_and_timed(self):
+        gc.collect()
+        registry = PerfRegistry()
+        registry.enable()
+        try:
+            cycle: list = []
+            cycle.append(cycle)
+            del cycle
+            found = gc.collect(0)
+            gc.collect(1)
+            gc.collect()
+        finally:
+            registry.disable()
+        counters = registry.snapshot()["counters"]
+        assert found == 1
+        assert counters["gc.collections.gen0"] >= 1
+        assert counters["gc.collections.gen1"] >= 1
+        assert counters["gc.collections.gen2"] == 1
+        assert counters["gc.unreachable"] == 1
+        collections = sum(
+            count for name, count in counters.items() if name.startswith("gc.coll")
+        )
+        assert registry.calls("gc.pause") == collections
+        assert registry.seconds("gc.pause") > 0.0
+        gc.collect()  # after disable(): not recorded
+        assert registry.snapshot()["counters"] == counters
+
+    def test_a_replay_reports_its_collector_cost(self):
+        """What the hook is for: the snapshot of a run states that the
+        paused replay ran young collections only and freed nothing."""
+        from repro.bench.configs import Scale
+        from repro.bench.harness import make_engine, run_workload, workload_for
+        from repro.core.engine import EngineConfig
+
+        tiny = Scale("tiny", n_nodes=24, n_queries=12, n_tuples=40, domain_size=30)
+        engine = make_engine(tiny, EngineConfig(algorithm="sai"))
+        workload = workload_for(tiny)
+        gc.collect()
+        PERF.reset()
+        PERF.enable()
+        try:
+            run_workload(engine, workload, evict_every=8)
+        finally:
+            PERF.disable()
+        counters = PERF.snapshot()["counters"]
+        pauses = PERF.calls("gc.pause")
+        PERF.reset()
+        # One young collection per barrier and one on exit, nothing else.
+        assert counters["gc.collections.gen0"] == (12 + 40) // 8 + 1 == pauses
+        assert counters["gc.unreachable"] == 0
+        assert "gc.collections.gen1" not in counters
+        assert "gc.collections.gen2" not in counters
 
 
 class TestInstrumentedSites:
@@ -333,6 +416,8 @@ class TestInstrumentedSites:
         assert [len(cohort) for cohort in table] == [1, 1, 1]
         assert PERF.snapshot()["counters"] == {}
         assert PERF.snapshot()["timers"] == {}
+        # ... and nothing listens to the collector on its behalf.
+        assert _collector_hooks(PERF) == []
 
     def test_global_registry_disabled_in_tests(self):
         # REPRO_PERF is not set for the suite, so instrumented hot paths
