@@ -9,8 +9,8 @@ cost.
 
 These are *relative* instruments: compare two commits on one machine.
 Absolute numbers move with hardware and Python version, which is why CI
-gates on the seeded macro-benchmark (``repro.bench.macro``), not on
-these.
+gates on the committed expdb rows (``python -m repro.expdb gate``), not
+on these.
 """
 
 from __future__ import annotations

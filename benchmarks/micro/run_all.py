@@ -8,7 +8,7 @@ Covers the five hot paths of the optimization pass (see DESIGN.md,
 "Performance"): hashing, table maintenance, finger-walk lookups, the
 recursive multisend sweep, and query rewriting / allocation churn.
 These numbers are for commit-to-commit comparison on one machine; the
-CI regression gate uses the seeded macro-benchmark instead.
+CI regression gate is ``python -m repro.expdb gate`` instead.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ its items must be picklable (module-level functions over plain
 tuples/dataclasses).  Engines and workloads are **not** picklable —
 build them inside the worker and return plain row dicts.
 
-Note the macro benchmark (:mod:`repro.bench.macro`) stays serial on
+Note the gate (:mod:`repro.expdb.gate`) runs its rows serially on
 purpose: its product is wall-clock time, and concurrent workers would
 contend for cores and distort the measurement.
 """

@@ -1,21 +1,19 @@
 """Stable dict ("row") serialization of benchmark results.
 
-Every consumer of a measured run — the macro-benchmark baseline
-(:mod:`repro.bench.macro`), the large-scale sweep gate
-(:mod:`repro.bench.scale`) and the experiment database writer
-(:mod:`repro.expdb`) — needs the same invariant metrics in the same
-vocabulary.  Before this module each of them hand-rolled its own dict;
-now :meth:`~repro.bench.harness.RunResult.to_row` /
+Every consumer of a measured run — the experiment database writer and
+its gate (:mod:`repro.expdb`), the sharded differential
+(:mod:`repro.bench.scale`) — needs the same invariant metrics in the
+same vocabulary: :meth:`~repro.bench.harness.RunResult.to_row` /
 :meth:`~repro.sim.shard.ShardRunResult.to_row` produce one **stable,
 versioned, JSON-safe** row (plain ints/floats/strings/dicts — never
 pickled objects), ``from_row`` reconstructs a result carrying the same
-metrics, and the helpers here project rows into each consumer's
-committed-baseline field set.
+metrics, and :func:`metric_summary` projects a row onto a field set.
+The notification digest every executor reports is hashed here too.
 
-Stability contract: the row is what gets persisted (``BENCH_*.json``
-baselines, the ``repro.expdb`` SQLite history), so existing keys never
-change meaning.  Additions bump :data:`ROW_VERSION`; readers must
-tolerate unknown keys.
+Stability contract: the row is what gets persisted (the
+``repro.expdb`` SQLite history and its exports, ``BENCH_baseline.json``
+included), so existing keys never change meaning.  Additions bump
+:data:`ROW_VERSION`; readers must tolerate unknown keys.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Version of the row layout produced by ``to_row`` implementations.
 ROW_VERSION = 1
 
-#: Metric fields of the committed macro-benchmark baseline
-#: (``BENCH_seed.json``) — frozen; the CI gate compares them exactly.
+#: The invariant metrics of an unwindowed run.
 MACRO_METRIC_FIELDS = (
     "hops",
     "messages",
@@ -42,23 +39,35 @@ MACRO_METRIC_FIELDS = (
     "notification_digest",
 )
 
-#: Metric fields of the committed scale baseline
-#: (``BENCH_sim_scale.json``) — the macro set plus eviction counts.
+#: ... plus eviction counts: what ``bench.scale --verify`` holds the
+#: staged and forked executors to.
 SCALE_METRIC_FIELDS = MACRO_METRIC_FIELDS + ("evictions",)
 
 
-def notification_digest(engine: "ContinuousQueryEngine") -> str:
+def delivered_pairs(engine: "ContinuousQueryEngine") -> dict[str, list[tuple]]:
+    """``engine.delivered`` reduced to the digest-relevant pairs."""
+    return {
+        key: [(n.join_value_repr, repr(n.row)) for n in batch]
+        for key, batch in engine.delivered.items()
+    }
+
+
+def digest_of_pairs(delivered: Mapping[str, Iterable[tuple]]) -> str:
     """A stable SHA-1 digest of every query's delivered answer set.
 
     Sorted per query and across queries, so delivery order (which may
     legitimately vary with routing internals) never affects the digest
-    while any change to the *set* of answers does.
+    while any change to the *set* of answers does.  The sharded
+    executor merges its workers' pairs and hashes them here; every
+    other executor goes through :func:`notification_digest`.
     """
-    canonical = sorted(
-        (key, sorted((n.join_value_repr, repr(n.row)) for n in batch))
-        for key, batch in engine.delivered.items()
-    )
+    canonical = sorted((key, sorted(pairs)) for key, pairs in delivered.items())
     return hashlib.sha1(repr(canonical).encode("utf-8")).hexdigest()
+
+
+def notification_digest(engine: "ContinuousQueryEngine") -> str:
+    """:func:`digest_of_pairs` of everything ``engine`` delivered."""
+    return digest_of_pairs(delivered_pairs(engine))
 
 
 def traffic_to_row(snapshot: TrafficSnapshot) -> dict:
@@ -92,12 +101,10 @@ def metric_summary(
 ) -> dict:
     """Project a result row onto a committed baseline's metric fields.
 
-    ``fields`` controls both the selection *and* the key order, so the
-    rendered JSON of an existing baseline never changes shape when the
-    row itself grows new keys.  Rows that are already summaries (the
-    committed baselines carry top-level ``hops``/``messages`` instead
-    of traffic snapshots) pass through unchanged, so the projection is
-    idempotent.
+    ``fields`` controls both the selection *and* the key order.  Rows
+    that are already summaries (top-level ``hops``/``messages`` instead
+    of traffic snapshots, as in ``BENCH_history.json``) pass through
+    unchanged, so the projection is idempotent.
     """
     empty = {"hops": 0, "messages": 0, "hops_by_type": {}, "messages_by_type": {}}
     install = row.get("install_traffic") or empty

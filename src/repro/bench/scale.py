@@ -1,7 +1,7 @@
-"""Large-scale sweep points through the sharded simulator, with a gate.
+"""Large-scale sweep points through the sharded simulator.
 
 The E14 scaling study tops out where the serial simulator becomes the
-bottleneck.  This benchmark pushes the network-size axis into the
+bottleneck.  This module pushes the network-size axis into the
 10^5-node range by combining the three scaling mechanisms of
 DESIGN.md §14:
 
@@ -9,7 +9,10 @@ DESIGN.md §14:
 * streaming workload generation (:func:`iter_workload_events`), and
 * sharded staged execution of the stream (:func:`repro.sim.shard.run_sharded`).
 
-Two modes:
+:func:`run_scale_point` is what a ``shard`` row of the experiment
+database runs (:mod:`repro.expdb.runner`); the committed 20k-node rows
+of ``BENCH_baseline.json`` are gated by ``python -m repro.expdb gate``.
+Two command-line modes:
 
 ``python -m repro.bench.scale --verify``
     Differential check at a small ring: the staged executor —
@@ -22,18 +25,13 @@ Two modes:
     exercising the lifted sharded modes of DESIGN.md §15.  Exits
     non-zero on any difference.
 
-``python -m repro.bench.scale --nodes 100000 [--output/--compare]``
-    Run one sweep point and (optionally) gate it against a committed
-    baseline, mirroring :mod:`repro.bench.macro`: simulated metrics
-    must match exactly, wall-clock may drift at most ``--threshold``.
-    ``--window/--replication/--jfrt/--evict-every`` compose with the
-    scale axes; every report carries a ``resources`` section (peak
-    RSS via ``getrusage`` — self *and* forked children — plus
-    events/sec and cross-shard exchange records) next to the
-    simulated metrics.  ``--append-extra BENCH_sim_scale.json``
-    records a one-off large point under the baseline's
-    ``extra_points`` list, which the CI gate ignores (EXPERIMENTS
-    X3 documents the committed 10^6-node point).
+``python -m repro.bench.scale --nodes 100000``
+    Run one sweep point by hand and print one JSON sample per
+    algorithm: the simulated metrics next to wall-clock, peak RSS (via
+    ``getrusage`` — self *and* forked children), events/sec and
+    cross-shard exchange records.  ``--window/--replication/--jfrt/
+    --evict-every/--batch-size`` compose with the scale axes
+    (EXPERIMENTS X2/X3).
 
 Shard count follows ``REPRO_BENCH_PROCS`` (see
 :mod:`repro.bench.parallel`); ``--shards`` overrides it.
@@ -45,7 +43,6 @@ import argparse
 import gc
 import json
 import os
-import platform
 import resource
 import sys
 import time
@@ -59,17 +56,11 @@ from ..workload.generator import iter_workload_events
 from ..workload.schema_gen import synthetic_schema
 from .configs import Scale
 from .harness import run_standard, workload_for, workload_params_for
-from .macro import (
-    DEFAULT_THRESHOLD,
-    HEADLINE_ALGORITHMS,
-    compare_reports,
-    speedup_versus,
-)
 from .rows import SCALE_METRIC_FIELDS, metric_summary
 from .parallel import configured_processes, fork_available
 
-#: Name recorded in the JSON so unrelated baselines never compare.
-SCALE_BENCH_NAME = "sim-scale-point"
+#: Algorithms a point runs by default, in presentation order.
+HEADLINE_ALGORITHMS = ("sai", "dai-q", "dai-t", "dai-v")
 
 #: Default sweep point: large enough that the serial simulator hurts,
 #: small enough for a CI smoke job.
@@ -137,7 +128,7 @@ def default_shards() -> int:
 
 
 def _result_metrics(result: ShardRunResult) -> dict:
-    """The invariant-metrics dict, in macro-benchmark vocabulary."""
+    """The invariant metrics ``--verify`` compares, as one dict."""
     return metric_summary(result.to_row(), SCALE_METRIC_FIELDS)
 
 
@@ -197,100 +188,6 @@ def run_scale_point(
             "exchange_records": result.exchange_records,
         },
         "features": list(result.features),
-    }
-
-
-def run_scale(
-    point: Scale,
-    *,
-    algorithms: Sequence[str] = HEADLINE_ALGORITHMS,
-    seed: int = 1,
-    repeats: int = 1,
-    shards: Optional[int] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    config_overrides: Optional[dict] = None,
-    evict_every: int = DEFAULT_EVICT_EVERY,
-) -> dict:
-    """Run the sweep point for every algorithm; returns the report dict.
-
-    Repeats keep the minimum wall-clock but must agree on the simulated
-    metrics, as in :func:`repro.bench.macro.run_macro`.  The engine
-    feature knobs are recorded in the report's ``point`` so a baseline
-    generated under one configuration can never silently gate another;
-    the ``resources`` section (peak RSS, events/sec) is informational
-    and excluded from the exact compare.
-    """
-    overrides = dict(config_overrides or {})
-    per_algorithm: dict[str, dict] = {}
-    for algorithm in algorithms:
-        hash_key_cache_clear()
-        best: Optional[dict] = None
-        for _ in range(max(1, repeats)):
-            sample = run_scale_point(
-                algorithm,
-                point,
-                seed=seed,
-                shards=shards,
-                batch_size=batch_size,
-                config_overrides=overrides,
-                evict_every=evict_every,
-            )
-            if best is None:
-                best = sample
-            else:
-                if sample["metrics"] != best["metrics"]:
-                    raise RuntimeError(
-                        f"scale benchmark is non-deterministic for "
-                        f"{algorithm!r}: repeated runs disagree"
-                    )
-                if sample["wall_seconds"] < best["wall_seconds"]:
-                    best["wall_seconds"] = sample["wall_seconds"]
-                    best["build_seconds"] = sample["build_seconds"]
-                    best["resources"] = sample["resources"]
-            hash_key_cache_clear()
-            # A finished point's ring is cyclic garbage, and the paused
-            # replay (repro.sim.collector) no longer runs the full
-            # collections that used to free it in passing: free it here,
-            # outside the timed region, or the next point's peak RSS
-            # carries it.
-            gc.collect()
-        per_algorithm[algorithm] = best
-    total_wall = sum(entry["wall_seconds"] for entry in per_algorithm.values())
-    features = next(iter(per_algorithm.values()))["features"] if per_algorithm else []
-    return {
-        "name": SCALE_BENCH_NAME,
-        "point": {
-            "n_nodes": point.n_nodes,
-            "n_queries": point.n_queries,
-            "n_tuples": point.n_tuples,
-            "domain_size": point.domain_size,
-            "zipf_s": point.zipf_s,
-            "batch_size": batch_size,
-            "window": overrides.get("window"),
-            "replication_factor": overrides.get("replication_factor", 1),
-            "jfrt_capacity": overrides.get("jfrt_capacity", 0),
-            "evict_every": evict_every,
-        },
-        "seed": seed,
-        "features": features,
-        "shards": {name: entry["shards"] for name, entry in per_algorithm.items()},
-        "host": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "machine": platform.machine(),
-            "system": platform.system(),
-        },
-        "wall_seconds": {
-            **{
-                name: round(entry["wall_seconds"], 4)
-                for name, entry in per_algorithm.items()
-            },
-            "total": round(total_wall, 4),
-        },
-        "resources": {
-            name: entry["resources"] for name, entry in per_algorithm.items()
-        },
-        "metrics": {name: entry["metrics"] for name, entry in per_algorithm.items()},
     }
 
 
@@ -413,33 +310,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=",".join(HEADLINE_ALGORITHMS),
         help="comma-separated algorithm subset",
     )
-    parser.add_argument(
-        "--output", default=None, help="write the JSON report to this path"
-    )
-    parser.add_argument(
-        "--compare",
-        default=None,
-        help="gate against a committed baseline JSON (e.g. BENCH_sim_scale.json)",
-    )
-    parser.add_argument(
-        "--append-extra",
-        default=None,
-        metavar="PATH",
-        help=(
-            "record this run under the named baseline's 'extra_points' "
-            "list (replacing an entry with the same point), so committed "
-            "sweeps can carry large one-off points the CI gate ignores"
-        ),
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="allowed fractional wall-clock regression (default 0.25)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=1, help="timing repeats (min is kept)"
-    )
     parser.add_argument("--seed", type=int, default=1, help="workload/engine seed")
     args = parser.parse_args(argv)
     algorithms = tuple(name for name in args.algorithms.split(",") if name)
@@ -477,54 +347,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         n_tuples=args.tuples,
         domain_size=args.domain,
     )
-    report = run_scale(
-        point,
-        algorithms=algorithms,
-        seed=args.seed,
-        repeats=args.repeats,
-        shards=args.shards,
-        batch_size=args.batch_size,
-        config_overrides=config_overrides,
-        evict_every=args.evict_every,
-    )
-    rendered = json.dumps(report, indent=2, sort_keys=False)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(rendered)
-
-    if args.append_extra:
-        with open(args.append_extra, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        extra = baseline.setdefault("extra_points", [])
-        extra[:] = [entry for entry in extra if entry.get("point") != report["point"]]
-        extra.append(report)
-        with open(args.append_extra, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(baseline, indent=2, sort_keys=False) + "\n")
-        print(f"appended extra point to {args.append_extra}", file=sys.stderr)
-
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        problems = compare_reports(report, baseline, args.threshold)
-        ratio = speedup_versus(report, baseline)
-        if ratio is not None:
-            print(
-                f"wall-clock: {report['wall_seconds']['total']:.3f}s vs "
-                f"baseline {baseline['wall_seconds']['total']:.3f}s "
-                f"({ratio:.2f}x)",
-                file=sys.stderr,
-            )
-        if problems:
-            for problem in problems:
-                print(f"SCALE GATE FAIL: {problem}", file=sys.stderr)
-            return 1
-        print(
-            "scale gate: OK (metrics identical, wall within threshold)",
-            file=sys.stderr,
+    for algorithm in algorithms:
+        # As run_experiment does between rows: the previous ring is
+        # cyclic garbage, free it outside the timed region.
+        hash_key_cache_clear()
+        gc.collect()
+        sample = run_scale_point(
+            algorithm,
+            point,
+            seed=args.seed,
+            shards=args.shards,
+            batch_size=args.batch_size,
+            config_overrides=config_overrides,
+            evict_every=args.evict_every,
         )
+        del sample["row"]  # "metrics" is its summary
+        print(json.dumps({"algorithm": algorithm, **sample}))
     return 0
 
 

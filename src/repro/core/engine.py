@@ -86,16 +86,13 @@ class EngineConfig:
     recursive_multisend: bool = True
     #: DAI-V keyed variant (``Hash(Key(q) + valJC)``, Section 4.5 end).
     daiv_keyed: bool = False
-    #: Defer per-node state/handler attachment until a first message
-    #: arrives (``None`` = automatic: lazy on fast-routing rings and on
-    #: rings of :data:`LAZY_ADOPTION_THRESHOLD`+ nodes).  Large-scale
-    #: sweeps touch a sparse subset of nodes, so eager adoption would
-    #: dominate setup time and memory.
-    lazy_adoption: Optional[bool] = None
     seed: int = 0
 
 
-#: Ring size at which engines switch to lazy adoption automatically.
+#: Ring size from which per-node state/handler attachment is deferred
+#: until a node's first message arrives (fast-routing rings defer at any
+#: size).  Large-scale sweeps touch a sparse subset of nodes, so eager
+#: adoption would dominate setup time and memory.
 LAZY_ADOPTION_THRESHOLD = 8192
 
 
@@ -167,10 +164,7 @@ class ContinuousQueryEngine:
             ("unsubscribe", self._on_unsubscribe),
         )
 
-        lazy = self.config.lazy_adoption
-        if lazy is None:
-            lazy = network.fast_routing or len(network) >= LAZY_ADOPTION_THRESHOLD
-        if lazy:
+        if network.fast_routing or len(network) >= LAZY_ADOPTION_THRESHOLD:
             adopt = self.adopt
             for node in network:
                 node.adopt_hook = adopt

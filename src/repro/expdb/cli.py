@@ -22,8 +22,13 @@ Commands
     A rendered table of the perf history, optionally aggregated over
     axes (``--group-by algorithm,n_nodes``).
 ``import-json``
-    Backfill committed ``BENCH_*.json`` baselines as ``done`` rows so
-    the history starts populated.
+    The inverse of ``export --json``: insert the ``done`` rows of such
+    files (the committed ``BENCH_baseline.json`` / ``BENCH_history.json``
+    included) so the history starts populated.
+``gate``
+    Re-run every row of an ``export --json`` file and fail unless the
+    counted metrics repeat exactly and each wall stays within budget
+    (:mod:`repro.expdb.gate` — the CI perf gate).
 """
 
 from __future__ import annotations
@@ -42,7 +47,11 @@ from .db import (
     STATUSES,
     TRANSPORTS,
     ExperimentDB,
+    decode_done_row,
+    read_export,
+    row_label,
 )
+from .gate import gate_rows
 from .grid import ALGORITHMS, GridSpec, parse_axis
 from .worker import WorkerConfig, default_worker_id, run_worker
 
@@ -282,119 +291,69 @@ def cmd_report(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# import-json (baseline backfill)
+# import-json / gate (both read ``export --json`` files)
 # ----------------------------------------------------------------------
-
-def _import_macro(db: ExperimentDB, report: dict, worker: str) -> int:
-    point = report["point"]
-    imported = 0
-    for algorithm, metrics in report.get("metrics", {}).items():
-        params = {
-            "transport": "sim",
-            "algorithm": algorithm,
-            "n_nodes": point["n_nodes"],
-            "n_queries": point["n_queries"],
-            "n_tuples": point["n_tuples"],
-            "domain_size": point["domain_size"],
-            "zipf_s": point["zipf_s"],
-            "seed": report.get("seed", 1),
-        }
-        resources = {}
-        wall = report.get("wall_seconds", {}).get(algorithm)
-        if wall is not None:
-            resources["wall_seconds"] = wall
-        imported += db.import_done(params, metrics, resources, worker=worker)
-    return imported
-
-
-def _import_scale(db: ExperimentDB, report: dict, worker: str) -> int:
-    imported = 0
-    for entry in [report] + list(report.get("extra_points", [])):
-        point = entry["point"]
-        for algorithm, metrics in entry.get("metrics", {}).items():
-            params = {
-                "transport": "shard",
-                "algorithm": algorithm,
-                "n_nodes": point["n_nodes"],
-                "n_queries": point["n_queries"],
-                "n_tuples": point["n_tuples"],
-                "domain_size": point["domain_size"],
-                "zipf_s": point["zipf_s"],
-                "window": point.get("window"),
-                "replication_factor": point.get("replication_factor", 1),
-                "jfrt_capacity": point.get("jfrt_capacity", 0),
-                "evict_every": point.get("evict_every", 64),
-                "seed": entry.get("seed", 1),
-            }
-            resources = dict(entry.get("resources", {}).get(algorithm, {}))
-            wall = entry.get("wall_seconds", {}).get(algorithm)
-            if wall is not None:
-                resources["wall_seconds"] = wall
-            imported += db.import_done(params, metrics, resources, worker=worker)
-    return imported
-
-
-def _import_loadgen(db: ExperimentDB, report: dict, worker: str) -> int:
-    point = report["point"]
-    imported = 0
-    for algorithm, entry in report.get("algorithms", {}).items():
-        measured = entry["batched"]
-        metrics = {
-            "kind": "live",
-            "notifications_delivered": entry["notifications"],
-            "notification_digest": entry["digest"],
-            "mode": "batched",
-            "live": measured,
-        }
-        params = {
-            "transport": "live",
-            "algorithm": algorithm,
-            "n_nodes": point["n_nodes"],
-            "n_queries": point["n_queries"],
-            "n_tuples": point["n_tuples"],
-            "domain_size": point["domain_size"],
-            # The load generator streams the WorkloadParams default skew.
-            "zipf_s": 0.9,
-            "seed": point.get("seed", 1),
-        }
-        resources = {
-            "wall_seconds": measured.get("wall_seconds"),
-            "total_seconds": measured.get("total_seconds"),
-            "events_per_sec": measured.get("events_per_sec"),
-            "notifications_per_sec": measured.get("notifications_per_sec"),
-            "latency_ms": measured.get("latency_ms"),
-        }
-        imported += db.import_done(params, metrics, resources, worker=worker)
-    return imported
-
-
-#: Baseline-name → importer.
-IMPORTERS = {
-    "macro-e14-largest": _import_macro,
-    "sim-scale-point": _import_scale,
-    "net-loadgen-v1": _import_loadgen,
-}
-
 
 def cmd_import_json(args) -> int:
     total = 0
     with _open_db(args) as db:
         for path in args.files:
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    report = json.load(handle)
-            except (OSError, json.JSONDecodeError) as error:
+                rows = read_export(path)
+                decoded = [decode_done_row(row) for row in rows]
+            except (OSError, ValueError) as error:
                 return _fail(f"{path}: {error}")
-            importer = IMPORTERS.get(report.get("name"))
-            if importer is None:
-                return _fail(
-                    f"{path}: unknown baseline name {report.get('name')!r}; "
-                    f"importable: {sorted(IMPORTERS)}"
+            count = sum(
+                db.import_done(
+                    params, metrics, resources, worker=row.get("worker") or "import"
                 )
-            count = importer(db, report, f"import:{os.path.basename(path)}")
+                for row, (params, metrics, resources) in zip(rows, decoded)
+            )
             print(f"{path}: imported {count} experiments")
             total += count
     print(f"imported {total} experiments total")
+    return 0
+
+
+def cmd_gate(args) -> int:
+    baseline = read_export(args.file)
+    kept: dict[int, object] = {}  # by id(row): rows settle out of file order
+
+    def on_row(row, outcome, problems) -> None:
+        verdict = "FAIL" if problems else "ok"
+        label = row_label(row.get("id"), row)
+        if outcome is None:
+            print(f"{verdict:4s} {label}: did not run", file=sys.stderr)
+            return
+        kept[id(row)] = outcome
+        wall, stored = outcome.resources["wall_seconds"], row["wall_seconds"]
+        print(
+            f"{verdict:4s} {label}: {wall:.3f}s vs stored {stored:.3f}s "
+            f"({wall / stored:.2f}x)",
+            file=sys.stderr,
+        )
+
+    problems = gate_rows(baseline, on_row=on_row)
+    if args.output:
+        # Through the writer every sweep row goes through, so the
+        # artifact is itself a baseline.
+        with ExperimentDB(":memory:") as fresh:
+            for row in baseline:
+                if id(row) in kept:
+                    outcome = kept[id(row)]
+                    fresh.import_done(
+                        {name: row[name] for name in PARAM_FIELDS},
+                        outcome.metrics,
+                        outcome.resources,
+                        worker="gate",
+                    )
+            count = fresh.export_json(args.output)
+        print(f"wrote {count} rows to {args.output}", file=sys.stderr)
+    for problem in problems:
+        print(f"GATE FAIL: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"gate: OK — {len(baseline)} rows repeat exactly, walls within budget")
     return 0
 
 
@@ -481,10 +440,17 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(handler=cmd_report)
 
     importer = commands.add_parser(
-        "import-json", help="backfill committed BENCH_*.json baselines"
+        "import-json", help="insert the done rows of export --json files"
     )
-    importer.add_argument("files", nargs="+", help="baseline JSON files")
+    importer.add_argument("files", nargs="+", help="export --json files")
     importer.set_defaults(handler=cmd_import_json)
+
+    gate = commands.add_parser(
+        "gate", help="re-run a baseline's rows; exact metrics, bounded walls"
+    )
+    gate.add_argument("file", help="export --json file (BENCH_baseline.json)")
+    gate.add_argument("--output", help="write the fresh rows here (JSON)")
+    gate.set_defaults(handler=cmd_gate)
 
     return parser
 

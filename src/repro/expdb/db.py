@@ -211,6 +211,52 @@ def decode_params(row: dict) -> dict:
     return params
 
 
+def row_label(row_id, params: dict) -> str:
+    """How log lines and gate failures name one experiment."""
+    return (
+        f"#{row_id} {params['transport']}/{params['algorithm']} "
+        f"n={params['n_nodes']} seed={params['seed']}"
+    )
+
+
+def read_export(path: str) -> list:
+    """The rows of an ``export --json`` file (see :func:`decode_done_row`)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        rows = json.load(handle)
+    if not isinstance(rows, list):
+        raise ValueError("not an 'export --json' file: expected a list of rows")
+    return rows
+
+
+def decode_done_row(row) -> tuple[dict, dict, dict]:
+    """One finished export row as ``(params, metrics, resources)``.
+
+    The inverse of what :meth:`ExperimentDB.finish` stored — exactly
+    the arguments of :meth:`ExperimentDB.import_done`, and what the
+    gate re-runs and compares against.  Anything else is refused, never
+    skipped: a column the schema does not know, parameters
+    :func:`normalize_params` rejects, a row that is not ``done``.
+    """
+    if not isinstance(row, dict):
+        raise ValueError(f"not an export row: {row!r}")
+    unknown = sorted(set(row) - set(EXPORT_COLUMNS))
+    missing = [name for name in PARAM_FIELDS if name not in row]
+    if unknown or missing:
+        raise ValueError(
+            f"not an export row: unknown columns {unknown}, "
+            f"missing parameters {missing}"
+        )
+    params = decode_params(normalize_params({name: row[name] for name in PARAM_FIELDS}))
+    if row.get("status") != "done" or not row.get("metrics_json"):
+        raise ValueError(
+            f"{row_label(row.get('id'), params)} is {row.get('status')!r} "
+            f"without results — only 'done' rows carry a measurement"
+        )
+    resources = {name: row.get(name) for name in RESOURCE_FIELDS}
+    resources.update(json.loads(row.get("resources_json") or "{}"))
+    return params, json.loads(row["metrics_json"]), resources
+
+
 @dataclass(frozen=True)
 class Claim:
     """One successfully claimed experiment."""
@@ -495,11 +541,11 @@ class ExperimentDB:
     ) -> bool:
         """Insert one already-measured experiment as a ``done`` row.
 
-        The backfill path for committed ``BENCH_*.json`` baselines: the
-        row is created open, immediately claimed by ``worker`` and
+        The ``import-json`` path (arguments: :func:`decode_done_row`):
+        the row is created open, immediately claimed by ``worker`` and
         finished with the given results, all in-process.  Returns False
         (and changes nothing) when the parameter combination already
-        exists — committed history is never overwritten.
+        exists — stored history is never overwritten.
         """
         added, _ = self.fill([params])
         if not added:

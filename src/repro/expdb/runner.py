@@ -14,11 +14,24 @@ back-end:
 * ``live`` — the real-TCP load generator via
   :func:`repro.net.loadgen.run_load_sync` (answer-set metrics are
   deterministic; throughput/latency land in the resource columns).
+  A digest or delivered count that differs from the simulator oracle
+  raises (:func:`repro.net.loadgen.check_against_simulator`), so a
+  ``live`` row can only become ``done`` if it equals the simulator.
 
 Every outcome carries the stable metrics row (``to_row()``) plus the
 per-run resource columns (wall seconds, peak RSS, events/sec).  The
 metrics are machine-independent and reproducible from the parameters
 alone — re-running the same row must produce byte-identical metrics.
+``wall_seconds`` is the whole path a user pays for on every transport:
+ring build + install + stream for the simulators, install + stream +
+settle for the live cluster.
+
+:func:`run_experiment` is the one measuring loop of the worker and of
+the gate, and both run rows back to back in one process: before a row
+it empties the hash memo and runs a full collection, because the
+previous row's ring is cyclic garbage the paused replay
+(:mod:`repro.sim.collector`) no longer frees in passing — left alone,
+the next row pays for it in wall and peak RSS.
 
 ``REPRO_EXPDB_RUN_DELAY`` (float seconds) pauses execution between
 claim and run; the crash-consistency tests use it to SIGKILL workers
@@ -27,6 +40,7 @@ mid-run deterministically.  It is a test hook, not a tuning knob.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from dataclasses import dataclass
@@ -35,6 +49,7 @@ from typing import Optional
 from ..bench.configs import Scale
 from ..bench.harness import run_standard
 from ..bench.scale import peak_rss_kb, run_scale_point
+from ..chord.hashing import hash_key_cache_clear
 from ..faults import DelaySpec, FaultInjector, FaultPlan
 
 
@@ -142,27 +157,35 @@ def _run_live(params: dict) -> ExperimentOutcome:
             "python -m repro.net.cluster --chaos, not the experiment "
             "database; use transport='sim' for faulted sweep points"
         )
-    from ..net.loadgen import LoadgenConfig, run_load_sync
+    if params["window"]:
+        raise ValueError(
+            "the live transport refuses windowed rows: the pipelined "
+            "driver does not reproduce the simulator's windowed answer "
+            "set (20-37 of 39 answers at a 6-node probe point), so such "
+            "a row could never pass the oracle check; use transport="
+            "'sim' or 'shard' for windowed sweep points"
+        )
+    from ..net.loadgen import LoadgenConfig, check_against_simulator, run_load_sync
 
     overrides = engine_overrides(params)
     overrides.pop("index_choice")
-    report = run_load_sync(
-        LoadgenConfig(
-            algorithm=params["algorithm"],
-            n_nodes=params["n_nodes"],
-            n_queries=params["n_queries"],
-            n_tuples=params["n_tuples"],
-            domain_size=params["domain_size"],
-            zipf_s=params["zipf_s"],
-            seed=params["seed"],
-            engine_overrides=overrides,
-        )
+    config = LoadgenConfig(
+        algorithm=params["algorithm"],
+        n_nodes=params["n_nodes"],
+        n_queries=params["n_queries"],
+        n_tuples=params["n_tuples"],
+        domain_size=params["domain_size"],
+        zipf_s=params["zipf_s"],
+        seed=params["seed"],
+        engine_overrides=overrides,
     )
+    report = run_load_sync(config)
+    check_against_simulator(config, report)
     return ExperimentOutcome(
         metrics=report.to_row(),
         resources={
-            "wall_seconds": round(report.stream_seconds, 4),
-            "total_seconds": round(report.total_seconds, 4),
+            "wall_seconds": round(report.total_seconds, 4),
+            "stream_seconds": round(report.stream_seconds, 4),
             "peak_rss_kb": peak_rss_kb(),
             "events_per_sec": report.events_per_sec,
             "notifications_per_sec": report.notifications_per_sec,
@@ -177,6 +200,8 @@ def run_experiment(params: dict, *, shards: Optional[int] = None) -> ExperimentO
     delay = float(os.environ.get("REPRO_EXPDB_RUN_DELAY", "0") or 0)
     if delay > 0:
         time.sleep(delay)
+    hash_key_cache_clear()
+    gc.collect()
     transport = params["transport"]
     if transport == "sim":
         return _run_sim(params)

@@ -31,7 +31,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .db import ExperimentDB
+from .db import ExperimentDB, row_label
 from .runner import run_experiment
 
 
@@ -125,11 +125,7 @@ def run_worker(
                     return stats
                 time.sleep(config.poll_interval)
                 continue
-            label = (
-                f"#{claim.id} {claim.params['transport']}/"
-                f"{claim.params['algorithm']} n={claim.params['n_nodes']} "
-                f"seed={claim.params['seed']}"
-            )
+            label = row_label(claim.id, claim.params)
             emit(
                 f"claimed {label} (attempt {claim.attempts}"
                 + (", reclaimed stale" if claim.reclaimed else "")

@@ -21,10 +21,8 @@ sockets.  The pieces:
   (``python -m repro.net.cluster``, ``--chaos`` for the fault soak);
 * :mod:`repro.net.loadgen` — sustained live load generator: pipelined
   tuple/query streams, notifications/sec and p50/p95/p99 end-to-end
-  latency, and the committed ``BENCH_net_seed.json`` throughput gate
-  (``python -m repro.net.loadgen``);
-* :mod:`repro.net.loop` — optional ``uvloop`` event-loop acceleration
-  behind ``REPRO_NET_UVLOOP`` / ``--uvloop`` with graceful fallback.
+  latency (``python -m repro.net.loadgen``; the committed live points
+  are gated by ``python -m repro.expdb gate``).
 
 The seam that makes this possible is :class:`repro.transport.Transport`:
 the engine sends through ``engine.transport`` and never notices whether
@@ -40,7 +38,6 @@ from .codec import (
     encode_frame,
     encode_frame_into,
 )
-from .loop import maybe_install_uvloop
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -49,5 +46,4 @@ __all__ = [
     "encode",
     "encode_frame",
     "encode_frame_into",
-    "maybe_install_uvloop",
 ]

@@ -310,7 +310,7 @@ def soak_reference(
     evict_every: int = 64,
 ) -> tuple[str, int]:
     """The fault-free oracle for a soak: same loop, simulator transport."""
-    from ..bench.macro import notification_digest
+    from ..bench.rows import notification_digest
 
     engine = ContinuousQueryEngine(
         ChordNetwork.build(n_nodes),
@@ -411,7 +411,7 @@ class ChaosController:
         round passed without absorbing any new fault.  Plan faults stay
         active throughout — the retry path absorbs them — exactly like
         ``ChaosHarness.settle`` keeps drops active in the simulator."""
-        from ..bench.macro import notification_digest
+        from ..bench.rows import notification_digest
 
         cluster = self.cluster
         engine = cluster.engine
@@ -445,7 +445,7 @@ async def run_chaos_soak(
     delivered-notification digest is stable.  The caller checks the
     report against :func:`soak_reference` (the CLI and CI do).
     """
-    from ..bench.macro import notification_digest
+    from ..bench.rows import notification_digest
     from .cluster import LiveCluster
 
     settings = settings if settings is not None else SoakSettings()

@@ -49,7 +49,6 @@ from ..workload.generator import Workload, WorkloadParams, build_workload
 from .codec import encode_frame, read_frame
 from .frames import JoinReply, JoinRequest, MultiFrame, RouteFrame
 from .health import HealthConfig
-from .loop import maybe_install_uvloop
 from .peer import InFlight, NetConfig, NetPeer, SocketTransport, set_nodelay
 
 
@@ -422,7 +421,7 @@ class LiveCluster:
         return self.report(workload)
 
     def report(self, workload: Workload) -> LiveReport:
-        from ..bench.macro import notification_digest
+        from ..bench.rows import notification_digest
 
         return LiveReport(
             algorithm=self.engine.config.algorithm,
@@ -464,7 +463,7 @@ def simulate_reference(
 ) -> tuple[str, int]:
     """The simulator oracle: digest + delivery count for one workload."""
     from ..bench.harness import run_workload
-    from ..bench.macro import notification_digest
+    from ..bench.rows import notification_digest
 
     engine = ContinuousQueryEngine(
         ChordNetwork.build(n_nodes),
@@ -513,17 +512,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         "the delivered-notification digests match exactly",
     )
     parser.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="use uvloop if installed (falls back to asyncio silently; "
-        "REPRO_NET_UVLOOP=1 has the same effect)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit the report as JSON"
     )
     args = parser.parse_args(argv)
-
-    maybe_install_uvloop(True if args.uvloop else None)
 
     if args.chaos is not None:
         from .chaos import run_soak_cli

@@ -22,7 +22,7 @@ What it records, per algorithm:
 * wire/frame/batch counters and the delivered-notification digest.
 
 Why pipelining cannot change the answers: the digest is a *set* digest
-(:func:`repro.bench.macro.notification_digest`), queries are fully
+(:func:`repro.bench.rows.notification_digest`), queries are fully
 installed (and drained) before the stream starts, and every tuple
 carries its own ``pub_time``, so answer identity never depends on
 arrival order.  One wrinkle remains: DAI-Q and DAI-T each disable one
@@ -38,44 +38,28 @@ drains.  The settle is timed separately and the handful of recovered
 answers is reported.  ``--compare-sim`` asserts the resulting set is
 digest-identical to the simulator oracle.
 
-The committed ``BENCH_net_seed.json`` stores one best-of-3 run per
-algorithm at a fixed point; the CI gate (``--compare``) demands that
-today's digests equal it and that today's **install + stream + settle**
-wall stays within :data:`WALL_SLACK` of it.
+The committed live points are ``live`` rows of ``BENCH_baseline.json``:
+``python -m repro.expdb gate`` re-runs them through
+:func:`run_load_sync`, demands the recorded digest and bounds today's
+**install + stream + settle** wall (:mod:`repro.expdb.gate`).
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import json
-import platform
 import random
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..workload.generator import Workload, WorkloadParams, build_workload
 from .cluster import ClusterConfig, LiveCluster, simulate_reference
-from .loop import loop_label, maybe_install_uvloop
 from .peer import NetConfig
 
-#: Algorithms measured by the committed baseline, in presentation order.
+#: Algorithms the command line measures, in presentation order.
 ALGORITHMS = ("sai", "dai-q", "dai-t", "dai-v")
-
-#: Name recorded in the JSON so unrelated baselines never compare.
-BASELINE_NAME = "net-loadgen-v1"
-
-#: The gate fails once today's total wall (install + stream + settle,
-#: the whole path a user pays for) exceeds the committed total times
-#: this.  Both sides are best-of-N runs of the same path on the same
-#: seeded point, so the slack has to cover machine noise only:
-#: best-of-N totals on one box swing 20–25% from minute to minute
-#: (measured while building ``benchmarks/joinbench``), more across CI
-#: runners.  1.5 clears that twice over, yet a path that got 2× slower
-#: fails.
-WALL_SLACK = 1.5
 
 #: Latency percentiles reported, as fractions.
 PERCENTILES = (0.50, 0.95, 0.99)
@@ -314,7 +298,7 @@ async def _drive(
     await cluster.drain()
     settle_seconds = clock() - settle_start
 
-    from ..bench.macro import notification_digest
+    from ..bench.rows import notification_digest
 
     notifications = sum(len(batch) for batch in engine.delivered.values())
     peers = cluster.peers.values()
@@ -350,140 +334,22 @@ def run_load_sync(config: LoadgenConfig) -> LoadReport:
     return asyncio.run(run_load(config))
 
 
-# ----------------------------------------------------------------------
-# Baseline reports and the CI gate
-# ----------------------------------------------------------------------
-
-def build_report(
-    point: LoadgenConfig,
-    *,
-    algorithms: Sequence[str] = ALGORITHMS,
-    check_sim: bool = False,
-    repeats: int = 1,
-) -> dict:
-    """Measure ``algorithms`` at one point; returns the JSON-ready
-    report (the ``BENCH_net_seed.json`` shape).
-
-    ``repeats`` runs each algorithm that many times and keeps the run
-    with the smallest total wall — live localhost runs are noisy, and
-    best-of-N measures the code, not the machine's mood (same policy
-    as the micro-benchmark harness).  With ``check_sim`` every measured
-    digest is additionally compared against the simulator oracle; a
-    mismatch raises ``RuntimeError`` (throughput work must never
-    change semantics).
-    """
-    entries: dict[str, dict] = {}
-    for algorithm in algorithms:
-        config = replace(point, algorithm=algorithm)
-        report = run_load_sync(config)
-        for _ in range(max(0, repeats - 1)):
-            candidate = run_load_sync(config)
-            if candidate.digest != report.digest:
-                raise RuntimeError(
-                    f"{algorithm}: repeated runs disagree on the "
-                    f"notification digest — the live path is not "
-                    f"deterministic"
-                )
-            if candidate.total_seconds < report.total_seconds:
-                report = candidate
-        digest = report.digest
-        # "batched" is the key the committed baselines and the expdb
-        # importer have always read the shipped path's numbers from.
-        entry: dict = {
-            "batched": report.as_dict(),
-            "notifications": report.notifications,
-            "digest": digest,
-        }
-        if check_sim:
-            sim_digest, sim_delivered = simulate_reference(
-                point.workload(),
-                algorithm=algorithm,
-                n_nodes=point.n_nodes,
-                seed=point.seed,
-            )
-            entry["sim_digest"] = sim_digest
-            if sim_digest != digest:
-                raise RuntimeError(
-                    f"{algorithm}: live loadgen digest {digest[:12]} != "
-                    f"simulator digest {sim_digest[:12]}"
-                )
-            if sim_delivered != entry["notifications"]:
-                raise RuntimeError(
-                    f"{algorithm}: live delivered {entry['notifications']} "
-                    f"!= simulator {sim_delivered}"
-                )
-        entries[algorithm] = entry
-    return {
-        "name": BASELINE_NAME,
-        "point": {
-            "n_nodes": point.n_nodes,
-            "n_queries": point.n_queries,
-            "n_tuples": point.n_tuples,
-            "domain_size": point.domain_size,
-            "seed": point.seed,
-            "inflight_budget": point.inflight_budget,
-        },
-        "host": {
-            "python": platform.python_version(),
-            "implementation": platform.python_implementation(),
-            "machine": platform.machine(),
-            "system": platform.system(),
-        },
-        "loop": loop_label(),
-        "algorithms": entries,
-    }
-
-
-def compare_reports(current: dict, baseline: dict) -> list[str]:
-    """Gate ``current`` against a committed baseline; [] means green.
-
-    Semantics gate: every algorithm's digest must match the baseline's
-    exactly (the workload point and seed are pinned, so the digest is
-    machine-independent).  Drift gate: the current total wall (install
-    + stream + settle) may not exceed the baseline's by more than
-    :data:`WALL_SLACK`.
-    """
-    problems: list[str] = []
-    if current.get("name") != baseline.get("name"):
-        problems.append(
-            f"benchmark mismatch: {current.get('name')!r} vs "
-            f"{baseline.get('name')!r} — refusing to compare"
+def check_against_simulator(config: LoadgenConfig, report: LoadReport) -> None:
+    """Raise ``RuntimeError`` unless ``report`` delivered exactly what
+    the simulator oracle delivers for the same workload — digest *and*
+    count (throughput work must never change answers)."""
+    expected = simulate_reference(
+        config.workload(),
+        algorithm=config.algorithm,
+        n_nodes=config.n_nodes,
+        seed=config.seed,
+    )
+    if (report.digest, report.notifications) != expected:
+        raise RuntimeError(
+            f"live {config.algorithm} run diverged from the simulator: "
+            f"digest {report.digest[:12]} / {report.notifications} delivered "
+            f"!= {expected[0][:12]} / {expected[1]}"
         )
-        return problems
-    if current.get("point") != baseline.get("point"):
-        problems.append(
-            "workload point mismatch — baselines are only comparable on "
-            "the identical seeded point"
-        )
-        return problems
-    for algorithm, base_entry in baseline.get("algorithms", {}).items():
-        entry = current.get("algorithms", {}).get(algorithm)
-        if entry is None:
-            problems.append(f"algorithm {algorithm!r} missing from current run")
-            continue
-        if entry.get("digest") != base_entry.get("digest"):
-            problems.append(
-                f"{algorithm}: notification digest changed: "
-                f"{base_entry.get('digest')!r} -> {entry.get('digest')!r} "
-                f"— the live path no longer reproduces the recorded "
-                f"answer set"
-            )
-        if entry.get("notifications") != base_entry.get("notifications"):
-            problems.append(
-                f"{algorithm}: delivered notification count changed: "
-                f"{base_entry.get('notifications')} -> "
-                f"{entry.get('notifications')}"
-            )
-        reference = base_entry["batched"]["total_seconds"]
-        measured = entry["batched"]["total_seconds"]
-        budget = reference * WALL_SLACK
-        if measured > budget:
-            problems.append(
-                f"{algorithm}: throughput regression: install + stream + "
-                f"settle took {measured:.3f}s > baseline "
-                f"{reference:.3f}s * {WALL_SLACK} = {budget:.3f}s"
-            )
-    return problems
 
 
 # ----------------------------------------------------------------------
@@ -491,89 +357,35 @@ def compare_reports(current: dict, baseline: dict) -> list[str]:
 # ----------------------------------------------------------------------
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    defaults = LoadgenConfig()
     parser = argparse.ArgumentParser(
         prog="python -m repro.net.loadgen",
         description="Pipelined live-cluster load generator: "
-        "notifications/sec + p50/p95/p99 latency per algorithm, with "
-        "an optional digest/throughput gate against a committed "
-        "baseline (BENCH_net_seed.json).",
+        "notifications/sec + p50/p95/p99 latency per algorithm.  The "
+        "committed live points are gated by python -m repro.expdb gate.",
     )
     parser.add_argument(
         "--algorithms",
         default="all",
         help="comma-separated subset of sai,dai-q,dai-t,dai-v or 'all'",
     )
-    parser.add_argument("--nodes", type=int, default=None)
-    parser.add_argument("--queries", type=int, default=None)
-    parser.add_argument("--tuples", type=int, default=None)
-    parser.add_argument("--domain-size", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--nodes", type=int, default=defaults.n_nodes)
+    parser.add_argument("--queries", type=int, default=defaults.n_queries)
+    parser.add_argument("--tuples", type=int, default=defaults.n_tuples)
+    parser.add_argument("--domain-size", type=int, default=defaults.domain_size)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument(
         "--inflight-budget",
         type=int,
-        default=None,
-        help="credit budget gating the pipelined driver (default 256)",
+        default=defaults.inflight_budget,
+        help="credit budget gating the pipelined driver",
     )
     parser.add_argument(
         "--compare-sim",
         action="store_true",
         help="fail unless every live digest matches the simulator's",
     )
-    parser.add_argument(
-        "--compare",
-        default=None,
-        metavar="PATH",
-        help="gate digests and throughput drift against a committed "
-        "baseline JSON; its recorded point supplies any unset "
-        "point parameters",
-    )
-    parser.add_argument(
-        "--output", default=None, metavar="PATH", help="write the report JSON"
-    )
-    parser.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="use uvloop if installed (falls back to asyncio silently)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        help="best-of-N total walls per algorithm "
-        "(default 1; baseline generation should use 3+)",
-    )
-    parser.add_argument("--json", action="store_true", help="print raw JSON")
     args = parser.parse_args(argv)
-
-    maybe_install_uvloop(True if args.uvloop else None)
-
-    baseline = None
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-
-    defaults = LoadgenConfig()
-    base_point = (baseline or {}).get("point", {})
-
-    def pick(cli_value, key, fallback):
-        if cli_value is not None:
-            return cli_value
-        if key in base_point:
-            return base_point[key]
-        return fallback
-
-    point = LoadgenConfig(
-        n_nodes=pick(args.nodes, "n_nodes", defaults.n_nodes),
-        n_queries=pick(args.queries, "n_queries", defaults.n_queries),
-        n_tuples=pick(args.tuples, "n_tuples", defaults.n_tuples),
-        domain_size=pick(
-            args.domain_size, "domain_size", defaults.domain_size
-        ),
-        seed=pick(args.seed, "seed", defaults.seed),
-        inflight_budget=pick(
-            args.inflight_budget, "inflight_budget", defaults.inflight_budget
-        ),
-    )
 
     if args.algorithms.strip().lower() == "all":
         algorithms: Sequence[str] = ALGORITHMS
@@ -585,51 +397,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if unknown:
             parser.error(f"unknown algorithm(s): {sorted(unknown)}")
 
-    try:
-        report = build_report(
-            point,
-            algorithms=algorithms,
-            check_sim=args.compare_sim,
-            repeats=max(1, args.repeats),
+    status = 0
+    for algorithm in algorithms:
+        config = LoadgenConfig(
+            algorithm=algorithm,
+            n_nodes=args.nodes,
+            n_queries=args.queries,
+            n_tuples=args.tuples,
+            domain_size=args.domain_size,
+            seed=args.seed,
+            inflight_budget=args.inflight_budget,
         )
-    except RuntimeError as exc:
-        print(f"LOADGEN FAIL: {exc}", file=sys.stderr)
-        return 1
-
-    rendered = json.dumps(report, indent=2, sort_keys=False)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    if args.json:
-        print(rendered)
-    else:
-        for algorithm, entry in report["algorithms"].items():
-            stats = entry["batched"]
-            lat = stats["latency_ms"]
-            print(
-                f"{algorithm:6s} "
-                f"{stats['notifications_per_sec']:9.1f} notif/s  "
-                f"p50 {lat['p50_ms']:7.2f}ms  "
-                f"p95 {lat['p95_ms']:7.2f}ms  "
-                f"p99 {lat['p99_ms']:7.2f}ms  "
-                f"({stats['wall_seconds']:.3f}s stream, "
-                f"{stats['total_seconds']:.3f}s total, "
-                f"{stats['frames_sent']} frames, "
-                f"{stats['batches_sent']} batches)"
-            )
-
-    if baseline is not None:
-        problems = compare_reports(report, baseline)
-        if problems:
-            for problem in problems:
-                print(f"NET PERF GATE FAIL: {problem}", file=sys.stderr)
-            return 1
+        report = run_load_sync(config)
+        latency = report.latency
         print(
-            "net perf gate: OK (digests identical, wall within budget)",
-            file=sys.stderr,
+            f"{algorithm:6s} "
+            f"{report.notifications_per_sec:9.1f} notif/s  "
+            f"p50 {latency.p50_ms:7.2f}ms  "
+            f"p95 {latency.p95_ms:7.2f}ms  "
+            f"p99 {latency.p99_ms:7.2f}ms  "
+            f"({report.stream_seconds:.3f}s stream, "
+            f"{report.total_seconds:.3f}s total, "
+            f"{report.frames_sent} frames, "
+            f"{report.batches_sent} batches)"
         )
-    return 0
+        if args.compare_sim:
+            try:
+                check_against_simulator(config, report)
+            except RuntimeError as error:
+                print(f"LOADGEN FAIL: {error}", file=sys.stderr)
+                status = 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -79,12 +79,18 @@ for all four algorithms, both in-process and forked.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
+from ..bench.rows import (
+    ROW_VERSION,
+    delivered_pairs,
+    digest_of_pairs,
+    traffic_from_row,
+    traffic_to_row,
+)
 from ..chord.routing import Router
 from ..chord.snapshot import SegmentMap
 from ..core.notifications import group_by_subscriber
@@ -194,27 +200,9 @@ def _process_stage(engine, transport: ShardTransport, items: list, phase: str) -
         nodes[ident].deliver(message)
 
 
-def delivered_pairs(engine) -> dict[str, list[tuple]]:
-    """``engine.delivered`` reduced to the digest-relevant pairs."""
-    return {
-        key: [(n.join_value_repr, repr(n.row)) for n in batch]
-        for key, batch in engine.delivered.items()
-    }
-
-
-def digest_of_pairs(delivered: dict[str, list[tuple]]) -> str:
-    """SHA-1 digest over canonical answer sets.
-
-    Byte-compatible with :func:`repro.bench.macro.notification_digest`:
-    both hash ``repr`` of the sorted ``(key, sorted(pairs))`` list.
-    """
-    canonical = sorted((key, sorted(pairs)) for key, pairs in delivered.items())
-    return hashlib.sha1(repr(canonical).encode("utf-8")).hexdigest()
-
-
 @dataclass
 class ShardRunResult:
-    """Metrics of one sharded stream run (macro-benchmark vocabulary)."""
+    """Metrics of one sharded stream run (:mod:`repro.bench.rows` vocabulary)."""
 
     install_traffic: TrafficSnapshot
     stream_traffic: TrafficSnapshot
@@ -240,8 +228,6 @@ class ShardRunResult:
     def to_row(self) -> dict:
         """Stable JSON-safe dict of this run (no pickling; see
         :mod:`repro.bench.rows` for the stability contract)."""
-        from ..bench.rows import ROW_VERSION, traffic_to_row
-
         return {
             "row_version": ROW_VERSION,
             "kind": "shard",
@@ -261,8 +247,6 @@ class ShardRunResult:
     @classmethod
     def from_row(cls, row: dict) -> "ShardRunResult":
         """Inverse of :meth:`to_row` (unknown keys ignored)."""
-        from ..bench.rows import traffic_from_row
-
         return cls(
             install_traffic=traffic_from_row(row["install_traffic"]),
             stream_traffic=traffic_from_row(row["stream_traffic"]),

@@ -1,107 +1,132 @@
-"""Tests for the macro-benchmark perf-regression gate.
+"""The gate's comparison rules, one stored row against one run.
 
-``compare_reports`` is what CI runs against the committed
-``BENCH_seed.json``: simulated metrics must match *exactly* (the
-bit-identical invariant of the optimization pass), wall-clock may drift
-up to the threshold.
+``gate_rows`` is what CI runs against the committed
+``BENCH_baseline.json``: the counted metrics of a fresh run must match
+the stored row *exactly*, its wall may be at most ``WALL_SLACK`` times
+the stored one.  A replaying runner stands in for the real one, so each
+rule is exercised on walls and metrics chosen by the test.
 """
 
 from __future__ import annotations
 
 import copy
+import json
 
-from repro.bench.macro import compare_reports, headline_scale, speedup_versus
-from repro.bench.configs import Scale
+import pytest
+
+from repro.expdb.db import read_export
+from repro.expdb.gate import MAX_RUNS, WALL_SLACK, gate_rows
+
+from ..expdb.gate_fakes import Replay, two_rows
 
 
-def _report(total: float = 10.0, hops: int = 100) -> dict:
-    return {
-        "name": "macro-e14-largest",
-        "scale": "default",
-        "point": {"n_nodes": 512, "n_queries": 200, "n_tuples": 350},
-        "seed": 1,
-        "wall_seconds": {"sai": total / 2, "dai-t": total / 2, "total": total},
-        "metrics": {
-            "sai": {"hops": hops, "messages": 50, "notification_digest": "abc"},
-            "dai-t": {"hops": hops + 1, "messages": 51, "notification_digest": "abc"},
-        },
-    }
+def gate(rows, **shape) -> tuple[list[str], Replay]:
+    runner = Replay(rows, **shape)
+    return gate_rows(rows, runner=runner), runner
 
 
 class TestCompareReports:
     def test_identical_reports_pass(self):
-        assert compare_reports(_report(), _report()) == []
+        problems, runner = gate(two_rows())
+        assert problems == []
+        assert len(runner.calls) == 2  # one run per row is enough
 
     def test_faster_run_passes(self):
-        assert compare_reports(_report(total=3.0), _report(total=10.0)) == []
+        assert gate(two_rows(wall=10.0), wall=lambda stored, nth: 3.0)[0] == []
 
     def test_wall_within_threshold_passes(self):
-        assert compare_reports(_report(total=12.4), _report(total=10.0), 0.25) == []
+        assert WALL_SLACK == 1.5
+        problems, runner = gate(two_rows(), wall=lambda stored, nth: stored * 1.49)
+        assert problems == []
+        assert len(runner.calls) == 2
 
     def test_wall_regression_fails(self):
-        problems = compare_reports(_report(total=12.6), _report(total=10.0), 0.25)
+        rows = two_rows()[:1]
+        problems, runner = gate(rows, wall=lambda stored, nth: stored * 1.51)
         assert len(problems) == 1
-        assert "wall-clock regression" in problems[0]
+        assert "wall_seconds" in problems[0]
+        assert "sim/sai n=512 seed=1" in problems[0]
+        # Over budget is re-run, but only so often.
+        assert len(runner.calls) == MAX_RUNS == 3
 
     def test_metric_drift_fails_even_when_faster(self):
-        problems = compare_reports(
-            _report(total=1.0, hops=99), _report(total=10.0, hops=100)
+        def drifted(metrics, nth):
+            metrics["stream_traffic"]["hops"] -= 1
+            return metrics
+
+        problems, runner = gate(
+            two_rows()[:1], wall=lambda stored, nth: 1.0, metrics=drifted
         )
-        assert any("hops" in p for p in problems)
+        assert any("sim/sai" in p and "hops changed: 100 -> 99" in p for p in problems)
+        assert len(runner.calls) == 1  # a wrong answer is not re-run
 
     def test_missing_algorithm_fails(self):
-        current = _report()
-        del current["metrics"]["dai-t"]
-        problems = compare_reports(current, _report())
-        assert any("dai-t" in p for p in problems)
+        """A row today's code cannot run fails by name; the rest is gated."""
+        rows = two_rows()
+        replay = Replay(rows)
+
+        def runner(params, *, shards=None):
+            if params["algorithm"] == "dai-t":
+                raise ValueError("unknown algorithm 'dai-t'")
+            return replay(params, shards=shards)
+
+        problems = gate_rows(rows, runner=runner)
+        assert len(problems) == 1
+        assert "sim/dai-t" in problems[0] and "run failed" in problems[0]
+        assert "unknown algorithm 'dai-t'" in problems[0]
+        assert len(replay.calls) == 1
 
     def test_digest_change_names_the_field(self):
-        current = _report()
-        current["metrics"]["sai"]["notification_digest"] = "zzz"
-        problems = compare_reports(current, _report())
-        assert any("notification_digest" in p for p in problems)
+        def other_answers(metrics, nth):
+            metrics["notification_digest"] = "zz" * 20
+            return metrics
 
-    def test_different_benchmark_refuses_to_compare(self):
-        current = _report()
-        current["name"] = "other-benchmark"
-        problems = compare_reports(current, _report())
-        assert len(problems) == 1
-        assert "refusing" in problems[0]
+        problems, _ = gate(two_rows(), metrics=other_answers)
+        assert len(problems) == 2
+        assert all("notification_digest changed" in p for p in problems)
+
+    def test_different_benchmark_refuses_to_compare(self, tmp_path):
+        """Only ``export --json`` files are baselines: a report of any
+        other shape is refused, not searched for something comparable."""
+        report = tmp_path / "BENCH_other.json"
+        report.write_text(json.dumps({"name": "macro-e14-largest", "metrics": {}}))
+        with pytest.raises(ValueError, match="not an 'export --json' file"):
+            read_export(str(report))
+        with pytest.raises(ValueError, match="not an export row"):
+            gate_rows(["macro-e14-largest"], runner=Replay([]))
 
     def test_different_point_or_seed_refuses_to_compare(self):
+        """A run is only ever compared with the stored run of its own
+        point and seed: the row's parameters are what the runner gets."""
+        rows = two_rows()
+        rows[1]["seed"] = 2
+        rows[1]["n_nodes"] = 1024
+        runner = Replay(rows)
+        assert gate_rows(rows, runner=runner) == []
+        assert [(p["n_nodes"], p["seed"]) for p, _ in runner.calls] == [
+            (512, 1),
+            (1024, 2),
+        ]
+        # ... and a row whose parameters do not decode is an error.
         for mutate in (
-            lambda r: r["point"].update(n_nodes=1024),
-            lambda r: r.update(seed=2),
+            lambda row: row.pop("n_nodes"),
+            lambda row: row.update(offered_rate=80),
+            lambda row: row.update(transport="pigeon"),
         ):
-            current = _report()
-            mutate(current)
-            problems = compare_reports(current, _report())
-            assert len(problems) == 1
-            assert "mismatch" in problems[0]
+            broken = two_rows()
+            mutate(broken[0])
+            runner = Replay(two_rows())
+            with pytest.raises(ValueError):
+                gate_rows(broken, runner=runner)
+            assert runner.calls == []  # refused before anything ran
 
     def test_baseline_untouched(self):
-        baseline = _report()
-        snapshot = copy.deepcopy(baseline)
-        compare_reports(_report(total=99.0, hops=1), baseline)
-        assert baseline == snapshot
+        rows = two_rows()
+        snapshot = copy.deepcopy(rows)
 
+        def drifted(metrics, nth):
+            metrics["stream_traffic"]["hops"] = 1
+            return metrics
 
-class TestSpeedup:
-    def test_ratio(self):
-        assert speedup_versus(_report(total=2.0), _report(total=10.0)) == 5.0
-
-    def test_missing_wall_returns_none(self):
-        broken = _report()
-        del broken["wall_seconds"]
-        assert speedup_versus(broken, _report()) is None
-        assert speedup_versus(_report(), broken) is None
-
-
-class TestHeadlineScale:
-    def test_headline_is_the_largest_e14_point(self):
-        base = Scale("default", n_nodes=256, n_queries=400, n_tuples=700, domain_size=900)
-        point = headline_scale(base)
-        # E14: base = scaled(q=0.5, t=0.5, n=0.25), then nodes ×8.
-        assert point.n_nodes == 512
-        assert point.n_queries == 200
-        assert point.n_tuples == 350
+        assert gate(rows, wall=lambda stored, nth: 99.0, metrics=drifted)[0]
+        assert rows == snapshot

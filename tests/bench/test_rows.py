@@ -1,13 +1,19 @@
-"""The stable row serialization shared by macro, scale and expdb."""
+"""The stable row serialization and the digest every executor shares."""
 
+import hashlib
 import json
+
+import pytest
 
 from repro.bench.harness import RunResult, run_standard
 from repro.bench.rows import (
     MACRO_METRIC_FIELDS,
     ROW_VERSION,
     SCALE_METRIC_FIELDS,
+    delivered_pairs,
+    digest_of_pairs,
     metric_summary,
+    notification_digest,
     traffic_from_row,
     traffic_to_row,
 )
@@ -81,6 +87,27 @@ class TestShardResultRow:
         from repro.sim.shard import ShardRunResult
 
         assert ShardRunResult.from_row(row).to_row() == row
+
+
+class TestNotificationDigest:
+    @pytest.mark.parametrize("algorithm", ("sai", "dai-q", "dai-t", "dai-v"))
+    def test_both_entry_points_hash_the_stored_canonical_form(self, algorithm):
+        """``notification_digest(engine)`` (serial, live) and
+        ``digest_of_pairs`` (the sharded merge) must keep producing the
+        digests already stored in ``BENCH_baseline.json``."""
+        engine = run_standard(algorithm, TINY, seed=5).engine
+        assert any(engine.delivered.values())
+        canonical = sorted(
+            (key, sorted((n.join_value_repr, repr(n.row)) for n in batch))
+            for key, batch in engine.delivered.items()
+        )
+        expected = hashlib.sha1(repr(canonical).encode("utf-8")).hexdigest()
+        assert notification_digest(engine) == expected
+        pairs = delivered_pairs(engine)
+        assert digest_of_pairs(pairs) == expected
+        # Neither delivery order nor query order is part of the answer.
+        shuffled = {key: pairs[key][::-1] for key in reversed(list(pairs))}
+        assert digest_of_pairs(shuffled) == expected
 
 
 class TestMetricSummary:

@@ -213,14 +213,18 @@ class TestExportAndReport:
 
 
 class TestImportJson:
+    """``import-json`` is the inverse of ``export --json``."""
+
+    #: Columns an import cannot (and should not) reproduce.
+    VOLATILE = ("id", "created_at", "started_at", "finished_at", "heartbeat")
+
     def test_backfills_all_committed_baselines(self, db_path, capsys):
         assert (
             run(
                 db_path,
                 "import-json",
-                baseline("BENCH_seed.json"),
-                baseline("BENCH_sim_scale.json"),
-                baseline("BENCH_net_seed.json"),
+                baseline("BENCH_baseline.json"),
+                baseline("BENCH_history.json"),
             )
             == 0
         )
@@ -233,29 +237,42 @@ class TestImportJson:
         assert transports == {"sim", "shard", "live"}
 
     def test_import_is_idempotent(self, db_path, capsys):
-        run(db_path, "import-json", baseline("BENCH_seed.json"))
+        run(db_path, "import-json", baseline("BENCH_baseline.json"))
         capsys.readouterr()
-        assert run(db_path, "import-json", baseline("BENCH_seed.json")) == 0
+        assert run(db_path, "import-json", baseline("BENCH_baseline.json")) == 0
         assert "imported 0 experiments" in capsys.readouterr().out
 
-    def test_imported_macro_rows_keep_baseline_metrics(self, db_path):
-        run(db_path, "import-json", baseline("BENCH_seed.json"))
-        with open(baseline("BENCH_seed.json")) as handle:
+    def test_imported_macro_rows_keep_baseline_metrics(self, db_path, tmp_path):
+        """export -> import into a fresh database -> export: equal rows."""
+        run(db_path, "import-json", baseline("BENCH_baseline.json"))
+        exported = tmp_path / "again.json"
+        assert run(db_path, "export", "--json", str(exported)) == 0
+        with open(baseline("BENCH_baseline.json")) as handle:
             committed = json.load(handle)
-        with ExperimentDB(str(db_path)) as db:
-            rows = {row["algorithm"]: row for row in db.rows(status="done")}
-        for algorithm, metrics in committed["metrics"].items():
-            assert rows[algorithm]["hops"] == metrics["hops"]
-            assert (
-                rows[algorithm]["notification_digest"]
-                == metrics["notification_digest"]
-            )
+        with open(exported) as handle:
+            again = json.load(handle)
+
+        def stable(rows):
+            return [
+                {k: v for k, v in row.items() if k not in self.VOLATILE}
+                for row in rows
+            ]
+
+        assert stable(again) == stable(committed)
+        macro = [row for row in again if row["transport"] == "sim"]
+        assert [row["hops"] for row in macro] == [40194, 40989, 40966, 20460]
 
     def test_unknown_baseline_exits_nonzero(self, db_path, tmp_path, capsys):
         bogus = tmp_path / "BENCH_bogus.json"
         bogus.write_text(json.dumps({"name": "mystery-benchmark"}))
         assert run(db_path, "import-json", str(bogus)) != 0
-        assert "unknown baseline name" in capsys.readouterr().err
+        assert "not an 'export --json' file" in capsys.readouterr().err
+        unfinished = tmp_path / "open.json"
+        unfinished.write_text(json.dumps([{"algorithm": "sai", "n_nodes": 8}]))
+        assert run(db_path, "import-json", str(unfinished)) != 0
+        assert "missing parameters ['transport'" in capsys.readouterr().err
+        with ExperimentDB(str(db_path)) as db:
+            assert db.rows() == []
 
     def test_unreadable_file_exits_nonzero(self, db_path, capsys):
         assert run(db_path, "import-json", "no/such/file.json") != 0

@@ -115,6 +115,48 @@ class TestLiveTransport:
                 decoded(transport="live", fault_plan={"loss_probability": 0.1})
             )
 
+    def test_windowed_rows_are_refused(self):
+        # The pipelined driver loses windowed answers, so such a row
+        # could never pass the simulator check a live row ends with.
+        with pytest.raises(ValueError, match="refuses windowed rows"):
+            run_experiment(decoded(transport="live", window=5.0))
+
+
+class TestRowsRunBackToBack:
+    def test_one_full_collection_before_each_row_none_inside_a_replay(
+        self, monkeypatch
+    ):
+        """``run_experiment`` frees the previous row's ring before its
+        timer starts, and the replay stays collector-free through it
+        (the ``tests/sim/test_collector.py`` invariant, via the runner)."""
+        import repro.bench.scale as scale_module
+
+        from ..sim.test_collector import CollectionProbe
+
+        probe = CollectionProbe()
+        run_sharded = scale_module.run_sharded
+
+        def marked(*args, **kwargs):
+            probe.generations.append("replay")
+            try:
+                return run_sharded(*args, **kwargs)
+            finally:
+                probe.generations.append("end")
+
+        monkeypatch.setattr(scale_module, "run_sharded", marked)
+        row = decoded(transport="shard", n_nodes=48, algorithm="dai-t")
+        with probe:
+            run_experiment(row, shards=1)
+            run_experiment(row, shards=1)
+        seen = probe.generations
+        starts = [i for i, mark in enumerate(seen) if mark == "replay"]
+        ends = [i for i, mark in enumerate(seen) if mark == "end"]
+        assert len(starts) == len(ends) == 2
+        for before, start, end in zip([0, ends[0]], starts, ends):
+            assert seen[before:start].count(2) == 1
+            assert set(seen[start + 1 : end]) <= {0}
+        assert probe.unreachable > 0  # the first row's ring, freed by the second
+
 
 class TestDispatchHelpers:
     def test_unknown_transport_rejected(self):

@@ -17,7 +17,7 @@ from repro.chord.network import ChordNetwork
 from repro.core.engine import ContinuousQueryEngine, EngineConfig
 from repro.core.oracle import CentralizedOracle
 from repro.bench.harness import run_workload
-from repro.bench.macro import notification_digest
+from repro.bench.rows import notification_digest
 from repro.net import codec
 from repro.net.cluster import ClusterConfig, LiveCluster
 from repro.sql.tuples import DataTuple

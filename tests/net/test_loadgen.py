@@ -4,39 +4,63 @@ The pipelined driver removes the per-event drain, so DAI-Q/DAI-T pair
 races become possible (both one-shot probes overtake the other tuple's
 store); the settle pass — a paced soft-state replay — must close them.
 These tests pin the whole contract on a small point: the pipelined run
-produces the simulator's exact notification set and gates itself, a
-benign run really takes the zero-copy relay, and the engine's stepwise
-lease refresh is equivalent to the one-shot form.
+produces the simulator's exact notification set, its expdb row gates
+itself and cannot finish once it leaves the simulator, a benign run
+really takes the zero-copy relay, and the engine's stepwise lease
+refresh is equivalent to the one-shot form.
 """
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
 from repro.bench.harness import run_workload
-from repro.bench.macro import notification_digest
+from repro.bench.rows import notification_digest
 from repro.chord.network import ChordNetwork
 from repro.core.engine import ContinuousQueryEngine, EngineConfig
+from repro.expdb.db import decode_params, normalize_params
+from repro.expdb.gate import gate_rows
+from repro.expdb.runner import run_experiment
 from repro.net.cluster import ClusterConfig, LiveCluster, simulate_reference
-from repro.net.loadgen import LoadgenConfig, build_report, compare_reports
+from repro.net.loadgen import LoadgenConfig, run_load_sync
 from repro.perf import PERF
 from repro.workload.generator import WorkloadParams, build_workload
 
+from ..expdb.gate_fakes import export_rows
+
 POINT = LoadgenConfig(n_nodes=6, n_queries=8, n_tuples=48, domain_size=16, seed=3)
+
+LIVE_ROW = {
+    "transport": "live",
+    "algorithm": "dai-t",
+    "n_nodes": POINT.n_nodes,
+    "n_queries": POINT.n_queries,
+    "n_tuples": POINT.n_tuples,
+    "domain_size": POINT.domain_size,
+    "seed": POINT.seed,
+}
 
 
 def test_loadgen_matches_simulator_and_gates_itself():
-    # build_report itself raises on any digest disagreement: between
-    # repeated runs and against the simulator oracle.
-    report = build_report(POINT, algorithms=("dai-t",), check_sim=True)
-    entry = report["algorithms"]["dai-t"]
-    measured = entry["batched"]
-    assert entry["digest"] == entry["sim_digest"]
-    assert measured["batches_sent"] > 0
+    config = replace(POINT, algorithm="dai-t")
+    report = run_load_sync(config)
+    assert (report.digest, report.notifications) == simulate_reference(
+        config.workload(), algorithm="dai-t", n_nodes=POINT.n_nodes, seed=POINT.seed
+    )
+    assert report.batches_sent > 0
     # The settle pass may legitimately recover nothing at this size,
     # but must never *lose* notifications.
-    assert measured["recovered_notifications"] >= 0
-    assert measured["settle_seconds"] >= 0.0
+    assert report.recovered_notifications >= 0
+    assert report.settle_seconds >= 0.0
+
+    # The same point as a ``live`` row: the runner checks it against the
+    # simulator itself, and stores the whole path in the one wall column.
+    outcome = run_experiment(decode_params(normalize_params(LIVE_ROW)))
+    measured = outcome.metrics["live"]
+    assert outcome.metrics["notification_digest"] == report.digest
+    assert outcome.resources["wall_seconds"] == measured["total_seconds"]
+    assert outcome.resources["stream_seconds"] == measured["wall_seconds"]
     assert measured["total_seconds"] == pytest.approx(
         measured["install_seconds"]
         + measured["wall_seconds"]
@@ -44,35 +68,37 @@ def test_loadgen_matches_simulator_and_gates_itself():
         abs=2e-4,
     )
 
-    # The report gates green against itself.
-    assert compare_reports(report, report) == []
+    # The recorded row gates green against the live path itself (a
+    # 60 ms wall is all noise, so the stored one is made generous) ...
+    (row,) = export_rows([(LIVE_ROW, outcome.metrics, outcome.resources)])
+    row["wall_seconds"] = 60.0
+    assert gate_rows([row]) == []
 
     # ... and trips loudly when the recorded answers change.
-    tampered = {
-        **report,
-        "algorithms": {
-            "dai-t": {**entry, "digest": "0" * 40, "notifications": 1}
-        },
-    }
-    problems = compare_reports(report, tampered)
-    assert any("digest changed" in problem for problem in problems)
+    tampered = {**row, "notification_digest": "0" * 40, "notifications_delivered": 1}
+    problems = gate_rows([tampered])
+    assert any("notification_digest changed" in problem for problem in problems)
+    assert any("notifications_delivered changed" in problem for problem in problems)
 
-    # ... or when the whole path (install + stream + settle) got slow:
-    # a baseline a third of today's total is a 3x regression.
-    faster = {
-        **report,
-        "algorithms": {
-            "dai-t": {
-                **entry,
-                "batched": {
-                    **measured,
-                    "total_seconds": measured["total_seconds"] / 3,
-                },
-            }
-        },
-    }
-    problems = compare_reports(report, faster)
-    assert any("throughput regression" in problem for problem in problems)
+
+def test_a_live_row_that_leaves_the_simulator_cannot_finish(monkeypatch):
+    """A live row raises on a digest or a count the oracle does not
+    confirm, so the worker records an error and the gate a failure."""
+    import repro.net.loadgen as loadgen_module
+
+    params = decode_params(normalize_params(LIVE_ROW))
+    real = loadgen_module.simulate_reference
+    for tamper in (
+        lambda digest, delivered: ("0" * 40, delivered),
+        lambda digest, delivered: (digest, delivered + 1),
+    ):
+        monkeypatch.setattr(
+            loadgen_module,
+            "simulate_reference",
+            lambda *args, **kwargs: tamper(*real(*args, **kwargs)),
+        )
+        with pytest.raises(RuntimeError, match="diverged from the simulator"):
+            run_experiment(params)
 
 
 def test_benign_run_takes_raw_relay_and_matches_simulator():
