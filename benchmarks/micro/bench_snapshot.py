@@ -5,7 +5,9 @@ node-by-node finger walk with closed-form bisect resolution over a
 :class:`~repro.chord.snapshot.RingSnapshot`.  Both variants run over the
 identical ring and lookup set, so the speedup is directly visible; the
 hop counts are asserted equal (the Hypothesis differential test covers
-the full equivalence).
+the full equivalence).  The object-walk side is a ``Router`` with no
+ring: the network's own router is on the snapshot while the ring is
+exact.
 
 Two more rows time the snapshot router where joinbench's ``sim_route``
 runs it — a 20k-node deferred-finger ring: one ``walk`` (a single
@@ -19,6 +21,7 @@ import random
 import time
 
 from repro.chord.network import ChordNetwork
+from repro.chord.routing import Router
 from repro.sim.messages import Message
 
 from _common import report
@@ -29,11 +32,10 @@ SWEEP_TARGETS = 8
 def run(n_nodes: int = 4096, lookups: int = 5_000) -> list[dict]:
     rng = random.Random(13)
     network = ChordNetwork.build(n_nodes)
-    network.enable_fast_routing()
-    snapshot = network.ring_snapshot()
+    snapshot = network.snapshot
     targets = [rng.randrange(network.space.size) for _ in range(lookups)]
     sources = [network.random_node(rng) for _ in range(lookups)]
-    router = network.router
+    router = Router(network.space)
     rows = []
 
     start = time.perf_counter()
@@ -51,14 +53,12 @@ def run(n_nodes: int = 4096, lookups: int = 5_000) -> list[dict]:
         )
     )
 
-    network.fast_routing = False
     start = time.perf_counter()
     walk_hops = 0
     for source, target in zip(sources, targets):
         _, cost = router.find_successor(source, target)
         walk_hops += cost
     elapsed = time.perf_counter() - start
-    network.fast_routing = True
     if walk_hops != snapshot_hops:
         raise AssertionError(
             f"snapshot/object hop divergence: {snapshot_hops} != {walk_hops}"
@@ -79,7 +79,7 @@ def run_large_ring(n_nodes: int = 20_000, walks: int = 5_000) -> list[dict]:
     """One walk and one 8-target sweep on the ``sim_route`` ring."""
     rng = random.Random(13)
     network = ChordNetwork.build(n_nodes, fast_routing=True)
-    snapshot = network.ring_snapshot()
+    snapshot = network.snapshot
     size = network.space.size
     sources = [network.random_node(rng) for _ in range(walks)]
     targets = [rng.randrange(size) for _ in range(walks)]

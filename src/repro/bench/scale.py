@@ -5,7 +5,8 @@ bottleneck.  This module pushes the network-size axis into the
 10^5-node range by combining the three scaling mechanisms of
 DESIGN.md §14:
 
-* fast-routing ring snapshots (``ChordNetwork.build(fast_routing=True)``),
+* ring snapshots routing a ring whose finger tables are deferred
+  (``ChordNetwork.build(fast_routing=True)``),
 * streaming workload generation (:func:`iter_workload_events`), and
 * sharded staged execution of the stream (:func:`repro.sim.shard.run_sharded`).
 

@@ -23,6 +23,7 @@ knowing their structure.
 from __future__ import annotations
 
 import bisect
+import logging
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from ..errors import NetworkError
@@ -38,6 +39,11 @@ from . import stabilize as maintenance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
+
+#: One INFO record per change of router (see ``_choose_router``), never
+#: one per message; silent unless the application configures logging.
+logger = logging.getLogger("repro.chord")
+logger.addHandler(logging.NullHandler())
 
 #: Called as ``transfer_hook(source_node, target_node)`` whenever
 #: responsibility moves between two nodes (join or voluntary leave).
@@ -67,24 +73,23 @@ class ChordNetwork:
         self._nodes: dict[int, ChordNode] = {}
         self._sorted_idents: list[int] = []
         self.transfer_hook: Optional[TransferHook] = None
-        #: Opt-in snapshot routing (see :meth:`ring_snapshot`).  Off by
-        #: default so tests that damage ring pointers directly keep
-        #: exercising the object walk unchanged.
-        self.fast_routing = False
         #: True while every node's pointers match the membership exactly
         #: (as after :meth:`build` / :meth:`rebuild_ring_state`); any
         #: membership change clears it until the next full rebuild.
         self._ring_exact = False
-        #: Finger tables deferred (large fast-routing rings): snapshot
-        #: routing never reads them, and building them dominates ring
+        #: The routing decision, made by :meth:`_choose_router`: the
+        #: :class:`RingSnapshot` that routes this ring, or ``None``
+        #: while the object walk does.  Routers read it per message.
+        self.snapshot: Optional[RingSnapshot] = None
+        #: Finger tables deferred (``build(fast_routing=True)``): the
+        #: snapshot never reads them, and building them dominates ring
         #: construction time and a third of its memory, so nodes share
         #: one empty placeholder.  Materialized on the first membership
-        #: change (or maintenance round) so the object walk stays
-        #: available as a fallback.
+        #: change (or maintenance round), before the object walk — which
+        #: does read them — can take over.
         self._lazy_fingers = False
-        #: Bumped on every membership change; O(1) snapshot invalidation.
+        #: Bumped on every membership change; names the ring in the log.
         self._membership_generation = 0
-        self._snapshot: Optional[RingSnapshot] = None
         self.router.ring = self
 
     def use_transport(self, transport: Transport) -> Transport:
@@ -106,6 +111,10 @@ class ChordNetwork:
     @injector.setter
     def injector(self, injector: Optional["FaultInjector"]) -> None:
         self.router.injector = injector
+        perturbing = injector is not None and injector.perturbs_delivery
+        self._choose_router(
+            "perturbing injector" if perturbing else "no perturbing injector"
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -126,10 +135,12 @@ class ChordNetwork:
         (possible at small ``m``) are resolved by salting the key, so
         the ring always has exactly ``n_nodes`` distinct identifiers.
 
-        ``fast_routing=True`` enables snapshot routing (bisect lookups
-        over the sorted identifier array instead of per-hop object
-        walks) and defers finger-table construction, which dominates
-        build time at large ``n_nodes``.
+        ``fast_routing=True`` defers finger-table construction, which
+        dominates build time at large ``n_nodes``, until a membership
+        change or maintenance round needs the tables — nothing else.
+        Which router serves the ring never depended on who built it
+        (see :meth:`_choose_router`); the keyword keeps its name only
+        because ``benchmarks/joinbench/drivers.py`` passes it.
         """
         if n_nodes < 1:
             raise NetworkError("a network needs at least one node")
@@ -156,7 +167,6 @@ class ChordNetwork:
         # repeated-memmove cost is what made >=100k-node builds crawl).
         network._sorted_idents = sorted(nodes)
         network._membership_generation += 1
-        network.fast_routing = fast_routing
         network._lazy_fingers = fast_routing
         network.rebuild_ring_state()
         return network
@@ -167,16 +177,19 @@ class ChordNetwork:
         self._materialize_fingers()
         self._nodes[node.ident] = node
         bisect.insort(self._sorted_idents, node.ident)
-        self._membership_generation += 1
-        self._ring_exact = False
+        self._membership_changed("join")
 
-    def _unregister(self, node: ChordNode) -> None:
+    def _unregister(self, node: ChordNode, cause: str) -> None:
         self._materialize_fingers()
         del self._nodes[node.ident]
         index = bisect.bisect_left(self._sorted_idents, node.ident)
         self._sorted_idents.pop(index)
+        self._membership_changed(cause)
+
+    def _membership_changed(self, cause: str) -> None:
         self._membership_generation += 1
         self._ring_exact = False
+        self._choose_router(cause)
 
     def _materialize_fingers(self) -> None:
         """Build the deferred finger tables before membership changes.
@@ -212,37 +225,43 @@ class ChordNetwork:
                     for j in range(self.space.m)
                 ]
         self._ring_exact = True
+        self._choose_router("rebuild")
 
-    # ------------------------------------------------------------------
-    # Snapshot routing
-    # ------------------------------------------------------------------
-    def enable_fast_routing(self) -> None:
-        """Turn on snapshot routing for an already-built exact ring."""
-        self.fast_routing = True
+    def _choose_router(self, cause: str) -> None:
+        """Decide which router serves this ring — the one place it is.
 
-    def ring_snapshot(self) -> Optional[RingSnapshot]:
-        """The current :class:`RingSnapshot`, or ``None`` when invalid.
-
-        A snapshot is only handed out while ``fast_routing`` is enabled
-        *and* the ring is exact (no membership change since the last
-        full rebuild).  Rebuilds are O(1)-amortized: membership changes
-        just bump a generation counter, and the sorted-array copy
-        happens at most once per generation, on first use.
+        The snapshot routes iff every pointer is exact and no injector
+        can perturb a delivery; otherwise the object walk does, which
+        owns stale pointers, retries and delays.  Called at the only
+        moments either answer can change (``cause`` names which).  A
+        snapshot outlives a repeated rebuild: every membership change
+        drops it, so one that is still here describes these members.
         """
-        if not self.fast_routing or not self._ring_exact or not self._nodes:
-            return None
-        snapshot = self._snapshot
-        if snapshot is None or snapshot.generation != self._membership_generation:
-            snapshot = RingSnapshot(
-                list(self._sorted_idents),
-                self.space.m,
-                self.successor_list_size,
-                generation=self._membership_generation,
+        previous = self.snapshot
+        injector = self.router.injector
+        if (
+            not self._ring_exact
+            or not self._nodes
+            or (injector is not None and injector.perturbs_delivery)
+        ):
+            self.snapshot = None
+        elif previous is None:
+            self.snapshot = RingSnapshot(
+                list(self._sorted_idents), self.space.m, self.successor_list_size
             )
-            self._snapshot = snapshot
             if PERF.enabled:
                 PERF.count("snapshot.rebuilds")
-        return snapshot
+        if (previous is None) == (self.snapshot is None):
+            return
+        if previous is not None and PERF.enabled:
+            PERF.count("router.fallbacks")
+        logger.info(
+            "router -> %s (%s): %d nodes, membership generation %d",
+            "object walk" if previous is not None else "snapshot",
+            cause,
+            len(self._nodes),
+            self._membership_generation,
+        )
 
     def _oracle_successor(self, ident: int) -> ChordNode:
         """Global-knowledge successor; only for construction and checks."""
@@ -332,7 +351,7 @@ class ChordNetwork:
         """Voluntary departure: keys move to the successor (Section 2.2)."""
         self._require_member(node)
         if len(self._nodes) == 1:
-            self._unregister(node)
+            self._unregister(node, "leave")
             node.alive = False
             return
         successor = node.successor
@@ -345,7 +364,7 @@ class ChordNetwork:
         # already owns the departed range when items are offered to it.
         if self.transfer_hook is not None and successor is not node:
             self.transfer_hook(node, successor)
-        self._unregister(node)
+        self._unregister(node, "leave")
         node.alive = False
 
     def fail(self, node: ChordNode) -> None:
@@ -356,7 +375,7 @@ class ChordNetwork:
         and stabilization restore routing.
         """
         self._require_member(node)
-        self._unregister(node)
+        self._unregister(node, "fail")
         node.alive = False
 
     # ------------------------------------------------------------------

@@ -97,8 +97,8 @@ class ChordNode:
         #: Application-level state attached by the query-processing
         #: engine (a ``NodeState``); opaque to the DHT layer.
         self.app: object | None = None
-        #: Lazy-adoption callback: large-ring engines defer per-node
-        #: state and handler registration until a first message arrives
+        #: Lazy-adoption callback: the engine defers per-node state and
+        #: handler registration until a first message arrives
         #: (``deliver`` calls ``adopt_hook(self)`` before giving up).
         self.adopt_hook: Callable[["ChordNode"], object] | None = None
 

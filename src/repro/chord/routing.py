@@ -38,7 +38,11 @@ class Router(Transport):
     A single router instance serves a whole simulated network; per-node
     state (fingers, successor lists) lives on the nodes themselves, so
     routing decisions only use information local to each hop, exactly as
-    the protocol prescribes.
+    the protocol prescribes.  While every one of those pointers is exact
+    the owning network offers a :class:`~repro.chord.snapshot.RingSnapshot`
+    that computes the same walk hop for hop (``ring.snapshot``);
+    ``find_successor`` and the recursive ``multisend`` route by it when
+    it is there and by the objects when it is not.
 
     When a :class:`~repro.faults.injector.FaultInjector` is attached,
     every final delivery consults it: dropped attempts are retried with
@@ -65,26 +69,11 @@ class Router(Transport):
         #: ring is broken beyond best-effort repair.
         self.max_hops = 4 * space.m + 8
         #: Back-reference to the owning :class:`ChordNetwork`, set by the
-        #: network at construction.  Used only to obtain ring snapshots
-        #: for the fast routing path; ``None`` keeps the object walk.
+        #: network at construction: its ``snapshot`` is the routing
+        #: decision (the ring snapshot while the ring is exact and no
+        #: injector perturbs deliveries, else ``None``).  A router with
+        #: no ring keeps the object walk.
         self.ring = None
-
-    def _live_snapshot(self):
-        """The ring snapshot when the fast path may be used, else ``None``.
-
-        The fast path replicates the *cooperative* object walk, so it
-        bows out whenever a fault injector can perturb deliveries (the
-        object path then owns retries/delays/fallbacks).  Crash churn is
-        covered separately: ``fail``/``leave``/``join`` invalidate the
-        snapshot at the network.
-        """
-        ring = self.ring
-        if ring is None:
-            return None
-        injector = self.injector
-        if injector is not None and injector.perturbs_delivery:
-            return None
-        return ring.ring_snapshot()
 
     # ------------------------------------------------------------------
     # Lookup
@@ -96,10 +85,11 @@ class Router(Transport):
         the lookup to the farthest finger that does not overshoot
         ``ident``; the node responsible for ``ident`` keeps it.
         """
-        snapshot = self._live_snapshot()
+        ring = self.ring
+        snapshot = ring.snapshot if ring is not None else None
         if snapshot is not None and start.ident in snapshot:
             owner, hops = snapshot.find_successor(start.ident, ident)
-            return self.ring._nodes[snapshot.idents[owner]], hops
+            return ring._nodes[snapshot.idents[owner]], hops
         size = self.space.size
         max_hops = self.max_hops
         current = start
@@ -309,7 +299,8 @@ class Router(Transport):
         """
         if not idents:
             return []
-        snapshot = self._live_snapshot()
+        ring = self.ring
+        snapshot = ring.snapshot if ring is not None else None
         if snapshot is not None and source.ident in snapshot:
             return self._multisend_recursive_fast(snapshot, source, messages, idents)
         order = self.space.sort_clockwise(source.ident, list(idents))
@@ -330,7 +321,10 @@ class Router(Transport):
             total_hops += hops
             # The responsible node strips every identifier it owns; they
             # are consecutive at the front of the clockwise-sorted list.
-            while cursor < n_order and responsible.owns(order[cursor]):
+            # The head is its to keep even unclaimed — beside a crash not
+            # yet stabilized nobody owns the victim's range, and ``send``
+            # delivers where its walk ends too — so the sweep always moves.
+            while True:
                 ident = order[cursor]
                 cursor += 1
                 for position in pending[ident]:
@@ -339,6 +333,8 @@ class Router(Transport):
                             messages[position], responsible
                         )
                         break
+                if cursor == n_order or not responsible.owns(order[cursor]):
+                    break
             current = responsible
         self._record_mixed_batch(messages, total_hops)
         return [target if target is not None else current for target in targets]

@@ -33,10 +33,10 @@ which is why churn, stabilization and perturbing fault injectors stay on
 the object walk.
 
 Validity is the caller's contract: a snapshot describes one membership
-generation of a ring whose pointers are exact (as after
-``ChordNetwork.build`` / ``rebuild_ring_state``) and whose members are
-all alive.  ``ChordNetwork`` tracks both conditions and hands out
-``None`` instead of a stale snapshot (see ``ring_snapshot``); the
+of a ring whose pointers are exact (as after ``ChordNetwork.build`` /
+``rebuild_ring_state``) and whose members are all alive.
+``ChordNetwork`` tracks both conditions and drops its snapshot the
+moment either fails (see ``ChordNetwork._choose_router``); the
 differential tests in ``tests/chord/test_snapshot_differential.py``
 assert hop-exact agreement with the object walk across random
 memberships, wrap-around identifiers and join/leave sequences.
@@ -44,7 +44,7 @@ memberships, wrap-around identifiers and join/leave sequences.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left
 
 from ..errors import RoutingError
 
@@ -62,9 +62,6 @@ class RingSnapshot:
         ``r`` — the successor-list length the object ring uses; the
         closed-form ``closest_preceding_finger`` needs it to consider
         the same candidate set as the object scan.
-    generation:
-        Membership generation this snapshot was built from; the owner
-        network compares it against its counter to invalidate in O(1).
     """
 
     __slots__ = (
@@ -74,7 +71,6 @@ class RingSnapshot:
         "size",
         "successor_list_size",
         "max_hops",
-        "generation",
         "_pos",
         "_successor_reach",
     )
@@ -84,7 +80,6 @@ class RingSnapshot:
         idents: list[int],
         m: int,
         successor_list_size: int,
-        generation: int = 0,
     ):
         if not idents:
             raise ValueError("a ring snapshot needs at least one member")
@@ -95,7 +90,6 @@ class RingSnapshot:
         self.successor_list_size = successor_list_size
         #: Same give-up bound as the object router.
         self.max_hops = 4 * m + 8
-        self.generation = generation
         self._pos = {ident: index for index, ident in enumerate(idents)}
         #: Deepest successor-list entry a member has: ``min(r, n - 1)``.
         self._successor_reach = min(successor_list_size, self.n - 1)
@@ -225,31 +219,6 @@ class RingSnapshot:
         inside, _ = self._forward(pos, owner, 1)
         return (owner - 1 - inside) % self.n
 
-    # ------------------------------------------------------------------
-    # Derivation
-    # ------------------------------------------------------------------
-    def with_member(self, ident: int) -> "RingSnapshot":
-        """A new snapshot with ``ident`` added (test/maintenance helper)."""
-        if ident in self._pos:
-            raise ValueError(f"identifier {ident} is already a member")
-        idents = list(self.idents)
-        insort(idents, ident)
-        return RingSnapshot(
-            idents, self.m, self.successor_list_size, self.generation + 1
-        )
-
-    def without_member(self, ident: int) -> "RingSnapshot":
-        """A new snapshot with ``ident`` removed (test/maintenance helper)."""
-        if ident not in self._pos:
-            raise ValueError(f"identifier {ident} is not a member")
-        if self.n == 1:
-            raise ValueError("cannot empty a ring snapshot")
-        idents = list(self.idents)
-        idents.pop(bisect_right(idents, ident) - 1)
-        return RingSnapshot(
-            idents, self.m, self.successor_list_size, self.generation + 1
-        )
-
 
 class SegmentMap:
     """Contiguous-segment shard ownership over a sorted ident array.
@@ -263,7 +232,7 @@ class SegmentMap:
     runs that never ask.
 
     Holds a *reference* to the caller's array (construction is O(1));
-    validity follows the same membership-generation contract as
+    validity follows the same one-membership contract as
     :class:`RingSnapshot`.  Asking about a non-member identifier is a
     contract violation and returns the successor's segment.
     """

@@ -89,13 +89,6 @@ class EngineConfig:
     seed: int = 0
 
 
-#: Ring size from which per-node state/handler attachment is deferred
-#: until a node's first message arrives (fast-routing rings defer at any
-#: size).  Large-scale sweeps touch a sparse subset of nodes, so eager
-#: adoption would dominate setup time and memory.
-LAZY_ADOPTION_THRESHOLD = 8192
-
-
 class ContinuousQueryEngine:
     """Continuous two-way equi-join processing over a Chord overlay."""
 
@@ -164,13 +157,11 @@ class ContinuousQueryEngine:
             ("unsubscribe", self._on_unsubscribe),
         )
 
-        if network.fast_routing or len(network) >= LAZY_ADOPTION_THRESHOLD:
-            adopt = self.adopt
-            for node in network:
-                node.adopt_hook = adopt
-        else:
-            for node in network:
-                self.adopt(node)
+        # State and handlers attach on a node's first delivery (or first
+        # ``state(node)``): large sweeps touch a sparse subset of nodes.
+        adopt = self.adopt
+        for node in network:
+            node.adopt_hook = adopt
         network.transfer_hook = self._transfer
 
     @property

@@ -135,11 +135,10 @@ def snapshot(engine: "ContinuousQueryEngine") -> LoadSnapshot:
         ident = node.ident
         state = node.app
         if not isinstance(state, NodeState):
-            # Lazily adopted ring: a node no message ever reached holds
-            # no engine state, so its load row is all zeros — recorded
-            # explicitly to keep the distribution vectors (Gini,
-            # participation, ...) over the same node population as an
-            # eagerly adopted ring.
+            # A node no message ever reached holds no engine state, so
+            # its load row is all zeros — recorded explicitly to keep
+            # the distribution vectors (Gini, participation, ...) over
+            # the whole node population.
             filtering[ident] = 0
             al_filtering[ident] = 0
             vl_filtering[ident] = 0

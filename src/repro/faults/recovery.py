@@ -48,8 +48,8 @@ class ChaosHarness:
         self.engine = engine
         self.network = engine.network
         self.injector = injector if injector is not None else FaultInjector()
-        if self.network.router.injector is None:
-            self.network.router.injector = self.injector
+        if self.network.injector is None:
+            self.network.injector = self.injector
         #: Identifiers never chosen as crash victims (e.g. subscribers).
         self.protected: set[int] = set(protect)
         #: Keys of crashed nodes, oldest first (restart order).

@@ -39,8 +39,8 @@ def install_fault_plan(
     """
     plan = injector.plan
     injector.attach(simulator)
-    if simulator.network.router.injector is None:
-        simulator.network.router.injector = injector
+    if simulator.network.injector is None:
+        simulator.network.injector = injector
 
     harness: Optional[ChaosHarness] = None
     if engine is not None:

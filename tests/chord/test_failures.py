@@ -120,3 +120,24 @@ class TestLeaveThenFailSuccessor:
         )
         assert found.alive
         assert found is network.responsible_node(departed_ident)
+
+
+class TestRoutingBesideAnUnrepairedCrash:
+    """Between ``fail`` and the next maintenance round the victim's heir
+    still points at it as predecessor, so nobody claims its range."""
+
+    def test_recursive_sweep_delivers_where_send_does(self):
+        from repro.sim.messages import Message
+
+        network = ChordNetwork.build(8)
+        for node in network:
+            node.register_handler("message", lambda node, message: None)
+        nodes = network.nodes
+        victim, heir = nodes[3], nodes[4]
+        network.fail(victim)
+        assert not heir.owns(victim.ident)
+        orphaned = [victim.ident, victim.ident - 1, nodes[6].ident]
+        # Nobody owns the head of the sweep: it must still end, at the heir.
+        swept = network.router.multisend(nodes[0], Message(), orphaned)
+        sent = [network.router.send(nodes[0], Message(), i) for i in orphaned]
+        assert swept == sent == [heir, heir, nodes[6]]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chord import ChordNetwork
 from repro.chord.node import NO_FINGERS
+from repro.chord.routing import Router
 from repro.errors import NetworkError
 
 
@@ -155,15 +156,16 @@ class TestDeferredFingers:
     def test_object_walk_on_lazy_ring_is_the_successor_list_walk(self, rng):
         """Hop for hop what a ring of all-``None`` finger tables does."""
         lazy = ChordNetwork.build(40, fast_routing=True)
-        lazy.fast_routing = False  # force the object walk, fingers still deferred
         blank = ChordNetwork.build(40)
         for node in blank:
             node.fingers = [None] * blank.space.m
+        # Ringless routers: the object walk, fingers still deferred.
+        walker = Router(lazy.space)
         for _ in range(60):
             ident = rng.randrange(lazy.space.size)
             start = lazy.random_node(rng)
-            found, hops = lazy.router.find_successor(start, ident)
-            expected, expected_hops = blank.router.find_successor(
+            found, hops = walker.find_successor(start, ident)
+            expected, expected_hops = walker.find_successor(
                 blank.node_at(start.ident), ident
             )
             assert found is lazy.responsible_node(ident)

@@ -4,13 +4,13 @@ The large-scale fast path (DESIGN.md §14) rests on one claim: bisect
 arithmetic over the sorted identifier array reproduces the object
 ring's routing *exactly* — same successor, same forwarding choice at
 every node, same hop counts.  Hypothesis drives random memberships,
-wrap-around targets and join/leave edits through both implementations
-side by side; any divergence is a routing bug, not a tolerance issue.
+and wrap-around targets through both implementations side by side; any
+divergence is a routing bug, not a tolerance issue.  The object side is
+a ``Router`` with no ring, which keeps the object walk on any ring.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chord.network import ChordNetwork
 from repro.chord.node import ChordNode
+from repro.chord.routing import Router
 from repro.chord.snapshot import RingSnapshot
 from repro.errors import RoutingError
 from repro.sim.messages import Message
@@ -32,15 +33,19 @@ def ring_of(n_nodes: int) -> ChordNetwork:
     network = _RINGS.get(n_nodes)
     if network is None:
         network = ChordNetwork.build(n_nodes)
-        network.enable_fast_routing()
         _RINGS[n_nodes] = network
     return network
 
 
 def snapshot_of(network: ChordNetwork) -> RingSnapshot:
-    snapshot = network.ring_snapshot()
+    snapshot = network.snapshot
     assert snapshot is not None
     return snapshot
+
+
+def object_walk(network: ChordNetwork) -> Router:
+    """The reference side: ringless, billing to the network's stats."""
+    return Router(network.space, network.stats)
 
 
 @st.composite
@@ -97,68 +102,24 @@ def test_find_successor_and_walk_match_hop_for_hop(case):
     n_nodes, source, targets = case
     network = ring_of(n_nodes)
     snapshot = snapshot_of(network)
-    router = network.router
+    router = object_walk(network)
     node = network._nodes[source]
-    # Disable the snapshot shortcut so the router runs the object walk.
-    network.fast_routing = False
-    try:
-        for target in targets:
-            expected_node, expected_hops = router.find_successor(node, target)
-            got_pos, got_hops = snapshot.find_successor(source, target)
-            assert snapshot.idents[got_pos] == expected_node.ident
-            assert got_hops == expected_hops
-            walk_node, walk_hops = router._walk(node, target)
-            got_pos, got_hops = snapshot.walk(source, target)
-            assert snapshot.idents[got_pos] == walk_node.ident
-            assert got_hops == walk_hops
-    finally:
-        network.fast_routing = True
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    n_nodes=st.integers(min_value=2, max_value=24),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_membership_edits_match_full_rebuild(n_nodes, seed):
-    """`with_member`/`without_member` ≡ snapshot of the edited ring."""
-    network = ring_of(n_nodes)
-    snapshot = snapshot_of(network)
-    rng = random.Random(seed)
-
-    leaver = rng.choice(snapshot.idents)
-    shrunk = snapshot.without_member(leaver)
-    rebuilt = RingSnapshot(
-        [ident for ident in snapshot.idents if ident != leaver],
-        snapshot.m,
-        snapshot.successor_list_size,
-    )
-    assert shrunk.idents == rebuilt.idents
-    probe = rng.randrange(snapshot.size)
-    assert shrunk.successor_ident(probe) == rebuilt.successor_ident(probe)
-    start = rng.choice(rebuilt.idents)
-    assert shrunk.find_successor(start, probe) == rebuilt.find_successor(start, probe)
-
-    joiner = rng.randrange(snapshot.size)
-    if joiner not in snapshot:
-        grown = snapshot.with_member(joiner)
-        rebuilt = RingSnapshot(
-            sorted(snapshot.idents + [joiner]),
-            snapshot.m,
-            snapshot.successor_list_size,
-        )
-        assert grown.idents == rebuilt.idents
-        assert grown.successor_ident(probe) == rebuilt.successor_ident(probe)
-        assert grown.find_successor(joiner, probe) == rebuilt.find_successor(
-            joiner, probe
-        )
+    for target in targets:
+        expected_node, expected_hops = router.find_successor(node, target)
+        got_pos, got_hops = snapshot.find_successor(source, target)
+        assert snapshot.idents[got_pos] == expected_node.ident
+        assert got_hops == expected_hops
+        walk_node, walk_hops = router._walk(node, target)
+        got_pos, got_hops = snapshot.walk(source, target)
+        assert snapshot.idents[got_pos] == walk_node.ident
+        assert got_hops == walk_hops
 
 
 # ----------------------------------------------------------------------
 # Rank-space routing: hand-placed rings and the multisend sweep
 # ----------------------------------------------------------------------
 def ring_with(idents, m: int = 8, successor_list_size: int = 4) -> ChordNetwork:
-    """An exact fast-routing ring with exactly these identifiers."""
+    """An exact ring with exactly these identifiers."""
     network = ChordNetwork(m=m, successor_list_size=successor_list_size)
     for ident in idents:
         network._nodes[ident] = ChordNode(
@@ -167,7 +128,6 @@ def ring_with(idents, m: int = 8, successor_list_size: int = 4) -> ChordNetwork:
     network._sorted_idents = sorted(idents)
     network._membership_generation += 1
     network.rebuild_ring_state()
-    network.enable_fast_routing()
     return network
 
 
@@ -181,12 +141,9 @@ def assert_routes_match(network: ChordNetwork, source: int, target: int) -> int:
         snapshot.idents[snapshot.closest_preceding_finger_pos(pos, target)]
         == node.closest_preceding_finger(target).ident
     )
-    network.fast_routing = False
-    try:
-        expected_node, expected_hops = network.router.find_successor(node, target)
-        walk_node, walk_hops = network.router._walk(node, target)
-    finally:
-        network.fast_routing = True
+    router = object_walk(network)
+    expected_node, expected_hops = router.find_successor(node, target)
+    walk_node, walk_hops = router._walk(node, target)
     assert walk_node is expected_node and walk_hops == expected_hops
     owner, hops = snapshot.find_successor(source, target)
     assert (snapshot.idents[owner], hops) == (expected_node.ident, expected_hops)
@@ -278,7 +235,6 @@ def dense_ring(n_nodes: int) -> ChordNetwork:
     network = _DENSE.get(n_nodes)
     if network is None:
         network = ChordNetwork.build(n_nodes, m=8)
-        network.enable_fast_routing()
         _DENSE[n_nodes] = network
     return network
 
@@ -311,16 +267,12 @@ def test_fast_sweep_matches_object_sweep(n_nodes, source_rank, targets, repeat):
             node.register_handler(
                 kind, lambda n, message: deliveries.append((n.ident, message.tag))
             )
-    router = network.router
+    assert network.snapshot is not None
     outcomes = []
-    for fast in (True, False):
-        network.fast_routing = fast
+    for router in (network.router, object_walk(network)):
         before = network.stats.snapshot()
         del deliveries[:]
-        try:
-            recipients = router.multisend(source, messages, idents)
-        finally:
-            network.fast_routing = True
+        recipients = router.multisend(source, messages, idents)
         delta = network.stats.since(before)
         outcomes.append(
             (

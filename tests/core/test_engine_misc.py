@@ -33,10 +33,23 @@ class TestAdoption:
         assert engine.adopt(node) is state
         assert engine.state(node) is state
 
-    def test_all_nodes_adopted_at_construction(self, engine_factory):
+    def test_node_adopts_on_first_touch(self, engine_factory, two_relation_schema):
         engine = engine_factory()
-        for node in engine.network:
-            assert node.app is not None
+        assert all(node.app is None for node in engine.network)
+        # Nothing touched yet: the load vectors still cover every node.
+        assert set(engine.load_snapshot().storage) == {
+            node.ident for node in engine.network
+        }
+        origin, owner = engine.network.nodes[:2]
+        engine.publish(origin, two_relation_schema.relation("R"), {"A": 1, "B": 7, "C": 0})
+        reached = [node for node in engine.network if node.app is not None]
+        assert reached and origin.app is None  # a delivery adopts, a send does not
+        assert all(engine.state(node) is node.app for node in reached)
+        assert engine.load_snapshot().total_storage == sum(
+            engine.load_snapshot().storage[node.ident] for node in reached
+        ) > 0
+        state = engine.state(origin)  # ... and so does asking for the state
+        assert state is origin.app and engine.state(origin) is state
 
     def test_late_joiner_adopted_lazily(self, engine_factory):
         engine = engine_factory()

@@ -325,19 +325,21 @@ class TestInstrumentedSites:
 
         tiny = Scale("tiny", n_nodes=24, n_queries=8, n_tuples=20, domain_size=30)
         workload = workload_for(tiny)
-        network = ChordNetwork.build(tiny.n_nodes, fast_routing=True)
-        engine = ContinuousQueryEngine(
-            network, EngineConfig(algorithm="sai", index_choice="random", seed=1)
-        )
         PERF.reset()
         PERF.enable()
         try:
+            # The snapshot is built when the ring is, not on first use.
+            network = ChordNetwork.build(tiny.n_nodes, fast_routing=True)
+            engine = ContinuousQueryEngine(
+                network, EngineConfig(algorithm="sai", index_choice="random", seed=1)
+            )
             run_sharded(engine, workload, shards=1, batch_size=8)
         finally:
             PERF.disable()
         counters = PERF.snapshot()["counters"]
         PERF.reset()
-        assert counters.get("snapshot.rebuilds", 0) >= 1
+        assert counters.get("snapshot.rebuilds", 0) == 1
+        assert "router.fallbacks" not in counters
         assert counters.get("shard.epochs", 0) >= tiny.n_tuples // 8
         assert counters.get("shard.batch.events", 0) == tiny.n_tuples
 
