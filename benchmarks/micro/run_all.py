@@ -4,9 +4,10 @@ Usage::
 
     PYTHONPATH=src python benchmarks/micro/run_all.py [--json out.json]
 
-Covers the five hot paths of the optimization pass (see DESIGN.md,
+Covers the hot paths of the optimization passes (see DESIGN.md,
 "Performance"): hashing, table maintenance, finger-walk lookups, the
-recursive multisend sweep, and query rewriting / allocation churn.
+recursive multisend sweep, query rewriting / allocation churn, the wire
+codec and one frame across one live loopback link.
 These numbers are for commit-to-commit comparison on one machine; the
 CI regression gate is ``python -m repro.expdb gate`` instead.
 """
@@ -24,6 +25,7 @@ import bench_barrier
 import bench_events
 import bench_expdb
 import bench_hashing
+import bench_link
 import bench_multisend
 import bench_rewrite
 import bench_routing
@@ -42,6 +44,7 @@ SUITES = (
     bench_barrier,
     bench_expdb,
     bench_codec,
+    bench_link,
 )
 
 

@@ -68,7 +68,7 @@ import struct
 from typing import Any, Callable, Optional
 
 from ..core.notifications import Notification
-from ..errors import CodecError, QueryError
+from ..errors import CodecError, QueryError, ReproError
 from ..perf import PERF
 from ..sim.messages import (
     ALIndexMessage,
@@ -801,6 +801,23 @@ def encode(obj: Any) -> bytes:
     return bytes(out)
 
 
+#: What decoding corrupt bytes can raise besides :class:`CodecError`: a
+#: tuple of the wrong arity (``SchemaError``), a broken string body
+#: (``UnicodeDecodeError``, a ``ValueError``), an unhashable dict key
+#: (``TypeError``), a value of the wrong type in a field a constructor
+#: reads (``AttributeError``, ``LookupError``), an absurd number
+#: (``ArithmeticError``) or nesting depth (``RecursionError``).
+_CORRUPT_INPUT_ERRORS = (
+    ReproError,
+    ValueError,
+    TypeError,
+    AttributeError,
+    LookupError,
+    ArithmeticError,
+    RecursionError,
+)
+
+
 def decode(payload: bytes, start: int = 0, end: Optional[int] = None) -> Any:
     """Inverse of :func:`encode`; raises :class:`CodecError` on junk.
 
@@ -810,12 +827,21 @@ def decode(payload: bytes, start: int = 0, end: Optional[int] = None) -> Any:
     delivering multisend hop materializing only the pair messages it
     owns) gets the structural walk and the decoder checked against each
     other for free.
+
+    Whatever a record constructor makes of a wrong value
+    (:data:`_CORRUPT_INPUT_ERRORS`) leaves here as a :class:`CodecError`
+    chained from it: the receive path has one failure to handle.
     """
     if end is None:
         end = len(payload)
     reader = _Reader(payload)
     reader.pos = start
-    obj = _decode_value(reader)
+    try:
+        obj = _decode_value(reader)
+    except CodecError:
+        raise
+    except _CORRUPT_INPUT_ERRORS as exc:
+        raise CodecError(f"payload does not decode: {exc!r}") from exc
     if reader.pos < end:
         raise CodecError(f"{end - reader.pos} trailing bytes after payload")
     if reader.pos > end:
@@ -918,43 +944,6 @@ def decode_header(header: bytes) -> int:
     return length
 
 
-async def read_frame_raw(
-    reader, *, timeout: Optional[float] = None
-) -> tuple[bytes, bytes]:
-    """Read exactly one frame off an asyncio stream *without* decoding.
-
-    Returns ``(header, payload)`` as raw bytes — the zero-copy-ish
-    half of the receive path: a relay that only forwards the frame can
-    ship these bytes onward verbatim and never pay for a decode (see
-    :meth:`repro.net.peer.NetPeer._relay_raw`).  Error contract is
-    identical to :func:`read_frame`: clean EOF at a frame boundary is
-    :class:`EOFError`, death mid-frame is ``asyncio.
-    IncompleteReadError``, a corrupt header is :class:`~repro.errors.
-    CodecError`.
-    """
-    # ``wait_for`` wraps its awaitable in a fresh Task even with no
-    # timeout — measurable per-frame overhead on the serve loop — so
-    # the unbounded case awaits the stream read directly.
-    unbounded = timeout is None
-    try:
-        if unbounded:
-            header = await reader.readexactly(HEADER_SIZE)
-        else:
-            header = await asyncio.wait_for(
-                reader.readexactly(HEADER_SIZE), timeout
-            )
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            raise EOFError("connection closed at a frame boundary") from None
-        raise
-    length = decode_header(header)
-    if unbounded:
-        payload = await reader.readexactly(length)
-    else:
-        payload = await asyncio.wait_for(reader.readexactly(length), timeout)
-    return header, payload
-
-
 def decode_frame_payload(
     payload: bytes, start: int = 0, end: Optional[int] = None
 ) -> Any:
@@ -979,18 +968,29 @@ def decode_frame_payload(
 async def read_frame(reader, *, timeout: Optional[float] = None) -> Any:
     """Read and decode exactly one frame from an asyncio stream reader.
 
-    The single hardened entry point for streaming reads: a clean EOF at
-    a frame boundary surfaces as :class:`EOFError`; a connection that
-    dies mid-frame surfaces as ``asyncio.IncompleteReadError``; corrupt
-    bytes (bad magic/version/length, undecodable payload) surface as
-    :class:`~repro.errors.CodecError`.  Callers must treat ``CodecError``
-    as fatal for the *connection* — the stream position is unknown after
-    corrupt bytes, so the only safe recovery is to drop the connection
-    and let the sender's retry path re-establish it.
+    The control plane's reader (bootstrap handshake, tests); the data
+    plane deframes inside ``data_received`` and never comes here.  A
+    clean EOF at a frame boundary surfaces as :class:`EOFError`; a
+    connection that dies mid-frame surfaces as ``asyncio.
+    IncompleteReadError``; corrupt bytes (bad magic/version/length,
+    undecodable payload) surface as :class:`~repro.errors.CodecError`.
+    Callers must treat ``CodecError`` as fatal for the *connection* —
+    the stream position is unknown after corrupt bytes, so the only safe
+    recovery is to drop the connection and let the sender's retry path
+    re-establish it.
     """
-    _, payload = await read_frame_raw(reader, timeout=timeout)
-    obj = decode_frame_payload(payload)
-    return obj
+    try:
+        header = await asyncio.wait_for(
+            reader.readexactly(HEADER_SIZE), timeout
+        )
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            raise EOFError("connection closed at a frame boundary") from None
+        raise
+    payload = await asyncio.wait_for(
+        reader.readexactly(decode_header(header)), timeout
+    )
+    return decode_frame_payload(payload)
 
 
 def decode_frame(data: bytes) -> tuple[Any, int]:

@@ -2,17 +2,26 @@
 
 A :class:`NetPeer` gives its :class:`~repro.chord.node.ChordNode` a real
 TCP presence: a listening server (ephemeral port on localhost), an
-address book mapping overlay identifiers to socket addresses, and a
-pool of outbound connections — one persistent connection per target
-peer, fed by a queue and flushed by a writer task, so frames to the
-same peer never interleave and never handshake twice.
+address book mapping overlay identifiers to socket addresses, and one
+persistent outbound connection per target peer, so frames to the same
+peer never interleave and never handshake twice.
+
+No coroutine runs on the steady-state frame path (DESIGN.md §11, §13).
+Inbound, an accepted connection is an :class:`asyncio.Protocol`
+(:class:`_Inbound`): ``data_received`` relays or dispatches every
+complete frame of its chunk before returning.  Outbound, an
+:class:`_Outbox` is a ``deque`` and a ``call_soon``-scheduled
+synchronous ``_flush``; ``_write`` is the only function that touches an
+outbox socket, and the ``_recover`` task — alive only while a dial, a
+drain or a back-off must be awaited — the only retry loop.
 
 :class:`SocketTransport` implements the :class:`~repro.transport.Transport`
 contract over those peers.  Delivery semantics:
 
-* routed frames travel **hop by hop** along the nodes' real finger
-  tables — each TCP forward is one overlay hop, billed to the shared
-  :class:`~repro.sim.stats.TrafficStats`;
+* routed frames travel **hop by hop** — each TCP forward is one overlay
+  hop, billed to the shared :class:`~repro.sim.stats.TrafficStats`; the
+  next hop is read off the ring snapshot while the ring is exact, off
+  the node's finger table otherwise;
 * handlers run synchronously at the receiving peer, exactly as in the
   simulator; frames they emit are queued before the triggering
   delivery is marked done, so the cluster-wide :class:`InFlight`
@@ -21,33 +30,30 @@ contract over those peers.  Delivery semantics:
 * write failures retry with the fault-injection backoff shape of PR-1
   (``backoff_base * 2**(attempt-1)``, optionally jittered, up to
   ``max_attempts``); exhausted *routed* frames fall back to the
-  target's ring successor (mirroring the simulator Router's
-  successor-list fallback) before surfacing as a
+  target's ring successor before surfacing as a
   :class:`~repro.errors.DeliveryError` collected by the cluster
   (asynchronous failure cannot raise into the synchronous sender).
 
 Backpressure (DESIGN.md §12): in-flight deliveries are **credited**
-against a cluster-wide budget — the driver gates new workload events on
-available credit, synchronous handler cascades may transiently overdraw
-(they cannot block), and the observed peak is recorded and asserted
-against the budget.  Each outbound queue additionally has a bounded
-**send window**: when a slow or partitioned peer's queue is full, new
-data frames are shed (settled as failed, to be re-created by the
-soft-state lease refresh) instead of growing memory without bound.
+against a cluster-wide budget that gates the workload driver (handler
+cascades cannot block and may transiently overdraw), and each outbox
+has a bounded **send window** — a full backlog sheds new data frames
+(settled as failed, re-created by the lease refresh) instead of
+growing without bound.
 
 Known single-process shortcut: the *return value* of ``send``/
-``multisend`` (the responsible node) and ``lookup`` come from the
-in-process ring oracle and router, while payloads genuinely travel over
-TCP.  A routing bug therefore shows up as a missing or misdelivered
-frame — the notification digest catches it — not as a wrong return
-value.  See DESIGN.md §11.
+``multisend`` and ``lookup`` come from the in-process ring oracle and
+router, while payloads genuinely travel over TCP, so a routing bug
+shows up as a missing or misdelivered frame — the notification digest
+catches it — not as a wrong return value.  See DESIGN.md §11.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import socket
-from collections import Counter
+from collections import Counter, deque
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -68,10 +74,9 @@ from .codec import (
     MESSAGE_TYPE_BY_TAG,
     decode,
     decode_frame_payload,
+    decode_header,
     encode_frame,
     frame_for_payload,
-    read_frame,
-    read_frame_raw,
 )
 from .frames import (
     DirectFrame,
@@ -95,6 +100,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chord.node import ChordNode
     from .cluster import LiveCluster
 
+#: One WARNING per codec fault or stream break, one INFO per recovery
+#: that retried or fell back — never one per frame; silent by default.
+logger = logging.getLogger("repro.net")
+logger.addHandler(logging.NullHandler())
+
 
 class InjectedWireFault(Exception):
     """A chaos-layer decision dressed up as a socket failure.
@@ -110,26 +120,24 @@ class InjectedWireFault(Exception):
 #: on such a write: a batch stops growing once it reaches either (the
 #: frame that crossed the byte line still ships with the batch, so a
 #: single frame may exceed it alone).  The outbox never *waits* for a
-#: batch to fill — it only coalesces what handler cascades already
-#: queued, so an idle connection pays no added latency.
+#: batch to fill — it only coalesces what handler cascades queued before
+#: the flush callback ran, so an idle connection pays no added latency.
 MAX_BATCH_FRAMES = 64
 MAX_BATCH_BYTES = 256 * 1024
 
 
-def set_nodelay(writer: asyncio.StreamWriter) -> None:
-    """Disable Nagle's algorithm on a stream's underlying socket.
+def set_nodelay(stream) -> None:
+    """Disable Nagle's algorithm on the socket under a stream writer or
+    a transport (one without a real socket is left alone).
 
     Batching is *our* policy (the outbox coalesces frames explicitly);
     letting the kernel hold small writes back as well would stack an
-    uncontrolled delay on top and put latency numbers at Nagle's mercy.
-    Applied to every accepted and outbound TCP connection; a transport
-    without a real socket (tests, non-TCP) is silently left alone.
+    uncontrolled delay on top.
     """
-    sock = writer.get_extra_info("socket")
-    if sock is None:
-        return
-    with suppress(OSError, AttributeError):
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock = stream.get_extra_info("socket")
+    if sock is not None:
+        with suppress(OSError, AttributeError):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 @dataclass
@@ -154,7 +162,7 @@ class NetConfig:
     backoff_base: float = 0.05
     #: Uniform multiplicative jitter on retry pauses (0 = deterministic).
     backoff_jitter: float = 0.0
-    #: Per-peer outbound queue bound; data frames beyond it are shed
+    #: Per-peer outbound backlog bound; data frames beyond it are shed
     #: (and recovered by the lease refresh) instead of buffered forever.
     send_window: int = 1024
     #: Cluster-wide ceiling on in-flight deliveries (the credit budget).
@@ -332,220 +340,172 @@ class _OutItem:
 
 
 class _Outbox:
-    """One persistent outbound connection: queue + batching writer task.
+    """One persistent outbound connection: a deque and a synchronous flush.
+
+    Frames wait in ``pending``; the first one queued in a loop turn
+    schedules one :meth:`_flush`, which coalesces whatever the handler
+    cascades of that turn queued into socket writes bounded by
+    :data:`MAX_BATCH_FRAMES` and :data:`MAX_BATCH_BYTES` (DESIGN.md
+    §13).  With a chaos layer installed a write carries strictly one
+    frame, so the seeded fault decisions (reset/truncate/garble *this*
+    frame) keep their exact semantics.  What cannot be done inside one
+    callback happens in the :meth:`_recover` task, alive only while
+    there is something to await.
 
     The connection is (re-)established lazily against the *current*
     address-book entry, so a peer that restarted on a new port is
-    reached as soon as the membership update lands.  A connection the
-    remote side dropped (EOF seen, or transport closing) is detected
-    before the next write instead of silently swallowing frames.
-
-    The writer coalesces queued frames into multi-frame socket writes
-    with a **single drain per batch** (DESIGN.md §13): whatever a
-    synchronous handler cascade queued in one event-loop turn usually
-    ships as one ``write()``.  Batches are bounded by
-    :data:`MAX_BATCH_FRAMES` and :data:`MAX_BATCH_BYTES`; with a chaos
-    layer installed the writer ships strictly one frame per write so
-    the seeded fault decisions (reset/truncate/garble *this* frame)
-    keep their exact semantics.
+    reached as soon as the membership update lands; one the remote side
+    dropped (EOF seen, or transport closing) is detected before the
+    next write instead of silently swallowing frames.
     """
 
     def __init__(self, peer: "NetPeer", target_ident: int):
         self.peer = peer
         self.target_ident = target_ident
-        self.queue: asyncio.Queue = asyncio.Queue()
+        self.pending: deque[_OutItem] = deque()
+        #: Frames taken off ``pending`` but not yet settled (current batch).
+        self.current: list[_OutItem] = []
         self.reader: Optional[asyncio.StreamReader] = None
         self.writer: Optional[asyncio.StreamWriter] = None
-        #: Frames taken off the queue but not yet settled (current batch).
-        self.current: list[_OutItem] = []
-        self.task = asyncio.get_running_loop().create_task(self._run())
+        self._loop = asyncio.get_running_loop()
+        self._recovery: Optional[asyncio.Task] = None
 
     @property
     def depth(self) -> int:
-        return self.queue.qsize() + len(self.current)
+        return len(self.pending) + len(self.current)
+
+    def put(self, item: _OutItem) -> None:
+        """Queue ``item``.  A backlog is non-empty only while a flush is
+        scheduled or a recovery runs, so the frame that finds it empty
+        schedules the one flush of this loop turn."""
+        if not self.pending and self._recovery is None:
+            self._loop.call_soon(self._flush)
+        self.pending.append(item)
 
     async def close(self) -> None:
-        await self.queue.put(None)
-        await self.task
+        """Ship what is still queued, then hang up."""
+        if self._recovery is None:
+            self._flush()
+        if self._recovery is not None:
+            await self._recovery
+        self.reset()
 
     def abort(self) -> list[_OutItem]:
-        """Crash teardown: cancel the writer, return the doomed items."""
-        items = list(self.current)
+        """Crash teardown: cancel any recovery, return the doomed items."""
+        items = self.current + list(self.pending)
         self.current.clear()
-        while not self.queue.empty():
-            item = self.queue.get_nowait()
-            if item is not None:
-                items.append(item)
-        self.task.cancel()
+        self.pending.clear()
+        if self._recovery is not None:
+            self._recovery.cancel()
         self.reset(abort=True)
         return items
 
     def reset(self, *, abort: bool = False) -> None:
         """Drop the pooled connection (next write re-establishes it)."""
-        writer = self.writer
-        self.reader = None
-        self.writer = None
-        if writer is None:
-            return
-        if abort:
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        else:
-            writer.close()
+        writer, self.reader, self.writer = self.writer, None, None
+        if writer is not None:
+            if abort:
+                writer.transport.abort()
+            else:
+                writer.close()
 
     # ------------------------------------------------------------------
-    async def _run(self) -> None:
-        config = self.peer.cluster.net_config
-        try:
-            while True:
-                item = await self.queue.get()
-                if item is None:
-                    return
-                batch = self.current
+    def _connected(self) -> bool:
+        writer = self.writer
+        return not (
+            writer is None or writer.is_closing() or self.reader.at_eof()
+        )
+
+    def _take(self) -> list[_OutItem]:
+        """Move the next write's frames from ``pending`` to ``current``:
+        up to the batch bounds, or exactly one with chaos installed."""
+        pending = self.pending
+        batch = self.current
+        item = pending.popleft()
+        batch.append(item)
+        if self.peer.cluster.chaos is None:
+            nbytes = len(item.data)
+            while (
+                pending
+                and len(batch) < MAX_BATCH_FRAMES
+                and nbytes < MAX_BATCH_BYTES
+            ):
+                item = pending.popleft()
                 batch.append(item)
-                closing = self._fill_batch(batch)
-                if len(batch) == 1:
-                    await self._deliver(item, config)
-                    batch.clear()
-                else:
-                    await self._deliver_batch(batch, config)
-                if closing:
-                    return
-        finally:
-            self.reset()
+                nbytes += len(item.data)
+        return batch
 
-    def _fill_batch(self, batch: list[_OutItem]) -> bool:
-        """Greedily take more queued frames into ``batch`` (no awaits).
-
-        Returns True when the close sentinel was consumed while
-        filling, so the caller ships the batch and then exits.  With
-        chaos installed the batch stays at one frame, so every frame
-        gets its own seeded fault decision.
-        """
-        if self.peer.cluster.chaos is not None:
-            return False
-        nbytes = len(batch[0].data)
-        queue = self.queue
-        while len(batch) < MAX_BATCH_FRAMES and nbytes < MAX_BATCH_BYTES:
-            try:
-                item = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return False
-            if item is None:
-                return True
-            batch.append(item)
-            nbytes += len(item.data)
-        return False
-
-    async def _deliver_batch(
-        self, batch: list[_OutItem], config: NetConfig
-    ) -> None:
-        """One coalesced write + one drain for the whole batch.
-
-        A failed batch write falls back to :meth:`_deliver`: every
-        frame of the batch then gets the full retry/backoff/fallback
-        treatment individually.  (Benign runs never take that path — a
-        localhost write only fails under a genuinely dead peer.)
-        """
-        try:
-            await self._attempt(batch, config)
-            batch.clear()
+    def _flush(self) -> None:
+        """Write everything queued, inside this one callback, while
+        nothing must be awaited: a live pooled connection, a target
+        nobody declared dead, no chaos layer (it is owed a drain per
+        frame), the kernel taking each write whole.  Else
+        :meth:`_recover` takes over."""
+        if self._recovery is not None:
             return
-        except (OSError, asyncio.TimeoutError, InjectedWireFault):
-            self.reset()
-            self.peer.note_send_failure(self.target_ident)
-        while batch:
-            await self._deliver(batch[0], config)
-            batch.pop(0)
+        if PERF.enabled:
+            PERF.count("net.flushes")
+        cluster = self.peer.cluster
+        owed = False
+        while self.pending and not owed:
+            if (
+                cluster.chaos is not None
+                or cluster.is_dead(self.target_ident)
+                or not self._connected()
+            ):
+                break
+            owed = not self._write(self._take())
+            if not owed:
+                self.current.clear()
+        if owed or self.pending:
+            self._recovery = self._loop.create_task(self._recover(owed))
 
-    async def _deliver(self, item: _OutItem, config: NetConfig) -> None:
-        peer = self.peer
-        cluster = peer.cluster
-        heartbeat = type(item.frame) is Heartbeat
-        attempt = 1
-        while True:
-            try:
-                await self._attempt((item,), config)
-                return
-            except (OSError, asyncio.TimeoutError, InjectedWireFault):
-                self.reset()
-                peer.note_send_failure(self.target_ident)
-                if heartbeat:
-                    return  # one-shot beacon; the detector saw the failure
-                if attempt >= config.max_attempts:
-                    peer._exhausted(self.target_ident, item, attempt)
-                    return
-                cluster.stats.record_retry(
-                    item.labels[0] if item.labels else "control"
-                )
-                await asyncio.sleep(
-                    cluster.jittered(
-                        config.backoff_base * (2 ** (attempt - 1))
-                    )
-                )
-                attempt += 1
-
-    async def _attempt(
-        self, items: Sequence[_OutItem], config: NetConfig
-    ) -> None:
+    def _write(self, items: Sequence[_OutItem]) -> bool:
         """Write ``items`` — one frame, or a whole batch — exactly once.
 
-        The only place an outbox touches its socket: dead-peer check,
-        lazy (re)connect, one ``write()``, at most one drain, then the
-        send accounting.  Any failure raises; retry policy belongs to
-        the callers.
+        The only place an outbox touches its socket, and synchronous:
+        the caller made sure of a connection.  True: sent and accounted.
+        False: written, but a drain is owed (the kernel did not take it
+        all, or chaos is installed) — the caller awaits it and then
+        calls :meth:`_sent`.  Any failure raises; retry policy belongs
+        to :meth:`_recover`.
         """
-        peer = self.peer
-        cluster = peer.cluster
-        if cluster.is_dead(self.target_ident):
-            raise InjectedWireFault(f"peer {self.target_ident} crashed")
-        chaos = cluster.chaos
-        if chaos is not None and chaos.blocked(
-            peer.node.ident, self.target_ident
-        ):
-            raise InjectedWireFault("link partitioned")
-        if (
-            self.writer is None
-            or self.writer.is_closing()
-            or (self.reader is not None and self.reader.at_eof())
-        ):
-            self.reset()
-            await self._connect(config)
+        chaos = self.peer.cluster.chaos
         data = b"".join([item.data for item in items])
         # Chaos faults are decided *before* any clean byte hits the
         # wire, so a faulted attempt was certainly not delivered and
         # can be retried without risking a duplicate.  (``data`` is a
-        # single frame here: chaos never batches, see ``_fill_batch``.)
+        # single frame here: chaos never batches, see ``_take``.)  A
+        # damaged frame is followed by a graceful close, which flushes
+        # what was written before the connection dies.
         fault = chaos.sample_frame_fault() if chaos is not None else None
         if fault == "reset":
             self.reset(abort=True)
             raise InjectedWireFault("connection reset")
         if fault == "truncate":
             self.writer.write(data[: max(1, len(data) // 2)])
-            with suppress(OSError, asyncio.TimeoutError):
-                await asyncio.wait_for(self.writer.drain(), config.io_timeout)
-            self.reset(abort=True)
+            self.reset()
             raise InjectedWireFault("frame truncated on the wire")
         if fault == "garble":
             self.writer.write(chaos.corrupt(data))
-            with suppress(OSError, asyncio.TimeoutError):
-                await asyncio.wait_for(self.writer.drain(), config.io_timeout)
             # The receiver will fail decoding and drop the connection.
             self.reset()
             raise InjectedWireFault("frame garbled on the wire")
         self.writer.write(data)
-        # ``drain()`` below the high-water mark is a no-op, but
-        # ``wait_for`` still builds a Task and a timer per call — on
-        # the hot path that is most of the flush cost.  When the
-        # kernel took the whole write synchronously there is nothing
-        # to wait for; any connection failure surfaces on the next
-        # write or on the serve side.  Chaos runs always drain: their
-        # semantics lean on a drain per faulted attempt.
+        # When the kernel took the whole write synchronously there is
+        # nothing to wait for; any connection failure surfaces on the
+        # next write or on the receiving side.  Chaos runs always
+        # drain: their semantics lean on a drain per attempt.
         if chaos is not None or self.writer.transport.get_write_buffer_size():
-            await asyncio.wait_for(self.writer.drain(), config.io_timeout)
+            return False
+        self._sent(items, len(data))
+        return True
+
+    def _sent(self, items: Sequence[_OutItem], nbytes: int) -> None:
+        """Send accounting of one completed write."""
+        peer = self.peer
         batched = len(items) > 1
-        peer.bytes_sent += len(data)
+        peer.bytes_sent += nbytes
         if batched:
             peer.batches_sent += 1
         peer.note_send_success(self.target_ident)
@@ -554,23 +514,213 @@ class _Outbox:
             if batched:
                 PERF.count("net.batches")
             PERF.count("net.frames_flushed", len(items))
-            PERF.count("net.bytes_flushed", len(data))
+            PERF.count("net.bytes_flushed", nbytes)
 
-    async def _connect(self, config: NetConfig) -> None:
-        cluster = self.peer.cluster
+    def _gate(self) -> Optional[PeerInfo]:
+        """In front of every attempt: refuse a crashed or partitioned
+        target; return the address to dial first when there is no live
+        pooled connection (``None``: write on the one there is)."""
+        peer = self.peer
+        cluster = peer.cluster
+        target = self.target_ident
+        if cluster.is_dead(target):
+            raise InjectedWireFault(f"peer {target} crashed")
         chaos = cluster.chaos
+        if chaos is not None and chaos.blocked(peer.node.ident, target):
+            raise InjectedWireFault("link partitioned")
+        if self._connected():
+            return None
+        self.reset()
         if chaos is not None and chaos.should_refuse_connection():
             raise InjectedWireFault("connection refused (injected)")
-        info = self.peer.book.get(self.target_ident)
+        info = peer.book.get(target)
         if info is None:
-            raise InjectedWireFault(
-                f"no address for peer {self.target_ident}"
+            raise InjectedWireFault(f"no address for peer {target}")
+        return info
+
+    async def _recover(self, owed: bool) -> None:
+        """Everything an outbox ever awaits, and its only retry loop.
+
+        Runs until nothing is queued (``owed``: ``current`` is written
+        and waits for its drain).  A batch gets one attempt as a whole;
+        if that fails every frame of it — like a frame that travelled
+        alone — gets the full ladder: up to ``max_attempts`` writes with
+        exponential back-off, then :meth:`NetPeer._exhausted`.  A
+        heartbeat is a one-shot beacon: the detector saw the failure,
+        nothing is retried.  (Benign runs never fail a write — a
+        localhost write only fails under a genuinely dead peer.)
+        """
+        peer = self.peer
+        cluster = peer.cluster
+        config = cluster.net_config
+        batch = self.current
+        whole, attempt = len(batch) > 1, 1
+        retries = rerouted = 0
+        failure: Optional[Exception] = None
+        if PERF.enabled:
+            PERF.count("net.recoveries")
+        try:
+            while batch or self.pending:
+                if not batch:
+                    whole = len(self._take()) > 1
+                items = batch if whole else batch[:1]
+                try:
+                    info = None if owed else self._gate()
+                    if info is not None:
+                        if PERF.enabled:
+                            PERF.count("net.connects")
+                        self.reader, self.writer = await asyncio.wait_for(
+                            asyncio.open_connection(info.host, info.port),
+                            config.connect_timeout,
+                        )
+                        set_nodelay(self.writer)
+                    if owed or not self._write(items):
+                        owed = False
+                        await asyncio.wait_for(
+                            self.writer.drain(), config.io_timeout
+                        )
+                        self._sent(items, sum(len(i.data) for i in items))
+                except (OSError, asyncio.TimeoutError, InjectedWireFault) as exc:
+                    failure = exc
+                    self.reset()
+                    peer.note_send_failure(self.target_ident)
+                    if whole:
+                        whole = False  # each frame on its own from here
+                        continue
+                    item = batch[0]
+                    if type(item.frame) is Heartbeat:
+                        pass
+                    elif attempt >= config.max_attempts:
+                        rerouted += peer._exhausted(
+                            self.target_ident, item, attempt
+                        )
+                    else:
+                        cluster.stats.record_retry(
+                            item.labels[0] if item.labels else "control"
+                        )
+                        retries += 1
+                        await asyncio.sleep(
+                            cluster.jittered(
+                                config.backoff_base * (2 ** (attempt - 1))
+                            )
+                        )
+                        attempt += 1
+                        continue
+                del batch[: len(items)]
+                attempt = 1
+        finally:
+            self._recovery = None
+            if retries or rerouted:
+                logger.info(
+                    "peer %s -> %s: recovery retried %d write(s), %d frame(s) "
+                    "fell back to a successor; last failure: %r",
+                    peer.node.ident, self.target_ident, retries, rerouted, failure,
+                )
+
+
+class _Inbound(asyncio.Protocol):
+    """One accepted connection, deframed and dispatched where it arrives.
+
+    ``data_received`` walks every complete frame of its chunk — header
+    and payload are slices of the chunk, nothing is buffered when the
+    chunk ends on a frame boundary — and relays or dispatches each
+    before returning.  A frame the chunk cuts short waits in ``buffer``,
+    one ``bytearray`` sized by its (``MAX_PAYLOAD``-checked) header and
+    filled in place, so it is copied twice whatever the chunk size
+    (``copied`` counts); a header cut short waits in ``head``.
+
+    A :class:`CodecError` aborts the connection with nothing after the
+    bad frame dispatched (the stream position is lost; the sender's
+    recovery dials a clean connection and this server keeps serving the
+    others); bytes left over when the connection is lost are a stream
+    break; a close at a frame boundary is silent.
+    """
+
+    def __init__(self, peer: "NetPeer"):
+        self.peer = peer
+        self.transport: Optional[asyncio.Transport] = None
+        loop = asyncio.get_running_loop()
+        self._clock = loop.time
+        #: Resolved by ``connection_lost`` (teardown waits on it).
+        self.closed: asyncio.Future = loop.create_future()
+        self.head = b""
+        self.buffer: Optional[bytearray] = None
+        self.filled = 0
+        self.copied = 0
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.peer._inbound.add(self)
+        set_nodelay(transport)
+
+    def data_received(self, data: bytes) -> None:
+        self.peer._last_inbound = self._clock()
+        if PERF.enabled:
+            PERF.count("net.chunks")
+        try:
+            if self.head:
+                data, self.head = self.head + data, b""
+                self.copied += len(data)
+            pos = 0 if self.buffer is None else self._fill(data, 0)
+            size = len(data)
+            while pos < size:
+                body = pos + HEADER_SIZE
+                if body > size:
+                    self.head = data[pos:]
+                    break
+                header = data[pos:body]
+                end = body + decode_header(header)
+                if end <= size:
+                    self._frame(header, data[body:end])
+                    pos = end
+                else:
+                    self.buffer, self.filled = bytearray(end - pos), 0
+                    pos = self._fill(data, pos)
+        except CodecError as exc:
+            self.buffer = None
+            self._fault(self.peer.cluster.note_codec_fault, "codec fault", exc)
+            self.transport.abort()
+
+    def _fill(self, data: bytes, pos: int) -> int:
+        """Pour ``data[pos:]`` into the waiting frame, dispatch it once
+        complete; returns the position consumed up to."""
+        buffer = self.buffer
+        take = min(len(buffer) - self.filled, len(data) - pos)
+        buffer[self.filled : self.filled + take] = memoryview(data)[pos : pos + take]
+        self.filled += take
+        self.copied += take
+        if self.filled == len(buffer):
+            self.buffer = None
+            self.copied += len(buffer)
+            whole = memoryview(buffer)
+            self._frame(bytes(whole[:HEADER_SIZE]), bytes(whole[HEADER_SIZE:]))
+        return pos + take
+
+    def _frame(self, header: bytes, payload: bytes) -> None:
+        peer = self.peer
+        if PERF.enabled:
+            PERF.count("net.frames_received")
+        if not peer._relay_raw(header, payload):
+            peer._dispatch(decode_frame_payload(payload), self.transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.peer._inbound.discard(self)
+        self.closed.set_result(None)
+        if exc is None and self.buffer is not None:
+            exc = asyncio.IncompleteReadError(
+                bytes(self.buffer[: self.filled]), len(self.buffer)
             )
-        self.reader, self.writer = await asyncio.wait_for(
-            asyncio.open_connection(info.host, info.port),
-            config.connect_timeout,
+        elif exc is None and self.head:
+            exc = asyncio.IncompleteReadError(self.head, HEADER_SIZE)
+        if exc is not None:
+            self._fault(self.peer.cluster.note_stream_break, "stream break", exc)
+
+    def _fault(self, note, what: str, exc: Exception) -> None:
+        note(exc)
+        logger.warning(
+            "peer %s: %s on the connection from %s: %r", self.peer.node.ident,
+            what, self.transport.get_extra_info("peername"), exc,
         )
-        set_nodelay(self.writer)
 
 
 class NetPeer:
@@ -585,8 +735,7 @@ class NetPeer:
         self.book: dict[int, PeerInfo] = {}
         self._outboxes: dict[int, _Outbox] = {}
         self._server: Optional[asyncio.AbstractServer] = None
-        self._serve_tasks: set[asyncio.Task] = set()
-        self._inbound: set[asyncio.StreamWriter] = set()
+        self._inbound: set[_Inbound] = set()
         self.detector: Optional[FailureDetector] = None
         #: Set by :meth:`freeze`; a frozen peer settles inbound frames
         #: as crash casualties instead of delivering them.
@@ -603,35 +752,39 @@ class NetPeer:
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> PeerInfo:
         """Bind the TCP server (``port=0`` = ephemeral)."""
-        self._server = await asyncio.start_server(self._serve, host, port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self), host, port
+        )
         bound = self._server.sockets[0].getsockname()[1]
         self.info = PeerInfo(self.node.ident, host, bound)
         self.book[self.node.ident] = self.info
         self.crashed = False
         return self.info
 
-    async def stop_server(self) -> None:
-        """Kill just the TCP server (and live inbound connections).
+    async def stop_server(self, *, abort: bool = True) -> None:
+        """Kill just the TCP server and the accepted connections.
 
         The peer object, its node, its address book and its outboxes
         all survive — this models a listener outage, not a crash.
         Senders notice on their next write (connection reset / refused)
         and retry; calling :meth:`start` again with the old port brings
         the peer back on the same address, so no membership update is
-        needed for routing to resume.
+        needed for routing to resume.  Returns once every connection's
+        ``connection_lost`` has run (``abort=False``: closed gracefully).
         """
-        if self._server is not None:
-            self._server.close()
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        connections = list(self._inbound)
+        for connection in connections:
+            if abort:
+                connection.transport.abort()
+            else:
+                connection.transport.close()
+        await asyncio.gather(*[connection.closed for connection in connections])
+        if server is not None:
             with suppress(OSError):
-                await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._inbound):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        if self._serve_tasks:
-            await asyncio.gather(*self._serve_tasks, return_exceptions=True)
-            self._serve_tasks.clear()
+                await server.wait_closed()
 
     def enable_health(self, config: HealthConfig) -> FailureDetector:
         """Attach and start a failure detector for this peer."""
@@ -640,28 +793,14 @@ class NetPeer:
         return self.detector
 
     async def stop(self) -> None:
-        """Flush outboxes, stop listening, hang up inbound connections.
-
-        Inbound handlers are not cancelled — their sockets are closed,
-        so each reader loop sees EOF and exits on its own; the gather
-        then merely waits for that, leaving nothing for the event-loop
-        teardown to cancel.
-        """
+        """Flush outboxes, stop listening, hang up inbound connections."""
         if self.detector is not None:
             await self.detector.stop()
             self.detector = None
         for outbox in self._outboxes.values():
             await outbox.close()
         self._outboxes.clear()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._inbound):
-            writer.close()
-        if self._serve_tasks:
-            await asyncio.gather(*self._serve_tasks, return_exceptions=True)
-            self._serve_tasks.clear()
+        await self.stop_server(abort=False)
 
     def freeze(self) -> None:
         """Phase one of a crash: stop listening, stop delivering.
@@ -680,8 +819,8 @@ class NetPeer:
     async def abort(self) -> None:
         """Phase two of a crash: settle doomed frames, hang everything up.
 
-        Outbound queues are cancelled and every queued frame is settled
-        as a crash casualty.  Inbound connections are then given a
+        Outbound recoveries are cancelled and every queued frame is
+        settled as a crash casualty.  Inbound connections are then given a
         short idle window so frames already buffered in the kernel are
         *consumed and settled* (not delivered — the node is dead) by
         the frozen dispatch path; without that window their in-flight
@@ -706,17 +845,7 @@ class NetPeer:
             if loop.time() - self._last_inbound >= quiet:
                 break
             await asyncio.sleep(0.02)
-        if self._server is not None:
-            with suppress(OSError):
-                await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._inbound):
-            transport = writer.transport
-            if transport is not None:
-                transport.abort()
-        if self._serve_tasks:
-            await asyncio.gather(*self._serve_tasks, return_exceptions=True)
-            self._serve_tasks.clear()
+        await self.stop_server()
 
     # ------------------------------------------------------------------
     # Outbound
@@ -730,7 +859,7 @@ class NetPeer:
         fallback: bool = False,
     ) -> None:
         """The one way onto an outbox: address check, lazy outbox
-        creation, send-window shed, encode, queue.  Never blocks."""
+        creation, send-window shed, encode, append.  Never blocks."""
         if target_ident not in self.book:
             self.cluster.frame_failed(
                 NetworkError(
@@ -746,7 +875,7 @@ class NetPeer:
             self._outboxes[target_ident] = outbox
         window = self.cluster.net_config.send_window
         kind = type(frame)
-        if kind in _SHEDDABLE and window > 0 and outbox.queue.qsize() >= window:
+        if kind in _SHEDDABLE and window > 0 and len(outbox.pending) >= window:
             # Bounded backpressure: a saturated peer sheds instead of
             # buffering without bound; the lease refresh re-creates
             # whatever the shed frames would have built.
@@ -763,7 +892,7 @@ class NetPeer:
         if weight:  # weightless beacons are not traffic
             self.frames_sent += 1
         data = frame.data if kind is _RawFrame else encode_frame(frame)
-        outbox.queue.put_nowait(_OutItem(frame, data, weight, labels, fallback))
+        outbox.put(_OutItem(frame, data, weight, labels, fallback))
 
     def post(
         self, target_ident: int, frame, *, weight: int, fallback: bool = False
@@ -797,7 +926,7 @@ class NetPeer:
         self._enqueue(target_ident, Heartbeat(sender=self.node.ident), (), 0)
 
     def reset_connection(self, target_ident: int) -> None:
-        """Drop the pooled connection to one peer (queue survives)."""
+        """Drop the pooled connection to one peer (its backlog survives)."""
         outbox = self._outboxes.get(target_ident)
         if outbox is not None:
             outbox.reset()
@@ -810,8 +939,9 @@ class NetPeer:
         if self.detector is not None:
             self.detector.note_failure(target_ident)
 
-    def _exhausted(self, target_ident: int, item: _OutItem, attempts: int) -> None:
-        """All write attempts to one peer failed; fall back or give up.
+    def _exhausted(self, target_ident: int, item: _OutItem, attempts: int) -> bool:
+        """All write attempts to one peer failed; fall back (True) or
+        give up (False).
 
         Mirrors the simulator Router: a routed frame gets one shot at
         the target's ring successor (the node that owns, or will own
@@ -834,10 +964,11 @@ class NetPeer:
                         alternative, frame, weight=item.weight,
                         fallback=True,
                     )
-                return
+                return True
         self.cluster.frame_failed(
             DeliveryError(label, target_ident, attempts), item.labels
         )
+        return False
 
     def _accept_fallback(self, frame) -> None:
         """This peer itself is the fallback owner; dispatch locally."""
@@ -855,8 +986,11 @@ class NetPeer:
     def _next_hop(self, ident: int) -> "ChordNode":
         """The simulator router's forwarding rule, one step at a time.
 
-        A hop the failure detector currently suspects is treated like a
-        dead finger (fall back to the successor) — the same rule the
+        While the ring is exact the step is read off the ring snapshot
+        (hop-identical to the finger scan, DESIGN.md §14); a ring under
+        churn has no snapshot and scans the node's fingers.  A hop the
+        failure detector currently suspects is treated like a dead
+        finger (fall back to the successor) — the same rule the
         simulator Router applies to ``not next_hop.alive``.
         """
         node = self.node
@@ -869,7 +1003,18 @@ class NetPeer:
             successor.ident - low
         ) % size:
             return successor
-        next_hop = node.closest_preceding_finger(ident)
+        network = self.cluster.network
+        snapshot = network.snapshot
+        if snapshot is None:
+            next_hop = node.closest_preceding_finger(ident)
+        else:
+            next_hop = network.node_at(
+                snapshot.idents[
+                    snapshot.closest_preceding_finger_pos(
+                        snapshot.position(low), ident
+                    )
+                ]
+            )
         detector = self.detector
         if (
             next_hop is node
@@ -1045,52 +1190,7 @@ class NetPeer:
     # ------------------------------------------------------------------
     # Inbound
     # ------------------------------------------------------------------
-    async def _serve(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._serve_tasks.add(task)
-        self._inbound.add(writer)
-        set_nodelay(writer)
-        loop = asyncio.get_running_loop()
-        abort_connection = False
-        try:
-            while True:
-                try:
-                    header, payload = await read_frame_raw(reader)
-                except asyncio.IncompleteReadError:
-                    # Died mid-frame; must precede the EOFError arm
-                    # (IncompleteReadError subclasses EOFError).
-                    raise
-                except EOFError:
-                    break  # clean close at a frame boundary
-                self._last_inbound = loop.time()
-                if self._relay_raw(header, payload):
-                    continue
-                frame = decode_frame_payload(payload)
-                await self._dispatch(frame, writer)
-        except CodecError as exc:
-            # Corrupt bytes poison the whole stream: the only safe
-            # recovery is to abort this connection (the sender's next
-            # write fails and its retry path re-establishes a clean
-            # one) while this server keeps serving other connections.
-            abort_connection = True
-            self.cluster.note_codec_fault(exc)
-        except (asyncio.IncompleteReadError, OSError) as exc:
-            self.cluster.note_stream_break(exc)
-        finally:
-            self._inbound.discard(writer)
-            if task is not None:
-                self._serve_tasks.discard(task)
-            if abort_connection and writer.transport is not None:
-                writer.transport.abort()
-            else:
-                writer.close()
-                with suppress(OSError, ConnectionError):
-                    await writer.wait_closed()
-
-    async def _dispatch(self, frame, writer: asyncio.StreamWriter) -> None:
+    def _dispatch(self, frame, transport: asyncio.Transport) -> None:
         kind = type(frame)
         if kind is Heartbeat:
             if self.detector is not None:
@@ -1106,8 +1206,7 @@ class NetPeer:
         elif kind is DirectFrame:
             self.handle_delivery(frame.message)
         elif kind is JoinRequest:
-            writer.write(encode_frame(self.admit(frame.info)))
-            await writer.drain()
+            transport.write(encode_frame(self.admit(frame.info)))
         elif kind is MemberUpdate:
             for info in frame.members:
                 old = self.book.get(info.ident)

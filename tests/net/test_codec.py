@@ -8,14 +8,17 @@ frames loudly instead of misparsing them.
 """
 
 import dataclasses
+import json
 import struct
+from contextlib import suppress
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.notifications import Notification
 from repro.core.tables import QueryGroup, StoredQuery
-from repro.errors import CodecError, QueryError
+from repro.errors import CodecError, QueryError, SchemaError
 from repro.net import codec, frames
 from repro.net.codec import (
     HEADER_SIZE,
@@ -579,3 +582,93 @@ class TestFraming:
     def test_duplicate_tag_registration_rejected(self):
         with pytest.raises(CodecError, match="registered twice"):
             register_record(Relation, 0x10, ("name", "attributes"))
+
+
+# ----------------------------------------------------------------------
+# Mutation fuzz: damaged bytes are a CodecError, never anything else
+# ----------------------------------------------------------------------
+
+GOLDEN_FRAMES = {
+    name: bytes.fromhex(wire)
+    for name, wire in json.loads(
+        (Path(__file__).parent / "golden_wire_frames.json").read_text()
+    )["frames"].items()
+}
+FUZZ = settings(max_examples=400, deadline=None)
+golden_names = st.sampled_from(sorted(GOLDEN_FRAMES))
+
+
+def decodes_or_codec_error(wire: bytes) -> None:
+    """``decode_frame`` may return a value or raise ``CodecError`` —
+    pytest fails the test on any other exception — and whatever the
+    attempt interned is exactly what its bytes say: a shape that failed
+    to decode or validate never enters the table."""
+    before = dict(codec._SHAPE_TABLE)
+    with suppress(CodecError):
+        decode_frame(wire)
+    for blob, shape in codec._SHAPE_TABLE.items():
+        if blob in before:
+            continue
+        inner = codec._Reader(blob)
+        rebuilt = GroupShape(
+            *[codec._decode_value(inner) for _ in codec._SHAPE_FIELDS]
+        )
+        assert inner.pos == len(blob) and rebuilt == shape
+
+
+class TestMutationFuzz:
+    @FUZZ
+    @given(
+        name=golden_names,
+        position=st.integers(min_value=0),
+        byte=st.integers(0, 255),
+    )
+    # ``DataTuple(relation=None, ...)``: its validator raised AttributeError.
+    @example(name="message_0", position=9, byte=0)
+    def test_one_changed_byte(self, name, position, byte):
+        wire = bytearray(GOLDEN_FRAMES[name])
+        wire[position % len(wire)] = byte
+        decodes_or_codec_error(bytes(wire))
+
+    @FUZZ
+    @given(name=golden_names, cut=st.integers(min_value=0))
+    def test_truncation(self, name, cut):
+        wire = GOLDEN_FRAMES[name]
+        cut %= len(wire)
+        with pytest.raises(CodecError):
+            decode_frame(wire[:cut])
+        # The same cut announced honestly by the header: the payload
+        # decoder, not the length check, has to notice.
+        if cut > HEADER_SIZE:
+            decodes_or_codec_error(
+                codec.frame_for_payload(wire[HEADER_SIZE:cut])
+            )
+
+    def test_broken_string_body_is_a_codec_error(self):
+        """A flipped UTF-8 continuation byte used to escape as
+        ``UnicodeDecodeError``."""
+        wire = bytearray(encode_frame(UnsubscribeMessage(query_key="qué")))
+        wire[wire.index("é".encode()) + 1] = 0x20
+        with pytest.raises(CodecError) as caught:
+            decode_frame(bytes(wire))
+        assert isinstance(caught.value.__cause__, UnicodeDecodeError)
+
+    def test_wrong_tuple_arity_is_a_codec_error(self):
+        """A value tuple one short of its relation used to escape as
+        ``SchemaError``."""
+        message = ALIndexMessage(
+            tuple=DataTuple(R, (1, 2), 1.0), index_attribute="A"
+        )
+        payload = encode(message)
+        values = encode((1, 2))
+        assert payload.count(values) == 1
+        shrunk = payload.replace(values, encode((1,)))
+        with pytest.raises(CodecError) as caught:
+            decode(shrunk)
+        assert isinstance(caught.value.__cause__, SchemaError)
+
+    def test_unhashable_dict_key_and_absurd_nesting(self):
+        with pytest.raises(CodecError):
+            decode(bytes((0x09, 0x01, 0x08, 0x00, 0x00)))  # {[]: None}
+        with pytest.raises(CodecError):
+            decode(bytes((0x07, 0x01)) * 100_000)

@@ -11,6 +11,7 @@ refresh is equivalent to the one-shot form.
 """
 
 import asyncio
+import logging
 from dataclasses import replace
 
 import pytest
@@ -101,32 +102,49 @@ def test_a_live_row_that_leaves_the_simulator_cannot_finish(monkeypatch):
             run_experiment(params)
 
 
-def test_benign_run_takes_raw_relay_and_matches_simulator():
-    """The zero-copy relay forwards original bytes; answers identical."""
+def test_benign_run_takes_raw_relay_and_matches_simulator(caplog):
+    """The zero-copy relay forwards original bytes; answers identical.
+    The loop's own work is counted (chunks, frames, flushes, recoveries,
+    dials) and a run nothing went wrong in logs nothing."""
     workload = build_workload(
         WorkloadParams(n_queries=6, n_tuples=30, domain_size=12, seed=5)
     )
 
-    async def run() -> str:
+    async def run() -> tuple[str, int]:
         cluster = LiveCluster(
             ClusterConfig(algorithm="sai", n_nodes=6, seed=5)
         )
         await cluster.start()
         try:
             report = await cluster.run(workload)
+            outboxes = sum(len(p._outboxes) for p in cluster.peers.values())
         finally:
             await cluster.stop()
-        return report.notification_digest
+        return report.notification_digest, outboxes
 
     PERF.reset()
     PERF.enable()
     try:
-        digest = asyncio.run(run())
+        with caplog.at_level(logging.DEBUG, logger="repro.net"):
+            digest, outboxes = asyncio.run(run())
     finally:
         PERF.disable()
-    relayed = PERF.counter("net.frames_relayed_raw")
+    counters = {
+        name: PERF.counter(f"net.{name}")
+        for name in (
+            "frames_relayed_raw", "chunks", "frames_received",
+            "flushes", "writes", "recoveries", "connects",
+        )
+    }
     PERF.reset()
-    assert relayed > 0
+    assert counters["frames_relayed_raw"] > 0
+    # Frames per chunk and writes per flush are derivable, and sane.
+    assert 0 < counters["chunks"] <= counters["frames_received"]
+    assert 0 < counters["writes"] <= counters["flushes"] + counters["recoveries"]
+    # Benign: the only thing ever awaited was each outbox's first dial
+    # (or, rarely, a drain) — no retry, hence no log record at all.
+    assert counters["connects"] == outboxes <= counters["recoveries"]
+    assert [r for r in caplog.records if r.name == "repro.net"] == []
     assert digest == simulate_reference(
         workload, algorithm="sai", n_nodes=6, seed=5
     )[0]

@@ -6,6 +6,7 @@ it down inside ``asyncio.run``.
 """
 
 import asyncio
+import logging
 import socket
 
 import pytest
@@ -278,7 +279,7 @@ class TestDelivery:
 
 
 class TestFailureHandling:
-    def test_retry_exhaustion_surfaces_as_delivery_error(self):
+    def test_retry_exhaustion_surfaces_as_delivery_error(self, caplog):
         async def scenario():
             cluster = make_cluster(max_attempts=2)
             await cluster.start()
@@ -309,7 +310,14 @@ class TestFailureHandling:
                 cluster.errors.clear()
                 await cluster.stop()
 
-        asyncio.run(scenario())
+        with caplog.at_level(logging.INFO, logger="repro.net"):
+            asyncio.run(scenario())
+        # One INFO for the whole recovery (who, toward whom, how it
+        # went, the last failure) — not one per attempt or per frame.
+        records = [r for r in caplog.records if r.name == "repro.net"]
+        assert [r.levelname for r in records] == ["INFO"]
+        assert "retried 1 write(s), 0 frame(s) fell back" in records[0].getMessage()
+        assert "ConnectionRefusedError" in records[0].getMessage()
 
     def test_unknown_address_fails_fast(self):
         async def scenario():
