@@ -1,10 +1,12 @@
 """Shared configuration for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables/figures via the
-experiment functions in :mod:`repro.bench.experiments` and asserts the
-*shape* the paper reports (who wins, roughly by what factor, where
-crossovers fall) — never absolute numbers, which depend on scale and
-substrate.
+Every benchmark asks for one of the paper's tables/figures
+(:mod:`repro.bench.figures`) and asserts the *shape* the paper reports
+(who wins, roughly by what factor, where crossovers fall) on the means
+over seeds 1–5 — never absolute numbers, which depend on scale and
+substrate.  One experiment database serves the whole session, so
+figures that read the same sweep (E6/E7, E8/E9, E14/E15, the shared
+profile point of E2/E10/E11) run it once.
 
 Benchmarks default to the ``smoke`` profile so the whole suite runs in
 minutes; set ``REPRO_SCALE=default`` (or ``large`` / ``paper``) to
@@ -16,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.configs import current_scale
+from repro.bench.figures import FIGURES, measure
 
 
 @pytest.fixture(scope="session")
@@ -24,13 +27,26 @@ def scale():
     return current_scale(default="smoke")
 
 
-def run_once(benchmark, experiment, scale):
-    """Run an experiment exactly once under pytest-benchmark timing.
+@pytest.fixture(scope="session")
+def figure_db(tmp_path_factory):
+    """The session's experiment database."""
+    return str(tmp_path_factory.mktemp("figures") / "figures.sqlite")
+
+
+@pytest.fixture
+def table(benchmark, scale, figure_db):
+    """``table("E6")``: that figure's rows (seed means), timed once.
 
     These are macro-benchmarks of a whole simulated experiment, so a
     single round is representative; repetition would only multiply the
-    suite's runtime.
+    suite's runtime (and find every row already done).
     """
-    return benchmark.pedantic(
-        experiment, kwargs={"scale": scale}, rounds=1, iterations=1
-    )
+
+    def ask(figure_id: str) -> list[dict]:
+        return benchmark.pedantic(
+            lambda: measure(FIGURES[figure_id], figure_db, scale)[0],
+            rounds=1,
+            iterations=1,
+        )
+
+    return ask

@@ -6,18 +6,14 @@ evaluator identifiers ignore the attribute mix), so its participation
 is the lowest of the four.
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e10
-
-
-def test_e10_load_distribution(benchmark, scale):
-    result = run_once(benchmark, run_e10, scale)
-    by_algorithm = {row["algorithm"]: row for row in result.rows}
+def test_e10_load_distribution(table):
+    rows = table("E10")
+    by_algorithm = {row["algorithm"]: row for row in rows}
     assert set(by_algorithm) == {"sai", "dai-q", "dai-t", "dai-v"}
 
     # Every algorithm did real work.
-    for row in result.rows:
+    for row in rows:
         assert row["TF"] > 0
         assert row["TS"] > 0
         assert 0.0 <= row["filtering_gini"] < 1.0

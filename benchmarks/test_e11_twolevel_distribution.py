@@ -6,14 +6,10 @@ DAI-Q stores only tuples (small) while DAI-T stores both sides'
 rewritten queries (largest).
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e11
-
-
-def test_e11_twolevel_distribution(benchmark, scale):
-    result = run_once(benchmark, run_e11, scale)
-    by_algorithm = {row["algorithm"]: row for row in result.rows}
+def test_e11_twolevel_distribution(table):
+    rows = table("E11")
+    by_algorithm = {row["algorithm"]: row for row in rows}
 
     sai = by_algorithm["sai"]
     dai_q = by_algorithm["dai-q"]

@@ -6,14 +6,9 @@ increases ... a higher query processing load"), and the load keeps
 being spread over the same node population (participation is stable).
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e12
-
-
-def test_e12_tuple_rate(benchmark, scale):
-    result = run_once(benchmark, run_e12, scale)
-    rows = result.rows
+def test_e12_tuple_rate(table):
+    rows = table("E12")
 
     for algorithm in ("sai", "dai-q", "dai-t", "dai-v"):
         series = sorted(

@@ -5,14 +5,9 @@ distribution shape is stable because new queries land on the existing
 rewriter/evaluator structure.
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e13
-
-
-def test_e13_query_scale(benchmark, scale):
-    result = run_once(benchmark, run_e13, scale)
-    rows = result.rows
+def test_e13_query_scale(table):
+    rows = table("E13")
 
     for algorithm in ("sai", "dai-q", "dai-t", "dai-v"):
         series = sorted(

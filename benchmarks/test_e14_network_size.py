@@ -6,14 +6,9 @@ workload" — with the workload fixed, the per-node mean filtering load
 drops roughly linearly in the node count.
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e14
-
-
-def test_e14_network_size(benchmark, scale):
-    result = run_once(benchmark, run_e14, scale)
-    rows = result.rows
+def test_e14_network_size(table):
+    rows = table("E14")
 
     for algorithm in ("sai", "dai-q", "dai-t", "dai-v"):
         series = sorted(

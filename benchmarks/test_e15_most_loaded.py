@@ -6,14 +6,9 @@ split hot identifier ranges), until the single-rewriter hotspot floors
 it (the residual the replication scheme removes).
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e15
-
-
-def test_e15_most_loaded(benchmark, scale):
-    result = run_once(benchmark, run_e15, scale)
-    rows = result.rows
+def test_e15_most_loaded(table):
+    rows = table("E15")
 
     for algorithm in ("sai", "dai-t"):
         series = sorted(

@@ -6,14 +6,9 @@ raises the mean — while its distribution stays governed by the value
 skew (gini in a stable band).
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e16
-
-
-def test_e16_daiv_scaling(benchmark, scale):
-    result = run_once(benchmark, run_e16, scale)
-    rows = result.rows
+def test_e16_daiv_scaling(table):
+    rows = table("E16")
 
     def pair(axis):
         series = sorted(

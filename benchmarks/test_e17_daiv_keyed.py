@@ -7,14 +7,10 @@ installed queries (the paper reports ~x250 at 10^5 queries; at this
 scale the factor is smaller but clearly super-unity).
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e17
-
-
-def test_e17_daiv_keyed(benchmark, scale):
-    result = run_once(benchmark, run_e17, scale)
-    by_variant = {row["variant"]: row for row in result.rows}
+def test_e17_daiv_keyed(table):
+    rows = table("E17")
+    by_variant = {row["variant"]: row for row in rows}
 
     grouped = by_variant["grouped"]
     keyed = by_variant["keyed"]

@@ -5,14 +5,9 @@ Paper shape: both designs cost ``O(k log N)`` but the recursive sweep
 advantage growing in the number of recipients ``k``.
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e1
-
-
-def test_e1_multisend(benchmark, scale):
-    result = run_once(benchmark, run_e1, scale)
-    rows = result.rows
+def test_e1_multisend(table):
+    rows = table("E1")
 
     # Recursive never loses, and wins clearly for k >= 16.
     for row in rows:

@@ -6,14 +6,10 @@ hop), and DAI-V is the cheapest algorithm overall because its
 value-only identifiers group rewritten queries most aggressively.
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e2
-
-
-def test_e2_traffic_jfrt(benchmark, scale):
-    result = run_once(benchmark, run_e2, scale)
-    by_key = {(row["algorithm"], row["jfrt"]): row for row in result.rows}
+def test_e2_traffic_jfrt(table):
+    rows = table("E2")
+    by_key = {(row["algorithm"], row["jfrt"]): row for row in rows}
 
     for algorithm in ("sai", "dai-q", "dai-t", "dai-v"):
         off = by_key[(algorithm, "off")]

@@ -6,14 +6,9 @@ same join condition and evaluator); DAI-V's join-message count
 saturates fastest because its grouping ignores attribute names.
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e3
-
-
-def test_e3_query_count(benchmark, scale):
-    result = run_once(benchmark, run_e3, scale)
-    rows = result.rows
+def test_e3_query_count(table):
+    rows = table("E3")
     query_counts = sorted({row["n_queries"] for row in rows})
     assert len(query_counts) >= 3
 

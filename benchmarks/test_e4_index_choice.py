@@ -6,14 +6,10 @@ the least rewriting traffic; the adversarial max-rate choice is the
 worst; random sits in between.
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e4
-
-
-def test_e4_index_choice(benchmark, scale):
-    result = run_once(benchmark, run_e4, scale)
-    by_strategy = {row["strategy"]: row for row in result.rows}
+def test_e4_index_choice(table):
+    rows = table("E4")
+    by_strategy = {row["strategy"]: row for row in rows}
 
     min_rate = by_strategy["min-rate"]["stream_hops"]
     max_rate = by_strategy["max-rate"]["stream_hops"]

@@ -6,14 +6,9 @@ traffic *drops*; the DAI algorithms index both sides and cannot exploit
 the imbalance, so their traffic stays roughly flat.
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e5
-
-
-def test_e5_bos_ratio(benchmark, scale):
-    result = run_once(benchmark, run_e5, scale)
-    rows = result.rows
+def test_e5_bos_ratio(table):
+    rows = table("E5")
     ratios = sorted({row["bos_ratio"] for row in rows})
     assert len(ratios) >= 3
 

@@ -5,18 +5,14 @@ storage grows exactly linearly in the replication factor — the price
 paid for the filtering balance of E6.
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e7
-
-
-def test_e7_replication_storage(benchmark, scale):
-    result = run_once(benchmark, run_e7, scale)
-    by_factor = {row["replication"]: row for row in result.rows}
+def test_e7_replication_storage(table):
+    rows = table("E7")
+    by_factor = {row["replication"]: row for row in rows}
 
     base = by_factor[1]["al_storage_total"]
     for factor in (2, 4, 8):
         assert by_factor[factor]["al_storage_total"] == base * factor
 
     # Same answers regardless of the factor.
-    assert len({row["rows_delivered"] for row in result.rows}) == 1
+    assert len({row["rows_delivered"] for row in rows}) == 1

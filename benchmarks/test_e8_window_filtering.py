@@ -5,14 +5,9 @@ sliding-window size (more live candidates per arriving message) and
 with the number of installed queries.
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e8
-
-
-def test_e8_window_filtering(benchmark, scale):
-    result = run_once(benchmark, run_e8, scale)
-    rows = result.rows
+def test_e8_window_filtering(table):
+    rows = table("E8")
 
     for algorithm in ("sai", "dai-t"):
         for n_queries in {row["n_queries"] for row in rows}:

@@ -6,14 +6,9 @@ DAI-T's storage exceeds SAI's at the same window because both sides of
 every query are rewritten and stored.
 """
 
-from conftest import run_once
 
-from repro.bench.experiments import run_e9
-
-
-def test_e9_window_storage(benchmark, scale):
-    result = run_once(benchmark, run_e9, scale)
-    rows = result.rows
+def test_e9_window_storage(table):
+    rows = table("E9")
 
     for algorithm in ("sai", "dai-t"):
         for n_queries in {row["n_queries"] for row in rows}:

@@ -8,12 +8,9 @@ answers the canonical example exactly once.
 """
 
 
-from repro.bench.comparison import run_t1
-
-
-def test_t1_comparison(benchmark):
-    result = benchmark.pedantic(run_t1, rounds=1, iterations=1)
-    by_algorithm = {row["algorithm"]: row for row in result.rows}
+def test_t1_comparison(table):
+    rows = table("T1")
+    by_algorithm = {row["algorithm"]: row for row in rows}
 
     assert by_algorithm["sai"]["rewriter_copies"] == 1
     for name in ("dai-q", "dai-t", "dai-v"):
@@ -31,4 +28,4 @@ def test_t1_comparison(benchmark):
     assert by_algorithm["sai"]["value_level_queries"] > 0
 
     # All four deliver exactly the one expected row.
-    assert all(row["rows_delivered"] == 1 for row in result.rows)
+    assert all(row["rows_delivered"] == 1 for row in rows)

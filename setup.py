@@ -20,5 +20,4 @@ setup(
     packages=find_packages(where="src"),
     install_requires=["numpy>=1.24"],
     extras_require={"test": ["pytest>=7", "pytest-benchmark>=4", "hypothesis>=6"]},
-    entry_points={"console_scripts": ["repro-experiments=repro.bench.cli:main"]},
 )

@@ -1,8 +1,9 @@
-"""Experiment harness: scales, workload replay, per-figure experiments."""
+"""Experiment harness: scales, workload replay, result rows and their
+rendering.  The paper's figures are declared in
+:mod:`repro.bench.figures` (imported by name: it builds on
+:mod:`repro.expdb`, which builds on this package)."""
 
-from .comparison import run_t1, trace_canonical_example
 from .configs import SCALES, Scale, current_scale
-from .experiments import ALL_ALGORITHMS, EXPERIMENTS, TWO_LEVEL_ALGORITHMS
 from .harness import (
     RunResult,
     make_engine,
@@ -10,22 +11,16 @@ from .harness import (
     run_workload,
     workload_for,
 )
-from .report import ExperimentResult, render_table
+from .report import render_table
 
 __all__ = [
-    "ALL_ALGORITHMS",
-    "EXPERIMENTS",
-    "ExperimentResult",
     "RunResult",
     "SCALES",
     "Scale",
-    "TWO_LEVEL_ALGORITHMS",
     "current_scale",
     "make_engine",
     "render_table",
     "run_standard",
-    "run_t1",
     "run_workload",
-    "trace_canonical_example",
     "workload_for",
 ]

@@ -95,9 +95,9 @@ class RunResult:
         what baselines and the experiment database persist.  See
         :mod:`repro.bench.rows` for the stability contract.
         """
-        from .rows import ROW_VERSION, traffic_to_row
+        from .rows import ROW_VERSION, load_to_row, traffic_to_row
 
-        return {
+        row = {
             "row_version": ROW_VERSION,
             "kind": "run",
             "install_traffic": traffic_to_row(self.install_traffic),
@@ -106,6 +106,9 @@ class RunResult:
             "notification_digest": self.notification_digest(),
             "evictions": self.evictions,
         }
+        if self.load is not None:
+            row["load"] = load_to_row(self.load, self.per_tuple_hops)
+        return row
 
     @classmethod
     def from_row(cls, row: dict) -> "RunResult":

@@ -1,57 +1,8 @@
-"""Rendering of experiment results as text tables, curves and markdown."""
+"""Rendering of result rows as text tables, curves and markdown."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
-
-
-@dataclass
-class ExperimentResult:
-    """Rows regenerating one of the paper's tables/figures.
-
-    Load-*distribution* figures in the paper are curves (per-node load
-    sorted descending); experiments attach those vectors as ``series``
-    and the text renderer plots them as ASCII charts under the table.
-    """
-
-    experiment: str  # e.g. "E2"
-    figure: str  # e.g. "Figure 5.2 (thesis) — traffic cost and JFRT effect"
-    title: str
-    columns: list[str]
-    rows: list[dict[str, Any]]
-    notes: str = ""
-    #: Optional named curves (e.g. sorted per-node load per algorithm).
-    series: dict[str, list[float]] = field(default_factory=dict)
-
-    def column_values(self, column: str) -> list[Any]:
-        """One column as a list, in row order."""
-        return [row.get(column) for row in self.rows]
-
-    def to_text(self) -> str:
-        header = f"{self.experiment}: {self.title}\n({self.figure})"
-        body = render_table(self.columns, self.rows)
-        charts = ""
-        if self.series:
-            charts = "\n" + "\n".join(
-                ascii_curve(values, label=name)
-                for name, values in self.series.items()
-            )
-        notes = f"\nNotes: {self.notes}" if self.notes else ""
-        return f"{header}\n{body}{charts}{notes}"
-
-    def to_markdown(self) -> str:
-        lines = [f"### {self.experiment} — {self.title}", "", f"*{self.figure}*", ""]
-        lines.append("| " + " | ".join(self.columns) + " |")
-        lines.append("|" + "|".join("---" for _ in self.columns) + "|")
-        for row in self.rows:
-            lines.append(
-                "| " + " | ".join(_format(row.get(c)) for c in self.columns) + " |"
-            )
-        if self.notes:
-            lines.extend(["", self.notes])
-        lines.append("")
-        return "\n".join(lines)
 
 
 def _format(value: Any) -> str:
@@ -115,4 +66,14 @@ def render_table(columns: list[str], rows: list[dict[str, Any]]) -> str:
     lines = [header, separator]
     for rendered in rendered_rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(rendered, widths)))
+    return "\n".join(lines)
+
+
+def render_markdown(columns: list[str], rows: list[dict[str, Any]]) -> str:
+    """The same table as GitHub-flavoured markdown."""
+    lines = ["| " + " | ".join(columns) + " |"]
+    lines.append("|" + "|".join("---" for _ in columns) + "|")
+    lines.extend(
+        "| " + " | ".join(_format(row.get(c)) for c in columns) + " |" for row in rows
+    )
     return "\n".join(lines)

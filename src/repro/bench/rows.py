@@ -8,7 +8,9 @@ same vocabulary: :meth:`~repro.bench.harness.RunResult.to_row` /
 versioned, JSON-safe** row (plain ints/floats/strings/dicts — never
 pickled objects), ``from_row`` reconstructs a result carrying the same
 metrics, and :func:`metric_summary` projects a row onto a field set.
-The notification digest every executor reports is hashed here too.
+The notification digest every executor reports is hashed here too, and
+:func:`aggregate` is the one group-and-average every reader of stored
+rows goes through (``expdb report --group-by``, the figures).
 
 Stability contract: the row is what gets persisted (the
 ``repro.expdb`` SQLite history and its exports, ``BENCH_baseline.json``
@@ -19,15 +21,18 @@ included), so existing keys never change meaning.  Additions bump
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Iterable, Mapping
+import statistics
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from ..sim.stats import TrafficSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import ContinuousQueryEngine
+    from ..core.metrics import LoadSnapshot
 
-#: Version of the row layout produced by ``to_row`` implementations.
-ROW_VERSION = 1
+#: Version of the row layout produced by ``to_row`` implementations
+#: (2 added the ``load`` block of ``sim``/``live`` rows).
+ROW_VERSION = 2
 
 #: The invariant metrics of an unwindowed run.
 MACRO_METRIC_FIELDS = (
@@ -94,6 +99,77 @@ def traffic_from_row(row: Mapping) -> TrafficSnapshot:
         retries=row.get("retries", 0),
         messages_delayed=row.get("messages_delayed", 0),
     )
+
+
+def load_to_row(
+    load: "LoadSnapshot", per_tuple_hops: Sequence[int] = ()
+) -> dict:
+    """The paper's §1.1 load observations of one run, all integers.
+
+    Totals and maxima per indexing level plus the per-node filtering
+    and storage vectors, descending with the zeros left out (``nodes``
+    says how many there were): Gini, top share and participation are
+    functions of those vectors (:mod:`repro.sim.stats`) and are derived
+    when a table is extracted, never stored.  With a per-tuple hop
+    series, ``fifth`` carries the hops of the first and of the last
+    fifth of the stream (E2's warm-up comparison).
+    """
+
+    def level(name: str, per_node: Mapping[int, int]) -> dict:
+        values = per_node.values()
+        return {name: sum(values), f"{name}_max": max(values, default=0)}
+
+    row = {
+        "nodes": len(load.filtering),
+        "TF": load.total_filtering,
+        "TS": load.total_storage,
+        **level("al_filtering", load.attribute_level_filtering),
+        **level("vl_filtering", load.value_level_filtering),
+        **level("al_storage", load.attribute_level_storage),
+        **level("vl_storage", load.value_level_storage),
+        "filtering": sorted(filter(None, load.filtering.values()), reverse=True),
+        "storage": sorted(filter(None, load.storage.values()), reverse=True),
+    }
+    if per_tuple_hops:
+        fifth = max(1, len(per_tuple_hops) // 5)
+        row["fifth"] = {
+            "events": fifth,
+            "first_hops": sum(per_tuple_hops[:fifth]),
+            "last_hops": sum(per_tuple_hops[-fifth:]),
+        }
+    return row
+
+
+def aggregate(
+    rows: Iterable[Mapping],
+    by: Sequence[str],
+    columns: Mapping[str, Callable[[list], object]],
+) -> list[dict]:
+    """Group ``rows`` by the ``by`` keys and reduce each group.
+
+    One output row per distinct key, in first-seen order: the key
+    columns, then ``columns`` — name → function of the group's member
+    list (:func:`mean_over` builds the usual one).
+    """
+    groups: dict[tuple, list] = {}
+    for row in rows:
+        groups.setdefault(tuple(row[name] for name in by), []).append(row)
+    return [
+        {**dict(zip(by, key)), **{name: fn(members) for name, fn in columns.items()}}
+        for key, members in groups.items()
+    ]
+
+
+def mean_over(value: Callable[[Mapping], Optional[float]]) -> Callable[[list], object]:
+    """An :func:`aggregate` column: the mean of ``value(row)`` over the
+    members that have one (``None`` when none does).  Exact: integers
+    that average to an integer stay one."""
+
+    def column(members: list):
+        numbers = [n for n in map(value, members) if n is not None]
+        return statistics.mean(numbers) if numbers else None
+
+    return column
 
 
 def metric_summary(

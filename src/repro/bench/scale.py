@@ -13,59 +13,34 @@ DESIGN.md §14:
 :func:`run_scale_point` is what a ``shard`` row of the experiment
 database runs (:mod:`repro.expdb.runner`); the committed 20k-node rows
 of ``BENCH_baseline.json`` are gated by ``python -m repro.expdb gate``.
-Two command-line modes:
-
-``python -m repro.bench.scale --verify``
-    Differential check at a small ring: the staged executor —
-    in-process *and* forked — must produce **bit-identical** simulated
-    metrics (hops, messages, per-type traffic, notification digest,
-    eviction counts) to the serial
-    :func:`~repro.bench.harness.run_standard` reference for all four
-    algorithms, in **two configurations**: the stripped engine, and
-    the full feature set (sliding window + replication + JFRT)
-    exercising the lifted sharded modes of DESIGN.md §15.  Exits
-    non-zero on any difference.
-
-``python -m repro.bench.scale --nodes 100000``
-    Run one sweep point by hand and print one JSON sample per
-    algorithm: the simulated metrics next to wall-clock, peak RSS (via
-    ``getrusage`` — self *and* forked children), events/sec and
-    cross-shard exchange records.  ``--window/--replication/--jfrt/
-    --evict-every/--batch-size`` compose with the scale axes
-    (EXPERIMENTS X2/X3).
-
-Shard count follows ``REPRO_BENCH_PROCS`` (see
-:mod:`repro.bench.parallel`); ``--shards`` overrides it.
+``python -m repro.bench.scale --verify`` is the differential check
+(:func:`verify_equivalence`) at a small ring, in **two configurations**
+— the stripped engine, and the full feature set (sliding window +
+replication + JFRT) exercising the lifted sharded modes of DESIGN.md
+§15 — and exits non-zero on any difference.  A point is run, and
+filed, as a ``shard`` row: ``python -m repro.expdb fill --transports
+shard ...`` then ``worker --drain [--shards N]`` (EXPERIMENTS X2/X3).
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
-import json
-import os
 import resource
 import sys
 import time
 from typing import Optional, Sequence
 
-from ..chord.hashing import hash_key_cache_clear
 from ..chord.network import ChordNetwork
 from ..core.engine import ContinuousQueryEngine, EngineConfig
-from ..sim.shard import ShardRunResult, run_sharded
+from ..sim.shard import fork_available, run_sharded
 from ..workload.generator import iter_workload_events
 from ..workload.schema_gen import synthetic_schema
 from .configs import Scale
 from .harness import run_standard, workload_for, workload_params_for
 from .rows import SCALE_METRIC_FIELDS, metric_summary
-from .parallel import configured_processes, fork_available
 
-#: Algorithms a point runs by default, in presentation order.
+#: Algorithms ``--verify`` compares, in presentation order.
 HEADLINE_ALGORITHMS = ("sai", "dai-q", "dai-t", "dai-v")
-
-#: Default sweep point: large enough that the serial simulator hurts,
-#: small enough for a CI smoke job.
-DEFAULT_NODES = 20_000
 
 #: Ring size of the ``--verify`` differential check.
 VERIFY_NODES = 512
@@ -98,13 +73,7 @@ def peak_rss_kb() -> int:
     return peak
 
 
-def scale_point(
-    n_nodes: int,
-    n_queries: int = 400,
-    n_tuples: int = 800,
-    domain_size: int = 900,
-    zipf_s: float = 0.75,
-) -> Scale:
+def scale_point(n_nodes: int) -> Scale:
     """A sweep point: the network-size axis moves, the workload holds.
 
     Keeping the workload fixed isolates what the large rings cost
@@ -114,23 +83,11 @@ def scale_point(
     return Scale(
         name=f"scale-{n_nodes}",
         n_nodes=n_nodes,
-        n_queries=n_queries,
-        n_tuples=n_tuples,
-        domain_size=domain_size,
-        zipf_s=zipf_s,
+        n_queries=400,
+        n_tuples=800,
+        domain_size=900,
+        zipf_s=0.75,
     )
-
-
-def default_shards() -> int:
-    """Shard count from ``REPRO_BENCH_PROCS`` (1 = staged in-process)."""
-    if not fork_available():  # pragma: no cover - platform dependent
-        return 1
-    return configured_processes(os.cpu_count() or 1)
-
-
-def _result_metrics(result: ShardRunResult) -> dict:
-    """The invariant metrics ``--verify`` compares, as one dict."""
-    return metric_summary(result.to_row(), SCALE_METRIC_FIELDS)
 
 
 def run_scale_point(
@@ -141,6 +98,7 @@ def run_scale_point(
     shards: Optional[int] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     config_overrides: Optional[dict] = None,
+    workload_overrides: Optional[dict] = None,
     evict_every: int = DEFAULT_EVICT_EVERY,
 ) -> dict:
     """One algorithm at one sweep point through the full fast path.
@@ -148,13 +106,13 @@ def run_scale_point(
     Wall-clock covers everything a bigger ring makes slower — network
     build, query install, sharded stream — reported per phase.
     ``config_overrides`` opens the lifted modes (``window``,
-    ``replication_factor``, ``jfrt_capacity``); peak RSS and events/sec
-    ride along as *resource* columns, deliberately outside the
-    bit-compared metrics (they are machine-dependent).
+    ``replication_factor``, ``jfrt_capacity``), ``workload_overrides``
+    go to :func:`~repro.bench.harness.workload_params_for`; ``shards``
+    of ``None`` is 1, staged in-process.  Peak RSS and events/sec ride
+    along as *resource* columns, deliberately outside the bit-compared
+    metrics (they are machine-dependent).
     """
-    if shards is None:
-        shards = default_shards()
-    params = workload_params_for(point)
+    params = workload_params_for(point, **(workload_overrides or {}))
     schema = synthetic_schema(params.n_relations, params.attributes_per_relation)
     start = time.perf_counter()
     network = ChordNetwork.build(point.n_nodes, fast_routing=True)
@@ -162,16 +120,18 @@ def run_scale_point(
     engine = ContinuousQueryEngine(
         network,
         EngineConfig(
-            algorithm=algorithm,
-            index_choice="random",
-            seed=seed,
-            **dict(config_overrides or {}),
+            **{
+                "algorithm": algorithm,
+                "index_choice": "random",
+                "seed": seed,
+                **(config_overrides or {}),
+            }
         ),
     )
     result = run_sharded(
         engine,
         iter_workload_events(params, schema),
-        shards=shards,
+        shards=shards or 1,
         batch_size=batch_size,
         seed=seed,
         evict_every=evict_every,
@@ -181,7 +141,7 @@ def run_scale_point(
         "wall_seconds": wall,
         "build_seconds": built - start,
         "shards": result.shards,
-        "metrics": _result_metrics(result),
+        "metrics": metric_summary(result.to_row(), SCALE_METRIC_FIELDS),
         "row": result.to_row(),
         "resources": {
             "peak_rss_kb": peak_rss_kb(),
@@ -242,7 +202,7 @@ def verify_equivalence(
                 seed=seed,
                 evict_every=evict_every,
             )
-            got = _result_metrics(result)
+            got = metric_summary(result.to_row(), SCALE_METRIC_FIELDS)
             for metric in expected:
                 if got[metric] != expected[metric]:
                     problems.append(
@@ -255,115 +215,30 @@ def verify_equivalence(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.scale",
-        description="Large-scale sweep point through the sharded simulator.",
+        description="Differential check of the sharded simulator.",
     )
     parser.add_argument(
         "--verify",
         action="store_true",
+        required=True,
         help=f"differential check vs the serial simulator at {VERIFY_NODES} nodes",
     )
-    parser.add_argument(
-        "--nodes", type=int, default=DEFAULT_NODES, help="ring size of the point"
-    )
-    parser.add_argument("--queries", type=int, default=400)
-    parser.add_argument("--tuples", type=int, default=800)
-    parser.add_argument(
-        "--domain", type=int, default=900, help="join-value domain size"
-    )
-    parser.add_argument(
-        "--window",
-        type=float,
-        default=None,
-        help="sliding window (simulated time units; default unbounded)",
-    )
-    parser.add_argument(
-        "--replication",
-        type=int,
-        default=1,
-        help="attribute-level replication factor (paper §4.7)",
-    )
-    parser.add_argument(
-        "--jfrt",
-        type=int,
-        default=0,
-        help="JFRT cache capacity per rewriter (0 = disabled)",
-    )
-    parser.add_argument(
-        "--evict-every",
-        type=int,
-        default=DEFAULT_EVICT_EVERY,
-        help="events per barrier-aligned eviction sweep (windowed runs)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="shard workers (default: REPRO_BENCH_PROCS; 1 = in-process)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=DEFAULT_BATCH_SIZE,
-        help="stream events per staged epoch",
-    )
-    parser.add_argument(
-        "--algorithms",
-        default=",".join(HEADLINE_ALGORITHMS),
-        help="comma-separated algorithm subset",
-    )
-    parser.add_argument("--seed", type=int, default=1, help="workload/engine seed")
-    args = parser.parse_args(argv)
-    algorithms = tuple(name for name in args.algorithms.split(",") if name)
-
-    if args.verify:
-        configurations = [
-            ("stripped", {}),
-            ("windowed+replicated+jfrt", dict(VERIFY_FEATURED)),
-        ]
-        for label, overrides in configurations:
-            problems = verify_equivalence(
-                algorithms=algorithms, seed=args.seed, config_overrides=overrides
-            )
-            if problems:
-                for problem in problems:
-                    print(f"VERIFY FAIL [{label}]: {problem}", file=sys.stderr)
-                return 1
-            print(
-                f"verify[{label}]: OK — staged/forked metrics identical to "
-                f"serial at {VERIFY_NODES} nodes ({', '.join(algorithms)})",
-                file=sys.stderr,
-            )
-        return 0
-
-    config_overrides = {}
-    if args.window is not None:
-        config_overrides["window"] = args.window
-    if args.replication != 1:
-        config_overrides["replication_factor"] = args.replication
-    if args.jfrt != 0:
-        config_overrides["jfrt_capacity"] = args.jfrt
-    point = scale_point(
-        args.nodes,
-        n_queries=args.queries,
-        n_tuples=args.tuples,
-        domain_size=args.domain,
-    )
-    for algorithm in algorithms:
-        # As run_experiment does between rows: the previous ring is
-        # cyclic garbage, free it outside the timed region.
-        hash_key_cache_clear()
-        gc.collect()
-        sample = run_scale_point(
-            algorithm,
-            point,
-            seed=args.seed,
-            shards=args.shards,
-            batch_size=args.batch_size,
-            config_overrides=config_overrides,
-            evict_every=args.evict_every,
+    parser.parse_args(argv)
+    configurations = [
+        ("stripped", {}),
+        ("windowed+replicated+jfrt", dict(VERIFY_FEATURED)),
+    ]
+    for label, overrides in configurations:
+        problems = verify_equivalence(config_overrides=overrides)
+        if problems:
+            for problem in problems:
+                print(f"VERIFY FAIL [{label}]: {problem}", file=sys.stderr)
+            return 1
+        print(
+            f"verify[{label}]: OK — staged/forked metrics identical to serial "
+            f"at {VERIFY_NODES} nodes ({', '.join(HEADLINE_ALGORITHMS)})",
+            file=sys.stderr,
         )
-        del sample["row"]  # "metrics" is its summary
-        print(json.dumps({"algorithm": algorithm, **sample}))
     return 0
 
 

@@ -72,21 +72,11 @@ class LoadSnapshot:
         """Per-node filtering loads, most loaded first."""
         return distribution.sorted_loads(self.filtering.values())
 
-    def sorted_storage(self) -> np.ndarray:
-        """Per-node storage loads, most loaded first."""
-        return distribution.sorted_loads(self.storage.values())
-
     def filtering_gini(self) -> float:
         return distribution.gini(self.filtering.values())
 
-    def storage_gini(self) -> float:
-        return distribution.gini(self.storage.values())
-
     def filtering_top_share(self, fraction: float = 0.01) -> float:
         return distribution.top_share(self.filtering.values(), fraction)
-
-    def storage_top_share(self, fraction: float = 0.01) -> float:
-        return distribution.top_share(self.storage.values(), fraction)
 
     def filtering_participation(self) -> float:
         """Fraction of nodes doing any filtering work (utilization)."""

@@ -29,6 +29,11 @@ Commands
     Re-run every row of an ``export --json`` file and fail unless the
     counted metrics repeat exactly and each wall stays within budget
     (:mod:`repro.expdb.gate` — the CI perf gate).
+``figure``
+    Print tables and figures of the paper (``figure E6 E7``): fill each
+    one's grids at ``--scale`` over ``--seeds``, drain what is still
+    open, extract the seed means (:mod:`repro.bench.figures`).  Rows
+    already ``done`` are not run again.
 """
 
 from __future__ import annotations
@@ -38,8 +43,13 @@ import json
 import os
 import sys
 import time
+from operator import itemgetter
 from typing import Optional, Sequence
 
+from ..bench.configs import SCALES, current_scale
+from ..bench.figures import FIGURES, SEEDS, measure
+from ..bench.report import render_table
+from ..bench.rows import aggregate, mean_over
 from .db import (
     EXPORT_COLUMNS,
     METRIC_FIELDS,
@@ -66,6 +76,11 @@ def _open_db(args) -> ExperimentDB:
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _progress(line: str) -> None:
+    """Worker lifecycle lines go to stderr; stdout is the command's result."""
+    print(line, file=sys.stderr)
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +148,7 @@ def cmd_worker(args) -> int:
     )
     print(f"worker {config.worker_id} on {args.db}", file=sys.stderr)
     try:
-        stats = run_worker(config, on_event=lambda line: print(line, file=sys.stderr))
+        stats = run_worker(config, on_event=_progress)
     except KeyboardInterrupt:
         print("worker interrupted — claim released", file=sys.stderr)
         return 130
@@ -149,8 +164,6 @@ def cmd_worker(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_status(args) -> int:
-    from ..bench.report import render_table
-
     with _open_db(args) as db:
         counts = db.status_counts()
         running = db.rows(status="running")
@@ -223,8 +236,6 @@ GROUPABLE = PARAM_FIELDS + ("status",)
 
 
 def cmd_report(args) -> int:
-    from ..bench.report import render_table
-
     group_by = tuple(
         name.strip() for name in (args.group_by or "").split(",") if name.strip()
     )
@@ -237,32 +248,22 @@ def cmd_report(args) -> int:
         print("no experiments match")
         return 0
     if group_by:
-        groups: dict[tuple, list[dict]] = {}
-        for row in rows:
-            groups.setdefault(tuple(row[name] for name in group_by), []).append(row)
-        rendered = []
-        for key in sorted(groups, key=repr):
-            members = groups[key]
-            done = [row for row in members if row["status"] == "done"]
-            entry = dict(zip(group_by, key))
-            entry["runs"] = len(members)
-            entry["done"] = len(done)
-            for metric in ("hops", "messages", "notifications_delivered"):
-                values = [row[metric] for row in done if row[metric] is not None]
-                entry[f"mean_{metric}"] = (
-                    round(sum(values) / len(values), 1) if values else None
-                )
-            walls = [
-                row["wall_seconds"] for row in done if row["wall_seconds"] is not None
-            ]
-            entry["mean_wall_s"] = round(sum(walls) / len(walls), 3) if walls else None
-            digests = {
-                row["notification_digest"]
-                for row in done
-                if row["notification_digest"]
-            }
-            entry["digests"] = len(digests)
-            rendered.append(entry)
+        columns = {
+            "runs": len,
+            "done": lambda members: sum(row["status"] == "done" for row in members),
+            **{
+                f"mean_{metric}": mean_over(itemgetter(metric))
+                for metric in ("hops", "messages", "notifications_delivered")
+            },
+            "mean_wall_s": mean_over(itemgetter("wall_seconds")),
+            "digests": lambda members: len(
+                {row["notification_digest"] for row in members} - {None, ""}
+            ),
+        }
+        rendered = sorted(
+            aggregate(rows, group_by, columns),
+            key=lambda entry: repr(tuple(entry[name] for name in group_by)),
+        )
         print(render_table(list(rendered[0]), rendered))
         return 0
     table = [
@@ -277,6 +278,7 @@ def cmd_report(args) -> int:
             "rep": row["replication_factor"],
             "jfrt": row["jfrt_capacity"],
             "faults": "y" if row["fault_plan"] else "",
+            "over": "y" if row["overrides"] else "",
             "seed": row["seed"],
             "status": row["status"],
             "hops": row["hops"],
@@ -354,6 +356,26 @@ def cmd_gate(args) -> int:
     if problems:
         return 1
     print(f"gate: OK — {len(baseline)} rows repeat exactly, walls within budget")
+    return 0
+
+
+# ----------------------------------------------------------------------
+# figure
+# ----------------------------------------------------------------------
+
+def cmd_figure(args) -> int:
+    scale = SCALES[args.scale] if args.scale else current_scale()
+    seeds = parse_axis(args.seeds, convert=int) or SEEDS
+    executed = 0
+    for name in args.ids:
+        try:
+            rows, curves, ran = measure(FIGURES[name], args.db, scale, seeds, _progress)
+        except RuntimeError as error:
+            return _fail(str(error))
+        executed += ran
+        print(FIGURES[name].to_text(rows, curves))
+        print()
+    print(f"figure: executed {executed} rows at scale {scale.name!r}", file=sys.stderr)
     return 0
 
 
@@ -451,6 +473,21 @@ def build_parser() -> argparse.ArgumentParser:
     gate.add_argument("file", help="export --json file (BENCH_baseline.json)")
     gate.add_argument("--output", help="write the fresh rows here (JSON)")
     gate.set_defaults(handler=cmd_gate)
+
+    figure = commands.add_parser(
+        "figure", help="fill, drain and print tables/figures of the paper"
+    )
+    figure.add_argument(
+        "ids", nargs="+", metavar="ID", choices=list(FIGURES), help="T1, E1..E17"
+    )
+    figure.add_argument(
+        "--scale", choices=sorted(SCALES), help="profile (default: REPRO_SCALE)"
+    )
+    figure.add_argument("--seeds", help="comma list of seeds (default 1,2,3,4,5)")
+    figure.add_argument(
+        "--db", default=argparse.SUPPRESS, help="database path (as before the command)"
+    )
+    figure.set_defaults(handler=cmd_figure)
 
     return parser
 

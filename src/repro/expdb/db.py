@@ -11,7 +11,11 @@ the same row:
   ``algorithm``, ``n_nodes``, ``n_queries``, ``n_tuples``,
   ``domain_size``, ``zipf_s``, ``window`` (``0`` = unbounded),
   ``replication_factor``, ``jfrt_capacity``, ``evict_every``,
-  ``fault_plan`` (canonical JSON, ``''`` = fault-free), ``seed``;
+  ``fault_plan`` (canonical JSON, ``''`` = fault-free), ``overrides``
+  (canonical JSON ``{"engine": {...}, "workload": {...}}``, ``''`` =
+  none: the config fields no column covers, :data:`OVERRIDABLE`),
+  ``seed`` (engine, origin nodes *and* workload, unless
+  ``overrides.workload.seed`` pins the workload draw);
 * lifecycle columns — ``status`` (``open`` → ``running`` → ``done`` /
   ``error``), ``worker``, ``attempts``, ``created_at`` /
   ``started_at`` / ``finished_at`` / ``heartbeat`` (unix seconds),
@@ -54,8 +58,11 @@ import csv
 import json
 import sqlite3
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional
+
+from ..core.engine import EngineConfig
+from ..workload.generator import WorkloadParams
 
 #: Execution back-ends a row can ask for (ISSUE vocabulary:
 #: sim / sharded-sim / live-net).
@@ -66,9 +73,9 @@ STATUSES = ("open", "running", "done", "error")
 
 #: Parameter columns, in canonical order.  Together with ``seed`` they
 #: are the row's identity (UNIQUE constraint); ``window`` uses ``0.0``
-#: for "unbounded" and ``fault_plan`` uses ``''`` for "fault-free" so
-#: SQLite's NULL-is-always-distinct UNIQUE semantics can never admit
-#: duplicate rows.
+#: for "unbounded" and ``fault_plan`` / ``overrides`` use ``''`` for
+#: "none" so SQLite's NULL-is-always-distinct UNIQUE semantics can never
+#: admit duplicate rows.
 PARAM_FIELDS = (
     "transport",
     "algorithm",
@@ -82,8 +89,17 @@ PARAM_FIELDS = (
     "jfrt_capacity",
     "evict_every",
     "fault_plan",
+    "overrides",
     "seed",
 )
+
+#: What ``overrides`` may set, per section: every config field that no
+#: column already says (one way to state each thing), plus the workload
+#: seed, which otherwise follows the ``seed`` column.
+OVERRIDABLE = {
+    "engine": {f.name for f in fields(EngineConfig)} - set(PARAM_FIELDS),
+    "workload": {f.name for f in fields(WorkloadParams)} - set(PARAM_FIELDS) | {"seed"},
+}
 
 #: Machine-independent result columns (besides ``metrics_json``).
 METRIC_FIELDS = (
@@ -123,6 +139,7 @@ CREATE TABLE IF NOT EXISTS experiments (
     jfrt_capacity INTEGER NOT NULL DEFAULT 0,
     evict_every INTEGER NOT NULL DEFAULT 64,
     fault_plan TEXT NOT NULL DEFAULT '',
+    overrides TEXT NOT NULL DEFAULT '',
     seed INTEGER NOT NULL,
     status TEXT NOT NULL DEFAULT 'open'
         CHECK (status IN ('open', 'running', 'done', 'error')),
@@ -146,7 +163,7 @@ CREATE TABLE IF NOT EXISTS experiments (
     resources_json TEXT,
     UNIQUE (transport, algorithm, n_nodes, n_queries, n_tuples,
             domain_size, zipf_s, window, replication_factor,
-            jfrt_capacity, evict_every, fault_plan, seed)
+            jfrt_capacity, evict_every, fault_plan, overrides, seed)
 );
 CREATE INDEX IF NOT EXISTS experiments_status ON experiments (status, id);
 """
@@ -159,12 +176,49 @@ def canonical_fault_plan(plan: Optional[dict]) -> str:
     return json.dumps(plan, sort_keys=True, separators=(",", ":"))
 
 
+def canonical_overrides(overrides, transport: str) -> str:
+    """The ``overrides`` column value, refusing what no run could honour.
+
+    Accepts the dict, its JSON text or nothing; empty sections drop out
+    so equal overrides collide whatever their source spelling.  An
+    unknown section or field is named, and so is a ``workload`` field on
+    a ``live`` row: the load generator draws its workload from the
+    columns alone.
+    """
+    if isinstance(overrides, str):
+        overrides = json.loads(overrides) if overrides else None
+    overrides = overrides or {}
+    if not isinstance(overrides, dict):
+        raise ValueError(f"overrides must be a dict, got {overrides!r}")
+    for section, values in overrides.items():
+        if section not in OVERRIDABLE or not isinstance(values, dict):
+            raise ValueError(
+                f"overrides must map sections {sorted(OVERRIDABLE)} to dicts, "
+                f"got {section!r}: {values!r}"
+            )
+        unknown = sorted(set(values) - OVERRIDABLE[section])
+        if unknown:
+            raise ValueError(
+                f"overrides.{section} cannot set {unknown}; "
+                f"choose from {sorted(OVERRIDABLE[section])}"
+            )
+    overrides = {section: values for section, values in overrides.items() if values}
+    if transport == "live" and "workload" in overrides:
+        raise ValueError(
+            f"overrides.workload {sorted(overrides['workload'])} on a 'live' "
+            f"row: the live transport generates its workload from the "
+            f"parameter columns only; use transport 'sim' or 'shard'"
+        )
+    return canonical_fault_plan(overrides)
+
+
 def normalize_params(params: dict) -> dict:
     """One experiment's identity in column form, validated.
 
-    Accepts ``window=None`` / ``fault_plan=None`` (and a fault-plan
-    dict) and returns exactly the :data:`PARAM_FIELDS` with their
-    storage encodings, so the same dict always maps to the same row.
+    Accepts ``window=None`` / ``fault_plan=None`` / ``overrides=None``
+    (and the dict forms of the last two) and returns exactly the
+    :data:`PARAM_FIELDS` with their storage encodings, so the same dict
+    always maps to the same row.
     """
     row = dict(params)
     unknown = set(row) - set(PARAM_FIELDS)
@@ -199,6 +253,7 @@ def normalize_params(params: dict) -> dict:
         "jfrt_capacity": int(row.get("jfrt_capacity", 0)),
         "evict_every": int(row.get("evict_every", 64)),
         "fault_plan": fault_plan,
+        "overrides": canonical_overrides(row.get("overrides"), transport),
         "seed": int(row.get("seed", 1)),
     }
 
@@ -208,6 +263,7 @@ def decode_params(row: dict) -> dict:
     params = {name: row[name] for name in PARAM_FIELDS}
     params["window"] = row["window"] or None
     params["fault_plan"] = json.loads(row["fault_plan"]) if row["fault_plan"] else None
+    params["overrides"] = json.loads(row["overrides"]) if row["overrides"] else None
     return params
 
 
@@ -525,9 +581,7 @@ class ExperimentDB:
         row = self._conn.execute(
             "SELECT * FROM experiments WHERE id = ?", (experiment_id,)
         ).fetchone()
-        if row is None:
-            return None
-        return {name: row[name] for name in EXPORT_COLUMNS}
+        return row and {name: row[name] for name in EXPORT_COLUMNS}
 
     # -- backfill ------------------------------------------------------
 
@@ -550,7 +604,7 @@ class ExperimentDB:
         added, _ = self.fill([params])
         if not added:
             return False
-        claim_id = self._find_id(params)
+        claim_id = self.find(params)["id"]
         now = time.time()
         self._conn.execute(
             "UPDATE experiments SET status = 'running', worker = ?, "
@@ -570,14 +624,16 @@ class ExperimentDB:
         )
         return bool(done.rowcount)
 
-    def _find_id(self, params: dict) -> Optional[int]:
+    def find(self, params: dict) -> Optional[dict]:
+        """The row with exactly these parameters, as an export dict
+        (None when absent) — how a figure reads its grid back."""
         columns = normalize_params(params)
         where = " AND ".join(f"{name} = ?" for name in PARAM_FIELDS)
         row = self._conn.execute(
-            f"SELECT id FROM experiments WHERE {where}",
+            f"SELECT * FROM experiments WHERE {where}",
             tuple(columns[name] for name in PARAM_FIELDS),
         ).fetchone()
-        return row["id"] if row else None
+        return row and {name: row[name] for name in EXPORT_COLUMNS}
 
     # -- export --------------------------------------------------------
 

@@ -8,7 +8,8 @@ compared with what the row stored:
 
 * the machine-independent columns (:data:`~repro.expdb.db.METRIC_FIELDS`)
   and, where the stored row has them, the install and stream traffic
-  broken down by message type must be **exactly** equal;
+  broken down by message type and the ``load`` block (``TF``, ``TS``,
+  per-level totals, the per-node vectors) must be **exactly** equal;
 * ``wall_seconds`` — the whole path on every transport — may not exceed
   the stored wall times :data:`WALL_SLACK`.
 
@@ -47,9 +48,10 @@ MAX_RUNS = 3
 
 def exact_columns(metrics: Mapping) -> dict:
     """What a re-run must reproduce bit for bit, from one metrics row:
-    the metric columns plus the per-type traffic snapshots it carries."""
+    the metric columns plus the per-type traffic snapshots and the load
+    block it carries."""
     exact = metric_summary(metrics, METRIC_FIELDS)
-    for part in ("install_traffic", "stream_traffic"):
+    for part in ("install_traffic", "stream_traffic", "load"):
         if part in metrics:
             exact[part] = metrics[part]
     return exact

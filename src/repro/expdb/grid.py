@@ -37,6 +37,7 @@ AXES = (
     ("jfrt_capacities", "jfrt_capacity"),
     ("evict_everys", "evict_every"),
     ("fault_plans", "fault_plan"),
+    ("overrides", "overrides"),
     ("seeds", "seed"),
 )
 
@@ -60,6 +61,9 @@ class GridSpec:
     #: ``None`` = fault-free; otherwise a FaultPlan kwargs dict (the
     #: ``delay`` sub-dict maps to DelaySpec kwargs).
     fault_plans: tuple = (None,)
+    #: ``None`` = none; otherwise ``{"engine": {...}, "workload": {...}}``
+    #: (see :data:`repro.expdb.db.OVERRIDABLE`).
+    overrides: tuple = (None,)
     seeds: tuple = (1,)
 
     def __post_init__(self):

@@ -5,7 +5,9 @@ The worker hands this module a decoded parameter dict (see
 back-end:
 
 * ``sim`` — the serial simulator via
-  :func:`repro.bench.harness.run_standard`, optionally with a seeded
+  :func:`repro.bench.harness.run_standard` (with the per-tuple hop
+  series, so the row's ``load`` block can say how the stream's first
+  and last fifth compare), optionally with a seeded
   :class:`~repro.faults.FaultPlan` wired into the ring's router (the
   only transport that accepts a fault plan today);
 * ``shard`` — the staged/sharded executor via
@@ -33,24 +35,24 @@ previous row's ring is cyclic garbage the paused replay
 (:mod:`repro.sim.collector`) no longer frees in passing — left alone,
 the next row pays for it in wall and peak RSS.
 
-``REPRO_EXPDB_RUN_DELAY`` (float seconds) pauses execution between
-claim and run; the crash-consistency tests use it to SIGKILL workers
-mid-run deterministically.  It is a test hook, not a tuning knob.
+The ``seed`` column seeds everything a row draws — engine, origin
+nodes and workload — on every transport; ``overrides.workload.seed``
+pins the workload draw apart from the other two.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from ..bench.configs import Scale
-from ..bench.harness import run_standard
+from ..bench.harness import run_standard, workload_for
 from ..bench.scale import peak_rss_kb, run_scale_point
 from ..chord.hashing import hash_key_cache_clear
 from ..faults import DelaySpec, FaultInjector, FaultPlan
+from .db import canonical_overrides
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,9 @@ def scale_for(params: dict) -> Scale:
 
 
 def engine_overrides(params: dict) -> dict:
-    """EngineConfig overrides encoded by the feature columns."""
+    """EngineConfig overrides encoded by the feature columns and the
+    ``overrides.engine`` section (comparisons between algorithms use
+    the random index choice unless a row says otherwise)."""
     overrides: dict = {"index_choice": "random"}
     if params["window"]:
         overrides["window"] = params["window"]
@@ -95,19 +99,29 @@ def engine_overrides(params: dict) -> dict:
         overrides["replication_factor"] = params["replication_factor"]
     if params["jfrt_capacity"]:
         overrides["jfrt_capacity"] = params["jfrt_capacity"]
+    overrides.update((params["overrides"] or {}).get("engine", {}))
     return overrides
+
+
+def workload_overrides(params: dict) -> dict:
+    """WorkloadParams overrides of one row: its seed, then whatever
+    ``overrides.workload`` sets (a ``seed`` there wins)."""
+    return {"seed": params["seed"], **(params["overrides"] or {}).get("workload", {})}
 
 
 def _run_sim(params: dict) -> ExperimentOutcome:
     injector: Optional[FaultInjector] = None
     if params["fault_plan"]:
         injector = FaultInjector(fault_plan_from_dict(params["fault_plan"]))
+    scale = scale_for(params)
     start = time.perf_counter()
     result = run_standard(
         params["algorithm"],
-        scale_for(params),
+        scale,
         config_overrides=engine_overrides(params),
+        workload=workload_for(scale, **workload_overrides(params)),
         seed=params["seed"],
+        collect_per_tuple_hops=True,
         evict_every=params["evict_every"],
         injector=injector,
     )
@@ -129,14 +143,13 @@ def _run_shard(params: dict, *, shards: Optional[int]) -> ExperimentOutcome:
             "the shard transport refuses perturbing fault plans "
             "(see repro.sim.shard.shard_capabilities); use transport='sim'"
         )
-    config = engine_overrides(params)
-    config.pop("index_choice")  # run_scale_point sets it itself
     sample = run_scale_point(
         params["algorithm"],
         scale_for(params),
         seed=params["seed"],
         shards=shards,
-        config_overrides=config,
+        config_overrides=engine_overrides(params),
+        workload_overrides=workload_overrides(params),
         evict_every=params["evict_every"],
     )
     return ExperimentOutcome(
@@ -168,7 +181,8 @@ def _run_live(params: dict) -> ExperimentOutcome:
     from ..net.loadgen import LoadgenConfig, check_against_simulator, run_load_sync
 
     overrides = engine_overrides(params)
-    overrides.pop("index_choice")
+    if "index_choice" not in (params["overrides"] or {}).get("engine", {}):
+        del overrides["index_choice"]  # the cluster's own default
     config = LoadgenConfig(
         algorithm=params["algorithm"],
         n_nodes=params["n_nodes"],
@@ -197,12 +211,10 @@ def _run_live(params: dict) -> ExperimentOutcome:
 def run_experiment(params: dict, *, shards: Optional[int] = None) -> ExperimentOutcome:
     """One claimed row, executed; raises on any error (the worker
     records the traceback in the row)."""
-    delay = float(os.environ.get("REPRO_EXPDB_RUN_DELAY", "0") or 0)
-    if delay > 0:
-        time.sleep(delay)
+    transport = params["transport"]
+    canonical_overrides(params["overrides"], transport)  # refuses by field name
     hash_key_cache_clear()
     gc.collect()
-    transport = params["transport"]
     if transport == "sim":
         return _run_sim(params)
     if transport == "shard":

@@ -57,7 +57,7 @@ class WorkerConfig:
     drain: bool = False
     #: Stop after this many executed rows (0 = unlimited).
     max_runs: int = 0
-    #: Shard count for ``transport='shard'`` rows (None = REPRO_BENCH_PROCS).
+    #: Shard count for ``transport='shard'`` rows (None = 1, in-process).
     shards: Optional[int] = None
 
 

@@ -171,6 +171,9 @@ class LoadReport:
     peak_in_flight: int
     digest: str
     latency: LatencySummary
+    #: Per-node filtering/storage observations after the settle pass
+    #: (:func:`repro.bench.rows.load_to_row`), exact for a seed.
+    load: dict
 
     @property
     def total_seconds(self) -> float:
@@ -209,6 +212,7 @@ class LoadReport:
             # existed stay comparable on this key.
             "mode": "batched",
             "live": self.as_dict(),
+            "load": self.load,
         }
 
 
@@ -298,7 +302,7 @@ async def _drive(
     await cluster.drain()
     settle_seconds = clock() - settle_start
 
-    from ..bench.rows import notification_digest
+    from ..bench.rows import load_to_row, notification_digest
 
     notifications = sum(len(batch) for batch in engine.delivered.values())
     peers = cluster.peers.values()
@@ -326,6 +330,7 @@ async def _drive(
         peak_in_flight=cluster.in_flight.peak,
         digest=notification_digest(engine),
         latency=LatencySummary.of(latencies),
+        load=load_to_row(engine.load_snapshot()),
     )
 
 

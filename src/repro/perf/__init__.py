@@ -23,9 +23,10 @@ gen1|gen2`` and ``gc.unreachable`` counters and a ``gc.pause`` timer —
 because no span or profiler can: a collection pause is booked to
 whichever frame happens to be open.
 
-The registry is deliberately process-local.  Benchmark workers (see
-:mod:`repro.bench.parallel`) each own their registry; aggregate in the
-parent from the row payloads, not from globals.
+The registry is deliberately process-local.  Sweep workers
+(:mod:`repro.expdb.worker`) and forked shards (:mod:`repro.sim.shard`)
+each own their registry; aggregate in the parent from the row payloads,
+not from globals.
 """
 
 from __future__ import annotations

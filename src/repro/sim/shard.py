@@ -80,9 +80,10 @@ for all four algorithms, both in-process and forked.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..bench.rows import (
     ROW_VERSION,
@@ -125,6 +126,76 @@ PRODUCES = {
 
 class ShardError(RuntimeError):
     """A configuration or protocol violation of the sharded executor."""
+
+
+def fork_available() -> bool:
+    """True when the platform supports forked workers.
+
+    The sharded simulator relies on fork semantics — workers inherit a
+    fully built engine copy-on-write — so it degrades to in-process
+    staged execution elsewhere.
+    """
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+class ShardPool:
+    """Persistent forked workers exchanging messages over pipes.
+
+    Sharded simulation needs *stateful* workers: each holds one ring
+    segment of a forked engine replica and participates in several
+    message exchanges per epoch.  ``worker_main(conn, index)`` runs in
+    each child — a closure over the pre-built engine, which fork shares
+    copy-on-write — and owns the command protocol; the pool only
+    provides the scatter/gather plumbing.
+    """
+
+    def __init__(self, n_shards: int, worker_main: Callable[[object, int], None]):
+        if not fork_available():
+            raise RuntimeError("ShardPool requires the fork start method")
+        if n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
+        context = multiprocessing.get_context("fork")
+        self.n_shards = n_shards
+        self._conns = []
+        self._procs = []
+        for index in range(n_shards):
+            parent, child = context.Pipe()
+            process = context.Process(
+                target=worker_main, args=(child, index), daemon=True
+            )
+            process.start()
+            child.close()
+            self._conns.append(parent)
+            self._procs.append(process)
+
+    def scatter(self, payloads: Sequence) -> None:
+        """Send ``payloads[i]`` to shard ``i`` (one per shard)."""
+        if len(payloads) != self.n_shards:
+            raise ValueError("one payload per shard required")
+        for conn, payload in zip(self._conns, payloads):
+            conn.send(payload)
+
+    def broadcast(self, payload) -> None:
+        """Send the same payload to every shard (one pickle per pipe)."""
+        for conn in self._conns:
+            conn.send(payload)
+
+    def gather(self) -> list:
+        """Receive one reply from every shard, in shard order."""
+        return [conn.recv() for conn in self._conns]
+
+    def close(self) -> None:
+        """Close pipes and reap the workers (best effort)."""
+        for conn in self._conns:
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover - teardown best effort
+                pass
+        for process in self._procs:
+            process.join(timeout=5)
+            if process.is_alive():  # pragma: no cover - teardown best effort
+                process.terminate()
+                process.join(timeout=5)
 
 
 class ShardTransport(Router):
@@ -424,8 +495,6 @@ def _run_staged(
     engine, events, pause: CollectorPause, shards, batch_size, seed, evict_every
 ) -> ShardRunResult:
     """The body of :func:`run_sharded`, inside its collector pause."""
-    from ..bench.parallel import fork_available
-
     _validate(engine)
     if evict_every < 1:
         raise ShardError("evict_every must be >= 1")
@@ -482,8 +551,6 @@ def _run_staged(
 
     pool = None
     if shards > 1:
-        from ..bench.parallel import ShardPool
-
         def worker_main(conn, index):
             worker_transport = ShardTransport(network)
             network.use_transport(worker_transport)
@@ -670,8 +737,7 @@ def _run_staged(
             duplicate_deliveries = engine.duplicate_deliveries
             stream_snapshot = network.stats.since(install_snapshot)
         else:
-            for shard in range(shards):
-                pool.send(shard, ("finish",))
+            pool.broadcast(("finish",))
             delivered = {}
             duplicate_deliveries = engine.duplicate_deliveries
             stream_snapshot = network.stats.since(install_snapshot)

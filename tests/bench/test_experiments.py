@@ -1,38 +1,45 @@
-"""Smoke tests: every experiment function runs and has the right shape.
+"""Smoke tests: every figure fills, drains, extracts and renders.
 
 The *quantitative* shape assertions (who wins, by what factor) live in
-``benchmarks/``; here we verify that every experiment produces
-well-formed rows at a tiny scale, so a refactor cannot silently break
-the harness.
+``benchmarks/``; here every figure id goes through a temporary
+experiment database at a tiny scale, so a refactor cannot silently
+break a declaration.
 """
 
 import pytest
 
-from repro.bench.comparison import run_t1, trace_canonical_example
 from repro.bench.configs import Scale
-from repro.bench.experiments import EXPERIMENTS
+from repro.bench.figures import FIGURES, algorithm_comparison, measure, trace_canonical_example
 
 TINY = Scale("tiny", n_nodes=24, n_queries=12, n_tuples=40, domain_size=12)
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_experiment_runs_and_is_well_formed(name):
-    result = EXPERIMENTS[name](TINY)
-    assert result.experiment == name
-    assert result.rows, f"{name} produced no rows"
-    assert result.columns
-    for row in result.rows:
-        for column in result.columns:
-            assert column in row, f"{name}: row missing column {column!r}"
+@pytest.fixture(scope="module")
+def db_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("figures") / "tiny.sqlite")
+
+
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_experiment_runs_and_is_well_formed(name, db_path):
+    figure = FIGURES[name]
+    assert figure.id == name
+    rows, curves, _ = measure(figure, db_path, TINY, seeds=(1, 2))
+    assert rows, f"{name} produced no rows"
+    assert figure.columns
+    for row in rows:
+        for column in figure.columns:
+            assert row.get(column) is not None, f"{name}: row missing column {column!r}"
     # Rendering must not crash.
-    assert name in result.to_text()
-    assert result.to_markdown().startswith(f"### {name}")
+    assert name in figure.to_text(rows, curves)
+    assert figure.to_markdown(rows).startswith(f"### {name}")
+    # The database is the cache: asking again runs nothing, reads the same.
+    again, _, executed = measure(figure, db_path, TINY, seeds=(1, 2))
+    assert executed == 0 and again == rows
 
 
 class TestT1Comparison:
     def test_rows_for_all_algorithms(self):
-        result = run_t1(n_nodes=32)
-        assert [row["algorithm"] for row in result.rows] == [
+        assert [row["algorithm"] for row in algorithm_comparison()] == [
             "sai",
             "dai-q",
             "dai-t",
@@ -40,12 +47,10 @@ class TestT1Comparison:
         ]
 
     def test_every_algorithm_answers_the_example(self):
-        result = run_t1(n_nodes=32)
-        assert all(row["rows_delivered"] == 1 for row in result.rows)
+        assert all(row["rows_delivered"] == 1 for row in algorithm_comparison())
 
     def test_rewriter_counts(self):
-        result = run_t1(n_nodes=32)
-        by_name = {row["algorithm"]: row for row in result.rows}
+        by_name = {row["algorithm"]: row for row in algorithm_comparison()}
         assert by_name["sai"]["rewriter_copies"] == 1
         for name in ("dai-q", "dai-t", "dai-v"):
             assert by_name[name]["rewriter_copies"] == 2

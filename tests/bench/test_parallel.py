@@ -1,99 +1,67 @@
-"""Tests for the process-parallel sweep runner.
+"""A figure's table does not depend on who drained its rows.
 
-The load-bearing property is at the bottom: a real experiment sweep
-produces byte-identical rows serial and parallel, because every point
-rebuilds its workload deterministically from the same seed.
+The database is the parallelism and the cache of the figures: any
+number of worker processes may pull a figure's grid, and what was
+extracted once cannot be damaged by a caller.
 """
 
 from __future__ import annotations
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.bench import experiments
 from repro.bench.configs import Scale
-from repro.bench.parallel import ENV_VAR, configured_processes, parallel_map
+from repro.bench.figures import FIGURES, measure
+from repro.expdb.db import ExperimentDB
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 TINY = Scale("tiny", n_nodes=24, n_queries=12, n_tuples=40, domain_size=30)
 
-
-def _square(x: int) -> int:
-    return x * x
+SEEDS = (1, 2)
 
 
-def _boom(x: int) -> int:
-    raise ValueError(f"boom {x}")
+def fill(figure, db_path):
+    with ExperimentDB(db_path) as db:
+        db.fill(params for _, params in figure.points(TINY, SEEDS))
 
 
-class TestConfiguredProcesses:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert configured_processes(100) == 1
-
-    def test_explicit_one_is_serial(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "1")
-        assert configured_processes(100) == 1
-
-    @pytest.mark.parametrize("raw", ["auto", "0"])
-    def test_auto_uses_cpus_capped_by_items(self, monkeypatch, raw):
-        monkeypatch.setenv(ENV_VAR, raw)
-        assert configured_processes(2) <= 2
-        assert configured_processes(10_000) >= 1
-
-    def test_explicit_count_capped_by_items(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "6")
-        assert configured_processes(3) == 3
-        assert configured_processes(100) == 6
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "many")
-        with pytest.raises(ValueError):
-            configured_processes(4)
-
-    def test_negative_clamped_to_serial(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "-3")
-        assert configured_processes(4) == 1
-
-
-class TestParallelMap:
-    def test_serial_path(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert parallel_map(_square, range(6)) == [0, 1, 4, 9, 16, 25]
-
-    def test_parallel_path_preserves_order(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "2")
-        assert parallel_map(_square, range(12)) == [x * x for x in range(12)]
-
-    def test_empty_items(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "4")
-        assert parallel_map(_square, []) == []
-
-    def test_worker_exception_propagates(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "2")
-        with pytest.raises(ValueError):
-            parallel_map(_boom, range(4))
+def drain_in_a_process(db_path, worker_id):
+    env = os.environ.copy()
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.expdb", "--db", db_path,
+         "worker", "--drain", "--worker-id", worker_id],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
 
 
 class TestSweepEquivalence:
-    def test_scaling_rows_serial_equals_parallel(self, monkeypatch):
-        kwargs = dict(axis="nodes", factors=(1.0,), algorithms=("sai", "dai-q"))
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        experiments._scaling_rows_cached.cache_clear()
-        serial = experiments._scaling_rows(TINY, **kwargs)
+    def test_scaling_rows_serial_equals_parallel(self, tmp_path):
+        figure = FIGURES["E14"]
+        serial, _, executed = measure(figure, str(tmp_path / "one.sqlite"), TINY, SEEDS)
+        assert executed == 32  # 4 ring sizes x 4 algorithms x 2 seeds
 
-        monkeypatch.setenv(ENV_VAR, "2")
-        experiments._scaling_rows_cached.cache_clear()
-        parallel = experiments._scaling_rows(TINY, **kwargs)
-        experiments._scaling_rows_cached.cache_clear()
+        shared = str(tmp_path / "two.sqlite")
+        fill(figure, shared)
+        workers = [drain_in_a_process(shared, name) for name in ("w1", "w2")]
+        assert [worker.wait(timeout=120) for worker in workers] == [0, 0]
+        with ExperimentDB(shared) as db:
+            drained_by = {row["worker"] for row in db.rows(status="done")}
+        parallel, _, executed = measure(figure, shared, TINY, SEEDS)
+        assert executed == 0 and drained_by <= {"w1", "w2"}
+        assert parallel == serial
 
-        assert serial == parallel
-
-    def test_handed_out_rows_do_not_poison_the_cache(self):
-        kwargs = dict(axis="nodes", factors=(1.0,), algorithms=("sai",))
-        experiments._scaling_rows_cached.cache_clear()
-        first = experiments._scaling_rows(TINY, **kwargs)
+    def test_handed_out_rows_do_not_poison_the_cache(self, tmp_path):
+        figure, db_path = FIGURES["E15"], str(tmp_path / "cache.sqlite")
+        first, _, _ = measure(figure, db_path, TINY, SEEDS)
         first[0]["algorithm"] = "tampered"
         del first[0]["factor"]
-        again = experiments._scaling_rows(TINY, **kwargs)
-        experiments._scaling_rows_cached.cache_clear()
+        again, _, executed = measure(figure, db_path, TINY, SEEDS)
+        assert executed == 0
         assert again[0]["algorithm"] == "sai"
         assert "factor" in again[0]

@@ -1,19 +1,22 @@
 """Tests for experiment-result rendering."""
 
-from repro.bench.report import ExperimentResult, render_table
+from repro.bench.figures import Figure
+from repro.bench.report import render_markdown, render_table
+
+ROWS = [
+    {"name": "alpha", "count": 12000, "ratio": 1.5},
+    {"name": "beta", "count": 7, "ratio": 0.333333},
+]
 
 
-def sample_result():
-    return ExperimentResult(
-        experiment="E0",
+def sample_figure():
+    return Figure(
+        id="E0",
         figure="Figure 0.0 — test",
         title="a test table",
-        columns=["name", "count", "ratio"],
-        rows=[
-            {"name": "alpha", "count": 12000, "ratio": 1.5},
-            {"name": "beta", "count": 7, "ratio": 0.333333},
-        ],
+        columns=("name", "count", "ratio"),
         notes="some notes",
+        extract=lambda scale: ROWS,
     )
 
 
@@ -40,24 +43,20 @@ class TestRenderTable:
 
 
 class TestExperimentResult:
+    """One experiment's result rows under its figure's header."""
+
     def test_to_text(self):
-        text = sample_result().to_text()
+        text = sample_figure().to_text(ROWS)
         assert "E0" in text
         assert "Figure 0.0" in text
         assert "alpha" in text
         assert "some notes" in text
 
     def test_to_markdown(self):
-        md = sample_result().to_markdown()
+        md = sample_figure().to_markdown(ROWS)
         assert md.startswith("### E0")
         assert "| name | count | ratio |" in md
         assert "| alpha |" in md
-
-    def test_column_values(self):
-        assert sample_result().column_values("name") == ["alpha", "beta"]
-
-    def test_column_values_missing(self):
-        assert sample_result().column_values("nope") == [None, None]
 
 
 class TestAsciiCurve:
@@ -97,18 +96,14 @@ class TestAsciiCurve:
 
 class TestEdgePaths:
     def test_to_text_renders_series_charts(self):
-        result = sample_result()
-        result.series = {"loads": [5.0, 3.0, 1.0]}
-        text = result.to_text()
+        text = sample_figure().to_text(ROWS, {"loads": [5.0, 3.0, 1.0]})
         assert "loads" in text
         assert "max = 5" in text
 
     def test_to_markdown_without_notes_has_no_notes_block(self):
-        result = sample_result()
-        result.notes = ""
-        md = result.to_markdown()
-        assert "some notes" not in md
-        assert md.endswith("\n")
+        md = render_markdown(["name", "count"], ROWS)
+        assert md.splitlines()[0] == "| name | count |"
+        assert "some notes" not in md and "12,000" in md
 
     def test_format_handles_negative_and_large_floats(self):
         from repro.bench.report import _format

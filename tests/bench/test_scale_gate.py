@@ -174,11 +174,19 @@ class TestCommittedBaseline:
                 assert resources["wall_seconds"] == row["wall_seconds"]
 
     def test_history_keeps_the_million_node_point(self):
-        (row,) = read_export(str(REPO_ROOT / "BENCH_history.json"))
+        row, *figures = read_export(str(REPO_ROOT / "BENCH_history.json"))
         params, _, resources = decode_done_row(row)
         assert (params["transport"], params["n_nodes"]) == ("shard", 1_000_000)
         assert (params["window"], params["evict_every"]) == (256.0, 8192)
         assert (resources["batch_size"], resources["shards"]) == (8192, 1)
+        # It ran the workload draw every row ran before the seed column
+        # reached the generator, and its identity says so.
+        assert params["overrides"] == {"workload": {"seed": 0}}
+        # The rest is what EXPERIMENTS.md's figures are read from.
+        assert len(figures) == 435
+        assert {(r["transport"], r["seed"]) for r in figures} == {
+            ("sim", seed) for seed in (1, 2, 3, 4, 5)
+        }
 
 
 class TestVerifySmall:

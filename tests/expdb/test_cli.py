@@ -229,10 +229,12 @@ class TestImportJson:
             == 0
         )
         out = capsys.readouterr().out
-        assert "imported 13 experiments total" in out
+        # 12 gated rows + the X3 point + the 435 figure rows, four of which
+        # are the gated `sim` identities measured again (not re-imported).
+        assert "imported 444 experiments total" in out
         with ExperimentDB(str(db_path)) as db:
             rows = db.rows(status="done")
-            assert len(rows) == 13
+            assert len(rows) == 444
             transports = {row["transport"] for row in rows}
         assert transports == {"sim", "shard", "live"}
 
@@ -260,7 +262,7 @@ class TestImportJson:
 
         assert stable(again) == stable(committed)
         macro = [row for row in again if row["transport"] == "sim"]
-        assert [row["hops"] for row in macro] == [40194, 40989, 40966, 20460]
+        assert [row["hops"] for row in macro] == [38887, 40317, 40305, 19670]
 
     def test_unknown_baseline_exits_nonzero(self, db_path, tmp_path, capsys):
         bogus = tmp_path / "BENCH_bogus.json"

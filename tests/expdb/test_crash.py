@@ -1,9 +1,10 @@
 """Crash consistency and resumability, proven on real worker processes.
 
-``REPRO_EXPDB_RUN_DELAY`` (a test hook in the runner) holds an
-experiment between claim and execution, giving a deterministic window
-in which to SIGKILL the worker — the hardest crash there is: no
-signal handler, no cleanup, the heartbeat just stops.  The database
+``slow_worker.py`` (a child script passing a sleeping ``runner=`` to
+``run_worker``) holds an experiment between claim and execution,
+giving a deterministic window in which to SIGKILL the worker — the
+hardest crash there is: no signal handler, no cleanup, the heartbeat
+just stops.  The database
 must treat the orphaned row as claimable once its heartbeat expires,
 and a restarted worker must complete the sweep with no row finishing
 twice.
@@ -35,15 +36,19 @@ TINY = dict(
 
 
 def spawn_worker(db_path, worker_id, *, run_delay=None, stale_after=1.0):
+    """The ordinary CLI worker, or — with ``run_delay`` — the sleepy one."""
     env = os.environ.copy()
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     if run_delay is not None:
-        env["REPRO_EXPDB_RUN_DELAY"] = str(run_delay)
+        command = [
+            str(Path(__file__).with_name("slow_worker.py")),
+            str(db_path),
+            worker_id,
+            str(run_delay),
+            str(stale_after),
+        ]
     else:
-        env.pop("REPRO_EXPDB_RUN_DELAY", None)
-    return subprocess.Popen(
-        [
-            sys.executable,
+        command = [
             "-m",
             "repro.expdb",
             "--db",
@@ -56,7 +61,9 @@ def spawn_worker(db_path, worker_id, *, run_delay=None, stale_after=1.0):
             "0.1",
             "--stale-after",
             str(stale_after),
-        ],
+        ]
+    return subprocess.Popen(
+        [sys.executable, *command],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

@@ -106,6 +106,45 @@ class TestRerunPolicy:
         assert [shards for _, shards in runner.calls] == [3]
 
 
+class TestLoadBlock:
+    """A stored ``load`` block is an exact column like the traffic."""
+
+    TINY = {"algorithm": "dai-t", "n_nodes": 16, "n_queries": 12,
+            "n_tuples": 30, "domain_size": 12, "seed": 3}
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        outcome = run_experiment(decode_params(normalize_params(self.TINY)))
+        assert outcome.metrics["load"]["TF"] == sum(outcome.metrics["load"]["filtering"])
+        return export_rows([(self.TINY, outcome.metrics, {**outcome.resources, "wall_seconds": 60.0})])
+
+    def test_load_round_trips_through_export_import_and_the_gate(self, recorded, tmp_path):
+        exported, again = tmp_path / "a.json", tmp_path / "b.json"
+        exported.write_text(json.dumps(recorded))
+        db = str(tmp_path / "copy.sqlite")
+        assert main(["--db", db, "import-json", str(exported)]) == 0
+        assert main(["--db", db, "export", "--json", str(again)]) == 0
+        (copy_row,) = json.loads(again.read_text())
+        assert copy_row["metrics_json"] == recorded[0]["metrics_json"]
+        assert "load" in exact_columns(json.loads(copy_row["metrics_json"]))
+        assert main(["gate", str(again)]) == 0
+
+    def test_a_changed_tf_fails_the_gate(self, recorded):
+        rows = copy.deepcopy(recorded)
+        metrics = json.loads(rows[0]["metrics_json"])
+        stored_tf = metrics["load"]["TF"]
+        metrics["load"]["TF"] += 1
+        rows[0]["metrics_json"] = json.dumps(metrics)
+        assert gate_rows(rows) == [
+            f"#1 sim/dai-t n=16 seed=3: load.TF changed: {stored_tf + 1} -> {stored_tf}"
+        ]
+
+    def test_rows_stored_without_a_load_block_are_gated_without_it(self):
+        rows = two_rows()[:1]
+        with_load = lambda metrics, nth: {**metrics, "load": {"TF": 1}}
+        assert gate_rows(rows, runner=Replay(rows, metrics=with_load)) == []
+
+
 class TestRefusals:
     @pytest.mark.parametrize("status", ["open", "running", "error"])
     def test_a_row_that_is_not_done_is_refused(self, status):

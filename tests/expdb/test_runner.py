@@ -122,6 +122,88 @@ class TestLiveTransport:
             run_experiment(decoded(transport="live", window=5.0))
 
 
+class TestSeedColumn:
+    """The ``seed`` column seeds the workload too, on every transport."""
+
+    POINT = dict(algorithm="sai", n_nodes=64, n_queries=40, n_tuples=150, domain_size=60)
+
+    def test_sim_seeds_draw_different_workloads(self):
+        delivered = {
+            seed: run_experiment(decoded(**self.POINT, seed=seed)).metrics[
+                "notifications_delivered"
+            ]
+            for seed in (1, 2, 3)
+        }
+        assert len(set(delivered.values())) == 3, delivered
+
+    def test_sim_and_shard_agree_at_the_same_seed(self):
+        for seed in (1, 2):
+            sim = run_experiment(decoded(**self.POINT, seed=seed)).metrics
+            shard = run_experiment(
+                decoded(**self.POINT, seed=seed, transport="shard"), shards=1
+            ).metrics
+            assert (sim["notifications_delivered"], sim["notification_digest"]) == (
+                shard["notifications_delivered"],
+                shard["notification_digest"],
+            )
+
+    def test_a_workload_seed_override_pins_the_draw(self):
+        pinned = {"workload": {"seed": 0}}
+        answers = {
+            run_experiment(decoded(**self.POINT, seed=seed, overrides=pinned)).metrics[
+                "notifications_delivered"
+            ]
+            for seed in (1, 2, 3)
+        }
+        assert len(answers) == 1  # placement moves with the seed, the draw does not
+
+
+class TestOverrides:
+    def test_engine_overrides_reach_the_engine(self):
+        plain = run_experiment(decoded(algorithm="dai-v"))
+        keyed = run_experiment(
+            decoded(algorithm="dai-v", overrides={"engine": {"daiv_keyed": True}})
+        )
+        assert plain.metrics["notification_digest"] == keyed.metrics["notification_digest"]
+        assert keyed.metrics["stream_traffic"]["hops"] > plain.metrics["stream_traffic"]["hops"]
+
+    def test_workload_overrides_reach_the_generator(self):
+        warmed = run_experiment(decoded(overrides={"workload": {"warmup_tuples": 10}}))
+        assert warmed.metrics["load"]["fifth"]["events"] == (30 + 10) // 5
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"engine": {"vibes": 1}}, r"overrides.engine cannot set \['vibes'\]"),
+            ({"workload": {"n_tuples": 9}}, r"overrides.workload cannot set \['n_tuples'\]"),
+            ({"engine": {"window": 5.0}}, r"overrides.engine cannot set \['window'\]"),
+            ({"network": {}}, "overrides must map sections"),
+        ],
+    )
+    def test_unknown_keys_are_refused_by_name_at_fill_and_at_run(self, overrides, named):
+        with pytest.raises(ValueError, match=named):
+            params(overrides=overrides)
+        smuggled = decoded()
+        smuggled["overrides"] = overrides
+        with pytest.raises(ValueError, match=named):
+            run_experiment(smuggled)
+
+    def test_a_workload_override_on_a_live_row_is_refused_by_name(self):
+        live = dict(transport="live", overrides={"workload": {"bos_ratio": 4.0}})
+        with pytest.raises(ValueError, match=r"overrides.workload \['bos_ratio'\] on a 'live' row"):
+            params(**live)
+        smuggled = decoded(transport="live")
+        smuggled["overrides"] = live["overrides"]
+        with pytest.raises(ValueError, match="on a 'live' row"):
+            run_experiment(smuggled)
+
+    def test_equal_overrides_are_one_identity(self):
+        spelled = params(overrides={"workload": {"seed": 0, "bos_ratio": 2.0}, "engine": {}})
+        assert spelled["overrides"] == '{"workload":{"bos_ratio":2.0,"seed":0}}'
+        assert params(overrides=spelled["overrides"]) == spelled
+        assert params(overrides={"engine": {}})["overrides"] == ""
+
+
 class TestRowsRunBackToBack:
     def test_one_full_collection_before_each_row_none_inside_a_replay(
         self, monkeypatch

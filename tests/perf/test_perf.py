@@ -347,7 +347,7 @@ class TestInstrumentedSites:
         """The §15 lifted-mode sites: eviction replay + owner exchange."""
         from repro.bench.configs import Scale
         from repro.bench.harness import workload_for
-        from repro.bench.parallel import fork_available
+        from repro.sim.shard import fork_available
         from repro.chord.network import ChordNetwork
         from repro.core.engine import ContinuousQueryEngine, EngineConfig
         from repro.sim.shard import run_sharded

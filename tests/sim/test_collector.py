@@ -20,7 +20,7 @@ import pytest
 
 from repro.bench.configs import Scale
 from repro.bench.harness import run_standard, run_workload, workload_for
-from repro.bench.parallel import fork_available
+from repro.sim.shard import fork_available
 from repro.chord.network import ChordNetwork
 from repro.core.engine import ContinuousQueryEngine, EngineConfig
 from repro.sim.collector import CollectorPause

@@ -16,7 +16,7 @@ import pytest
 from repro.bench.configs import Scale
 from repro.bench.harness import run_standard, workload_for
 from repro.bench.rows import notification_digest
-from repro.bench.parallel import fork_available
+from repro.sim.shard import fork_available
 from repro.chord.network import ChordNetwork
 from repro.core.engine import ContinuousQueryEngine, EngineConfig
 from repro.sim.shard import ShardError, run_sharded, shard_capabilities

@@ -27,7 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.bench.configs import Scale
 from repro.bench.harness import run_standard, workload_for
 from repro.bench.rows import notification_digest
-from repro.bench.parallel import fork_available
+from repro.sim.shard import fork_available
 from repro.chord.network import ChordNetwork
 from repro.core.engine import ContinuousQueryEngine, EngineConfig
 from repro.sim.shard import run_sharded

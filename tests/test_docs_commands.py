@@ -28,7 +28,8 @@ COMMAND_SOURCES = (
 )
 
 #: Modules, flags and files deleted in PR 20 (three report / compare /
-#: import systems beside the experiment database) and the uvloop switch.
+#: import systems beside the experiment database), the uvloop switch,
+#: and the per-figure sweep functions with their pool, CLI and test hook.
 DELETED = (
     "repro.bench.macro",
     "--compare BENCH_",
@@ -38,6 +39,11 @@ DELETED = (
     "BENCH_seed.json",
     "BENCH_sim_scale.json",
     "BENCH_net_seed.json",
+    "repro.bench.cli",
+    "repro.bench.experiments",
+    "repro-experiments",
+    "REPRO_BENCH_PROCS",
+    "REPRO_EXPDB_RUN_DELAY",
 )
 
 #: A command line: optional environment assignments, then the module.
@@ -59,6 +65,10 @@ def parse(arguments: str):
     tokens = shlex.split(arguments, comments=True)
     if tokens and tokens[-1] == "&":
         tokens.pop()
+    for index, token in enumerate(tokens):
+        if re.fullmatch(r"\d?>>?|\|", token):  # the shell's part of the line
+            del tokens[index:]
+            break
     try:
         return build_parser().parse_args(tokens)
     except SystemExit:
