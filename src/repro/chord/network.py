@@ -90,6 +90,7 @@ class ChordNetwork:
         self._lazy_fingers = False
         #: Bumped on every membership change; names the ring in the log.
         self._membership_generation = 0
+        self._losses = 0
         self.router.ring = self
 
     def use_transport(self, transport: Transport) -> Transport:
@@ -102,6 +103,16 @@ class ChordNetwork:
         previous = self.transport
         self.transport = transport
         return previous
+
+    @property
+    def losses(self) -> int:
+        """Deliveries given up on: noted by a router or a live transport
+        (:meth:`note_loss`), or deferred with no live recipient left."""
+        injector = self.router.injector
+        return self._losses + (injector.messages_lost if injector is not None else 0)
+
+    def note_loss(self) -> None:
+        self._losses += 1
 
     @property
     def injector(self) -> Optional["FaultInjector"]:

@@ -75,6 +75,10 @@ class Router(Transport):
         #: no ring keeps the object walk.
         self.ring = None
 
+    @property
+    def ledger(self):  # in flight: what an injector deferred
+        return self.injector.ledger if self.injector is not None else None
+
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
@@ -229,6 +233,8 @@ class Router(Transport):
                 self.stats.record_drop(message.type)
                 continue
             return self._finish_delivery(message, candidate, may_delay=may_delay)
+        if self.ring is not None:  # given up on: the next lease refresh replays
+            self.ring.note_loss()
         raise DeliveryError(message.type, target.ident, attempts)
 
     def _successor_fallback(
@@ -238,6 +244,8 @@ class Router(Transport):
         for candidate in target.successor_list:
             if candidate.alive and candidate is not target:
                 return candidate
+        if self.ring is not None:
+            self.ring.note_loss()
         raise DeliveryError(message.type, target.ident, attempts)
 
     # ------------------------------------------------------------------

@@ -18,6 +18,7 @@ evaluator placement and the value-level behaviour.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -48,6 +49,12 @@ from .tables import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import ContinuousQueryEngine
+
+
+def dis_key(record: RewrittenGroup) -> tuple:
+    """``(relation, attribute, value)`` of the tuples ``record`` can match."""
+    shape = record.shape
+    return shape.relation, shape.dis_attribute or "", record.dis_value
 
 
 @dataclass
@@ -87,6 +94,8 @@ class NodeState:
         #: Identities of notifications already emitted by this node (the
         #: set semantics of answers; bookkeeping, not storage load).
         self.emitted: set[tuple[str, str, tuple]] = set()
+        #: Reorder buffer: ``(relation, attribute, value)`` -> ``[(time, half)]``.
+        self.held: dict[tuple, list] = {}
 
     def storage_breakdown(self) -> StorageBreakdown:
         """Storage load of this node, split by indexing level."""
@@ -149,6 +158,9 @@ class Algorithm:
     supports_t2 = False
     #: Whether tuples are indexed at the value level (all but DAI-V).
     indexes_tuples_at_value_level = True
+    #: DAI-Q / DAI-T: an arriving half pairs only with stored halves
+    #: published no later than its trigger (the later publish answers).
+    orders_pairs = False
 
     # ------------------------------------------------------------------
     # Query indexing
@@ -476,10 +488,11 @@ class Algorithm:
         engine: "ContinuousQueryEngine",
         state: NodeState,
         record: RewrittenGroup,
+        tuples: Optional[list] = None,
     ) -> list[Notification]:
-        """Evaluate the members of ``record`` against the stored
-        dis-side tuples (VLTT; under DAI-V the stored projections),
-        fetched once.
+        """Evaluate the members of ``record`` against ``tuples``, by
+        default the stored dis-side tuples (VLTT; under DAI-V the stored
+        projections; :attr:`orders_pairs`: none published after the trigger).
 
         Window, filters and, for projections, the join value (which
         makes identifier collisions harmless) are checked once per
@@ -488,25 +501,27 @@ class Algorithm:
         """
         check_value = self.wants_projection
         shape = record.shape
-        if check_value:
+        trigger_time = record.trigger_pub_time
+        if tuples is None and check_value:
             tuples = [
                 stored.projection
                 for stored in state.projections.candidates(
                     shape.group_signature, shape.relation, record.required_value
                 )
             ]
-        else:
+        elif tuples is None:
+            latest = trigger_time if self.orders_pairs else math.inf
             tuples = [
                 stored.tuple
                 for stored in state.vltt.candidates(
                     shape.relation, shape.dis_attribute or "", record.dis_value
                 )
+                if stored.tuple.pub_time <= latest
             ]
         pairs = len(shape.members)
         state.load.add_value_level(len(tuples) * pairs)
         perf = PERF.enabled
         window = engine.config.window
-        trigger_time = record.trigger_pub_time
         checked = check_value or shape.filters
         live = []
         for tup in tuples:
@@ -529,15 +544,17 @@ class Algorithm:
         tup: DataTuple,
         attribute: str,
     ) -> list[Notification]:
-        """Evaluate an arriving tuple against the local VLQT: window and
-        filters once per stored cohort, the rest per member.  TF counts
-        members."""
+        """Evaluate an arriving tuple against the local VLQT (under
+        :attr:`orders_pairs` the cohorts first triggered no later than it):
+        window, filters once per cohort, the rest per member; TF: members."""
         cohorts = state.vlqt.candidates(
             tup.relation.name, attribute, tup.value(attribute)
         )
         perf = PERF.enabled
         window = engine.config.window
         pub_time = tup.pub_time
+        if self.orders_pairs:
+            cohorts = [c for c in cohorts if c.record.trigger_pub_time <= pub_time]
         live = [tup]
         examined = 0
         notifications = []

@@ -6,8 +6,10 @@ locally stored tuples and creates the notifications, but does **not**
 store the rewritten query; an arriving tuple is stored but triggers
 nothing.  This breaks the duplicate-notification symmetry of
 double-attribute indexing: for any tuple pair, exactly the *later*
-tuple's attribute-level trigger produces the notification, because only
-then is the earlier tuple already stored at the evaluator.
+tuple's attribute-level trigger produces the notification.  That tuple
+is the one published later, whatever order the two land in (DESIGN.md
+§13): a rewritten query pairs only with tuples published no later than
+its trigger, and is held while an older tuple may still land.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import TYPE_CHECKING
 from ..sql.expr import canonical_value
 from ..chord.node import ChordNode
 from ..sim.messages import JoinMessage, VLIndexMessage
+from .base import dis_key
 from .dai_base import DoubleAttributeIndex
 from .tables import StoredTuple
 
@@ -30,11 +33,12 @@ class DAIQuery(DoubleAttributeIndex):
     name = "dai-q"
     supports_t2 = False
     indexes_tuples_at_value_level = True
+    orders_pairs = True
 
     def on_join(
         self, engine: "ContinuousQueryEngine", node: ChordNode, msg: JoinMessage
     ) -> None:
-        """Evaluate against stored tuples; do not store the queries."""
+        """Evaluate against stored tuples; hold, never store, the queries."""
         state = engine.state(node)
         state.load.messages_processed += 1
         notifications = []
@@ -42,22 +46,31 @@ class DAIQuery(DoubleAttributeIndex):
             notifications.extend(
                 self._match_rewritten_against_tuples(engine, state, record)
             )
+        engine.hold(state, msg.causal_time, ((dis_key(r), r) for r in msg.rewritten))
         engine.deliver_notifications(node, notifications)
 
     def on_vl_index(
         self, engine: "ContinuousQueryEngine", node: ChordNode, msg: VLIndexMessage
     ) -> None:
         """Store the tuple so it is available when rewritten queries
-        arrive; create no notifications (that would duplicate the ones
-        the other rewriter produces).  Republished tuples
-        (``msg.refresh``) are stored only when missing."""
+        arrive; match it only against held queries triggered after it
+        (the others are answered by the other rewriter).  Republished
+        tuples (``msg.refresh``) are stored only when missing."""
         state = engine.state(node)
         state.load.messages_processed += 1
-        if msg.refresh and state.vltt.contains(msg.tuple, msg.index_attribute):
+        tup, attribute = msg.tuple, msg.index_attribute
+        if msg.refresh and state.vltt.contains(tup, attribute):
             return
+        value = tup.value(attribute)
         ident = engine.network.hash.hash_parts(
-            msg.tuple.relation.name,
-            msg.index_attribute,
-            canonical_value(msg.tuple.value(msg.index_attribute)),
+            tup.relation.name, attribute, canonical_value(value)
         )
-        state.vltt.add(StoredTuple(msg.tuple, msg.index_attribute, ident))
+        state.vltt.add(StoredTuple(tup, attribute, ident))
+        if state.held:
+            notifications = []
+            key = (tup.relation.name, attribute, value)
+            for record in engine.held(state, key, tup.pub_time):
+                notifications.extend(
+                    self._match_rewritten_against_tuples(engine, state, record, [tup])
+                )
+            engine.deliver_notifications(node, notifications)

@@ -13,7 +13,9 @@ under sliding-window semantics an evaluator entry must have its time
 refreshed by every new trigger or later pairs are lost, so when a
 window is configured the rewriter resends (the evaluator then collapses
 the copies by key and refreshes the entry's time).  DESIGN.md discusses
-this reconstruction choice.
+this reconstruction choice.  Arrival order is handled as DAI-Q's mirror
+image (DESIGN.md §13): a tuple pairs only with rewritten queries first
+triggered no later than it, and is held while an older one may land.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import TYPE_CHECKING
 
 from ..chord.node import ChordNode
 from ..sim.messages import JoinMessage, VLIndexMessage
+from .base import dis_key
 from .dai_base import DoubleAttributeIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,6 +37,7 @@ class DAITuple(DoubleAttributeIndex):
     name = "dai-t"
     supports_t2 = False
     indexes_tuples_at_value_level = True
+    orders_pairs = True
 
     def remembers_sent_keys(self, engine: "ContinuousQueryEngine") -> bool:
         return engine.config.window is None
@@ -41,26 +45,36 @@ class DAITuple(DoubleAttributeIndex):
     def on_join(
         self, engine: "ContinuousQueryEngine", node: ChordNode, msg: JoinMessage
     ) -> None:
-        """Store (or time-refresh) every member's rewritten query; no
-        evaluation — stored tuples do not exist under DAI-T."""
+        """Store (or time-refresh) every member's rewritten query; what
+        is newly stored meets the held tuples published after it."""
         state = engine.state(node)
         state.load.messages_processed += 1
+        notifications = []
         # Batches are grouped per evaluator identifier (§4.3.5), so every
         # record in the message shares the same ident.
         ident = None
         for record in msg.rewritten:
             if ident is None:
                 ident = self.evaluator_ident(engine, record)
-            state.vlqt.add(record, ident)
+            stored = state.vlqt.add(record, ident)
+            if stored is not None and state.held:
+                tuples = engine.held(state, dis_key(record), record.trigger_pub_time)
+                if tuples:
+                    notifications += self._match_rewritten_against_tuples(
+                        engine, state, stored, tuples
+                    )
+        if notifications:
+            engine.deliver_notifications(node, notifications)
 
     def on_vl_index(
         self, engine: "ContinuousQueryEngine", node: ChordNode, msg: VLIndexMessage
     ) -> None:
         """Match the tuple against stored rewritten queries; do not
-        store the tuple."""
+        store the tuple (hold it while older queries may still land)."""
         state = engine.state(node)
         state.load.messages_processed += 1
-        notifications = self._match_tuple_against_rewritten(
-            engine, state, msg.tuple, msg.index_attribute
-        )
+        tup, attr = msg.tuple, msg.index_attribute
+        notifications = self._match_tuple_against_rewritten(engine, state, tup, attr)
+        key = (tup.relation.name, attr, tup.value(attr))
+        engine.hold(state, tup.pub_time, ((key, tup),))
         engine.deliver_notifications(node, notifications)

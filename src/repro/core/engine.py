@@ -20,14 +20,18 @@ Typical use::
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import logging
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Mapping, Optional, Union
 
 from ..chord.network import ChordNetwork
 from ..chord.node import ChordNode
 from ..errors import QueryError
+from ..perf import PERF
 from ..sim.clock import LogicalClock
 from ..sim.messages import NotificationMessage, UnsubscribeMessage
 from ..sql.parser import parse_query
@@ -43,6 +47,10 @@ from .metrics import LoadSnapshot, snapshot
 from .notifications import Notification, group_by_subscriber
 from .replication import ReplicationScheme
 from .sai import SingleAttributeIndex
+
+#: One INFO record per full lease refresh, naming its cause (silent by default).
+logger = logging.getLogger("repro.core")
+logger.addHandler(logging.NullHandler())
 
 #: Registry of the four algorithms by configuration name.
 ALGORITHMS: dict[str, type[Algorithm]] = {
@@ -139,6 +147,12 @@ class ContinuousQueryEngine:
         #: duplicate-suppression in global order at a barrier (see
         #: :mod:`repro.sim.shard`).
         self.notification_gateway = None
+        #: ``(time, seq, state, key)`` per held half, oldest first.
+        self._holds: list = []
+        self._hold_seq = itertools.count()
+        self._held_peak = 0
+        #: Membership generation and losses when the last refresh started.
+        self._refreshed_at = (network._membership_generation, network.losses)
         #: Every node state this engine ever attached, by identifier.
         #: Window eviction iterates this registry instead of the whole
         #: ring, so lazily adopted million-node networks pay per
@@ -250,7 +264,10 @@ class ContinuousQueryEngine:
         return tup
 
     def lease_refresh_steps(self):
-        """Yield ``(kind, replay)`` thunks re-asserting all soft state.
+        """Yield ``(kind, replay)`` thunks re-asserting all soft state —
+        if the membership generation moved or a delivery was given up on
+        (``network.losses``) since the last refresh *started*; nothing
+        otherwise: the refresh is crash recovery (DESIGN.md §8).
 
         ``kind`` is ``"query"`` or ``"tuple"``; calling ``replay()``
         re-sends that one item with ``refresh=True``.  The generator is
@@ -259,40 +276,36 @@ class ContinuousQueryEngine:
         overflows send windows); :meth:`refresh_leases` is the one-shot
         consumer.
         """
+        network = self.network
+        (generation, losses) = mark = (network._membership_generation, network.losses)
+        if mark == self._refreshed_at:
+            PERF.count("engine.refresh.skipped")
+            return
+        (before, lost), self._refreshed_at = self._refreshed_at, mark
+        PERF.count("engine.refresh.full")
+        cause = f"membership generation {before} -> {generation}"
+        logger.info("lease refresh: full (%s)", cause if generation != before
+                    else f"{losses - lost} deliveries lost")
+        algorithm = self.algorithm
         for key, query in list(self.queries.items()):
             origin = self._subscriber_nodes.get(query.subscriber.ident)
             if origin is None or not origin.alive:
-                origin = self.network.responsible_node(query.subscriber.ident)
-
-            def replay_query(origin=origin, query=query, key=key):
-                self.algorithm.index_query(
-                    self,
-                    origin,
-                    query,
-                    labels=self._query_labels.get(key),
-                    refresh=True,
-                )
-
-            yield "query", replay_query
-        horizon = (
-            None
-            if self.config.window is None
-            else self.clock.now - self.config.window
-        )
-        for tup in self._publications:
-            if horizon is not None and tup.pub_time < horizon:
-                continue
-            origin = self.network.responsible_node(
-                self.network.hash(tup.relation.name)
+                origin = network.responsible_node(query.subscriber.ident)
+            labels = self._query_labels.get(key)
+            yield "query", partial(
+                algorithm.index_query, self, origin, query, labels=labels, refresh=True
             )
-
-            def replay_tuple(origin=origin, tup=tup):
-                self.algorithm.index_tuple(self, origin, tup, refresh=True)
-
-            yield "tuple", replay_tuple
+        window = self.config.window
+        horizon = None if window is None else self.clock.now - window
+        for tup in self._publications:
+            if horizon is None or tup.pub_time >= horizon:
+                origin = network.responsible_node(network.hash(tup.relation.name))
+                replay = partial(algorithm.index_tuple, self, origin, tup, refresh=True)
+                yield "tuple", replay
 
     def refresh_leases(self) -> dict[str, int]:
-        """Re-assert all soft state (queries as leases, tuples replayed).
+        """Re-assert all soft state (queries as leases, tuples replayed)
+        if anything was lost since the last refresh started.
 
         Crash recovery in the spirit of the paper's best-effort model:
         subscribers periodically re-install their queries (the ALQT
@@ -331,6 +344,43 @@ class ContinuousQueryEngine:
                 self.network.hash, side.relation, attribute
             ):
                 self.transport.send(origin, message, ident)
+
+    # ------------------------------------------------------------------
+    # Reorder buffers of the DAI-Q / DAI-T value nodes (DESIGN.md §13)
+    # ------------------------------------------------------------------
+    def hold(self, state: NodeState, time: float, halves) -> None:
+        """Keep the arriving ``(key, half)`` pairs triggered at ``time`` at
+        ``state`` while the transport's low watermark is below ``time``:
+        an older publish may still land a stored half under ``key``."""
+        ledger = self.network.transport.ledger
+        if ledger is None or ledger.low_watermark() >= time:
+            return
+        ledger.listener = self._release_held
+        holds = self._holds  # one record per held half
+        for key, half in halves:
+            state.held.setdefault(key, []).append((time, half))
+            heapq.heappush(holds, (time, next(self._hold_seq), state, key))
+            PERF.count("engine.reorder.buffered")
+        if PERF.enabled and len(holds) > self._held_peak:
+            PERF.count("engine.reorder.peak", len(holds) - self._held_peak)
+            self._held_peak = len(holds)
+
+    def held(self, state: NodeState, key: tuple, since: float) -> list:
+        """What a stored half published at ``since`` pairs with as it
+        lands: the halves held under ``key`` triggered no earlier."""
+        items = [item for time, item in state.held.get(key, ()) if time >= since]
+        if items and PERF.enabled:
+            PERF.count("engine.reorder.matched", len(items))
+        return items
+
+    def _release_held(self) -> None:
+        holds = self._holds
+        watermark = self.transport.low_watermark()
+        while holds and holds[0][0] <= watermark:
+            _, _, state, key = heapq.heappop(holds)
+            kept = [e for e in state.held.pop(key, ()) if e[0] > watermark]
+            if kept:
+                state.held[key] = kept
 
     # ------------------------------------------------------------------
     # Presence / notification plumbing

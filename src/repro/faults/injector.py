@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Optional
 
 import random
 
+from ..transport import PublishLedger
 from .plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,6 +61,8 @@ class FaultInjector:
         #: Deferred messages that could never land (target and its
         #: whole successor list died before the flush).
         self.messages_lost = 0
+        #: Publishes with deferred messages: the router's low watermark.
+        self.ledger = PublishLedger()
 
     # ------------------------------------------------------------------
     # Router-facing decisions
@@ -159,6 +162,8 @@ class FaultInjector:
 
     def defer(self, message: "Message", target: "ChordNode", delay: float) -> None:
         """Hold ``message`` back by ``delay`` instead of delivering now."""
+        if message.causal_time is not None:
+            self.ledger[message.causal_time] += 1
         if self.simulator is not None:
             self.simulator.after(
                 delay, lambda: self._land(message, target), label="delayed-delivery"
@@ -189,10 +194,13 @@ class FaultInjector:
         return landed
 
     def _land(self, message: "Message", target: "ChordNode") -> None:
-        recipient = target
-        if not recipient.alive:
-            recipient = target.successor  # first live successor-list entry
-        if not recipient.alive:
+        # A dead target's first live successor-list entry takes it.
+        recipient = target if target.alive else target.successor
+        if recipient.alive:
+            recipient.deliver(message)
+        else:
             self.messages_lost += 1
-            return
-        recipient.deliver(message)
+        # Settled after the handler: whatever it sent on is deferred first.
+        time = message.causal_time
+        if time is not None:
+            self.ledger.settle(time)

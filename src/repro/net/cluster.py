@@ -166,6 +166,7 @@ class LiveCluster:
     def frame_failed(self, exc: Exception, labels) -> None:
         """A frame was lost for good; settle its deliveries and record."""
         self.errors.append(exc)
+        self.network.note_loss()
         self.stats.record_drop(
             getattr(exc, "message_type", labels[0] if labels else "frame")
         )
@@ -185,6 +186,7 @@ class LiveCluster:
         for label in labels:
             self.in_flight.dec(label)
         self.crash_frame_losses += 1
+        self.network.note_loss()
 
     def handler_failed(self, exc: Exception) -> None:
         self.errors.append(exc)
@@ -192,6 +194,7 @@ class LiveCluster:
     def note_codec_fault(self, exc: Exception) -> None:
         """Corrupt bytes arrived on a connection (it was aborted)."""
         self.codec_faults += 1
+        self.network.note_loss()
         if self.chaos is None:
             # Without chaos installed nothing should ever garble a
             # frame; surface it on the next drain.
@@ -200,6 +203,7 @@ class LiveCluster:
     def note_stream_break(self, exc: Exception) -> None:
         """A connection died mid-frame (truncation or peer crash)."""
         self.stream_breaks += 1
+        self.network.note_loss()
         if self.chaos is None:
             self.errors.append(exc)
 
@@ -382,6 +386,7 @@ class LiveCluster:
             self.frames_written_off += sum(
                 self.in_flight.write_off().values()
             )
+            self.network.note_loss()
         if self.errors:
             if tolerate_failures:
                 self.fault_log.extend(self.errors)

@@ -25,23 +25,17 @@ Why pipelining cannot change the answers: the digest is a *set* digest
 (:func:`repro.bench.rows.notification_digest`), queries are fully
 installed (and drained) before the stream starts, and every tuple
 carries its own ``pub_time``, so answer identity never depends on
-arrival order.  One wrinkle remains: DAI-Q and DAI-T each disable one
-of the two value-level match directions to keep notifications
-exactly-once (see :mod:`repro.core.dai_base`), which makes a *pair*
-race possible under pipelining — both tuples' one-shot probes can
-overtake the other tuple's store, and the match is found by neither
-side.  The drain-per-event driver serializes publishes and never hits
-this; the pipelined driver closes it the way the paper's soft-state
-model does, with one anti-entropy pass (``refresh_leases`` replays the
-tuples, re-probing with full duplicate suppression) after the stream
-drains.  The settle is timed separately and the handful of recovered
-answers is reported.  ``--compare-sim`` asserts the resulting set is
-digest-identical to the simulator oracle.
+arrival order.  DAI-Q and DAI-T, which let only one side of a tuple
+pair match, decide that side by the publish times the messages carry
+and hold an arriving half while an older publish is still in flight
+(:mod:`repro.core.dai_q`, :mod:`repro.core.dai_t`), so no pair is lost
+to a race and no settle pass follows the stream.  ``--compare-sim``
+asserts the delivered set is digest-identical to the simulator oracle.
 
 The committed live points are ``live`` rows of ``BENCH_baseline.json``:
 ``python -m repro.expdb gate`` re-runs them through
 :func:`run_load_sync`, demands the recorded digest and bounds today's
-**install + stream + settle** wall (:mod:`repro.expdb.gate`).
+**install + stream** wall (:mod:`repro.expdb.gate`).
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ import asyncio
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 from ..workload.generator import Workload, WorkloadParams, build_workload
@@ -127,14 +121,7 @@ class LatencySummary:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "mean_ms": self.mean_ms,
-            "max_ms": self.max_ms,
-        }
+        return asdict(self)
 
 
 def _percentile(ordered: Sequence[float], q: float) -> float:
@@ -159,9 +146,7 @@ class LoadReport:
     seed: int
     install_seconds: float
     stream_seconds: float
-    settle_seconds: float
     notifications: int
-    recovered_notifications: int
     notifications_per_sec: float
     events_per_sec: float
     frames_sent: int
@@ -171,22 +156,20 @@ class LoadReport:
     peak_in_flight: int
     digest: str
     latency: LatencySummary
-    #: Per-node filtering/storage observations after the settle pass
+    #: Per-node filtering/storage observations at the end of the run
     #: (:func:`repro.bench.rows.load_to_row`), exact for a seed.
     load: dict
 
     @property
     def total_seconds(self) -> float:
-        """The whole path a user pays for: install + stream + settle."""
-        return self.install_seconds + self.stream_seconds + self.settle_seconds
+        """The whole path a user pays for: install + stream."""
+        return self.install_seconds + self.stream_seconds
 
     def as_dict(self) -> dict:
         return {
             "wall_seconds": round(self.stream_seconds, 4),
             "install_seconds": round(self.install_seconds, 4),
-            "settle_seconds": round(self.settle_seconds, 4),
             "total_seconds": round(self.total_seconds, 4),
-            "recovered_notifications": self.recovered_notifications,
             "notifications_per_sec": round(self.notifications_per_sec, 1),
             "events_per_sec": round(self.events_per_sec, 1),
             "frames_sent": self.frames_sent,
@@ -284,24 +267,6 @@ async def _drive(
     await cluster.drain()
     stream_seconds = clock() - stream_start
 
-    stream_notifications = sum(
-        len(batch) for batch in engine.delivered.values()
-    )
-
-    # -- settle phase: one anti-entropy pass closes pipeline races ------
-    # DAI-Q/DAI-T probe each value node exactly once per pair side, so
-    # two pipelined publishes can both probe before the other's store
-    # lands and the answer is created by neither.  Replaying the soft
-    # state (the paper's lease/republish model) re-probes with full
-    # duplicate suppression: raced pairs surface, everything else is a
-    # no-op.
-    settle_start = clock()
-    for _, replay in engine.lease_refresh_steps():
-        await cluster.in_flight.wait_below_budget(config.quiesce_timeout)
-        replay()
-    await cluster.drain()
-    settle_seconds = clock() - settle_start
-
     from ..bench.rows import load_to_row, notification_digest
 
     notifications = sum(len(batch) for batch in engine.delivered.values())
@@ -314,11 +279,9 @@ async def _drive(
         seed=config.seed,
         install_seconds=install_seconds,
         stream_seconds=stream_seconds,
-        settle_seconds=settle_seconds,
         notifications=notifications,
-        recovered_notifications=notifications - stream_notifications,
         notifications_per_sec=(
-            stream_notifications / stream_seconds if stream_seconds > 0 else 0.0
+            notifications / stream_seconds if stream_seconds > 0 else 0.0
         ),
         events_per_sec=(
             len(tuple_events) / stream_seconds if stream_seconds > 0 else 0.0

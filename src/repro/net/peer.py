@@ -67,7 +67,7 @@ from ..errors import (
     QuiesceTimeout,
     RoutingError,
 )
-from ..transport import Transport
+from ..transport import PublishLedger, Transport
 from ..sim.messages import Message
 from .codec import (
     HEADER_SIZE,
@@ -209,6 +209,9 @@ class InFlight:
         self.allow_slack = False
         self.slack_absorbed = 0
         self._debt = 0
+        #: Credits per publish (``time``), the low watermark.  A failed or
+        #: lost frame settles by label only: its publish's credit at zero.
+        self.ledger = PublishLedger()
 
     @property
     def count(self) -> int:
@@ -218,7 +221,9 @@ class InFlight:
         """Outstanding deliveries by label (diagnostic)."""
         return {label: n for label, n in self._labels.items() if n}
 
-    def inc(self, label: str = "control", n: int = 1) -> None:
+    def inc(self, label: str = "control", n: int = 1, time=None) -> None:
+        if time is not None:
+            self.ledger[time] += n
         self._count += n
         self._labels[label] += n
         if self._count > self.peak:
@@ -228,7 +233,9 @@ class InFlight:
         if self.budget is not None and self._count >= self.budget:
             self._below.clear()
 
-    def dec(self, label: str = "control", n: int = 1) -> None:
+    def dec(self, label: str = "control", n: int = 1, time=None) -> None:
+        if time is not None:
+            self.ledger.settle(time, n)
         self._labels[label] -= n
         if self._labels[label] == 0:
             del self._labels[label]
@@ -245,6 +252,8 @@ class InFlight:
             self.slack_absorbed += leftover
         if self._count == 0:
             self._zero.set()
+            if self.ledger:
+                self.ledger.clear()
         if self.budget is None or self._count < self.budget:
             self._below.set()
 
@@ -261,6 +270,7 @@ class InFlight:
         self._debt += self._count
         self._count = 0
         self._labels.clear()
+        self.ledger.clear()
         self._zero.set()
         self._below.set()
         return pending
@@ -1185,7 +1195,7 @@ class NetPeer:
         except Exception as exc:  # surfaced by the next drain()
             self.cluster.handler_failed(exc)
         finally:
-            self.cluster.in_flight.dec(message.type)
+            self.cluster.in_flight.dec(message.type, 1, message.causal_time)
 
     # ------------------------------------------------------------------
     # Inbound
@@ -1271,13 +1281,14 @@ class SocketTransport(Transport):
 
     def __init__(self, cluster: "LiveCluster"):
         self.cluster = cluster
+        self.ledger = cluster.in_flight.ledger
 
     # -- Transport API -------------------------------------------------
     def send(self, source: "ChordNode", message: Message, ident: int) -> "ChordNode":
         cluster = self.cluster
         owner = cluster.network.responsible_node(ident)
         cluster.stats.record(message.type, 0)  # hops billed per forward
-        cluster.in_flight.inc(message.type)
+        cluster.in_flight.inc(message.type, 1, message.causal_time)
         cluster.peer_for(source).route(RouteFrame(target_ident=ident, message=message))
         return owner
 
@@ -1286,7 +1297,7 @@ class SocketTransport(Transport):
     ) -> None:
         cluster = self.cluster
         cluster.stats.record(message.type, 0 if source is target else 1)
-        cluster.in_flight.inc(message.type)
+        cluster.in_flight.inc(message.type, 1, message.causal_time)
         peer = cluster.peer_for(source)
         if target is source:
             peer.handle_delivery(message)
@@ -1318,12 +1329,12 @@ class SocketTransport(Transport):
                 key=lambda pair: (pair[0] - start) % size,
             )
         )
-        type_counts: dict[str, int] = {}
-        for message in message_list:
-            type_counts[message.type] = type_counts.get(message.type, 0) + 1
-        for message_type, count in type_counts.items():
+        counts: dict[tuple, int] = {}
+        for key in [(message.type, message.causal_time) for message in message_list]:
+            counts[key] = counts.get(key, 0) + 1
+        for (message_type, time), count in counts.items():
             cluster.stats.record_batch(message_type, count, 0)
-            cluster.in_flight.inc(message_type, count)
+            cluster.in_flight.inc(message_type, count, time)
         cluster.peer_for(source).route_multi(MultiFrame(pairs=pairs))
         return owners
 

@@ -40,6 +40,10 @@ class Message:
 
     type: ClassVar[str] = "message"
 
+    #: ``pubT`` of the publish an index or join message descends from,
+    #: which in-flight ledgers key credits on (``None`` for the rest).
+    causal_time = property(lambda self: None)
+
 
 @dataclass(frozen=True, slots=True)
 class QueryIndexMessage(Message):
@@ -72,6 +76,7 @@ class ALIndexMessage(Message):
     #: rewriter then skips arrival-rate accounting and bypasses the
     #: DAI-T never-resend memory so lost evaluator state is rebuilt.
     refresh: bool = False
+    causal_time = property(lambda self: self.tuple.pub_time)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,6 +89,7 @@ class VLIndexMessage(Message):
     #: True for crash-recovery republication: evaluators skip storing
     #: tuples they already hold (matching still runs).
     refresh: bool = False
+    causal_time = property(lambda self: self.tuple.pub_time)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,6 +109,10 @@ class JoinMessage(Message):
     #: DAI-V only: the projected trigger tuple per group record,
     #: aligned with ``rewritten`` (empty for the other algorithms).
     projections: tuple[Any, ...] = field(default_factory=tuple)
+    # One al-index triggers every record of a batch.
+    causal_time = property(
+        lambda self: self.rewritten[0].trigger_pub_time if self.rewritten else None
+    )
 
 
 @dataclass(frozen=True, slots=True)

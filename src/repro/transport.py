@@ -54,20 +54,60 @@ Failure and backpressure semantics (live transports):
   it.  Injected wire faults (see :mod:`repro.net.chaos`) are always
   decided before an attempt's clean bytes are written, so retries can
   never duplicate a delivery.
+
+Arrival order (DESIGN.md §13): a DAI-Q/DAI-T value node holds an arriving
+half against :meth:`Transport.low_watermark`; a causal transport (serial
+router, staged executor) answers ``inf``.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Sequence
+from collections import Counter
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .chord.node import ChordNode
     from .sim.messages import Message
 
 
+class PublishLedger(Counter):
+    """In-flight deliveries per publish (``Message.causal_time``);
+    ``listener`` runs whenever a publish's last credit settles or the
+    ledger is cleared — whenever the low watermark may have moved."""
+
+    listener: Optional[Callable[[], None]] = None
+
+    def settle(self, time: float, n: int = 1) -> None:
+        if time not in self:
+            return  # cleared with the credits a lost frame never settled
+        self[time] -= n
+        if self[time] <= 0:
+            del self[time]
+            if self.listener is not None:
+                self.listener()
+
+    def clear(self) -> None:
+        super().clear()
+        if self.listener is not None:
+            self.listener()
+
+    def low_watermark(self) -> float:
+        """The oldest publish still holding credit (``inf``: none)."""
+        return min(self, default=math.inf)
+
+
 class Transport(ABC):
     """Abstract message transport implementing the Section 2.3 API."""
+
+    #: Publishes with messages in flight; ``None`` while delivery is causal.
+    ledger: Optional[PublishLedger] = None
+
+    def low_watermark(self) -> float:
+        """``pub_time`` of the oldest publish whose index or join messages
+        may still arrive; ``inf`` when none can."""
+        return math.inf if self.ledger is None else self.ledger.low_watermark()
 
     @abstractmethod
     def send(

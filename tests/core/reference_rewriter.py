@@ -187,10 +187,16 @@ class PerMemberRewriter(Algorithm):
         )
 
     def _match_tuple_against_rewritten(self, engine, state, tup, attribute):
-        """An arriving tuple against the per-member VLQT, entry by entry."""
+        """An arriving tuple against the per-member VLQT, entry by entry
+        (DAI-T: the entries first triggered no later than it)."""
         candidates = state.vlqt.candidates(
             tup.relation.name, attribute, tup.value(attribute)
         )
+        if self.orders_pairs:
+            candidates = [
+                entry for entry in candidates
+                if entry.rewritten.trigger_pub_time <= tup.pub_time
+            ]
         state.load.add_value_level(len(candidates))
         notifications = []
         for entry in candidates:
@@ -209,6 +215,11 @@ class PerMemberRewriter(Algorithm):
         candidates = state.vltt.candidates(
             rewritten.relation, rewritten.dis_attribute or "", rewritten.dis_value
         )
+        if self.orders_pairs:  # DAI-Q: tuples published no later than the trigger
+            candidates = [
+                stored for stored in candidates
+                if stored.tuple.pub_time <= rewritten.trigger_pub_time
+            ]
         state.load.add_value_level(len(candidates))
         notifications = []
         for stored in candidates:

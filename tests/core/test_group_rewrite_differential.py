@@ -11,11 +11,11 @@ traffic and the delivered notifications in delivery order.
 
 The strategies aim at what a group record could get wrong: groups with
 several select lists, insertion times staggered around the trigger's
-``pubT`` (lease refresh replays old tuples past younger queries and
-bypasses the DAI-T memory), replicas of one query meeting at one
-rewriter, linear (T1) sides, index- and dis-side filters, keyed DAI-V,
-and membership changing between triggers (unsubscribe, node join and
-leave).
+``pubT`` (lease refresh, run after a node failure, replays old tuples
+past younger queries and bypasses the DAI-T memory), replicas of one
+query meeting at one rewriter, linear (T1) sides, index- and dis-side
+filters, keyed DAI-V, and membership changing between triggers
+(unsubscribe, node join and leave).
 """
 
 import pytest
@@ -119,6 +119,10 @@ def replay(make_engine, workload, config):
         elif kind == "wait":
             engine.clock.advance(float(step[1]))
         elif kind == "refresh":
+            # The replay is crash recovery: it runs after a loss only.
+            if len(network) > 3:
+                network.fail(network.nodes[index % len(network)])
+                network.run_stabilization(2, fix_all_fingers=True)
             engine.refresh_leases()
         elif kind == "join":
             network.join(f"late-{index}")

@@ -65,6 +65,9 @@ class TestLeaseRecovery:
             subscriber, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E", schema
         )
         storage_before = engine.load_snapshot().total_storage
+        # A join moves keys but loses nothing: the refresh it triggers
+        # (membership changed) must change nothing either.
+        network.join("late")
         refreshed = engine.refresh_leases()
         assert refreshed["queries"] == 1
         assert engine.load_snapshot().total_storage == storage_before
@@ -138,6 +141,7 @@ class TestLeaseRecovery:
         engine.publish(network.nodes[1], R, {"A": 1, "B": 7})
         engine.clock.advance(100.0)
         engine.publish(network.nodes[1], R, {"A": 2, "B": 7})
+        network.join("late")  # the refresh replays only after a membership change
         refreshed = engine.refresh_leases()
         assert refreshed["tuples"] == 1  # only the in-window tuple replays
 

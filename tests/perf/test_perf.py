@@ -241,12 +241,16 @@ class TestInstrumentedSites:
         """A cohort is filtered as one, but counted as its members would
         be one by one (time test first): a lease-refresh replay of an S
         tuple that fails ``S.D = 1`` meets a stored cohort of two, one of
-        them subscribed after the tuple."""
+        them subscribed after the tuple.  SAI, whose value nodes match in
+        both directions (a DAI-T replay never meets a younger cohort); the
+        replay runs only after a loss, so an idle node fails first."""
         from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema
 
         schema = Schema.from_dict({"R": ["A", "B"], "S": ["D", "E"]})
         network = ChordNetwork.build(8)
-        engine = ContinuousQueryEngine(network, EngineConfig(algorithm="dai-t"))
+        # Seed 1: the first query, subscribed before any arrival, draws
+        # the R side; min-rate puts the second there too.
+        engine = ContinuousQueryEngine(network, EngineConfig(algorithm="sai", seed=1))
         node = network.nodes[0]
         R, S = schema.relation("R"), schema.relation("S")
         sql = "SELECT R.A, S.D FROM R, S WHERE R.B = S.E AND S.D = 1"
@@ -262,7 +266,14 @@ class TestInstrumentedSites:
             engine.clock.advance(1.0)
             engine.publish(node, R, {"A": 5, "B": 7})
             assert [len(c) for n in network for c in engine.state(n).vlqt] == [2]
+            idle = next(
+                n for n in network
+                if n is not node and engine.state(n).storage_breakdown().total == 0
+            )
+            network.fail(idle)
+            network.run_stabilization(2, fix_all_fingers=True)
             engine.clock.advance(1.0)
+            PERF.reset()  # the R tuple's own arrival was filtered, as two
             engine.refresh_leases()
         finally:
             PERF.disable()
