@@ -10,9 +10,10 @@ ring: the network's own router is on the snapshot while the ring is
 exact.
 
 Two more rows time the snapshot router where joinbench's ``sim_route``
-runs it — a 20k-node deferred-finger ring: one ``walk`` (a single
-routed leg) and one 8-target recursive ``multisend`` sweep, so the cost
-per leg of the sweep can be read against the cost of a lone walk.
+runs it — a 20k-node deferred-finger ring: one ``find_successor`` (a
+single routed leg) and one 8-target recursive ``multisend`` sweep, so
+the cost per leg of the sweep can be read against the cost of a lone
+lookup.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def run(n_nodes: int = 4096, lookups: int = 5_000) -> list[dict]:
 
 
 def run_large_ring(n_nodes: int = 20_000, walks: int = 5_000) -> list[dict]:
-    """One walk and one 8-target sweep on the ``sim_route`` ring."""
+    """One lookup and one 8-target sweep on the ``sim_route`` ring."""
     rng = random.Random(13)
     network = ChordNetwork.build(n_nodes, fast_routing=True)
     snapshot = network.snapshot
@@ -87,11 +88,11 @@ def run_large_ring(n_nodes: int = 20_000, walks: int = 5_000) -> list[dict]:
     start = time.perf_counter()
     hops = 0
     for source, target in zip(sources, targets):
-        hops += snapshot.walk(source.ident, target)[1]
+        hops += snapshot.find_successor(source.ident, target)[1]
     elapsed = time.perf_counter() - start
     rows = [
         report(
-            "snapshot.walk_20k",
+            "snapshot.lookup_20k",
             elapsed / walks * 1e9,
             n_nodes=n_nodes,
             mean_hops=round(hops / walks, 2),

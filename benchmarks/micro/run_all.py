@@ -22,7 +22,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import bench_barrier
-import bench_events
 import bench_expdb
 import bench_hashing
 import bench_link
@@ -40,7 +39,6 @@ SUITES = (
     bench_snapshot,
     bench_multisend,
     bench_rewrite,
-    bench_events,
     bench_barrier,
     bench_expdb,
     bench_codec,

@@ -16,7 +16,7 @@ way:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..chord.network import ChordNetwork
@@ -32,40 +32,25 @@ from ..workload.generator import Workload, WorkloadParams, build_workload
 
 @dataclass
 class RunResult:
-    """Everything a benchmark needs from one workload replay.
+    """Everything a benchmark needs from one workload replay."""
 
-    A live result (from :func:`run_workload`) carries the engine and
-    workload objects; a result reconstructed from a persisted row
-    (:meth:`from_row`) carries only the metrics — the live-only fields
-    are ``None`` and the delivered count/digest come from the stored
-    columns.
-    """
-
-    engine: Optional[ContinuousQueryEngine] = None
-    workload: Optional[Workload] = None
-    queries: list[JoinQuery] = field(default_factory=list)
-    install_traffic: TrafficSnapshot = field(
-        default_factory=lambda: TrafficSnapshot(0, 0, {}, {})
-    )
-    stream_traffic: TrafficSnapshot = field(
-        default_factory=lambda: TrafficSnapshot(0, 0, {}, {})
-    )
-    load: Optional[LoadSnapshot] = None
-    per_tuple_hops: list[int] = field(default_factory=list)
-    oracle: Optional[CentralizedOracle] = None
+    engine: ContinuousQueryEngine
+    workload: Workload
+    queries: list[JoinQuery]
+    install_traffic: TrafficSnapshot
+    stream_traffic: TrafficSnapshot
+    load: LoadSnapshot
+    per_tuple_hops: list[int]
+    oracle: Optional[CentralizedOracle]
     #: Sliding-window items evicted over the replay (0 when unbounded).
     #: Deterministic for a seeded workload, so differential checks can
     #: compare it across execution modes like any other metric.
-    evictions: int = 0
-    #: Stored delivered-notification count/digest of a reconstructed
-    #: row; live results derive both from the engine instead.
-    stored_delivered: Optional[int] = None
-    stored_digest: Optional[str] = None
+    evictions: int
 
     @property
     def hops_per_tuple(self) -> float:
         """Mean overlay hops per tuple insertion in the stream phase."""
-        streamed = self.workload.n_tuples if self.workload is not None else 0
+        streamed = self.workload.n_tuples
         return self.stream_traffic.hops / streamed if streamed else 0.0
 
     @property
@@ -76,14 +61,10 @@ class RunResult:
 
     @property
     def notifications_delivered(self) -> int:
-        if self.engine is None:
-            return self.stored_delivered or 0
         return sum(len(batch) for batch in self.engine.delivered.values())
 
     def notification_digest(self) -> str:
-        """The canonical answer-set digest (live or reconstructed)."""
-        if self.engine is None:
-            return self.stored_digest or ""
+        """The canonical answer-set digest."""
         from .rows import notification_digest
 
         return notification_digest(self.engine)
@@ -97,7 +78,7 @@ class RunResult:
         """
         from .rows import ROW_VERSION, load_to_row, traffic_to_row
 
-        row = {
+        return {
             "row_version": ROW_VERSION,
             "kind": "run",
             "install_traffic": traffic_to_row(self.install_traffic),
@@ -105,23 +86,8 @@ class RunResult:
             "notifications_delivered": self.notifications_delivered,
             "notification_digest": self.notification_digest(),
             "evictions": self.evictions,
+            "load": load_to_row(self.load, self.per_tuple_hops),
         }
-        if self.load is not None:
-            row["load"] = load_to_row(self.load, self.per_tuple_hops)
-        return row
-
-    @classmethod
-    def from_row(cls, row: dict) -> "RunResult":
-        """Reconstruct a metrics-only result from :meth:`to_row` output."""
-        from .rows import traffic_from_row
-
-        return cls(
-            install_traffic=traffic_from_row(row["install_traffic"]),
-            stream_traffic=traffic_from_row(row["stream_traffic"]),
-            evictions=row.get("evictions", 0),
-            stored_delivered=row["notifications_delivered"],
-            stored_digest=row["notification_digest"],
-        )
 
 
 def make_engine(
@@ -285,14 +251,17 @@ def run_standard(
 ) -> RunResult:
     """One-call experiment: engine + workload + replay.
 
-    Most benchmarks are parameter sweeps around this function.
+    Most benchmarks are parameter sweeps around this function.  ``seed``
+    seeds the engine, the origin-node draws and — unless ``workload``
+    is given — the workload, like the ``seed`` column of an experiment
+    database row.
     """
     if scale is None:
         scale = current_scale()
     config_kwargs = dict(config_overrides or {})
     config = EngineConfig(algorithm=algorithm, seed=seed, **config_kwargs)
     if workload is None:
-        workload = workload_for(scale, **workload_overrides)
+        workload = workload_for(scale, seed=seed, **workload_overrides)
     engine = make_engine(scale, config, injector=injector)
     return run_workload(
         engine,

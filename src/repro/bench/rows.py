@@ -6,8 +6,8 @@ its gate (:mod:`repro.expdb`), the sharded differential
 same vocabulary: :meth:`~repro.bench.harness.RunResult.to_row` /
 :meth:`~repro.sim.shard.ShardRunResult.to_row` produce one **stable,
 versioned, JSON-safe** row (plain ints/floats/strings/dicts — never
-pickled objects), ``from_row`` reconstructs a result carrying the same
-metrics, and :func:`metric_summary` projects a row onto a field set.
+pickled objects), and :func:`metric_summary` projects a row onto a
+field set.
 The notification digest every executor reports is hashed here too, and
 :func:`aggregate` is the one group-and-average every reader of stored
 rows goes through (``expdb report --group-by``, the figures).
@@ -34,19 +34,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: (2 added the ``load`` block of ``sim``/``live`` rows).
 ROW_VERSION = 2
 
-#: The invariant metrics of an unwindowed run.
-MACRO_METRIC_FIELDS = (
+#: The invariant metrics of a run, eviction counts included: what
+#: ``bench.scale --verify`` holds the staged and forked executors to.
+SCALE_METRIC_FIELDS = (
     "hops",
     "messages",
     "stream_hops_by_type",
     "stream_messages_by_type",
     "notifications_delivered",
     "notification_digest",
+    "evictions",
 )
-
-#: ... plus eviction counts: what ``bench.scale --verify`` holds the
-#: staged and forked executors to.
-SCALE_METRIC_FIELDS = MACRO_METRIC_FIELDS + ("evictions",)
 
 
 def delivered_pairs(engine: "ContinuousQueryEngine") -> dict[str, list[tuple]]:
@@ -86,19 +84,6 @@ def traffic_to_row(snapshot: TrafficSnapshot) -> dict:
         "retries": snapshot.retries,
         "messages_delayed": snapshot.messages_delayed,
     }
-
-
-def traffic_from_row(row: Mapping) -> TrafficSnapshot:
-    """Inverse of :func:`traffic_to_row` (unknown keys ignored)."""
-    return TrafficSnapshot(
-        hops=row["hops"],
-        messages=row["messages"],
-        hops_by_type=dict(row["hops_by_type"]),
-        messages_by_type=dict(row["messages_by_type"]),
-        messages_dropped=row.get("messages_dropped", 0),
-        retries=row.get("retries", 0),
-        messages_delayed=row.get("messages_delayed", 0),
-    )
 
 
 def load_to_row(

@@ -108,11 +108,15 @@ def run_scale_point(
     ``config_overrides`` opens the lifted modes (``window``,
     ``replication_factor``, ``jfrt_capacity``), ``workload_overrides``
     go to :func:`~repro.bench.harness.workload_params_for`; ``shards``
-    of ``None`` is 1, staged in-process.  Peak RSS and events/sec ride
-    along as *resource* columns, deliberately outside the bit-compared
-    metrics (they are machine-dependent).
+    of ``None`` is 1, staged in-process.  ``seed`` seeds the engine,
+    the origin-node draws and the workload, unless
+    ``workload_overrides["seed"]`` pins the workload's.  Peak RSS and
+    events/sec ride along as *resource* columns, deliberately outside
+    the bit-compared metrics (they are machine-dependent).
     """
-    params = workload_params_for(point, **(workload_overrides or {}))
+    params = workload_params_for(
+        point, **{"seed": seed, **(workload_overrides or {})}
+    )
     schema = synthetic_schema(params.n_relations, params.attributes_per_relation)
     start = time.perf_counter()
     network = ChordNetwork.build(point.n_nodes, fast_routing=True)
@@ -163,15 +167,16 @@ def verify_equivalence(
 ) -> list[str]:
     """Differential check: fast path ≡ serial reference, bit for bit.
 
-    For each algorithm the identical seeded workload is replayed three
-    ways — serial :func:`run_standard`, staged in-process, staged over
-    forked shards — and every simulated metric must agree, including
+    For each algorithm the identical workload (drawn from ``seed``, like
+    everything else) is replayed three ways — serial
+    :func:`run_standard`, staged in-process, staged over forked shards —
+    and every simulated metric must agree, including
     the sliding-window eviction count when ``config_overrides`` opens a
     window.  Returns failure messages (empty = equivalent).
     """
     overrides = dict(config_overrides or {})
     point = scale_point(n_nodes)
-    workload = workload_for(point)
+    workload = workload_for(point, seed=seed)
     problems: list[str] = []
     for algorithm in algorithms:
         reference = run_standard(

@@ -77,13 +77,6 @@ class IdentifierSpace:
         size = self.size
         return 0 < (ident - low) % size <= (high - low) % size
 
-    def in_closed_open(self, ident: int, low: int, high: int) -> bool:
-        """Membership in ``[low, high)`` on the ring."""
-        if low == high:
-            return True
-        size = self.size
-        return (ident - low) % size < (high - low) % size
-
     def sort_clockwise(self, start: int, idents: list[int]) -> list[int]:
         """Sort ``idents`` in ascending clockwise order starting at ``start``.
 

@@ -41,8 +41,8 @@ class Router(Transport):
     the protocol prescribes.  While every one of those pointers is exact
     the owning network offers a :class:`~repro.chord.snapshot.RingSnapshot`
     that computes the same walk hop for hop (``ring.snapshot``);
-    ``find_successor`` and the recursive ``multisend`` route by it when
-    it is there and by the objects when it is not.
+    ``find_successor`` — and so every ``send`` and ``multisend`` leg —
+    routes by it when it is there and by the objects when it is not.
 
     When a :class:`~repro.faults.injector.FaultInjector` is attached,
     every final delivery consults it: dropped attempts are retried with
@@ -299,93 +299,31 @@ class Router(Transport):
     ) -> list[ChordNode]:
         """Single clockwise sweep delivering every message (Section 2.3).
 
-        The source sorts the identifiers clockwise from its own
-        position.  The batch travels toward the head of the list; every
-        node that turns out to be responsible for the head strips all
-        identifiers it owns, delivers their messages, and forwards the
-        remainder to the successor of the new head.
+        The source sorts the identifiers clockwise from its own position
+        (a stable sort of their indices, so duplicate identifiers are
+        delivered in input order).  The node the batch has reached keeps
+        every identifier it owns; for the next one it does not, the
+        batch takes one ordinary ``send`` leg (:meth:`find_successor`,
+        which routes by the ring snapshot while the ring is exact).  A
+        leg's target is delivered where the leg ends even unclaimed —
+        beside a crash not yet stabilized nobody owns the victim's
+        range, and ``send`` delivers where its walk ends too — so the
+        sweep always moves.
         """
-        if not idents:
-            return []
-        ring = self.ring
-        snapshot = ring.snapshot if ring is not None else None
-        if snapshot is not None and source.ident in snapshot:
-            return self._multisend_recursive_fast(snapshot, source, messages, idents)
-        order = self.space.sort_clockwise(source.ident, list(idents))
-        pending: dict[int, list[int]] = {}
-        for position, ident in enumerate(idents):
-            pending.setdefault(ident, []).append(position)
-        targets: list[ChordNode | None] = [None] * len(idents)
-
-        # ``cursor`` walks the clockwise-sorted list instead of popping
-        # the head each round (``list.pop(0)`` is O(n) per identifier).
-        cursor = 0
-        n_order = len(order)
+        size = self.space.size
+        origin = source.ident
+        order = sorted(range(len(idents)), key=lambda i: (idents[i] - origin) % size)
+        targets: list = [None] * len(idents)
+        find_successor = self.find_successor
+        deliver = self._deliver
         current = source
         total_hops = 0
-        while cursor < n_order:
-            head = order[cursor]
-            responsible, hops = self._walk(current, head)
-            total_hops += hops
-            # The responsible node strips every identifier it owns; they
-            # are consecutive at the front of the clockwise-sorted list.
-            # The head is its to keep even unclaimed — beside a crash not
-            # yet stabilized nobody owns the victim's range, and ``send``
-            # delivers where its walk ends too — so the sweep always moves.
-            while True:
-                ident = order[cursor]
-                cursor += 1
-                for position in pending[ident]:
-                    if targets[position] is None:
-                        targets[position] = self._deliver(
-                            messages[position], responsible
-                        )
-                        break
-                if cursor == n_order or not responsible.owns(order[cursor]):
-                    break
-            current = responsible
-        self._record_mixed_batch(messages, total_hops)
-        return [target if target is not None else current for target in targets]
-
-    def _multisend_recursive_fast(
-        self,
-        snapshot,
-        source: ChordNode,
-        messages: list[Message],
-        idents: Sequence[int],
-    ) -> list[ChordNode]:
-        """Rank-space replica of the recursive sweep.
-
-        Same clockwise traversal, same per-head walk semantics, same
-        mixed-batch accounting as the object path on any exact ring.
-        Each target is resolved to its owner's rank once; the sweep then
-        visits target *indices* in clockwise identifier order (a stable
-        sort, so equal identifiers are delivered in input order), moving
-        on only when the owner changes: the node reached strips every
-        target it owns.
-        """
-        owner_pos = snapshot.owner_pos
-        owners = [owner_pos(ident) for ident in idents]
-        size = self.space.size
-        source_ident = source.ident
-        order = sorted(
-            range(len(idents)), key=lambda i: (idents[i] - source_ident) % size
-        )
-        targets: list[ChordNode | None] = [None] * len(idents)
-
-        ring_nodes = self.ring._nodes
-        ring_idents = snapshot.idents
-        route_hops = snapshot.route_hops
-        pos = snapshot.position(source_ident)
-        responsible = ring_nodes[source_ident]
-        total_hops = 0
         for index in order:
-            owner = owners[index]
-            if owner != pos:
-                total_hops += route_hops(pos, owner)
-                pos = owner
-                responsible = ring_nodes[ring_idents[pos]]
-            targets[index] = self._deliver(messages[index], responsible)
+            ident = idents[index]
+            if not current.owns(ident):
+                current, hops = find_successor(current, ident)
+                total_hops += hops
+            targets[index] = deliver(messages[index], current)
         self._record_mixed_batch(messages, total_hops)
         return targets
 
@@ -409,41 +347,6 @@ class Router(Transport):
                 share = round(total_hops * count / total_messages)
                 remaining -= share
             self.stats.record_batch(message_type, count, share)
-
-    def _walk(self, start: ChordNode, ident: int) -> tuple[ChordNode, int]:
-        """Forward from ``start`` until the owner of ``ident`` is reached.
-
-        Unlike :meth:`find_successor` this counts the final handover to
-        the responsible node as a hop only if the walk actually moves,
-        which is exactly what a recursive (message-carrying) traversal
-        costs.
-        """
-        size = self.space.size
-        max_hops = self.max_hops
-        current = start
-        hops = 0
-        while not current.owns(ident):
-            successor = current.successor
-            if successor is current:
-                break
-            # Inlined ``space.in_half_open`` — see ``find_successor``.
-            low = current.ident
-            if low == successor.ident or 0 < (ident - low) % size <= (
-                successor.ident - low
-            ) % size:
-                current = successor
-                hops += 1
-                break
-            next_hop = current.closest_preceding_finger(ident)
-            if next_hop is current or not next_hop.alive:
-                next_hop = successor
-            current = next_hop
-            hops += 1
-            if hops > max_hops:
-                raise RoutingError(
-                    f"multisend walk toward {ident} exceeded {max_hops} hops"
-                )
-        return current, hops
 
 
 def multisend_cost(

@@ -24,9 +24,9 @@ only while every pointer is exact:
   ahead; clockwise distance grows with rank, so the farther candidate
   is the one more ranks ahead.
 
-``find_successor`` (mirrors :meth:`repro.chord.routing.Router.find_successor`),
-``walk`` (mirrors :meth:`repro.chord.routing.Router._walk`) and the
-recursive-multisend sweep are thin entries to that one loop;
+``find_successor`` (mirrors :meth:`repro.chord.routing.Router.find_successor`,
+and so every ``send`` and recursive-multisend leg the router routes
+while the ring is exact) is the thin entry to that one loop;
 ``closest_preceding_finger_pos`` is one step of it.  A ring with a stale
 finger, a dead member or a half-joined node satisfies none of the four,
 which is why churn, stabilization and perturbing fault injectors stay on
@@ -112,23 +112,6 @@ class RingSnapshot:
         index = bisect_left(self.idents, ident)
         return 0 if index == self.n else index
 
-    def successor_ident(self, ident: int) -> int:
-        """``Successor(ident)`` for an arbitrary identifier."""
-        return self.idents[self.owner_pos(ident)]
-
-    def node_successor_pos(self, pos: int) -> int:
-        """Ring successor of the member at ``pos``."""
-        pos += 1
-        return 0 if pos == self.n else pos
-
-    def node_predecessor_pos(self, pos: int) -> int:
-        """Ring predecessor of the member at ``pos``."""
-        return pos - 1 if pos else self.n - 1
-
-    def predecessor_ident(self, ident: int) -> int:
-        """Ring predecessor of member ``ident`` (itself on a 1-ring)."""
-        return self.idents[self.node_predecessor_pos(self._pos[ident])]
-
     # ------------------------------------------------------------------
     # Greedy forwarding, in rank space
     # ------------------------------------------------------------------
@@ -184,10 +167,9 @@ class RingSnapshot:
     def route_hops(self, pos: int, owner: int) -> int:
         """Hops of a routed message from rank ``pos`` to rank ``owner``.
 
-        What both object loops bill on an exact ring:
-        ``Router.find_successor`` returns the successor directly,
-        ``Router._walk`` steps onto it and re-checks ownership — same
-        node, same count.  Zero when the start already owns the target.
+        What ``Router.find_successor``'s object loop bills on an exact
+        ring: the forwarding hops plus the final handover to the
+        successor.  Zero when the start already owns the target.
         """
         if pos == owner:
             return 0
@@ -203,10 +185,6 @@ class RingSnapshot:
         """``(owner position, hops)`` — mirrors ``Router.find_successor``."""
         owner = self.owner_pos(ident)
         return owner, self.route_hops(self._pos[start_ident], owner)
-
-    def walk(self, start_ident: int, ident: int) -> tuple[int, int]:
-        """``(owner position, hops)`` — mirrors the multisend ``_walk``."""
-        return self.find_successor(start_ident, ident)
 
     def closest_preceding_finger_pos(self, pos: int, ident: int) -> int:
         """One step of the routing loop from ``pos`` toward ``ident``.

@@ -82,32 +82,6 @@ class LoadSnapshot:
         """Fraction of nodes doing any filtering work (utilization)."""
         return distribution.participation(self.filtering.values())
 
-    def diff(self, earlier: "LoadSnapshot") -> "LoadSnapshot":
-        """Load accumulated since ``earlier`` (counters only; storage
-        and parked values are gauges and are kept as-is)."""
-
-        def delta(now: dict[int, int], then: dict[int, int]) -> dict[int, int]:
-            return {ident: count - then.get(ident, 0) for ident, count in now.items()}
-
-        return LoadSnapshot(
-            filtering=delta(self.filtering, earlier.filtering),
-            attribute_level_filtering=delta(
-                self.attribute_level_filtering, earlier.attribute_level_filtering
-            ),
-            value_level_filtering=delta(
-                self.value_level_filtering, earlier.value_level_filtering
-            ),
-            storage=dict(self.storage),
-            attribute_level_storage=dict(self.attribute_level_storage),
-            value_level_storage=dict(self.value_level_storage),
-            parked_notifications=dict(self.parked_notifications),
-            notifications_created=delta(
-                self.notifications_created, earlier.notifications_created
-            ),
-            messages_processed=delta(self.messages_processed, earlier.messages_processed),
-            lease_reinstalls=delta(self.lease_reinstalls, earlier.lease_reinstalls),
-        )
-
 
 def snapshot(engine: "ContinuousQueryEngine") -> LoadSnapshot:
     """Collect the current load vectors from every live node."""

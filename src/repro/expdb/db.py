@@ -544,15 +544,6 @@ class ExperimentDB:
             counts[status] = count
         return counts
 
-    def claimable_count(self, *, stale_after: float = 300.0) -> int:
-        """Open rows plus stale running rows (what a worker could pull)."""
-        (count,) = self._conn.execute(
-            "SELECT COUNT(*) FROM experiments WHERE status = 'open' "
-            "OR (status = 'running' AND heartbeat IS NOT NULL AND heartbeat < ?)",
-            (time.time() - stale_after,),
-        ).fetchone()
-        return count
-
     def rows(
         self, *, status: Optional[str] = None, transport: Optional[str] = None
     ) -> list[dict]:

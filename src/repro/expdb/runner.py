@@ -104,9 +104,10 @@ def engine_overrides(params: dict) -> dict:
 
 
 def workload_overrides(params: dict) -> dict:
-    """WorkloadParams overrides of one row: its seed, then whatever
-    ``overrides.workload`` sets (a ``seed`` there wins)."""
-    return {"seed": params["seed"], **(params["overrides"] or {}).get("workload", {})}
+    """WorkloadParams overrides of one row: what ``overrides.workload``
+    sets (the harnesses draw the workload from the row's ``seed``
+    unless a ``seed`` there pins it)."""
+    return dict((params["overrides"] or {}).get("workload", {}))
 
 
 def _run_sim(params: dict) -> ExperimentOutcome:
@@ -114,12 +115,15 @@ def _run_sim(params: dict) -> ExperimentOutcome:
     if params["fault_plan"]:
         injector = FaultInjector(fault_plan_from_dict(params["fault_plan"]))
     scale = scale_for(params)
+    # ``run_standard`` takes no workload ``seed`` override, so a pinned
+    # one travels as the workload itself.
+    drawn = {"seed": params["seed"], **workload_overrides(params)}
     start = time.perf_counter()
     result = run_standard(
         params["algorithm"],
         scale,
         config_overrides=engine_overrides(params),
-        workload=workload_for(scale, **workload_overrides(params)),
+        workload=workload_for(scale, **drawn),
         seed=params["seed"],
         collect_per_tuple_hops=True,
         evict_every=params["evict_every"],

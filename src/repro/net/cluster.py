@@ -303,22 +303,6 @@ class LiveCluster:
         for info in reply.members:
             peer.book.setdefault(info.ident, info)
 
-    async def crash_peer(self, node) -> Optional[NetPeer]:
-        """Socket-side crash of ``node``: freeze, unpool, settle, hang up.
-
-        The ring-side half (``network.fail`` + stabilization + key
-        inheritance) is :meth:`repro.faults.recovery.ChaosHarness.crash`;
-        the live chaos controller sequences the two.  Callers that
-        crash a node directly (tests) must repair the ring themselves.
-        """
-        peer = self.peers.pop(node.ident, None)
-        if peer is None:
-            return None
-        self.dead.add(node.ident)
-        peer.freeze()
-        await peer.abort()
-        return peer
-
     async def restart_peer(self, node) -> NetPeer:
         """Socket-side restart: new server (new port), fresh bootstrap.
 

@@ -6,17 +6,22 @@ propagation *within* one event is executed synchronously while hops are
 counted through real routing state — the standard design for an overlay
 simulator whose reported metrics are hop counts and load counters rather
 than wall-clock latencies (see DESIGN.md §5).
+
+The heap is the simulator's one scheduler.  Replaying a workload needs
+none (its events arrive sorted and are dispatched in a plain loop), but
+faults do: an injected delay (``FaultInjector.defer`` →
+``Simulator.after``) and every periodic crash, restart or lease refresh
+(``install_fault_plan`` → ``Simulator.every``) lands at an arbitrary
+future time, between events already queued — an insert a monotone batch
+buffer cannot take.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
-
-from ..perf import PERF
+from typing import Callable
 
 Action = Callable[[], None]
 
@@ -63,91 +68,3 @@ class EventQueue:
     def peek_time(self) -> float | None:
         """Timestamp of the next event, or ``None`` when empty."""
         return self._heap[0].time if self._heap else None
-
-
-class EventRing:
-    """Flat batch buffer for monotone-time event streams.
-
-    Workload replay is the million-event path, and its events arrive
-    already sorted by timestamp — a heap of :class:`Event` objects buys
-    nothing there but pays one allocation plus two comparisons per
-    event.  The ring instead keeps three parallel, slot-reused arrays —
-    a C ``double`` array of times plus object lists of targets and
-    payload references — filled a batch at a time from a source
-    iterator and swept index-wise by the dispatch loop
-    (:meth:`Simulator.run_stream`).
-
-    A refill bumps :attr:`generation` and overwrites the slots in
-    place, so across a whole run the buffer allocates nothing after
-    the first batch; any stale view of a previous batch is detectable
-    by a changed generation.  Timestamps within a batch must be
-    non-decreasing (checked), matching the FIFO tie-break the heap
-    queue gives same-time events.
-    """
-
-    __slots__ = ("times", "targets", "payloads", "capacity", "length", "generation")
-
-    def __init__(self, capacity: int = 4096):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.times = array("d", bytes(8 * capacity))
-        self.targets: list = [None] * capacity
-        self.payloads: list = [None] * capacity
-        self.length = 0
-        self.generation = 0
-
-    def __len__(self) -> int:
-        return self.length
-
-    def refill(
-        self,
-        source: Iterator[tuple[float, object, object]],
-        limit: int | None = None,
-    ) -> int:
-        """Overwrite the ring with up to ``capacity`` items from ``source``.
-
-        ``source`` yields ``(time, target, payload)`` triples with
-        non-decreasing times.  Returns the number of slots filled
-        (0 when the source is exhausted).  ``limit`` caps one refill
-        below the capacity — the sharded executor uses it to clip
-        epochs at barrier-aligned eviction boundaries without resizing
-        the buffer.
-        """
-        times = self.times
-        targets = self.targets
-        payloads = self.payloads
-        capacity = self.capacity
-        if limit is not None:
-            if limit < 1:
-                raise ValueError("refill limit must be >= 1")
-            capacity = min(capacity, limit)
-        count = 0
-        previous = float("-inf")
-        for time, target, payload in source:
-            if time < previous:
-                raise ValueError(
-                    f"event ring requires non-decreasing times: "
-                    f"{time} after {previous}"
-                )
-            previous = time
-            times[count] = time
-            targets[count] = target
-            payloads[count] = payload
-            count += 1
-            if count == capacity:
-                break
-        self.length = count
-        self.generation += 1
-        if PERF.enabled and count:
-            PERF.count("events.batches")
-            PERF.count("events.batched", count)
-        return count
-
-    def clear(self) -> None:
-        """Drop payload references so a drained ring pins no objects."""
-        for index in range(self.length):
-            self.targets[index] = None
-            self.payloads[index] = None
-        self.length = 0
-        self.generation += 1

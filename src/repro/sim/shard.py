@@ -85,19 +85,12 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from ..bench.rows import (
-    ROW_VERSION,
-    delivered_pairs,
-    digest_of_pairs,
-    traffic_from_row,
-    traffic_to_row,
-)
+from ..bench.rows import ROW_VERSION, delivered_pairs, digest_of_pairs, traffic_to_row
 from ..chord.routing import Router
 from ..chord.snapshot import SegmentMap
 from ..core.notifications import group_by_subscriber
 from ..perf import PERF
 from .collector import CollectorPause
-from .events import EventRing
 from .messages import NotificationMessage
 from .stats import TrafficSnapshot
 
@@ -315,23 +308,6 @@ class ShardRunResult:
             "features": list(self.features),
         }
 
-    @classmethod
-    def from_row(cls, row: dict) -> "ShardRunResult":
-        """Inverse of :meth:`to_row` (unknown keys ignored)."""
-        return cls(
-            install_traffic=traffic_from_row(row["install_traffic"]),
-            stream_traffic=traffic_from_row(row["stream_traffic"]),
-            notifications_delivered=row["notifications_delivered"],
-            notification_digest=row["notification_digest"],
-            suppressed_renotifications=row.get("suppressed_renotifications", 0),
-            duplicate_deliveries=row.get("duplicate_deliveries", 0),
-            events=row.get("events", 0),
-            shards=row.get("shards", 1),
-            evictions=row.get("evictions", 0),
-            exchange_records=row.get("exchange_records", 0),
-            features=tuple(row.get("features", ())),
-        )
-
 
 class _Resolver:
     """Replays the serial pre-hop suppression at the B→C barrier.
@@ -496,8 +472,8 @@ def _run_staged(
 ) -> ShardRunResult:
     """The body of :func:`run_sharded`, inside its collector pause."""
     _validate(engine)
-    if evict_every < 1:
-        raise ShardError("evict_every must be >= 1")
+    if evict_every < 1 or batch_size < 1:
+        raise ShardError("evict_every and batch_size must be >= 1")
     features = shard_capabilities(engine)
     network = engine.network
     rng = random.Random(seed)
@@ -508,14 +484,13 @@ def _run_staged(
     # Serial install phase: warmup tuples + query subscriptions.
     # ------------------------------------------------------------------
     source: Iterator = iter(events)
-    stream_head = None
     seen_query = False
     install_events = 0
     events_since_evict = 0
     evictions = 0
     for event in source:
         if event.kind == "tuple" and seen_query:
-            stream_head = event
+            source = itertools.chain((event,), source)  # put the first back
             break
         clock.advance_to(event.time)
         origin = network.random_node(rng)
@@ -662,42 +637,33 @@ def _run_staged(
         return stage_a, stage_b
 
     # ------------------------------------------------------------------
-    # Epoch loop over the tuple stream: a reused EventRing batch buffer
-    # (DESIGN.md §14) whose refills are clipped so that barrier-aligned
-    # eviction boundaries always coincide with epoch ends.
+    # Epoch loop over the tuple stream: the next ``batch_size`` events,
+    # clipped so that barrier-aligned eviction boundaries always
+    # coincide with epoch ends.
     # ------------------------------------------------------------------
-    stream: Iterator = ((event.time, event.kind, event.payload) for event in source)
-    if stream_head is not None:
-        head = (stream_head.time, stream_head.kind, stream_head.payload)
-        stream = itertools.chain((head,), stream)
-        stream_head = None
-    ring = EventRing(batch_size)
     stream_events = 0
     sequence = 0
     try:
         while True:
-            limit = None
+            limit = batch_size
             if window is not None:
-                limit = evict_every - events_since_evict
-            count = ring.refill(stream, limit)
-            if count == 0:
+                limit = min(limit, evict_every - events_since_evict)
+            epoch = list(itertools.islice(source, limit))
+            if not epoch:
                 break
+            count = len(epoch)
             transport.allowed = PRODUCES["publish"]
-            times = ring.times
-            kinds = ring.targets
-            payloads = ring.payloads
-            for i in range(count):
-                if kinds[i] != "tuple":
+            for event in epoch:
+                if event.kind != "tuple":
                     raise ShardError(
                         "query subscriptions after the stream began are "
                         "not supported in sharded execution"
                     )
-                time = times[i]
-                clock.advance_to(time)
+                clock.advance_to(event.time)
                 origin = network.random_node(rng)
                 sequence += 1
-                transport.begin((sequence,), time)
-                relation, values = payloads[i]
+                transport.begin((sequence,), event.time)
+                relation, values = event.payload
                 engine.publish(origin, relation, values)
             stream_events += count
             events_since_evict += count
@@ -724,7 +690,6 @@ def _run_staged(
                 evictions += barrier_evict()
                 events_since_evict = 0
             pause.young()
-        ring.clear()
         if window is not None:
             # The serial replay's unconditional final sweep.
             evictions += barrier_evict()

@@ -10,10 +10,10 @@ behaviours (stabilization rounds, window eviction) are supported through
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 from .clock import LogicalClock
-from .events import Action, EventQueue, EventRing
+from .events import Action, EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chord.network import ChordNetwork
@@ -127,48 +127,6 @@ class Simulator:
             self.step()
             executed += 1
         return executed
-
-    def run_stream(
-        self,
-        events: Iterable[tuple[float, object, object]],
-        handler: Callable[[object, object], None],
-        *,
-        batch: int = 4096,
-    ) -> int:
-        """Dispatch a monotone-time event stream through a reused ring.
-
-        The streaming counterpart of :meth:`run`: ``events`` yields
-        ``(time, target, payload)`` triples in non-decreasing time
-        order (e.g. from
-        :func:`repro.workload.generator.iter_workload_events`); each is
-        executed as ``handler(target, payload)`` after advancing the
-        clock, exactly as a heap-scheduled event would be — but through
-        an :class:`~repro.sim.events.EventRing` refilled ``batch``
-        events at a time, so a million-tuple workload never exists as a
-        million ``Event`` objects (or as a list at all).
-
-        Returns the number of events dispatched.  The scheduled-event
-        queue is untouched; mixing ``run_stream`` with pending queued
-        events is the caller's responsibility.
-        """
-        ring = EventRing(batch)
-        source: Iterator[tuple[float, object, object]] = iter(events)
-        clock = self.clock
-        total = 0
-        while True:
-            count = ring.refill(source)
-            if not count:
-                break
-            times = ring.times
-            targets = ring.targets
-            payloads = ring.payloads
-            for index in range(count):
-                clock.advance_to(times[index])
-                handler(targets[index], payloads[index])
-            total += count
-        ring.clear()
-        self.events_executed += total
-        return total
 
     def run_until(self, horizon: float) -> int:
         """Run events with timestamps ``<= horizon`` then park the clock

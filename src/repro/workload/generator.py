@@ -244,7 +244,8 @@ def iter_workload_events(
     delegates here), so the streamed sequence is element-for-element
     identical to the materialized one; large-scale sweeps iterate this
     directly and never hold millions of :class:`WorkloadEvent` objects
-    at once (see :meth:`repro.sim.simulator.Simulator.run_stream`).
+    at once (:func:`repro.sim.shard.run_sharded` takes it an epoch at a
+    time).
     """
     generator = WorkloadGenerator(schema, params)
     now = 0.0

@@ -5,16 +5,14 @@ import json
 
 import pytest
 
-from repro.bench.harness import RunResult, run_standard
+from repro.bench.harness import run_standard
 from repro.bench.rows import (
-    MACRO_METRIC_FIELDS,
     ROW_VERSION,
     SCALE_METRIC_FIELDS,
     delivered_pairs,
     digest_of_pairs,
     metric_summary,
     notification_digest,
-    traffic_from_row,
     traffic_to_row,
 )
 from repro.bench.configs import Scale
@@ -45,7 +43,7 @@ class TestTrafficRow:
             retries=1,
             messages_delayed=3,
         )
-        assert traffic_from_row(traffic_to_row(snapshot)) == snapshot
+        assert TrafficSnapshot(**traffic_to_row(snapshot)) == snapshot
 
     def test_row_is_json_safe(self):
         row = traffic_to_row(TrafficSnapshot(1, 1, {"a": 1}, {"a": 1}))
@@ -58,19 +56,6 @@ class TestRunResultRow:
         assert row["row_version"] == ROW_VERSION
         assert row["kind"] == "run"
         assert json.loads(json.dumps(row)) == row
-
-    def test_from_row_round_trips(self):
-        row = tiny_result().to_row()
-        load = row.pop("load")  # a revived result is metrics-only: no per-node state
-        assert load["TF"] > 0 and load["nodes"] == TINY.n_nodes
-        assert RunResult.from_row(row).to_row() == row
-
-    def test_from_row_preserves_metrics_without_an_engine(self):
-        result = tiny_result()
-        revived = RunResult.from_row(result.to_row())
-        assert revived.engine is None
-        assert revived.notifications_delivered == result.notifications_delivered
-        assert revived.notification_digest() == result.notification_digest()
 
     def test_rows_are_deterministic(self):
         canonical = lambda row: json.dumps(row, sort_keys=True)
@@ -85,10 +70,6 @@ class TestShardResultRow:
         row = sample["row"]
         assert row["kind"] == "shard"
         assert json.loads(json.dumps(row)) == row
-
-        from repro.sim.shard import ShardRunResult
-
-        assert ShardRunResult.from_row(row).to_row() == row
 
 
 class TestNotificationDigest:
@@ -113,11 +94,6 @@ class TestNotificationDigest:
 
 
 class TestMetricSummary:
-    def test_macro_fields_exclude_evictions(self):
-        summary = metric_summary(tiny_result().to_row(), MACRO_METRIC_FIELDS)
-        assert set(summary) == set(MACRO_METRIC_FIELDS)
-        assert "evictions" not in summary
-
     def test_scale_fields_include_evictions(self):
         summary = metric_summary(tiny_result().to_row(), SCALE_METRIC_FIELDS)
         assert "evictions" in summary

@@ -65,10 +65,6 @@ class TestIntervals:
         assert SPACE.in_half_open(123, 9, 9)
         assert SPACE.in_half_open(9, 9, 9)
 
-    def test_closed_open_includes_low(self):
-        assert SPACE.in_closed_open(10, 10, 20)
-        assert not SPACE.in_closed_open(20, 10, 20)
-
     @given(ident, ident, ident)
     def test_property_half_open_partitions_ring(self, x, low, high):
         """(low, high] and (high, low] partition the ring (minus nothing)."""

@@ -84,17 +84,6 @@ class TestSnapshot:
         load = snapshot(engine)
         assert sum(load.notifications_created.values()) > 0
 
-    def test_diff_subtracts_counters(self, engine_factory, two_relation_schema):
-        engine = engine_factory(algorithm="sai")
-        fire_small_workload(engine, two_relation_schema)
-        first = snapshot(engine)
-        fire_small_workload(engine, two_relation_schema)
-        second = snapshot(engine)
-        delta = second.diff(first)
-        assert delta.total_filtering == second.total_filtering - first.total_filtering
-        # Storage stays a gauge (absolute), not a delta.
-        assert delta.total_storage == second.total_storage
-
     def test_distribution_helpers(self, engine_factory, two_relation_schema):
         engine = engine_factory(algorithm="sai")
         fire_small_workload(engine, two_relation_schema)

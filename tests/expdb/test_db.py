@@ -229,10 +229,6 @@ class TestQueriesAndExport:
         self.fill_mixed(db)
         assert db.status_counts() == {"open": 1, "running": 0, "done": 1, "error": 1}
 
-    def test_claimable_count(self, db):
-        self.fill_mixed(db)
-        assert db.claimable_count() == 1
-
     def test_rows_filters_validate(self, db):
         with pytest.raises(ValueError, match="unknown status"):
             db.rows(status="finished")

@@ -9,6 +9,8 @@ import json
 
 import pytest
 
+from repro.bench.harness import run_standard
+from repro.bench.scale import run_scale_point
 from repro.expdb.db import normalize_params
 from repro.expdb.runner import (
     engine_overrides,
@@ -156,6 +158,28 @@ class TestSeedColumn:
             for seed in (1, 2, 3)
         }
         assert len(answers) == 1  # placement moves with the seed, the draw does not
+
+    def test_a_hand_called_seed_draws_the_workload_too(self):
+        """``run_standard`` and ``run_scale_point`` take ``seed`` as a row
+        takes its column: it reaches the workload, so seeds 2 and 3
+        differ, and a ``sim`` row is the hand call at the row's seed."""
+        row = decoded(**self.POINT, seed=2)
+        scale, config = scale_for(row), engine_overrides(row)
+        by_hand = {
+            seed: run_standard(
+                "sai",
+                scale,
+                config_overrides=config,
+                seed=seed,
+                collect_per_tuple_hops=True,
+                evict_every=row["evict_every"],
+            ).to_row()
+            for seed in (2, 3)
+        }
+        assert by_hand[2]["notification_digest"] != by_hand[3]["notification_digest"]
+        assert run_experiment(row).metrics == by_hand[2]
+        point = run_scale_point("sai", scale, seed=3, config_overrides=config)
+        assert point["metrics"]["notification_digest"] == by_hand[3]["notification_digest"]
 
 
 class TestOverrides:

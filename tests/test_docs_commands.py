@@ -29,8 +29,17 @@ COMMAND_SOURCES = (
 
 #: Modules, flags and files deleted in PR 20 (three report / compare /
 #: import systems beside the experiment database), the uvloop switch,
-#: and the per-figure sweep functions with their pool, CLI and test hook.
+#: the per-figure sweep functions with their pool, CLI and test hook,
+#: the second scheduler and recursive-sweep bodies, and helpers that
+#: only tests called.
 DELETED = (
+    "EventRing",
+    "run_stream",
+    "_multisend_recursive_fast",
+    "Router._walk",
+    "snapshot.walk",
+    "traffic_from_row",
+    "crash_peer",
     "repro.bench.macro",
     "--compare BENCH_",
     "--append-extra",
