@@ -4,7 +4,7 @@
 Boots a 6-node cluster of real asyncio TCP peers, then replays a seeded
 workload while a :class:`~repro.net.chaos.LiveChaos` layer attacks the
 transport with the acceptance preset: 5% of connection attempts refused,
-5% of frame writes faulted (reset / truncated / garbled), one asymmetric
+5% of frames faulted on write (reset / truncated / garbled), one asymmetric
 network partition mid-run, and two live crash/restart cycles — each
 crash kills a node's server and event loop tasks for real, each restart
 rejoins on a fresh port and recovers its state through the soft-state

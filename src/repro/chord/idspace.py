@@ -76,13 +76,3 @@ class IdentifierSpace:
             return True
         size = self.size
         return 0 < (ident - low) % size <= (high - low) % size
-
-    def sort_clockwise(self, start: int, idents: list[int]) -> list[int]:
-        """Sort ``idents`` in ascending clockwise order starting at ``start``.
-
-        This is the first step of the recursive ``multisend`` (Section
-        2.3): the sender orders the recipient identifiers clockwise from
-        its own identifier so the message can sweep the ring once.
-        """
-        size = self.size
-        return sorted(idents, key=lambda ident: (ident - start) % size)

@@ -25,8 +25,8 @@ per-run resource columns (wall seconds, peak RSS, events/sec).  The
 metrics are machine-independent and reproducible from the parameters
 alone — re-running the same row must produce byte-identical metrics.
 ``wall_seconds`` is the whole path a user pays for on every transport:
-ring build + install + stream for the simulators, install + stream +
-settle for the live cluster.
+ring build + install + stream for the simulators, install + stream for
+the live cluster.
 
 :func:`run_experiment` is the one measuring loop of the worker and of
 the gate, and both run rows back to back in one process: before a row

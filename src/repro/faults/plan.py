@@ -60,7 +60,8 @@ class NetFaultSpec:
         Chance that one connection attempt is refused (the live
         analogue of a SYN to a dead or firewalled port).
     frame_fault_probability:
-        Chance that one frame-write attempt is faulted.  A faulted
+        Chance that one frame of a write attempt draws a fault (a
+        batched write fails if any of its frames does).  A faulted
         write is a connection reset, a truncated frame, or a garbled
         frame (chosen uniformly): resets and truncations exercise the
         reconnect path, garbles exercise the receiver's mid-stream

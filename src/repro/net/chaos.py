@@ -8,11 +8,13 @@ boundary** of a :class:`~repro.net.cluster.LiveCluster`:
 
 * **connect refusals** — a dial attempt fails as if the listener were
   down (``plan.net.connect_refusal_probability``);
-* **frame faults** (``plan.net.frame_fault_probability``) — before a
-  frame's clean bytes hit the wire the connection is *reset*, the frame
-  is *truncated* mid-write, or it is *garbled* (full length, corrupted
-  payload, so the receiver's decoder — not just ``readexactly`` — must
-  cope);
+* **frame faults** (``plan.net.frame_fault_probability``, drawn per
+  frame of a batched write) — before any clean byte of the attempt hits
+  the wire the connection is *reset*, the batch's first frame is
+  *truncated* mid-write, or it is *garbled* (full length, corrupted
+  payload, so the receiver's decoder — not just the framing — must
+  cope); the write path itself is the shipped one, batching and raw
+  relay included;
 * **partitions** — an (optionally asymmetric) set of blocked
   ``(src, dst)`` edges whose writes fail like timeouts;
 * **live crash/restart** — a peer's server dies, its pooled
@@ -48,7 +50,7 @@ import asyncio
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..chord.network import ChordNetwork
@@ -101,12 +103,21 @@ class LiveChaos:
         "garble": "frames_garbled",
     }
 
-    def sample_frame_fault(self) -> Optional[str]:
-        self.counters["write_attempts"] += 1
-        fault = self.injector.sample_frame_fault()
-        if fault is not None:
-            self.counters[self._FAULT_COUNTERS[fault]] += 1
-        return fault
+    def sample_frame_fault(self, frames: int) -> Optional[str]:
+        """The fault of one write attempt carrying ``frames`` frames.
+
+        One draw per frame, so the per-frame fault rate stays
+        ``frame_fault_probability`` however writes are batched; the
+        first frame that draws a fault fails the whole attempt and its
+        kind is returned (the frames after it are not attempted).
+        """
+        for _ in range(frames):
+            self.counters["write_attempts"] += 1
+            fault = self.injector.sample_frame_fault()
+            if fault is not None:
+                self.counters[self._FAULT_COUNTERS[fault]] += 1
+                return fault
+        return None
 
     def corrupt(self, data: bytes) -> bytes:
         """Garble a frame: intact header, poisoned payload.
@@ -648,29 +659,7 @@ def run_soak_cli(args) -> int:
         and report.matches_reference is not False
     )
     if args.json:
-        payload = {
-            "algorithm": report.algorithm,
-            "n_nodes": report.n_nodes,
-            "n_events": report.n_events,
-            "notifications_delivered": report.notifications_delivered,
-            "notification_digest": report.notification_digest,
-            "duplicate_deliveries": report.duplicate_deliveries,
-            "redundant_arrivals": report.redundant_arrivals,
-            "suppressed_renotifications": report.suppressed_renotifications,
-            "peak_in_flight": report.peak_in_flight,
-            "credit_budget": report.credit_budget,
-            "frames_shed": report.frames_shed,
-            "crashes": report.crashes,
-            "restarts": report.restarts,
-            "suspicions": report.suspicions,
-            "crash_frame_losses": report.crash_frame_losses,
-            "frames_written_off": report.frames_written_off,
-            "absorbed_faults": report.absorbed_faults,
-            "chaos": report.chaos,
-            "reference_digest": report.reference_digest,
-            "matches_reference": report.matches_reference,
-            "ok": ok,
-        }
+        payload = {**asdict(report), "ok": ok}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(report.summary())

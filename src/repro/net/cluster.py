@@ -148,16 +148,13 @@ class LiveCluster:
         return ident in self.dead
 
     def jittered(self, pause: float) -> float:
-        """Stretch a retry pause by the configured jitter (seeded).
+        """Stretch a retry pause by ``net_config.backoff_jitter`` (seeded).
 
-        With chaos installed the draw comes from the fault plan's own
-        injector RNG (the satellite-1 contract: jitter is part of the
-        seeded fault plan); otherwise from a cluster RNG derived from
-        the run seed.  Zero jitter takes no draw at all, so the
-        deterministic legacy backoff sequence is bit-identical.
+        The draw comes from a cluster RNG derived from the run seed,
+        with or without chaos (``NetConfig.from_fault_plan`` lifts the
+        plan's jitter).  Zero jitter takes no draw at all, so the
+        deterministic backoff sequence is bit-identical.
         """
-        if self.chaos is not None:
-            return self.chaos.injector.jittered(pause)
         jitter = self.net_config.backoff_jitter
         if jitter <= 0.0 or pause <= 0.0:
             return pause

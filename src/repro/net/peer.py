@@ -356,9 +356,8 @@ class _Outbox:
     schedules one :meth:`_flush`, which coalesces whatever the handler
     cascades of that turn queued into socket writes bounded by
     :data:`MAX_BATCH_FRAMES` and :data:`MAX_BATCH_BYTES` (DESIGN.md
-    §13).  With a chaos layer installed a write carries strictly one
-    frame, so the seeded fault decisions (reset/truncate/garble *this*
-    frame) keep their exact semantics.  What cannot be done inside one
+    §13) — with or without a chaos layer, which decides only whether a
+    write fails, never what is written.  What cannot be done inside one
     callback happens in the :meth:`_recover` task, alive only while
     there is something to await.
 
@@ -427,86 +426,84 @@ class _Outbox:
         )
 
     def _take(self) -> list[_OutItem]:
-        """Move the next write's frames from ``pending`` to ``current``:
-        up to the batch bounds, or exactly one with chaos installed."""
+        """Move the next write's frames from ``pending`` to ``current``,
+        up to the batch bounds."""
         pending = self.pending
         batch = self.current
         item = pending.popleft()
         batch.append(item)
-        if self.peer.cluster.chaos is None:
-            nbytes = len(item.data)
-            while (
-                pending
-                and len(batch) < MAX_BATCH_FRAMES
-                and nbytes < MAX_BATCH_BYTES
-            ):
-                item = pending.popleft()
-                batch.append(item)
-                nbytes += len(item.data)
+        nbytes = len(item.data)
+        while (
+            pending
+            and len(batch) < MAX_BATCH_FRAMES
+            and nbytes < MAX_BATCH_BYTES
+        ):
+            item = pending.popleft()
+            batch.append(item)
+            nbytes += len(item.data)
         return batch
 
     def _flush(self) -> None:
         """Write everything queued, inside this one callback, while
-        nothing must be awaited: a live pooled connection, a target
-        nobody declared dead, no chaos layer (it is owed a drain per
-        frame), the kernel taking each write whole.  Else
-        :meth:`_recover` takes over."""
+        nothing must be awaited: a live pooled connection, the kernel
+        taking each write whole.  Else :meth:`_recover` takes over — a
+        batch whose write failed here (an unreachable target, a chaos
+        fault) as a failed first attempt."""
         if self._recovery is not None:
             return
         if PERF.enabled:
             PERF.count("net.flushes")
-        cluster = self.peer.cluster
         owed = False
-        while self.pending and not owed:
-            if (
-                cluster.chaos is not None
-                or cluster.is_dead(self.target_ident)
-                or not self._connected()
-            ):
+        failed: Optional[InjectedWireFault] = None
+        while self.pending and not owed and self._connected():
+            try:
+                self._ensure_reachable()
+                owed = not self._write(self._take())
+            except InjectedWireFault as exc:
+                failed = exc
                 break
-            owed = not self._write(self._take())
             if not owed:
                 self.current.clear()
-        if owed or self.pending:
-            self._recovery = self._loop.create_task(self._recover(owed))
+        if self.current or self.pending:
+            self._recovery = self._loop.create_task(self._recover(owed, failed))
 
     def _write(self, items: Sequence[_OutItem]) -> bool:
         """Write ``items`` — one frame, or a whole batch — exactly once.
 
         The only place an outbox touches its socket, and synchronous:
         the caller made sure of a connection.  True: sent and accounted.
-        False: written, but a drain is owed (the kernel did not take it
-        all, or chaos is installed) — the caller awaits it and then
-        calls :meth:`_sent`.  Any failure raises; retry policy belongs
-        to :meth:`_recover`.
+        False: written, but the kernel did not take it all, so a drain
+        is owed — the caller awaits it and then calls :meth:`_sent`.
+        Any failure raises; retry policy belongs to :meth:`_recover`.
         """
         chaos = self.peer.cluster.chaos
+        if chaos is not None:
+            # One fault draw per frame, decided *before* any clean byte
+            # of the attempt hits the wire, so a faulted attempt was
+            # certainly not delivered and can be retried without risking
+            # a duplicate.  The fault damages the batch's first frame
+            # only; a damaged frame is followed by a graceful close,
+            # which flushes what was written before the connection dies.
+            fault = chaos.sample_frame_fault(len(items))
+            if fault is not None:
+                first = items[0].data
+                if fault == "reset":
+                    self.reset(abort=True)
+                    raise InjectedWireFault("connection reset")
+                if fault == "truncate":
+                    self.writer.write(first[: max(1, len(first) // 2)])
+                    self.reset()
+                    raise InjectedWireFault("frame truncated on the wire")
+                self.writer.write(chaos.corrupt(first))
+                # The receiver will fail decoding and drop the connection.
+                self.reset()
+                raise InjectedWireFault("frame garbled on the wire")
         data = b"".join([item.data for item in items])
-        # Chaos faults are decided *before* any clean byte hits the
-        # wire, so a faulted attempt was certainly not delivered and
-        # can be retried without risking a duplicate.  (``data`` is a
-        # single frame here: chaos never batches, see ``_take``.)  A
-        # damaged frame is followed by a graceful close, which flushes
-        # what was written before the connection dies.
-        fault = chaos.sample_frame_fault() if chaos is not None else None
-        if fault == "reset":
-            self.reset(abort=True)
-            raise InjectedWireFault("connection reset")
-        if fault == "truncate":
-            self.writer.write(data[: max(1, len(data) // 2)])
-            self.reset()
-            raise InjectedWireFault("frame truncated on the wire")
-        if fault == "garble":
-            self.writer.write(chaos.corrupt(data))
-            # The receiver will fail decoding and drop the connection.
-            self.reset()
-            raise InjectedWireFault("frame garbled on the wire")
         self.writer.write(data)
         # When the kernel took the whole write synchronously there is
         # nothing to wait for; any connection failure surfaces on the
-        # next write or on the receiving side.  Chaos runs always
-        # drain: their semantics lean on a drain per attempt.
-        if chaos is not None or self.writer.transport.get_write_buffer_size():
+        # next write or on the receiving side.
+        if self.writer.transport.get_write_buffer_size():
             return False
         self._sent(items, len(data))
         return True
@@ -526,10 +523,9 @@ class _Outbox:
             PERF.count("net.frames_flushed", len(items))
             PERF.count("net.bytes_flushed", nbytes)
 
-    def _gate(self) -> Optional[PeerInfo]:
-        """In front of every attempt: refuse a crashed or partitioned
-        target; return the address to dial first when there is no live
-        pooled connection (``None``: write on the one there is)."""
+    def _ensure_reachable(self) -> None:
+        """Refuse a crashed target or a partitioned link — the one
+        reachability check of :meth:`_flush` and :meth:`_gate`."""
         peer = self.peer
         cluster = peer.cluster
         target = self.target_ident
@@ -538,27 +534,36 @@ class _Outbox:
         chaos = cluster.chaos
         if chaos is not None and chaos.blocked(peer.node.ident, target):
             raise InjectedWireFault("link partitioned")
+
+    def _gate(self) -> Optional[PeerInfo]:
+        """In front of every attempt of :meth:`_recover`: refuse an
+        unreachable target; return the address to dial first when there
+        is no live pooled connection (``None``: write on that one)."""
+        self._ensure_reachable()
         if self._connected():
             return None
         self.reset()
+        chaos = self.peer.cluster.chaos
         if chaos is not None and chaos.should_refuse_connection():
             raise InjectedWireFault("connection refused (injected)")
-        info = peer.book.get(target)
+        info = self.peer.book.get(self.target_ident)
         if info is None:
-            raise InjectedWireFault(f"no address for peer {target}")
+            raise InjectedWireFault(f"no address for peer {self.target_ident}")
         return info
 
-    async def _recover(self, owed: bool) -> None:
+    async def _recover(self, owed: bool, failed: Optional[Exception]) -> None:
         """Everything an outbox ever awaits, and its only retry loop.
 
         Runs until nothing is queued (``owed``: ``current`` is written
-        and waits for its drain).  A batch gets one attempt as a whole;
-        if that fails every frame of it — like a frame that travelled
-        alone — gets the full ladder: up to ``max_attempts`` writes with
-        exponential back-off, then :meth:`NetPeer._exhausted`.  A
-        heartbeat is a one-shot beacon: the detector saw the failure,
-        nothing is retried.  (Benign runs never fail a write — a
-        localhost write only fails under a genuinely dead peer.)
+        and waits for its drain; ``failed``: :meth:`_flush`'s attempt
+        raised this).  A batch gets one attempt as a whole; if that
+        fails (a chaos fault drawn for any of its frames included) every
+        frame of it — like a frame that travelled alone — gets the full
+        ladder: up to ``max_attempts`` writes with exponential back-off,
+        then :meth:`NetPeer._exhausted`.  A heartbeat is a one-shot
+        beacon: the detector saw the failure, nothing is retried.
+        (Benign runs never fail a write — a localhost write only fails
+        under a genuinely dead peer.)
         """
         peer = self.peer
         cluster = peer.cluster
@@ -575,6 +580,8 @@ class _Outbox:
                     whole = len(self._take()) > 1
                 items = batch if whole else batch[:1]
                 try:
+                    if failed is not None:  # the attempt _flush made
+                        raise failed
                     info = None if owed else self._gate()
                     if info is not None:
                         if PERF.enabled:
@@ -591,7 +598,7 @@ class _Outbox:
                         )
                         self._sent(items, sum(len(i.data) for i in items))
                 except (OSError, asyncio.TimeoutError, InjectedWireFault) as exc:
-                    failure = exc
+                    failure, failed = exc, None
                     self.reset()
                     peer.note_send_failure(self.target_ident)
                     if whole:
@@ -1044,17 +1051,18 @@ class NetPeer:
         counter, so the original wire bytes are shipped onward with the
         trailing varint bumped in place — no payload decode, no
         re-encode, no second allocation of the message trees.  Returns
-        False whenever the slow path must run instead: the structural
-        peek failed, this node owns a target (local delivery), the
-        hop bound is exceeded (the decoded path raises the proper
-        RoutingError), or chaos is installed (fault injection reasons
-        about decoded frames, so soaks keep the seed semantics).
-        Raises :class:`CodecError` — before anything is delivered — when
-        a message this node owns does not decode.
+        False whenever the slow path must run instead: this peer
+        crashed (the frame is settled as lost), the structural peek
+        failed, this node owns a target (local delivery), or the hop
+        bound is exceeded (the decoded path raises the proper
+        RoutingError).  A raw frame whose retries run out is decoded on
+        demand (:meth:`_exhausted`).  Raises :class:`CodecError` —
+        before anything is delivered — when a message this node owns
+        does not decode.
         """
-        cluster = self.cluster
-        if cluster.chaos is not None or self.crashed:
+        if self.crashed:
             return False
+        cluster = self.cluster
         tag = payload[0] if payload else 0
         if tag == TAG_ROUTE_FRAME:
             peeked = peek_route(payload)

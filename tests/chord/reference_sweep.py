@@ -18,10 +18,22 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.chord.idspace import IdentifierSpace
 from repro.chord.node import ChordNode
 from repro.chord.routing import Router
 from repro.errors import RoutingError
 from repro.sim.messages import Message
+
+
+def sort_clockwise(space: IdentifierSpace, start: int, idents: list[int]) -> list[int]:
+    """Sort ``idents`` in ascending clockwise order starting at ``start``.
+
+    This is the first step of the recursive ``multisend`` (Section 2.3):
+    the sender orders the recipient identifiers clockwise from its own
+    identifier so the message can sweep the ring once.
+    """
+    size = space.size
+    return sorted(idents, key=lambda ident: (ident - start) % size)
 
 
 class ReferenceSweepRouter(Router):
@@ -32,7 +44,7 @@ class ReferenceSweepRouter(Router):
     ) -> list[ChordNode]:
         if not idents:
             return []
-        order = self.space.sort_clockwise(source.ident, list(idents))
+        order = sort_clockwise(self.space, source.ident, list(idents))
         pending: dict[int, list[int]] = {}
         for position, ident in enumerate(idents):
             pending.setdefault(ident, []).append(position)

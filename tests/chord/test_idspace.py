@@ -78,21 +78,3 @@ class TestIntervals:
     def test_property_open_subset_of_half_open(self, x, low, high):
         if SPACE.in_open(x, low, high):
             assert SPACE.in_half_open(x, low, high)
-
-
-class TestSortClockwise:
-    def test_orders_from_start(self):
-        assert SPACE.sort_clockwise(100, [50, 150, 200]) == [150, 200, 50]
-
-    def test_start_itself_first(self):
-        assert SPACE.sort_clockwise(100, [100, 99]) == [100, 99]
-
-    def test_empty(self):
-        assert SPACE.sort_clockwise(0, []) == []
-
-    @given(ident, st.lists(ident, max_size=12))
-    def test_property_distances_monotone(self, start, idents):
-        ordered = SPACE.sort_clockwise(start, idents)
-        distances = [SPACE.distance(start, i) for i in ordered]
-        assert distances == sorted(distances)
-        assert sorted(ordered) == sorted(idents)

@@ -20,9 +20,10 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro import ChordNetwork
+from repro.chord.idspace import IdentifierSpace
 from repro.errors import DeliveryError, RoutingError
 
-from .reference_sweep import ReferenceSweepRouter
+from .reference_sweep import ReferenceSweepRouter, sort_clockwise
 from .test_snapshot_differential import _Blue, _Red
 
 
@@ -102,3 +103,27 @@ def test_one_sweep_matches_the_object_sweep(
     if not churn and not crash:
         assert network.snapshot is not None
         assert shipped[0] == [network.responsible_node(i).ident for i in idents]
+
+
+SPACE = IdentifierSpace(8)  # ring of 256 identifiers
+ident = st.integers(min_value=0, max_value=SPACE.size - 1)
+
+
+class TestSortClockwise:
+    """The reference sweep's first step: recipients clockwise from the sender."""
+
+    def test_orders_from_start(self):
+        assert sort_clockwise(SPACE, 100, [50, 150, 200]) == [150, 200, 50]
+
+    def test_start_itself_first(self):
+        assert sort_clockwise(SPACE, 100, [100, 99]) == [100, 99]
+
+    def test_empty(self):
+        assert sort_clockwise(SPACE, 0, []) == []
+
+    @given(ident, st.lists(ident, max_size=12))
+    def test_property_distances_monotone(self, start, idents):
+        ordered = sort_clockwise(SPACE, start, idents)
+        distances = [SPACE.distance(start, i) for i in ordered]
+        assert distances == sorted(distances)
+        assert sorted(ordered) == sorted(idents)

@@ -8,6 +8,8 @@ in-flight load inside the credit budget.
 """
 
 import asyncio
+import json
+from dataclasses import fields
 
 import pytest
 
@@ -21,9 +23,11 @@ from repro.net.chaos import (
     soak_reference,
 )
 from repro.net.cluster import ClusterConfig, LiveCluster
+from repro.net.cluster import main as cluster_main
 from repro.net.frames import DirectFrame
 from repro.net.health import HealthConfig
-from repro.net.peer import NetConfig
+from repro.net.peer import NetConfig, _Outbox
+from repro.perf import PERF
 from repro.sim.messages import UnsubscribeMessage
 from repro.workload.generator import WorkloadParams, build_workload
 
@@ -278,11 +282,26 @@ class TestLiveChaosUnit:
         with pytest.raises(ValueError):
             parse_chaos_spec("bogus_key=1")
 
+    def test_cli_json_is_the_whole_report(self, capsys):
+        status = cluster_main(
+            [
+                "--chaos", "frame=0.1,crashes=0,partition=0",
+                "--nodes", "4", "--queries", "5", "--tuples", "20",
+                "--compare-sim", "--json",
+            ]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert status == 0
+        assert set(payload) == {f.name for f in fields(ChaosSoakReport)} | {"ok"}
+        assert payload["ok"] is True and payload["matches_reference"] is True
+
 
 class TestExactlyOnceUnderWireFaults:
     def test_every_frame_delivered_once_despite_faults(self):
         """Resets, truncations and garbles are all pre-write faults:
-        heavy injection must not duplicate or drop a single frame."""
+        heavy injection must not duplicate or drop a single frame — on
+        the shipped write path, coalesced batches and raw relays
+        included."""
 
         async def scenario():
             plan = FaultPlan(
@@ -293,7 +312,7 @@ class TestExactlyOnceUnderWireFaults:
             )
             cluster = LiveCluster(
                 ClusterConfig(
-                    n_nodes=4,
+                    n_nodes=6,
                     quiesce_timeout=20.0,
                     net=NetConfig.from_fault_plan(
                         plan, connect_timeout=1.0, io_timeout=2.0
@@ -311,26 +330,150 @@ class TestExactlyOnceUnderWireFaults:
                     )
                 source = cluster.network.nodes[0]
                 targets = cluster.network.nodes[1:]
-                n_frames = 30
-                for index in range(n_frames):
-                    cluster.transport.send_direct(
-                        source,
-                        UnsubscribeMessage(query_key=f"k{index}"),
-                        targets[index % len(targets)],
+                size = cluster.network.space.size
+                expected = []
+                for burst in range(6):
+                    # Two frames per target queue in one loop turn, so
+                    # each outbox coalesces them into one write.
+                    for index in range(2 * len(targets)):
+                        key = f"d{burst}.{index}"
+                        expected.append(key)
+                        cluster.transport.send_direct(
+                            source,
+                            UnsubscribeMessage(query_key=key),
+                            targets[index % len(targets)],
+                        )
+                    # A multisend sweep crosses pure relays, which
+                    # forward its bytes without decoding them.
+                    keys = [f"m{burst}.{index}" for index in range(8)]
+                    expected.extend(keys)
+                    idents = [(burst * 977 + i * size // 8) % size for i in range(8)]
+                    cluster.transport.multisend(
+                        source, [UnsubscribeMessage(query_key=k) for k in keys], idents
                     )
-                await cluster.drain(tolerate_failures=True)
+                    await cluster.drain(tolerate_failures=True)
                 assert cluster.fault_log == []  # retries absorbed everything
-                assert sorted(received) == sorted(
-                    f"k{index}" for index in range(n_frames)
-                )
-                chaos = cluster.chaos
-                assert (
-                    chaos.counters["frames_reset"]
-                    + chaos.counters["frames_truncated"]
-                    + chaos.counters["frames_garbled"]
-                ) > 0
+                return received, expected, cluster.chaos.counters
             finally:
                 cluster.errors.clear()
                 await cluster.stop()
 
-        asyncio.run(scenario())
+        PERF.reset()
+        PERF.enable()
+        try:
+            received, expected, faults = asyncio.run(scenario())
+        finally:
+            PERF.disable()
+        counters = PERF.snapshot()["counters"]
+        PERF.reset()
+        assert sorted(received) == sorted(expected)  # each exactly once
+        assert (
+            faults["frames_reset"]
+            + faults["frames_truncated"]
+            + faults["frames_garbled"]
+        ) > 0
+        assert counters.get("net.batches", 0) > 0
+        assert counters.get("net.frames_relayed_raw", 0) > 0
+
+
+class _ScriptedInjector:
+    """Stands in for a ``FaultInjector``: never refuses a dial, and
+    answers frame-fault draws from ``script``, then ``None``."""
+
+    def __init__(self):
+        self.script: list = []
+
+    def should_refuse_connection(self) -> bool:
+        return False
+
+    def sample_frame_fault(self):
+        return self.script.pop(0) if self.script else None
+
+
+class TestBatchFaultRule:
+    @pytest.mark.parametrize("kind", ["reset", "truncate", "garble"])
+    def test_fault_drawn_for_a_later_frame_fails_the_whole_batch(
+        self, kind, monkeypatch
+    ):
+        """A fault drawn for the k-th frame of a batch (k > 0) damages
+        only the first frame and writes no clean byte of the attempt;
+        ``_recover``'s failed-batch branch then retries every frame
+        alone, and each is delivered exactly once."""
+        n_frames, k = 5, 2
+
+        async def scenario():
+            injector = _ScriptedInjector()
+            chaos = LiveChaos(FaultPlan(seed=1), injector=injector)
+            cluster = LiveCluster(
+                ClusterConfig(
+                    n_nodes=2,
+                    quiesce_timeout=10.0,
+                    net=NetConfig(
+                        connect_timeout=1.0,
+                        io_timeout=2.0,
+                        backoff_base=0.01,
+                        max_attempts=4,
+                    ),
+                )
+            )
+            cluster.install_chaos(chaos)
+            await cluster.start()
+            try:
+                received = []
+                for node in cluster.network.nodes:
+                    node.register_handler(
+                        "unsubscribe",
+                        lambda node, message: received.append(message.query_key),
+                    )
+                source, target = cluster.network.nodes
+                # A pooled connection first, so the batch is written
+                # (and faulted) inside the synchronous flush.
+                cluster.transport.send_direct(
+                    source, UnsubscribeMessage(query_key="warm"), target
+                )
+                await cluster.drain()
+
+                attempts = []
+                real_write = _Outbox._write
+
+                def spy(outbox, items):
+                    writer, written = outbox.writer, []
+
+                    def write(data):
+                        written.append(bytes(data))
+                        type(writer).write(writer, data)
+
+                    writer.write = write
+                    try:
+                        return real_write(outbox, items)
+                    finally:
+                        del writer.write
+                        attempts.append(([item.data for item in items], written))
+
+                monkeypatch.setattr(_Outbox, "_write", spy)
+                injector.script = [None] * k + [kind]
+                for index in range(n_frames):
+                    cluster.transport.send_direct(
+                        source, UnsubscribeMessage(query_key=f"q{index}"), target
+                    )
+                await cluster.drain(tolerate_failures=True)
+                return received, attempts, list(cluster.fault_log), chaos
+            finally:
+                cluster.errors.clear()
+                await cluster.stop()
+
+        received, attempts, fault_log, chaos = asyncio.run(scenario())
+        (frames, written), *retries = attempts
+        assert len(frames) == n_frames  # one coalesced write...
+        first = frames[0]
+        damaged = {
+            "reset": [],
+            "truncate": [first[: len(first) // 2]],
+            "garble": [chaos.corrupt(first)],
+        }[kind]
+        assert written == damaged  # ...that put no clean byte on the wire
+        # Every frame then went alone, clean, in order.
+        assert retries == [([frame], [frame]) for frame in frames]
+        assert received == ["warm"] + [f"q{i}" for i in range(n_frames)]
+        assert fault_log == []
+        assert chaos.counters["write_attempts"] == 1 + (k + 1) + n_frames
