@@ -176,14 +176,12 @@ def canonical_fault_plan(plan: Optional[dict]) -> str:
     return json.dumps(plan, sort_keys=True, separators=(",", ":"))
 
 
-def canonical_overrides(overrides, transport: str) -> str:
+def canonical_overrides(overrides) -> str:
     """The ``overrides`` column value, refusing what no run could honour.
 
     Accepts the dict, its JSON text or nothing; empty sections drop out
     so equal overrides collide whatever their source spelling.  An
-    unknown section or field is named, and so is a ``workload`` field on
-    a ``live`` row: the load generator draws its workload from the
-    columns alone.
+    unknown section or field is named.
     """
     if isinstance(overrides, str):
         overrides = json.loads(overrides) if overrides else None
@@ -203,12 +201,6 @@ def canonical_overrides(overrides, transport: str) -> str:
                 f"choose from {sorted(OVERRIDABLE[section])}"
             )
     overrides = {section: values for section, values in overrides.items() if values}
-    if transport == "live" and "workload" in overrides:
-        raise ValueError(
-            f"overrides.workload {sorted(overrides['workload'])} on a 'live' "
-            f"row: the live transport generates its workload from the "
-            f"parameter columns only; use transport 'sim' or 'shard'"
-        )
     return canonical_fault_plan(overrides)
 
 
@@ -253,7 +245,7 @@ def normalize_params(params: dict) -> dict:
         "jfrt_capacity": int(row.get("jfrt_capacity", 0)),
         "evict_every": int(row.get("evict_every", 64)),
         "fault_plan": fault_plan,
-        "overrides": canonical_overrides(row.get("overrides"), transport),
+        "overrides": canonical_overrides(row.get("overrides")),
         "seed": int(row.get("seed", 1)),
     }
 

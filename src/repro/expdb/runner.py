@@ -13,12 +13,14 @@ back-end:
 * ``shard`` — the staged/sharded executor via
   :func:`repro.bench.scale.run_scale_point` (fault plans refused, as
   :func:`repro.sim.shard.shard_capabilities` documents);
-* ``live`` — the real-TCP load generator via
-  :func:`repro.net.loadgen.run_load_sync` (answer-set metrics are
+* ``live`` — the real-TCP cluster via
+  :meth:`repro.net.cluster.LiveCluster.run` at
+  :data:`repro.net.cluster.CREDIT_BUDGET` (answer-set metrics are
   deterministic; throughput/latency land in the resource columns).
-  A digest or delivered count that differs from the simulator oracle
-  raises (:func:`repro.net.loadgen.check_against_simulator`), so a
-  ``live`` row can only become ``done`` if it equals the simulator.
+  A digest or delivered count that differs from
+  :func:`repro.net.cluster.simulate_reference` on the same workload
+  raises, so a ``live`` row can only become ``done`` if it equals the
+  simulator.
 
 Every outcome carries the stable metrics row (``to_row()``) plus the
 per-run resource columns (wall seconds, peak RSS, events/sec).  The
@@ -42,6 +44,7 @@ pins the workload draw apart from the other two.
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import time
 from dataclasses import dataclass
@@ -52,6 +55,7 @@ from ..bench.harness import run_standard, workload_for
 from ..bench.scale import peak_rss_kb, run_scale_point
 from ..chord.hashing import hash_key_cache_clear
 from ..faults import DelaySpec, FaultInjector, FaultPlan
+from ..workload.generator import Workload
 from .db import canonical_overrides
 
 
@@ -110,20 +114,23 @@ def workload_overrides(params: dict) -> dict:
     return dict((params["overrides"] or {}).get("workload", {}))
 
 
+def row_workload(params: dict) -> Workload:
+    """The workload one ``sim`` or ``live`` row replays, drawn from its
+    ``seed`` column unless ``overrides.workload`` pins another seed."""
+    drawn = {"seed": params["seed"], **workload_overrides(params)}
+    return workload_for(scale_for(params), **drawn)
+
+
 def _run_sim(params: dict) -> ExperimentOutcome:
     injector: Optional[FaultInjector] = None
     if params["fault_plan"]:
         injector = FaultInjector(fault_plan_from_dict(params["fault_plan"]))
-    scale = scale_for(params)
-    # ``run_standard`` takes no workload ``seed`` override, so a pinned
-    # one travels as the workload itself.
-    drawn = {"seed": params["seed"], **workload_overrides(params)}
     start = time.perf_counter()
     result = run_standard(
         params["algorithm"],
-        scale,
+        scale_for(params),
         config_overrides=engine_overrides(params),
-        workload=workload_for(scale, **drawn),
+        workload=row_workload(params),
         seed=params["seed"],
         collect_per_tuple_hops=True,
         evict_every=params["evict_every"],
@@ -174,31 +181,29 @@ def _run_live(params: dict) -> ExperimentOutcome:
             "python -m repro.net.cluster --chaos, not the experiment "
             "database; use transport='sim' for faulted sweep points"
         )
-    if params["window"]:
-        raise ValueError(
-            "the live transport refuses windowed rows: the pipelined "
-            "driver does not reproduce the simulator's windowed answer "
-            "set (20-37 of 39 answers at a 6-node probe point), so such "
-            "a row could never pass the oracle check; use transport="
-            "'sim' or 'shard' for windowed sweep points"
-        )
-    from ..net.loadgen import LoadgenConfig, check_against_simulator, run_load_sync
+    from ..net.cluster import CREDIT_BUDGET, ClusterConfig, run_live, simulate_reference
+    from ..net.peer import NetConfig
 
+    algorithm, n_nodes, seed = params["algorithm"], params["n_nodes"], params["seed"]
     overrides = engine_overrides(params)
     if "index_choice" not in (params["overrides"] or {}).get("engine", {}):
         del overrides["index_choice"]  # the cluster's own default
-    config = LoadgenConfig(
-        algorithm=params["algorithm"],
-        n_nodes=params["n_nodes"],
-        n_queries=params["n_queries"],
-        n_tuples=params["n_tuples"],
-        domain_size=params["domain_size"],
-        zipf_s=params["zipf_s"],
-        seed=params["seed"],
+    workload = row_workload(params)
+    config = ClusterConfig(
+        algorithm=algorithm,
+        n_nodes=n_nodes,
+        seed=seed,
         engine_overrides=overrides,
+        net=NetConfig(credit_budget=CREDIT_BUDGET),
     )
-    report = run_load_sync(config)
-    check_against_simulator(config, report)
+    report = asyncio.run(run_live(workload, config))
+    expected = simulate_reference(workload, algorithm=algorithm, n_nodes=n_nodes, seed=seed)
+    if (report.digest, report.notifications) != expected:
+        raise RuntimeError(
+            f"live {algorithm} run diverged from the simulator: "
+            f"digest {report.digest[:12]} / {report.notifications} delivered "
+            f"!= {expected[0][:12]} / {expected[1]}"
+        )
     return ExperimentOutcome(
         metrics=report.to_row(),
         resources={
@@ -216,7 +221,7 @@ def run_experiment(params: dict, *, shards: Optional[int] = None) -> ExperimentO
     """One claimed row, executed; raises on any error (the worker
     records the traceback in the row)."""
     transport = params["transport"]
-    canonical_overrides(params["overrides"], transport)  # refuses by field name
+    canonical_overrides(params["overrides"])  # refuses by field name
     hash_key_cache_clear()
     gc.collect()
     if transport == "sim":

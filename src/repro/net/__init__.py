@@ -16,13 +16,12 @@ sockets.  The pieces:
 * :mod:`repro.net.chaos` — seeded TCP-level fault injection (resets,
   refusals, truncation/garbling, partitions, live crash/restart) and
   the soak that proves exactly-once delivery under all of it;
-* :mod:`repro.net.cluster` — spin up an N-node localhost ring, drive a
-  workload through it and compare against the simulator oracle
-  (``python -m repro.net.cluster``, ``--chaos`` for the fault soak);
-* :mod:`repro.net.loadgen` — sustained live load generator: pipelined
-  tuple/query streams, notifications/sec and p50/p95/p99 end-to-end
-  latency (``python -m repro.net.loadgen``; the committed live points
-  are gated by ``python -m repro.expdb gate``).
+* :mod:`repro.net.cluster` — spin up an N-node localhost ring, stream
+  a workload through it pipelined under the in-flight credit budget
+  (notifications/sec, p50/p95/p99 end-to-end latency) and compare
+  against the simulator oracle (``python -m repro.net.cluster``,
+  ``--chaos`` for the fault soak; the committed live points are gated
+  by ``python -m repro.expdb gate``).
 
 The seam that makes this possible is :class:`repro.transport.Transport`:
 the engine sends through ``engine.transport`` and never notices whether

@@ -615,8 +615,9 @@ def parse_chaos_spec(spec: str) -> tuple[FaultPlan, SoakSettings]:
     return plan, settings
 
 
-def run_soak_cli(args) -> int:
-    """Back half of ``python -m repro.net.cluster --chaos ...``."""
+def run_soak_cli(args, algorithm: str) -> int:
+    """Back half of ``python -m repro.net.cluster --chaos ...``: one
+    algorithm's soak, judged (and printed) on its own."""
     from .cluster import ClusterConfig
     from .peer import NetConfig
 
@@ -630,7 +631,7 @@ def run_soak_cli(args) -> int:
         )
     )
     config = ClusterConfig(
-        algorithm=args.algorithm,
+        algorithm=algorithm,
         n_nodes=args.nodes,
         seed=args.seed,
         net=NetConfig.from_fault_plan(plan),
@@ -642,7 +643,7 @@ def run_soak_cli(args) -> int:
     if args.compare_sim:
         reference_digest, _ = soak_reference(
             workload,
-            algorithm=args.algorithm,
+            algorithm=algorithm,
             n_nodes=args.nodes,
             seed=args.seed,
             subscribers=settings.subscribers,
@@ -660,7 +661,7 @@ def run_soak_cli(args) -> int:
     )
     if args.json:
         payload = {**asdict(report), "ok": ok}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
     else:
         print(report.summary())
         if not exactly_once:

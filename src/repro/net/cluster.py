@@ -3,31 +3,43 @@
 :class:`LiveCluster` builds the same stable Chord ring the simulator
 uses (``ChordNetwork.build``), gives every node a :class:`NetPeer` with
 a real TCP server, runs the bootstrap handshake so every peer's address
-book converges, swaps the network's transport for the
-:class:`~repro.net.peer.SocketTransport`, and replays a
-:class:`~repro.workload.generator.Workload` with exactly the harness's
-seeded driver loop — same RNG stream, same clock advances, same
-subscribe/publish calls.  Between workload events the driver awaits
-cluster quiescence (the in-flight delivery counter reaching zero), so
-an event's full causal cascade lands before the next event fires, just
-as a simulator event's synchronous call tree completes before the next.
+book converges, and swaps the network's transport for the
+:class:`~repro.net.peer.SocketTransport`.  :meth:`LiveCluster.run`
+replays a :class:`~repro.workload.generator.Workload` with the
+harness's seeded origin draws and clock advances, **pipelined**: the
+queries are installed and drained, the tuples stream gated only by the
+in-flight credit budget (``config.net.credit_budget``), and one drain
+ends the run.  Every delivered notification is timestamped against the
+wall-clock instant the *later* of its two tuples was published — the
+publish that completed the answer, the first instant the system could
+have known it.
 
-Because the notification digest is a *set* digest (sorted per query and
-across queries), within-event frame reordering over TCP cannot change
-it; a live run must therefore reproduce the simulator's digest exactly
-for the same workload and seed.  That is the subsystem's correctness
-gate, runnable from the command line::
+Why pipelining cannot change the answers: the digest is a *set* digest
+(:func:`repro.bench.rows.notification_digest`), queries are fully
+installed before the stream starts, and every tuple carries its own
+``pub_time``, so answer identity never depends on arrival order.  DAI-Q
+and DAI-T, which let only one side of a tuple pair match, decide that
+side by the publish times the messages carry and hold an arriving half
+while an older publish is still in flight (:mod:`repro.core.dai_q`,
+:mod:`repro.core.dai_t`), so no pair is lost to a race and no settle
+pass follows the stream.  A live run must therefore reproduce the
+simulator's digest and delivered count exactly; the command line checks
+it::
 
-    python -m repro.net.cluster --algorithm dai-v --nodes 8 \\
-        --queries 30 --tuples 120 --compare-sim
+    python -m repro.net.cluster --algorithm all --nodes 6 --compare-sim
 
-which exits non-zero if the live digest differs from the simulator's.
+which exits non-zero on any divergence.  With ``--chaos`` the same
+command runs the fault-tolerance soak instead (:mod:`repro.net.chaos`):
+seeded connection faults, one partition episode and live crash/restarts
+are injected while the workload replays, and the run must still
+converge to the fault-free simulator digest with zero duplicate
+notifications.
 
-With ``--chaos`` the same command runs the fault-tolerance soak
-instead (:mod:`repro.net.chaos`): seeded connection faults, one
-partition episode and live crash/restarts are injected while the
-workload replays, and the run must still converge to the fault-free
-simulator digest with zero duplicate notifications.
+The committed live points are ``live`` rows of ``BENCH_baseline.json``:
+``python -m repro.expdb gate`` re-runs them through
+:func:`repro.expdb.runner._run_live` (this driver at
+:data:`CREDIT_BUDGET`), demands the recorded digest and bounds today's
+**install + stream** wall (:mod:`repro.expdb.gate`).
 """
 
 from __future__ import annotations
@@ -37,19 +49,29 @@ import asyncio
 import json
 import random
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+import time
+from dataclasses import asdict, dataclass, field
+from typing import Optional, Sequence
 
 from ..chord.network import ChordNetwork
 from ..core.engine import ContinuousQueryEngine, EngineConfig
 from ..errors import NetworkError, QuiesceTimeout
-from ..perf import PERF
 from ..sim.stats import TrafficSnapshot, TrafficStats
 from ..workload.generator import Workload, WorkloadParams, build_workload
 from .codec import encode_frame, read_frame
 from .frames import JoinReply, JoinRequest, MultiFrame, RouteFrame
 from .health import HealthConfig
 from .peer import InFlight, NetConfig, NetPeer, SocketTransport, set_nodelay
+
+#: What ``--algorithm all`` runs, in presentation order.
+ALGORITHMS = ("sai", "dai-q", "dai-t", "dai-v")
+
+#: Credit budget of the command line and of ``live`` experiment rows:
+#: smaller gives saner latency tails, larger deeper pipelining.
+CREDIT_BUDGET = 256
+
+#: Latency percentiles reported, as fractions.
+PERCENTILES = (0.50, 0.95, 0.99)
 
 
 @dataclass
@@ -61,7 +83,7 @@ class ClusterConfig:
     #: Engine *and* driver seed, exactly like the harness's ``seed``.
     seed: int = 1
     host: str = "127.0.0.1"
-    #: Ceiling on waiting for one workload event's cascade to land.
+    #: Ceiling on one wait for credits or for the cluster to drain.
     quiesce_timeout: float = 30.0
     #: Extra :class:`~repro.core.engine.EngineConfig` fields (window,
     #: replication_factor, ...).
@@ -72,33 +94,124 @@ class ClusterConfig:
 
 
 @dataclass
-class LiveReport:
-    """What a live run produced, for humans and for the sim comparison."""
+class LatencySummary:
+    """Wall-clock publish-to-notification latency, in milliseconds."""
+
+    samples: int
+    p50_ms: float
+    p95_ms: float
+    p99_ms: float
+    mean_ms: float
+    max_ms: float
+
+    @classmethod
+    def of(cls, seconds: list[float]) -> "LatencySummary":
+        if not seconds:
+            return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        ordered = sorted(seconds)
+        p50, p95, p99 = (_percentile(ordered, q) for q in PERCENTILES)
+        return cls(
+            samples=len(ordered),
+            p50_ms=round(p50 * 1e3, 3),
+            p95_ms=round(p95 * 1e3, 3),
+            p99_ms=round(p99 * 1e3, 3),
+            mean_ms=round(sum(ordered) / len(ordered) * 1e3, 3),
+            max_ms=round(ordered[-1] * 1e3, 3),
+        )
+
+    def as_dict(self) -> dict:
+        return asdict(self)
+
+
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank-with-interpolation percentile of a sorted sample."""
+    if len(ordered) == 1:
+        return ordered[0]
+    position = q * (len(ordered) - 1)
+    low = int(position)
+    high = min(low + 1, len(ordered) - 1)
+    fraction = position - low
+    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+
+
+@dataclass
+class LoadReport:
+    """One measured :meth:`LiveCluster.run`."""
 
     algorithm: str
-    n_nodes: int
-    n_queries: int
     n_tuples: int
-    notifications_delivered: int
-    notification_digest: str
-    traffic: TrafficSnapshot
+    install_seconds: float
+    stream_seconds: float
+    notifications: int
     frames_sent: int
     bytes_sent: int
     batches_sent: int
-    perf: dict
-    peak_in_flight: int = 0
-    credit_budget: Optional[int] = None
-    frames_shed: int = 0
-    chaos: Optional[dict] = None
+    frames_shed: int
+    peak_in_flight: int
+    digest: str
+    latency: LatencySummary
+    #: Per-node filtering/storage observations at the end of the run
+    #: (:func:`repro.bench.rows.load_to_row`), exact for a seed.
+    load: dict
+    #: Overlay traffic of the whole run (install + stream).
+    traffic: TrafficSnapshot
+
+    @property
+    def total_seconds(self) -> float:
+        """The whole path a user pays for: install + stream."""
+        return self.install_seconds + self.stream_seconds
+
+    @property
+    def notifications_per_sec(self) -> float:
+        return self.notifications / self.stream_seconds if self.stream_seconds > 0 else 0.0
+
+    @property
+    def events_per_sec(self) -> float:
+        return self.n_tuples / self.stream_seconds if self.stream_seconds > 0 else 0.0
+
+    def as_dict(self) -> dict:
+        return {
+            "wall_seconds": round(self.stream_seconds, 4),
+            "install_seconds": round(self.install_seconds, 4),
+            "total_seconds": round(self.total_seconds, 4),
+            "notifications_per_sec": round(self.notifications_per_sec, 1),
+            "events_per_sec": round(self.events_per_sec, 1),
+            "frames_sent": self.frames_sent,
+            "bytes_sent": self.bytes_sent,
+            "batches_sent": self.batches_sent,
+            "frames_shed": self.frames_shed,
+            "peak_in_flight": self.peak_in_flight,
+            "latency_ms": self.latency.as_dict(),
+        }
+
+    def to_row(self) -> dict:
+        """Stable JSON-safe dict shared with the :mod:`repro.expdb`
+        writer: the invariant answer-set columns under the same names
+        as the simulator rows, the live-only measurements nested."""
+        from ..bench.rows import ROW_VERSION
+
+        return {
+            "row_version": ROW_VERSION,
+            "kind": "live",
+            "notifications_delivered": self.notifications,
+            "notification_digest": self.digest,
+            # Constant: stored expdb rows from when a per-frame mode
+            # existed stay comparable on this key.
+            "mode": "batched",
+            "live": self.as_dict(),
+            "load": self.load,
+        }
 
     def summary(self) -> str:
+        latency = self.latency
         return (
-            f"live {self.algorithm}: {self.n_nodes} nodes, "
-            f"{self.n_queries} queries, {self.n_tuples} tuples -> "
-            f"{self.notifications_delivered} notifications, "
-            f"{self.frames_sent} frames / {self.bytes_sent} bytes on the "
-            f"wire, {self.traffic.hops} overlay hops, "
-            f"digest {self.notification_digest[:12]}"
+            f"{self.algorithm:6s} {self.notifications_per_sec:9.1f} notif/s  "
+            f"p50 {latency.p50_ms:7.2f}ms  p95 {latency.p95_ms:7.2f}ms  "
+            f"p99 {latency.p99_ms:7.2f}ms  ({self.stream_seconds:.3f}s stream, "
+            f"{self.total_seconds:.3f}s total, {self.notifications} notifications, "
+            f"{self.frames_sent} frames / {self.batches_sent} batches / "
+            f"{self.bytes_sent} bytes on the wire, "
+            f"{self.traffic.hops} overlay hops, digest {self.digest[:12]})"
         )
 
 
@@ -379,63 +492,86 @@ class LiveCluster:
                 f"first: {first!r}"
             ) from first
 
-    async def run(self, workload: Workload, *, evict_every: int = 64) -> LiveReport:
-        """Replay ``workload`` — the harness driver loop, one drain per event."""
+    async def run(self, workload: Workload) -> LoadReport:
+        """Replay ``workload``: install the queries and drain, stream the
+        tuples gated only by the credit budget, drain once, measure.
+
+        Origins are drawn from the run seed, queries first, then tuples.
+        A windowed engine is refused before the first event.
+        """
         engine = self.engine
+        if engine.config.window is not None:
+            raise ValueError(
+                "the live transport refuses windowed rows: the pipelined "
+                "driver does not reproduce the simulator's windowed answer "
+                "set (20-37 of 39 answers at a 6-node probe point), so such "
+                "a run could never pass the oracle check; use transport="
+                "'sim' or 'shard' for windowed sweep points"
+            )
         rng = random.Random(self.config.seed)
-        events_since_evict = 0
-        for event in workload:
-            await self.in_flight.wait_below_budget(self.config.quiesce_timeout)
+        clock = time.perf_counter
+        timeout = self.config.quiesce_timeout
+        query_events = [event for event in workload if event.kind == "query"]
+        tuple_events = [event for event in workload if event.kind == "tuple"]
+
+        # Publish wall times by sim pub_time; a notification's latency is
+        # measured from the *later* of its two contributing publishes.
+        publish_wall: dict[float, float] = {}
+        latencies: list[float] = []
+
+        def on_notification(notification) -> None:
+            started = publish_wall.get(
+                max(notification.trigger_pub_time, notification.match_pub_time)
+            )
+            if started is not None:
+                latencies.append(clock() - started)
+
+        install_start = clock()
+        for event in query_events:
+            await self.in_flight.wait_below_budget(timeout)
             engine.clock.advance_to(event.time)
             origin = self.network.random_node(rng)
-            if event.kind == "query":
-                engine.subscribe(origin, event.payload)
-            else:
-                relation, values = event.payload
-                engine.publish(origin, relation, values)
-            await self.drain()
-            events_since_evict += 1
-            if (
-                engine.config.window is not None
-                and events_since_evict >= evict_every
-            ):
-                engine.evict_expired()
-                events_since_evict = 0
-        if engine.config.window is not None:
-            engine.evict_expired()
+            bound = engine.subscribe(origin, event.payload)
+            engine.add_notification_listener(bound.key, on_notification)
         await self.drain()
-        return self.report(workload)
+        install_seconds = clock() - install_start
 
-    def report(self, workload: Workload) -> LiveReport:
-        from ..bench.rows import notification_digest
+        stream_start = clock()
+        for event in tuple_events:
+            await self.in_flight.wait_below_budget(timeout)
+            engine.clock.advance_to(event.time)
+            origin = self.network.random_node(rng)
+            relation, values = event.payload
+            publish_wall[event.time] = clock()
+            engine.publish(origin, relation, values)
+        await self.drain()
+        stream_seconds = clock() - stream_start
 
-        return LiveReport(
-            algorithm=self.engine.config.algorithm,
-            n_nodes=len(self.network),
-            n_queries=workload.n_queries,
-            n_tuples=workload.n_tuples,
-            notifications_delivered=sum(
-                len(batch) for batch in self.engine.delivered.values()
-            ),
-            notification_digest=notification_digest(self.engine),
-            traffic=self.stats.snapshot(),
-            frames_sent=sum(peer.frames_sent for peer in self.peers.values()),
-            bytes_sent=sum(peer.bytes_sent for peer in self.peers.values()),
-            batches_sent=sum(
-                peer.batches_sent for peer in self.peers.values()
-            ),
-            perf=PERF.snapshot(),
+        from ..bench.rows import load_to_row, notification_digest
+
+        peers = self.peers.values()
+        return LoadReport(
+            algorithm=engine.config.algorithm,
+            n_tuples=len(tuple_events),
+            install_seconds=install_seconds,
+            stream_seconds=stream_seconds,
+            notifications=sum(len(batch) for batch in engine.delivered.values()),
+            frames_sent=sum(peer.frames_sent for peer in peers),
+            bytes_sent=sum(peer.bytes_sent for peer in peers),
+            batches_sent=sum(peer.batches_sent for peer in peers),
+            frames_shed=sum(peer.frames_shed for peer in peers),
             peak_in_flight=self.in_flight.peak,
-            credit_budget=self.in_flight.budget,
-            frames_shed=sum(peer.frames_shed for peer in self.peers.values()),
-            chaos=self.chaos.snapshot() if self.chaos is not None else None,
+            digest=notification_digest(engine),
+            latency=LatencySummary.of(latencies),
+            load=load_to_row(engine.load_snapshot()),
+            traffic=self.stats.snapshot(),
         )
 
 
 async def run_live(
     workload: Workload, config: Optional[ClusterConfig] = None
-) -> LiveReport:
-    """Start a cluster, replay ``workload``, always tear down."""
+) -> LoadReport:
+    """Start a cluster, :meth:`~LiveCluster.run` ``workload``, always tear down."""
     cluster = LiveCluster(config)
     await cluster.start()
     try:
@@ -460,20 +596,22 @@ def simulate_reference(
 
 
 # ----------------------------------------------------------------------
-# Command-line runner
+# Command line
 # ----------------------------------------------------------------------
 
-def main(argv: Optional[list[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.net.cluster",
-        description="Run a workload over a live localhost ring of "
-        "asyncio peers (optionally checking it against the simulator).",
+        description="Run a workload over a live localhost ring of asyncio "
+        "peers: notifications/sec and p50/p95/p99 latency per algorithm, "
+        "optionally checked against the simulator.  The committed live "
+        "points are gated by python -m repro.expdb gate.",
     )
     parser.add_argument(
         "--algorithm",
         default="sai",
-        choices=("sai", "dai-q", "dai-t", "dai-v"),
-        help="query-processing algorithm (default: sai)",
+        choices=ALGORITHMS + ("all",),
+        help="query-processing algorithm, or all four (default: sai)",
     )
     parser.add_argument("--nodes", type=int, default=8, help="ring size")
     parser.add_argument("--queries", type=int, default=20)
@@ -495,17 +633,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--compare-sim",
         action="store_true",
         help="also replay the workload in the simulator and fail unless "
-        "the delivered-notification digests match exactly",
+        "the delivered digest and count match exactly",
     )
     parser.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
+        "--json",
+        action="store_true",
+        help="emit one JSON report per algorithm, one per line",
     )
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    algorithms = ALGORITHMS if args.algorithm == "all" else (args.algorithm,)
     if args.chaos is not None:
         from .chaos import run_soak_cli
 
-        return run_soak_cli(args)
+        return max(run_soak_cli(args, algorithm) for algorithm in algorithms)
 
     workload = build_workload(
         WorkloadParams(
@@ -515,56 +659,45 @@ def main(argv: Optional[list[str]] = None) -> int:
             seed=args.seed,
         )
     )
-    report = asyncio.run(
-        run_live(
-            workload,
-            ClusterConfig(
-                algorithm=args.algorithm, n_nodes=args.nodes, seed=args.seed
-            ),
-        )
-    )
-
-    payload = {
-        "algorithm": report.algorithm,
-        "n_nodes": report.n_nodes,
-        "n_queries": report.n_queries,
-        "n_tuples": report.n_tuples,
-        "notifications_delivered": report.notifications_delivered,
-        "notification_digest": report.notification_digest,
-        "frames_sent": report.frames_sent,
-        "bytes_sent": report.bytes_sent,
-        "batches_sent": report.batches_sent,
-        "overlay_hops": report.traffic.hops,
-        "messages": report.traffic.messages,
-        "peak_in_flight": report.peak_in_flight,
-        "credit_budget": report.credit_budget,
-        "perf": report.perf,
-    }
-
     status = 0
-    if args.compare_sim:
-        sim_digest, sim_delivered = simulate_reference(
-            workload,
-            algorithm=args.algorithm,
-            n_nodes=args.nodes,
-            seed=args.seed,
+    for algorithm in algorithms:
+        report = asyncio.run(
+            run_live(
+                workload,
+                ClusterConfig(
+                    algorithm=algorithm,
+                    n_nodes=args.nodes,
+                    seed=args.seed,
+                    net=NetConfig(credit_budget=CREDIT_BUDGET),
+                ),
+            )
         )
-        matches = sim_digest == report.notification_digest
-        payload["sim_digest"] = sim_digest
-        payload["sim_notifications_delivered"] = sim_delivered
-        payload["matches_simulator"] = matches
-        status = 0 if matches else 1
-
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
+        payload = {
+            "algorithm": algorithm,
+            **report.to_row(),
+            "overlay_hops": report.traffic.hops,
+            "messages": report.traffic.messages,
+        }
+        if args.compare_sim:
+            sim_digest, sim_delivered = simulate_reference(
+                workload, algorithm=algorithm, n_nodes=args.nodes, seed=args.seed
+            )
+            matches = (report.digest, report.notifications) == (
+                sim_digest,
+                sim_delivered,
+            )
+            payload["sim_digest"] = sim_digest
+            payload["sim_notifications_delivered"] = sim_delivered
+            payload["matches_simulator"] = matches
+            status = status if matches else 1
+        if args.json:
+            print(json.dumps(payload, sort_keys=True))
+            continue
         print(report.summary())
         if args.compare_sim:
-            verdict = "MATCH" if payload["matches_simulator"] else "MISMATCH"
             print(
-                f"simulator digest {payload['sim_digest'][:12]} "
-                f"({payload['sim_notifications_delivered']} notifications) "
-                f"-> {verdict}"
+                f"simulator digest {sim_digest[:12]} ({sim_delivered} "
+                f"notifications) -> {'MATCH' if matches else 'MISMATCH'}"
             )
     return status
 

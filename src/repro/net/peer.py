@@ -236,8 +236,12 @@ class InFlight:
     def dec(self, label: str = "control", n: int = 1, time=None) -> None:
         if time is not None:
             self.ledger.settle(time, n)
-        self._labels[label] -= n
-        if self._labels[label] == 0:
+        # A label settles by at most what it has outstanding, as the
+        # count does: the excess is slack or debt, never a negative label.
+        outstanding = self._labels[label]
+        if n < outstanding:
+            self._labels[label] = outstanding - n
+        elif outstanding:
             del self._labels[label]
         taken = min(n, self._count)
         self._count -= taken

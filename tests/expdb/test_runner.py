@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.bench.harness import run_standard
+from repro.bench.harness import run_standard, workload_for
 from repro.bench.scale import run_scale_point
 from repro.expdb.db import normalize_params
 from repro.expdb.runner import (
@@ -19,6 +19,7 @@ from repro.expdb.runner import (
     scale_for,
 )
 from repro.faults import DelaySpec
+from repro.net.cluster import simulate_reference
 
 TINY_SIM = {
     "transport": "sim",
@@ -212,14 +213,20 @@ class TestOverrides:
         with pytest.raises(ValueError, match=named):
             run_experiment(smuggled)
 
-    def test_a_workload_override_on_a_live_row_is_refused_by_name(self):
-        live = dict(transport="live", overrides={"workload": {"bos_ratio": 4.0}})
-        with pytest.raises(ValueError, match=r"overrides.workload \['bos_ratio'\] on a 'live' row"):
-            params(**live)
-        smuggled = decoded(transport="live")
-        smuggled["overrides"] = live["overrides"]
-        with pytest.raises(ValueError, match="on a 'live' row"):
-            run_experiment(smuggled)
+    def test_a_workload_override_on_a_live_row_reaches_the_live_run(self):
+        """A ``live`` row draws its workload as a ``sim`` row does,
+        ``overrides.workload`` included, and equals the simulator on it."""
+        point = dict(transport="live", algorithm="dai-q", n_nodes=5, n_queries=6,
+                     n_tuples=24, domain_size=10)
+        row = decoded(**point, overrides={"workload": {"bos_ratio": 4.0}})
+        outcome = run_experiment(row)
+        workload = workload_for(scale_for(row), seed=row["seed"], bos_ratio=4.0)
+        assert (
+            outcome.metrics["notification_digest"],
+            outcome.metrics["notifications_delivered"],
+        ) == simulate_reference(workload, algorithm="dai-q", n_nodes=5, seed=row["seed"])
+        plain = run_experiment(decoded(**point)).metrics
+        assert plain["notification_digest"] != outcome.metrics["notification_digest"]
 
     def test_equal_overrides_are_one_identity(self):
         spelled = params(overrides={"workload": {"seed": 0, "bos_ratio": 2.0}, "engine": {}})

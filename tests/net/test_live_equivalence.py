@@ -1,11 +1,12 @@
 """End-to-end: a live TCP ring must reproduce the simulator exactly.
 
 An 8-node localhost cluster replays a seeded workload over real sockets
-and must deliver *exactly* the simulator's notification set — same
-digest, same per-query (join value, row) sets — and both must agree
-with the centralized nested-loop oracle.  This is the subsystem's
-correctness gate: any divergence in routing, codec, or quiescence shows
-up as a digest mismatch here.
+— pipelined, one drain at the end (:meth:`LiveCluster.run`) — and must
+deliver *exactly* the simulator's notification set — same digest, same
+per-query (join value, row) sets — and both must agree with the
+centralized nested-loop oracle, for all four algorithms.  This is the
+subsystem's correctness gate: any divergence in routing, codec,
+quiescence or the DAI-Q/DAI-T pair order shows up as a mismatch here.
 """
 
 import asyncio
@@ -65,19 +66,19 @@ def oracle_for(engine, workload):
     return oracle
 
 
-@pytest.mark.parametrize("algorithm", ["sai", "dai-v"])
+@pytest.mark.parametrize("algorithm", ["sai", "dai-q", "dai-t", "dai-v"])
 def test_live_ring_matches_simulator_exactly(algorithm):
     cluster, report = asyncio.run(live_run(algorithm))
     sim_engine = simulator_run(algorithm)
 
     # Same digest (the CLI gate) ...
-    assert report.notification_digest == notification_digest(sim_engine)
+    assert report.digest == notification_digest(sim_engine)
     # ... and, stronger, the same per-query delivered-notification sets.
     live_engine = cluster.engine
     assert set(live_engine.queries) == set(sim_engine.queries)
     for key in sim_engine.queries:
         assert live_engine.delivered_rows(key) == sim_engine.delivered_rows(key)
-    assert report.notifications_delivered == sum(
+    assert report.notifications == sum(
         len(batch) for batch in sim_engine.delivered.values()
     )
     # No deliveries outstanding, no swallowed failures.
@@ -88,7 +89,7 @@ def test_live_ring_matches_simulator_exactly(algorithm):
     assert report.bytes_sent > 0
 
 
-@pytest.mark.parametrize("algorithm", ["sai", "dai-v"])
+@pytest.mark.parametrize("algorithm", ["sai", "dai-q", "dai-t", "dai-v"])
 def test_live_ring_matches_centralized_oracle(algorithm):
     cluster, _ = asyncio.run(live_run(algorithm))
     engine = cluster.engine
@@ -129,7 +130,7 @@ def test_all_four_algorithms_match_on_a_small_ring():
         codec._SHAPE_TABLE.clear()
         cluster, report = asyncio.run(live_run(algorithm, workload, n_nodes=6))
         sim_engine = simulator_run(algorithm, workload, n_nodes=6)
-        assert report.notification_digest == notification_digest(sim_engine), (
+        assert report.digest == notification_digest(sim_engine), (
             algorithm
         )
         assert assert_shared_shapes_untouched(cluster) > 0, algorithm

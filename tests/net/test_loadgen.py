@@ -1,6 +1,6 @@
-"""Load-generator correctness: pipelining must never change answers.
+"""The live driver's correctness: pipelining must never change answers.
 
-The pipelined driver removes the per-event drain, so a DAI-Q/DAI-T pair
+:meth:`LiveCluster.run` has no per-event drain, so a DAI-Q/DAI-T pair
 can reach its value nodes in either order; the value nodes decide which
 side answers by the publish times the messages carry, so no settle pass
 follows the stream.  These tests pin the whole contract on small
@@ -13,7 +13,6 @@ refresh (after a loss) is equivalent to the one-shot form.
 
 import asyncio
 import logging
-from dataclasses import replace
 
 import pytest
 
@@ -24,31 +23,53 @@ from repro.core.engine import ContinuousQueryEngine, EngineConfig
 from repro.expdb.db import decode_params, normalize_params
 from repro.expdb.gate import gate_rows
 from repro.expdb.runner import run_experiment
-from repro.net.cluster import ClusterConfig, LiveCluster, simulate_reference
-from repro.net.loadgen import LoadgenConfig, _drive, run_load_sync
+from repro.net.cluster import (
+    CREDIT_BUDGET,
+    ClusterConfig,
+    LiveCluster,
+    run_live,
+    simulate_reference,
+)
+from repro.net.peer import NetConfig
 from repro.perf import PERF
 from repro.workload.generator import WorkloadParams, build_workload
 
 from ..expdb.gate_fakes import export_rows
 
-POINT = LoadgenConfig(n_nodes=6, n_queries=8, n_tuples=48, domain_size=16, seed=3)
+N_NODES = 6
 
 LIVE_ROW = {
     "transport": "live",
     "algorithm": "dai-t",
-    "n_nodes": POINT.n_nodes,
-    "n_queries": POINT.n_queries,
-    "n_tuples": POINT.n_tuples,
-    "domain_size": POINT.domain_size,
-    "seed": POINT.seed,
+    "n_nodes": N_NODES,
+    "n_queries": 8,
+    "n_tuples": 48,
+    "domain_size": 16,
+    "seed": 3,
 }
 
 
+def point_workload(seed):
+    """The workload ``LIVE_ROW`` draws at ``seed``."""
+    return build_workload(
+        WorkloadParams(n_queries=8, n_tuples=48, domain_size=16, seed=seed)
+    )
+
+
+def config(algorithm, seed, budget=CREDIT_BUDGET):
+    return ClusterConfig(
+        algorithm=algorithm,
+        n_nodes=N_NODES,
+        seed=seed,
+        net=NetConfig(credit_budget=budget),
+    )
+
+
 def test_loadgen_matches_simulator_and_gates_itself():
-    config = replace(POINT, algorithm="dai-t")
-    report = run_load_sync(config)
+    workload = point_workload(3)
+    report = asyncio.run(run_live(workload, config("dai-t", 3)))
     assert (report.digest, report.notifications) == simulate_reference(
-        config.workload(), algorithm="dai-t", n_nodes=POINT.n_nodes, seed=POINT.seed
+        workload, algorithm="dai-t", n_nodes=N_NODES, seed=3
     )
     assert report.batches_sent > 0
 
@@ -76,20 +97,13 @@ def test_loadgen_matches_simulator_and_gates_itself():
     assert any("notifications_delivered changed" in problem for problem in problems)
 
 
-async def _pipelined(config):
+async def _pipelined(algorithm, seed, budget):
     """One pipelined run; returns the report and the engine's
     subscriber-side counters."""
-    cluster = LiveCluster(
-        ClusterConfig(
-            algorithm=config.algorithm,
-            n_nodes=config.n_nodes,
-            seed=config.seed,
-            net=config.net_config(),
-        )
-    )
+    cluster = LiveCluster(config(algorithm, seed, budget))
     await cluster.start()
     try:
-        report = await _drive(cluster, config.workload(), config)
+        report = await cluster.run(point_workload(seed))
         engine = cluster.engine
         held = sum(len(entries) for _, state in engine.adopted_states()
                    for entries in state.held.values())
@@ -111,11 +125,10 @@ def test_pipelined_run_equals_simulator_without_settle(algorithm, seed, budget):
     duplicate when both are in flight — together exactly the
     simulator's count.  DAI-T creates at most that: its rewriter may
     meet a later trigger of a rewritten key first and send only that."""
-    config = replace(POINT, algorithm=algorithm, seed=seed, inflight_budget=budget)
-    report, repeated = asyncio.run(_pipelined(config))
-    network = ChordNetwork.build(config.n_nodes)
+    report, repeated = asyncio.run(_pipelined(algorithm, seed, budget))
+    network = ChordNetwork.build(N_NODES)
     engine = ContinuousQueryEngine(network, EngineConfig(algorithm=algorithm, seed=seed))
-    run_workload(engine, config.workload(), seed=seed)
+    run_workload(engine, point_workload(seed), seed=seed)
     assert (report.digest, report.notifications) == (
         notification_digest(engine),
         sum(len(batch) for batch in engine.delivered.values()),
@@ -129,16 +142,16 @@ def test_pipelined_run_equals_simulator_without_settle(algorithm, seed, budget):
 def test_a_live_row_that_leaves_the_simulator_cannot_finish(monkeypatch):
     """A live row raises on a digest or a count the oracle does not
     confirm, so the worker records an error and the gate a failure."""
-    import repro.net.loadgen as loadgen_module
+    import repro.net.cluster as cluster_module
 
     params = decode_params(normalize_params(LIVE_ROW))
-    real = loadgen_module.simulate_reference
+    real = cluster_module.simulate_reference
     for tamper in (
         lambda digest, delivered: ("0" * 40, delivered),
         lambda digest, delivered: (digest, delivered + 1),
     ):
         monkeypatch.setattr(
-            loadgen_module,
+            cluster_module,
             "simulate_reference",
             lambda *args, **kwargs: tamper(*real(*args, **kwargs)),
         )
@@ -164,7 +177,7 @@ def test_benign_run_takes_raw_relay_and_matches_simulator(caplog):
             outboxes = sum(len(p._outboxes) for p in cluster.peers.values())
         finally:
             await cluster.stop()
-        return report.notification_digest, outboxes
+        return report.digest, outboxes
 
     PERF.reset()
     PERF.enable()

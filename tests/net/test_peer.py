@@ -128,6 +128,20 @@ class TestInFlight:
         assert counter.count == 0
         assert counter.slack_absorbed == 1
 
+    def test_absorbed_double_settlement_leaves_no_negative_label(self):
+        """A label settles by at most what it has outstanding, so the
+        straggler report and a write-off still see the next delivery."""
+        counter = InFlight()
+        counter.allow_slack = True
+        counter.inc("join")
+        counter.dec("join")
+        counter.dec("join")  # absorbed as slack
+        assert counter.pending() == {}
+        counter.inc("join")
+        assert counter.count == 1
+        assert counter.pending() == {"join": 1}
+        assert counter.write_off() == {"join": 1}
+
     def test_drain_diagnostic_includes_outbox_depths(self):
         """The cluster drain enriches the timeout with per-peer
         outbound queue depths."""

@@ -3,9 +3,10 @@
 CI cannot run inside the development sandbox, so nothing else notices
 a workflow step or a README line that names a sub-command, flag or file
 the repository no longer has.  Two checks over the files people copy
-commands from: every ``python -m repro.expdb ...`` command line parses
-with the real argument parser (and the committed files it names are
-there), and nothing that was deleted is still mentioned.
+commands from: every ``python -m repro.expdb ...`` and ``python -m
+repro.net.cluster ...`` command line parses with the real argument
+parser (and the committed files an expdb command names are there), and
+nothing that was deleted is still mentioned.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.expdb.cli import build_parser
+from repro.net.cluster import build_parser as build_cluster_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,8 +32,8 @@ COMMAND_SOURCES = (
 #: Modules, flags and files deleted in PR 20 (three report / compare /
 #: import systems beside the experiment database), the uvloop switch,
 #: the per-figure sweep functions with their pool, CLI and test hook,
-#: the second scheduler and recursive-sweep bodies, and helpers that
-#: only tests called.
+#: the second scheduler and recursive-sweep bodies, helpers that only
+#: tests called, and the load generator beside the live driver.
 DELETED = (
     "EventRing",
     "run_stream",
@@ -53,35 +55,47 @@ DELETED = (
     "repro-experiments",
     "REPRO_BENCH_PROCS",
     "REPRO_EXPDB_RUN_DELAY",
+    "repro.net.loadgen",
+    "LoadgenConfig",
+    "run_load_sync",
+    "check_against_simulator",
+    "LiveReport",
 )
 
-#: A command line: optional environment assignments, then the module.
-EXPDB_COMMAND = re.compile(r"^\s*(?:[A-Z_]+=\S+\s+)*python3? -m repro\.expdb\b(.*)$")
 
-
-def expdb_commands(relative: str) -> list[str]:
-    """Argument strings of every expdb command line in one file."""
+def module_commands(relative: str, module: str) -> list[str]:
+    """Argument strings of every ``python -m <module>`` line in one file
+    (optional environment assignments first); a shell loop variable
+    stands for the first value its ``for`` loop gives it."""
+    pattern = re.compile(
+        rf"^\s*(?:[A-Z_]+=\S+\s+)*python3? -m {re.escape(module)}(?![\w.])(.*)$"
+    )
     text = (REPO_ROOT / relative).read_text(encoding="utf-8")
     logical = re.sub(r"\\\n", " ", text)  # join shell continuations
+    loops = dict(re.findall(r"\bfor (\w+) in (\S+)", logical))
     return [
-        match.group(1)
-        for match in map(EXPDB_COMMAND.match, logical.splitlines())
+        re.sub(r'"?\$(\w+)"?', lambda var: loops.get(var.group(1), var.group(0)), match.group(1))
+        for match in map(pattern.match, logical.splitlines())
         if match
     ]
 
 
-def parse(arguments: str):
+def expdb_commands(relative: str) -> list[str]:
+    return module_commands(relative, "repro.expdb")
+
+
+def parse(arguments: str, parser=build_parser, module="repro.expdb"):
     tokens = shlex.split(arguments, comments=True)
     if tokens and tokens[-1] == "&":
         tokens.pop()
     for index, token in enumerate(tokens):
-        if re.fullmatch(r"\d?>>?|\|", token):  # the shell's part of the line
+        if re.fullmatch(r"\d?>>?|\||;|\|\||&&", token):  # the shell's part of the line
             del tokens[index:]
             break
     try:
-        return build_parser().parse_args(tokens)
+        return parser().parse_args(tokens)
     except SystemExit:
-        pytest.fail(f"does not parse: python -m repro.expdb {arguments.strip()}")
+        pytest.fail(f"does not parse: python -m {module} {arguments.strip()}")
 
 
 @pytest.mark.parametrize("relative", COMMAND_SOURCES)
@@ -102,6 +116,21 @@ def test_the_gate_and_the_import_are_among_them():
     imported = [args.files for args in ci if args.command == "import-json"]
     assert gated == ["BENCH_baseline.json"]
     assert imported == [["BENCH_baseline.json", "BENCH_history.json"]]
+
+
+@pytest.mark.parametrize("relative", COMMAND_SOURCES)
+def test_every_cluster_command_parses(relative):
+    for arguments in module_commands(relative, "repro.net.cluster"):
+        parse(arguments, build_cluster_parser, "repro.net.cluster")
+
+
+def test_ci_runs_the_cluster_benign_and_under_chaos():
+    ci = [
+        parse(arguments, build_cluster_parser, "repro.net.cluster")
+        for arguments in module_commands(".github/workflows/ci.yml", "repro.net.cluster")
+    ]
+    assert {args.chaos is None for args in ci} == {True, False}
+    assert all(args.compare_sim for args in ci)
 
 
 @pytest.mark.parametrize("relative", COMMAND_SOURCES + ("DESIGN.md",))
