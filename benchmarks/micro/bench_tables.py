@@ -68,7 +68,7 @@ def _group_add(size: int, n_records: int = 256, repeats: int = 3) -> dict:
             for record in batch:
                 table.add(record, 0, 500.0)
             elapsed = min(elapsed, time.perf_counter() - start)
-        return elapsed / (len(batch) * len(batch[0].members)) * 1e9
+        return elapsed / (len(batch) * len(batch[0].shape.members)) * 1e9
 
     first = records(group, 1.0)
 

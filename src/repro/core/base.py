@@ -167,7 +167,7 @@ class Algorithm:
     # ------------------------------------------------------------------
     def validate_query(self, query: JoinQuery) -> None:
         """Reject queries the algorithm cannot evaluate."""
-        if query.query_type == "T2" and not self.supports_t2:
+        if not self.supports_t2 and query.query_type == "T2":
             raise QueryError(
                 f"{self.name} only supports type-T1 queries (both join "
                 f"sides must be single attributes); use DAI-V for "
@@ -305,7 +305,7 @@ class Algorithm:
         state.load.add_attribute_level(sum(len(group) for group in groups))
 
         batches: dict[int, tuple[list[RewrittenGroup], list[Any]]] = {}
-        sent_by_group: list[tuple[QueryGroup, tuple[str, ...]]] = []
+        sent_by_group: list[tuple[QueryGroup, RewrittenGroup]] = []
         remembers = self.remembers_sent_keys(engine)
         splits = self.splits_groups(engine)
         for group in groups:
@@ -313,18 +313,13 @@ class Algorithm:
             if record is None:
                 continue
             if remembers:
-                keys = record.member_keys()
                 # ``msg.refresh`` bypasses the never-resend memory so
                 # republished tuples rebuild evaluator state lost to a crash.
                 if not msg.refresh:
-                    already_sent = group.sent_rewritten_keys
-                    unsent = [i for i, key in enumerate(keys) if key not in already_sent]
-                    if not unsent:
+                    record = group.unsent(record)
+                    if record is None:
                         continue
-                    if len(unsent) < len(keys):
-                        record = record.restrict(unsent)
-                        keys = record.member_keys()
-                sent_by_group.append((group, keys))
+                sent_by_group.append((group, record))
             projection = None
             if self.wants_projection:
                 plan = group.rewrite_plan(group.index_label)
@@ -339,8 +334,8 @@ class Algorithm:
                     batch[1].append(projection)
         if batches:
             self._dispatch_join_batches(engine, node, batches)
-            for group, keys in sent_by_group:
-                group.sent_rewritten_keys.update(keys)
+            for group, record in sent_by_group:
+                group.remember(record)
 
     # Hooks specialized by the algorithms -------------------------------
     #: DAI-V ships, per group record, the trigger tuple projected on the
@@ -444,7 +439,6 @@ class Algorithm:
         perf = PERF.enabled
         emitted = state.emitted
         value_repr = repr(record.required_value)
-        selects = record.selects
         created_at = engine.clock.now
         rows_by_select: dict[int, list[Optional[tuple]]] = {}
         notifications = []
@@ -462,7 +456,7 @@ class Algorithm:
                     continue
                 row = rows[position]
                 if row is None:
-                    row = rows[position] = select_row(selects[select_index], tup)
+                    row = rows[position] = select_row(record.selects[select_index], tup)
                 identity = (query_key, value_repr, row)
                 if identity in emitted:
                     if perf:

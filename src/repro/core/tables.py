@@ -65,20 +65,22 @@ class QueryGroup:
     All entries share one index side (the level-1 bucket fixes the
     relation, the signature the side it sits on).
 
-    ``sent_rewritten_keys`` is the DAI-T rewriter-side memory: "a
-    rewriter does not need to reindex the same rewritten query more
-    than once at the value level" (Section 4.4.3).
+    ``sent`` is the DAI-T rewriter-side memory: "a rewriter does not
+    need to reindex the same rewritten query more than once at the value
+    level" (Section 4.4.3), as suffix -> query keys shipped with it.
     """
 
     def __init__(self, signature: str, index_label: str):
         self.signature = signature
         self.index_label = index_label
         self.entries: list[StoredQuery] = []
-        self.sent_rewritten_keys: set[str] = set()
+        self.sent: dict[str, set[str]] = {}
         #: ``(query key, index side, routing identifier)`` of every entry.
         self._entry_ids: set[tuple[str, str, int]] = set()
         #: Member snapshot of ``entries``; dropped on every change.
         self._plan: Optional[RewritePlan] = None
+        #: ``_by_binding()`` of ``_plan``, built on first use.
+        self._bindings: Optional[list[tuple[int, list[int], set[str]]]] = None
 
     def add(self, stored: StoredQuery) -> bool:
         """Append ``stored`` unless an identical copy is present."""
@@ -112,7 +114,55 @@ class QueryGroup:
             plan = self._plan = RewritePlan(
                 [entry.query for entry in self.entries], index_label
             )
+            self._bindings = None
         return plan
+
+    def _by_binding(self) -> list[tuple[int, list[int], set[str]]]:
+        """Per binding of ``_plan``: a list with it, its members' positions, keys."""
+        if self._bindings is None:
+            shape = self._plan.shape
+            run_of = shape.layout.select_binding
+            bindings: dict[int, tuple[int, list[int], set[str]]] = {}
+            for i, member in enumerate(shape.members):
+                select = member.select_index
+                _, at, keys = bindings.setdefault(run_of[select], (select, [], set()))
+                at.append(i)
+                keys.add(member.query_key)
+            self._bindings = list(bindings.values())
+        return self._bindings
+
+    def unsent(self, record: RewrittenGroup) -> Optional[RewrittenGroup]:
+        """The members of ``record`` — this group's latest rewrite — whose
+        rewritten key was never shipped, or ``None``; per binding, one
+        subset test when its suffix went out to all of its members."""
+        members = record.shape.members
+        suffixes = record.suffixes
+        sent = self.sent
+        if record.shape is self._plan.shape:
+            keep = []
+            for select, at, keys in self._by_binding():
+                shipped = sent.get(suffixes[select])
+                if shipped is None:
+                    keep += at
+                elif not keys <= shipped:
+                    keep += [i for i in at if members[i].query_key not in shipped]
+            keep.sort()
+        else:  # a replay older than some members
+            keep = [i for i, m in enumerate(members)
+                    if m.query_key not in sent.get(suffixes[m.select_index], ())]
+        if len(keep) == len(members):
+            return record
+        return record.restrict(keep) if keep else None
+
+    def remember(self, record: RewrittenGroup) -> None:
+        """Note every member of ``record`` as shipped."""
+        suffixes = record.suffixes
+        if self._plan is not None and record.shape is self._plan.shape:
+            for select, _, keys in self._by_binding():
+                self.sent.setdefault(suffixes[select], set()).update(keys)
+        else:
+            for m in record.shape.members:
+                self.sent.setdefault(suffixes[m.select_index], set()).add(m.query_key)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -193,6 +193,8 @@ class LoadReport:
         return {
             "row_version": ROW_VERSION,
             "kind": "live",
+            "hops": self.traffic.hops,
+            "messages": self.traffic.messages,
             "notifications_delivered": self.notifications,
             "notification_digest": self.digest,
             # Constant: stored expdb rows from when a per-frame mode

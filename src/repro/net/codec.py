@@ -25,8 +25,10 @@ The payload is one *value* in a tagged, self-describing encoding:
   by its fields in declaration order, each encoded as a value;
 * one *sealed* record — the :class:`~repro.sql.query.GroupShape` of a
   rewritten query group: its tag, a varint length and that many bytes
-  holding its fields.  A group record is its sealed shape followed by
-  the trigger's four values (``selects`` and ``suffixes`` are derived on
+  holding its fields (a select item is a ``PendingAttr`` or, since
+  version 4, the position of its value in ``bound``: one value per
+  distinct trigger attribute).  A group record is its sealed shape
+  followed by the trigger's four values (``suffixes`` are derived on
   arrival by :func:`~repro.sql.query.bind`).  The sender seals a shape
   once and keeps the bytes on the shape object; the receiver interns
   shapes in a bounded table keyed by those bytes, so a shape seen before
@@ -82,7 +84,7 @@ from ..sim.messages import (
 )
 from ..sql.expr import AttrRef, BinaryOp, Const, Negate
 from ..sql.query import (
-    BoundValue,
+    BindingLayout,
     GroupMember,
     GroupShape,
     JoinQuery,
@@ -97,7 +99,7 @@ from ..sql.schema import Relation
 from ..sql.tuples import DataTuple, ProjectedTuple
 
 #: Wire protocol version; bump when the payload encoding changes.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 MAGIC = b"RJ"
 
@@ -140,7 +142,6 @@ TAG_LOCAL_FILTER = 0x17
 TAG_QUERY_SIDE = 0x18
 TAG_SUBSCRIBER = 0x19
 TAG_JOIN_QUERY = 0x1A
-TAG_BOUND_VALUE = 0x1B
 TAG_PENDING_ATTR = 0x1C
 TAG_REWRITTEN_GROUP = 0x1D
 TAG_NOTIFICATION = 0x1E
@@ -620,7 +621,6 @@ register_record(
     TAG_JOIN_QUERY,
     ("select", "left", "right", "key", "insertion_time", "subscriber"),
 )
-register_record(BoundValue, TAG_BOUND_VALUE, ("value",))
 register_record(PendingAttr, TAG_PENDING_ATTR, ("attribute",))
 register_record(
     GroupMember,
@@ -689,10 +689,14 @@ def _intern_shape(blob: bytes) -> GroupShape:
     specs = shape.select_specs
     if type(specs) is not tuple or not all(
         type(spec) is tuple
-        and all(item is None or type(item) is PendingAttr for item in spec)
+        and all(type(item) is int or type(item) is PendingAttr for item in spec)
         for spec in specs
     ):
         raise CodecError("sealed shape with malformed select lists")
+    try:
+        shape.layout = BindingLayout.of(specs)
+    except QueryError as exc:
+        raise CodecError(f"sealed shape with malformed select lists: {exc}") from None
     members = shape.members
     if type(members) is not tuple or not members or not all(
         type(member) is GroupMember
@@ -724,13 +728,13 @@ def _bind_decoded(
         raise CodecError("group record without a sealed shape and bound values")
     try:
         return bind(shape, required_value, dis_value, trigger_pub_time, bound)
-    except (IndexError, QueryError) as exc:
+    except QueryError as exc:
         raise CodecError(f"group record does not fit its shape: {exc!r}") from None
 
 
 # A group record travels as its sealed shape plus one trigger's values;
-# ``selects``/``suffixes`` are derived by ``bind`` on arrival and
-# ``keys`` is a local memo.
+# ``suffixes`` are derived by ``bind`` on arrival, the bound select lists
+# on first read.
 register_record(
     RewrittenGroup,
     TAG_REWRITTEN_GROUP,

@@ -11,7 +11,6 @@ from .query import (
     LocalFilter,
     PendingAttr,
     QuerySide,
-    RewrittenQuery,
     Subscriber,
     rewrite,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "ProjectedTuple",
     "QuerySide",
     "Relation",
-    "RewrittenQuery",
     "RIGHT",
     "Schema",
     "Subscriber",

@@ -8,23 +8,19 @@ of Chapter 4:
 * queries are **type T1** when both ``α`` and ``β`` are single
   attributes (so the equality has a unique solution over the attribute
   domains) and **type T2** otherwise;
-* a :class:`RewrittenQuery` is the select-project query produced when an
-  incoming tuple triggers a query at a rewriter node: the triggering
-  relation's attributes are replaced by values and the query is
-  reindexed at the value level;
 * a :class:`RewrittenGroup` is one trigger's rewrite of every query that
-  shares a join condition (Section 4.3.5) — what :func:`rewrite`
+  shares a join condition (Section 4.3.5): the select-project queries
+  produced when an incoming tuple triggers the group at a rewriter node,
+  with the triggering relation's attributes replaced by values and the
+  group reindexed at the value level.  It is what :func:`rewrite`
   produces, a ``join()`` message carries and an evaluator stores and
-  matches; :meth:`RewrittenGroup.expand` gives the per-member
-  :class:`RewrittenQuery` view of it.  It is a :class:`GroupShape` —
-  what the group alone decides, built once per rewrite plan — bound to
-  one trigger's values by :func:`bind`.
+  matches: a :class:`GroupShape` — what the group alone decides, built
+  once per rewrite plan — bound to one trigger's values by :func:`bind`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
@@ -43,6 +39,27 @@ from .expr import (
     relations_of,
     substitute,
 )
+
+
+class _memo:
+    """``functools.cached_property`` as Python 3.12 has it: no lock (up to
+    3.11 every miss takes an ``RLock``, and a fresh query misses each
+    helper once).  The value goes into the instance ``__dict__``, where
+    every later read finds it without calling the descriptor."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
 
 #: Labels for the two sides of a join condition.  The DAI algorithms
 #: index a query once per side (``q_L`` / ``q_R`` in the paper).
@@ -70,13 +87,13 @@ class LocalFilter:
 class QuerySide:
     """One side of the join: a relation, its join expression, filters.
 
-    The classification helpers (``join_attributes``, ``linear_form`` and
-    friends) are pure functions of the immutable fields but are consulted
-    on *every* query trigger — hundreds of thousands of times per run —
-    so they are ``cached_property``s.  ``cached_property`` stores into
-    ``__dict__`` directly, which sidesteps the frozen ``__setattr__``,
-    and dataclass equality/hash only look at declared fields, so the
-    caches never leak into comparisons.
+    The classification helpers (``invertible_attribute``, the linear
+    form, the signature) are pure functions of the immutable fields,
+    consulted on every subscription and trigger, so they are ``_memo``s:
+    computed on first read — never in ``__post_init__``, which a workload
+    generator pays for — lock-free (3.11's ``cached_property`` locks
+    every miss, and a fresh query misses each once), stored in
+    ``__dict__`` past the frozen ``__setattr__`` and out of equality.
     """
 
     relation: str
@@ -96,31 +113,35 @@ class QuerySide:
                 f"{self.relation}"
             )
 
-    @cached_property
+    @_memo
     def join_attributes(self) -> tuple[str, ...]:
         """Attributes of this relation appearing in the join expression,
         sorted for determinism."""
         return tuple(sorted(ref.attribute for ref in attributes_of(self.expr)))
 
-    @cached_property
+    @property
     def single_attribute(self) -> Optional[str]:
         """The attribute name if the expression is a bare attribute."""
         return self.expr.attribute if is_single_attribute(self.expr) else None
 
-    @cached_property
+    @_memo
     def _linear_form(self):
         """Memoized ``linear_form(self.expr)`` — the expression never changes."""
         return linear_form(self.expr)
 
-    @cached_property
+    @_memo
     def invertible_attribute(self) -> Optional[str]:
         """The attribute if the side is linear in exactly one attribute.
 
         This is the paper's full T1 criterion: ``a * X + b = v`` has the
         unique solution ``X = (v - b) / a``, so the side can be solved
         for the attribute value that satisfies the join condition.
-        Bare attributes are the ``a = 1, b = 0`` special case.
+        Bare attributes are the ``a = 1, b = 0`` special case, answered
+        without decomposing the expression.
         """
+        expr = self.expr
+        if type(expr) is AttrRef:
+            return expr.attribute
         form = self._linear_form
         return form[0].attribute if form is not None else None
 
@@ -151,10 +172,11 @@ class QuerySide:
             return True
         return all(f.holds(tuple_like) for f in self.filters)
 
-    @cached_property
+    @_memo
     def _signature(self) -> str:
-        filters = ",".join(str(f) for f in sorted(self.filters, key=str))
-        return f"{self.relation}:{canonical_text(self.expr)}[{filters}]"
+        filters = self.filters
+        text = ",".join(sorted([str(f) for f in filters])) if filters else ""
+        return f"{self.relation}:{canonical_text(self.expr)}[{text}]"
 
     def signature(self) -> str:
         """Canonical text used for query grouping (Section 4.3.5)."""
@@ -262,7 +284,7 @@ class JoinQuery:
     # ------------------------------------------------------------------
     # Grouping
     # ------------------------------------------------------------------
-    @cached_property
+    @_memo
     def _rewrite_plans(self) -> dict:
         return {LEFT: RewritePlan((self,), LEFT), RIGHT: RewritePlan((self,), RIGHT)}
 
@@ -270,24 +292,7 @@ class JoinQuery:
         """This query as a group of one (built on first trigger)."""
         return self._rewrite_plans[index_label]
 
-    @cached_property
-    def side_needed_attributes(self) -> dict[str, tuple[str, ...]]:
-        """Per side: the attributes a DAI-V projection of that side must
-        carry — select attributes of the side's relation, its
-        join-expression attributes and its filter attributes (sorted).
-        """
-        result = {}
-        for label in (LEFT, RIGHT):
-            side = self.side(label)
-            needed = {
-                ref.attribute for ref in self.select if ref.relation == side.relation
-            }
-            needed.update(ref.attribute for ref in attributes_of(side.expr))
-            needed.update(f.attribute for f in side.filters)
-            result[label] = tuple(sorted(needed))
-        return result
-
-    @cached_property
+    @_memo
     def _join_signature(self) -> str:
         return f"{self.left.signature()}={self.right.signature()}"
 
@@ -305,10 +310,18 @@ class JoinQuery:
     def with_subscription(
         self, key: str, insertion_time: float, subscriber: Subscriber
     ) -> "JoinQuery":
-        """Return a copy bound to a subscriber at submission time."""
-        return replace(
-            self, key=key, insertion_time=insertion_time, subscriber=subscriber
+        """Return a copy bound to a subscriber at submission time, built
+        without re-validating its fields.  It keeps this query's join
+        signature if read already, never its rewrite plans (their group
+        of one holds the key and the subscriber)."""
+        bound = object.__new__(JoinQuery)
+        bound.__dict__.update(
+            select=self.select, left=self.left, right=self.right, key=key,
+            insertion_time=insertion_time, subscriber=subscriber,
         )
+        if "_join_signature" in self.__dict__:
+            bound.__dict__["_join_signature"] = self._join_signature
+        return bound
 
     def __str__(self) -> str:
         select = ", ".join(str(ref) for ref in self.select)
@@ -366,79 +379,6 @@ def select_row(select: tuple[SelectItem, ...], tuple_like) -> tuple[Any, ...]:
     )
 
 
-@dataclass(slots=True, eq=False)
-class RewrittenQuery:
-    """A select-project query produced by rewriting a join query: one
-    member of a :class:`RewrittenGroup`, expanded.
-
-    The engine works on group records throughout; this flat form is the
-    per-(query, trigger tuple) view of one.  Slotted, and it skips the
-    frozen machinery (a frozen dataclass pays ``object.__setattr__`` per
-    field on *every* construction, ~8x slower).  Instances are immutable
-    by convention: nothing mutates one after
-    :meth:`RewrittenGroup.expand` returns, and identity/equality is
-    always taken on ``key`` (Section 4.3.3), never on field-wise
-    comparison.
-
-    Example from Section 4.3.2: triggering
-    ``SELECT R.A, S.B FROM R, S WHERE R.C = S.C`` with ``S(3, 4, 7)``
-    yields ``SELECT R.A, 4 FROM R WHERE R.C = 7``, reindexed at
-    ``Successor(Hash("R" + "C" + "7"))``.
-    """
-
-    #: ``Key(q') = Key(q) + v_1 + ... + v_l + valDA`` (Section 4.3.3).
-    key: str
-    original_key: str
-    group_signature: str
-    subscriber: Subscriber
-    insertion_time: float
-    #: The load-distributing relation whose tuples can satisfy this query.
-    relation: str
-    #: The dis-side join expression (over ``relation``).
-    expr: Expression
-    #: The value the dis-side *expression* must take (``valJC``).
-    required_value: Any
-    #: ``DisA`` — the level-1 VLQT key for SAI/DAI-Q/DAI-T; ``None``
-    #: when the dis side is not invertible (T2, DAI-V only).
-    dis_attribute: Optional[str]
-    #: ``valDA`` — the solved value of ``DisA`` (equals
-    #: ``required_value`` for bare-attribute sides); ``None`` when the
-    #: dis side is not invertible.
-    dis_value: Any
-    filters: tuple[LocalFilter, ...]
-    select: tuple[SelectItem, ...]
-    #: ``pubT`` of the tuple that triggered the rewrite — "the time
-    #: information is necessary when creating notifications".
-    trigger_pub_time: float
-
-    def matches(self, tuple_like, *, check_value: bool = True) -> bool:
-        """Does a dis-relation tuple satisfy this rewritten query?
-
-        Checks the local filters, the time semantics
-        (``pubT >= insT(q)``) and — unless the caller already guarantees
-        it through hash placement — the join-value equality.
-        """
-        return tuple_like.pub_time >= self.insertion_time and _satisfies(
-            tuple_like, self.filters, self.expr, self.required_value, check_value
-        )
-
-    def result_row(self, tuple_like) -> tuple[Any, ...]:
-        """Materialize the notification row from a matching tuple."""
-        return select_row(self.select, tuple_like)
-
-    @property
-    def needed_attributes(self) -> tuple[str, ...]:
-        """Dis-relation attributes required to evaluate and project.
-
-        Determines the DAI-V projection: select attributes still
-        pending, the join-expression attributes, and filter attributes.
-        """
-        needed = {item.attribute for item in self.select if isinstance(item, PendingAttr)}
-        needed.update(ref.attribute for ref in attributes_of(self.expr))
-        needed.update(f.attribute for f in self.filters)
-        return tuple(sorted(needed))
-
-
 @dataclass(slots=True)
 class GroupMember:
     """What tells the queries of one group apart (Section 4.3.5): key,
@@ -449,6 +389,40 @@ class GroupMember:
     subscriber: Subscriber
     insertion_time: float
     select_index: int
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class BindingLayout:
+    """Which select lists of a shape share a *binding* — the run of
+    ``bound`` positions a list reads, in list order — and so one key
+    suffix from any trigger.  Decided by position, never by value: ``1``,
+    ``1.0`` and ``True`` are equal but print differently in a key."""
+
+    #: How many values a record of the shape binds (``len(bound)``).
+    n_bound: int
+    #: The distinct runs, in order of first use.
+    bindings: tuple[tuple[int, ...], ...]
+    #: Per select list, the index of its run in ``bindings``.
+    select_binding: tuple[int, ...]
+    #: Per-binding suffixes -> per-list suffixes (``tuple`` if one each).
+    spread: Callable[[list], tuple]
+
+    @classmethod
+    def of(cls, select_specs) -> "BindingLayout":
+        """The layout of ``select_specs``, whose ``int`` items must be
+        exactly the positions ``0 .. n - 1`` (``QueryError`` otherwise)."""
+        runs: dict[tuple[int, ...], int] = {}
+        select_binding = []
+        positions: set[int] = set()
+        for spec in select_specs:
+            run = tuple([item for item in spec if type(item) is int])
+            positions.update(run)
+            select_binding.append(runs.setdefault(run, len(runs)))
+        if positions != set(range(len(positions))):
+            raise QueryError(f"select lists bind positions {sorted(positions)}")
+        one_each = select_binding == list(range(len(runs)))
+        spread = tuple if one_each else itemgetter(*select_binding)
+        return cls(len(positions), tuple(runs), tuple(select_binding), spread)
 
 
 @dataclass(slots=True)
@@ -473,11 +447,15 @@ class GroupShape:
     filters: tuple[LocalFilter, ...]
     members: tuple[GroupMember, ...]
     #: Per distinct select list, per item: the ``PendingAttr`` every
-    #: record reuses, or ``None`` where a value of the trigger binds.
-    select_specs: tuple[tuple[Optional[PendingAttr], ...], ...]
+    #: record reuses, or the position in a record's ``bound`` of the
+    #: trigger value that binds it (one position per distinct
+    #: index-side attribute the lists read).
+    select_specs: tuple[tuple[PendingAttr | int, ...], ...]
     #: The wire form, kept here by the codec after the first encode so
     #: that it dies with the shape — with the plan, when the group changes.
     sealed: Optional[bytes] = field(default=None, compare=False, repr=False)
+    #: ``BindingLayout.of(select_specs)``; plan, decoder or :func:`bind` sets it.
+    layout: Optional[BindingLayout] = field(default=None, compare=False, repr=False)
 
     def restrict(self, positions) -> "GroupShape":
         """The same shape over ``members[i] for i in positions`` only
@@ -486,6 +464,7 @@ class GroupShape:
         return GroupShape(
             self.group_signature, self.relation, self.expr, self.dis_attribute,
             self.filters, tuple([members[i] for i in positions]), self.select_specs,
+            None, self.layout,
         )
 
 
@@ -497,14 +476,14 @@ class RewrittenGroup:
     A record is a :class:`GroupShape` (join condition, filters, members,
     select-list layout — held once per group, not per trigger) bound to
     one trigger's values by :func:`bind`: ``valJC``, ``valDA``,
-    ``pubT(t)`` and the trigger values the select lists use.  ``selects``
-    and ``suffixes`` — the bound select items and the key suffix
-    ``+v_1..+v_l+valJC``, once per distinct select list — are derived
-    from those by :func:`bind` and nowhere else, so they do not travel.
-    A member's rewritten key is
+    ``pubT(t)`` and the trigger values the select lists read.
+    ``suffixes`` — the key suffix ``+v_1..+v_l+valJC`` of each distinct
+    select list — is derived from those by :func:`bind` and nowhere
+    else, so it does not travel.  A member's rewritten key is
     ``member.query_key + suffixes[member.select_index]`` — the
-    ``Key(q) + v_1 + ... + v_l + valDA`` of Section 4.3.3.  Immutable by
-    convention; ``keys`` only memoizes :meth:`member_keys`.
+    ``Key(q) + v_1 + ... + v_l + valDA`` of Section 4.3.3; nothing in
+    the engine builds one (see ``QueryGroup.sent`` and the VLQT slots).
+    Immutable by convention; ``bound_selects`` only memoizes :attr:`selects`.
     """
 
     shape: GroupShape
@@ -517,66 +496,45 @@ class RewrittenGroup:
     #: ``pubT`` of the tuple that triggered the rewrite — "the time
     #: information is necessary when creating notifications".
     trigger_pub_time: float
-    #: The trigger values the select lists bind, flat, in list order.
+    #: One trigger value per distinct index-side attribute the select
+    #: lists read; the shape's ``int`` select items index into it.
     bound: tuple[Any, ...]
-    selects: tuple[tuple[SelectItem, ...], ...]
     suffixes: tuple[str, ...]
-    keys: Optional[tuple[str, ...]] = field(default=None, compare=False, repr=False)
+    bound_selects: Optional[tuple] = field(default=None, compare=False, repr=False)
 
-    # The shape's fields, readable on the record (``record.shape.members``
-    # is the same tuple without the call, for code that runs per trigger).
-    group_signature = property(lambda self: self.shape.group_signature)
-    relation = property(lambda self: self.shape.relation)
-    expr = property(lambda self: self.shape.expr)
-    dis_attribute = property(lambda self: self.shape.dis_attribute)
-    filters = property(lambda self: self.shape.filters)
-    members = property(lambda self: self.shape.members)
+    @property
+    def selects(self) -> tuple[tuple[SelectItem, ...], ...]:
+        """Per select list, its items bound to this trigger's values —
+        built on first read, which only an answer row needs."""
+        if self.bound_selects is None:
+            bound = self.bound
+            self.bound_selects = tuple([
+                tuple([BoundValue(bound[i]) if type(i) is int else i for i in spec])
+                for spec in self.shape.select_specs
+            ])
+        return self.bound_selects
 
     def accepts(self, tuple_like, *, check_value: bool = True) -> bool:
-        """The part of :meth:`RewrittenQuery.matches` every member
-        shares: the local filters and the join-value equality.  The time
-        semantics (``pubT >= insT(q)``) stay per member."""
+        """What every member's match shares: the local filters and the
+        join-value equality.  The time semantics (``pubT >= insT(q)``)
+        stay per member."""
         shape = self.shape
         return _satisfies(
             tuple_like, shape.filters, shape.expr, self.required_value, check_value
         )
 
-    def member_keys(self) -> tuple[str, ...]:
-        """The rewritten key of every member, aligned with ``members``."""
-        keys = self.keys
-        if keys is None:
-            suffixes = self.suffixes
-            keys = self.keys = tuple(
-                [m.query_key + suffixes[m.select_index] for m in self.shape.members]
-            )
-        return keys
-
     def restrict(self, positions) -> "RewrittenGroup":
         """The same rewrite covering only ``members[i] for i in positions``."""
-        keys = self.keys
         # Spelled out: ``dataclasses.replace`` re-reads the field list on
         # every call, and evaluators restrict a record per split or store.
         return RewrittenGroup(
             self.shape.restrict(positions), self.required_value, self.dis_value,
-            self.trigger_pub_time, self.bound, self.selects, self.suffixes,
-            None if keys is None else tuple([keys[i] for i in positions]),
+            self.trigger_pub_time, self.bound, self.suffixes, self.bound_selects,
         )
 
     def split(self) -> list["RewrittenGroup"]:
         """One single-member record per member."""
         return [self.restrict((i,)) for i in range(len(self.shape.members))]
-
-    def expand(self, member: GroupMember) -> RewrittenQuery:
-        """The flat per-subscriber query of one member."""
-        index = member.select_index
-        query_key = member.query_key
-        shape = self.shape
-        return RewrittenQuery(
-            query_key + self.suffixes[index], query_key,
-            shape.group_signature, member.subscriber, member.insertion_time,
-            shape.relation, shape.expr, self.required_value, shape.dis_attribute,
-            self.dis_value, shape.filters, self.selects[index], self.trigger_pub_time,
-        )
 
 
 def bind(
@@ -589,37 +547,27 @@ def bind(
     """The group record of ``shape`` for one trigger's values.
 
     Both :func:`rewrite` and the wire decoder build records here, so this
-    is the one place a bound select list and its key suffix
-    ``+v_1..+v_l+valJC`` are formed.  ``bound`` must hold one value per
-    ``None`` item of the shape's select lists: fewer is an
-    :class:`IndexError`, more a :class:`QueryError`.
+    is the one place a key suffix ``+v_1..+v_l+valJC`` is formed: once
+    per distinct binding of the shape's select lists, shared by every
+    list with that binding.  ``bound`` must hold exactly the shape's
+    ``n_bound`` values (:class:`QueryError` otherwise).
     """
-    tail = str(required_value)
-    selects = []
-    suffixes = []
-    position = 0
-    for spec in shape.select_specs:
-        items: list[SelectItem] = []
-        key_parts = [""]
-        for pending in spec:
-            if pending is None:
-                value = bound[position]
-                position += 1
-                items.append(BoundValue(value))
-                key_parts.append(str(value))
-            else:
-                items.append(pending)
-        key_parts.append(tail)
-        selects.append(tuple(items))
-        suffixes.append("+".join(key_parts))
-    if position != len(bound):
+    layout = shape.layout
+    if layout is None:
+        layout = shape.layout = BindingLayout.of(shape.select_specs)
+    if len(bound) != layout.n_bound:
         raise QueryError(
-            f"{len(bound)} bound values for the {position} a record of "
+            f"{len(bound)} bound values for the {layout.n_bound} a record of "
             f"{shape.group_signature} binds"
         )
+    tail = "+" + str(required_value)
+    suffixes = []  # a plain loop: a comprehension costs a frame per call
+    for run in layout.bindings:
+        suffixes.append("+" + str(bound[run[0]]) + tail if len(run) == 1
+                        else "".join(["+" + str(bound[p]) for p in run]) + tail)
     return RewrittenGroup(
         shape, required_value, dis_value, trigger_pub_time, bound,
-        tuple(selects), tuple(suffixes),
+        layout.spread(suffixes),
     )
 
 
@@ -651,52 +599,56 @@ class RewritePlan:
         )
         form = dis_side._linear_form
         self.dis_identity = form is not None and form[1] == 1 and form[2] == 0
-        select_specs: list[tuple[Optional[PendingAttr], ...]] = []
-        bound_attributes: list[str] = []
+        select_specs: list[tuple[PendingAttr | int, ...]] = []
+        #: index-side attribute -> its position in a record's ``bound``.
+        bound_at: dict[str, int] = {}
         select_index: dict[tuple[AttrRef, ...], int] = {}
         members: dict[str, GroupMember] = {}
-        needed: set[str] = set()
         for query in queries:
             if query.key in members:
                 continue  # another replica's copy of the same query
             index = select_index.get(query.select)
             if index is None:
                 index = select_index[query.select] = len(select_specs)
-                spec = []
-                for ref in query.select:
-                    if ref.relation == index_side.relation:
-                        spec.append(None)
-                        bound_attributes.append(ref.attribute)
-                    else:
-                        spec.append(PendingAttr(ref.attribute))
-                select_specs.append(tuple(spec))
-                needed.update(query.side_needed_attributes[index_label])
+                select_specs.append(tuple([
+                    bound_at.setdefault(ref.attribute, len(bound_at))
+                    if ref.relation == index_side.relation
+                    else PendingAttr(ref.attribute)
+                    for ref in query.select
+                ]))
             members[query.key] = GroupMember(
                 query.key, query.subscriber, query.insertion_time, index
             )
+        specs = tuple(select_specs)
         #: What every record of this plan shares; its members are one
         #: per distinct query key, in installation order.
         self.shape = GroupShape(
             group_signature, dis_side.relation, dis_side.expr,
             dis_side.invertible_attribute, dis_side.filters,
-            tuple(members.values()), tuple(select_specs),
+            tuple(members.values()), specs, None, BindingLayout.of(specs),
         )
         self.newest_insertion = max(m.insertion_time for m in self.shape.members)
-        #: The trigger attributes a record binds, flat, in the order of
-        #: the shape's ``None`` select items.
-        self.bound_attributes = tuple(bound_attributes)
-        #: Index-side attributes a DAI-V projection of the trigger must
-        #: carry to later satisfy the opposite-side rewritten queries of
-        #: *every* member (select, join-expression and filter attributes).
-        self.needed_attributes = tuple(sorted(needed))
+        #: The trigger attributes a record binds, in ``bound`` order.
+        self.bound_attributes = tuple(bound_at)
         #: Positional variants of :attr:`index_attr`/:attr:`bound_attributes`,
         #: bound lazily to the first trigger's ``Relation`` object so
         #: ``rewrite()`` can index ``trigger.values`` directly instead of
         #: going through ``DataTuple.value`` name lookups.
         self.pos_relation = None
         self.index_pos: Optional[int] = None
-        #: ``trigger.values`` -> the flat tuple of values a record binds.
+        #: ``trigger.values`` -> the tuple of values a record binds.
         self.bound_values: Optional[Callable[[tuple], tuple]] = None
+
+    @_memo
+    def needed_attributes(self) -> tuple[str, ...]:
+        """Index-side attributes a DAI-V projection of the trigger must
+        carry for *every* member: what the select lists read, the join
+        expression's and the filters' attributes (sorted; DAI-V only)."""
+        side = self.index_side
+        needed = set(self.bound_attributes)
+        needed.update(ref.attribute for ref in attributes_of(side.expr))
+        needed.update(f.attribute for f in side.filters)
+        return tuple(sorted(needed))
 
     def bind_positions(self, relation) -> None:
         """Resolve attribute names to positions in ``relation``.

@@ -13,12 +13,15 @@ batches, load counters and notifications.
 ``Reference*`` classes below and whose nodes keep the per-member VLQT
 of :mod:`reference_tables`.  Their ``join()`` messages carry flat
 ``RewrittenQuery`` tuples (and one projection per query), exactly as
-protocol version 1 did.
+protocol version 1 did.  :class:`RewrittenQuery` and :func:`expand` — a
+group record's per-member view — live here too: nothing in ``src/``
+reads a rewritten query one member at a time any more.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Optional
 
 from repro.core import engine as engine_module
 from repro.core.base import Algorithm
@@ -30,10 +33,149 @@ from repro.core.sai import SingleAttributeIndex
 from repro.core.notifications import Notification
 from repro.core.tables import StoredProjection
 from repro.errors import QueryError
-from repro.sql.expr import AttrRef, Const, canonical_value, substitute
-from repro.sql.query import BoundValue, PendingAttr, RewrittenQuery
+from repro.sql.expr import (
+    AttrRef,
+    Const,
+    Expression,
+    attributes_of,
+    canonical_value,
+    evaluate,
+    substitute,
+)
+from repro.sql.query import (
+    BoundValue,
+    GroupMember,
+    LocalFilter,
+    PendingAttr,
+    RewrittenGroup,
+    SelectItem,
+    Subscriber,
+    select_row,
+)
 
 from .reference_tables import FlatValueLevelQueryTable, StoredRewritten
+
+
+# ----------------------------------------------------------------------
+# The flat rewritten query: one member of a group record
+# ----------------------------------------------------------------------
+
+@dataclass(slots=True, eq=False)
+class RewrittenQuery:
+    """A select-project query produced by rewriting a join query: one
+    member of a :class:`RewrittenGroup`, expanded.
+
+    Slotted and not frozen (a frozen dataclass pays
+    ``object.__setattr__`` per field on *every* construction).
+    Immutable by convention; identity/equality is always taken on
+    ``key`` (Section 4.3.3), never on field-wise comparison.
+
+    Example from Section 4.3.2: triggering
+    ``SELECT R.A, S.B FROM R, S WHERE R.C = S.C`` with ``S(3, 4, 7)``
+    yields ``SELECT R.A, 4 FROM R WHERE R.C = 7``, reindexed at
+    ``Successor(Hash("R" + "C" + "7"))``.
+    """
+
+    #: ``Key(q') = Key(q) + v_1 + ... + v_l + valDA`` (Section 4.3.3).
+    key: str
+    original_key: str
+    group_signature: str
+    subscriber: Subscriber
+    insertion_time: float
+    #: The load-distributing relation whose tuples can satisfy this query.
+    relation: str
+    #: The dis-side join expression (over ``relation``).
+    expr: Expression
+    #: The value the dis-side *expression* must take (``valJC``).
+    required_value: Any
+    #: ``DisA``; ``None`` when the dis side is not invertible.
+    dis_attribute: Optional[str]
+    #: ``valDA``; ``None`` when the dis side is not invertible.
+    dis_value: Any
+    filters: tuple[LocalFilter, ...]
+    select: tuple[SelectItem, ...]
+    #: ``pubT`` of the tuple that triggered the rewrite.
+    trigger_pub_time: float
+
+    def matches(self, tuple_like, *, check_value: bool = True) -> bool:
+        """Does a dis-relation tuple satisfy this rewritten query?
+
+        Checks the local filters, the time semantics
+        (``pubT >= insT(q)``) and — unless the caller already guarantees
+        it through hash placement — the join-value equality.
+        """
+        if tuple_like.pub_time < self.insertion_time:
+            return False
+        if not all(f.holds(tuple_like) for f in self.filters):
+            return False
+        if not check_value:
+            return True
+        try:
+            return evaluate(self.expr, tuple_like) == self.required_value
+        except QueryError:
+            return False
+
+    def result_row(self, tuple_like) -> tuple[Any, ...]:
+        """Materialize the notification row from a matching tuple."""
+        return select_row(self.select, tuple_like)
+
+    @property
+    def needed_attributes(self) -> tuple[str, ...]:
+        """Dis-relation attributes required to evaluate and project:
+        select attributes still pending, the join-expression attributes,
+        and filter attributes."""
+        needed = {item.attribute for item in self.select if isinstance(item, PendingAttr)}
+        needed.update(ref.attribute for ref in attributes_of(self.expr))
+        needed.update(f.attribute for f in self.filters)
+        return tuple(sorted(needed))
+
+
+def expand(record: RewrittenGroup, member: GroupMember) -> RewrittenQuery:
+    """The flat per-subscriber query of one member of ``record``."""
+    index = member.select_index
+    query_key = member.query_key
+    shape = record.shape
+    return RewrittenQuery(
+        query_key + record.suffixes[index], query_key,
+        shape.group_signature, member.subscriber, member.insertion_time,
+        shape.relation, shape.expr, record.required_value, shape.dis_attribute,
+        record.dis_value, shape.filters, record.selects[index], record.trigger_pub_time,
+    )
+
+
+def member_keys(record: RewrittenGroup) -> tuple[str, ...]:
+    """The rewritten key of every member of ``record``, in member order."""
+    suffixes = record.suffixes
+    return tuple(m.query_key + suffixes[m.select_index] for m in record.shape.members)
+
+
+def side_needed_attributes(query, label: str) -> tuple[str, ...]:
+    """The attributes a DAI-V projection of side ``label`` must carry:
+    select attributes of the side's relation, its join-expression
+    attributes and its filter attributes (sorted)."""
+    side = query.side(label)
+    needed = {ref.attribute for ref in query.select if ref.relation == side.relation}
+    needed.update(ref.attribute for ref in attributes_of(side.expr))
+    needed.update(f.attribute for f in side.filters)
+    return tuple(sorted(needed))
+
+
+def reference_sent_keys(group) -> set[str]:
+    """The per-key never-resend memory (DAI-T, Section 4.4.3) the
+    reference keeps on a rewriter's group: full rewritten keys."""
+    return group.__dict__.setdefault("reference_sent_keys", set())
+
+
+def sent_keys(group) -> list[str]:
+    """What a group's rewriter will never resend, as sorted rewritten
+    keys: the reference's per-key memory or the shipped per-suffix one
+    (``group.sent``) spelled out — a group only ever fills one of them."""
+    shipped = {
+        query_key + suffix
+        for suffix, query_keys in group.sent.items()
+        for query_key in query_keys
+    }
+    return sorted(shipped | reference_sent_keys(group))
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +270,7 @@ class PerMemberRewriter(Algorithm):
         if batches:
             self._dispatch_join_batches(engine, node, batches)
             for group, keys in sent_by_group:
-                group.sent_rewritten_keys.update(keys)
+                reference_sent_keys(group).update(keys)
 
     def _rewrite_group(self, engine, group, tup, batches, *, force_resend) -> list[str]:
         sent_keys: list[str] = []
@@ -147,7 +289,7 @@ class PerMemberRewriter(Algorithm):
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            if remembers and not force_resend and key in group.sent_rewritten_keys:
+            if remembers and not force_resend and key in reference_sent_keys(group):
                 continue
             batch = batches.setdefault(self.flat_ident(engine, rewritten), ([], []))
             batch[0].append(rewritten)
@@ -156,7 +298,7 @@ class PerMemberRewriter(Algorithm):
                     needed: set[str] = set()
                     for other in group.entries:
                         needed.update(
-                            other.query.side_needed_attributes[other.index_label]
+                            side_needed_attributes(other.query, other.index_label)
                         )
                     projection = tup.project(tuple(sorted(needed)))
                 batch[1].append(projection)

@@ -15,7 +15,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
-from repro.sql.query import RewrittenGroup, RewrittenQuery
+from repro.sql.query import RewrittenGroup
 
 
 @dataclass(slots=True)
@@ -83,20 +83,22 @@ class FlatValueLevelQueryTable:
         a ``window``, those whose stored entry had already slid out of
         it (their pairs with recently stored tuples were never made).
         """
-        level1 = (record.relation, record.dis_attribute or "")
+        level1 = (record.shape.relation, record.shape.dis_attribute or "")
         value = record.dis_value
         by_key = self._buckets.setdefault(level1, {}).setdefault(value, {})
         trigger_time = record.trigger_pub_time
         unevaluated = []
-        for member, key in zip(record.members, record.member_keys()):
+        from .reference_rewriter import expand, member_keys  # it imports us
+
+        for member, key in zip(record.shape.members, member_keys(record)):
             existing = by_key.get(key)
             if existing is None:
-                rewritten = record.expand(member)
+                rewritten = expand(record, member)
                 self._store(level1, value, by_key, rewritten, routing_ident, trigger_time)
                 unevaluated.append(rewritten)
                 continue
             if window is not None and trigger_time - existing.latest_trigger_time > window:
-                unevaluated.append(record.expand(member))
+                unevaluated.append(expand(record, member))
             existing.refresh(trigger_time)
         return unevaluated
 

@@ -10,7 +10,10 @@ the DAI-T never-resend memory, per-node load counters, storage, overlay
 traffic and the delivered notifications in delivery order.
 
 The strategies aim at what a group record could get wrong: groups with
-several select lists, insertion times staggered around the trigger's
+several select lists — some reading exactly the same trigger attributes
+(one bound value, one key suffix for both), some reading none — bound
+values that are equal but print differently in a key (``1``, ``1.0``,
+``True``; ``0.0``, ``-0.0``), insertion times staggered around the trigger's
 ``pubT`` (lease refresh, run after a node failure, replays old tuples
 past younger queries and bypasses the DAI-T memory), replicas of one
 query meeting at one rewriter, linear (T1) sides, index- and dis-side
@@ -22,13 +25,30 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema
+from repro.sql.query import RewrittenGroup
 
-from .reference_rewriter import flat_fields, reference_engine
+from .reference_rewriter import (
+    expand,
+    flat_fields,
+    member_keys,
+    reference_engine,
+    sent_keys,
+)
 
 SCHEMA = Schema.from_dict({"R": ["A", "B", "C"], "S": ["D", "E", "F"]})
 N_NODES = 6  # few nodes: replica identifiers often share a rewriter
 
-SELECTS = ["R.A, S.D", "R.C, S.D", "S.D, S.F", "R.A, R.C, S.F"]
+#: Indexed on R, lists 0 and 4 bind the same attribute and list 2 none;
+#: on S, lists 1 and 5 bind the same attribute and list 6 none.
+SELECTS = [
+    "R.A, S.D",
+    "R.C, S.D",
+    "S.D, S.F",
+    "R.A, R.C, S.F",
+    "R.A, S.F",
+    "S.D, R.A",
+    "R.A, R.C",
+]
 CONDITIONS = [
     "R.B = S.E",
     "2 * R.B + 1 = S.E",
@@ -37,11 +57,13 @@ CONDITIONS = [
 ]
 
 value = st.integers(min_value=0, max_value=1)
+#: Select-only attribute values: equal in Python, different in a key.
+printed = st.sampled_from([0, 1, 1.0, True, 0.0, -0.0])
 steps = st.lists(
     st.one_of(
         st.tuples(st.just("query"), st.sampled_from(SELECTS), st.sampled_from(CONDITIONS)),
-        st.tuples(st.just("R"), value, value, value),
-        st.tuples(st.just("S"), value, st.integers(0, 3), value),
+        st.tuples(st.just("R"), printed, value, printed),
+        st.tuples(st.just("S"), printed, st.integers(0, 3), printed),
         # The same values again: same rewritten keys (DAI-T's memory,
         # key-refresh at the evaluator), later ``pubT``.
         st.tuples(st.just("again")),
@@ -68,12 +90,12 @@ def record_batches(engine, log):
             for i, item in enumerate(shipped):
                 projection = projections[i] if projections else None
                 flats = (
-                    [item.expand(member) for member in item.members]
-                    if hasattr(item, "members")
+                    [expand(item, member) for member in item.shape.members]
+                    if isinstance(item, RewrittenGroup)
                     else [item]
                 )
-                if hasattr(item, "members"):
-                    assert [f.key for f in flats] == list(item.member_keys())
+                if isinstance(item, RewrittenGroup):
+                    assert [f.key for f in flats] == list(member_keys(item))
                 rows.extend((flat_fields(flat), projection) for flat in flats)
             log.append((node.ident, ident, rows))
         dispatch(engine, node, batches)
@@ -129,7 +151,7 @@ def replay(make_engine, workload, config):
         elif kind == "leave" and len(network) > 3:
             network.leave(network.nodes[step[1] % len(network)])
     sent_memory = {
-        (node.ident, group.signature): sorted(group.sent_rewritten_keys)
+        (node.ident, group.signature): sent_keys(group)
         for node in network
         for groups in engine.state(node).alqt._buckets.values()
         for group in groups.values()
@@ -262,3 +284,31 @@ class TestTargetedScenarios:
         assert max(len(group) for group in groups) > 1
         assert all(len(group.rewrite_plan(group.index_label).shape.members) == 1 for group in groups)
         assert all(len(keys) == 1 for keys in shipped_members(run))
+
+    def test_lists_reading_one_attribute_share_its_suffix(self):
+        # ``R.A, S.D`` and ``R.A, S.F``: one bound value, one suffix.
+        same_binding = ("query", "R.A, S.F", CONDITIONS[0])
+        run = self.both([Q, same_binding, R000, ("again",)], algorithm="dai-t")
+        (first,) = shipped_members(run)  # the repeat ships nothing
+        assert len({key.split("+", 1)[1] for key in first}) == 1 and len(first) == 2
+
+    @pytest.mark.parametrize("algorithm", ["sai", "dai-t"])
+    def test_equal_values_that_print_differently_keep_their_own_keys(self, algorithm):
+        # ``1 == 1.0 == True`` and ``0.0 == -0.0``, but a key prints them.
+        lists = [("query", select, CONDITIONS[0]) for select in ("R.A, S.D", "R.C, S.D")]
+        triggers = [("R", 1, 0, True), ("R", 1.0, 0, 1), ("R", 0.0, 0, -0.0)]
+        run = self.both([*lists, *triggers], algorithm=algorithm)
+        suffixes = [sorted(key.split("+", 1)[1] for key in keys) for keys in shipped_members(run)]
+        assert suffixes == [["1+0", "True+0"], ["1+0", "1.0+0"], ["-0.0+0", "0.0+0"]]
+
+    def test_dai_t_after_a_plan_change_ships_only_the_new_members(self):
+        # The group gains a list with Q's binding and one with another
+        # (whose suffix string happens to equal Q's), then loses Q.
+        workload = [
+            Q, R000,
+            ("query", "R.A, S.F", CONDITIONS[0]),
+            ("query", "R.C, S.D", CONDITIONS[0]),
+            ("again",), ("again",), ("unsubscribe", 0), ("again",),
+        ]
+        run = self.both(workload, algorithm="dai-t")
+        assert [len(keys) for keys in shipped_members(run)] == [1, 2]

@@ -39,6 +39,7 @@ from repro.sql.query import (
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple, ProjectedTuple
 
+from .reference_rewriter import member_keys
 from .reference_tables import FlatValueLevelQueryTable
 
 SUB = Subscriber("prop", 1, "10.0.0.1")
@@ -109,12 +110,16 @@ def test_alqt_matches_naive_reference(ops):
             dict.fromkeys(e.query.key for e in naive)
         )
         assert plan.newest_insertion == max(e.query.insertion_time for e in naive)
-        # The flat bound attributes, cut back into one run per select list.
-        flat = iter(plan.bound_attributes)
+        # One bound attribute per distinct one the lists read; each list
+        # reads its run of them by position.
+        assert len(set(plan.bound_attributes)) == len(plan.bound_attributes)
         bound_by_list = [
-            [next(flat) for item in spec if item is None] for spec in shape.select_specs
+            [plan.bound_attributes[item] for item in spec if type(item) is int]
+            for spec in shape.select_specs
         ]
-        assert next(flat, None) is None
+        assert set(plan.bound_attributes) == {
+            attribute for run in bound_by_list for attribute in run
+        }
         for member in shape.members:
             query = ALQT_QUERIES[int(member.query_key[1:])]
             bound = [ref.attribute for ref in query.select if ref.relation == "R"]
@@ -160,14 +165,11 @@ def _group_record(signature, query_indexes, list_order, bound, value, time):
         filters=(),
         members=members,
         select_specs=tuple(
-            tuple(None if type(item) is int else PendingAttr(item) for item in items)
+            tuple(item if type(item) is int else PendingAttr(item) for item in items)
             for items in lists
         ),
     )
-    return bind(
-        shape, value, value, time,
-        tuple(bound[item] for items in lists for item in items if type(item) is int),
-    )
+    return bind(shape, value, value, time, tuple(bound))
 
 
 vlqt_values = st.integers(min_value=0, max_value=2)
@@ -207,7 +209,7 @@ def _cohort_views(cohorts) -> list[tuple]:
         (key, cohort.record.selects[member.select_index],
          cohort.routing_ident, cohort.latest_trigger_time)
         for cohort in cohorts
-        for member, key in zip(cohort.record.members, cohort.record.member_keys())
+        for member, key in zip(cohort.record.shape.members, member_keys(cohort.record))
     ]
 
 
@@ -263,9 +265,9 @@ def test_vlqt_matches_naive_reference(ops, window):
                 pending = tables[0].add(record, ident, window)
                 expected = flats[0].add(record, ident, window)
                 assert (
-                    [] if pending is None else list(pending.member_keys())
+                    [] if pending is None else list(member_keys(pending))
                 ) == [rq.key for rq in expected]
-                if pending is not None and len(expected) == len(record.members):
+                if pending is not None and len(expected) == len(record.shape.members):
                     assert pending is record
             elif op[0] == "evict":
                 for table, flat in zip(tables, flats):

@@ -109,6 +109,8 @@ class TestLiveTransport:
         assert outcome.metrics["kind"] == "live"
         assert outcome.metrics["notifications_delivered"] > 0
         assert len(outcome.metrics["notification_digest"]) == 40
+        # The overlay traffic the socket transport counted, as on a sim row.
+        assert outcome.metrics["hops"] > 0 and outcome.metrics["messages"] > 0
         assert outcome.resources["events_per_sec"] > 0
         assert "latency_ms" in outcome.resources
 

@@ -49,7 +49,6 @@ from repro.sql.expr import AttrRef, BinaryOp, Const, Negate
 from repro.sql.parser import parse_query
 from repro.sql.query import (
     LEFT,
-    BoundValue,
     GroupMember,
     GroupShape,
     JoinQuery,
@@ -63,7 +62,7 @@ from repro.sql.query import (
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple, ProjectedTuple
 
-from ..core.reference_rewriter import flat_fields
+from ..core.reference_rewriter import expand, flat_fields, member_keys
 
 COMMON = settings(max_examples=50, deadline=None)
 
@@ -198,7 +197,7 @@ def rewritten_groups(draw):
     if how == "restrict":
         positions = draw(
             st.lists(
-                st.integers(0, len(record.members) - 1), min_size=1, unique=True
+                st.integers(0, len(record.shape.members) - 1), min_size=1, unique=True
             )
         )
         record = record.restrict(sorted(positions))
@@ -245,21 +244,24 @@ class TestMessageRoundTrips:
     @COMMON
     @given(record=rewritten_groups())
     def test_join_message_rewritten_fields(self, record):
-        keys = record.member_keys()  # the memo must not travel
+        record.selects  # the memo must not travel
         (got,) = roundtrip(JoinMessage(rewritten=(record,))).rewritten
-        assert got.keys is None
+        assert got.bound_selects is None
+        # Memos (bound select lists, seal, layout) are not fields that
+        # compare, and do not travel.
         for f in dataclasses.fields(RewrittenGroup):
-            if f.name != "keys":
+            if f.compare:
                 assert getattr(got, f.name) == getattr(record, f.name), f.name
         for f in dataclasses.fields(GroupShape):
-            if f.name != "sealed":
+            if f.compare:
                 assert getattr(got.shape, f.name) == getattr(record.shape, f.name), f.name
+        assert got.selects == record.selects
         # ``1``, ``1.0``, ``"1"``, ``True`` and ``None`` stay what they were.
         assert repr(got) == repr(record)
-        assert got.member_keys() == keys
-        for mine, theirs in zip(got.members, record.members):
+        assert member_keys(got) == member_keys(record)
+        for mine, theirs in zip(got.shape.members, record.shape.members):
             # RewrittenQuery compares by identity, hence field by field.
-            assert flat_fields(got.expand(mine)) == flat_fields(record.expand(theirs))
+            assert flat_fields(expand(got, mine)) == flat_fields(expand(record, theirs))
 
     @COMMON
     @given(batch=st.tuples(notifications), ident=idents)
@@ -387,7 +389,6 @@ RECORD_SAMPLES = [
     QuerySide("R", AttrRef("R", "B"), (LocalFilter("A", 1),)),
     Subscriber("n1", MAX_IDENT, "10.0.0.1"),
     BASE_QUERY,
-    BoundValue(1.0),
     PendingAttr("D"),
     GroupMember("q#1", Subscriber("n1", 1, "ip"), 1.0, 0),
     group_record().shape,
@@ -410,6 +411,16 @@ RECORD_SAMPLES = [
     frames.MemberUpdate((PeerInfo(1, "h", 2),)),
     frames.Heartbeat(4),
 ]
+
+
+#: A select item's position that does not fit, from ``len(bound)``.
+BAD_POSITIONS = {
+    "select_item_past_bound": lambda n: n,
+    "position_gap": lambda n: n + 1,
+    "negative_position": lambda n: -1,
+    "float_position": lambda n: 1.0,
+    "bool_position": lambda n: True,
+}
 
 
 class TestSealedShape:
@@ -451,7 +462,7 @@ class TestSealedShape:
         assert record.shape.sealed is not None
         assert record.restrict((0, 2)).shape.sealed is None
         assert all(part.shape.sealed is None for part in record.split())
-        assert roundtrip(record.restrict((0, 2))).member_keys() == (
+        assert member_keys(roundtrip(record.restrict((0, 2)))) == (
             "q#0+10+7", "q#2+10+7"
         )
 
@@ -463,7 +474,13 @@ class TestSealedShape:
             "long_length",
             "trailing_inner_bytes",
             "select_index_out_of_range",
+            "select_item_past_bound",
+            "position_gap",
+            "negative_position",
+            "float_position",
+            "bool_position",
             "bound_values_missing",
+            "bound_values_extra",
         ],
     )
     def test_garbled_shape_raises_and_is_never_interned(self, garble):
@@ -495,12 +512,28 @@ class TestSealedShape:
                 members=(GroupMember("q", Subscriber("n", 1, "ip"), 0.0, 2),),
             )
             payload = encode(dataclasses.replace(record, shape=shape))
+        elif garble in BAD_POSITIONS:
+            # One more select list, reading the first bound value and then
+            # a position past the record's ``bound`` (a sound shape that
+            # binds one value more), or one no shape may hold: leaving a
+            # gap, negative, or not an int at all (``True == 1`` and
+            # ``1.0 == 1`` in Python).
+            position = BAD_POSITIONS[garble](len(record.bound))
+            shape = dataclasses.replace(
+                record.shape,
+                sealed=None,
+                select_specs=record.shape.select_specs + ((0, position),),
+            )
+            payload = encode(dataclasses.replace(record, shape=shape))
+        elif garble == "bound_values_extra":
+            payload = encode(dataclasses.replace(record, bound=record.bound + (1,)))
         else:
             payload = encode(dataclasses.replace(record, bound=record.bound[:-1]))
         before = dict(codec._SHAPE_TABLE)
         with pytest.raises(CodecError):
             decode(payload)
-        if garble != "bound_values_missing":  # there the shape itself is sound
+        sound_shape = garble.startswith("bound_values") or garble.endswith("past_bound")
+        if not sound_shape:  # only a sound shape may enter the table
             assert codec._SHAPE_TABLE == before
         # The honest bytes still decode, and intern, afterwards.
         assert decode(encode(record)) == record
@@ -540,12 +573,12 @@ class TestFraming:
             decode_header(frame[:HEADER_SIZE])
 
     def test_previous_version_rejected(self):
-        """Version 2 shipped every member, select item and suffix of a
-        group record per trigger; a peer still speaking it must be
-        refused, not misparsed."""
-        assert PROTOCOL_VERSION == 3
-        header = struct.pack(">2sBI", MAGIC, 2, 0)
-        with pytest.raises(CodecError, match=r"version 2 \(this peer speaks 3\)"):
+        """Version 3 bound one trigger value per bound select item, in
+        list order; a peer still speaking it must be refused, not
+        misparsed."""
+        assert PROTOCOL_VERSION == 4
+        header = struct.pack(">2sBI", MAGIC, 3, 0)
+        with pytest.raises(CodecError, match=r"version 3 \(this peer speaks 4\)"):
             decode_header(header)
 
     def test_unknown_version_rejected(self):

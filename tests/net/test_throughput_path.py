@@ -218,8 +218,9 @@ class TestMultiPeekAndSplice:
 
 
 def join_group_message():
-    """A ``join()`` carrying one group record: two select lists, three
-    members, the join-condition fields once."""
+    """A ``join()`` carrying one group record: three select lists, two of
+    which read the same trigger attribute (one bound value and one
+    suffix for both), three members, the join-condition fields once."""
     subscriber = Subscriber("n7", 2**100 + 7, "10.0.0.7")
     shape = GroupShape(
         group_signature="R:R.B[]=S:S.E[F=1]",
@@ -230,12 +231,16 @@ def join_group_message():
         members=(
             GroupMember("n7#1", subscriber, 1.0, 0),
             GroupMember("n9#4", Subscriber("n9", 9, "10.0.0.9"), 2.0, 1),
-            GroupMember("n7#2", subscriber, 3.0, 0),
+            GroupMember("n7#2", subscriber, 3.0, 2),
         ),
-        select_specs=((None, PendingAttr("D")), (PendingAttr("D"), None, None)),
+        select_specs=(
+            (0, PendingAttr("D")),
+            (PendingAttr("D"), 1, 2),
+            (0, PendingAttr("F")),
+        ),
     )
     record = bind(shape, 7, 7, 5.0, (10, "x", 2.5))
-    assert record.suffixes == ("+10+7", "+x+2.5+7")
+    assert record.suffixes == ("+10+7", "+x+2.5+7", "+10+7")
     return JoinMessage(rewritten=(record,))
 
 
@@ -247,8 +252,9 @@ class TestGoldenWireBytes:
     re-stamped with the version byte each time ``join()`` changed what it
     carries — version 2: one group record instead of one flat record per
     rewritten query; version 3: the record as a sealed shape plus the
-    trigger's values.  ``join_group`` is the only frame whose payload
-    those changed.
+    trigger's values; version 4: select items as positions into one bound
+    value per distinct trigger attribute.  ``join_group`` is the only
+    frame whose payload those changed.
     """
 
     GOLDEN = json.loads(

@@ -19,6 +19,8 @@ from repro.sql.query import rewrite as rewrite_group
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple
 
+from ..core.reference_rewriter import expand, member_keys
+
 R = Relation("R", ("A", "B", "C"))
 S = Relation("S", ("D", "E", "F"))
 SUB = Subscriber("n1", 42, "10.0.0.1")
@@ -34,8 +36,8 @@ def simple_query(**kwargs):
 def rewrite(query, label, trigger):
     """A lone query is a group of one: its only member, expanded."""
     record = rewrite_group(query, label, trigger)
-    (member,) = record.members
-    return record.expand(member)
+    (member,) = record.shape.members
+    return expand(record, member)
 
 
 def r_tuple(a, b, c, pub=5.0):
@@ -268,21 +270,21 @@ class TestRewrittenGroup:
         record = rewrite_group(group, LEFT, r_tuple(10, 7, 3))
         assert record.required_value == record.dis_value == 7
         assert record.suffixes == ("+10+7", "+3+7")
-        assert [m.select_index for m in record.members] == [0, 1, 0]
-        assert record.member_keys() == ("q1+10+7", "q2+3+7", "q3+10+7")
-        flat = record.expand(record.members[1])
+        assert [m.select_index for m in record.shape.members] == [0, 1, 0]
+        assert member_keys(record) == ("q1+10+7", "q2+3+7", "q3+10+7")
+        flat = expand(record, record.shape.members[1])
         assert flat.key == "q2+3+7" and flat.original_key == "q2"
         assert flat.select == (BoundValue(3), PendingAttr("D"))
 
     def test_replica_copies_of_a_query_are_one_member(self):
         query = self.query("q1")
         record = rewrite_group(self.Group(query, query), LEFT, r_tuple(10, 7, 0))
-        assert len(record.members) == 1
+        assert len(record.shape.members) == 1
 
     def test_members_younger_than_the_trigger_are_left_out(self):
         group = self.Group(self.query("old"), self.query("new", insertion_time=9.0))
         record = rewrite_group(group, LEFT, r_tuple(10, 7, 0, pub=5.0))
-        assert [m.query_key for m in record.members] == ["old"]
+        assert [m.query_key for m in record.shape.members] == ["old"]
         assert rewrite_group(group, LEFT, r_tuple(10, 7, 0, pub=0.5)) is None
 
     def test_index_side_filter_rejects_the_whole_group(self):
@@ -295,7 +297,6 @@ class TestRewrittenGroup:
     def test_restrict_keeps_the_chosen_members(self):
         group = self.Group(self.query("q1"), self.query("q2"), self.query("q3"))
         record = rewrite_group(group, LEFT, r_tuple(10, 7, 0))
-        record.member_keys()
         kept = record.restrict((0, 2))
-        assert [m.query_key for m in kept.members] == ["q1", "q3"]
-        assert kept.member_keys() == ("q1+10+7", "q3+10+7")
+        assert [m.query_key for m in kept.shape.members] == ["q1", "q3"]
+        assert member_keys(kept) == ("q1+10+7", "q3+10+7")

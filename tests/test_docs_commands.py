@@ -33,7 +33,8 @@ COMMAND_SOURCES = (
 #: import systems beside the experiment database), the uvloop switch,
 #: the per-figure sweep functions with their pool, CLI and test hook,
 #: the second scheduler and recursive-sweep bodies, helpers that only
-#: tests called, and the load generator beside the live driver.
+#: tests called, the load generator beside the live driver, and the flat
+#: per-member rewritten query with the per-key DAI-T memory.
 DELETED = (
     "EventRing",
     "run_stream",
@@ -60,6 +61,11 @@ DELETED = (
     "run_load_sync",
     "check_against_simulator",
     "LiveReport",
+    "RewrittenQuery",
+    "RewrittenGroup.expand",
+    "record.expand(",
+    "side_needed_attributes",
+    "sent_rewritten_keys",
 )
 
 
