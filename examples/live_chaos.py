@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Chaos over TCP: a live ring surviving injected wire faults.
 
-Boots a 6-node cluster of real asyncio TCP peers, then replays a seeded
-workload while a :class:`~repro.net.chaos.LiveChaos` layer attacks the
-transport with the acceptance preset: 5% of connection attempts refused,
-5% of frames faulted on write (reset / truncated / garbled), one asymmetric
-network partition mid-run, and two live crash/restart cycles — each
-crash kills a node's server and event loop tasks for real, each restart
-rejoins on a fresh port and recovers its state through the soft-state
-lease protocol.
+Boots a 6-node cluster of real asyncio TCP peers, then streams a seeded
+workload through the one live driver (``LiveCluster.run``) while a
+:class:`~repro.net.chaos.LiveChaos` layer attacks the transport with the
+acceptance preset: 5% of connection attempts refused, 5% of frames
+faulted on write (reset / truncated / garbled), one asymmetric network
+partition mid-stream, and two live crash/restart cycles, placed at
+publish indexes of the tuple stream — each crash kills a node's server
+and event loop tasks for real, each restart rejoins on a fresh port and
+recovers its state through the soft-state lease protocol.
 
 The heartbeat failure detector suspects unresponsive peers (routing
 falls back to ring successors), jittered exponential backoff absorbs
@@ -33,8 +34,8 @@ knobs (see ``parse_chaos_spec``).
 import asyncio
 
 from repro.faults.plan import FaultPlan, NetFaultSpec
-from repro.net.chaos import SoakSettings, run_chaos_soak, soak_reference
-from repro.net.cluster import ClusterConfig
+from repro.net.chaos import SoakSettings, run_chaos_soak
+from repro.net.cluster import ClusterConfig, simulate_reference
 from repro.net.health import HealthConfig
 from repro.net.peer import NetConfig
 from repro.workload.generator import WorkloadParams, build_workload
@@ -85,31 +86,26 @@ def main() -> None:
         run_chaos_soak(workload, config=config, plan=PLAN, settings=SETTINGS)
     )
 
-    reference_digest, reference_delivered = soak_reference(
+    reference_digest, reference_delivered = simulate_reference(
         workload,
         algorithm=ALGORITHM,
         n_nodes=N_NODES,
         seed=SEED,
-        subscribers=SETTINGS.subscribers,
+        subscribers=report.subscribers,
     )
-    report.reference_digest = reference_digest
-    report.matches_reference = reference_digest == report.notification_digest
+    print(report.run.summary())
     print(report.summary())
     print(
         f"fault-free simulator oracle: {reference_delivered} notifications, "
         f"digest {reference_digest[:12]}"
     )
 
-    if report.duplicate_deliveries:
-        raise SystemExit(
-            f"FAIL: {report.duplicate_deliveries} duplicate deliveries"
-        )
-    if not report.within_budget:
-        raise SystemExit(
-            f"FAIL: peak in-flight {report.peak_in_flight} exceeded "
-            f"budget {report.credit_budget}"
-        )
-    if not report.matches_reference:
+    if not report.ok:
+        raise SystemExit("FAIL: duplicate deliveries or credit budget exceeded")
+    if (report.run.digest, report.run.notifications) != (
+        reference_digest,
+        reference_delivered,
+    ):
         raise SystemExit("MISMATCH: chaos run diverged from the simulator")
     print(
         "survived the storm: exactly-once delivery, digest identical to "

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..chord.network import ChordNetwork
+from ..chord.node import ChordNode
 from ..core.engine import ContinuousQueryEngine, EngineConfig
 from ..core.metrics import LoadSnapshot
 from ..core.oracle import CentralizedOracle
@@ -150,15 +151,27 @@ def run_workload(
     collect_per_tuple_hops: bool = False,
     evict_every: int = 64,
     seed: int = 1,
+    origins: Optional[Sequence[ChordNode]] = None,
 ) -> RunResult:
     """Replay a workload against an engine and collect measurements.
 
     Origin nodes for subscriptions/insertions are drawn uniformly (the
-    system model lets every node insert data and pose queries).  When a
-    sliding window is configured, value-level state is evicted every
-    ``evict_every`` events so storage gauges track the window.
+    system model lets every node insert data and pose queries), one
+    draw per event: from ``origins`` (a fixed, identifier-ordered pool,
+    e.g. a chaos soak's protected subscribers) when given, else from the
+    live ring.  When a sliding window is configured, value-level state
+    is evicted every ``evict_every`` events so storage gauges track the
+    window.
     """
     rng = random.Random(seed)
+    if origins is None:
+        draw = engine.network.random_node
+    else:
+        pool = tuple(origins)
+
+        def draw(rng) -> ChordNode:
+            return pool[rng.randrange(len(pool))]
+
     window = engine.config.window
     oracle = CentralizedOracle(window=window) if with_oracle else None
     queries: list[JoinQuery] = []
@@ -175,7 +188,7 @@ def run_workload(
     with CollectorPause() as pause:
         for event in workload:
             engine.clock.advance_to(event.time)
-            origin = engine.network.random_node(rng)
+            origin = draw(rng)
             if event.kind == "query":
                 if in_stream_phase:
                     raise ValueError("workloads must install all queries first")

@@ -29,10 +29,12 @@ duplicates; exactly-once delivery then rests on the same soft-state
 recovery model the simulator proves out — leases, windowed
 republication, and subscriber-side dedup.
 
-The proof obligation is :func:`run_chaos_soak`: replay a workload under
-sustained faults, heal, recover, and end with a notification digest
-**equal to the fault-free simulator's** (same workload, same seed,
-same origin-selection RNG stream), zero duplicate notifications, and a
+The proof obligation is :func:`run_chaos_soak`: stream a workload
+through the one live driver (:meth:`~repro.net.cluster.LiveCluster.run`)
+under sustained faults, heal, recover, and end with a notification
+digest **equal to the fault-free simulator's**
+(:func:`~repro.net.cluster.simulate_reference`: same workload, same
+seed, same origin pool and draws), zero duplicate notifications, and a
 peak in-flight load within the configured credit budget.  Runnable via
 ``python -m repro.net.cluster --chaos default --compare-sim``.
 
@@ -46,25 +48,22 @@ framework's contract.
 
 from __future__ import annotations
 
-import asyncio
-import json
 import random
-from collections import Counter
-from dataclasses import asdict, dataclass, field
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from ..chord.network import ChordNetwork
-from ..core.engine import ContinuousQueryEngine, EngineConfig
+from ..core.engine import ContinuousQueryEngine
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan, NetFaultSpec
 from ..faults.recovery import ChaosHarness
-from ..workload.generator import Workload, WorkloadParams, build_workload
+from ..workload.generator import Workload
 from .codec import HEADER_SIZE
-from .health import HealthConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chord.node import ChordNode
-    from .cluster import ClusterConfig, LiveCluster
+    from .cluster import ClusterConfig, LiveCluster, LoadReport
 
 
 class LiveChaos:
@@ -171,18 +170,18 @@ class LiveChaos:
 class SoakSettings:
     """Shape of one chaos soak (what happens beyond the fault plan)."""
 
-    #: Live crash/restart cycles spread across the workload.
+    #: Live crash/restart cycles spread across the tuple stream.
     crashes: int = 2
-    #: Workload events between a crash and its restart (0 = auto).
+    #: Publishes between a crash and its restart (0 = auto).
     restart_lag: int = 0
     #: Inject one partition episode.
     partition: bool = True
     #: One-way partition (B still reaches A) instead of a full split.
     asymmetric: bool = True
-    #: Fraction of the workload at which the partition opens/closes.
+    #: Fraction of the tuple stream at which the partition opens/closes.
     partition_start: float = 0.45
     partition_length: float = 0.15
-    #: Size of the protected subscriber pool queries originate from.
+    #: Size of the protected subscriber pool every origin is drawn from.
     subscribers: int = 2
     #: Ceiling on post-workload recovery rounds.
     settle_rounds: int = 8
@@ -198,13 +197,14 @@ class SoakSettings:
 
 @dataclass
 class ChaosSoakReport:
-    """Outcome of one soak, with everything the acceptance gate checks."""
+    """One soak: the run's :class:`~repro.net.cluster.LoadReport`, whose
+    digest, count and peak in-flight are taken after recovery, plus what
+    only a soak has."""
 
-    algorithm: str
-    n_nodes: int
-    n_events: int
-    notifications_delivered: int
-    notification_digest: str
+    run: "LoadReport"
+    #: Size of the protected origin pool; the fault-free reference is
+    #: ``simulate_reference(..., subscribers=subscribers)``.
+    subscribers: int
     #: Duplicate identities in the *delivered* streams — the
     #: exactly-once gate; must be zero.
     duplicate_deliveries: int
@@ -216,51 +216,59 @@ class ChaosSoakReport:
     #: in the synchronous simulator.
     redundant_arrivals: int
     suppressed_renotifications: int
-    peak_in_flight: int
     credit_budget: Optional[int]
-    frames_shed: int
     crashes: int
     restarts: int
     suspicions: int
     crash_frame_losses: int
     frames_written_off: int
-    absorbed_faults: int
+    #: Failures the tolerant drains absorbed, by exception type.
+    absorbed_faults: dict = field(default_factory=dict)
     chaos: dict = field(default_factory=dict)
-    reference_digest: Optional[str] = None
-    matches_reference: Optional[bool] = None
 
     @property
     def within_budget(self) -> bool:
-        return self.credit_budget is None or self.peak_in_flight <= self.credit_budget
+        return self.credit_budget is None or self.run.peak_in_flight <= self.credit_budget
+
+    @property
+    def ok(self) -> bool:
+        """Exactly once and within the credit budget (the oracle is the
+        caller's check)."""
+        return self.duplicate_deliveries == 0 and self.within_budget
+
+    def as_dict(self) -> dict:
+        """Every field but ``run`` (which has its own row)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "run"}
 
     def summary(self) -> str:
+        chaos = self.chaos
+        absorbed = ", ".join(
+            f"{count} {kind}" for kind, count in sorted(self.absorbed_faults.items())
+        )
         lines = [
-            f"chaos soak {self.algorithm}: {self.n_nodes} nodes, "
-            f"{self.n_events} events, {self.crashes} crashes / "
-            f"{self.restarts} restarts, "
-            f"{self.chaos.get('partitions', 0)} partition episode(s)",
-            f"  wire: {self.chaos.get('connects_refused', 0)} refusals, "
-            f"{self.chaos.get('frames_reset', 0)} resets, "
-            f"{self.chaos.get('frames_truncated', 0)} truncations, "
-            f"{self.chaos.get('frames_garbled', 0)} garbles, "
-            f"{self.chaos.get('blocked_sends', 0)} partition-blocked sends",
+            f"chaos soak {self.run.algorithm}: {self.run.n_tuples} tuples, "
+            f"{self.crashes} crashes / {self.restarts} restarts, "
+            f"{chaos.get('partitions', 0)} partition episode(s)",
+            f"  wire: {chaos.get('connects_refused', 0)} refusals, "
+            f"{chaos.get('frames_reset', 0)} resets, "
+            f"{chaos.get('frames_truncated', 0)} truncations, "
+            f"{chaos.get('frames_garbled', 0)} garbles, "
+            f"{chaos.get('blocked_sends', 0)} partition-blocked sends",
             f"  recovery: {self.crash_frame_losses} crash losses, "
             f"{self.frames_written_off} written off, "
-            f"{self.absorbed_faults} absorbed faults, "
+            f"absorbed faults: {absorbed or 'none'}, "
             f"{self.suspicions} suspicions, "
             f"{self.suppressed_renotifications} re-notifications suppressed",
-            f"  result: {self.notifications_delivered} notifications, "
-            f"{self.duplicate_deliveries} duplicates "
+            f"  result: {self.duplicate_deliveries} duplicates "
             f"({self.redundant_arrivals} redundant arrivals deduped), "
-            f"peak in-flight "
-            f"{self.peak_in_flight}/{self.credit_budget}, "
-            f"digest {self.notification_digest[:12]}",
+            f"peak in-flight {self.run.peak_in_flight}/{self.credit_budget}",
         ]
-        if self.matches_reference is not None:
-            verdict = "MATCH" if self.matches_reference else "MISMATCH"
+        if self.duplicate_deliveries:
+            lines.append(f"FAIL: {self.duplicate_deliveries} duplicate deliveries")
+        if not self.within_budget:
             lines.append(
-                f"  fault-free reference {str(self.reference_digest)[:12]} "
-                f"-> {verdict}"
+                f"FAIL: peak in-flight {self.run.peak_in_flight} exceeded "
+                f"budget {self.credit_budget}"
             )
         return "\n".join(lines)
 
@@ -277,69 +285,6 @@ def delivered_duplicates(engine: ContinuousQueryEngine) -> int:
         identities = [notification.identity for notification in batch]
         duplicates += len(identities) - len(set(identities))
     return duplicates
-
-
-def subscriber_pool(network: ChordNetwork, size: int) -> list["ChordNode"]:
-    """The fixed, protected pool every query originates from.
-
-    Query keys embed the origin's node key, so the live run and the
-    fault-free reference must pick origins from an identical,
-    membership-independent pool with an identical RNG stream — and the
-    pool must be protected from crashes (a subscriber holds the query
-    leases and the delivered-identity sets that make recovery
-    exactly-once).  ``network.nodes`` is identifier-sorted and
-    ``ChordNetwork.build`` is deterministic, so the first ``size``
-    nodes are the same in both worlds.
-    """
-    nodes = network.nodes
-    return nodes[: max(1, min(size, len(nodes)))]
-
-
-def drive_event(engine: ContinuousQueryEngine, event, rng, pool) -> None:
-    """One workload event, identically in the live soak and reference.
-
-    Exactly one RNG draw per event (the origin pick over the fixed
-    pool), so the streams cannot diverge however the memberships do.
-    """
-    engine.clock.advance_to(event.time)
-    origin = pool[rng.randrange(len(pool))]
-    if event.kind == "query":
-        engine.subscribe(origin, event.payload)
-    else:
-        relation, values = event.payload
-        engine.publish(origin, relation, values)
-
-
-def soak_reference(
-    workload: Workload,
-    *,
-    algorithm: str,
-    n_nodes: int,
-    seed: int,
-    subscribers: int = 2,
-    engine_overrides: Optional[dict] = None,
-    evict_every: int = 64,
-) -> tuple[str, int]:
-    """The fault-free oracle for a soak: same loop, simulator transport."""
-    from ..bench.rows import notification_digest
-
-    engine = ContinuousQueryEngine(
-        ChordNetwork.build(n_nodes),
-        EngineConfig(algorithm=algorithm, seed=seed, **(engine_overrides or {})),
-    )
-    rng = random.Random(seed)
-    pool = subscriber_pool(engine.network, subscribers)
-    events_since_evict = 0
-    for event in workload:
-        drive_event(engine, event, rng, pool)
-        events_since_evict += 1
-        if engine.config.window is not None and events_since_evict >= evict_every:
-            engine.evict_expired()
-            events_since_evict = 0
-    if engine.config.window is not None:
-        engine.evict_expired()
-    delivered = sum(len(batch) for batch in engine.delivered.values())
-    return notification_digest(engine), delivered
 
 
 class ChaosController:
@@ -408,13 +353,13 @@ class ChaosController:
             restarted.append(node)
         return restarted
 
-    def begin_partition(self, *, asymmetric: bool = True) -> None:
+    async def begin_partition(self, *, asymmetric: bool = True) -> None:
         """Split the current ring in half (identifier order)."""
         idents = [node.ident for node in self.cluster.network.nodes]
         half = max(1, len(idents) // 2)
         self.chaos.partition(idents[:half], idents[half:], asymmetric=asymmetric)
 
-    def heal_partition(self) -> None:
+    async def heal_partition(self) -> None:
         self.chaos.heal()
 
     async def settle(self, *, max_rounds: int = 8) -> str:
@@ -448,13 +393,21 @@ async def run_chaos_soak(
     plan: FaultPlan,
     settings: Optional[SoakSettings] = None,
 ) -> ChaosSoakReport:
-    """Replay ``workload`` on a live ring under sustained chaos.
+    """Stream ``workload`` through :meth:`LiveCluster.run` under
+    sustained chaos.
 
-    Faults run for the whole workload; crashes and the partition episode
-    are placed at fixed event indexes; afterwards everything heals,
-    every crashed node restarts, and recovery rounds run until the
-    delivered-notification digest is stable.  The caller checks the
-    report against :func:`soak_reference` (the CLI and CI do).
+    Faults run for the whole workload; crashes, restarts and the
+    partition episode fire at fixed publish indexes of the tuple stream.
+    Every origin is drawn from the protected subscriber pool — the first
+    ``settings.subscribers`` nodes in identifier order, never crashed:
+    query keys embed the origin's node key, and a subscriber holds the
+    query leases and the delivered-identity sets that make recovery
+    exactly-once.  ``ChordNetwork.build`` is deterministic, so the
+    reference draws the identical pool and stream.  After the run
+    everything heals, every crashed node restarts, and recovery rounds
+    run until the delivered-notification digest is stable.  The caller
+    checks the report against ``simulate_reference(...,
+    subscribers=report.subscribers)`` (the CLI and CI do).
     """
     from ..bench.rows import notification_digest
     from .cluster import LiveCluster
@@ -466,89 +419,60 @@ async def run_chaos_soak(
     await cluster.start()
     try:
         engine = cluster.engine
-        pool = subscriber_pool(cluster.network, settings.subscribers)
+        pool = cluster.network.nodes[: settings.subscribers]
         harness = ChaosHarness(
             engine, chaos.injector, protect=[node.ident for node in pool]
         )
         controller = ChaosController(cluster, harness, chaos)
 
-        events = list(workload)
-        total = len(events)
-        rng = random.Random(config.seed)
-
-        crash_at: Counter = Counter()
-        restart_at: Counter = Counter()
+        total = workload.n_tuples
+        schedule: dict[int, list] = defaultdict(list)
+        if settings.partition and total >= 4:
+            start = int(total * settings.partition_start)
+            schedule[start].append(
+                partial(controller.begin_partition, asymmetric=settings.asymmetric)
+            )
+            stop = start + max(1, int(total * settings.partition_length))
+            schedule[min(total - 1, stop)].append(controller.heal_partition)
         unprotected = config.n_nodes - len(pool)
         crashes = min(settings.crashes, max(0, unprotected - 1))
         if crashes and total:
             lag = settings.restart_lag or max(3, total // 8)
             for index in range(crashes):
                 at = min(total - 1, round(total * (index + 1) / (crashes + 1)))
-                crash_at[at] += 1
+                schedule[at].append(controller.crash)
                 if at + lag < total:
-                    restart_at[at + lag] += 1
-        part_open = part_close = None
-        if settings.partition and total >= 4:
-            part_open = int(total * settings.partition_start)
-            part_close = min(
-                total - 1,
-                part_open + max(1, int(total * settings.partition_length)),
-            )
+                    schedule[at + lag].append(controller.restart)
 
-        events_since_evict = 0
-        for index, event in enumerate(events):
-            await cluster.in_flight.wait_below_budget(config.quiesce_timeout)
-            drive_event(engine, event, rng, pool)
-            await cluster.drain(tolerate_failures=True)
-            events_since_evict += 1
-            if (
-                engine.config.window is not None
-                and events_since_evict >= 64
-            ):
-                engine.evict_expired()
-                events_since_evict = 0
-            if index == part_open:
-                controller.begin_partition(asymmetric=settings.asymmetric)
-            if index == part_close:
-                controller.heal_partition()
-            for _ in range(crash_at.get(index, 0)):
-                await controller.crash()
-            for _ in range(restart_at.get(index, 0)):
-                await controller.restart()
-        if engine.config.window is not None:
-            engine.evict_expired()
-
-        controller.heal_partition()
+        report = await cluster.run(workload, origins=pool, schedule=schedule)
+        await controller.heal_partition()
         await controller.restart_all()
         digest = await controller.settle(max_rounds=settings.settle_rounds)
 
-        suspicions = sum(
-            peer.detector.suspicions
-            for peer in cluster.peers.values()
-            if peer.detector is not None
-        )
         return ChaosSoakReport(
-            algorithm=engine.config.algorithm,
-            n_nodes=config.n_nodes,
-            n_events=total,
-            notifications_delivered=sum(
-                len(batch) for batch in engine.delivered.values()
+            run=replace(
+                report,
+                digest=digest,
+                notifications=sum(len(batch) for batch in engine.delivered.values()),
+                peak_in_flight=cluster.in_flight.peak,
             ),
-            notification_digest=digest,
+            subscribers=len(pool),
             duplicate_deliveries=delivered_duplicates(engine),
             redundant_arrivals=engine.duplicate_deliveries,
             suppressed_renotifications=engine.suppressed_renotifications,
-            peak_in_flight=cluster.in_flight.peak,
             credit_budget=cluster.in_flight.budget,
-            frames_shed=sum(
-                peer.frames_shed for peer in cluster.peers.values()
-            ),
             crashes=controller.crashes,
             restarts=controller.restarts,
-            suspicions=suspicions,
+            suspicions=sum(
+                peer.detector.suspicions
+                for peer in cluster.peers.values()
+                if peer.detector is not None
+            ),
             crash_frame_losses=cluster.crash_frame_losses,
             frames_written_off=cluster.frames_written_off,
-            absorbed_faults=len(cluster.fault_log),
+            absorbed_faults=dict(
+                Counter(type(fault).__name__ for fault in cluster.fault_log)
+            ),
             chaos=chaos.snapshot(),
         )
     finally:
@@ -613,62 +537,3 @@ def parse_chaos_spec(spec: str) -> tuple[FaultPlan, SoakSettings]:
         settle_rounds=iget("settle", 8),
     )
     return plan, settings
-
-
-def run_soak_cli(args, algorithm: str) -> int:
-    """Back half of ``python -m repro.net.cluster --chaos ...``: one
-    algorithm's soak, judged (and printed) on its own."""
-    from .cluster import ClusterConfig
-    from .peer import NetConfig
-
-    plan, settings = parse_chaos_spec(args.chaos)
-    workload = build_workload(
-        WorkloadParams(
-            n_queries=args.queries,
-            n_tuples=args.tuples,
-            domain_size=args.domain_size,
-            seed=args.seed,
-        )
-    )
-    config = ClusterConfig(
-        algorithm=algorithm,
-        n_nodes=args.nodes,
-        seed=args.seed,
-        net=NetConfig.from_fault_plan(plan),
-        health=HealthConfig(),
-    )
-    report = asyncio.run(
-        run_chaos_soak(workload, config=config, plan=plan, settings=settings)
-    )
-    if args.compare_sim:
-        reference_digest, _ = soak_reference(
-            workload,
-            algorithm=algorithm,
-            n_nodes=args.nodes,
-            seed=args.seed,
-            subscribers=settings.subscribers,
-        )
-        report.reference_digest = reference_digest
-        report.matches_reference = (
-            reference_digest == report.notification_digest
-        )
-
-    exactly_once = report.duplicate_deliveries == 0
-    ok = (
-        exactly_once
-        and report.within_budget
-        and report.matches_reference is not False
-    )
-    if args.json:
-        payload = {**asdict(report), "ok": ok}
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(report.summary())
-        if not exactly_once:
-            print(f"FAIL: {report.duplicate_deliveries} duplicate deliveries")
-        if not report.within_budget:
-            print(
-                f"FAIL: peak in-flight {report.peak_in_flight} exceeded "
-                f"budget {report.credit_budget}"
-            )
-    return 0 if ok else 1

@@ -29,11 +29,11 @@ it::
     python -m repro.net.cluster --algorithm all --nodes 6 --compare-sim
 
 which exits non-zero on any divergence.  With ``--chaos`` the same
-command runs the fault-tolerance soak instead (:mod:`repro.net.chaos`):
-seeded connection faults, one partition episode and live crash/restarts
-are injected while the workload replays, and the run must still
-converge to the fault-free simulator digest with zero duplicate
-notifications.
+command runs the fault-tolerance soak (:mod:`repro.net.chaos`) through
+this same driver: seeded connection faults, one partition episode and
+live crash/restarts fire at publish indexes of the stream, and after
+recovery the run must still equal the fault-free simulator digest with
+zero duplicate notifications.
 
 The committed live points are ``live`` rows of ``BENCH_baseline.json``:
 ``python -m repro.expdb gate`` re-runs them through
@@ -51,9 +51,10 @@ import random
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Awaitable, Callable, Mapping, Optional, Sequence
 
 from ..chord.network import ChordNetwork
+from ..chord.node import ChordNode
 from ..core.engine import ContinuousQueryEngine, EngineConfig
 from ..errors import NetworkError, QuiesceTimeout
 from ..sim.stats import TrafficSnapshot, TrafficStats
@@ -494,12 +495,24 @@ class LiveCluster:
                 f"first: {first!r}"
             ) from first
 
-    async def run(self, workload: Workload) -> LoadReport:
+    async def run(
+        self,
+        workload: Workload,
+        *,
+        origins: Optional[Sequence[ChordNode]] = None,
+        schedule: Optional[Mapping[int, Sequence[Callable[[], Awaitable]]]] = None,
+    ) -> LoadReport:
         """Replay ``workload``: install the queries and drain, stream the
         tuples gated only by the credit budget, drain once, measure.
 
-        Origins are drawn from the run seed, queries first, then tuples.
-        A windowed engine is refused before the first event.
+        Origins are drawn with the run seed, queries first, then tuples,
+        from ``origins``: a fixed, identifier-ordered tuple of nodes, the
+        whole ring by default (``nodes[rng.randrange(n)]`` is the node
+        ``network.random_node(rng)`` draws).  ``schedule`` maps publish
+        indexes of the tuple stream to actions awaited just before that
+        publish (a chaos soak's crashes, restarts and partition).  With a
+        chaos layer installed every drain is tolerant.  A windowed engine
+        is refused before the first event.
         """
         engine = self.engine
         if engine.config.window is not None:
@@ -513,6 +526,9 @@ class LiveCluster:
         rng = random.Random(self.config.seed)
         clock = time.perf_counter
         timeout = self.config.quiesce_timeout
+        tolerate = self.chaos is not None
+        origins = tuple(self.network.nodes if origins is None else origins)
+        n_origins = len(origins)
         query_events = [event for event in workload if event.kind == "query"]
         tuple_events = [event for event in workload if event.kind == "tuple"]
 
@@ -532,21 +548,24 @@ class LiveCluster:
         for event in query_events:
             await self.in_flight.wait_below_budget(timeout)
             engine.clock.advance_to(event.time)
-            origin = self.network.random_node(rng)
+            origin = origins[rng.randrange(n_origins)]
             bound = engine.subscribe(origin, event.payload)
             engine.add_notification_listener(bound.key, on_notification)
-        await self.drain()
+        await self.drain(tolerate_failures=tolerate)
         install_seconds = clock() - install_start
 
         stream_start = clock()
-        for event in tuple_events:
+        for index, event in enumerate(tuple_events):
+            if schedule is not None:
+                for action in schedule.get(index, ()):
+                    await action()
             await self.in_flight.wait_below_budget(timeout)
             engine.clock.advance_to(event.time)
-            origin = self.network.random_node(rng)
+            origin = origins[rng.randrange(n_origins)]
             relation, values = event.payload
             publish_wall[event.time] = clock()
             engine.publish(origin, relation, values)
-        await self.drain()
+        await self.drain(tolerate_failures=tolerate)
         stream_seconds = clock() - stream_start
 
         from ..bench.rows import load_to_row, notification_digest
@@ -583,9 +602,19 @@ async def run_live(
 
 
 def simulate_reference(
-    workload: Workload, *, algorithm: str, n_nodes: int, seed: int
+    workload: Workload,
+    *,
+    algorithm: str,
+    n_nodes: int,
+    seed: int,
+    subscribers: Optional[int] = None,
 ) -> tuple[str, int]:
-    """The simulator oracle: digest + delivery count for one workload."""
+    """The simulator oracle: digest + delivery count for one workload.
+
+    Origins are drawn like :meth:`LiveCluster.run` draws them: from the
+    whole ring, or — ``subscribers`` given — from the first that many
+    nodes in identifier order, a chaos soak's protected pool.
+    """
     from ..bench.harness import run_workload
     from ..bench.rows import notification_digest
 
@@ -593,7 +622,8 @@ def simulate_reference(
         ChordNetwork.build(n_nodes),
         EngineConfig(algorithm=algorithm, seed=seed),
     )
-    result = run_workload(engine, workload, seed=seed)
+    origins = None if subscribers is None else engine.network.nodes[:subscribers]
+    result = run_workload(engine, workload, seed=seed, origins=origins)
     return notification_digest(engine), result.notifications_delivered
 
 
@@ -624,12 +654,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         metavar="SPEC",
         default=None,
-        help="run the fault-tolerance soak instead: inject seeded "
-        "connection faults, a partition episode and live "
-        "crash/restarts while the workload replays.  SPEC is "
-        "'default' or comma-separated key=value pairs "
-        "(frame=0.05,connect=0.05,crashes=2,partition=1,seed=17,"
-        "attempts=4,backoff=0.02,jitter=0.5,subscribers=2)",
+        help="run the fault-tolerance soak instead: the same stream "
+        "under seeded connection faults, a partition episode and live "
+        "crash/restarts.  SPEC is 'default' or comma-separated "
+        "key=value pairs (frame=0.05,connect=0.05,crashes=2,partition=1,"
+        "seed=17,attempts=4,backoff=0.02,jitter=0.5,subscribers=2,"
+        "lag=0,settle=8)",
     )
     parser.add_argument(
         "--compare-sim",
@@ -649,10 +679,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     algorithms = ALGORITHMS if args.algorithm == "all" else (args.algorithm,)
     if args.chaos is not None:
-        from .chaos import run_soak_cli
+        from .chaos import parse_chaos_spec, run_chaos_soak
 
-        return max(run_soak_cli(args, algorithm) for algorithm in algorithms)
-
+        plan, settings = parse_chaos_spec(args.chaos)
     workload = build_workload(
         WorkloadParams(
             n_queries=args.queries,
@@ -663,26 +692,40 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     status = 0
     for algorithm in algorithms:
-        report = asyncio.run(
-            run_live(
-                workload,
-                ClusterConfig(
-                    algorithm=algorithm,
-                    n_nodes=args.nodes,
-                    seed=args.seed,
-                    net=NetConfig(credit_budget=CREDIT_BUDGET),
-                ),
+        shape = dict(algorithm=algorithm, n_nodes=args.nodes, seed=args.seed)
+        if args.chaos is None:
+            soak = None
+            report = asyncio.run(
+                run_live(
+                    workload,
+                    ClusterConfig(**shape, net=NetConfig(credit_budget=CREDIT_BUDGET)),
+                )
             )
-        )
+        else:
+            config = ClusterConfig(
+                **shape, net=NetConfig.from_fault_plan(plan), health=HealthConfig()
+            )
+            soak = asyncio.run(
+                run_chaos_soak(workload, config=config, plan=plan, settings=settings)
+            )
+            report = soak.run
         payload = {
             "algorithm": algorithm,
             **report.to_row(),
             "overlay_hops": report.traffic.hops,
             "messages": report.traffic.messages,
         }
+        ok = True
+        if soak is not None:
+            payload["soak"] = soak.as_dict()
+            ok = soak.ok
         if args.compare_sim:
             sim_digest, sim_delivered = simulate_reference(
-                workload, algorithm=algorithm, n_nodes=args.nodes, seed=args.seed
+                workload,
+                algorithm=algorithm,
+                n_nodes=args.nodes,
+                seed=args.seed,
+                subscribers=None if soak is None else soak.subscribers,
             )
             matches = (report.digest, report.notifications) == (
                 sim_digest,
@@ -691,11 +734,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             payload["sim_digest"] = sim_digest
             payload["sim_notifications_delivered"] = sim_delivered
             payload["matches_simulator"] = matches
-            status = status if matches else 1
+            ok = ok and matches
+        payload["ok"] = ok
+        status = status if ok else 1
         if args.json:
             print(json.dumps(payload, sort_keys=True))
             continue
         print(report.summary())
+        if soak is not None:
+            print(soak.summary())
         if args.compare_sim:
             print(
                 f"simulator digest {sim_digest[:12]} ({sim_delivered} "

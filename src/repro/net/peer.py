@@ -602,6 +602,11 @@ class _Outbox:
                         )
                         self._sent(items, sum(len(i.data) for i in items))
                 except (OSError, asyncio.TimeoutError, InjectedWireFault) as exc:
+                    if not batch:
+                        # abort() emptied the outbox (its peer crashed)
+                        # and the await surfaced this instead of the
+                        # cancellation: nothing is left to retry.
+                        return
                     failure, failed = exc, None
                     self.reset()
                     peer.note_send_failure(self.target_ident)

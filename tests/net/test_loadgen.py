@@ -13,6 +13,7 @@ refresh (after a loss) is equivalent to the one-shot form.
 
 import asyncio
 import logging
+import random
 
 import pytest
 
@@ -137,6 +138,31 @@ def test_pipelined_run_equals_simulator_without_settle(algorithm, seed, budget):
         assert repeated <= engine.suppressed_renotifications
     else:
         assert repeated == engine.suppressed_renotifications
+
+
+def test_default_origins_are_the_random_node_draws(monkeypatch):
+    """With the default origins, ``LiveCluster.run`` and
+    ``simulate_reference`` draw, event by event, the nodes
+    ``network.random_node`` draws for the same seed."""
+    drawn = []
+    for name in ("subscribe", "publish"):
+        real = getattr(ContinuousQueryEngine, name)
+
+        def spy(self, origin, *args, _real=real, **kwargs):
+            drawn.append(origin.ident)
+            return _real(self, origin, *args, **kwargs)
+
+        monkeypatch.setattr(ContinuousQueryEngine, name, spy)
+    workload = point_workload(3)
+    asyncio.run(run_live(workload, config("sai", 3)))
+    live = drawn[:]
+    drawn.clear()
+    simulate_reference(workload, algorithm="sai", n_nodes=N_NODES, seed=3)
+    network = ChordNetwork.build(N_NODES)
+    rng = random.Random(3)
+    expected = [network.random_node(rng).ident for _ in workload]
+    assert live == drawn == expected
+    assert len(set(expected)) > 1
 
 
 def test_a_live_row_that_leaves_the_simulator_cannot_finish(monkeypatch):

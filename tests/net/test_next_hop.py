@@ -9,21 +9,13 @@ to a crash must keep answering exactly.
 """
 
 import asyncio
-import random
 
 import pytest
 
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import ChaosHarness
-from repro.net.chaos import (
-    ChaosController,
-    LiveChaos,
-    delivered_duplicates,
-    drive_event,
-    soak_reference,
-    subscriber_pool,
-)
-from repro.net.cluster import ClusterConfig, LiveCluster
+from repro.net.chaos import ChaosController, LiveChaos, delivered_duplicates
+from repro.net.cluster import ClusterConfig, LiveCluster, simulate_reference
 from repro.net.health import FailureDetector, HealthConfig
 from repro.net.peer import NetConfig, NetPeer
 from repro.workload.generator import WorkloadParams, build_workload
@@ -117,24 +109,28 @@ class TestCrashDropsTheSnapshot:
             await cluster.start()
             try:
                 engine = cluster.engine
-                pool = subscriber_pool(cluster.network, 2)
+                pool = cluster.network.nodes[:2]
                 harness = ChaosHarness(
                     engine, chaos.injector, protect=[node.ident for node in pool]
                 )
                 controller = ChaosController(cluster, harness, chaos)
-                rng = random.Random(7)
-                events = list(workload)
                 seen = []
-                for index, event in enumerate(events):
-                    drive_event(engine, event, rng, pool)
-                    await cluster.drain(tolerate_failures=True)
-                    if index == len(events) // 3:
-                        seen.append(cluster.network.snapshot is not None)
-                        await controller.crash()
-                        seen.append(cluster.network.snapshot is None)
-                    if index == 2 * len(events) // 3:
-                        await controller.restart()
-                        seen.append(cluster.network.snapshot is None)
+
+                async def crash():
+                    seen.append(cluster.network.snapshot is not None)
+                    await controller.crash()
+                    seen.append(cluster.network.snapshot is None)
+
+                async def restart():
+                    await controller.restart()
+                    seen.append(cluster.network.snapshot is None)
+
+                tuples = workload.n_tuples
+                await cluster.run(
+                    workload,
+                    origins=pool,
+                    schedule={tuples // 3: [crash], 2 * tuples // 3: [restart]},
+                )
                 await controller.restart_all()
                 digest = await controller.settle()
                 return (
@@ -154,7 +150,7 @@ class TestCrashDropsTheSnapshot:
         # Exact before the crash; the object walk during and after it.
         assert seen == [True, True, True]
         assert (crashes, restarts) == (1, 1)
-        assert (digest, delivered) == soak_reference(
+        assert (digest, delivered) == simulate_reference(
             workload, algorithm="dai-t", n_nodes=4, seed=7, subscribers=2
         )
         assert duplicates == 0

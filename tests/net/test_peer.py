@@ -333,6 +333,49 @@ class TestFailureHandling:
         assert "retried 1 write(s), 0 frame(s) fell back" in records[0].getMessage()
         assert "ConnectionRefusedError" in records[0].getMessage()
 
+    def test_a_crash_during_a_refused_dial_ends_the_recovery(self, monkeypatch):
+        """A crash aborts an outbox whose recovery is dialling.  When the
+        dial's await surfaces the refused connect instead of the
+        cancellation (``asyncio.wait_for`` on Python 3.11 can), the
+        recovery must end quietly instead of retrying an emptied batch."""
+
+        async def scenario():
+            cluster = make_cluster()
+            await cluster.start()
+            try:
+                peer = next(iter(cluster.peers.values()))
+                other = next(
+                    ident for ident in peer.book if ident != peer.node.ident
+                )
+                peer._outboxes.pop(other, None)
+                recoveries = []
+
+                async def refused(*args, **kwargs):
+                    outbox = peer._outboxes[other]
+                    recoveries.append(outbox._recovery)
+                    for item in outbox.abort():
+                        cluster.frame_lost("crashed", item.labels)
+                    raise ConnectionRefusedError("refused while crashing")
+
+                monkeypatch.setattr(asyncio, "open_connection", refused)
+                cluster.in_flight.inc("unsubscribe")
+                peer.post(
+                    other,
+                    DirectFrame(message=UnsubscribeMessage(query_key="k")),
+                    weight=1,
+                )
+                while not recoveries:
+                    await asyncio.sleep(0.01)
+                (outcome,) = await asyncio.gather(*recoveries, return_exceptions=True)
+                assert outcome is None or isinstance(outcome, asyncio.CancelledError)
+                assert cluster.in_flight.count == 0
+                assert cluster.errors == []
+            finally:
+                cluster.errors.clear()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
     def test_unknown_address_fails_fast(self):
         async def scenario():
             cluster = make_cluster()

@@ -33,8 +33,9 @@ COMMAND_SOURCES = (
 #: import systems beside the experiment database), the uvloop switch,
 #: the per-figure sweep functions with their pool, CLI and test hook,
 #: the second scheduler and recursive-sweep bodies, helpers that only
-#: tests called, the load generator beside the live driver, and the flat
-#: per-member rewritten query with the per-key DAI-T memory.
+#: tests called, the load generator beside the live driver, the flat
+#: per-member rewritten query with the per-key DAI-T memory, and the
+#: chaos soak's own replay loop and reference.
 DELETED = (
     "EventRing",
     "run_stream",
@@ -66,6 +67,8 @@ DELETED = (
     "record.expand(",
     "side_needed_attributes",
     "sent_rewritten_keys",
+    "soak_reference",
+    "drive_event",
 )
 
 
