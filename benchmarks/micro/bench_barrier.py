@@ -14,16 +14,23 @@ Two costs recur at every epoch barrier of a full-feature sharded run:
   is timed alongside to keep the trade visible (the dict wins per
   lookup but costs an O(n) build and ~80 bytes/member, which is what
   capped ring size before §15).
+* **collector barrier** — the replay loops' collector pause
+  (DESIGN.md §17) keeps each epoch's survivors by freezing them.  One
+  barrier over 100k young survivors shaped like the successor lists a
+  ring build leaves behind, timed against the ``gc.collect(0)`` walk
+  it replaced.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import time
 
 from repro.chord.snapshot import SegmentMap
 from repro.core.base import NodeState
 from repro.core.tables import ValueLevelTupleTable
+from repro.sim.collector import CollectorPause
 
 from _common import best_of, report
 
@@ -66,6 +73,20 @@ def _loaded_state(ident: int, n_items: int, rng: random.Random) -> NodeState:
     for i in range(n_items):
         table.add(_Stored(_Tuple(rng.randrange(64), float(i))))
     return state
+
+
+def _barrier_ns(barrier, n_survivors: int, repeats: int = 3) -> float:
+    """Best wall time of one ``barrier(pause)`` over ``n_survivors``
+    young one-entry lists, each pointing at a node, in ns."""
+    best = float("inf")
+    for _ in range(repeats):
+        with CollectorPause() as pause:
+            successor_lists = [[_Node(i)] for i in range(n_survivors)]
+            start = time.perf_counter()
+            barrier(pause)
+            best = min(best, time.perf_counter() - start)
+        del successor_lists
+    return best * 1e9
 
 
 def run(
@@ -147,6 +168,21 @@ def run(
             best_of(partition_dict, loops=5) / n_records,
             n_records=n_records,
             build_ms=round(dict_build * 1e3, 2),
+        )
+    )
+
+    # ------------------------------------------------------------------
+    # Collector barrier: freeze the epoch's survivors vs walk them.
+    # ------------------------------------------------------------------
+    n_survivors = 100_000
+    rows.append(
+        report(
+            "barrier.freeze_survivors",
+            _barrier_ns(CollectorPause.freeze_survivors, n_survivors),
+            n_survivors=n_survivors,
+            young_collect_ns=round(
+                _barrier_ns(lambda pause: gc.collect(0), n_survivors), 1
+            ),
         )
     )
     return rows

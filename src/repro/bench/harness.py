@@ -183,8 +183,8 @@ def run_workload(
     events_since_evict = 0
     evictions = 0
 
-    # The replay makes no reference cycles, so the cycle collector only
-    # runs where the loop already pauses (see repro.sim.collector).
+    # The replay makes no reference cycles, so the cycle collector never
+    # runs inside; each barrier freezes survivors (see repro.sim.collector).
     with CollectorPause() as pause:
         for event in workload:
             engine.clock.advance_to(event.time)
@@ -212,7 +212,7 @@ def run_workload(
                 events_since_evict = 0
                 if window is not None:
                     evictions += engine.evict_expired()
-                pause.young()
+                pause.freeze_survivors()
 
         if window is not None:
             evictions += engine.evict_expired()

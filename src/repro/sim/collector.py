@@ -5,16 +5,16 @@ and keeps a large heap alive under them (every ``ChordNode``, its lists
 and dicts, every stored cohort).  None of that garbage is cyclic —
 reference counting frees it, and ``tests/sim/test_collector.py`` pins
 the invariant: a full collection after a run finds nothing — yet the
-automatic cycle collector re-walks the live heap again and again to
-prove so (25–40 % of a simulator run on a 20k-node ring).
+cycle collector re-walks the live heap again and again to prove so.
 
 :class:`CollectorPause` is the whole policy, used by exactly
 :func:`repro.bench.harness.run_workload` and
-:func:`repro.sim.shard.run_sharded`: automatic collection is off inside
-the loop, and each barrier the loop already has runs one *young*
-collection, so every surviving object is examined once, when it leaves
-the young generation, and memory stays bounded should a future path
-create young cycles.
+:func:`repro.sim.shard.run_sharded`: collection is off inside the loop,
+entry freezes the heap (ring, engine, workload) into the permanent
+generation no pass walks, and each barrier the loop already has freezes
+that epoch's survivors — an O(1) splice, not an O(survivors) walk.  The
+pause owns the permanent generation while inside; exit unfreezes it
+all, so the next full pass frees a finished ring.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import gc
 
 
 class CollectorPause:
-    """``with CollectorPause() as pause:`` — no automatic collection inside.
+    """``with CollectorPause() as pause:`` — no collection inside.
 
     A class rather than a ``@contextmanager`` generator: leaving the
     block must not allocate, or the first thing the re-enabled collector
@@ -36,20 +36,16 @@ class CollectorPause:
     def __enter__(self) -> "CollectorPause":
         self._was_enabled = gc.isenabled()
         gc.disable()
+        gc.freeze()
         return self
 
-    def young(self) -> None:
-        """The barrier step: one young-generation collection.
-
-        Generation 0 only — an older generation at every barrier pushes
-        the full-collection counter over its threshold, and the full
-        pass then runs the moment the collector is re-enabled.
-        """
-        gc.collect(0)
+    def freeze_survivors(self) -> None:
+        """The barrier step: keep this epoch's survivors without a walk
+        (a replay makes no cycles: a walk would find nothing)."""
+        gc.freeze()
 
     def __exit__(self, *exc_info) -> None:
-        try:
-            gc.collect(0)
-        finally:
-            if self._was_enabled:
-                gc.enable()
+        gc.freeze()  # the tail too: hand back a zero young count
+        gc.unfreeze()
+        if self._was_enabled:
+            gc.enable()

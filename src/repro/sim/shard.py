@@ -506,7 +506,7 @@ def _run_staged(
             events_since_evict = 0
             if window is not None:
                 evictions += engine.evict_expired()
-            pause.young()
+            pause.freeze_survivors()
     install_snapshot = network.stats.snapshot()
 
     if shards > 1 and not fork_available():  # pragma: no cover - platform
@@ -540,7 +540,7 @@ def _run_staged(
                         _process_stage(engine, worker_transport, items, phase)
                         a, b, c, candidates = worker_transport.drain()
                         conn.send(("produced", a + b + c, candidates))
-                        pause.young()
+                        pause.freeze_survivors()
                     elif command[0] == "evict":
                         # Barrier-aligned eviction: sweep only the nodes
                         # this shard owns, against the driver's cutoff
@@ -689,7 +689,7 @@ def _run_staged(
             if window is not None and events_since_evict >= evict_every:
                 evictions += barrier_evict()
                 events_since_evict = 0
-            pause.young()
+            pause.freeze_survivors()
         if window is not None:
             # The serial replay's unconditional final sweep.
             evictions += barrier_evict()

@@ -174,7 +174,7 @@ class TestCommittedBaseline:
                 assert resources["wall_seconds"] == row["wall_seconds"]
 
     def test_history_keeps_the_million_node_point(self):
-        row, *figures = read_export(str(REPO_ROOT / "BENCH_history.json"))
+        row, *figures, proxy = read_export(str(REPO_ROOT / "BENCH_history.json"))
         params, _, resources = decode_done_row(row)
         assert (params["transport"], params["n_nodes"]) == ("shard", 1_000_000)
         assert (params["window"], params["evict_every"]) == (256.0, 8192)
@@ -187,6 +187,14 @@ class TestCommittedBaseline:
         assert {(r["transport"], r["seed"]) for r in figures} == {
             ("sim", seed) for seed in (1, 2, 3, 4, 5)
         }
+        # Last, the same configuration at 10^5 nodes and 20 000 tuples,
+        # drawn from its seed column (EXPERIMENTS.md X3).
+        params, _, resources = decode_done_row(proxy)
+        assert (params["transport"], params["n_nodes"]) == ("shard", 100_000)
+        assert (params["n_queries"], params["n_tuples"]) == (400, 20_000)
+        assert (params["window"], params["evict_every"]) == (256.0, 8192)
+        assert (params["replication_factor"], params["jfrt_capacity"]) == (2, 128)
+        assert params["overrides"] is None and resources["shards"] == 1
 
 
 class TestVerifySmall:

@@ -229,12 +229,12 @@ class TestImportJson:
             == 0
         )
         out = capsys.readouterr().out
-        # 12 gated rows + the X3 point + the 435 figure rows, four of which
-        # are the gated `sim` identities measured again (not re-imported).
-        assert "imported 444 experiments total" in out
+        # 12 gated rows + the two X3 points + the 435 figure rows, four of
+        # which are the gated `sim` identities measured again (not re-imported).
+        assert "imported 445 experiments total" in out
         with ExperimentDB(str(db_path)) as db:
             rows = db.rows(status="done")
-            assert len(rows) == 444
+            assert len(rows) == 445
             transports = {row["transport"] for row in rows}
         assert transports == {"sim", "shard", "live"}
 

@@ -150,7 +150,7 @@ class TestCollectorAccounting:
 
     def test_a_replay_reports_its_collector_cost(self):
         """What the hook is for: the snapshot of a run states that the
-        paused replay ran young collections only and freed nothing."""
+        paused replay ran no collection at all."""
         from repro.bench.configs import Scale
         from repro.bench.harness import make_engine, run_workload, workload_for
         from repro.core.engine import EngineConfig
@@ -168,11 +168,9 @@ class TestCollectorAccounting:
         counters = PERF.snapshot()["counters"]
         pauses = PERF.calls("gc.pause")
         PERF.reset()
-        # One young collection per barrier and one on exit, nothing else.
-        assert counters["gc.collections.gen0"] == (12 + 40) // 8 + 1 == pauses
-        assert counters["gc.unreachable"] == 0
-        assert "gc.collections.gen1" not in counters
-        assert "gc.collections.gen2" not in counters
+        # Barriers and exit freeze, they do not collect.
+        assert pauses == 0
+        assert not any(name.startswith("gc.") for name in counters)
 
 
 class TestInstrumentedSites:

@@ -1,23 +1,27 @@
 """The collector policy of the replay loops (DESIGN.md §17).
 
 ``CollectorPause`` switches automatic cycle collection off inside
-``run_workload`` and ``run_sharded``.  That is only safe because a
-replay makes no reference cycles — reference counting frees all of its
-garbage — and these tests pin exactly that: whatever the algorithm,
-executor or feature set, the collector finds nothing to free, during
-the run or after it.  Behaviour is asserted only through
-``gc.isenabled`` / ``gc.callbacks`` / ``gc.collect`` return values, so
-the tests hold on every supported interpreter.
+``run_workload`` and ``run_sharded`` and freezes what the replay keeps
+instead of re-walking it.  That is only safe because a replay makes no
+reference cycles — reference counting frees all of its garbage — and
+these tests pin exactly that: whatever the algorithm, executor or
+feature set, no collection runs inside a replay and a full collection
+after it, with everything unfrozen, finds nothing to free.  Behaviour
+is asserted only through ``gc.isenabled`` / ``gc.callbacks`` /
+``gc.collect`` / ``gc.get_count`` / ``gc.get_freeze_count`` /
+``gc.get_objects``, so the tests hold on every supported interpreter.
 """
 
 from __future__ import annotations
 
 import gc
 import os
+import pathlib
 from collections import Counter
 
 import pytest
 
+import repro
 from repro.bench.configs import Scale
 from repro.bench.harness import run_standard, run_workload, workload_for
 from repro.sim.shard import fork_available
@@ -67,10 +71,9 @@ class CollectionProbe:
         gc.callbacks.remove(self)
 
 
-def replay(algorithm: str, executor: str, overrides: dict, *, on_delivery=None):
-    """Build a fresh engine and replay WORKLOAD; returns the engine."""
-    staged = executor != "serial"
-    network = ChordNetwork.build(POINT.n_nodes, fast_routing=staged)
+def build(algorithm: str, executor: str, overrides: dict, *, on_delivery=None):
+    """A fresh engine for WORKLOAD, ``on_delivery`` listening to every query."""
+    network = ChordNetwork.build(POINT.n_nodes, fast_routing=executor != "serial")
     engine = ContinuousQueryEngine(
         network,
         EngineConfig(algorithm=algorithm, index_choice="random", seed=1, **overrides),
@@ -84,12 +87,24 @@ def replay(algorithm: str, executor: str, overrides: dict, *, on_delivery=None):
             return bound
 
         engine.subscribe = subscribe_and_listen
-    if staged:
+    return engine
+
+
+def run(engine, executor: str):
+    """Replay WORKLOAD on ``engine`` through the executor's paused loop."""
+    if executor == "serial":
+        run_workload(engine, WORKLOAD, evict_every=16)
+    else:
         shards = 2 if executor == "forked" else 1
         run_sharded(engine, WORKLOAD, shards=shards, batch_size=32, evict_every=16)
-    else:
-        run_workload(engine, WORKLOAD, evict_every=16)
+    assert gc.get_freeze_count() == 0, "the pause leaves nothing frozen"
     return engine
+
+
+def replay(algorithm: str, executor: str, overrides: dict, *, on_delivery=None):
+    """Build a fresh engine and replay WORKLOAD; returns the engine."""
+    engine = build(algorithm, executor, overrides, on_delivery=on_delivery)
+    return run(engine, executor)
 
 
 def unreachable_types(algorithm: str, executor: str, overrides: dict) -> Counter:
@@ -107,29 +122,59 @@ def unreachable_types(algorithm: str, executor: str, overrides: dict) -> Counter
         del gc.garbage[:]
 
 
+def worker_reports(algorithm: str, log, *, leak: bool = False) -> dict:
+    """Forked replay whose listener reports, from the worker owning the
+    subscriber, ``gc.isenabled()`` and what a full collection finds there.
+
+    The listener unfreezes before collecting and refreezes after, so a
+    cycle frozen at a barrier cannot hide from it.  With ``leak`` it then
+    drops one garbage cycle, which the worker's next report must find.
+    Returns ``{pid: [found, ...]}``; every worker must run paused.
+    """
+
+    def report(notification) -> None:
+        gc.unfreeze()
+        found = gc.collect()
+        gc.freeze()
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {int(gc.isenabled())} {found}\n")
+        if leak:
+            cycle: list = []
+            cycle.append(cycle)
+
+    replay(algorithm, "forked", CONFIGURATIONS["featured"], on_delivery=report)
+    assert gc.isenabled()
+    by_worker: dict[str, list] = {}
+    for pid, enabled, found in map(str.split, log.read_text().splitlines()):
+        assert enabled == "0", "workers inherit the pause"
+        by_worker.setdefault(pid, []).append(int(found))
+    assert by_worker and str(os.getpid()) not in by_worker
+    return by_worker
+
+
 @pytest.mark.parametrize("configuration", sorted(CONFIGURATIONS))
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_a_replay_makes_no_cycles(algorithm, executor, configuration):
-    """The invariant the pause rests on: between entry and exit no
-    automatic (older-generation) collection runs, and neither the young
-    collections at the barriers nor a full collection afterwards, with
-    the engine still alive, find a single unreachable object."""
+    """The invariant the pause rests on: no collection at all runs
+    between entry and exit, and a full collection afterwards — with
+    everything unfrozen and the engine still alive — finds not a single
+    unreachable object."""
     if executor == "forked" and not fork_available():
         pytest.skip("forked shards need the fork start method")
     overrides = CONFIGURATIONS[configuration]
-    gc.collect()  # whatever earlier tests left behind is not this run's
+    engine = build(algorithm, executor, overrides)
+    gc.collect()  # whatever earlier tests and the build left is not this run's
     assert gc.isenabled()
     with CollectionProbe() as probe:
-        engine = replay(algorithm, executor, overrides)
+        run(engine, executor)
         assert gc.isenabled()  # handed back as found
         during = list(probe.generations)
-        found = probe.unreachable + gc.collect()
+        found = gc.collect()
     if executor != "forked":  # forked deliveries are recorded in the workers
         assert any(engine.delivered.values())
-    assert during and set(during) == {0}, (
-        f"only the barriers' young collections may run inside a replay, "
-        f"saw generations {sorted(set(during))}"
+    assert not during, (
+        f"no collection may run inside a replay, saw generations {during}"
     )
     if found:
         types = unreachable_types(algorithm, executor, overrides)
@@ -144,27 +189,40 @@ def test_a_replay_makes_no_cycles(algorithm, executor, configuration):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_forked_shards_run_paused_and_make_no_cycles(algorithm, tmp_path):
     """A listener fires where the delivery is recorded — in the worker
-    owning the subscriber — and reports that process's collector state
-    and what a full collection finds there.  The first report of each
-    worker is not held to zero: ``multiprocessing``'s own bootstrap
-    drops the parent's ``_MainProcess`` class (a class is a cycle)."""
-    log = tmp_path / "workers.log"
-
-    def report(notification) -> None:
-        with open(log, "a") as out:
-            out.write(f"{os.getpid()} {int(gc.isenabled())} {gc.collect()}\n")
-
-    replay(algorithm, "forked", CONFIGURATIONS["featured"], on_delivery=report)
-    assert gc.isenabled()
-    by_worker: dict[str, list] = {}
-    for pid, enabled, found in map(str.split, log.read_text().splitlines()):
-        assert enabled == "0", "workers inherit the pause"
-        by_worker.setdefault(pid, []).append(int(found))
-    assert by_worker and str(os.getpid()) not in by_worker
-    for pid, found in by_worker.items():
+    owning the subscriber.  The first report of each worker is not held
+    to zero: ``multiprocessing``'s own bootstrap drops the parent's
+    ``_MainProcess`` class (a class is a cycle)."""
+    for pid, found in worker_reports(algorithm, tmp_path / "workers.log").items():
         assert len(found) > 1 and not any(found[1:]), (
             f"worker {pid} made cycles while replaying: {found}"
         )
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_a_cycle_per_notification_is_reported(executor, tmp_path):
+    """Mutation check of the two tests above: a listener that drops one
+    garbage cycle per notification is caught in every executor — by the
+    full collection after exit, or by the workers' own reports."""
+    if executor == "forked":
+        if not fork_available():
+            pytest.skip("forked shards need the fork start method")
+        reports = worker_reports("sai", tmp_path / "workers.log", leak=True)
+        for found in reports.values():  # each finds the previous one's cycle
+            assert len(found) > 1 and found[1:] == [1] * (len(found) - 1)
+        return
+    calls = []
+
+    def leak(notification) -> None:
+        calls.append(None)
+        cycle: list = []
+        cycle.append(cycle)
+
+    engine = build("sai", executor, CONFIGURATIONS["featured"], on_delivery=leak)
+    gc.collect()
+    with CollectionProbe() as probe:
+        run(engine, executor)
+    assert not probe.generations  # kept frozen, not collected, inside
+    assert calls and gc.collect() == len(calls)
 
 
 class TestCollectorPause:
@@ -214,16 +272,50 @@ class TestCollectorPause:
         finally:
             gc.enable()
 
-    def test_barrier_and_exit_run_young_collections_only(self):
+    def test_barriers_and_exit_run_no_collection(self):
+        gc.collect()
         with CollectionProbe() as probe:
             with CollectorPause() as pause:
-                pause.young()
-                pause.young()
-        assert probe.generations == [0, 0, 0]
+                assert gc.get_count() == (0, 0, 0)
+                pause.freeze_survivors()
+                pause.freeze_survivors()
+                assert gc.get_freeze_count() > 0
+                tail = [[] for _ in range(100)]  # young since the last barrier
+            handed_back = gc.get_count()
+        assert handed_back == (0, 0, 0)  # the tail is not left counted
+        assert probe.generations == []
+        assert gc.get_freeze_count() == 0
+        del tail
 
-    def test_a_young_cycle_is_reclaimed_at_the_next_barrier(self):
-        """Why the barriers collect at all: should a future path make
-        young cycles, memory stays bounded without automatic passes."""
+    def test_entry_freezes_a_freshly_built_ring(self):
+        """The build finding (DESIGN.md §17): a build leaves every
+        successor list young, yet the young counter, which nets out the
+        empty lists they replace, never reaches its threshold.  Entry
+        keeps all of it without a walk: the young counter reads zero and
+        nothing built before entry is collectable until exit."""
+        gc.collect()
+        network = ChordNetwork.build(2_000, fast_routing=True)
+        successor_lists = {id(node.successor_list) for node in network.nodes}
+        assert successor_lists <= {id(obj) for obj in gc.get_objects(0)}
+        assert gc.get_count()[0] < gc.get_threshold()[0] < len(successor_lists)
+        dropped: list = []
+        dropped.append(dropped)  # garbage made before entry
+        del dropped
+        built = successor_lists | {id(node) for node in network.nodes}
+        with CollectorPause():
+            counts = gc.get_count()
+            collectable = {
+                id(obj) for generation in range(3) for obj in gc.get_objects(generation)
+            }
+            found_inside = gc.collect()
+        assert counts[0] == 0
+        assert not built & collectable
+        assert found_inside == 0
+        assert gc.collect() == 1  # unfrozen on exit: the dropped cycle
+
+    def test_a_cycle_made_inside_is_freed_after_exit(self):
+        """Frozen cycles are kept, not lost: the first full collection
+        after the pause frees every one of them."""
         gc.collect()
         with CollectionProbe() as probe:
             with CollectorPause() as pause:
@@ -231,5 +323,16 @@ class TestCollectorPause:
                     cycle: list = []
                     cycle.append(cycle)
                     del cycle
-                    pause.young()
-        assert probe.unreachable == 3
+                    pause.freeze_survivors()
+        assert probe.unreachable == 0
+        assert gc.collect() == 3
+
+    def test_nothing_else_in_src_freezes(self):
+        """The pause owns the permanent generation while inside."""
+        callers = {
+            path.name
+            for root in repro.__path__
+            for path in pathlib.Path(root).rglob("*.py")
+            if any(call in path.read_text() for call in ("gc.freeze(", "gc.unfreeze("))
+        }
+        assert callers == {"collector.py"}
