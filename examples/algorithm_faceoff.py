@@ -45,7 +45,7 @@ def main() -> None:
         rows.append(
             {
                 "algorithm": algorithm,
-                "hops/tuple": round(result.hops_per_tuple, 1),
+                "hops/tuple": round(result.stream_traffic.hops / workload.n_tuples, 1),
                 "TF": load.total_filtering,
                 "TS": load.total_storage,
                 "gini(F)": round(load.filtering_gini(), 3),

@@ -35,7 +35,7 @@ import asyncio
 
 from repro.faults.plan import FaultPlan, NetFaultSpec
 from repro.net.chaos import SoakSettings, run_chaos_soak
-from repro.net.cluster import ClusterConfig, simulate_reference
+from repro.net.cluster import ClusterConfig, live_summary, simulate_reference
 from repro.net.health import HealthConfig
 from repro.net.peer import NetConfig
 from repro.workload.generator import WorkloadParams, build_workload
@@ -93,7 +93,7 @@ def main() -> None:
         seed=SEED,
         subscribers=report.subscribers,
     )
-    print(report.run.summary())
+    print(live_summary(report.run))
     print(report.summary())
     print(
         f"fault-free simulator oracle: {reference_delivered} notifications, "
@@ -102,7 +102,7 @@ def main() -> None:
 
     if not report.ok:
         raise SystemExit("FAIL: duplicate deliveries or credit budget exceeded")
-    if (report.run.digest, report.run.notifications) != (
+    if (report.run.notification_digest, report.run.notifications_delivered) != (
         reference_digest,
         reference_delivered,
     ):

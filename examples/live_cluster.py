@@ -22,7 +22,13 @@ all four against the simulator).
 
 import asyncio
 
-from repro.net.cluster import CREDIT_BUDGET, ClusterConfig, run_live, simulate_reference
+from repro.net.cluster import (
+    CREDIT_BUDGET,
+    ClusterConfig,
+    live_summary,
+    run_live,
+    simulate_reference,
+)
 from repro.net.peer import NetConfig
 from repro.workload.generator import WorkloadParams, build_workload
 
@@ -58,7 +64,7 @@ def main() -> None:
             ),
         )
     )
-    print(report.summary())
+    print(live_summary(report))
 
     sim_digest, sim_delivered = simulate_reference(
         workload, algorithm=ALGORITHM, n_nodes=N_NODES, seed=SEED
@@ -67,7 +73,8 @@ def main() -> None:
         f"simulator oracle: {sim_delivered} notifications, "
         f"digest {sim_digest[:12]}"
     )
-    if (report.digest, report.notifications) == (sim_digest, sim_delivered):
+    answers = (report.notification_digest, report.notifications_delivered)
+    if answers == (sim_digest, sim_delivered):
         print("live cluster and simulator delivered identical notification sets")
     else:  # pragma: no cover - would mean a transport bug
         raise SystemExit("MISMATCH: live run diverged from the simulator")

@@ -5,16 +5,16 @@ rendering.  The paper's figures are declared in
 
 from .configs import SCALES, Scale, current_scale
 from .harness import (
-    RunResult,
     make_engine,
     run_standard,
     run_workload,
     workload_for,
 )
 from .report import render_table
+from .rows import RunReport
 
 __all__ = [
-    "RunResult",
+    "RunReport",
     "SCALES",
     "Scale",
     "current_scale",

@@ -179,9 +179,8 @@ def hottest(vector: str) -> Callable[[Mapping], int]:
 
 
 def hops_per_tuple(row: Mapping) -> float:
-    """Stream-phase overlay hops per tuple inserted (as
-    :attr:`~repro.bench.harness.RunResult.hops_per_tuple` counts them:
-    warm-up tuples are in the denominator, their hops are not)."""
+    """Stream-phase overlay hops per tuple inserted: warm-up tuples are
+    in the denominator, their hops are not (they are install traffic)."""
     workload = (row["overrides"] or {}).get("workload") or {}
     inserted = row["n_tuples"] + workload.get("warmup_tuples", 0)
     return row["metrics"]["stream_traffic"]["hops"] / inserted

@@ -10,85 +10,22 @@ way:
 * *per-tuple hop series* — hops of each individual insertion, for
   convergence plots such as the JFRT warm-up (Figure 5.2);
 * a final :class:`~repro.core.metrics.LoadSnapshot` with the per-node
-  filtering/storage vectors.
+  filtering/storage vectors — all in the one
+  :class:`~repro.bench.rows.RunReport` every executor returns.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..chord.network import ChordNetwork
 from ..chord.node import ChordNode
 from ..core.engine import ContinuousQueryEngine, EngineConfig
-from ..core.metrics import LoadSnapshot
-from ..core.oracle import CentralizedOracle
 from ..sim.collector import CollectorPause
-from ..sim.stats import TrafficSnapshot
-from ..sql.query import JoinQuery
 from .configs import Scale, current_scale
+from .rows import RunReport
 from ..workload.generator import Workload, WorkloadParams, build_workload
-
-
-@dataclass
-class RunResult:
-    """Everything a benchmark needs from one workload replay."""
-
-    engine: ContinuousQueryEngine
-    workload: Workload
-    queries: list[JoinQuery]
-    install_traffic: TrafficSnapshot
-    stream_traffic: TrafficSnapshot
-    load: LoadSnapshot
-    per_tuple_hops: list[int]
-    oracle: Optional[CentralizedOracle]
-    #: Sliding-window items evicted over the replay (0 when unbounded).
-    #: Deterministic for a seeded workload, so differential checks can
-    #: compare it across execution modes like any other metric.
-    evictions: int
-
-    @property
-    def hops_per_tuple(self) -> float:
-        """Mean overlay hops per tuple insertion in the stream phase."""
-        streamed = self.workload.n_tuples
-        return self.stream_traffic.hops / streamed if streamed else 0.0
-
-    @property
-    def hops_per_query(self) -> float:
-        """Mean overlay hops per installed query."""
-        installed = len(self.queries)
-        return self.install_traffic.hops / installed if installed else 0.0
-
-    @property
-    def notifications_delivered(self) -> int:
-        return sum(len(batch) for batch in self.engine.delivered.values())
-
-    def notification_digest(self) -> str:
-        """The canonical answer-set digest."""
-        from .rows import notification_digest
-
-        return notification_digest(self.engine)
-
-    def to_row(self) -> dict:
-        """This result's invariant metrics as a stable JSON-safe dict.
-
-        No live objects (engine, workload, oracle) survive — the row is
-        what baselines and the experiment database persist.  See
-        :mod:`repro.bench.rows` for the stability contract.
-        """
-        from .rows import ROW_VERSION, load_to_row, traffic_to_row
-
-        return {
-            "row_version": ROW_VERSION,
-            "kind": "run",
-            "install_traffic": traffic_to_row(self.install_traffic),
-            "stream_traffic": traffic_to_row(self.stream_traffic),
-            "notifications_delivered": self.notifications_delivered,
-            "notification_digest": self.notification_digest(),
-            "evictions": self.evictions,
-            "load": load_to_row(self.load, self.per_tuple_hops),
-        }
 
 
 def make_engine(
@@ -147,12 +84,11 @@ def run_workload(
     engine: ContinuousQueryEngine,
     workload: Workload,
     *,
-    with_oracle: bool = False,
     collect_per_tuple_hops: bool = False,
     evict_every: int = 64,
     seed: int = 1,
     origins: Optional[Sequence[ChordNode]] = None,
-) -> RunResult:
+) -> RunReport:
     """Replay a workload against an engine and collect measurements.
 
     Origin nodes for subscriptions/insertions are drawn uniformly (the
@@ -173,13 +109,13 @@ def run_workload(
             return pool[rng.randrange(len(pool))]
 
     window = engine.config.window
-    oracle = CentralizedOracle(window=window) if with_oracle else None
-    queries: list[JoinQuery] = []
     per_tuple_hops: list[int] = []
 
     install_start = engine.traffic.snapshot()
     stream_start = install_start
+    queried = False
     in_stream_phase = False
+    events = 0
     events_since_evict = 0
     evictions = 0
 
@@ -192,21 +128,18 @@ def run_workload(
             if event.kind == "query":
                 if in_stream_phase:
                     raise ValueError("workloads must install all queries first")
-                bound = engine.subscribe(origin, event.payload)
-                queries.append(bound)
-                if oracle is not None:
-                    oracle.subscribe(bound)
+                engine.subscribe(origin, event.payload)
+                queried = True
             else:
-                if queries and not in_stream_phase:
+                if queried and not in_stream_phase:
                     in_stream_phase = True
                     stream_start = engine.traffic.snapshot()
                 before = engine.traffic.hops if collect_per_tuple_hops else 0
                 relation, values = event.payload
-                tup = engine.publish(origin, relation, values)
+                engine.publish(origin, relation, values)
                 if collect_per_tuple_hops:
                     per_tuple_hops.append(engine.traffic.hops - before)
-                if oracle is not None:
-                    oracle.insert(tup)
+            events += 1
             events_since_evict += 1
             if events_since_evict >= evict_every:
                 events_since_evict = 0
@@ -217,37 +150,17 @@ def run_workload(
         if window is not None:
             evictions += engine.evict_expired()
         end = engine.traffic.snapshot()
-        install_traffic = _diff(stream_start, install_start)
-        stream_traffic = _diff(end, stream_start)
-        return RunResult(
+        return RunReport(
+            kind="run",
             engine=engine,
-            workload=workload,
-            queries=queries,
-            install_traffic=install_traffic,
-            stream_traffic=stream_traffic,
-            load=engine.load_snapshot(),
-            per_tuple_hops=per_tuple_hops,
-            oracle=oracle,
+            install_traffic=stream_start - install_start,
+            stream_traffic=end - stream_start,
+            events=events,
             evictions=evictions,
+            suppressed_renotifications=engine.suppressed_renotifications,
+            duplicate_deliveries=engine.duplicate_deliveries,
+            per_tuple_hops=per_tuple_hops,
         )
-
-
-def _diff(later: TrafficSnapshot, earlier: TrafficSnapshot) -> TrafficSnapshot:
-    return TrafficSnapshot(
-        hops=later.hops - earlier.hops,
-        messages=later.messages - earlier.messages,
-        hops_by_type={
-            key: count - earlier.hops_by_type.get(key, 0)
-            for key, count in later.hops_by_type.items()
-        },
-        messages_by_type={
-            key: count - earlier.messages_by_type.get(key, 0)
-            for key, count in later.messages_by_type.items()
-        },
-        messages_dropped=later.messages_dropped - earlier.messages_dropped,
-        retries=later.retries - earlier.retries,
-        messages_delayed=later.messages_delayed - earlier.messages_delayed,
-    )
 
 
 def run_standard(
@@ -261,7 +174,7 @@ def run_standard(
     evict_every: int = 64,
     injector=None,
     **workload_overrides,
-) -> RunResult:
+) -> RunReport:
     """One-call experiment: engine + workload + replay.
 
     Most benchmarks are parameter sweeps around this function.  ``seed``

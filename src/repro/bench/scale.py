@@ -36,8 +36,8 @@ from ..sim.shard import fork_available, run_sharded
 from ..workload.generator import iter_workload_events
 from ..workload.schema_gen import synthetic_schema
 from .configs import Scale
-from .harness import run_standard, workload_for, workload_params_for
-from .rows import SCALE_METRIC_FIELDS, metric_summary
+from .harness import run_standard, workload_params_for
+from .rows import RunReport, exact_columns
 
 #: Algorithms ``--verify`` compares, in presentation order.
 HEADLINE_ALGORITHMS = ("sai", "dai-q", "dai-t", "dai-v")
@@ -100,19 +100,18 @@ def run_scale_point(
     config_overrides: Optional[dict] = None,
     workload_overrides: Optional[dict] = None,
     evict_every: int = DEFAULT_EVICT_EVERY,
-) -> dict:
-    """One algorithm at one sweep point through the full fast path.
+) -> tuple[RunReport, float]:
+    """One algorithm at one sweep point through the full fast path:
+    the run's report and its wall seconds.
 
-    Wall-clock covers everything a bigger ring makes slower — network
-    build, query install, sharded stream — reported per phase.
-    ``config_overrides`` opens the lifted modes (``window``,
-    ``replication_factor``, ``jfrt_capacity``), ``workload_overrides``
-    go to :func:`~repro.bench.harness.workload_params_for`; ``shards``
-    of ``None`` is 1, staged in-process.  ``seed`` seeds the engine,
-    the origin-node draws and the workload, unless
-    ``workload_overrides["seed"]`` pins the workload's.  Peak RSS and
-    events/sec ride along as *resource* columns, deliberately outside
-    the bit-compared metrics (they are machine-dependent).
+    The wall covers everything a bigger ring makes slower — network
+    build, query install, sharded stream.  ``config_overrides`` opens
+    the lifted modes (``window``, ``replication_factor``,
+    ``jfrt_capacity``), ``workload_overrides`` go to
+    :func:`~repro.bench.harness.workload_params_for`; ``shards`` of
+    ``None`` is 1, staged in-process.  ``seed`` seeds the engine, the
+    origin-node draws and the workload, unless
+    ``workload_overrides["seed"]`` pins the workload's.
     """
     params = workload_params_for(
         point, **{"seed": seed, **(workload_overrides or {})}
@@ -120,7 +119,6 @@ def run_scale_point(
     schema = synthetic_schema(params.n_relations, params.attributes_per_relation)
     start = time.perf_counter()
     network = ChordNetwork.build(point.n_nodes, fast_routing=True)
-    built = time.perf_counter()
     engine = ContinuousQueryEngine(
         network,
         EngineConfig(
@@ -132,7 +130,7 @@ def run_scale_point(
             }
         ),
     )
-    result = run_sharded(
+    report = run_sharded(
         engine,
         iter_workload_events(params, schema),
         shards=shards or 1,
@@ -140,20 +138,7 @@ def run_scale_point(
         seed=seed,
         evict_every=evict_every,
     )
-    wall = time.perf_counter() - start
-    return {
-        "wall_seconds": wall,
-        "build_seconds": built - start,
-        "shards": result.shards,
-        "metrics": metric_summary(result.to_row(), SCALE_METRIC_FIELDS),
-        "row": result.to_row(),
-        "resources": {
-            "peak_rss_kb": peak_rss_kb(),
-            "events_per_sec": round(result.events / wall, 1) if wall else 0.0,
-            "exchange_records": result.exchange_records,
-        },
-        "features": list(result.features),
-    }
+    return report, time.perf_counter() - start
 
 
 def verify_equivalence(
@@ -169,45 +154,40 @@ def verify_equivalence(
 
     For each algorithm the identical workload (drawn from ``seed``, like
     everything else) is replayed three ways — serial
-    :func:`run_standard`, staged in-process, staged over forked shards —
-    and every simulated metric must agree, including
-    the sliding-window eviction count when ``config_overrides`` opens a
-    window.  Returns failure messages (empty = equivalent).
+    :func:`run_standard`, and :func:`run_scale_point` staged in-process
+    and over forked shards —
+    and the exact columns the gate compares
+    (:func:`~repro.bench.rows.exact_columns`) must agree — per-type
+    install and stream traffic, answers, the ``load`` block and, when
+    ``config_overrides`` opens a window, the eviction count — all but
+    ``exchange_records``, which counts records crossing between forked
+    shards.  Returns failure messages (empty = equivalent).
     """
     overrides = dict(config_overrides or {})
     point = scale_point(n_nodes)
-    workload = workload_for(point, seed=seed)
+    modes = [("staged", 1)] + ([("forked", 4)] if fork_available() else [])
     problems: list[str] = []
     for algorithm in algorithms:
         reference = run_standard(
             algorithm,
             point,
             config_overrides={"index_choice": "random", **overrides},
-            workload=workload,
             seed=seed,
             evict_every=evict_every,
         )
-        expected = metric_summary(reference.to_row(), SCALE_METRIC_FIELDS)
-        modes = [("staged", 1)]
-        if fork_available():
-            modes.append(("forked", 4))
+        expected = exact_columns(reference.to_row())
+        del expected["exchange_records"]
         for label, shards in modes:
-            network = ChordNetwork.build(point.n_nodes, fast_routing=True)
-            engine = ContinuousQueryEngine(
-                network,
-                EngineConfig(
-                    algorithm=algorithm, index_choice="random", seed=seed, **overrides
-                ),
-            )
-            result = run_sharded(
-                engine,
-                workload,
+            report, _ = run_scale_point(
+                algorithm,
+                point,
+                seed=seed,
                 shards=shards,
                 batch_size=batch_size,
-                seed=seed,
+                config_overrides=overrides,
                 evict_every=evict_every,
             )
-            got = metric_summary(result.to_row(), SCALE_METRIC_FIELDS)
+            got = exact_columns(report.to_row())
             for metric in expected:
                 if got[metric] != expected[metric]:
                     problems.append(
@@ -240,8 +220,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"VERIFY FAIL [{label}]: {problem}", file=sys.stderr)
             return 1
         print(
-            f"verify[{label}]: OK — staged/forked metrics identical to serial "
-            f"at {VERIFY_NODES} nodes ({', '.join(HEADLINE_ALGORITHMS)})",
+            f"verify[{label}]: OK — staged/forked traffic, answers and load "
+            f"identical to serial at {VERIFY_NODES} nodes "
+            f"({', '.join(HEADLINE_ALGORITHMS)})",
             file=sys.stderr,
         )
     return 0

@@ -14,7 +14,7 @@ system load".  This module materializes them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,6 +40,16 @@ class LoadSnapshot:
     notifications_created: dict[int, int]
     messages_processed: dict[int, int]
     lease_reinstalls: dict[int, int]
+
+    @classmethod
+    def union(cls, parts: list["LoadSnapshot"]) -> "LoadSnapshot":
+        """One snapshot from snapshots of disjoint node sets."""
+        return cls(
+            **{
+                f.name: {i: v for part in parts for i, v in getattr(part, f.name).items()}
+                for f in fields(cls)
+            }
+        )
 
     @property
     def total_lease_reinstalls(self) -> int:
@@ -83,8 +93,9 @@ class LoadSnapshot:
         return distribution.participation(self.filtering.values())
 
 
-def snapshot(engine: "ContinuousQueryEngine") -> LoadSnapshot:
-    """Collect the current load vectors from every live node."""
+def snapshot(engine: "ContinuousQueryEngine", nodes=None) -> LoadSnapshot:
+    """Collect the current load vectors from every live node (or from
+    ``nodes``, a forked shard's own)."""
     filtering: dict[int, int] = {}
     al_filtering: dict[int, int] = {}
     vl_filtering: dict[int, int] = {}
@@ -95,7 +106,7 @@ def snapshot(engine: "ContinuousQueryEngine") -> LoadSnapshot:
     created: dict[int, int] = {}
     processed: dict[int, int] = {}
     reinstalls: dict[int, int] = {}
-    for node in engine.network:
+    for node in engine.network if nodes is None else nodes:
         ident = node.ident
         state = node.app
         if not isinstance(state, NodeState):

@@ -23,11 +23,12 @@ the same row:
 * metric columns — the machine-independent results: ``hops``,
   ``messages``, ``notifications_delivered``, ``notification_digest``,
   ``evictions``, ``exchange_records``, plus ``metrics_json`` holding
-  the full stable row (:meth:`~repro.bench.harness.RunResult.to_row`)
+  the full stable row (:meth:`~repro.bench.rows.RunReport.to_row`)
   with the per-type traffic breakdowns;
 * resource columns — the machine-dependent results: ``wall_seconds``,
   ``peak_rss_kb``, ``events_per_sec``, plus ``resources_json`` for
-  transport-specific extras (live latency percentiles, shard counts).
+  any extras (rows before row version 3 kept live latency percentiles
+  and shard counts there).
 
 Concurrency model
 -----------------
@@ -61,6 +62,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
+from ..bench.rows import METRIC_FIELDS, metric_summary
 from ..core.engine import EngineConfig
 from ..workload.generator import WorkloadParams
 
@@ -100,16 +102,6 @@ OVERRIDABLE = {
     "engine": {f.name for f in fields(EngineConfig)} - set(PARAM_FIELDS),
     "workload": {f.name for f in fields(WorkloadParams)} - set(PARAM_FIELDS) | {"seed"},
 }
-
-#: Machine-independent result columns (besides ``metrics_json``).
-METRIC_FIELDS = (
-    "hops",
-    "messages",
-    "notifications_delivered",
-    "notification_digest",
-    "evictions",
-    "exchange_records",
-)
 
 #: Machine-dependent result columns (besides ``resources_json``).
 RESOURCE_FIELDS = ("wall_seconds", "peak_rss_kb", "events_per_sec")
@@ -436,9 +428,7 @@ class ExperimentDB:
         the full row — per-type traffic included — is kept verbatim in
         ``metrics_json``.
         """
-        from ..bench.rows import metric_summary
-
-        summary = metric_summary(metrics, METRIC_FIELDS)
+        summary = metric_summary(metrics)
         resources = dict(resources or {})
         extras = {
             key: value

@@ -6,9 +6,10 @@ back to its parameters, run through the same
 :func:`~repro.expdb.runner.run_experiment` the worker uses, and
 compared with what the row stored:
 
-* the machine-independent columns (:data:`~repro.expdb.db.METRIC_FIELDS`)
-  and, where the stored row has them, the install and stream traffic
-  broken down by message type and the ``load`` block (``TF``, ``TS``,
+* the machine-independent columns
+  (:func:`~repro.bench.rows.exact_columns`: the metric columns and,
+  where the stored row has them, the install and stream traffic broken
+  down by message type and the ``load`` block — ``TF``, ``TS``,
   per-level totals, the per-node vectors) must be **exactly** equal;
 * ``wall_seconds`` — the whole path on every transport — may not exceed
   the stored wall times :data:`WALL_SLACK`.
@@ -25,8 +26,8 @@ from __future__ import annotations
 import traceback
 from typing import Callable, Iterator, Mapping, Optional
 
-from ..bench.rows import metric_summary
-from .db import METRIC_FIELDS, decode_done_row, row_label
+from ..bench.rows import METRIC_FIELDS, exact_columns
+from .db import decode_done_row, row_label
 from .runner import ExperimentOutcome, run_experiment
 
 #: Today's wall may be this many times the stored one.  Both sides are
@@ -44,17 +45,6 @@ WALL_SLACK = 1.5
 #: runs in a row all land in.  Every run made must repeat the exact
 #: columns.
 MAX_RUNS = 3
-
-
-def exact_columns(metrics: Mapping) -> dict:
-    """What a re-run must reproduce bit for bit, from one metrics row:
-    the metric columns plus the per-type traffic snapshots and the load
-    block it carries."""
-    exact = metric_summary(metrics, METRIC_FIELDS)
-    for part in ("install_traffic", "stream_traffic", "load"):
-        if part in metrics:
-            exact[part] = metrics[part]
-    return exact
 
 
 def _differences(stored, fresh, path: str = "") -> Iterator[tuple]:
@@ -79,8 +69,9 @@ class _GatedRow:
         if not self.stored_wall:
             raise ValueError(f"{self.label} stores no wall_seconds to gate against")
         # A shard row is re-run over the shard count it was recorded
-        # with: exchange_records depends on it.
-        self.shards = resources.get("shards")
+        # with: exchange_records depends on it.  Rows before version 3
+        # kept the count among the resources.
+        self.shards = (metrics.get("shard") or {}).get("shards", resources.get("shards"))
         # The columns as the file has them, not as metrics_json implies.
         self.stored = {**exact_columns(metrics), **{n: row.get(n) for n in METRIC_FIELDS}}
         self.first: Optional[dict] = None

@@ -1,41 +1,41 @@
 """Execute one database row through the existing benchmark harnesses.
 
 The worker hands this module a decoded parameter dict (see
-:func:`repro.expdb.db.decode_params`); the transport column picks the
-back-end:
+:func:`repro.expdb.db.decode_params`).  :func:`run_experiment` is one
+body for every transport: refuse what the row's transport cannot
+honour, run the row's executor from :data:`EXECUTORS`, check its
+answers where they can diverge, and write the one row shape
+(:meth:`~repro.bench.rows.RunReport.to_row`) beside three resource
+columns — wall seconds, peak RSS, events over wall seconds.
 
 * ``sim`` — the serial simulator via
   :func:`repro.bench.harness.run_standard` (with the per-tuple hop
   series, so the row's ``load`` block can say how the stream's first
   and last fifth compare), optionally with a seeded
   :class:`~repro.faults.FaultPlan` wired into the ring's router (the
-  only transport that accepts a fault plan today);
+  only transport that takes a fault plan; the churn knobs, which no sim
+  driver reads, are refused);
 * ``shard`` — the staged/sharded executor via
   :func:`repro.bench.scale.run_scale_point` (fault plans refused, as
   :func:`repro.sim.shard.shard_capabilities` documents);
 * ``live`` — the real-TCP cluster via
   :meth:`repro.net.cluster.LiveCluster.run` at
-  :data:`repro.net.cluster.CREDIT_BUDGET` (answer-set metrics are
-  deterministic; throughput/latency land in the resource columns).
-  A digest or delivered count that differs from
-  :func:`repro.net.cluster.simulate_reference` on the same workload
-  raises, so a ``live`` row can only become ``done`` if it equals the
-  simulator.
+  :data:`repro.net.cluster.CREDIT_BUDGET`.
 
-Every outcome carries the stable metrics row (``to_row()``) plus the
-per-run resource columns (wall seconds, peak RSS, events/sec).  The
-metrics are machine-independent and reproducible from the parameters
-alone — re-running the same row must produce byte-identical metrics.
-``wall_seconds`` is the whole path a user pays for on every transport:
-ring build + install + stream for the simulators, install + stream for
-the live cluster.
+Every ``live`` row and every faulted ``sim`` row is checked against
+:func:`reference`, the fault-free serial replay; a digest or delivered
+count that differs raises, so such a row can only become ``done`` if it
+equals the simulator.  The metrics are reproducible from the parameters
+alone — the ``live`` block of a live row aside — so re-running a row
+must give byte-identical metrics.  ``wall_seconds`` is the whole path a
+user pays for: ring build + install + stream for the simulators,
+install + stream for the live cluster.
 
-:func:`run_experiment` is the one measuring loop of the worker and of
-the gate, and both run rows back to back in one process: before a row
-it empties the hash memo and runs a full collection, because the
-previous row's ring is cyclic garbage the paused replay
-(:mod:`repro.sim.collector`) no longer frees in passing — left alone,
-the next row pays for it in wall and peak RSS.
+The worker and the gate run rows back to back in one process, so
+before a row :func:`run_experiment` empties the hash memo and runs a
+full collection: the previous row's ring is cyclic garbage the paused
+replay (:mod:`repro.sim.collector`) no longer frees in passing — left
+alone, the next row pays for it in wall and peak RSS.
 
 The ``seed`` column seeds everything a row draws — engine, origin
 nodes and workload — on every transport; ``overrides.workload.seed``
@@ -52,11 +52,16 @@ from typing import Optional
 
 from ..bench.configs import Scale
 from ..bench.harness import run_standard, workload_for
+from ..bench.rows import RunReport
 from ..bench.scale import peak_rss_kb, run_scale_point
 from ..chord.hashing import hash_key_cache_clear
 from ..faults import DelaySpec, FaultInjector, FaultPlan
 from ..workload.generator import Workload
 from .db import canonical_overrides
+
+#: Fault-plan knobs the ``sim`` transport refuses: no sim driver reads
+#: them, so a row asking for churn would run, and be stored, churn-free.
+CHURN_KNOBS = ("crash_every", "restart_after", "lease_refresh_every")
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,7 @@ class ExperimentOutcome:
 
     #: Stable result row (``to_row()`` output) — machine-independent.
     metrics: dict
-    #: Resource columns + transport-specific extras — machine-dependent.
+    #: Resource columns — machine-dependent.
     resources: dict
 
 
@@ -95,8 +100,9 @@ def scale_for(params: dict) -> Scale:
 def engine_overrides(params: dict) -> dict:
     """EngineConfig overrides encoded by the feature columns and the
     ``overrides.engine`` section (comparisons between algorithms use
-    the random index choice unless a row says otherwise)."""
-    overrides: dict = {"index_choice": "random"}
+    the random index choice unless a row says otherwise; a ``live`` row
+    keeps the cluster's own default)."""
+    overrides: dict = {} if params["transport"] == "live" else {"index_choice": "random"}
     if params["window"]:
         overrides["window"] = params["window"]
     if params["replication_factor"] != 1:
@@ -121,12 +127,11 @@ def row_workload(params: dict) -> Workload:
     return workload_for(scale_for(params), **drawn)
 
 
-def _run_sim(params: dict) -> ExperimentOutcome:
-    injector: Optional[FaultInjector] = None
-    if params["fault_plan"]:
-        injector = FaultInjector(fault_plan_from_dict(params["fault_plan"]))
+def _sim(params: dict, shards: Optional[int]) -> tuple[RunReport, float]:
+    plan = params["fault_plan"]
+    injector = FaultInjector(fault_plan_from_dict(plan)) if plan else None
     start = time.perf_counter()
-    result = run_standard(
+    report = run_standard(
         params["algorithm"],
         scale_for(params),
         config_overrides=engine_overrides(params),
@@ -136,25 +141,11 @@ def _run_sim(params: dict) -> ExperimentOutcome:
         evict_every=params["evict_every"],
         injector=injector,
     )
-    wall = time.perf_counter() - start
-    events = params["n_queries"] + params["n_tuples"]
-    return ExperimentOutcome(
-        metrics=result.to_row(),
-        resources={
-            "wall_seconds": round(wall, 4),
-            "peak_rss_kb": peak_rss_kb(),
-            "events_per_sec": round(events / wall, 1) if wall else 0.0,
-        },
-    )
+    return report, time.perf_counter() - start
 
 
-def _run_shard(params: dict, *, shards: Optional[int]) -> ExperimentOutcome:
-    if params["fault_plan"]:
-        raise ValueError(
-            "the shard transport refuses perturbing fault plans "
-            "(see repro.sim.shard.shard_capabilities); use transport='sim'"
-        )
-    sample = run_scale_point(
+def _shard(params: dict, shards: Optional[int]) -> tuple[RunReport, float]:
+    return run_scale_point(
         params["algorithm"],
         scale_for(params),
         seed=params["seed"],
@@ -163,71 +154,78 @@ def _run_shard(params: dict, *, shards: Optional[int]) -> ExperimentOutcome:
         workload_overrides=workload_overrides(params),
         evict_every=params["evict_every"],
     )
-    return ExperimentOutcome(
-        metrics=sample["row"],
-        resources={
-            "wall_seconds": round(sample["wall_seconds"], 4),
-            **sample["resources"],
-            "build_seconds": round(sample["build_seconds"], 4),
-            "shards": sample["shards"],
-        },
-    )
 
 
-def _run_live(params: dict) -> ExperimentOutcome:
-    if params["fault_plan"]:
-        raise ValueError(
-            "fault plans on the live transport go through "
-            "python -m repro.net.cluster --chaos, not the experiment "
-            "database; use transport='sim' for faulted sweep points"
-        )
-    from ..net.cluster import CREDIT_BUDGET, ClusterConfig, run_live, simulate_reference
+def _live(params: dict, shards: Optional[int]) -> tuple[RunReport, float]:
+    from ..net.cluster import CREDIT_BUDGET, ClusterConfig, run_live
     from ..net.peer import NetConfig
 
-    algorithm, n_nodes, seed = params["algorithm"], params["n_nodes"], params["seed"]
-    overrides = engine_overrides(params)
-    if "index_choice" not in (params["overrides"] or {}).get("engine", {}):
-        del overrides["index_choice"]  # the cluster's own default
-    workload = row_workload(params)
     config = ClusterConfig(
-        algorithm=algorithm,
-        n_nodes=n_nodes,
-        seed=seed,
-        engine_overrides=overrides,
+        algorithm=params["algorithm"],
+        n_nodes=params["n_nodes"],
+        seed=params["seed"],
+        engine_overrides=engine_overrides(params),
         net=NetConfig(credit_budget=CREDIT_BUDGET),
     )
-    report = asyncio.run(run_live(workload, config))
-    expected = simulate_reference(workload, algorithm=algorithm, n_nodes=n_nodes, seed=seed)
-    if (report.digest, report.notifications) != expected:
-        raise RuntimeError(
-            f"live {algorithm} run diverged from the simulator: "
-            f"digest {report.digest[:12]} / {report.notifications} delivered "
-            f"!= {expected[0][:12]} / {expected[1]}"
-        )
-    return ExperimentOutcome(
-        metrics=report.to_row(),
-        resources={
-            "wall_seconds": round(report.total_seconds, 4),
-            "stream_seconds": round(report.stream_seconds, 4),
-            "peak_rss_kb": peak_rss_kb(),
-            "events_per_sec": report.events_per_sec,
-            "notifications_per_sec": report.notifications_per_sec,
-            "latency_ms": report.latency.as_dict(),
-        },
-    )
+    report = asyncio.run(run_live(row_workload(params), config))
+    return report, report.live["install_seconds"] + report.live["stream_seconds"]
+
+
+#: Transport → executor: ``(params, shards) -> (report, wall seconds)``.
+EXECUTORS = {"sim": _sim, "shard": _shard, "live": _live}
+
+
+#: Why a transport refuses any fault plan.
+REFUSED_FAULTS = {
+    "shard": "the shard transport refuses perturbing fault plans "
+    "(see repro.sim.shard.shard_capabilities); use transport='sim'",
+    "live": "fault plans on the live transport go through python -m "
+    "repro.net.cluster --chaos, not the experiment database; use "
+    "transport='sim' for faulted sweep points",
+}
+
+
+def reference(params: dict) -> tuple[str, int]:
+    """Digest and delivered count of the row's fault-free serial replay:
+    the same workload, seed and engine configuration on the simulator."""
+    report, _ = _sim({**params, "fault_plan": ""}, None)
+    return report.notification_digest, report.notifications_delivered
 
 
 def run_experiment(params: dict, *, shards: Optional[int] = None) -> ExperimentOutcome:
     """One claimed row, executed; raises on any error (the worker
     records the traceback in the row)."""
     transport = params["transport"]
+    execute = EXECUTORS.get(transport)
+    if execute is None:
+        raise ValueError(f"unknown transport {transport!r}")
     canonical_overrides(params["overrides"])  # refuses by field name
+    plan = params["fault_plan"] or {}
+    if plan and transport in REFUSED_FAULTS:
+        raise ValueError(REFUSED_FAULTS[transport])
+    churn = [knob for knob in CHURN_KNOBS if plan.get(knob)]
+    if churn:
+        raise ValueError(
+            f"the sim transport refuses the churn knobs {churn}: no sim "
+            f"driver reads them, so the row would run churn-free"
+        )
     hash_key_cache_clear()
     gc.collect()
-    if transport == "sim":
-        return _run_sim(params)
-    if transport == "shard":
-        return _run_shard(params, shards=shards)
-    if transport == "live":
-        return _run_live(params)
-    raise ValueError(f"unknown transport {transport!r}")
+    report, wall = execute(params, shards)
+    if transport == "live" or plan:
+        got = (report.notification_digest, report.notifications_delivered)
+        expected = reference(params)
+        if got != expected:
+            raise RuntimeError(
+                f"{transport} {params['algorithm']} run diverged from the "
+                f"simulator: digest {got[0][:12]} / {got[1]} delivered "
+                f"!= {expected[0][:12]} / {expected[1]}"
+            )
+    return ExperimentOutcome(
+        metrics=report.to_row(),
+        resources={
+            "wall_seconds": round(wall, 4),
+            "peak_rss_kb": peak_rss_kb(),
+            "events_per_sec": round(report.events / wall, 1) if wall else 0.0,
+        },
+    )

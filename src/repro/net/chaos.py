@@ -63,7 +63,8 @@ from .codec import HEADER_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chord.node import ChordNode
-    from .cluster import ClusterConfig, LiveCluster, LoadReport
+    from ..bench.rows import RunReport
+    from .cluster import ClusterConfig, LiveCluster
 
 
 class LiveChaos:
@@ -197,25 +198,23 @@ class SoakSettings:
 
 @dataclass
 class ChaosSoakReport:
-    """One soak: the run's :class:`~repro.net.cluster.LoadReport`, whose
-    digest, count and peak in-flight are taken after recovery, plus what
-    only a soak has."""
+    """One soak: the run's :class:`~repro.bench.rows.RunReport`, whose
+    answers, counters and peak in-flight are taken after recovery, plus
+    what only a soak has."""
 
-    run: "LoadReport"
+    run: "RunReport"
     #: Size of the protected origin pool; the fault-free reference is
     #: ``simulate_reference(..., subscribers=subscribers)``.
     subscribers: int
     #: Duplicate identities in the *delivered* streams — the
-    #: exactly-once gate; must be zero.
-    duplicate_deliveries: int
-    #: Re-created answers that arrived at the subscriber twice and were
-    #: dropped by the identity check.  Over real sockets this is the
-    #: dedup machinery *working*, not a violation: two evaluators can
+    #: exactly-once gate; must be zero.  Not ``run.duplicate_deliveries``:
+    #: those are re-created answers that arrived at the subscriber twice
+    #: and were dropped by the identity check.  Over real sockets that is
+    #: the dedup machinery *working*, not a violation: two evaluators can
     #: emit the same recovered answer while neither emission has landed
-    #: yet, so the sender-side filter cannot be current the way it is
-    #: in the synchronous simulator.
-    redundant_arrivals: int
-    suppressed_renotifications: int
+    #: yet, so the sender-side filter cannot be current the way it is in
+    #: the synchronous simulator.
+    delivered_duplicates: int
     credit_budget: Optional[int]
     crashes: int
     restarts: int
@@ -228,13 +227,14 @@ class ChaosSoakReport:
 
     @property
     def within_budget(self) -> bool:
-        return self.credit_budget is None or self.run.peak_in_flight <= self.credit_budget
+        budget = self.credit_budget
+        return budget is None or self.run.live["peak_in_flight"] <= budget
 
     @property
     def ok(self) -> bool:
         """Exactly once and within the credit budget (the oracle is the
         caller's check)."""
-        return self.duplicate_deliveries == 0 and self.within_budget
+        return self.delivered_duplicates == 0 and self.within_budget
 
     def as_dict(self) -> dict:
         """Every field but ``run`` (which has its own row)."""
@@ -245,8 +245,9 @@ class ChaosSoakReport:
         absorbed = ", ".join(
             f"{count} {kind}" for kind, count in sorted(self.absorbed_faults.items())
         )
+        run = self.run
         lines = [
-            f"chaos soak {self.run.algorithm}: {self.run.n_tuples} tuples, "
+            f"chaos soak {run.engine.config.algorithm}: {run.events} events, "
             f"{self.crashes} crashes / {self.restarts} restarts, "
             f"{chaos.get('partitions', 0)} partition episode(s)",
             f"  wire: {chaos.get('connects_refused', 0)} refusals, "
@@ -258,16 +259,16 @@ class ChaosSoakReport:
             f"{self.frames_written_off} written off, "
             f"absorbed faults: {absorbed or 'none'}, "
             f"{self.suspicions} suspicions, "
-            f"{self.suppressed_renotifications} re-notifications suppressed",
-            f"  result: {self.duplicate_deliveries} duplicates "
-            f"({self.redundant_arrivals} redundant arrivals deduped), "
-            f"peak in-flight {self.run.peak_in_flight}/{self.credit_budget}",
+            f"{run.suppressed_renotifications} re-notifications suppressed",
+            f"  result: {self.delivered_duplicates} duplicates "
+            f"({run.duplicate_deliveries} redundant arrivals deduped), "
+            f"peak in-flight {run.live['peak_in_flight']}/{self.credit_budget}",
         ]
-        if self.duplicate_deliveries:
-            lines.append(f"FAIL: {self.duplicate_deliveries} duplicate deliveries")
+        if self.delivered_duplicates:
+            lines.append(f"FAIL: {self.delivered_duplicates} duplicate deliveries")
         if not self.within_budget:
             lines.append(
-                f"FAIL: peak in-flight {self.run.peak_in_flight} exceeded "
+                f"FAIL: peak in-flight {run.live['peak_in_flight']} exceeded "
                 f"budget {self.credit_budget}"
             )
         return "\n".join(lines)
@@ -409,7 +410,6 @@ async def run_chaos_soak(
     checks the report against ``simulate_reference(...,
     subscribers=report.subscribers)`` (the CLI and CI do).
     """
-    from ..bench.rows import notification_digest
     from .cluster import LiveCluster
 
     settings = settings if settings is not None else SoakSettings()
@@ -447,19 +447,18 @@ async def run_chaos_soak(
         report = await cluster.run(workload, origins=pool, schedule=schedule)
         await controller.heal_partition()
         await controller.restart_all()
-        digest = await controller.settle(max_rounds=settings.settle_rounds)
+        await controller.settle(max_rounds=settings.settle_rounds)
 
         return ChaosSoakReport(
+            # A fresh report: answers and load are read after recovery.
             run=replace(
                 report,
-                digest=digest,
-                notifications=sum(len(batch) for batch in engine.delivered.values()),
-                peak_in_flight=cluster.in_flight.peak,
+                suppressed_renotifications=engine.suppressed_renotifications,
+                duplicate_deliveries=engine.duplicate_deliveries,
+                live={**report.live, "peak_in_flight": cluster.in_flight.peak},
             ),
             subscribers=len(pool),
-            duplicate_deliveries=delivered_duplicates(engine),
-            redundant_arrivals=engine.duplicate_deliveries,
-            suppressed_renotifications=engine.suppressed_renotifications,
+            delivered_duplicates=delivered_duplicates(engine),
             credit_budget=cluster.in_flight.budget,
             crashes=controller.crashes,
             restarts=controller.restarts,

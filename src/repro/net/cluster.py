@@ -37,7 +37,7 @@ zero duplicate notifications.
 
 The committed live points are ``live`` rows of ``BENCH_baseline.json``:
 ``python -m repro.expdb gate`` re-runs them through
-:func:`repro.expdb.runner._run_live` (this driver at
+:func:`repro.expdb.runner.run_experiment` (this driver at
 :data:`CREDIT_BUDGET`), demands the recorded digest and bounds today's
 **install + stream** wall (:mod:`repro.expdb.gate`).
 """
@@ -50,14 +50,15 @@ import json
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Mapping, Optional, Sequence
 
+from ..bench.rows import RunReport
 from ..chord.network import ChordNetwork
 from ..chord.node import ChordNode
 from ..core.engine import ContinuousQueryEngine, EngineConfig
 from ..errors import NetworkError, QuiesceTimeout
-from ..sim.stats import TrafficSnapshot, TrafficStats
+from ..sim.stats import TrafficStats
 from ..workload.generator import Workload, WorkloadParams, build_workload
 from .codec import encode_frame, read_frame
 from .frames import JoinReply, JoinRequest, MultiFrame, RouteFrame
@@ -94,34 +95,23 @@ class ClusterConfig:
     health: Optional[HealthConfig] = None
 
 
-@dataclass
-class LatencySummary:
-    """Wall-clock publish-to-notification latency, in milliseconds."""
+def latency_ms(seconds: Sequence[float]) -> dict:
+    """Wall-clock publish-to-notification latency samples, summarized
+    in milliseconds (all zeros without a sample)."""
+    ordered = sorted(seconds) or [0.0]
 
-    samples: int
-    p50_ms: float
-    p95_ms: float
-    p99_ms: float
-    mean_ms: float
-    max_ms: float
+    def ms(value: float) -> float:
+        return round(value * 1e3, 3)
 
-    @classmethod
-    def of(cls, seconds: list[float]) -> "LatencySummary":
-        if not seconds:
-            return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        ordered = sorted(seconds)
-        p50, p95, p99 = (_percentile(ordered, q) for q in PERCENTILES)
-        return cls(
-            samples=len(ordered),
-            p50_ms=round(p50 * 1e3, 3),
-            p95_ms=round(p95 * 1e3, 3),
-            p99_ms=round(p99 * 1e3, 3),
-            mean_ms=round(sum(ordered) / len(ordered) * 1e3, 3),
-            max_ms=round(ordered[-1] * 1e3, 3),
-        )
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+    p50, p95, p99 = (ms(_percentile(ordered, q)) for q in PERCENTILES)
+    return {
+        "samples": len(seconds),
+        "p50_ms": p50,
+        "p95_ms": p95,
+        "p99_ms": p99,
+        "mean_ms": ms(sum(ordered) / len(ordered)),
+        "max_ms": ms(ordered[-1]),
+    }
 
 
 def _percentile(ordered: Sequence[float], q: float) -> float:
@@ -135,87 +125,24 @@ def _percentile(ordered: Sequence[float], q: float) -> float:
     return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 
-@dataclass
-class LoadReport:
-    """One measured :meth:`LiveCluster.run`."""
+def _per_second(count: int, seconds: float) -> float:
+    return round(count / seconds, 1) if seconds > 0 else 0.0
 
-    algorithm: str
-    n_tuples: int
-    install_seconds: float
-    stream_seconds: float
-    notifications: int
-    frames_sent: int
-    bytes_sent: int
-    batches_sent: int
-    frames_shed: int
-    peak_in_flight: int
-    digest: str
-    latency: LatencySummary
-    #: Per-node filtering/storage observations at the end of the run
-    #: (:func:`repro.bench.rows.load_to_row`), exact for a seed.
-    load: dict
-    #: Overlay traffic of the whole run (install + stream).
-    traffic: TrafficSnapshot
 
-    @property
-    def total_seconds(self) -> float:
-        """The whole path a user pays for: install + stream."""
-        return self.install_seconds + self.stream_seconds
-
-    @property
-    def notifications_per_sec(self) -> float:
-        return self.notifications / self.stream_seconds if self.stream_seconds > 0 else 0.0
-
-    @property
-    def events_per_sec(self) -> float:
-        return self.n_tuples / self.stream_seconds if self.stream_seconds > 0 else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "wall_seconds": round(self.stream_seconds, 4),
-            "install_seconds": round(self.install_seconds, 4),
-            "total_seconds": round(self.total_seconds, 4),
-            "notifications_per_sec": round(self.notifications_per_sec, 1),
-            "events_per_sec": round(self.events_per_sec, 1),
-            "frames_sent": self.frames_sent,
-            "bytes_sent": self.bytes_sent,
-            "batches_sent": self.batches_sent,
-            "frames_shed": self.frames_shed,
-            "peak_in_flight": self.peak_in_flight,
-            "latency_ms": self.latency.as_dict(),
-        }
-
-    def to_row(self) -> dict:
-        """Stable JSON-safe dict shared with the :mod:`repro.expdb`
-        writer: the invariant answer-set columns under the same names
-        as the simulator rows, the live-only measurements nested."""
-        from ..bench.rows import ROW_VERSION
-
-        return {
-            "row_version": ROW_VERSION,
-            "kind": "live",
-            "hops": self.traffic.hops,
-            "messages": self.traffic.messages,
-            "notifications_delivered": self.notifications,
-            "notification_digest": self.digest,
-            # Constant: stored expdb rows from when a per-frame mode
-            # existed stay comparable on this key.
-            "mode": "batched",
-            "live": self.as_dict(),
-            "load": self.load,
-        }
-
-    def summary(self) -> str:
-        latency = self.latency
-        return (
-            f"{self.algorithm:6s} {self.notifications_per_sec:9.1f} notif/s  "
-            f"p50 {latency.p50_ms:7.2f}ms  p95 {latency.p95_ms:7.2f}ms  "
-            f"p99 {latency.p99_ms:7.2f}ms  ({self.stream_seconds:.3f}s stream, "
-            f"{self.total_seconds:.3f}s total, {self.notifications} notifications, "
-            f"{self.frames_sent} frames / {self.batches_sent} batches / "
-            f"{self.bytes_sent} bytes on the wire, "
-            f"{self.traffic.hops} overlay hops, digest {self.digest[:12]})"
-        )
+def live_summary(report: RunReport) -> str:
+    """One line on a live run's report."""
+    live, latency = report.live, report.live["latency_ms"]
+    return (
+        f"{report.engine.config.algorithm:6s} {live['notifications_per_sec']:9.1f} "
+        f"notif/s  p50 {latency['p50_ms']:7.2f}ms  p95 {latency['p95_ms']:7.2f}ms  "
+        f"p99 {latency['p99_ms']:7.2f}ms  ({live['stream_seconds']:.3f}s stream, "
+        f"{live['install_seconds'] + live['stream_seconds']:.3f}s total, "
+        f"{report.notifications_delivered} notifications, "
+        f"{live['frames_sent']} frames / {live['batches_sent']} batches / "
+        f"{live['bytes_sent']} bytes on the wire, "
+        f"{(report.install_traffic + report.stream_traffic).hops} overlay hops, "
+        f"digest {report.notification_digest[:12]})"
+    )
 
 
 class LiveCluster:
@@ -501,9 +428,10 @@ class LiveCluster:
         *,
         origins: Optional[Sequence[ChordNode]] = None,
         schedule: Optional[Mapping[int, Sequence[Callable[[], Awaitable]]]] = None,
-    ) -> LoadReport:
+    ) -> RunReport:
         """Replay ``workload``: install the queries and drain, stream the
-        tuples gated only by the credit budget, drain once, measure.
+        tuples gated only by the credit budget, drain once, measure.  The
+        install/stream traffic split is taken at the post-install drain.
 
         Origins are drawn with the run seed, queries first, then tuples,
         from ``origins``: a fixed, identifier-ordered tuple of nodes, the
@@ -545,6 +473,7 @@ class LiveCluster:
                 latencies.append(clock() - started)
 
         install_start = clock()
+        traffic_start = self.stats.snapshot()
         for event in query_events:
             await self.in_flight.wait_below_budget(timeout)
             engine.clock.advance_to(event.time)
@@ -552,6 +481,7 @@ class LiveCluster:
             bound = engine.subscribe(origin, event.payload)
             engine.add_notification_listener(bound.key, on_notification)
         await self.drain(tolerate_failures=tolerate)
+        installed = self.stats.snapshot()
         install_seconds = clock() - install_start
 
         stream_start = clock()
@@ -568,30 +498,36 @@ class LiveCluster:
         await self.drain(tolerate_failures=tolerate)
         stream_seconds = clock() - stream_start
 
-        from ..bench.rows import load_to_row, notification_digest
-
         peers = self.peers.values()
-        return LoadReport(
-            algorithm=engine.config.algorithm,
-            n_tuples=len(tuple_events),
-            install_seconds=install_seconds,
-            stream_seconds=stream_seconds,
-            notifications=sum(len(batch) for batch in engine.delivered.values()),
-            frames_sent=sum(peer.frames_sent for peer in peers),
-            bytes_sent=sum(peer.bytes_sent for peer in peers),
-            batches_sent=sum(peer.batches_sent for peer in peers),
-            frames_shed=sum(peer.frames_shed for peer in peers),
-            peak_in_flight=self.in_flight.peak,
-            digest=notification_digest(engine),
-            latency=LatencySummary.of(latencies),
-            load=load_to_row(engine.load_snapshot()),
-            traffic=self.stats.snapshot(),
+        return RunReport(
+            kind="live",
+            engine=engine,
+            install_traffic=installed - traffic_start,
+            stream_traffic=self.stats.snapshot() - installed,
+            events=len(query_events) + len(tuple_events),
+            evictions=0,
+            suppressed_renotifications=engine.suppressed_renotifications,
+            duplicate_deliveries=engine.duplicate_deliveries,
+            live={
+                "install_seconds": round(install_seconds, 4),
+                "stream_seconds": round(stream_seconds, 4),
+                "stream_tuples_per_sec": _per_second(len(tuple_events), stream_seconds),
+                "notifications_per_sec": _per_second(
+                    sum(map(len, engine.delivered.values())), stream_seconds
+                ),
+                "frames_sent": sum(peer.frames_sent for peer in peers),
+                "bytes_sent": sum(peer.bytes_sent for peer in peers),
+                "batches_sent": sum(peer.batches_sent for peer in peers),
+                "frames_shed": sum(peer.frames_shed for peer in peers),
+                "peak_in_flight": self.in_flight.peak,
+                "latency_ms": latency_ms(latencies),
+            },
         )
 
 
 async def run_live(
     workload: Workload, config: Optional[ClusterConfig] = None
-) -> LoadReport:
+) -> RunReport:
     """Start a cluster, :meth:`~LiveCluster.run` ``workload``, always tear down."""
     cluster = LiveCluster(config)
     await cluster.start()
@@ -616,15 +552,14 @@ def simulate_reference(
     nodes in identifier order, a chaos soak's protected pool.
     """
     from ..bench.harness import run_workload
-    from ..bench.rows import notification_digest
 
     engine = ContinuousQueryEngine(
         ChordNetwork.build(n_nodes),
         EngineConfig(algorithm=algorithm, seed=seed),
     )
     origins = None if subscribers is None else engine.network.nodes[:subscribers]
-    result = run_workload(engine, workload, seed=seed, origins=origins)
-    return notification_digest(engine), result.notifications_delivered
+    report = run_workload(engine, workload, seed=seed, origins=origins)
+    return report.notification_digest, report.notifications_delivered
 
 
 # ----------------------------------------------------------------------
@@ -709,12 +644,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 run_chaos_soak(workload, config=config, plan=plan, settings=settings)
             )
             report = soak.run
-        payload = {
-            "algorithm": algorithm,
-            **report.to_row(),
-            "overlay_hops": report.traffic.hops,
-            "messages": report.traffic.messages,
-        }
+        payload = {"algorithm": algorithm, **report.to_row()}
         ok = True
         if soak is not None:
             payload["soak"] = soak.as_dict()
@@ -727,10 +657,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 seed=args.seed,
                 subscribers=None if soak is None else soak.subscribers,
             )
-            matches = (report.digest, report.notifications) == (
-                sim_digest,
-                sim_delivered,
-            )
+            answers = (report.notification_digest, report.notifications_delivered)
+            matches = answers == (sim_digest, sim_delivered)
             payload["sim_digest"] = sim_digest
             payload["sim_notifications_delivered"] = sim_delivered
             payload["matches_simulator"] = matches
@@ -740,7 +668,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.json:
             print(json.dumps(payload, sort_keys=True))
             continue
-        print(report.summary())
+        print(live_summary(report))
         if soak is not None:
             print(soak.summary())
         if args.compare_sim:

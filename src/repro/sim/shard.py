@@ -82,17 +82,16 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from ..bench.rows import ROW_VERSION, delivered_pairs, digest_of_pairs, traffic_to_row
+from ..bench.rows import RunReport, delivered_pairs
 from ..chord.routing import Router
 from ..chord.snapshot import SegmentMap
+from ..core.metrics import LoadSnapshot, snapshot
 from ..core.notifications import group_by_subscriber
 from ..perf import PERF
 from .collector import CollectorPause
 from .messages import NotificationMessage
-from .stats import TrafficSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import ContinuousQueryEngine
@@ -264,51 +263,6 @@ def _process_stage(engine, transport: ShardTransport, items: list, phase: str) -
         nodes[ident].deliver(message)
 
 
-@dataclass
-class ShardRunResult:
-    """Metrics of one sharded stream run (:mod:`repro.bench.rows` vocabulary)."""
-
-    install_traffic: TrafficSnapshot
-    stream_traffic: TrafficSnapshot
-    notifications_delivered: int
-    notification_digest: str
-    suppressed_renotifications: int
-    duplicate_deliveries: int
-    events: int
-    shards: int
-    #: Sliding-window items evicted at barriers (compares bit-for-bit
-    #: with the serial :attr:`~repro.bench.harness.RunResult.evictions`
-    #: when both runs use the same ``evict_every``).
-    evictions: int = 0
-    #: Worker-produced records whose next-stage owner was a *different*
-    #: shard — the owner-aware exchange volume (cross-segment join
-    #: batches, replica probes and JFRT direct sends).  Always 0 for
-    #: in-process (single-segment) runs.
-    exchange_records: int = 0
-    #: Lifted modes this configuration engaged (see
-    #: :func:`shard_capabilities`).
-    features: tuple = ()
-
-    def to_row(self) -> dict:
-        """Stable JSON-safe dict of this run (no pickling; see
-        :mod:`repro.bench.rows` for the stability contract)."""
-        return {
-            "row_version": ROW_VERSION,
-            "kind": "shard",
-            "install_traffic": traffic_to_row(self.install_traffic),
-            "stream_traffic": traffic_to_row(self.stream_traffic),
-            "notifications_delivered": self.notifications_delivered,
-            "notification_digest": self.notification_digest,
-            "suppressed_renotifications": self.suppressed_renotifications,
-            "duplicate_deliveries": self.duplicate_deliveries,
-            "events": self.events,
-            "shards": self.shards,
-            "evictions": self.evictions,
-            "exchange_records": self.exchange_records,
-            "features": list(self.features),
-        }
-
-
 class _Resolver:
     """Replays the serial pre-hop suppression at the B→C barrier.
 
@@ -390,7 +344,7 @@ def shard_capabilities(engine) -> tuple[str, ...]:
 
     Empty for the stripped (unbounded window, ``replication_factor=1``,
     JFRT off) configuration the sharded executor originally supported.
-    The active set is recorded on :attr:`ShardRunResult.features` so
+    The active set is recorded in the run report's ``shard`` block so
     benchmark reports show which mechanisms a number exercised.
     """
     config = engine.config
@@ -432,7 +386,7 @@ def run_sharded(
     batch_size: int = 512,
     seed: int = 1,
     evict_every: int = 64,
-) -> ShardRunResult:
+) -> RunReport:
     """Replay a workload with the stream phase sharded across segments.
 
     ``events`` is any iterable of
@@ -454,10 +408,12 @@ def run_sharded(
     the stream, epochs are clipped so boundaries land exactly between
     epochs, and a final sweep runs after the last event.
 
-    Returns metrics bit-comparable with a serial
-    :func:`~repro.bench.harness.run_workload` of the same engine
+    Returns a :class:`~repro.bench.rows.RunReport` bit-comparable with
+    a serial :func:`~repro.bench.harness.run_workload` of the same engine
     configuration and ``evict_every``: traffic counters, notification
-    digest, delivery, eviction and suppression counts.
+    digest, per-node load, delivery, eviction and suppression counts.
+    Forked workers send their answers and their own nodes' load back at
+    the end; in process both are read off ``engine`` on first use.
     """
     # One pause around the install prefix, the fork and every epoch:
     # the workers are forked inside it and inherit the paused collector.
@@ -469,7 +425,7 @@ def run_sharded(
 
 def _run_staged(
     engine, events, pause: CollectorPause, shards, batch_size, seed, evict_every
-) -> ShardRunResult:
+) -> RunReport:
     """The body of :func:`run_sharded`, inside its collector pause."""
     _validate(engine)
     if evict_every < 1 or batch_size < 1:
@@ -556,16 +512,16 @@ def _run_staged(
                         delivered = {
                             key: pairs
                             for key, pairs in delivered_pairs(engine).items()
-                            if shard_of(
-                                engine.queries[key].subscriber.ident
-                            ) == index
+                            if shard_of(engine.queries[key].subscriber.ident) == index
                         }
+                        own = [node for node in network if shard_of(node.ident) == index]
                         conn.send(
                             (
                                 "final",
                                 network.stats.since(baseline),
                                 delivered,
                                 engine.duplicate_deliveries - duplicates_baseline,
+                                snapshot(engine, own),
                             )
                         )
                         return
@@ -697,60 +653,42 @@ def _run_staged(
         # --------------------------------------------------------------
         # Merge
         # --------------------------------------------------------------
-        if pool is None:
-            delivered = delivered_pairs(engine)
-            duplicate_deliveries = engine.duplicate_deliveries
-            stream_snapshot = network.stats.since(install_snapshot)
-        else:
+        stream_snapshot = network.stats.since(install_snapshot)
+        duplicate_deliveries = engine.duplicate_deliveries
+        gathered_pairs = gathered_load = None
+        if pool is not None:
             pool.broadcast(("finish",))
-            delivered = {}
-            duplicate_deliveries = engine.duplicate_deliveries
-            stream_snapshot = network.stats.since(install_snapshot)
+            gathered_pairs, loads = {}, []
             for reply in pool.gather():
                 if reply[0] == "error":
                     raise ShardError(f"shard worker failed:\n{reply[1]}")
-                _, delta, worker_delivered, worker_duplicates = reply
-                delivered.update(worker_delivered)
+                _, delta, worker_delivered, worker_duplicates, worker_load = reply
+                stream_snapshot += delta
+                gathered_pairs.update(worker_delivered)
                 duplicate_deliveries += worker_duplicates
-                stream_snapshot = TrafficSnapshot(
-                    hops=stream_snapshot.hops + delta.hops,
-                    messages=stream_snapshot.messages + delta.messages,
-                    hops_by_type=_merge_counts(
-                        stream_snapshot.hops_by_type, delta.hops_by_type
-                    ),
-                    messages_by_type=_merge_counts(
-                        stream_snapshot.messages_by_type, delta.messages_by_type
-                    ),
-                    messages_dropped=stream_snapshot.messages_dropped
-                    + delta.messages_dropped,
-                    retries=stream_snapshot.retries + delta.retries,
-                    messages_delayed=stream_snapshot.messages_delayed
-                    + delta.messages_delayed,
-                )
+                loads.append(worker_load)
+            gathered_load = LoadSnapshot.union(loads)
     finally:
         network.use_transport(previous_transport)
         engine.notification_gateway = None
         if pool is not None:
             pool.close()
 
-    return ShardRunResult(
+    return RunReport(
+        kind="shard",
+        engine=engine,
         install_traffic=install_snapshot,
         stream_traffic=stream_snapshot,
-        notifications_delivered=sum(len(pairs) for pairs in delivered.values()),
-        notification_digest=digest_of_pairs(delivered),
+        events=install_events + stream_events,
+        evictions=evictions,
         suppressed_renotifications=engine.suppressed_renotifications
         + resolver.suppressed,
         duplicate_deliveries=duplicate_deliveries,
-        events=install_events + stream_events,
-        shards=shards,
-        evictions=evictions,
-        exchange_records=exchange_records,
-        features=features,
+        shard={
+            "shards": shards,
+            "exchange_records": exchange_records,
+            "features": list(features),
+        },
+        gathered_pairs=gathered_pairs,
+        gathered_load=gathered_load,
     )
-
-
-def _merge_counts(left: dict, right: dict) -> dict:
-    merged = dict(left)
-    for key, value in right.items():
-        merged[key] = merged.get(key, 0) + value
-    return merged

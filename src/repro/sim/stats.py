@@ -16,7 +16,7 @@ per-node vectors into the distribution statistics the figures plot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,24 @@ class TrafficSnapshot:
     messages_dropped: int = 0
     retries: int = 0
     messages_delayed: int = 0
+
+    def __add__(self, other: "TrafficSnapshot") -> "TrafficSnapshot":
+        """Counters of two disjoint stretches of traffic, summed."""
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "TrafficSnapshot") -> "TrafficSnapshot":
+        """Counters accumulated after ``other`` (an earlier snapshot)."""
+        return self._combine(other, -1)
+
+    def _combine(self, other: "TrafficSnapshot", sign: int) -> "TrafficSnapshot":
+        def add(mine, theirs):
+            if isinstance(mine, dict):
+                keys = {**mine, **theirs}
+                return {key: mine.get(key, 0) + sign * theirs.get(key, 0) for key in keys}
+            return mine + sign * theirs
+
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return TrafficSnapshot(*(add(mine, theirs) for mine, theirs in pairs))
 
 
 class TrafficStats:
@@ -132,21 +150,7 @@ class TrafficStats:
 
     def since(self, earlier: TrafficSnapshot) -> TrafficSnapshot:
         """Counters accumulated after ``earlier`` was taken."""
-        return TrafficSnapshot(
-            hops=self.hops - earlier.hops,
-            messages=self.messages - earlier.messages,
-            hops_by_type={
-                key: count - earlier.hops_by_type.get(key, 0)
-                for key, count in self.hops_by_type.items()
-            },
-            messages_by_type={
-                key: count - earlier.messages_by_type.get(key, 0)
-                for key, count in self.messages_by_type.items()
-            },
-            messages_dropped=self.messages_dropped - earlier.messages_dropped,
-            retries=self.retries - earlier.retries,
-            messages_delayed=self.messages_delayed - earlier.messages_delayed,
-        )
+        return self.snapshot() - earlier
 
     def reset(self) -> None:
         """Zero every counter."""

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.configs import SCALES, Scale, current_scale
 from repro.bench.harness import make_engine, run_standard, run_workload, workload_for
+from repro.core.oracle import CentralizedOracle
 
 TINY = Scale("tiny", n_nodes=32, n_queries=20, n_tuples=60, domain_size=20)
 
@@ -55,19 +56,33 @@ class TestHarness:
         engine = make_engine(TINY)
         workload = workload_for(TINY)
         result = run_workload(engine, workload)
-        assert len(result.queries) == TINY.n_queries
+        assert len(engine.queries) == TINY.n_queries
+        assert result.events == TINY.n_queries + TINY.n_tuples
         assert result.install_traffic.hops > 0
         assert result.stream_traffic.hops > 0
-        assert result.hops_per_tuple > 0
-        assert result.hops_per_query > 0
+        assert result.install_traffic.messages_by_type["query"] > 0
+        assert result.stream_traffic.messages_by_type.get("query", 0) == 0
 
     def test_run_workload_oracle_agreement(self):
         engine = make_engine(TINY)
         workload = workload_for(TINY)
-        result = run_workload(engine, workload, with_oracle=True)
-        assert result.oracle is not None
-        for query in result.queries:
-            assert engine.delivered_rows(query.key) == result.oracle.rows_for(query.key)
+        oracle = CentralizedOracle(window=engine.config.window)
+
+        def subscribe(origin, query, _real=engine.subscribe):
+            bound = _real(origin, query)
+            oracle.subscribe(bound)
+            return bound
+
+        def publish(origin, relation, values, _real=engine.publish):
+            tup = _real(origin, relation, values)
+            oracle.insert(tup)
+            return tup
+
+        engine.subscribe, engine.publish = subscribe, publish
+        run_workload(engine, workload)
+        assert len(engine.queries) == TINY.n_queries
+        for key in engine.queries:
+            assert engine.delivered_rows(key) == oracle.rows_for(key)
 
     def test_per_tuple_hops_collected(self):
         engine = make_engine(TINY)

@@ -8,9 +8,9 @@ import pytest
 from repro.bench.harness import run_standard
 from repro.bench.rows import (
     ROW_VERSION,
-    SCALE_METRIC_FIELDS,
     delivered_pairs,
     digest_of_pairs,
+    exact_columns,
     metric_summary,
     notification_digest,
     traffic_to_row,
@@ -66,8 +66,8 @@ class TestShardResultRow:
     def test_round_trip(self):
         from repro.bench.scale import run_scale_point
 
-        sample = run_scale_point("sai", TINY, shards=1, batch_size=8)
-        row = sample["row"]
+        report, _ = run_scale_point("sai", TINY, shards=1, batch_size=8)
+        row = report.to_row()
         assert row["kind"] == "shard"
         assert json.loads(json.dumps(row)) == row
 
@@ -95,8 +95,9 @@ class TestNotificationDigest:
 
 class TestMetricSummary:
     def test_scale_fields_include_evictions(self):
-        summary = metric_summary(tiny_result().to_row(), SCALE_METRIC_FIELDS)
-        assert "evictions" in summary
+        # What bench.scale --verify and the gate compare, alike.
+        exact = exact_columns(tiny_result().to_row())
+        assert {"evictions", "install_traffic", "stream_traffic", "load"} <= set(exact)
 
     def test_summary_totals_combine_install_and_stream(self):
         row = tiny_result().to_row()

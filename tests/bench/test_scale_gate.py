@@ -52,32 +52,42 @@ def sample():
 
 class TestReportShape:
     def test_identity_fields(self, sample):
-        assert sample["shards"] == 1
-        assert 0 < sample["build_seconds"] < sample["wall_seconds"]
-        assert sample["row"]["kind"] == "shard"
-        assert sample["row"]["events"] == TINY.n_queries + TINY.n_tuples
+        report, wall = sample
+        assert report.shard["shards"] == 1
+        assert wall > 0
+        row = report.to_row()
+        assert row["kind"] == "shard"
+        assert row["events"] == TINY.n_queries + TINY.n_tuples
 
     def test_metrics_vocabulary(self, sample):
-        assert set(sample["metrics"]) == {
-            "hops",
-            "messages",
-            "stream_hops_by_type",
-            "stream_messages_by_type",
+        report, _ = sample
+        assert set(report.to_row()) == {
+            "row_version",
+            "kind",
+            "install_traffic",
+            "stream_traffic",
             "notifications_delivered",
             "notification_digest",
+            "suppressed_renotifications",
+            "duplicate_deliveries",
             "evictions",
+            "events",
+            "load",
+            "shard",
+            "live",
         }
 
     def test_resource_columns(self, sample):
-        resources = sample["resources"]
-        assert resources["peak_rss_kb"] > 0
-        assert resources["events_per_sec"] > 0
-        assert resources["exchange_records"] == 0  # shards=1
+        report, _ = sample
+        assert report.load.total_filtering > 0
+        assert report.shard["exchange_records"] == 0  # shards=1
         # Stripped config: no lifted modes engaged.
-        assert sample["features"] == []
+        assert report.shard["features"] == []
+        assert report.to_row()["live"] is None
 
     def test_json_round_trip(self, sample):
-        assert json.loads(json.dumps(sample)) == sample
+        row = sample[0].to_row()
+        assert json.loads(json.dumps(row)) == row
 
 
 @pytest.fixture(scope="module")

@@ -26,6 +26,18 @@ class TestSnapshot:
         load = snapshot(engine)
         assert set(load.filtering) == {node.ident for node in engine.network}
 
+    def test_snapshots_of_disjoint_nodes_union_back(
+        self, engine_factory, two_relation_schema
+    ):
+        """A forked run rebuilds the load from each shard's own nodes."""
+        engine = engine_factory(algorithm="sai")
+        fire_small_workload(engine, two_relation_schema)
+        load = snapshot(engine)
+        nodes = list(engine.network)
+        parts = [snapshot(engine, nodes[r::3]) for r in range(3)]
+        assert sum(len(part.filtering) for part in parts) == len(load.filtering)
+        assert type(load).union(parts) == load
+
     def test_levels_sum_to_total(self, engine_factory, two_relation_schema):
         engine = engine_factory(algorithm="sai")
         fire_small_workload(engine, two_relation_schema)

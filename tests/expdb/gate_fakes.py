@@ -22,7 +22,7 @@ def traffic(hops: int, messages: int) -> dict:
 
 
 def metrics_row(hops: int = 100) -> dict:
-    """A ``RunResult.to_row()``-shaped metrics row."""
+    """A ``RunReport.to_row()``-shaped metrics row."""
     return {
         "row_version": 1,
         "kind": "run",

@@ -10,7 +10,9 @@ import json
 import pytest
 
 from repro.bench.harness import run_standard, workload_for
+from repro.bench.rows import exact_columns
 from repro.bench.scale import run_scale_point
+from repro.errors import SchemaError
 from repro.expdb.db import normalize_params
 from repro.expdb.runner import (
     engine_overrides,
@@ -18,7 +20,7 @@ from repro.expdb.runner import (
     run_experiment,
     scale_for,
 )
-from repro.faults import DelaySpec
+from repro.faults import DelaySpec, FaultInjector
 from repro.net.cluster import simulate_reference
 
 TINY_SIM = {
@@ -76,6 +78,76 @@ class TestSimTransport:
         )
 
 
+class TestFaultedSimRows:
+    """A ``sim`` row with a fault plan is held to its fault-free answers."""
+
+    POINT = dict(n_nodes=64, n_queries=40, n_tuples=200, domain_size=20, seed=1)
+    DELAY = {"delay": {"probability": 0.3, "maximum": 2.0}, "seed": 7}
+
+    @pytest.mark.parametrize("knob", ["crash_every", "restart_after", "lease_refresh_every"])
+    def test_churn_knobs_are_refused(self, knob):
+        with pytest.raises(ValueError, match=f"refuses the churn knobs \\['{knob}'\\]"):
+            run_experiment(decoded(fault_plan={knob: 5.0}))
+
+    @pytest.mark.parametrize("algorithm", ["sai", "dai-q", "dai-t", "dai-v"])
+    def test_loss_only_plans_equal_the_clean_answers(self, algorithm):
+        faulted = decoded(**self.POINT, algorithm=algorithm,
+                          fault_plan={"loss_probability": 0.1, "seed": 7})
+        clean = decoded(**self.POINT, algorithm=algorithm)
+        metrics = run_experiment(faulted).metrics
+        assert metrics["stream_traffic"]["messages_dropped"] > 0
+        expected = run_experiment(clean).metrics
+        assert metrics["notification_digest"] == expected["notification_digest"]
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="ROADMAP 2(b): injected delay loses answers on the serial simulator",
+    )
+    @pytest.mark.parametrize("algorithm", ["sai", "dai-q", "dai-t"])
+    def test_the_delay_probe_equals_its_clean_digest(self, algorithm):
+        run_experiment(decoded(**self.POINT, algorithm=algorithm, fault_plan=self.DELAY))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SchemaError,
+        reason="ROADMAP 2(c): DAI-V projects a delayed tuple without its join attribute",
+    )
+    def test_dai_v_does_not_raise_under_the_delay_probe(self):
+        row = decoded(**self.POINT, algorithm="dai-v", fault_plan=self.DELAY)
+        run_standard(
+            "dai-v",
+            scale_for(row),
+            config_overrides=engine_overrides(row),
+            seed=row["seed"],
+            injector=FaultInjector(fault_plan_from_dict(self.DELAY)),
+        )
+
+
+class TestOneRowShape:
+    """One parameter tuple, three transports, one row shape."""
+
+    POINT = dict(n_nodes=16, n_queries=12, n_tuples=40, domain_size=12, seed=2)
+
+    @pytest.mark.parametrize("algorithm", ["sai", "dai-q", "dai-t", "dai-v"])
+    def test_sim_shard_and_live_rows_share_keys_and_sim_equals_shard(self, algorithm):
+        rows = {
+            transport: run_experiment(
+                decoded(**self.POINT, algorithm=algorithm, transport=transport), shards=1
+            ).metrics
+            for transport in ("sim", "shard", "live")
+        }
+        assert set(rows["sim"]) == set(rows["shard"]) == set(rows["live"])
+        sim, shard = (exact_columns(rows[name]) for name in ("sim", "shard"))
+        # The per-tuple hop series is the serial replay's alone.
+        del sim["load"]["fifth"]
+        assert sim == shard
+        for counter in ("suppressed_renotifications", "duplicate_deliveries", "events"):
+            assert rows["sim"][counter] == rows["shard"][counter]
+        assert (rows["sim"]["shard"], rows["sim"]["live"]) == (None, None)
+        assert rows["live"]["notification_digest"] == sim["notification_digest"]
+
+
 class TestShardTransport:
     def test_shard_run_carries_the_stable_row(self):
         outcome = run_experiment(
@@ -83,8 +155,10 @@ class TestShardTransport:
         )
         assert outcome.metrics["kind"] == "shard"
         assert outcome.metrics["notifications_delivered"] > 0
-        assert outcome.resources["shards"] == 1
+        assert outcome.metrics["shard"]["shards"] == 1
         assert outcome.resources["wall_seconds"] > 0
+        assert outcome.resources["peak_rss_kb"] > 0
+        assert outcome.resources["events_per_sec"] > 0
 
     def test_fault_plans_are_refused(self):
         with pytest.raises(ValueError, match="refuses perturbing fault plans"):
@@ -109,10 +183,14 @@ class TestLiveTransport:
         assert outcome.metrics["kind"] == "live"
         assert outcome.metrics["notifications_delivered"] > 0
         assert len(outcome.metrics["notification_digest"]) == 40
-        # The overlay traffic the socket transport counted, as on a sim row.
-        assert outcome.metrics["hops"] > 0 and outcome.metrics["messages"] > 0
+        # The overlay traffic the socket transport counted, split at the
+        # post-install drain as on a sim row.
+        for phase in ("install_traffic", "stream_traffic"):
+            traffic = outcome.metrics[phase]
+            assert traffic["hops"] > 0 and traffic["messages"] > 0
+        assert outcome.metrics["install_traffic"]["messages_by_type"]["query"] > 0
         assert outcome.resources["events_per_sec"] > 0
-        assert "latency_ms" in outcome.resources
+        assert "latency_ms" in outcome.metrics["live"]
 
     def test_fault_plans_are_refused(self):
         with pytest.raises(ValueError, match="live"):
@@ -181,8 +259,8 @@ class TestSeedColumn:
         }
         assert by_hand[2]["notification_digest"] != by_hand[3]["notification_digest"]
         assert run_experiment(row).metrics == by_hand[2]
-        point = run_scale_point("sai", scale, seed=3, config_overrides=config)
-        assert point["metrics"]["notification_digest"] == by_hand[3]["notification_digest"]
+        point, _ = run_scale_point("sai", scale, seed=3, config_overrides=config)
+        assert point.notification_digest == by_hand[3]["notification_digest"]
 
 
 class TestOverrides:

@@ -101,12 +101,13 @@ class TestChaosSoak:
         assert report.suspicions > 0
         # ... and the system still converged, exactly once, in budget,
         # without a drain ever waiting out its timeout.
-        assert (report.run.digest, report.run.notifications) == simulate_reference(
+        run = report.run
+        assert (run.notification_digest, run.notifications_delivered) == simulate_reference(
             workload, algorithm=algorithm, n_nodes=5, seed=7, subscribers=2
         )
-        assert report.duplicate_deliveries == 0
+        assert report.delivered_duplicates == 0
         assert report.within_budget
-        assert report.run.peak_in_flight > 0
+        assert report.run.live["peak_in_flight"] > 0
         assert "QuiesceTimeout" not in report.absorbed_faults
 
 

@@ -72,21 +72,21 @@ def test_live_ring_matches_simulator_exactly(algorithm):
     sim_engine = simulator_run(algorithm)
 
     # Same digest (the CLI gate) ...
-    assert report.digest == notification_digest(sim_engine)
+    assert report.notification_digest == notification_digest(sim_engine)
     # ... and, stronger, the same per-query delivered-notification sets.
     live_engine = cluster.engine
     assert set(live_engine.queries) == set(sim_engine.queries)
     for key in sim_engine.queries:
         assert live_engine.delivered_rows(key) == sim_engine.delivered_rows(key)
-    assert report.notifications == sum(
+    assert report.notifications_delivered == sum(
         len(batch) for batch in sim_engine.delivered.values()
     )
     # No deliveries outstanding, no swallowed failures.
     assert cluster.in_flight.count == 0
     assert cluster.errors == []
     # Payloads really crossed sockets.
-    assert report.frames_sent > 0
-    assert report.bytes_sent > 0
+    assert report.live["frames_sent"] > 0
+    assert report.live["bytes_sent"] > 0
 
 
 @pytest.mark.parametrize("algorithm", ["sai", "dai-q", "dai-t", "dai-v"])
@@ -130,7 +130,7 @@ def test_all_four_algorithms_match_on_a_small_ring():
         codec._SHAPE_TABLE.clear()
         cluster, report = asyncio.run(live_run(algorithm, workload, n_nodes=6))
         sim_engine = simulator_run(algorithm, workload, n_nodes=6)
-        assert report.digest == notification_digest(sim_engine), (
+        assert report.notification_digest == notification_digest(sim_engine), (
             algorithm
         )
         assert assert_shared_shapes_untouched(cluster) > 0, algorithm

@@ -69,20 +69,17 @@ def config(algorithm, seed, budget=CREDIT_BUDGET):
 def test_loadgen_matches_simulator_and_gates_itself():
     workload = point_workload(3)
     report = asyncio.run(run_live(workload, config("dai-t", 3)))
-    assert (report.digest, report.notifications) == simulate_reference(
-        workload, algorithm="dai-t", n_nodes=N_NODES, seed=3
-    )
-    assert report.batches_sent > 0
+    answers = (report.notification_digest, report.notifications_delivered)
+    assert answers == simulate_reference(workload, algorithm="dai-t", n_nodes=N_NODES, seed=3)
+    assert report.live["batches_sent"] > 0
 
     # The same point as a ``live`` row: the runner checks it against the
     # simulator itself, and stores the whole path in the one wall column.
     outcome = run_experiment(decode_params(normalize_params(LIVE_ROW)))
     measured = outcome.metrics["live"]
-    assert outcome.metrics["notification_digest"] == report.digest
-    assert outcome.resources["wall_seconds"] == measured["total_seconds"]
-    assert outcome.resources["stream_seconds"] == measured["wall_seconds"]
-    assert measured["total_seconds"] == pytest.approx(
-        measured["install_seconds"] + measured["wall_seconds"], abs=2e-4
+    assert outcome.metrics["notification_digest"] == report.notification_digest
+    assert outcome.resources["wall_seconds"] == pytest.approx(
+        measured["install_seconds"] + measured["stream_seconds"], abs=2e-4
     )
 
     # The recorded row gates green against the live path itself (a
@@ -130,7 +127,7 @@ def test_pipelined_run_equals_simulator_without_settle(algorithm, seed, budget):
     network = ChordNetwork.build(N_NODES)
     engine = ContinuousQueryEngine(network, EngineConfig(algorithm=algorithm, seed=seed))
     run_workload(engine, point_workload(seed), seed=seed)
-    assert (report.digest, report.notifications) == (
+    assert (report.notification_digest, report.notifications_delivered) == (
         notification_digest(engine),
         sum(len(batch) for batch in engine.delivered.values()),
     )
@@ -168,17 +165,17 @@ def test_default_origins_are_the_random_node_draws(monkeypatch):
 def test_a_live_row_that_leaves_the_simulator_cannot_finish(monkeypatch):
     """A live row raises on a digest or a count the oracle does not
     confirm, so the worker records an error and the gate a failure."""
-    import repro.net.cluster as cluster_module
+    import repro.expdb.runner as runner_module
 
     params = decode_params(normalize_params(LIVE_ROW))
-    real = cluster_module.simulate_reference
+    real = runner_module.reference
     for tamper in (
         lambda digest, delivered: ("0" * 40, delivered),
         lambda digest, delivered: (digest, delivered + 1),
     ):
         monkeypatch.setattr(
-            cluster_module,
-            "simulate_reference",
+            runner_module,
+            "reference",
             lambda *args, **kwargs: tamper(*real(*args, **kwargs)),
         )
         with pytest.raises(RuntimeError, match="diverged from the simulator"):
@@ -203,7 +200,7 @@ def test_benign_run_takes_raw_relay_and_matches_simulator(caplog):
             outboxes = sum(len(p._outboxes) for p in cluster.peers.values())
         finally:
             await cluster.stop()
-        return report.digest, outboxes
+        return report.notification_digest, outboxes
 
     PERF.reset()
     PERF.enable()

@@ -76,7 +76,7 @@ class TestStagedEquivalence:
         expected = serial_reference(algorithm, workload)
         result, got = sharded_run(algorithm, workload, shards=1)
         assert got == expected
-        assert result.shards == 1
+        assert result.shard["shards"] == 1
         assert result.events == len(workload)
         assert result.duplicate_deliveries == 0
 
@@ -94,7 +94,7 @@ class TestForkedEquivalence:
         expected = serial_reference(algorithm, workload)
         result, got = sharded_run(algorithm, workload, shards=3)
         assert got == expected
-        assert result.shards == 3
+        assert result.shard["shards"] == 3
 
 
 class TestCapabilities:
@@ -114,19 +114,19 @@ class TestCapabilities:
         engine = self._engine(window=10.0)
         assert shard_capabilities(engine) == ("barrier-aligned eviction",)
         result = run_sharded(engine, workload, batch_size=16)
-        assert result.features == ("barrier-aligned eviction",)
+        assert result.shard["features"] == ["barrier-aligned eviction"]
 
     def test_replication_lifted(self, workload):
         engine = self._engine(replication_factor=2)
         assert shard_capabilities(engine) == ("owner-aware replica exchange",)
         result = run_sharded(engine, workload, batch_size=16)
-        assert result.features == ("owner-aware replica exchange",)
+        assert result.shard["features"] == ["owner-aware replica exchange"]
 
     def test_jfrt_lifted(self, workload):
         engine = self._engine(jfrt_capacity=4)
         assert shard_capabilities(engine) == ("owner-aware JFRT exchange",)
         result = run_sharded(engine, workload, batch_size=16)
-        assert result.features == ("owner-aware JFRT exchange",)
+        assert result.shard["features"] == ["owner-aware JFRT exchange"]
 
     def test_all_features_engage_together(self, workload):
         engine = self._engine(window=10.0, replication_factor=2, jfrt_capacity=4)
@@ -140,7 +140,7 @@ class TestCapabilities:
         engine = self._engine()
         assert shard_capabilities(engine) == ()
         result = run_sharded(engine, workload, batch_size=16)
-        assert result.features == ()
+        assert result.shard["features"] == []
 
     def test_perturbing_fault_injector_rejected(self, workload):
         from repro.faults.injector import FaultInjector

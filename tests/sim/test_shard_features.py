@@ -116,8 +116,8 @@ class TestFeaturedEquivalence:
         expected = serial_reference(algorithm, FEATURED, 64)
         result, got = sharded_row(algorithm, FEATURED, shards=1)
         assert got == expected
-        assert result.exchange_records == 0  # single segment, no crossing
-        assert set(result.features) == {
+        assert result.shard["exchange_records"] == 0  # single segment, no crossing
+        assert set(result.shard["features"]) == {
             "barrier-aligned eviction",
             "owner-aware replica exchange",
             "owner-aware JFRT exchange",
@@ -131,7 +131,7 @@ class TestFeaturedEquivalence:
         expected = serial_reference(algorithm, FEATURED, 64)
         result, got = sharded_row(algorithm, FEATURED, shards=3)
         assert got == expected
-        assert result.shards == 3
+        assert result.shard["shards"] == 3
 
 
 class TestEvictionSchedule:
@@ -197,4 +197,4 @@ def test_random_feature_mix_matches_serial(
     )
     assert got == expected
     if shards == 1:
-        assert result.exchange_records == 0
+        assert result.shard["exchange_records"] == 0

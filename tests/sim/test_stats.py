@@ -57,6 +57,23 @@ class TestTrafficStats:
         assert delta.messages == 2
         assert delta.hops_by_type == {"x": 4, "y": 1}
 
+    def test_snapshots_add_and_subtract(self):
+        stats = TrafficStats()
+        stats.record("x", 3)
+        stats.record_drop("x")
+        early = stats.snapshot()
+        stats.record("x", 4)
+        stats.record_batch("y", 2, 5)
+        stats.record_retry("y")
+        late = stats.snapshot()
+        delta = late - early
+        assert (delta.hops, delta.messages, delta.retries) == (9, 3, 1)
+        assert delta.hops_by_type == {"x": 4, "y": 5}
+        assert delta.messages_by_type == {"x": 1, "y": 2}
+        assert delta.messages_dropped == 0
+        assert early + delta == late
+        assert list((early + delta).hops_by_type) == ["x", "y"]
+
     def test_reset(self):
         stats = TrafficStats()
         stats.record("x", 3)

@@ -35,7 +35,8 @@ COMMAND_SOURCES = (
 #: the second scheduler and recursive-sweep bodies, helpers that only
 #: tests called, the load generator beside the live driver, the flat
 #: per-member rewritten query with the per-key DAI-T memory, and the
-#: chaos soak's own replay loop and reference.
+#: chaos soak's own replay loop and reference, and the three run
+#: report classes the one ``RunReport`` replaced, with their helpers.
 DELETED = (
     "EventRing",
     "run_stream",
@@ -69,6 +70,16 @@ DELETED = (
     "sent_rewritten_keys",
     "soak_reference",
     "drive_event",
+    "RunResult",
+    "LoadReport",
+    "SCALE_METRIC_FIELDS",
+    "_run_sim",
+    "_run_shard",
+    "_run_live",
+    "_merge_counts",
+    "with_oracle",
+    "hops_per_query",
+    "redundant_arrivals",
 )
 
 
