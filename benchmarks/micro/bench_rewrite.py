@@ -10,7 +10,7 @@ shape joinbench ``sim_fanout`` meets (64 members over 16 select lists
 that bind 4 trigger attributes: one key suffix per binding, not per
 list), ``engine.subscribe.fresh`` the install half — one subscribe of a
 never-touched generated query on a 128-node ring, routing included.
-The other figures isolate simulator event/message construction, the
+The last figure isolates simulator message construction, the
 per-hop allocation the ``__slots__`` pass trimmed.
 """
 
@@ -20,7 +20,6 @@ import random
 
 from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig
 from repro.core.tables import AttributeLevelQueryTable, StoredQuery
-from repro.sim.events import Event
 from repro.sim.messages import ALIndexMessage
 from repro.sql.parser import parse_query
 from repro.sql.query import LEFT, Subscriber, rewrite
@@ -92,12 +91,6 @@ def run(loops: int = 30_000) -> list[dict]:
 
         return best_of(one_rewrite, loops=loops)
 
-    def nothing():
-        pass
-
-    def one_event():
-        Event(5.0, 1, nothing, "tuple")
-
     def one_message():
         ALIndexMessage(tuple=tuples[0], index_attribute="B")
 
@@ -112,7 +105,6 @@ def run(loops: int = 30_000) -> list[dict]:
                unit="ns/rewrite"),
         report("engine.subscribe.fresh", subscribe_fresh(loops // 15),
                unit="ns/subscribe"),
-        report("sim.event_alloc", best_of(one_event, loops=loops)),
         report("sim.message_alloc", best_of(one_message, loops=loops)),
     ]
 

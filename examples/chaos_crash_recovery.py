@@ -17,9 +17,18 @@ Run with::
 
 import random
 
-from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema
+from repro import (
+    ChordNetwork,
+    ContinuousQueryEngine,
+    DataTuple,
+    EngineConfig,
+    Schema,
+    parse_query,
+)
+from repro.bench.harness import run_workload
 from repro.core.oracle import CentralizedOracle
-from repro.faults import ChaosHarness, DelaySpec, FaultInjector, FaultPlan
+from repro.faults import ChaosHarness, DelaySpec, FaultInjector, FaultPlan, churn_schedule
+from repro.workload.generator import Workload, WorkloadEvent, WorkloadParams
 
 N_EVENTS = 300
 CRASH_EVERY = 60
@@ -33,56 +42,53 @@ def main() -> None:
     plan = FaultPlan(
         loss_probability=0.08,
         delay=DelaySpec(probability=0.15, minimum=0.5, maximum=3.0),
+        crash_every=float(CRASH_EVERY),  # one publish per time unit
         seed=7,
     )
     injector = FaultInjector(plan)
     network = ChordNetwork.build(128, injector=injector)
     engine = ContinuousQueryEngine(network, EngineConfig(algorithm=ALGORITHM))
-    oracle = CentralizedOracle()
-    rng = random.Random(3)
 
-    subscriber = network.nodes[0]
-    query = engine.subscribe(
-        subscriber,
+    # One subscription, then the order/stock stream one time unit apart.
+    sql = (
         "SELECT O.OrderId, S.Depot FROM Orders AS O, Stock AS S "
-        "WHERE O.Item = S.Item",
-        schema,
+        "WHERE O.Item = S.Item"
     )
-    oracle.subscribe(query)
-    harness = ChaosHarness(engine, injector)
-    harness.protect(subscriber)
-    print(f"monitoring order/stock matches ({query.key}) under chaos\n")
-
+    events = [WorkloadEvent(0.0, "query", parse_query(sql, schema))]
     orders = schema.relation("Orders")
     stock = schema.relation("Stock")
+    rng = random.Random(3)
     for index in range(N_EVENTS):
-        engine.clock.advance(1.0)
-        origin = network.random_node(rng)
         if rng.random() < 0.5:
-            tup = engine.publish(
-                origin, orders, {"OrderId": index, "Item": rng.randrange(20)}
-            )
+            tup = (orders, {"OrderId": index, "Item": rng.randrange(20)})
         else:
-            tup = engine.publish(
-                origin, stock, {"Item": rng.randrange(20), "Depot": rng.randrange(5)}
-            )
-        oracle.insert(tup)
+            tup = (stock, {"Item": rng.randrange(20), "Depot": rng.randrange(5)})
+        events.append(WorkloadEvent(1.0 + index, "tuple", tup))
+    workload = Workload(schema, events, WorkloadParams(n_queries=1, n_tuples=N_EVENTS))
 
-        if index % CRASH_EVERY == CRASH_EVERY - 1:
-            victim = harness.crash()
-            if victim is not None:
-                print(f"  t={engine.clock.now:6.1f}  node {victim.key} crashed")
+    # The replay lands delayed deliveries as the stream goes and crashes
+    # a node (never the subscriber) every CRASH_EVERY time units.
+    harness = ChaosHarness(engine, injector)
+    run_workload(engine, workload, seed=3, schedule=churn_schedule(plan, harness, workload))
+    (query,) = engine.queries.values()
+    print(f"monitored order/stock matches ({query.key}) under chaos\n")
+    for key in harness.crashed_keys:
+        print(f"  node {key} crashed")
 
     harness.settle()
 
-    stats = network.stats
+    oracle = CentralizedOracle()
+    oracle.subscribe(query)
+    for event in events[1:]:
+        oracle.insert(DataTuple.make(*event.payload, pub_time=event.time))
+    stats = network.stats.snapshot()
     got = engine.delivered_rows(query.key)
     want = oracle.rows_for(query.key)
     print(
         f"\nchaos: {injector.crashes} crashes, "
-        f"{stats.snapshot().messages_dropped} drops, "
-        f"{stats.snapshot().retries} retries, "
-        f"{stats.snapshot().messages_delayed} delayed deliveries"
+        f"{stats.messages_dropped} drops, "
+        f"{stats.retries} retries, "
+        f"{stats.messages_delayed} delayed deliveries"
     )
     print(f"rows delivered: {len(got)}; oracle ground truth: {len(want)}")
     print(f"duplicate notifications: {engine.duplicate_deliveries}")

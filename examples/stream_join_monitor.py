@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Windowed stream-join monitoring driven by the event simulator.
+"""Windowed stream-join monitoring, replayed by the serial driver.
 
 Two sensor streams — ``Temp(SensorId, RoomId, Celsius)`` and
 ``Smoke(DetectorId, RoomId, Level)`` — are joined on ``RoomId`` with a
@@ -15,7 +15,9 @@ Run with::
 
 import random
 
-from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema, Simulator
+from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema, parse_query
+from repro.bench.harness import run_workload
+from repro.workload.generator import Workload, WorkloadEvent, WorkloadParams
 
 WINDOW = 20.0
 N_ROOMS = 8
@@ -33,44 +35,37 @@ def main() -> None:
     engine = ContinuousQueryEngine(
         network, EngineConfig(algorithm="dai-t", window=WINDOW)
     )
-    simulator = Simulator(network, engine.clock)
     rng = random.Random(11)
 
-    control_room = network.nodes[0]
-    query = engine.subscribe(
-        control_room,
+    alert = parse_query(
         "SELECT T.RoomId, S.Level FROM Temp AS T, Smoke AS S "
         "WHERE T.RoomId = S.RoomId",
         schema,
     )
-    print(f"alert query installed ({query.key}), window = {WINDOW} time units\n")
-
+    events = [WorkloadEvent(0.0, "query", alert)]
     temp = schema.relation("Temp")
     smoke = schema.relation("Smoke")
-
-    def publish_reading() -> None:
-        origin = network.random_node(rng)
+    for index in range(N_READINGS):
         room = rng.randrange(N_ROOMS)
         if rng.random() < 0.7:
-            engine.publish(
-                origin,
+            reading = (
                 temp,
                 {"SensorId": rng.randrange(100), "RoomId": room, "Celsius": 20 + rng.randrange(60)},
             )
         else:
-            engine.publish(
-                origin,
+            reading = (
                 smoke,
                 {"DetectorId": rng.randrange(100), "RoomId": room, "Level": rng.randrange(10)},
             )
+        events.append(WorkloadEvent(float(index), "tuple", reading))
+    workload = Workload(schema, events, WorkloadParams(n_queries=1, n_tuples=N_READINGS))
 
-    for index in range(N_READINGS):
-        simulator.at(float(index), publish_reading)
-    # Periodic window eviction keeps evaluator state bounded.
-    simulator.every(10.0, engine.evict_expired, until=float(N_READINGS))
-
-    simulator.run()
-    engine.evict_expired()
+    # Window eviction every 10 events keeps evaluator state bounded; the
+    # replay evicts once more at the end.
+    run_workload(engine, workload, seed=11, evict_every=10)
+    (query,) = engine.queries.values()
+    control_room = engine.network.node_at(query.subscriber.ident)
+    print(f"alert query installed ({query.key}), window = {WINDOW} time units\n")
 
     alerts = engine.notifications(control_room)
     by_room: dict[int, int] = {}

@@ -45,7 +45,7 @@ from .errors import (
     SchemaError,
 )
 from .faults import ChaosHarness, DelaySpec, FaultInjector, FaultPlan
-from .sim import LogicalClock, Simulator, TrafficStats
+from .sim import LogicalClock, TrafficStats
 from .sql import (
     DataTuple,
     JoinQuery,
@@ -88,7 +88,6 @@ __all__ = [
     "RoutingError",
     "Schema",
     "SchemaError",
-    "Simulator",
     "TrafficStats",
     "parse_multiway_query",
     "parse_query",

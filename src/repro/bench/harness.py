@@ -17,7 +17,7 @@ way:
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..chord.network import ChordNetwork
 from ..chord.node import ChordNode
@@ -88,6 +88,7 @@ def run_workload(
     evict_every: int = 64,
     seed: int = 1,
     origins: Optional[Sequence[ChordNode]] = None,
+    schedule: Optional[Mapping[int, Sequence[Callable[[], object]]]] = None,
 ) -> RunReport:
     """Replay a workload against an engine and collect measurements.
 
@@ -97,7 +98,15 @@ def run_workload(
     e.g. a chaos soak's protected subscribers) when given, else from the
     live ring.  When a sliding window is configured, value-level state
     is evicted every ``evict_every`` events so storage gauges track the
-    window.
+    window.  ``schedule`` maps publish indexes of the tuple stream to
+    actions called just before that publish (crashes, restarts, lease
+    refreshes — :func:`repro.faults.schedule.churn_schedule`), as
+    :meth:`repro.net.cluster.LiveCluster.run` takes it.
+
+    When the ring's injector perturbs delivery, deferred deliveries
+    land before each event that is due at or after them, and the run
+    quiesces twice: after the installs (before the stream's traffic
+    snapshot) and after the stream (before the final eviction).
     """
     rng = random.Random(seed)
     if origins is None:
@@ -108,6 +117,8 @@ def run_workload(
         def draw(rng) -> ChordNode:
             return pool[rng.randrange(len(pool))]
 
+    injector = engine.network.injector
+    lands = injector is not None and injector.perturbs_delivery
     window = engine.config.window
     per_tuple_hops: list[int] = []
 
@@ -116,6 +127,7 @@ def run_workload(
     queried = False
     in_stream_phase = False
     events = 0
+    published = 0
     events_since_evict = 0
     evictions = 0
 
@@ -123,17 +135,26 @@ def run_workload(
     # runs inside; each barrier freezes survivors (see repro.sim.collector).
     with CollectorPause() as pause:
         for event in workload:
-            engine.clock.advance_to(event.time)
-            origin = draw(rng)
+            if lands:
+                injector.land_before(event.time)
             if event.kind == "query":
                 if in_stream_phase:
                     raise ValueError("workloads must install all queries first")
-                engine.subscribe(origin, event.payload)
+                engine.clock.advance_to(event.time)
+                engine.subscribe(draw(rng), event.payload)
                 queried = True
             else:
                 if queried and not in_stream_phase:
                     in_stream_phase = True
+                    if lands:
+                        injector.flush_deferred()
                     stream_start = engine.traffic.snapshot()
+                if schedule is not None:
+                    for action in schedule.get(published, ()):
+                        action()
+                    published += 1
+                engine.clock.advance_to(event.time)
+                origin = draw(rng)
                 before = engine.traffic.hops if collect_per_tuple_hops else 0
                 relation, values = event.payload
                 engine.publish(origin, relation, values)
@@ -147,6 +168,8 @@ def run_workload(
                     evictions += engine.evict_expired()
                 pause.freeze_survivors()
 
+        if lands:
+            injector.flush_deferred()
         if window is not None:
             evictions += engine.evict_expired()
         end = engine.traffic.snapshot()
@@ -172,7 +195,6 @@ def run_standard(
     seed: int = 1,
     collect_per_tuple_hops: bool = False,
     evict_every: int = 64,
-    injector=None,
     **workload_overrides,
 ) -> RunReport:
     """One-call experiment: engine + workload + replay.
@@ -188,7 +210,7 @@ def run_standard(
     config = EngineConfig(algorithm=algorithm, seed=seed, **config_kwargs)
     if workload is None:
         workload = workload_for(scale, seed=seed, **workload_overrides)
-    engine = make_engine(scale, config, injector=injector)
+    engine = make_engine(scale, config)
     return run_workload(
         engine,
         workload,

@@ -109,6 +109,8 @@ class ContinuousQueryEngine:
         self.network = network
         self.config = config if config is not None else EngineConfig()
         self.clock = clock if clock is not None else LogicalClock()
+        if network.injector is not None:  # deferrals fall due on this clock
+            network.injector.clock = self.clock
         self.rng = random.Random(self.config.seed)
         self.algorithm = make_algorithm(self.config.algorithm)
         self.replication = ReplicationScheme(self.config.replication_factor)

@@ -9,12 +9,15 @@ answers where they can diverge, and write the one row shape
 columns — wall seconds, peak RSS, events over wall seconds.
 
 * ``sim`` — the serial simulator via
-  :func:`repro.bench.harness.run_standard` (with the per-tuple hop
+  :func:`repro.bench.harness.run_workload` (with the per-tuple hop
   series, so the row's ``load`` block can say how the stream's first
   and last fifth compare), optionally with a seeded
   :class:`~repro.faults.FaultPlan` wired into the ring's router (the
-  only transport that takes a fault plan; the churn knobs, which no sim
-  driver reads, are refused);
+  only transport that takes a fault plan).  The replay lands injected
+  delays as it goes; a plan's churn knobs run as a
+  :func:`~repro.faults.schedule.churn_schedule`, after which every
+  crashed node restarts and the :class:`~repro.faults.ChaosHarness`
+  settles, as a live chaos soak does;
 * ``shard`` — the staged/sharded executor via
   :func:`repro.bench.scale.run_scale_point` (fault plans refused, as
   :func:`repro.sim.shard.shard_capabilities` documents);
@@ -28,8 +31,9 @@ count that differs raises, so such a row can only become ``done`` if it
 equals the simulator.  The metrics are reproducible from the parameters
 alone — the ``live`` block of a live row aside — so re-running a row
 must give byte-identical metrics.  ``wall_seconds`` is the whole path a
-user pays for: ring build + install + stream for the simulators,
-install + stream for the live cluster.
+user pays for: ring build + install + stream for the simulators (plus
+restart and settle on a churn row), install + stream for the live
+cluster.
 
 The worker and the gate run rows back to back in one process, so
 before a row :func:`run_experiment` empties the hash memo and runs a
@@ -47,21 +51,18 @@ from __future__ import annotations
 import asyncio
 import gc
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..bench.configs import Scale
-from ..bench.harness import run_standard, workload_for
+from ..bench.harness import make_engine, run_workload, workload_for
 from ..bench.rows import RunReport
 from ..bench.scale import peak_rss_kb, run_scale_point
 from ..chord.hashing import hash_key_cache_clear
-from ..faults import DelaySpec, FaultInjector, FaultPlan
+from ..core.engine import EngineConfig
+from ..faults import ChaosHarness, DelaySpec, FaultInjector, FaultPlan, churn_schedule
 from ..workload.generator import Workload
 from .db import canonical_overrides
-
-#: Fault-plan knobs the ``sim`` transport refuses: no sim driver reads
-#: them, so a row asking for churn would run, and be stored, churn-free.
-CHURN_KNOBS = ("crash_every", "restart_after", "lease_refresh_every")
 
 
 @dataclass(frozen=True)
@@ -128,19 +129,32 @@ def row_workload(params: dict) -> Workload:
 
 
 def _sim(params: dict, shards: Optional[int]) -> tuple[RunReport, float]:
-    plan = params["fault_plan"]
-    injector = FaultInjector(fault_plan_from_dict(plan)) if plan else None
+    plan = fault_plan_from_dict(params["fault_plan"]) if params["fault_plan"] else None
+    injector = FaultInjector(plan) if plan is not None else None
     start = time.perf_counter()
-    report = run_standard(
-        params["algorithm"],
-        scale_for(params),
-        config_overrides=engine_overrides(params),
-        workload=row_workload(params),
+    config = EngineConfig(
+        algorithm=params["algorithm"], seed=params["seed"], **engine_overrides(params)
+    )
+    workload = row_workload(params)
+    engine = make_engine(scale_for(params), config, injector=injector)
+    churns = plan is not None and (plan.crash_every > 0 or plan.lease_refresh_every > 0)
+    harness = ChaosHarness(engine, injector) if churns else None
+    report = run_workload(
+        engine,
+        workload,
         seed=params["seed"],
         collect_per_tuple_hops=True,
         evict_every=params["evict_every"],
-        injector=injector,
+        schedule=churn_schedule(plan, harness, workload) if churns else None,
     )
+    if harness is not None:
+        harness.restart_all()
+        harness.settle()
+        report = replace(
+            report,
+            suppressed_renotifications=engine.suppressed_renotifications,
+            duplicate_deliveries=engine.duplicate_deliveries,
+        )
     return report, time.perf_counter() - start
 
 
@@ -203,12 +217,6 @@ def run_experiment(params: dict, *, shards: Optional[int] = None) -> ExperimentO
     plan = params["fault_plan"] or {}
     if plan and transport in REFUSED_FAULTS:
         raise ValueError(REFUSED_FAULTS[transport])
-    churn = [knob for knob in CHURN_KNOBS if plan.get(knob)]
-    if churn:
-        raise ValueError(
-            f"the sim transport refuses the churn knobs {churn}: no sim "
-            f"driver reads them, so the row would run churn-free"
-        )
     hash_key_cache_clear()
     gc.collect()
     report, wall = execute(params, shards)

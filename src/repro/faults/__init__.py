@@ -3,22 +3,22 @@
 The paper evaluates query processing on a cooperative ring; this
 package supplies the adversarial counterpart: a declarative, seedable
 :class:`FaultPlan` (message loss, delivery delay, crash/restart churn),
-the :class:`FaultInjector` the router and simulator consult, and the
+the :class:`FaultInjector` the router consults, the
 :class:`ChaosHarness` recovery choreography (stabilize → refresh
-leases → flush) that restores oracle-exact answer sets after crashes.
+leases → flush) that restores oracle-exact answer sets after crashes,
+and :func:`churn_schedule`, which times a plan's churn in publishes.
 """
 
-from .injector import DeferredDelivery, FaultInjector
+from .injector import FaultInjector
 from .plan import DelaySpec, FaultPlan, NetFaultSpec
 from .recovery import ChaosHarness
-from .schedule import install_fault_plan
+from .schedule import churn_schedule
 
 __all__ = [
     "ChaosHarness",
-    "DeferredDelivery",
     "DelaySpec",
     "FaultInjector",
     "FaultPlan",
     "NetFaultSpec",
-    "install_fault_plan",
+    "churn_schedule",
 ]

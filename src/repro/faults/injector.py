@@ -2,56 +2,54 @@
 
 A :class:`FaultInjector` interprets a :class:`~repro.faults.plan.FaultPlan`
 for one network.  The router asks it whether each delivery attempt is
-dropped and how long it is delayed; the simulator (via
-:mod:`repro.faults.schedule`) asks it which nodes crash and when.  All
-randomness comes from the injector's private RNG, so fault decisions
-never perturb the workload or engine RNG streams and every chaos run is
-reproducible from ``(workload seed, plan seed)``.
+dropped and how long it is delayed; :class:`~repro.faults.recovery.
+ChaosHarness` asks it which nodes crash.  All randomness comes from the
+injector's private RNG, so fault decisions never perturb the workload or
+engine RNG streams and every chaos run is reproducible from
+``(workload seed, plan seed)``.
 
-Delayed deliveries are held in an internal FIFO queue.  When a
-:class:`~repro.sim.simulator.Simulator` is attached the queue is not
-used — deferred messages become timed events instead.  Without one, the
-driving loop calls :meth:`flush_deferred` at its own cadence, which
-models in-flight messages landing late (possibly after their target
-crashed: flushing re-targets dead recipients through their successor
-list, and counts the message as lost when no successor survives).
+Delayed deliveries wait in one queue ordered by due time (``clock.now +
+delay``; ties land in push order).  The engine over the injector's
+network shares its logical clock with it.  The driving loop
+(:func:`repro.bench.harness.run_workload`) calls :meth:`land_before`
+before each event and :meth:`flush_deferred` to quiesce; both advance
+the clock to each entry's due time and also land what those landings
+defer, which models in-flight messages landing late (possibly after
+their target crashed: landing re-targets a dead recipient through its
+successor, and counts the message as lost when no successor survives).
 """
 
 from __future__ import annotations
 
-from collections import deque
+import heapq
+import itertools
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import random
 
+from ..sim.clock import LogicalClock
 from ..transport import PublishLedger
 from .plan import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chord.node import ChordNode
     from ..sim.messages import Message
-    from ..sim.simulator import Simulator
-
-
-@dataclass
-class DeferredDelivery:
-    """One in-flight message: what, to whom, and when it may land."""
-
-    message: "Message"
-    target: "ChordNode"
-    due: float
 
 
 class FaultInjector:
-    """Seeded fault oracle consulted by the router and the simulator."""
+    """Seeded fault oracle consulted by the router and the chaos harness."""
 
     def __init__(self, plan: FaultPlan | None = None):
         self.plan = plan if plan is not None else FaultPlan()
         self.rng = random.Random(self.plan.seed)
-        self.simulator: Optional["Simulator"] = None
-        self._deferred: deque[DeferredDelivery] = deque()
+        #: The clock deferrals fall due on: the engine's, once an engine
+        #: runs over this injector's network.
+        self.clock = LogicalClock()
+        #: ``(due, push order, message, target)`` heap.
+        self._deferred: list = []
+        self._pushes = itertools.count()
         self._quiescent = False
         #: Logical time accumulated in retry backoff (for reporting).
         self.backoff_total = 0.0
@@ -156,42 +154,42 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Deferred (delayed) deliveries
     # ------------------------------------------------------------------
-    def attach(self, simulator: "Simulator") -> None:
-        """Deliver future deferrals as timed events of ``simulator``."""
-        self.simulator = simulator
-
     def defer(self, message: "Message", target: "ChordNode", delay: float) -> None:
-        """Hold ``message`` back by ``delay`` instead of delivering now."""
+        """Hold ``message`` back until ``clock.now + delay``."""
         if message.causal_time is not None:
             self.ledger[message.causal_time] += 1
-        if self.simulator is not None:
-            self.simulator.after(
-                delay, lambda: self._land(message, target), label="delayed-delivery"
-            )
-            return
-        now = 0.0
-        self._deferred.append(DeferredDelivery(message, target, now + delay))
+        heapq.heappush(
+            self._deferred,
+            (self.clock.now + delay, next(self._pushes), message, target),
+        )
 
     @property
     def pending_deliveries(self) -> int:
         return len(self._deferred)
 
-    def flush_deferred(self, limit: int | None = None) -> int:
-        """Deliver queued messages FIFO; returns how many landed.
+    def land_before(self, time: float) -> int:
+        """Land every deferral due strictly before ``time``, earliest
+        first (ties in push order), advancing the clock to each due
+        time; deferrals those landings make land too when due before
+        ``time``.  Returns how many landed."""
+        deferred = self._deferred
+        landed = 0
+        while deferred and deferred[0][0] < time:
+            due, _, message, target = heapq.heappop(deferred)
+            self.clock.advance_to(due)
+            self._land(message, target)
+            landed += 1
+        return landed
 
-        Call this from the driving loop to let "slow" messages arrive.
+    def flush_deferred(self) -> int:
+        """Land everything, in :meth:`land_before`'s order, until
+        nothing is deferred; returns how many landed.
+
         A target that crashed while the message was in flight receives
         it through its first live successor (the node that owns, or
         will own after stabilization, the crashed range).
         """
-        landed = 0
-        while self._deferred:
-            if limit is not None and landed >= limit:
-                break
-            entry = self._deferred.popleft()
-            self._land(entry.message, entry.target)
-            landed += 1
-        return landed
+        return self.land_before(math.inf)
 
     def _land(self, message: "Message", target: "ChordNode") -> None:
         # A dead target's first live successor-list entry takes it.

@@ -6,8 +6,9 @@ delivery delay, abrupt node crashes and crash/restart churn — as one
 declarative, seedable :class:`FaultPlan`.  A plan is pure data: the
 :class:`~repro.faults.injector.FaultInjector` interprets it, the
 :class:`~repro.chord.routing.Router` consults the injector on every
-delivery, and :func:`repro.faults.schedule.install_fault_plan` turns the
-crash/churn knobs into simulator events.
+delivery, and :func:`repro.faults.schedule.churn_schedule` turns the
+crash/restart/lease-refresh knobs into actions at publish indexes of
+the stream the driver replays.
 
 An all-defaults plan is a guaranteed no-op: the router takes exactly
 the code path it takes without an injector, so hop and message counts
@@ -25,8 +26,8 @@ class DelaySpec:
 
     With probability ``probability`` a routed delivery is deferred by a
     delay drawn uniformly from ``(minimum, maximum]``; deferred messages
-    sit in the injector's delay queue until flushed (or, when a
-    simulator is attached, until their scheduled event fires).
+    wait in the injector's queue until the replay reaches their due
+    time (or quiesces).
     """
 
     probability: float = 0.0
@@ -100,7 +101,7 @@ class FaultPlan:
         Injected delivery-delay distribution (see :class:`DelaySpec`).
     crash_every:
         Crash one node every this many time units (0 disables).  Used
-        by :func:`~repro.faults.schedule.install_fault_plan`.
+        by :func:`~repro.faults.schedule.churn_schedule`.
     crash_count:
         Stop crashing after this many victims (0 = unlimited).
     restart_after:
@@ -114,9 +115,9 @@ class FaultPlan:
         Delivery attempts per target before falling back to the
         successor list.
     backoff_base:
-        Logical backoff after attempt ``k`` is ``backoff_base * 2**k``
-        (recorded, and respected as extra delay when deliveries are
-        deferred through a simulator).
+        Logical backoff after attempt ``k`` is ``backoff_base * 2**k``,
+        recorded in ``FaultInjector.backoff_total`` for reporting only:
+        the router retries at once, so backoff never delays a delivery.
     backoff_jitter:
         Randomize each backoff pause by a factor drawn uniformly from
         ``[1, 1 + backoff_jitter]``.  Desynchronizes retries after a
@@ -164,7 +165,7 @@ class FaultPlan:
 
     @property
     def schedules_churn(self) -> bool:
-        """True when the plan asks the simulator to crash/restart nodes."""
+        """True when the plan asks the driver to crash/restart nodes."""
         return self.crash_every > 0.0
 
     @property

@@ -50,6 +50,7 @@ class ChaosHarness:
         self.injector = injector if injector is not None else FaultInjector()
         if self.network.injector is None:
             self.network.injector = self.injector
+        self.injector.clock = engine.clock
         #: Identifiers never chosen as crash victims (e.g. subscribers).
         self.protected: set[int] = set(protect)
         #: Keys of crashed nodes, oldest first (restart order).

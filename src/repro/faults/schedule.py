@@ -1,70 +1,66 @@
-"""Turn a :class:`~repro.faults.plan.FaultPlan` into simulator events.
+"""Compile a :class:`~repro.faults.plan.FaultPlan`'s churn to a schedule.
 
-The simulator side of fault injection: crash a node every
-``plan.crash_every`` time units (restarting it ``plan.restart_after``
-later when configured) and refresh the soft-state leases every
-``plan.lease_refresh_every``.  Victim selection uses the injector's
-private RNG so churn schedules are reproducible and independent of the
+A plan times its churn in logical time units: crash a node every
+``plan.crash_every`` (at most ``plan.crash_count``), restart it
+``plan.restart_after`` later, refresh the soft-state leases every
+``plan.lease_refresh_every``.  :func:`churn_schedule` turns each of
+those instants into the publish index of the first tuple published at
+or after it — the ``{publish index: actions}`` shape both drivers take
+(:func:`repro.bench.harness.run_workload` and
+:meth:`repro.net.cluster.LiveCluster.run`).  Victims come from the
+injector's private RNG, so churn is reproducible and independent of the
 workload stream.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+import bisect
+from collections import defaultdict
+from typing import TYPE_CHECKING, Callable
 
-from .injector import FaultInjector
+from .plan import FaultPlan
 from .recovery import ChaosHarness
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.engine import ContinuousQueryEngine
-    from ..sim.simulator import Simulator
+    from ..workload.generator import Workload
 
 
-def install_fault_plan(
-    simulator: "Simulator",
-    injector: FaultInjector,
-    engine: Optional["ContinuousQueryEngine"] = None,
-    protect: Iterable[int] = (),
-    *,
-    until: float | None = None,
-) -> Optional[ChaosHarness]:
-    """Wire ``injector`` into ``simulator``: delays, churn, lease refresh.
+def churn_schedule(
+    plan: FaultPlan, harness: ChaosHarness, workload: "Workload"
+) -> dict[int, list[Callable[[], object]]]:
+    """``{publish index: actions}`` running ``plan``'s crashes, restarts
+    and lease refreshes through ``harness`` over ``workload``'s stream.
 
-    Attaches the injector's deferred-delivery queue to the simulator (so
-    injected delays become timed events), schedules the plan's periodic
-    crash/restart churn, and — when an ``engine`` is given — schedules
-    the periodic lease refresh.  Returns the :class:`ChaosHarness`
-    driving the churn, or ``None`` for a churn-free plan without an
-    engine.
+    A victim is never a subscriber: query keys embed the subscriber's
+    key and the subscriber holds the leases (the rule a chaos soak's
+    protected pool follows), so each crash first protects every node
+    that posed a query.
     """
-    plan = injector.plan
-    injector.attach(simulator)
-    if simulator.network.injector is None:
-        simulator.network.injector = injector
+    times = [event.time for event in workload if event.kind == "tuple"]
+    schedule: dict[int, list[Callable[[], object]]] = defaultdict(list)
+    if not times:
+        return schedule
+    engine = harness.engine
 
-    harness: Optional[ChaosHarness] = None
-    if engine is not None:
-        harness = ChaosHarness(engine, injector, protect=protect)
+    def at(instant: float, action: Callable[[], object]) -> None:
+        index = bisect.bisect_left(times, instant)
+        if index < len(times):
+            schedule[index].append(action)
 
-    if plan.schedules_churn and harness is not None:
-        def crash_one() -> None:
-            if plan.crash_count and injector.crashes >= plan.crash_count:
-                return
-            victim = harness.crash()
-            if victim is not None and plan.restart_after > 0:
-                simulator.after(
-                    plan.restart_after,
-                    lambda key=victim.key: harness.restart(key),
-                    label="fault-restart",
-                )
+    def ticks(period: float, limit: int = 0) -> list[float]:
+        count = int(times[-1] // period) if period > 0 else 0
+        if limit:
+            count = min(count, limit)
+        return [period * k for k in range(1, count + 1)]
 
-        simulator.every(plan.crash_every, crash_one, until=until, label="fault-crash")
+    def crash() -> None:
+        harness.protected.update(q.subscriber.ident for q in engine.queries.values())
+        harness.crash()
 
-    if plan.lease_refresh_every > 0 and engine is not None:
-        simulator.every(
-            plan.lease_refresh_every,
-            lambda: engine.refresh_leases(),
-            until=until,
-            label="lease-refresh",
-        )
-    return harness
+    for instant in ticks(plan.crash_every, plan.crash_count):
+        at(instant, crash)
+        if plan.restart_after > 0:
+            at(instant + plan.restart_after, harness.restart)
+    for instant in ticks(plan.lease_refresh_every):
+        at(instant, engine.refresh_leases)
+    return schedule

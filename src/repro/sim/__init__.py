@@ -1,8 +1,6 @@
-"""Discrete-event simulation substrate (clock, events, stats, messages)."""
+"""Simulation substrate (clock, stats, messages, sharded executor)."""
 
 from .clock import LogicalClock
-from .events import Event, EventQueue
-from .simulator import Simulator, schedule_stabilization
 from .stats import (
     NodeLoad,
     TrafficStats,
@@ -15,17 +13,13 @@ from .stats import (
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "LogicalClock",
     "NodeLoad",
-    "Simulator",
     "TrafficSnapshot",
     "TrafficStats",
     "gini",
     "participation",
     "percentile_series",
-    "schedule_stabilization",
     "sorted_loads",
     "top_share",
 ]

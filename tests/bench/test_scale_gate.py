@@ -144,9 +144,15 @@ class TestCommittedBaseline:
     }
 
     def test_baseline_matches_cli_defaults(self):
-        """BENCH_baseline.json holds exactly the three gated points, and
-        its ``shard`` rows are the point ``bench.scale`` runs by default."""
+        """BENCH_baseline.json holds exactly the three gated points plus
+        one faulted ``sim`` row, and its ``shard`` rows are the point
+        ``bench.scale`` runs by default."""
         rows = read_export(str(REPO_ROOT / "BENCH_baseline.json"))
+        (faulted,) = [row for row in rows if row["fault_plan"]]
+        assert (faulted["transport"], faulted["algorithm"], faulted["n_nodes"]) == (
+            "sim", "dai-t", 64
+        )
+        rows = [row for row in rows if not row["fault_plan"]]
         assert sorted((row["transport"], row["algorithm"]) for row in rows) == sorted(
             (transport, algorithm)
             for transport in ("sim", "shard", "live")

@@ -8,17 +8,21 @@ notifications.  Runs are deterministic in ``(workload seed, plan
 seed)``.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema
-from repro.core.oracle import CentralizedOracle
-from repro.faults import ChaosHarness, DelaySpec, FaultInjector, FaultPlan
+from repro.bench.harness import run_workload
+from repro.faults import ChaosHarness, DelaySpec, FaultInjector, FaultPlan, churn_schedule
+
+from .scripted import oracle_of, scripted
 
 ALGORITHMS = ["sai", "dai-q", "dai-t", "dai-v"]
 
 SCHEMA = Schema.from_dict({"R": ["A", "B"], "S": ["D", "E"]})
+QUERY = "SELECT R.A, S.D FROM R, S WHERE R.B = S.E"
 
 CHAOS_PLAN = FaultPlan(
     loss_probability=0.05,
@@ -37,44 +41,34 @@ def run_chaos_workload(
     domain=6,
     crash_every=40,
 ):
-    """One seeded chaos run; returns (engine, oracle, harness, queries)."""
+    """One seeded chaos run; returns (engine, oracle, harness, queries).
+
+    Two subscribers pose the query, then ``n_events`` tuples stream one
+    time unit apart through ``run_workload``, which lands delayed
+    deliveries as the stream goes; a node crashes just before every
+    ``crash_every``-th publish (``plan`` with ``crash_every`` set, via
+    ``churn_schedule``), then the harness settles.
+    """
+    plan = dataclasses.replace(plan, crash_every=float(crash_every))
     injector = FaultInjector(plan)
     network = ChordNetwork.build(n_nodes, injector=injector)
     engine = ContinuousQueryEngine(
         network, EngineConfig(algorithm=algorithm, index_choice="random", seed=seed)
     )
-    oracle = CentralizedOracle()
     rng = random.Random(seed)
+    tuples = [
+        ("R", {"A": index, "B": rng.randrange(domain)})
+        if rng.random() < 0.5
+        else ("S", {"D": index, "E": rng.randrange(domain)})
+        for index in range(n_events)
+    ]
+    workload = scripted(SCHEMA, [QUERY, QUERY], tuples)
     harness = ChaosHarness(engine, injector)
-
-    subscribers = [network.nodes[1], network.nodes[2]]
-    queries = []
-    for subscriber in subscribers:
-        harness.protect(subscriber)
-        query = engine.subscribe(
-            subscriber, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E", SCHEMA
-        )
-        oracle.subscribe(query)
-        queries.append(query)
-
-    R, S = SCHEMA.relation("R"), SCHEMA.relation("S")
-    for index in range(n_events):
-        engine.clock.advance(1.0)
-        origin = network.random_node(rng)
-        if rng.random() < 0.5:
-            tup = engine.publish(
-                origin, R, {"A": index, "B": rng.randrange(domain)}
-            )
-        else:
-            tup = engine.publish(
-                origin, S, {"D": index, "E": rng.randrange(domain)}
-            )
-        oracle.insert(tup)
-        if index % crash_every == crash_every - 1:
-            harness.crash()
-
+    run_workload(
+        engine, workload, seed=seed, schedule=churn_schedule(plan, harness, workload)
+    )
     harness.settle()
-    return engine, oracle, harness, queries
+    return engine, oracle_of(engine), harness, list(engine.queries.values())
 
 
 class TestChaosConvergence:

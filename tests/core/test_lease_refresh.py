@@ -44,7 +44,7 @@ def replayed():
     return engine
 
 
-class TestSimulator:
+class TestSerialReplay:
     def test_intact_run_refreshes_nothing(self):
         engine = replayed()
         PERF.reset()

@@ -1,15 +1,16 @@
 """Schedule explorer: value nodes under any delivery order, no refresh.
 
-Every schedule is one seeded delay-only :class:`FaultPlan` on the
-simulator: no loss, no crash, but about half of all routed deliveries
-land 0.5-6 time units late while tuples are published one unit apart,
-so several publishes are in flight at once and a pair's two halves meet
-their value nodes in either order — what the pipelined live driver does
-with sockets.  Queries are installed (and landed) first.  Without any
-lease refresh each run must deliver exactly the centralized oracle's
-rows, create no answer twice (the queries select a unique id from each
-side, so every answer row has one tuple pair behind it: a duplicate
-would be the mirror race) and leave nothing held once quiescent.
+Every schedule is one seeded delay-only :class:`FaultPlan` replayed by
+``run_workload``: no loss, no crash, but about half of all routed
+deliveries land 0.5-6 time units late while tuples are published one
+unit apart, so several publishes are in flight at once and a pair's two
+halves meet their value nodes in either order — what the pipelined live
+driver does with sockets.  The replay lands the queries' installs
+before the stream.  Without any lease refresh each run must deliver
+exactly the centralized oracle's rows, create no answer twice (the
+queries select a unique id from each side, so every answer row has one
+tuple pair behind it: a duplicate would be the mirror race) and leave
+nothing held once quiescent.
 
 Before the order-independent DAI-Q/DAI-T value nodes every one of the
 200 schedules below lost answers for both algorithms, plain and
@@ -22,9 +23,10 @@ import random
 import pytest
 
 from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema
-from repro.core.oracle import CentralizedOracle
+from repro.bench.harness import run_workload
 from repro.faults import DelaySpec, FaultInjector, FaultPlan
-from repro.sim.simulator import Simulator
+
+from .scripted import oracle_of, scripted
 
 SCHEMA = Schema.from_dict({"R": ["A", "B", "C"], "S": ["D", "E", "F"]})
 QUERIES = (
@@ -36,44 +38,37 @@ QUERIES = (
 DELAY = DelaySpec(probability=0.5, minimum=0.5, maximum=6.0)
 SCHEDULES = range(200)
 CONFIGS = {"plain": {}, "replicated": {"replication_factor": 2, "jfrt_capacity": 8}}
+#: Installs land within one delay, so a stream from here gives every
+#: publish its own time, one unit apart.  A stream that starts while
+#: installs are still in flight publishes its first tuples at one
+#: clock reading, which DAI-Q/DAI-T do not survive (see
+#: ``test_publishes_sharing_the_quiesced_clock``).
+STREAM_START = DELAY.maximum + 1.0
 
 
-def explore(algorithm, seed, *, window=None, evict_every=None, **config):
-    """Run one schedule to quiescence; returns ``(engine, oracle, keys)``."""
+def workload(seed, start):
+    """24 tuples, half R and half S on average, over a 3-value domain."""
+    rng = random.Random(seed)
+    tuples = []
+    for index in range(24):
+        a, b = rng.randrange(3), rng.randrange(3)
+        if rng.random() < 0.5:
+            tuples.append(("R", {"A": index, "B": a, "C": b}))
+        else:
+            tuples.append(("S", {"D": index, "E": a, "F": b}))
+    return scripted(SCHEMA, QUERIES, tuples, start=start)
+
+
+def explore(algorithm, seed, *, window=None, evict_every=64, start=STREAM_START, **config):
+    """Replay one schedule to quiescence; returns ``(engine, oracle, keys)``."""
     injector = FaultInjector(FaultPlan(delay=DELAY, seed=seed))
     network = ChordNetwork.build(12, injector=injector)
     engine = ContinuousQueryEngine(
         network,
         EngineConfig(algorithm, index_choice="random", window=window, seed=seed, **config),
     )
-    simulator = Simulator(network, clock=engine.clock)
-    injector.attach(simulator)
-    oracle = CentralizedOracle(window=window)
-    keys = []
-    for node, sql in zip(network.nodes, QUERIES):
-        query = engine.subscribe(node, sql, SCHEMA)
-        oracle.subscribe(query)
-        keys.append(query.key)
-    simulator.run()
-    rng = random.Random(seed)
-    R, S = SCHEMA.relation("R"), SCHEMA.relation("S")
-
-    def publish(index):
-        origin = network.random_node(rng)
-        a, b = rng.randrange(3), rng.randrange(3)
-        if rng.random() < 0.5:
-            tup = engine.publish(origin, R, {"A": index, "B": a, "C": b})
-        else:
-            tup = engine.publish(origin, S, {"D": index, "E": a, "F": b})
-        oracle.insert(tup)
-        if evict_every and index % evict_every == evict_every - 1:
-            engine.evict_expired()
-
-    start = engine.clock.now + 1.0
-    for index in range(24):
-        simulator.at(start + index, lambda index=index: publish(index))
-    simulator.run()
-    return engine, oracle, keys
+    run_workload(engine, workload(seed, start), seed=seed, evict_every=evict_every)
+    return engine, oracle_of(engine, window), list(engine.queries)
 
 
 def failures(algorithm, seeds, **options):
@@ -131,3 +126,14 @@ def test_schedules_really_reorder_pairs():
 @pytest.mark.parametrize("algorithm", ["sai", "dai-q", "dai-t", "dai-v"])
 def test_windowed_schedule_with_eviction(algorithm):
     assert failures(algorithm, [0], window=10.0, evict_every=4) == []
+
+
+# A stream whose first publishes are due before the installs have landed
+# publishes them at the clock the install quiesce left behind: several
+# tuples share one publish time, and DAI-Q/DAI-T then lose or suppress
+# answers (ROADMAP item 3; the same loss at the faulted-row point is
+# pinned in tests/expdb/test_runner.py).
+@pytest.mark.xfail(strict=True, reason="publishes sharing one time lose pairs")
+@pytest.mark.parametrize("algorithm", ["dai-q", "dai-t"])
+def test_publishes_sharing_the_quiesced_clock(algorithm):
+    assert failures(algorithm, [1], start=1.0) == []

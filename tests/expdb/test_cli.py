@@ -229,12 +229,12 @@ class TestImportJson:
             == 0
         )
         out = capsys.readouterr().out
-        # 12 gated rows + the two X3 points + the 435 figure rows, four of
+        # 13 gated rows + the two X3 points + the 435 figure rows, four of
         # which are the gated `sim` identities measured again (not re-imported).
-        assert "imported 445 experiments total" in out
+        assert "imported 446 experiments total" in out
         with ExperimentDB(str(db_path)) as db:
             rows = db.rows(status="done")
-            assert len(rows) == 445
+            assert len(rows) == 446
             transports = {row["transport"] for row in rows}
         assert transports == {"sim", "shard", "live"}
 
@@ -261,7 +261,7 @@ class TestImportJson:
             ]
 
         assert stable(again) == stable(committed)
-        macro = [row for row in again if row["transport"] == "sim"]
+        macro = [row for row in again if row["transport"] == "sim" and not row["fault_plan"]]
         assert [row["hops"] for row in macro] == [38887, 40317, 40305, 19670]
 
     def test_unknown_baseline_exits_nonzero(self, db_path, tmp_path, capsys):

@@ -162,9 +162,12 @@ class TestRefusals:
             gate_rows(rows, runner=Replay(two_rows()))
 
 
-@pytest.mark.parametrize(
-    "victim", range(len(COMMITTED)), ids=lambda i: "{transport}-{algorithm}".format(**COMMITTED[i])
-)
+def row_id(index: int) -> str:
+    row = COMMITTED[index]
+    return "{transport}-{algorithm}".format(**row) + ("-faulted" if row["fault_plan"] else "")
+
+
+@pytest.mark.parametrize("victim", range(len(COMMITTED)), ids=row_id)
 def test_a_3x_regression_of_any_committed_row_fails(victim):
     """Today's walls against a baseline a third of them: the gate must
     fail, on exactly that row, after exactly three runs."""

@@ -9,14 +9,15 @@ import json
 
 import pytest
 
-from repro.bench.harness import run_standard, workload_for
+from repro.bench.harness import make_engine, run_standard, run_workload, workload_for
 from repro.bench.rows import exact_columns
 from repro.bench.scale import run_scale_point
-from repro.errors import SchemaError
+from repro.core.engine import EngineConfig
 from repro.expdb.db import normalize_params
 from repro.expdb.runner import (
     engine_overrides,
     fault_plan_from_dict,
+    row_workload,
     run_experiment,
     scale_for,
 )
@@ -83,11 +84,7 @@ class TestFaultedSimRows:
 
     POINT = dict(n_nodes=64, n_queries=40, n_tuples=200, domain_size=20, seed=1)
     DELAY = {"delay": {"probability": 0.3, "maximum": 2.0}, "seed": 7}
-
-    @pytest.mark.parametrize("knob", ["crash_every", "restart_after", "lease_refresh_every"])
-    def test_churn_knobs_are_refused(self, knob):
-        with pytest.raises(ValueError, match=f"refuses the churn knobs \\['{knob}'\\]"):
-            run_experiment(decoded(fault_plan={knob: 5.0}))
+    CHURN = {"crash_every": 40.0, "restart_after": 30.0, "lease_refresh_every": 100.0}
 
     @pytest.mark.parametrize("algorithm", ["sai", "dai-q", "dai-t", "dai-v"])
     def test_loss_only_plans_equal_the_clean_answers(self, algorithm):
@@ -99,29 +96,53 @@ class TestFaultedSimRows:
         expected = run_experiment(clean).metrics
         assert metrics["notification_digest"] == expected["notification_digest"]
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=RuntimeError,
-        reason="ROADMAP 2(b): injected delay loses answers on the serial simulator",
-    )
-    @pytest.mark.parametrize("algorithm", ["sai", "dai-q", "dai-t"])
+    @pytest.mark.parametrize("algorithm", ["sai", "dai-q", "dai-t", "dai-v"])
     def test_the_delay_probe_equals_its_clean_digest(self, algorithm):
-        run_experiment(decoded(**self.POINT, algorithm=algorithm, fault_plan=self.DELAY))
+        metrics = run_experiment(
+            decoded(**self.POINT, algorithm=algorithm, fault_plan=self.DELAY)
+        ).metrics
+        assert metrics["stream_traffic"]["messages_delayed"] > 0
+        assert metrics["notifications_delivered"] == 5240
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=SchemaError,
-        reason="ROADMAP 2(c): DAI-V projects a delayed tuple without its join attribute",
-    )
     def test_dai_v_does_not_raise_under_the_delay_probe(self):
+        # The installs land before the stream, so DAI-V projects every
+        # tuple for every query it will meet.
         row = decoded(**self.POINT, algorithm="dai-v", fault_plan=self.DELAY)
-        run_standard(
-            "dai-v",
+        injector = FaultInjector(fault_plan_from_dict(self.DELAY))
+        engine = make_engine(
             scale_for(row),
-            config_overrides=engine_overrides(row),
-            seed=row["seed"],
-            injector=FaultInjector(fault_plan_from_dict(self.DELAY)),
+            EngineConfig("dai-v", seed=row["seed"], **engine_overrides(row)),
+            injector=injector,
         )
+        report = run_workload(engine, row_workload(row), seed=row["seed"])
+        assert injector.pending_deliveries == 0
+        assert report.notifications_delivered == 5240
+
+    @pytest.mark.parametrize("algorithm", ["sai", "dai-q", "dai-t", "dai-v"])
+    def test_a_crash_row_really_crashes_and_recovers(self, algorithm):
+        churned = run_experiment(decoded(
+            **self.POINT, algorithm=algorithm, fault_plan={**self.CHURN, "seed": 3}
+        )).metrics
+        clean = run_experiment(decoded(**self.POINT, algorithm=algorithm)).metrics
+        assert churned["stream_traffic"] != clean["stream_traffic"]
+        assert churned["notification_digest"] == clean["notification_digest"]
+        assert churned["duplicate_deliveries"] == 0
+
+    def test_churn_under_loss_and_delay_recovers_the_clean_digest(self):
+        plan = {**self.CHURN, **self.DELAY, "loss_probability": 0.05}
+        metrics = run_experiment(decoded(**self.POINT, algorithm="dai-t", fault_plan=plan)).metrics
+        assert metrics["stream_traffic"]["messages_dropped"] > 0
+        assert metrics["notifications_delivered"] == 5240
+
+    # Wider delays leave the clock the install quiesce reached (5.8 on
+    # DAI-T plan seed 3) past the stream's first publishes, which then
+    # share one publish time; DAI-Q/DAI-T lose a pair of them (5238 or
+    # 5239 of 5240; nothing held, no duplicate).  ROADMAP item 3.
+    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="publishes sharing one time lose pairs")
+    @pytest.mark.parametrize("algorithm, plan_seed", [("dai-t", 3), ("dai-q", 7)])
+    def test_wide_delays_keep_every_answer(self, algorithm, plan_seed):
+        plan = {"delay": {"probability": 0.5, "minimum": 0.5, "maximum": 6.0}, "seed": plan_seed}
+        run_experiment(decoded(**self.POINT, algorithm=algorithm, fault_plan=plan))
 
 
 class TestOneRowShape:

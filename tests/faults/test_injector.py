@@ -1,6 +1,8 @@
 """FaultInjector: seeded decisions, backoff accounting, deferred queue."""
 
-from repro import ChordNetwork
+from hypothesis import given, strategies as st
+
+from repro import ChordNetwork, ContinuousQueryEngine
 from repro.faults import DelaySpec, FaultInjector, FaultPlan, NetFaultSpec
 from repro.sim.messages import Message
 
@@ -132,13 +134,57 @@ class TestDeferredQueue:
         assert injector.pending_deliveries == 0
         assert [ident for ident, _ in received] == [target.ident] * 2
 
-    def test_flush_limit(self):
+    def test_lands_in_due_order_with_ties_in_push_order(self):
         network, received = _ring_with_sink()
         injector = FaultInjector(FaultPlan())
-        for _ in range(5):
-            injector.defer(_Recorder(), network.nodes[0], 1.0)
-        assert injector.flush_deferred(limit=2) == 2
-        assert injector.pending_deliveries == 3
+        messages = [_Recorder() for _ in range(5)]
+        for message, delay in zip(messages, (3.0, 1.0, 2.0, 1.0, 1.0)):
+            injector.defer(message, network.nodes[0], delay)
+        assert injector.flush_deferred() == 5
+        landed = [message for _, message in received]
+        assert landed == [messages[i] for i in (1, 3, 4, 2, 0)]
+        assert injector.clock.now == 3.0
+
+    def test_land_before_is_strict_and_advances_the_clock(self):
+        network, received = _ring_with_sink()
+        injector = FaultInjector(FaultPlan())
+        for delay in (1.0, 2.0, 2.0, 4.0):
+            injector.defer(_Recorder(), network.nodes[0], delay)
+        assert injector.land_before(2.0) == 1  # due strictly before
+        assert injector.clock.now == 1.0
+        assert injector.land_before(2.5) == 2
+        assert injector.clock.now == 2.0
+        assert injector.pending_deliveries == 1
+
+    def test_landings_land_what_they_defer_when_due(self):
+        network, received = _ring_with_sink()
+        injector = FaultInjector(FaultPlan())
+        seen = []
+
+        def relay(node, message):
+            seen.append(injector.clock.now)
+            if len(seen) < 3:
+                injector.defer(_Recorder(), node, 1.5)
+
+        network.nodes[0].register_handler("probe", relay)
+        injector.defer(_Recorder(), network.nodes[0], 1.0)
+        assert injector.land_before(4.0) == 2  # 1.0, then 2.5; 4.0 waits
+        assert seen == [1.0, 2.5]
+        assert injector.flush_deferred() == 1
+        assert seen == [1.0, 2.5, 4.0]
+
+    @given(st.lists(st.floats(min_value=0, max_value=1e6), max_size=40))
+    def test_property_landing_order_is_sorted_by_due_time(self, delays):
+        network = ChordNetwork.build(4)
+        order = []
+        injector = FaultInjector(FaultPlan())
+        network.nodes[0].register_handler(
+            "probe", lambda node, message: order.append(injector.clock.now)
+        )
+        for delay in delays:
+            injector.defer(_Recorder(), network.nodes[0], delay)
+        injector.flush_deferred()
+        assert order == sorted(delays)
 
     def test_crashed_target_redirects_to_successor(self):
         network, received = _ring_with_sink()
@@ -162,15 +208,14 @@ class TestDeferredQueue:
         assert received == []
         assert injector.messages_lost == 1
 
-    def test_attached_simulator_gets_timed_events(self):
-        from repro.sim.simulator import Simulator
-
+    def test_deferrals_fall_due_on_the_engine_clock(self):
         network, received = _ring_with_sink()
-        simulator = Simulator(network)
         injector = FaultInjector(FaultPlan())
-        injector.attach(simulator)
+        network.injector = injector
+        engine = ContinuousQueryEngine(network)
+        assert injector.clock is engine.clock
+        engine.clock.advance(3.0)
         injector.defer(_Recorder(), network.nodes[0], 5.0)
-        assert injector.pending_deliveries == 0  # queued as an event instead
-        simulator.run()
-        assert len(received) == 1
-        assert simulator.now == 5.0
+        assert injector.land_before(8.0) == 0
+        assert injector.land_before(8.5) == 1
+        assert engine.clock.now == 8.0

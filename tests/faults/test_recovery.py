@@ -4,8 +4,10 @@ import random
 
 from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema
 from repro.core.oracle import CentralizedOracle
-from repro.faults import ChaosHarness, FaultInjector, FaultPlan, install_fault_plan
-from repro.sim.simulator import Simulator
+from repro.bench.harness import run_workload
+from repro.faults import ChaosHarness, FaultInjector, FaultPlan, churn_schedule
+
+from ..core.scripted import oracle_of, scripted
 
 
 def _setup(algorithm="dai-t", n_nodes=64, **config):
@@ -147,39 +149,50 @@ class TestLeaseRecovery:
 
 
 class TestScheduledFaults:
-    def test_install_fault_plan_drives_churn_and_refresh(self):
+    PLAN = FaultPlan(
+        crash_every=10.0,
+        crash_count=3,
+        restart_after=5.0,
+        lease_refresh_every=25.0,
+        seed=13,
+    )
+
+    def _run(self, plan):
         schema = Schema.from_dict({"R": ["A", "B"], "S": ["D", "E"]})
-        plan = FaultPlan(
-            crash_every=10.0,
-            crash_count=3,
-            restart_after=5.0,
-            lease_refresh_every=25.0,
-            seed=13,
-        )
         injector = FaultInjector(plan)
         network = ChordNetwork.build(64, injector=injector)
         engine = ContinuousQueryEngine(network, EngineConfig(algorithm="dai-q"))
-        simulator = Simulator(network, clock=engine.clock)
-        subscriber = network.nodes[0]
-        engine.subscribe(
-            subscriber, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E", schema
-        )
-        harness = simulator.attach_faults(
-            injector, engine, protect=(subscriber.ident,), until=100.0
-        )
-        assert isinstance(harness, ChaosHarness)
-        simulator.run_until(100.0)
+        rng = random.Random(4)
+        tuples = [
+            ("R", {"A": i, "B": rng.randrange(5)}) if i % 2 else ("S", {"D": i, "E": rng.randrange(5)})
+            for i in range(100)
+        ]
+        workload = scripted(schema, ["SELECT R.A, S.D FROM R, S WHERE R.B = S.E"], tuples)
+        harness = ChaosHarness(engine, injector)
+        schedule = churn_schedule(plan, harness, workload)
+        run_workload(engine, workload, schedule=schedule)
+        return engine, harness, schedule
+
+    def test_churn_schedule_times_crashes_restarts_and_refreshes(self):
+        engine, harness, schedule = self._run(self.PLAN)
+        # Tuple i is published at time 1 + i: an action due at time T
+        # runs just before publish T - 1.
+        refresh = engine.refresh_leases
+        assert {i: len(actions) for i, actions in schedule.items()} == {
+            9: 1, 19: 1, 29: 1, 14: 1, 24: 2, 34: 1, 49: 1, 74: 1, 99: 1
+        }
+        assert all(refresh in schedule[i] for i in (24, 49, 74, 99))
+        injector, network = harness.injector, engine.network
         assert injector.crashes == 3  # crash_count respected
         assert injector.restarts == 3
         assert len(network) == 64  # everyone came back
         assert network.ring_is_consistent()
+        (query,) = engine.queries.values()
+        assert query.subscriber.ident in harness.protected  # never a victim
+        harness.settle()
+        assert engine.delivered_rows(query.key) == oracle_of(engine).rows_for(query.key)
 
-    def test_attach_faults_without_engine_skips_churn(self):
-        plan = FaultPlan(crash_every=10.0, seed=2)
-        injector = FaultInjector(plan)
-        network = ChordNetwork.build(16, injector=injector)
-        simulator = Simulator(network)
-        harness = install_fault_plan(simulator, injector)
-        assert harness is None
-        simulator.run_until(50.0)
-        assert injector.crashes == 0  # churn needs an engine to recover
+    def test_a_plan_without_churn_schedules_nothing(self):
+        engine, harness, schedule = self._run(FaultPlan(restart_after=5.0, seed=2))
+        assert schedule == {}
+        assert harness.injector.crashes == 0

@@ -35,8 +35,10 @@ COMMAND_SOURCES = (
 #: the second scheduler and recursive-sweep bodies, helpers that only
 #: tests called, the load generator beside the live driver, the flat
 #: per-member rewritten query with the per-key DAI-T memory, and the
-#: chaos soak's own replay loop and reference, and the three run
-#: report classes the one ``RunReport`` replaced, with their helpers.
+#: chaos soak's own replay loop and reference, the three run report
+#: classes the one ``RunReport`` replaced, with their helpers, and the
+#: heap scheduler beside the one serial replay loop, with its fault
+#: wiring.
 DELETED = (
     "EventRing",
     "run_stream",
@@ -80,6 +82,12 @@ DELETED = (
     "with_oracle",
     "hops_per_query",
     "redundant_arrivals",
+    "Simulator",
+    "EventQueue",
+    "install_fault_plan",
+    "attach_faults",
+    "schedule_stabilization",
+    "DeferredDelivery",
 )
 
 
