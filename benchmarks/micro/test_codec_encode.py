@@ -3,8 +3,13 @@
 The live transport spends most of its CPU turning frames into bytes and
 back; this suite times the frames that dominate real traffic — a
 ``JoinMessage`` carrying rewritten queries inside a routed envelope, a
-``MultiFrame`` sweep, and a ``NotificationMessage`` batch — so a codec
-regression shows up in ``run_all`` without spinning up a live cluster.
+``MultiFrame`` sweep of vl-index messages, and a ``NotificationMessage``
+batch — so a codec regression shows up in ``run_all`` without spinning
+up a live cluster.  Four more rows are the frames a traced joinbench
+``live_stream`` round encodes and decodes most: a ``MultiFrame`` of
+``JoinMessage``s (a rewriter's grouped sweep), an al-index plus
+vl-index sweep (a publish), a ``DirectFrame`` notification batch, and a
+routed ``QueryIndexMessage`` (an install).
 
 Those frames re-encode one group of one, whose shape is always already
 sealed (and, decoding, already interned).  The ``join_group64`` rows put
@@ -25,8 +30,14 @@ import random
 from repro.core.notifications import Notification
 from repro.net import codec
 from repro.net.codec import decode_frame, encode_frame
-from repro.net.frames import MultiFrame, RouteFrame
-from repro.sim.messages import JoinMessage, NotificationMessage, VLIndexMessage
+from repro.net.frames import DirectFrame, MultiFrame, RouteFrame
+from repro.sim.messages import (
+    ALIndexMessage,
+    JoinMessage,
+    NotificationMessage,
+    QueryIndexMessage,
+    VLIndexMessage,
+)
 from repro.sql.parser import parse_query
 from repro.sql.query import LEFT, RIGHT, Subscriber, rewrite
 from repro.sql.schema import Relation
@@ -90,6 +101,33 @@ def _frames() -> dict[str, object]:
         ),
         "notification_batch": NotificationMessage(
             notifications=notifications, subscriber_ident=1
+        ),
+        "join_sweep": MultiFrame(
+            pairs=tuple(
+                (
+                    rng.randrange(2**32),
+                    JoinMessage(rewritten=(rewrite(query, LEFT, tup),)),
+                )
+                for tup in tuples[4:]
+            ),
+            hops=1,
+        ),
+        "index_sweep": MultiFrame(
+            pairs=(
+                (rng.randrange(2**32), ALIndexMessage(tuple=tuples[0], index_attribute="B")),
+                (rng.randrange(2**32), ALIndexMessage(tuple=tuples[0], index_attribute="C")),
+                (rng.randrange(2**32), VLIndexMessage(tuple=tuples[0], index_attribute="B")),
+                (rng.randrange(2**32), VLIndexMessage(tuple=tuples[0], index_attribute="C")),
+            ),
+            hops=0,
+        ),
+        "notification_direct": DirectFrame(
+            NotificationMessage(notifications=notifications, subscriber_ident=2**31 + 5)
+        ),
+        "query_routed": RouteFrame(
+            target_ident=rng.randrange(2**32),
+            message=QueryIndexMessage(query=query, index_side=LEFT, routing_ident=2**31 + 9),
+            hops=1,
         ),
     }
 

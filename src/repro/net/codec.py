@@ -35,11 +35,21 @@ The payload is one *value* in a tagged, self-describing encoding:
   costs one slice and one dict probe whatever its member count, and
   :func:`skip_value` steps over one without looking inside.
 
-Records are registered via :func:`register_record`, which derives the
-encoder/decoder from a field list; payload classes round-trip through
-their constructors, so schema validation (``__post_init__``) re-runs on
-the receiving peer — a malformed frame fails loudly at decode time, not
-deep inside a handler.
+Records are registered via :func:`register_record`, which compiles two
+functions from the field list: one straight-line encoder ``(out, obj)``
+and one straight-line decoder ``(data, pos) -> (value, pos)``, generated
+as source and ``exec``'d once.  Each field is written and read inline —
+``int``, ``str``, ``float``, ``None`` and ``bool`` through the encode
+memos and the string decode memo, without a call — and any other value
+through one type -> encoder dict (``_ENCODERS``) and one 256-slot
+tag -> decoder table (``_DECODERS``).  Tuples, lists and dicts are
+compiled the same way.  Every reader works on the payload and a
+position; nothing holds a cursor.  Payload classes round-trip through
+their constructors, so schema validation (``__post_init__``) re-runs
+on the receiving peer — a malformed frame fails loudly at decode time,
+not deep inside a handler: truncation, an unknown tag, trailing bytes
+and a span overrun are a :class:`~repro.errors.CodecError`, and so is
+whatever a constructor raises on a wrong value.
 
 Python-specific caveats handled here:
 
@@ -65,8 +75,8 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import operator
 import struct
+import textwrap
 from typing import Any, Callable, Optional
 
 from ..core.notifications import Notification
@@ -175,82 +185,57 @@ def _write_int(out: bytearray, value: int) -> None:
     _write_uvarint(out, zigzag)
 
 
-class _Reader:
-    """Cursor over a payload with truncation-checked reads."""
+# Every reader takes the payload and a position and returns the value
+# read and the position just past it: no cursor object, no attribute
+# traffic.  A reader that runs off the end raises ``CodecError``.
 
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def read_byte(self) -> int:
-        try:
-            byte = self.data[self.pos]
-        except IndexError:
-            raise CodecError("truncated frame: expected a tag byte") from None
-        self.pos += 1
-        return byte
-
-    def read_bytes(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self.data):
-            raise CodecError(
-                f"truncated frame: wanted {count} bytes, "
-                f"{len(self.data) - self.pos} left"
-            )
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def read_uvarint(self) -> int:
-        # Fast path: almost every varint on the wire (collection
-        # lengths, string lengths, small identifiers) fits one byte.
-        data = self.data
-        pos = self.pos
-        try:
-            byte = data[pos]
-        except IndexError:
-            raise CodecError("truncated frame: expected a varint") from None
+def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
+    try:
+        byte = data[pos]
         if byte < 0x80:
-            self.pos = pos + 1
-            return byte
-        value = 0
-        shift = 0
+            return byte, pos + 1
+        value = byte & 0x7F
+        shift = 7
         while True:
-            byte = self.read_byte()
+            pos += 1
+            byte = data[pos]
             value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
+            if byte < 0x80:
+                return value, pos + 1
             shift += 7
-
-    def read_int(self) -> int:
-        zigzag = self.read_uvarint()
-        return zigzag >> 1 if not zigzag & 1 else -((zigzag + 1) >> 1)
+    except IndexError:
+        raise CodecError("truncated frame: expected a varint") from None
 
 
-# ----------------------------------------------------------------------
-# Value encoding
-# ----------------------------------------------------------------------
-
-_ENCODERS: dict[type, Callable[[bytearray, Any], None]] = {}
-
-#: Flat decoder dispatch table: indexing a 256-slot list by the tag
-#: byte beats a dict probe on the hottest call in the whole receive
-#: path (one lookup per decoded value).
-_DECODER_TABLE: list[Optional[Callable[[_Reader], Any]]] = [None] * 256
+def _read_int(data: bytes, pos: int) -> tuple[int, int]:
+    zigzag, pos = _read_uvarint(data, pos)
+    return (zigzag >> 1) ^ -(zigzag & 1), pos
 
 
-#: Record tag -> field count, for structural skips that must step over
-#: a record without building it (:func:`skip_value`).
-_ARITY_BY_TAG: dict[int, int] = {}
+# What :func:`skip_value` does on each tag byte: a record (and a
+# constant) is its field count of values more to step over; the other
+# kinds are the negative codes.  A list, as the decoders are, so one
+# index replaces a chain of tag comparisons.
+_SKIP_INT = -1  # a varint
+_SKIP_BLOB = -2  # a varint length and that many bytes
+_SKIP_ITEMS = -3  # a varint count and that many values
+_SKIP_PAIRS = -4  # a varint count and twice that many values
+_SKIP_FLOAT = -5  # eight bytes
+_SKIP_UNKNOWN = -6
+_SKIP: list[int] = [_SKIP_UNKNOWN] * 256
+_SKIP[_TAG_NONE] = _SKIP[_TAG_TRUE] = _SKIP[_TAG_FALSE] = 0
+_SKIP[_TAG_INT] = _SKIP_INT
+_SKIP[_TAG_FLOAT] = _SKIP_FLOAT
+_SKIP[_TAG_STR] = _SKIP[_TAG_BYTES] = _SKIP[TAG_SEALED_SHAPE] = _SKIP_BLOB
+_SKIP[_TAG_TUPLE] = _SKIP[_TAG_LIST] = _SKIP_ITEMS
+_SKIP[_TAG_DICT] = _SKIP_PAIRS
 
 
 def skip_value(data: bytes, pos: int) -> int:
     """Advance past one encoded value without materializing it.
 
-    The structural twin of ``_decode_value``: every tag's body length
-    is derivable from the bytes alone (varints self-terminate, blobs and
+    The structural twin of the decoders: every tag's body length is
+    derivable from the bytes alone (varints self-terminate, blobs and
     sealed shapes carry their length, containers and records their
     arity), so a relay can locate field boundaries inside a payload it
     never decodes.  Returns the position just past the value; raises
@@ -258,70 +243,51 @@ def skip_value(data: bytes, pos: int) -> int:
 
     Iterative on purpose: skipping never needs the nesting structure,
     only the total count of values still to step over, so one pending
-    counter replaces recursion (and its per-value call overhead) on
-    what is the hottest loop of the relay path.
+    counter replaces recursion on what is the hottest loop of the relay
+    path.
     """
-    size = len(data)
-    arity_by_tag = _ARITY_BY_TAG
+    skip = _SKIP
     pending = 1
-    while pending:
-        pending -= 1
-        if pos >= size:
-            raise CodecError("truncated frame: expected a tag byte")
-        tag = data[pos]
-        pos += 1
-        if tag <= _TAG_FALSE:  # none / true / false: the tag is the value
-            continue
-        if tag == _TAG_INT:
-            while True:
-                if pos >= size:
-                    raise CodecError("truncated frame: expected a varint")
-                byte = data[pos]
+    try:
+        while pending:
+            pending -= 1
+            kind = skip[data[pos]]
+            if kind >= 0:
+                pending += kind
                 pos += 1
-                if byte < 0x80:
-                    break
-            continue
-        if tag == _TAG_FLOAT:
-            pos += 8
-            if pos > size:
-                raise CodecError("truncated frame: value body cut short")
-            continue
-        if tag == _TAG_STR or tag == _TAG_BYTES or tag == TAG_SEALED_SHAPE:
-            length = 0
-            shift = 0
-            while True:
-                if pos >= size:
-                    raise CodecError("truncated frame: expected a varint")
-                byte = data[pos]
+            elif kind == _SKIP_INT:
                 pos += 1
-                length |= (byte & 0x7F) << shift
-                if byte < 0x80:
-                    break
-                shift += 7
-            pos += length
-            if pos > size:
-                raise CodecError("truncated frame: value body cut short")
-            continue
-        if tag == _TAG_TUPLE or tag == _TAG_LIST or tag == _TAG_DICT:
-            count = 0
-            shift = 0
-            while True:
-                if pos >= size:
-                    raise CodecError("truncated frame: expected a varint")
-                byte = data[pos]
+                while data[pos] >= 0x80:  # no value wanted: step to its last byte
+                    pos += 1
                 pos += 1
-                count |= (byte & 0x7F) << shift
-                if byte < 0x80:
-                    break
-                shift += 7
-            pending += count * 2 if tag == _TAG_DICT else count
-            continue
-        arity = arity_by_tag.get(tag, -1)
-        if arity < 0:
-            raise CodecError(f"unknown value tag 0x{tag:02X}")
-        pending += arity
+            elif kind == _SKIP_BLOB:
+                length = data[pos + 1]
+                if length < 0x80:
+                    pos += 2 + length
+                else:
+                    length, pos = _read_uvarint(data, pos + 1)
+                    pos += length
+            elif kind == _SKIP_FLOAT:
+                pos += 9
+            elif kind == _SKIP_UNKNOWN:
+                raise CodecError(f"unknown value tag 0x{data[pos]:02X}")
+            else:
+                count = data[pos + 1]
+                if count < 0x80:
+                    pos += 2
+                else:
+                    count, pos = _read_uvarint(data, pos + 1)
+                pending += count * 2 if kind == _SKIP_PAIRS else count
+    except IndexError:  # a cut varint, or a read after a body overran
+        raise CodecError("truncated frame: expected a tag byte") from None
+    if pos > len(data):  # the last body overran
+        raise CodecError("truncated frame: value body cut short")
     return pos
 
+
+# ----------------------------------------------------------------------
+# Scalars
+# ----------------------------------------------------------------------
 # Encode-side memoization (wire bytes are identical with or without it).
 #
 # Small values recur constantly on the hot path — relation and
@@ -330,8 +296,10 @@ def skip_value(data: bytes, pos: int) -> int:
 # fully-encoded forms (tag + varint length + body) are cached and
 # appended with one ``bytearray.__iadd__`` instead of re-deriving them
 # per frame.  Both caches are bounded: the int table is precomputed for
-# the densest band, the string memo stops admitting entries at a fixed
-# cap (hits keep working; misses just encode normally).
+# the densest band and both stop admitting entries at a fixed cap (hits
+# keep working; misses just encode normally).  Ints outside the band
+# that recur are the Chord identifiers a live ring routes to: a few
+# hundred distinct ones per run, each encoded tens of times.
 
 _STR_MEMO: dict[str, bytes] = {}
 _STR_MEMO_MAX_LEN = 64
@@ -348,51 +316,29 @@ def _precompute_int_memo() -> dict[int, bytes]:
 
 
 _INT_MEMO = _precompute_int_memo()
+_INT_MEMO_MAX_ENTRIES = len(_INT_MEMO) + 4096
+
+#: Decode-side twin of ``_STR_MEMO``: raw utf-8 chunk -> the decoded
+#: (and thereby interned) string, so the relation/attribute/message
+#: names that appear in every frame skip ``bytes.decode`` and share
+#: one str object process-wide.
+_STR_DECODE_MEMO: dict[bytes, str] = {}
+
+#: A float on the wire: its tag and its IEEE-754 double, packed at once.
+_TAGGED_DOUBLE = struct.Struct(">Bd")
 
 
-def _encode_value(out: bytearray, obj: Any) -> None:
-    encoder = _ENCODERS.get(type(obj))
-    if encoder is None:
-        raise CodecError(f"cannot serialize {type(obj).__name__}: {obj!r}")
-    encoder(out, obj)
+def _encode_int(out: bytearray, obj: int) -> None:
+    """An int that missed ``_INT_MEMO``."""
+    scratch = bytearray((_TAG_INT,))
+    _write_int(scratch, obj)
+    encoded = bytes(scratch)
+    out += encoded
+    if len(encoded) <= _STR_MEMO_MAX_LEN and len(_INT_MEMO) < _INT_MEMO_MAX_ENTRIES:
+        _INT_MEMO[obj] = encoded
 
 
-def _decode_value(reader: _Reader) -> Any:
-    pos = reader.pos
-    try:
-        tag = reader.data[pos]
-    except IndexError:
-        raise CodecError("truncated frame: expected a tag byte") from None
-    reader.pos = pos + 1
-    decoder = _DECODER_TABLE[tag]
-    if decoder is None:
-        raise CodecError(f"unknown value tag 0x{tag:02X}")
-    return decoder(reader)
-
-
-def _encode_none(out, obj):
-    out.append(_TAG_NONE)
-
-
-def _encode_bool(out, obj):
-    out.append(_TAG_TRUE if obj else _TAG_FALSE)
-
-
-def _encode_int(out, obj):
-    memo = _INT_MEMO.get(obj)
-    if memo is not None:
-        out += memo
-        return
-    out.append(_TAG_INT)
-    _write_int(out, obj)
-
-
-def _encode_float(out, obj):
-    out.append(_TAG_FLOAT)
-    out += _DOUBLE.pack(obj)
-
-
-def _encode_str(out, obj):
+def _encode_str(out: bytearray, obj: str) -> None:
     memo = _STR_MEMO.get(obj)
     if memo is not None:
         out += memo
@@ -411,99 +357,241 @@ def _encode_str(out, obj):
         _STR_MEMO[obj] = encoded
 
 
-def _encode_bytes(out, obj):
-    out.append(_TAG_BYTES)
-    _write_uvarint(out, len(obj))
-    out += obj
+def _decode_utf8(chunk: bytes) -> str:
+    """A string body that missed ``_STR_DECODE_MEMO``."""
+    value = chunk.decode("utf-8")
+    if (
+        len(chunk) <= _STR_MEMO_MAX_LEN
+        and len(_STR_DECODE_MEMO) < _STR_MEMO_MAX_ENTRIES
+    ):
+        _STR_DECODE_MEMO[chunk] = value
+    return value
 
 
-def _encode_tuple(out, obj):
-    out.append(_TAG_TUPLE)
-    _write_uvarint(out, len(obj))
-    for item in obj:
-        _encode_value(out, item)
+def _read_blob(data: bytes, pos: int) -> tuple[bytes, int]:
+    """A varint length and that many bytes."""
+    length, pos = _read_uvarint(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise CodecError(
+            f"truncated frame: wanted {length} bytes, {len(data) - pos} left"
+        )
+    return data[pos:end], end
 
 
-def _encode_list(out, obj):
-    out.append(_TAG_LIST)
-    _write_uvarint(out, len(obj))
-    for item in obj:
-        _encode_value(out, item)
+def _cannot_serialize(out: bytearray, obj: Any) -> None:
+    raise CodecError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
 
-def _encode_dict(out, obj):
-    out.append(_TAG_DICT)
-    _write_uvarint(out, len(obj))
-    for key, value in obj.items():
-        _encode_value(out, key)
-        _encode_value(out, value)
+def _unknown_tag(data: bytes, pos: int) -> tuple[Any, int]:
+    raise CodecError(f"unknown value tag 0x{data[pos - 1]:02X}")
 
 
-_ENCODERS[type(None)] = _encode_none
-_ENCODERS[bool] = _encode_bool
-_ENCODERS[int] = _encode_int
-_ENCODERS[float] = _encode_float
-_ENCODERS[str] = _encode_str
-_ENCODERS[bytes] = _encode_bytes
-_ENCODERS[tuple] = _encode_tuple
-_ENCODERS[list] = _encode_list
-_ENCODERS[dict] = _encode_dict
+#: Type -> encoder ``(out, obj)`` of every value that is not a scalar
+#: the compiled code writes inline (and of those too, for a bare value).
+_ENCODERS: dict[type, Callable[[bytearray, Any], None]] = {}
 
-_DECODER_TABLE[_TAG_NONE] = lambda reader: None
-_DECODER_TABLE[_TAG_TRUE] = lambda reader: True
-_DECODER_TABLE[_TAG_FALSE] = lambda reader: False
-_DECODER_TABLE[_TAG_INT] = _Reader.read_int
-_DECODER_TABLE[_TAG_FLOAT] = (
-    lambda reader: _DOUBLE.unpack(reader.read_bytes(8))[0]
-)
+#: Tag byte -> decoder ``(data, pos) -> (value, pos)`` with ``pos`` just
+#: past the tag.  A 256-slot list, not a dict: indexing it by the tag
+#: byte is the cheapest dispatch there is.
+_DECODERS: list[Callable[[bytes, int], tuple[Any, int]]] = [_unknown_tag] * 256
 
-#: Decode-side twin of ``_STR_MEMO``: raw utf-8 chunk -> the decoded
-#: (and thereby interned) string, so the relation/attribute/message
-#: names that appear in every frame skip ``bytes.decode`` and share
-#: one str object process-wide.
-_STR_DECODE_MEMO: dict[bytes, str] = {}
+#: What ``_DECODE_VALUE`` answers for tags 0x00–0x02 without a call.
+_CONSTANTS = (None, True, False)
 
 
-def _decode_str(reader: _Reader) -> str:
-    length = reader.read_uvarint()
-    chunk = reader.read_bytes(length)
-    if length <= _STR_MEMO_MAX_LEN:
-        cached = _STR_DECODE_MEMO.get(chunk)
-        if cached is not None:
-            return cached
-        value = chunk.decode("utf-8")
-        if len(_STR_DECODE_MEMO) < _STR_MEMO_MAX_ENTRIES:
-            _STR_DECODE_MEMO[chunk] = value
-        return value
-    return chunk.decode("utf-8")
+# ----------------------------------------------------------------------
+# The codec compiler
+# ----------------------------------------------------------------------
+# Every record class, and every container, gets one encoder and one
+# decoder generated as straight-line Python source and ``exec``'d once
+# at registration (the way ``dataclasses`` builds ``__init__``).  A
+# field is written and read by the two templates below: ``int``, ``str``,
+# ``float``, ``None`` and ``bool`` inline, through the memos; any other
+# value through ``_ENCODERS`` / ``_DECODERS`` — one dict probe or one
+# list index and one call.  A field costs no call of its own, a scalar
+# field no call at all.
+
+#: Append value ``{v}`` to ``out``.
+_ENCODE_VALUE = """\
+t = type({v})
+if t is str:
+    b = _STR_MEMO.get({v})
+    if b is None:
+        _encode_str(out, {v})
+    else:
+        out += b
+elif t is int:
+    b = _INT_MEMO.get({v})
+    if b is None:
+        _encode_int(out, {v})
+    else:
+        out += b
+elif t is float:
+    out += _pack_tagged_double(0x04, {v})
+elif {v} is None:
+    out.append(0x00)
+elif t is bool:
+    out.append(0x01 if {v} else 0x02)
+else:
+    _ENCODERS.get(t, _cannot_serialize)(out, {v})
+"""
+
+#: Read the value at ``data[pos]`` into ``{v}`` and advance ``pos``
+#: (``size`` is ``len(data)``).  A read past the end raises
+#: ``IndexError`` (:func:`decode` reports it).
+_DECODE_VALUE = """\
+t = data[pos]
+if t == 0x03:
+    t = data[pos + 1]
+    if t < 0x80:
+        pos += 2
+    else:
+        t, pos = _read_uvarint(data, pos + 1)
+    {v} = (t >> 1) ^ -(t & 1)
+elif t == 0x05:
+    n = data[pos + 1]
+    if n < 0x80:
+        pos += 2
+    else:
+        n, pos = _read_uvarint(data, pos + 1)
+    end = pos + n
+    if end > size:
+        raise CodecError("truncated frame: string body cut short")
+    chunk = data[pos:end]
+    pos = end
+    {v} = _STR_DECODE_MEMO.get(chunk)
+    if {v} is None:
+        {v} = _decode_utf8(chunk)
+elif t == 0x04:
+    if pos + 9 > size:
+        raise CodecError("truncated frame: float body cut short")
+    {v} = _unpack_double_from(data, pos + 1)[0]
+    pos += 9
+elif t < 0x03:
+    {v} = _CONSTANTS[t]
+    pos += 1
+else:
+    {v}, pos = _DECODERS[t](data, pos + 1)
+"""
 
 
-def _decode_bytes(reader: _Reader) -> bytes:
-    return reader.read_bytes(reader.read_uvarint())
+def _template(template: str, var: str, depth: int) -> str:
+    return textwrap.indent(template.format(v=var), "    " * depth)
 
 
-def _decode_tuple(reader: _Reader) -> tuple:
-    # A list comprehension materialised into tuple() beats feeding a
-    # generator to tuple() — no frame suspension per element.
-    return tuple([_decode_value(reader) for _ in range(reader.read_uvarint())])
+#: What the generated source may name besides ``_build``.
+_COMPILER_NAMESPACE = {
+    "CodecError": CodecError,
+    "_CONSTANTS": _CONSTANTS,
+    "_DECODERS": _DECODERS,
+    "_ENCODERS": _ENCODERS,
+    "_INT_MEMO": _INT_MEMO,
+    "_STR_DECODE_MEMO": _STR_DECODE_MEMO,
+    "_STR_MEMO": _STR_MEMO,
+    "_cannot_serialize": _cannot_serialize,
+    "_decode_utf8": _decode_utf8,
+    "_encode_int": _encode_int,
+    "_encode_str": _encode_str,
+    "_pack_tagged_double": _TAGGED_DOUBLE.pack,
+    "_read_uvarint": _read_uvarint,
+    "_unpack_double_from": _DOUBLE.unpack_from,
+    "_write_uvarint": _write_uvarint,
+}
 
 
-def _decode_list(reader: _Reader) -> list:
-    return [_decode_value(reader) for _ in range(reader.read_uvarint())]
+def _compile(name: str, source: str, build: Any = None) -> Callable:
+    """``exec`` one generated function and return it."""
+    namespace = dict(_COMPILER_NAMESPACE, _build=build)
+    exec(compile(source, f"<repro.net.codec {name}>", "exec"), namespace)
+    return namespace[name]
 
 
-def _decode_dict(reader: _Reader) -> dict:
-    return {
-        _decode_value(reader): _decode_value(reader)
-        for _ in range(reader.read_uvarint())
-    }
+def _compile_container(tag: int, kind: type) -> None:
+    """The tuple, list or dict codec: a varint count, then the items
+    (a dict's as key, value, key, value...) through the templates."""
+    if kind is dict:
+        write = (
+            "for k, v in obj.items():\n"
+            + _template(_ENCODE_VALUE, "k", 1)
+            + _template(_ENCODE_VALUE, "v", 1)
+        )
+        read = (
+            "items = {}\n"
+            "for _ in range(n):\n"
+            + _template(_DECODE_VALUE, "k", 1)
+            + _template(_DECODE_VALUE, "v", 1)
+            + "    items[k] = v\n"
+            "return items, pos\n"
+        )
+    else:
+        write = "for v in obj:\n" + _template(_ENCODE_VALUE, "v", 1)
+        read = (
+            "items = []\n"
+            "for _ in range(n):\n"
+            + _template(_DECODE_VALUE, "v", 1)
+            + "    items.append(v)\n"
+            + ("return tuple(items), pos\n" if kind is tuple else "return items, pos\n")
+        )
+    if kind is tuple:
+        # Most tuples on the wire hold one or two values (a multisend
+        # pair, a trigger's bound values): those skip the list.
+        read = (
+            "if n == 2:\n"
+            + _template(_DECODE_VALUE, "a", 1)
+            + _template(_DECODE_VALUE, "b", 1)
+            + "    return (a, b), pos\n"
+            "if n == 1:\n"
+            + _template(_DECODE_VALUE, "a", 1)
+            + "    return (a,), pos\n"
+            + read
+        )
+    name = kind.__name__
+    _ENCODERS[kind] = _compile(
+        f"encode_{name}",
+        f"def encode_{name}(out, obj):\n"
+        f"    out.append({tag})\n"
+        "    n = len(obj)\n"
+        "    if n < 0x80:\n"
+        "        out.append(n)\n"
+        "    else:\n"
+        "        _write_uvarint(out, n)\n" + textwrap.indent(write, "    "),
+    )
+    _DECODERS[tag] = _compile(
+        f"decode_{name}",
+        f"def decode_{name}(data, pos):\n"
+        "    size = len(data)\n"
+        "    n = data[pos]\n"
+        "    if n < 0x80:\n"
+        "        pos += 1\n"
+        "    else:\n"
+        "        n, pos = _read_uvarint(data, pos)\n" + textwrap.indent(read, "    "),
+    )
 
 
-_DECODER_TABLE[_TAG_STR] = _decode_str
-_DECODER_TABLE[_TAG_BYTES] = _decode_bytes
-_DECODER_TABLE[_TAG_TUPLE] = _decode_tuple
-_DECODER_TABLE[_TAG_LIST] = _decode_list
-_DECODER_TABLE[_TAG_DICT] = _decode_dict
+def _compile_fields(
+    cls: type, tag: Optional[int], fields: tuple[str, ...], build: Callable
+) -> tuple[Callable, Callable]:
+    """The straight-line ``(out, obj)`` encoder and ``(data, pos) ->
+    (value, pos)`` decoder of ``cls``'s ``fields``, in order, behind
+    ``tag`` (none for a sealed shape's body).  The decoder hands the
+    values to ``build`` positionally."""
+    name = cls.__name__
+    encoder = [f"def encode_{name}(out, obj):\n"]
+    if tag is not None:
+        encoder.append(f"    out.append({tag})\n")
+    decoder = [f"def decode_{name}(data, pos):\n    size = len(data)\n"]
+    for i, field in enumerate(fields):
+        encoder.append(f"    v = obj.{field}\n" + _template(_ENCODE_VALUE, "v", 1))
+        decoder.append(_template(_DECODE_VALUE, f"v{i}", 1))
+    if not fields:
+        encoder.append("    pass\n")
+    arguments = ", ".join(f"v{i}" for i in range(len(fields)))
+    decoder.append(f"    return _build({arguments}), pos\n")
+    return (
+        _compile(f"encode_{name}", "".join(encoder)),
+        _compile(f"decode_{name}", "".join(decoder), build),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -519,72 +607,68 @@ def register_record(
 ) -> None:
     """Register a dataclass-like record under a wire tag.
 
-    ``fields`` are read with ``getattr`` at encode time and passed (in
-    order) to ``build`` — the class itself by default — at decode
-    time.  A record is free to omit fields that must not travel
-    (e.g. ``RateProbeMessage.reply_box``) by leaving them out of
-    ``fields`` and letting the constructor default them.
+    ``fields`` are read as attributes at encode time and passed, in
+    order and positionally, to ``build`` — the class itself by default,
+    which needs them to lead its dataclass fields in declaration order.
+    A record is free to omit trailing fields that must not travel (e.g.
+    ``RateProbeMessage.reply_box``) and let the constructor default them.
     """
-    if _DECODER_TABLE[tag] is not None:
+    if _DECODERS[tag] is not _unknown_tag:
         raise CodecError(f"wire tag 0x{tag:02X} registered twice")
     if type(cls) is not type:
         raise CodecError(f"record class expected, got {cls!r}")
-    builder = build if build is not None else cls
-
-    # One C-level attrgetter replaces a per-field getattr loop.
-    if not fields:
-
-        def encode_record(out: bytearray, obj: Any, _tag=tag) -> None:
-            out.append(_tag)
-
-    elif len(fields) == 1:
-
-        def encode_record(
-            out: bytearray, obj: Any, _tag=tag,
-            _get=operator.attrgetter(fields[0]),
-        ) -> None:
-            out.append(_tag)
-            _encode_value(out, _get(obj))
-
-    else:
-
-        def encode_record(
-            out: bytearray, obj: Any, _tag=tag,
-            _get=operator.attrgetter(*fields),
-        ) -> None:
-            out.append(_tag)
-            for value in _get(obj):
-                _encode_value(out, value)
-
-    # A positional constructor call replaces the kwargs dict whenever
-    # the wire fields are a declaration-order prefix of the dataclass
-    # (the decoded-value list is already in that order); a custom
-    # ``build`` or a reordered field list keeps the keyword form.
-    positional = (
-        build is None
-        and dataclasses.is_dataclass(cls)
-        and tuple(f.name for f in dataclasses.fields(cls))[: len(fields)]
-        == fields
+    if build is None and not (
+        dataclasses.is_dataclass(cls)
+        and tuple(f.name for f in dataclasses.fields(cls))[: len(fields)] == fields
+    ):
+        raise CodecError(
+            f"{cls.__name__}: wire fields {fields} do not lead its dataclass "
+            "fields in order; give it a build"
+        )
+    encoder, decoder = _compile_fields(
+        cls, tag, fields, build if build is not None else cls
     )
-    if positional:
+    _ENCODERS[cls] = encoder
+    _DECODERS[tag] = decoder
+    _SKIP[tag] = len(fields)
 
-        def decode_record(
-            reader: _Reader, _builder=builder, _count=len(fields)
-        ) -> Any:
-            return _builder(*[_decode_value(reader) for _ in range(_count)])
 
-    else:
+def _encode_bytes(out: bytearray, obj: bytes) -> None:
+    out.append(_TAG_BYTES)
+    _write_uvarint(out, len(obj))
+    out += obj
 
-        def decode_record(
-            reader: _Reader, _builder=builder, _fields=fields
-        ) -> Any:
-            return _builder(
-                **{name: _decode_value(reader) for name in _fields}
-            )
 
-    _ENCODERS[cls] = encode_record
-    _DECODER_TABLE[tag] = decode_record
-    _ARITY_BY_TAG[tag] = len(fields)
+def _decode_str(data: bytes, pos: int) -> tuple[str, int]:
+    chunk, pos = _read_blob(data, pos)
+    value = _STR_DECODE_MEMO.get(chunk)
+    return (_decode_utf8(chunk) if value is None else value), pos
+
+
+def _decode_float(data: bytes, pos: int) -> tuple[float, int]:
+    if pos + 8 > len(data):
+        raise CodecError("truncated frame: float body cut short")
+    return _DOUBLE.unpack_from(data, pos)[0], pos + 8
+
+
+# A bare scalar, or a ``bytes`` value, goes through the tables too.
+_ENCODERS.update(
+    dict.fromkeys(
+        (type(None), bool, int, float, str),
+        _compile("encode_scalar", "def encode_scalar(out, v):\n" + _template(_ENCODE_VALUE, "v", 1)),
+    )
+)
+_ENCODERS[bytes] = _encode_bytes
+_DECODERS[_TAG_NONE] = lambda data, pos: (None, pos)
+_DECODERS[_TAG_TRUE] = lambda data, pos: (True, pos)
+_DECODERS[_TAG_FALSE] = lambda data, pos: (False, pos)
+_DECODERS[_TAG_INT] = _read_int
+_DECODERS[_TAG_FLOAT] = _decode_float
+_DECODERS[_TAG_STR] = _decode_str
+_DECODERS[_TAG_BYTES] = _read_blob
+_compile_container(_TAG_TUPLE, tuple)
+_compile_container(_TAG_LIST, list)
+_compile_container(_TAG_DICT, dict)
 
 
 # -- payload records ---------------------------------------------------
@@ -595,7 +679,7 @@ def register_record(
 _RELATION_CACHE: dict[tuple[str, tuple[str, ...]], Relation] = {}
 
 
-def _build_relation(*, name: str, attributes: tuple[str, ...]) -> Relation:
+def _build_relation(name: str, attributes: tuple[str, ...]) -> Relation:
     key = (name, attributes)
     relation = _RELATION_CACHE.get(key)
     if relation is None:
@@ -639,7 +723,6 @@ _SHAPE_FIELDS = (
     "members",
     "select_specs",
 )
-_shape_values = operator.attrgetter(*_SHAPE_FIELDS)
 
 #: Decode-side intern table: the bytes of a sealed shape -> the one
 #: ``GroupShape`` decoded from them.  Bounded; when full the oldest
@@ -649,12 +732,17 @@ _SHAPE_TABLE: dict[bytes, GroupShape] = {}
 _SHAPE_TABLE_MAX = 512
 
 
+#: A shape's fields, without a tag: the body of its seal.
+_encode_shape_fields, _decode_shape_fields = _compile_fields(
+    GroupShape, None, _SHAPE_FIELDS, GroupShape
+)
+
+
 def _encode_shape(out: bytearray, shape: GroupShape) -> None:
     sealed = shape.sealed
     if sealed is None:
         body = bytearray()
-        for value in _shape_values(shape):
-            _encode_value(body, value)
+        _encode_shape_fields(body, shape)
         scratch = bytearray((TAG_SEALED_SHAPE,))
         _write_uvarint(scratch, len(body))
         scratch += body
@@ -666,25 +754,22 @@ def _encode_shape(out: bytearray, shape: GroupShape) -> None:
     out += sealed
 
 
-def _decode_shape(reader: _Reader) -> GroupShape:
-    blob = reader.read_bytes(reader.read_uvarint())
+def _decode_shape(data: bytes, pos: int) -> tuple[GroupShape, int]:
+    blob, pos = _read_blob(data, pos)
     shape = _SHAPE_TABLE.get(blob)
     if shape is None:
         shape = _intern_shape(blob)
     elif PERF.enabled:
         PERF.count("codec.shape.interned_hits")
-    return shape
+    return shape, pos
 
 
 def _intern_shape(blob: bytes) -> GroupShape:
     """Decode and validate a sealed shape never seen before; only a
     shape that passes both enters the intern table."""
-    inner = _Reader(blob)
-    shape = GroupShape(*[_decode_value(inner) for _ in _SHAPE_FIELDS])
-    if inner.pos != len(blob):
-        raise CodecError(
-            f"{len(blob) - inner.pos} trailing bytes inside a sealed shape"
-        )
+    shape, end = _decode_shape_fields(blob, 0)
+    if end != len(blob):
+        raise CodecError(f"{len(blob) - end} trailing bytes inside a sealed shape")
     # What bind() and the evaluators index by without looking again.
     specs = shape.select_specs
     if type(specs) is not tuple or not all(
@@ -718,11 +803,11 @@ def _intern_shape(blob: bytes) -> GroupShape:
 
 
 _ENCODERS[GroupShape] = _encode_shape
-_DECODER_TABLE[TAG_SEALED_SHAPE] = _decode_shape
+_DECODERS[TAG_SEALED_SHAPE] = _decode_shape
 
 
 def _bind_decoded(
-    *, shape, required_value, dis_value, trigger_pub_time, bound
+    shape, required_value, dis_value, trigger_pub_time, bound
 ) -> RewrittenGroup:
     if type(shape) is not GroupShape or type(bound) is not tuple:
         raise CodecError("group record without a sealed shape and bound values")
@@ -801,7 +886,7 @@ MESSAGE_TYPE_BY_TAG: dict[int, str] = {
 def encode(obj: Any) -> bytes:
     """Serialize one value/record/message to payload bytes (no header)."""
     out = bytearray()
-    _encode_value(out, obj)
+    _ENCODERS.get(type(obj), _cannot_serialize)(out, obj)
     return bytes(out)
 
 
@@ -838,20 +923,18 @@ def decode(payload: bytes, start: int = 0, end: Optional[int] = None) -> Any:
     """
     if end is None:
         end = len(payload)
-    reader = _Reader(payload)
-    reader.pos = start
     try:
-        obj = _decode_value(reader)
+        obj, pos = _DECODERS[payload[start]](payload, start + 1)
     except CodecError:
         raise
+    except IndexError as exc:  # an inline read ran off the end
+        raise CodecError(f"truncated frame: {exc!r}") from exc
     except _CORRUPT_INPUT_ERRORS as exc:
         raise CodecError(f"payload does not decode: {exc!r}") from exc
-    if reader.pos < end:
-        raise CodecError(f"{end - reader.pos} trailing bytes after payload")
-    if reader.pos > end:
-        raise CodecError(
-            f"value overruns its {end - start}-byte span by {reader.pos - end}"
-        )
+    if pos < end:
+        raise CodecError(f"{end - pos} trailing bytes after payload")
+    if pos > end:
+        raise CodecError(f"value overruns its {end - start}-byte span by {pos - end}")
     return obj
 
 
@@ -892,7 +975,7 @@ def encode_frame_into(out: bytearray, obj: Any) -> int:
     start = len(out)
     out += _HEADER_PLACEHOLDER
     try:
-        _encode_value(out, obj)
+        _ENCODERS.get(type(obj), _cannot_serialize)(out, obj)
     except Exception:
         del out[start:]  # leave the caller's buffer frame-aligned
         raise

@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING, Optional
 from .codec import (
     _TAG_INT,
     _TAG_TUPLE,
-    _Reader,
+    _read_int,
+    _read_uvarint,
     _write_int,
     _write_uvarint,
     register_record,
@@ -176,21 +177,19 @@ def peek_route(payload: bytes) -> Optional[tuple[int, int, int]]:
         or payload[1] != _TAG_INT
     ):
         return None
-    reader = _Reader(payload)
-    reader.pos = 2
     try:
-        target = reader.read_int()
+        target, pos = _read_int(payload, 2)
     except CodecError:
         return None
     last = payload[-1]
-    if reader.pos >= len(payload) - 2 or payload[-2] != _TAG_INT:
+    if pos >= len(payload) - 2 or payload[-2] != _TAG_INT:
         return None
     if last & 1 or last >= 0x80:
         # Multi-byte or negative hop varint: a continuation byte has
         # its msb set, so payload[-2] above already rejects that shape;
         # this arm only guards a final byte that is itself suspicious.
         return None
-    return target, payload[reader.pos], last >> 1
+    return target, payload[pos], last >> 1
 
 
 #: Structural-peek memo for :func:`peek_multi`, keyed by the payload
@@ -233,30 +232,26 @@ def peek_multi(
     if cached is not None:
         idents, tags, message_starts, pair_starts = cached
         return idents, tags, message_starts, pair_starts, last >> 1
-    reader = _Reader(payload)
-    reader.pos = 2
     idents = []
     tags = []
     message_starts = []
     pair_starts = []
     try:
-        count = reader.read_uvarint()
+        count, pos = _read_uvarint(payload, 2)
         for _ in range(count):
-            pos = reader.pos
             # Each pair is a 2-tuple; uvarint(2) is always one byte.
             if payload[pos] != _TAG_TUPLE or payload[pos + 1] != 2:
                 return None
             if payload[pos + 2] != _TAG_INT:
                 return None
             pair_starts.append(pos)
-            reader.pos = pos + 3
-            idents.append(reader.read_int())
-            message_starts.append(reader.pos)
-            tags.append(payload[reader.pos])
-            reader.pos = skip_value(payload, reader.pos)
+            ident, pos = _read_int(payload, pos + 3)
+            idents.append(ident)
+            message_starts.append(pos)
+            tags.append(payload[pos])
+            pos = skip_value(payload, pos)
     except (CodecError, IndexError):
         return None
-    pos = reader.pos
     if pos != len(payload) - 2 or payload[pos] != _TAG_INT:
         return None
     if len(_PEEK_MEMO) >= _PEEK_MEMO_MAX:

@@ -14,12 +14,23 @@ entry freezes the heap (ring, engine, workload) into the permanent
 generation no pass walks, and each barrier the loop already has freezes
 that epoch's survivors — an O(1) splice, not an O(survivors) walk.  The
 pause owns the permanent generation while inside; exit unfreezes it
-all, so the next full pass frees a finished ring.
+all into the oldest generation.
+
+A finished ring is cyclic garbage only a full pass frees, and the
+automatic collector does not count what an unfreeze hands it, so after
+a pause it may never run one.  Entry therefore runs the full pass
+itself when none has run since the previous pause exited: replays run
+back to back keep one dead ring at most, and a caller that collects
+between replays is never collected for twice.
 """
 
 from __future__ import annotations
 
 import gc
+
+
+def _full_passes() -> int:
+    return gc.get_stats()[-1]["collections"]
 
 
 class CollectorPause:
@@ -33,7 +44,12 @@ class CollectorPause:
 
     __slots__ = ("_was_enabled",)
 
+    #: The full-pass count when the last pause exited; ``None`` before.
+    _passes_at_exit = None
+
     def __enter__(self) -> "CollectorPause":
+        if CollectorPause._passes_at_exit == _full_passes():
+            gc.collect()  # whatever the previous pause left, before the freeze
         self._was_enabled = gc.isenabled()
         gc.disable()
         gc.freeze()
@@ -45,6 +61,7 @@ class CollectorPause:
         gc.freeze()
 
     def __exit__(self, *exc_info) -> None:
+        CollectorPause._passes_at_exit = _full_passes()
         gc.freeze()  # the tail too: hand back a zero young count
         gc.unfreeze()
         if self._was_enabled:

@@ -63,6 +63,7 @@ from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple, ProjectedTuple
 
 from ..core.reference_rewriter import expand, flat_fields, member_keys
+from . import reference_codec
 
 COMMON = settings(max_examples=50, deadline=None)
 
@@ -323,6 +324,20 @@ class TestPayloadRoundTrips:
         tup = DataTuple(R, ("καλημέρα", "数据库🛰"), 1.0)
         assert roundtrip(tup) == tup
 
+    def test_encode_memos_stay_within_their_caps(self):
+        """Ints outside the precomputed band and short strings are
+        admitted to the encode memos only up to a fixed cap; past it
+        they still encode, to the same bytes, just without a memo."""
+        first = 2**40
+        for value in range(first, first + codec._INT_MEMO_MAX_ENTRIES):
+            encode(value)
+            encode(str(value))
+        assert len(codec._INT_MEMO) == codec._INT_MEMO_MAX_ENTRIES
+        assert len(codec._STR_MEMO) == codec._STR_MEMO_MAX_ENTRIES
+        for value in (first - 1, -first):
+            assert value not in codec._INT_MEMO
+            assert roundtrip(value) == value and roundtrip(str(value)) == str(value)
+
     def test_numeric_types_stay_distinct(self):
         """2, 2.0 and True are equal in Python but not on the wire."""
         got = roundtrip((2, 2.0, True))
@@ -369,10 +384,8 @@ def sealed_span(payload: bytes) -> tuple[int, int, int]:
     """``(tag position, body start, body end)`` of the one sealed shape
     inside an encoded group record (shapes here stay under 16 KiB)."""
     at = payload.index(bytes((TAG_SEALED_SHAPE,)))
-    reader = codec._Reader(payload)
-    reader.pos = at + 1
-    length = reader.read_uvarint()
-    return at, reader.pos, reader.pos + length
+    length, start = codec._read_uvarint(payload, at + 1)
+    return at, start, start + length
 
 
 #: One instance of every record class the codec registers, so a record
@@ -616,6 +629,20 @@ class TestFraming:
         with pytest.raises(CodecError, match="registered twice"):
             register_record(Relation, 0x10, ("name", "attributes"))
 
+    def test_fields_out_of_declaration_order_rejected(self):
+        """Decoders build records positionally, so wire fields must lead
+        the dataclass fields in order unless a ``build`` takes them."""
+
+        @dataclasses.dataclass
+        class Pair:
+            a: int
+            b: int
+
+        with pytest.raises(CodecError, match="give it a build"):
+            register_record(Pair, 0xEE, ("b", "a"))
+        with pytest.raises(CodecError, match="unknown value tag 0xEE"):
+            decode(bytes((0xEE,)))  # nothing was registered
+
 
 # ----------------------------------------------------------------------
 # Mutation fuzz: damaged bytes are a CodecError, never anything else
@@ -634,17 +661,18 @@ golden_names = st.sampled_from(sorted(GOLDEN_FRAMES))
 def decodes_or_codec_error(wire: bytes) -> None:
     """``decode_frame`` may return a value or raise ``CodecError`` —
     pytest fails the test on any other exception — and whatever the
-    attempt interned is exactly what its bytes say: a shape that failed
-    to decode or validate never enters the table."""
+    attempt interned is exactly what its bytes say (as the reference
+    codec reads them): a shape that failed to decode or validate never
+    enters the table."""
     before = dict(codec._SHAPE_TABLE)
     with suppress(CodecError):
         decode_frame(wire)
     for blob, shape in codec._SHAPE_TABLE.items():
         if blob in before:
             continue
-        inner = codec._Reader(blob)
+        inner = reference_codec._Reader(blob)
         rebuilt = GroupShape(
-            *[codec._decode_value(inner) for _ in codec._SHAPE_FIELDS]
+            *[reference_codec._decode_value(inner) for _ in codec._SHAPE_FIELDS]
         )
         assert inner.pos == len(blob) and rebuilt == shape
 

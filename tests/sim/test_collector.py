@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 import os
 import pathlib
+import weakref
 from collections import Counter
 
 import pytest
@@ -223,6 +224,28 @@ def test_a_cycle_per_notification_is_reported(executor, tmp_path):
         run(engine, executor)
     assert not probe.generations  # kept frozen, not collected, inside
     assert calls and gc.collect() == len(calls)
+
+
+def test_back_to_back_replays_free_the_previous_ring():
+    """Replays run back to back, with no collection of the caller's in
+    between, keep one finished ring alive at most: entry runs the full
+    pass that no automatic collection runs after a pause (each exit
+    hands the collector a heap it does not count).  Without it every
+    ring stayed alive until the caller collected."""
+    gc.collect()
+    with CollectionProbe() as probe:
+        rings = []
+        for seed in range(6):
+            network = ChordNetwork.build(POINT.n_nodes * 4)
+            engine = ContinuousQueryEngine(
+                network, EngineConfig(algorithm="dai-q", seed=seed)
+            )
+            rings.append(weakref.ref(network))
+            del network
+            run_workload(engine, WORKLOAD)
+            del engine
+    assert [ring() is None for ring in rings] == [True] * 5 + [False]
+    assert probe.generations.count(2) >= 5
 
 
 class TestCollectorPause:
