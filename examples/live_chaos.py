@@ -6,10 +6,13 @@ workload through the one live driver (``LiveCluster.run``) while a
 :class:`~repro.net.chaos.LiveChaos` layer attacks the transport with the
 acceptance preset: 5% of connection attempts refused, 5% of frames
 faulted on write (reset / truncated / garbled), one asymmetric network
-partition mid-stream, and two live crash/restart cycles, placed at
-publish indexes of the tuple stream — each crash kills a node's server
-and event loop tasks for real, each restart rejoins on a fresh port and
-recovers its state through the soft-state lease protocol.
+partition mid-stream, and two live crash/restart cycles.  One
+``FaultPlan`` holds every knob; the partition window and the churn are
+in workload time units (the k-th tuple publishes at time k), and
+``churn_schedule`` — the same builder the serial simulator uses — places
+them at publish indexes of the tuple stream.  Each crash kills a node's
+server and event loop tasks for real, each restart rejoins on a fresh
+port and recovers its state through the soft-state lease protocol.
 
 The heartbeat failure detector suspects unresponsive peers (routing
 falls back to ring successors), jittered exponential backoff absorbs
@@ -27,14 +30,14 @@ The same flow is exposed as a command line::
 
     python -m repro.net.cluster --chaos default --compare-sim
 
-where ``--chaos frame=0.1,crashes=3,seed=42`` overrides individual
-knobs (see ``parse_chaos_spec``).
+where ``--chaos frame_fault_probability=0.1,crash_count=3,seed=42``
+overrides individual plan fields (see ``parse_chaos_spec``).
 """
 
 import asyncio
 
 from repro.faults.plan import FaultPlan, NetFaultSpec
-from repro.net.chaos import SoakSettings, run_chaos_soak
+from repro.net.chaos import SUBSCRIBERS, run_chaos_soak, soak_ok, soak_summary
 from repro.net.cluster import ClusterConfig, live_summary, simulate_reference
 from repro.net.health import HealthConfig
 from repro.net.peer import NetConfig
@@ -51,13 +54,16 @@ PLAN = FaultPlan(
     max_attempts=4,
     backoff_base=0.02,
     backoff_jitter=0.5,
+    crash_every=17.0,  # crash before tuples 17 and 34 ...
+    crash_count=2,
+    restart_after=6.0,  # ... and restart each six publishes later
     net=NetFaultSpec(
         connect_refusal_probability=0.05,
         frame_fault_probability=0.05,
+        partition_at=16.0,  # one-way split around the first crash
+        partition_for=5.0,
     ),
 )
-
-SETTINGS = SoakSettings(crashes=2, partition=True, asymmetric=True)
 
 
 def main() -> None:
@@ -73,7 +79,7 @@ def main() -> None:
     print(
         f"booting a live {N_NODES}-node ring and unleashing chaos "
         f"({ALGORITHM}, {N_QUERIES} queries, {N_TUPLES} tuples, "
-        f"{SETTINGS.crashes} crash/restart cycles)..."
+        f"{PLAN.crash_count} crash/restart cycles)..."
     )
     config = ClusterConfig(
         algorithm=ALGORITHM,
@@ -82,27 +88,25 @@ def main() -> None:
         net=NetConfig.from_fault_plan(PLAN),
         health=HealthConfig(),
     )
-    report = asyncio.run(
-        run_chaos_soak(workload, config=config, plan=PLAN, settings=SETTINGS)
-    )
+    report = asyncio.run(run_chaos_soak(workload, config=config, plan=PLAN))
 
     reference_digest, reference_delivered = simulate_reference(
         workload,
         algorithm=ALGORITHM,
         n_nodes=N_NODES,
         seed=SEED,
-        subscribers=report.subscribers,
+        subscribers=SUBSCRIBERS,
     )
-    print(live_summary(report.run))
-    print(report.summary())
+    print(live_summary(report))
+    print(soak_summary(report))
     print(
         f"fault-free simulator oracle: {reference_delivered} notifications, "
         f"digest {reference_digest[:12]}"
     )
 
-    if not report.ok:
+    if not soak_ok(report):
         raise SystemExit("FAIL: duplicate deliveries or credit budget exceeded")
-    if (report.run.notification_digest, report.run.notifications_delivered) != (
+    if (report.notification_digest, report.notifications_delivered) != (
         reference_digest,
         reference_delivered,
     ):

@@ -203,15 +203,22 @@ class ChordNetwork:
         self._choose_router(cause)
 
     def _materialize_fingers(self) -> None:
-        """Build the deferred finger tables before membership changes.
+        """Build the deferred finger tables before the object walk needs
+        them.
 
         A lazy-finger ring loses snapshot routing the moment membership
-        changes (the ring is no longer exact), so the object walk —
-        which needs real finger tables — must be ready first.
+        changes (the ring is no longer exact) or a perturbing injector
+        arrives, so the object walk — which reads real finger tables —
+        must be ready first.  Deferred tables only exist on an exact
+        ring, so the oracle's fingers are the right ones.
         """
         if self._lazy_fingers:
             self._lazy_fingers = False
-            self.rebuild_ring_state()
+            for node in self._nodes.values():
+                node.fingers = self._exact_fingers(node)
+
+    def _exact_fingers(self, node: ChordNode) -> list[ChordNode]:
+        return [self._oracle_successor(node.finger_start(j)) for j in range(self.space.m)]
 
     def rebuild_ring_state(self) -> None:
         """Set every pointer (successors, predecessors, fingers) exactly.
@@ -231,10 +238,7 @@ class ChordNetwork:
             node.successor_list = successors
             node.predecessor = self._nodes[idents[(position - 1) % count]] if count > 1 else node
             if not lazy:
-                node.fingers = [
-                    self._oracle_successor(node.finger_start(j))
-                    for j in range(self.space.m)
-                ]
+                node.fingers = self._exact_fingers(node)
         self._ring_exact = True
         self._choose_router("rebuild")
 
@@ -255,6 +259,7 @@ class ChordNetwork:
             or not self._nodes
             or (injector is not None and injector.perturbs_delivery)
         ):
+            self._materialize_fingers()
             self.snapshot = None
         elif previous is None:
             self.snapshot = RingSnapshot(

@@ -7,8 +7,10 @@ declarative, seedable :class:`FaultPlan`.  A plan is pure data: the
 :class:`~repro.faults.injector.FaultInjector` interprets it, the
 :class:`~repro.chord.routing.Router` consults the injector on every
 delivery, and :func:`repro.faults.schedule.churn_schedule` turns the
-crash/restart/lease-refresh knobs into actions at publish indexes of
-the stream the driver replays.
+crash/restart/lease-refresh knobs (and, on a live cluster, the
+partition window of :class:`NetFaultSpec`) into actions at publish
+indexes of the stream the driver replays — the serial simulator's and
+the live chaos soak's alike.
 
 An all-defaults plan is a guaranteed no-op: the router takes exactly
 the code path it takes without an injector, so hop and message counts
@@ -67,22 +69,32 @@ class NetFaultSpec:
         frame (chosen uniformly): resets and truncations exercise the
         reconnect path, garbles exercise the receiver's mid-stream
         :class:`~repro.errors.CodecError` teardown.
+    partition_at:
+        Open one partition episode at this time (time units, like
+        ``FaultPlan.crash_every``): the ring splits in half, one way.
+    partition_for:
+        Heal it this many time units later (0 = no partition).
     """
 
     connect_refusal_probability: float = 0.0
     frame_fault_probability: float = 0.0
+    partition_at: float = 0.0
+    partition_for: float = 0.0
 
     def __post_init__(self):
         for name in ("connect_refusal_probability", "frame_fault_probability"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
+        if self.partition_at < 0 or self.partition_for < 0:
+            raise ValueError("the partition window must be non-negative")
 
     @property
     def is_noop(self) -> bool:
         return (
             self.connect_refusal_probability == 0.0
             and self.frame_fault_probability == 0.0
+            and self.partition_for == 0.0
         )
 
 
@@ -152,6 +164,8 @@ class FaultPlan:
             raise ValueError("max_attempts must be >= 1")
         if self.crash_every < 0 or self.restart_after < 0:
             raise ValueError("crash/restart periods must be non-negative")
+        if self.crash_count < 0 or self.lease_refresh_every < 0:
+            raise ValueError("crash_count and lease_refresh_every must be non-negative")
         if self.backoff_base < 0:
             raise ValueError("backoff_base must be non-negative")
         if self.backoff_jitter < 0:

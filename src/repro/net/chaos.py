@@ -16,12 +16,19 @@ boundary** of a :class:`~repro.net.cluster.LiveCluster`:
   cope); the write path itself is the shipped one, batching and raw
   relay included;
 * **partitions** — an (optionally asymmetric) set of blocked
-  ``(src, dst)`` edges whose writes fail like timeouts;
+  ``(src, dst)`` edges whose writes fail like timeouts
+  (``plan.net.partition_at`` / ``partition_for``);
 * **live crash/restart** — a peer's server dies, its pooled
   connections are aborted, its queued frames are settled as lost, the
   ring repairs around it (:class:`~repro.faults.recovery.ChaosHarness`
   is the ring-side half), and later the node rejoins through the
-  bootstrap handshake on a fresh port.
+  bootstrap handshake on a fresh port (``plan.crash_every`` /
+  ``crash_count`` / ``restart_after``).
+
+Partitions, crashes and restarts are timed by the one schedule builder
+the serial replay uses too,
+:func:`~repro.faults.schedule.churn_schedule`, with a
+:class:`ChaosController` as its harness.
 
 Every fault is decided *before* clean bytes are written, so a faulted
 attempt was certainly not delivered and the retry path cannot create
@@ -49,15 +56,15 @@ framework's contract.
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from collections import Counter
+from dataclasses import fields, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.engine import ContinuousQueryEngine
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan, NetFaultSpec
 from ..faults.recovery import ChaosHarness
+from ..faults.schedule import churn_schedule
 from ..workload.generator import Workload
 from .codec import HEADER_SIZE
 
@@ -153,125 +160,18 @@ class LiveChaos:
     def heal(self) -> None:
         self._blocked.clear()
 
-    @property
-    def partitioned(self) -> bool:
-        return bool(self._blocked)
-
-    def snapshot(self) -> dict:
-        data = dict(self.counters)
-        data["partitioned"] = self.partitioned
-        return data
-
 
 # ----------------------------------------------------------------------
-# Soak schedule and driver
+# Soak controller and driver
 # ----------------------------------------------------------------------
 
-@dataclass
-class SoakSettings:
-    """Shape of one chaos soak (what happens beyond the fault plan)."""
+#: Size of the protected subscriber pool every soak origin is drawn
+#: from; the fault-free reference is ``simulate_reference(...,
+#: subscribers=SUBSCRIBERS)``.
+SUBSCRIBERS = 2
 
-    #: Live crash/restart cycles spread across the tuple stream.
-    crashes: int = 2
-    #: Publishes between a crash and its restart (0 = auto).
-    restart_lag: int = 0
-    #: Inject one partition episode.
-    partition: bool = True
-    #: One-way partition (B still reaches A) instead of a full split.
-    asymmetric: bool = True
-    #: Fraction of the tuple stream at which the partition opens/closes.
-    partition_start: float = 0.45
-    partition_length: float = 0.15
-    #: Size of the protected subscriber pool every origin is drawn from.
-    subscribers: int = 2
-    #: Ceiling on post-workload recovery rounds.
-    settle_rounds: int = 8
-
-    def __post_init__(self):
-        if self.crashes < 0:
-            raise ValueError("crashes must be >= 0")
-        if self.subscribers < 1:
-            raise ValueError("subscribers must be >= 1")
-        if not 0 < self.partition_start < 1 or not 0 < self.partition_length < 1:
-            raise ValueError("partition window fractions must be in (0, 1)")
-
-
-@dataclass
-class ChaosSoakReport:
-    """One soak: the run's :class:`~repro.bench.rows.RunReport`, whose
-    answers, counters and peak in-flight are taken after recovery, plus
-    what only a soak has."""
-
-    run: "RunReport"
-    #: Size of the protected origin pool; the fault-free reference is
-    #: ``simulate_reference(..., subscribers=subscribers)``.
-    subscribers: int
-    #: Duplicate identities in the *delivered* streams — the
-    #: exactly-once gate; must be zero.  Not ``run.duplicate_deliveries``:
-    #: those are re-created answers that arrived at the subscriber twice
-    #: and were dropped by the identity check.  Over real sockets that is
-    #: the dedup machinery *working*, not a violation: two evaluators can
-    #: emit the same recovered answer while neither emission has landed
-    #: yet, so the sender-side filter cannot be current the way it is in
-    #: the synchronous simulator.
-    delivered_duplicates: int
-    credit_budget: Optional[int]
-    crashes: int
-    restarts: int
-    suspicions: int
-    crash_frame_losses: int
-    frames_written_off: int
-    #: Failures the tolerant drains absorbed, by exception type.
-    absorbed_faults: dict = field(default_factory=dict)
-    chaos: dict = field(default_factory=dict)
-
-    @property
-    def within_budget(self) -> bool:
-        budget = self.credit_budget
-        return budget is None or self.run.live["peak_in_flight"] <= budget
-
-    @property
-    def ok(self) -> bool:
-        """Exactly once and within the credit budget (the oracle is the
-        caller's check)."""
-        return self.delivered_duplicates == 0 and self.within_budget
-
-    def as_dict(self) -> dict:
-        """Every field but ``run`` (which has its own row)."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "run"}
-
-    def summary(self) -> str:
-        chaos = self.chaos
-        absorbed = ", ".join(
-            f"{count} {kind}" for kind, count in sorted(self.absorbed_faults.items())
-        )
-        run = self.run
-        lines = [
-            f"chaos soak {run.engine.config.algorithm}: {run.events} events, "
-            f"{self.crashes} crashes / {self.restarts} restarts, "
-            f"{chaos.get('partitions', 0)} partition episode(s)",
-            f"  wire: {chaos.get('connects_refused', 0)} refusals, "
-            f"{chaos.get('frames_reset', 0)} resets, "
-            f"{chaos.get('frames_truncated', 0)} truncations, "
-            f"{chaos.get('frames_garbled', 0)} garbles, "
-            f"{chaos.get('blocked_sends', 0)} partition-blocked sends",
-            f"  recovery: {self.crash_frame_losses} crash losses, "
-            f"{self.frames_written_off} written off, "
-            f"absorbed faults: {absorbed or 'none'}, "
-            f"{self.suspicions} suspicions, "
-            f"{run.suppressed_renotifications} re-notifications suppressed",
-            f"  result: {self.delivered_duplicates} duplicates "
-            f"({run.duplicate_deliveries} redundant arrivals deduped), "
-            f"peak in-flight {run.live['peak_in_flight']}/{self.credit_budget}",
-        ]
-        if self.delivered_duplicates:
-            lines.append(f"FAIL: {self.delivered_duplicates} duplicate deliveries")
-        if not self.within_budget:
-            lines.append(
-                f"FAIL: peak in-flight {run.live['peak_in_flight']} exceeded "
-                f"budget {self.credit_budget}"
-            )
-        return "\n".join(lines)
+#: Ceiling on post-workload recovery rounds.
+SETTLE_ROUNDS = 8
 
 
 def delivered_duplicates(engine: ContinuousQueryEngine) -> int:
@@ -298,6 +198,11 @@ class ChaosController:
     settle — is this class's whole job, plus the deterministic victim
     stream (its own seeded RNG, because wire-fault draws happen in
     event-loop order and would perturb a shared stream).
+
+    It offers what :func:`~repro.faults.schedule.churn_schedule` asks
+    of a harness — ``engine``, ``protected``, ``crash``, ``restart``,
+    ``begin_partition``, ``heal_partition`` — as coroutines, so one
+    fault plan compiles to one schedule on either driver.
     """
 
     def __init__(
@@ -313,10 +218,22 @@ class ChaosController:
         self.crashes = 0
         self.restarts = 0
 
-    async def crash(self, node: Optional["ChordNode"] = None) -> Optional["ChordNode"]:
-        """Kill one live node: server down, state gone, ring repaired."""
-        if node is None:
-            node = self.harness.choose_victim(self.victim_rng)
+    @property
+    def engine(self) -> ContinuousQueryEngine:
+        return self.cluster.engine
+
+    @property
+    def protected(self) -> set[int]:
+        return self.harness.protected
+
+    async def crash(self) -> Optional["ChordNode"]:
+        """Kill one live node: server down, state gone, ring repaired.
+
+        The victim is never the last live unprotected node, so
+        overlapping crash/restart cycles cannot empty the ring of
+        everything but subscribers.
+        """
+        node = self.harness.choose_victim(self.victim_rng, spare=1)
         if node is None:
             return None
         peer = self.cluster.peers.pop(node.ident, None)
@@ -334,10 +251,8 @@ class ChaosController:
     async def restart(self) -> Optional["ChordNode"]:
         """Rejoin the oldest crashed node: ring first, then sockets,
         then a lease refresh so its inherited ranges repopulate."""
-        if not self.harness.crashed_keys:
-            return None
         node = self.harness.restart()
-        if node is None:  # pragma: no cover - defensive
+        if node is None:
             return None
         await self.cluster.restart_peer(node)
         self.restarts += 1
@@ -345,25 +260,21 @@ class ChaosController:
         await self.cluster.drain(tolerate_failures=True)
         return node
 
-    async def restart_all(self) -> list["ChordNode"]:
-        restarted = []
+    async def restart_all(self) -> None:
         while self.harness.crashed_keys:
-            node = await self.restart()
-            if node is None:  # pragma: no cover - defensive
-                break
-            restarted.append(node)
-        return restarted
+            await self.restart()
 
-    async def begin_partition(self, *, asymmetric: bool = True) -> None:
-        """Split the current ring in half (identifier order)."""
+    async def begin_partition(self) -> None:
+        """Split the current ring in half (identifier order), one way:
+        the second half still reaches the first."""
         idents = [node.ident for node in self.cluster.network.nodes]
         half = max(1, len(idents) // 2)
-        self.chaos.partition(idents[:half], idents[half:], asymmetric=asymmetric)
+        self.chaos.partition(idents[:half], idents[half:], asymmetric=True)
 
     async def heal_partition(self) -> None:
         self.chaos.heal()
 
-    async def settle(self, *, max_rounds: int = 8) -> str:
+    async def settle(self, *, max_rounds: int = SETTLE_ROUNDS) -> str:
         """Refresh-and-drain until the digest is stable and a whole
         round passed without absorbing any new fault.  Plan faults stay
         active throughout — the retry path absorbs them — exactly like
@@ -388,151 +299,188 @@ class ChaosController:
 
 
 async def run_chaos_soak(
-    workload: Workload,
-    *,
-    config: "ClusterConfig",
-    plan: FaultPlan,
-    settings: Optional[SoakSettings] = None,
-) -> ChaosSoakReport:
+    workload: Workload, *, config: "ClusterConfig", plan: FaultPlan
+) -> "RunReport":
     """Stream ``workload`` through :meth:`LiveCluster.run` under
-    sustained chaos.
+    sustained chaos; the run's report, read after recovery.
 
-    Faults run for the whole workload; crashes, restarts and the
-    partition episode fire at fixed publish indexes of the tuple stream.
-    Every origin is drawn from the protected subscriber pool — the first
-    ``settings.subscribers`` nodes in identifier order, never crashed:
-    query keys embed the origin's node key, and a subscriber holds the
-    query leases and the delivered-identity sets that make recovery
-    exactly-once.  ``ChordNetwork.build`` is deterministic, so the
-    reference draws the identical pool and stream.  After the run
-    everything heals, every crashed node restarts, and recovery rounds
-    run until the delivered-notification digest is stable.  The caller
+    Wire faults run for the whole workload; the plan's crashes,
+    restarts and partition window fire at publish indexes of the tuple
+    stream (:func:`~repro.faults.schedule.churn_schedule` with this
+    soak's :class:`ChaosController`).  Every origin is drawn from the
+    protected subscriber pool — the first :data:`SUBSCRIBERS` nodes in
+    identifier order, never crashed: query keys embed the origin's node
+    key, and a subscriber holds the query leases and the
+    delivered-identity sets that make recovery exactly-once.
+    ``ChordNetwork.build`` is deterministic, so the reference draws the
+    identical pool and stream.  After the run everything heals, every
+    crashed node restarts, and recovery rounds run until the
+    delivered-notification digest is stable.  Answers, counters and
+    peak in-flight are read then; what only a soak measures is
+    ``report.live["chaos"]`` (:func:`soak_ok` gates it).  The caller
     checks the report against ``simulate_reference(...,
-    subscribers=report.subscribers)`` (the CLI and CI do).
+    subscribers=SUBSCRIBERS)`` (the CLI and CI do).
     """
     from .cluster import LiveCluster
 
-    settings = settings if settings is not None else SoakSettings()
     chaos = LiveChaos(plan)
     cluster = LiveCluster(config)
     cluster.install_chaos(chaos)
     await cluster.start()
     try:
         engine = cluster.engine
-        pool = cluster.network.nodes[: settings.subscribers]
+        pool = cluster.network.nodes[:SUBSCRIBERS]
         harness = ChaosHarness(
             engine, chaos.injector, protect=[node.ident for node in pool]
         )
         controller = ChaosController(cluster, harness, chaos)
-
-        total = workload.n_tuples
-        schedule: dict[int, list] = defaultdict(list)
-        if settings.partition and total >= 4:
-            start = int(total * settings.partition_start)
-            schedule[start].append(
-                partial(controller.begin_partition, asymmetric=settings.asymmetric)
-            )
-            stop = start + max(1, int(total * settings.partition_length))
-            schedule[min(total - 1, stop)].append(controller.heal_partition)
-        unprotected = config.n_nodes - len(pool)
-        crashes = min(settings.crashes, max(0, unprotected - 1))
-        if crashes and total:
-            lag = settings.restart_lag or max(3, total // 8)
-            for index in range(crashes):
-                at = min(total - 1, round(total * (index + 1) / (crashes + 1)))
-                schedule[at].append(controller.crash)
-                if at + lag < total:
-                    schedule[at + lag].append(controller.restart)
-
-        report = await cluster.run(workload, origins=pool, schedule=schedule)
+        report = await cluster.run(
+            workload, origins=pool, schedule=churn_schedule(plan, controller, workload)
+        )
         await controller.heal_partition()
         await controller.restart_all()
-        await controller.settle(max_rounds=settings.settle_rounds)
+        await controller.settle()
 
-        return ChaosSoakReport(
-            # A fresh report: answers and load are read after recovery.
-            run=replace(
-                report,
-                suppressed_renotifications=engine.suppressed_renotifications,
-                duplicate_deliveries=engine.duplicate_deliveries,
-                live={**report.live, "peak_in_flight": cluster.in_flight.peak},
-            ),
-            subscribers=len(pool),
-            delivered_duplicates=delivered_duplicates(engine),
-            credit_budget=cluster.in_flight.budget,
-            crashes=controller.crashes,
-            restarts=controller.restarts,
-            suspicions=sum(
+        soak = {
+            "crashes": controller.crashes,
+            "restarts": controller.restarts,
+            "suspicions": sum(
                 peer.detector.suspicions
                 for peer in cluster.peers.values()
                 if peer.detector is not None
             ),
-            crash_frame_losses=cluster.crash_frame_losses,
-            frames_written_off=cluster.frames_written_off,
-            absorbed_faults=dict(
+            "crash_frame_losses": cluster.crash_frame_losses,
+            "frames_written_off": cluster.frames_written_off,
+            # Failures the tolerant drains absorbed, by exception type.
+            "absorbed_faults": dict(
                 Counter(type(fault).__name__ for fault in cluster.fault_log)
             ),
-            chaos=chaos.snapshot(),
+            "wire": dict(chaos.counters),
+            "delivered_duplicates": delivered_duplicates(engine),
+            "credit_budget": cluster.in_flight.budget,
+        }
+        return replace(
+            report,
+            suppressed_renotifications=engine.suppressed_renotifications,
+            duplicate_deliveries=engine.duplicate_deliveries,
+            live={**report.live, "peak_in_flight": cluster.in_flight.peak, "chaos": soak},
         )
     finally:
         await cluster.stop()
+
+
+def _within_budget(report: "RunReport") -> bool:
+    budget = report.live["chaos"]["credit_budget"]
+    return budget is None or report.live["peak_in_flight"] <= budget
+
+
+def soak_ok(report: "RunReport") -> bool:
+    """Exactly once and within the credit budget (the oracle is the
+    caller's check).
+
+    Exactly once means no duplicate identity in the *delivered* streams
+    (``delivered_duplicates``), not ``report.duplicate_deliveries``:
+    those are re-created answers that arrived at the subscriber twice
+    and were dropped by the identity check.  Over real sockets that is
+    the dedup machinery *working*: two evaluators can emit the same
+    recovered answer while neither emission has landed yet, so the
+    sender-side filter cannot be current the way it is in the
+    synchronous simulator.
+    """
+    return report.live["chaos"]["delivered_duplicates"] == 0 and _within_budget(report)
+
+
+def soak_summary(report: "RunReport") -> str:
+    """What a soak did to the run and how it ended, a few lines."""
+    live = report.live
+    soak, wire = live["chaos"], live["chaos"]["wire"]
+    duplicates = soak["delivered_duplicates"]
+    absorbed = ", ".join(
+        f"{count} {kind}" for kind, count in sorted(soak["absorbed_faults"].items())
+    )
+    lines = [
+        f"chaos soak {report.engine.config.algorithm}: {report.events} events, "
+        f"{soak['crashes']} crashes / {soak['restarts']} restarts, "
+        f"{wire.get('partitions', 0)} partition episode(s)",
+        f"  wire: {wire.get('connects_refused', 0)} refusals, "
+        f"{wire.get('frames_reset', 0)} resets, "
+        f"{wire.get('frames_truncated', 0)} truncations, "
+        f"{wire.get('frames_garbled', 0)} garbles, "
+        f"{wire.get('blocked_sends', 0)} partition-blocked sends",
+        f"  recovery: {soak['crash_frame_losses']} crash losses, "
+        f"{soak['frames_written_off']} written off, "
+        f"absorbed faults: {absorbed or 'none'}, "
+        f"{soak['suspicions']} suspicions, "
+        f"{report.suppressed_renotifications} re-notifications suppressed",
+        f"  result: {duplicates} duplicates "
+        f"({report.duplicate_deliveries} redundant arrivals deduped), "
+        f"peak in-flight {live['peak_in_flight']}/{soak['credit_budget']}",
+    ]
+    if duplicates:
+        lines.append(f"FAIL: {duplicates} duplicate deliveries")
+    if not _within_budget(report):
+        lines.append(
+            f"FAIL: peak in-flight {live['peak_in_flight']} exceeded "
+            f"budget {soak['credit_budget']}"
+        )
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
 # CLI plumbing (python -m repro.net.cluster --chaos SPEC)
 # ----------------------------------------------------------------------
 
-_SPEC_KEYS = {
-    "frame", "connect", "seed", "attempts", "backoff", "jitter",
-    "crashes", "partition", "subscribers", "lag", "settle",
-}
+#: ``--chaos default``, the acceptance preset: 5% connect refusals, 5%
+#: frame faults, jittered 4-attempt retries, two crash/restart cycles
+#: and one asymmetric partition episode (tuple k publishes at time k).
+#: The partition (16-21) covers the first crash: a stream within its
+#: credit budget yields to the event loop only in awaited actions, and a
+#: restart's drain inside it can outlast the quiesce timeout (DESIGN §12).
+DEFAULT_PLAN = FaultPlan(
+    seed=17,
+    max_attempts=4,
+    backoff_base=0.02,
+    backoff_jitter=0.5,
+    crash_every=17.0,
+    crash_count=2,
+    restart_after=6.0,
+    net=NetFaultSpec(
+        connect_refusal_probability=0.05,
+        frame_fault_probability=0.05,
+        partition_at=16.0,
+        partition_for=5.0,
+    ),
+)
+
+#: The ``--chaos`` keys: the plan fields a soak reads, by name.
+_NET_KEYS = tuple(f.name for f in fields(NetFaultSpec))
+_SPEC_KEYS = (
+    "seed", "max_attempts", "backoff_base", "backoff_jitter",
+    "crash_every", "crash_count", "restart_after", *_NET_KEYS,
+)
 
 
-def parse_chaos_spec(spec: str) -> tuple[FaultPlan, SoakSettings]:
-    """``--chaos`` argument -> (fault plan, soak settings).
+def parse_chaos_spec(spec: str) -> FaultPlan:
+    """``--chaos`` argument -> the soak's fault plan.
 
-    ``"default"`` (or an empty string) is the acceptance preset: 5%
-    connect refusals, 5% frame faults, jittered 4-attempt retries, two
-    crash/restart cycles and one asymmetric partition episode.
-    Key=value pairs override individual knobs, e.g.
-    ``--chaos frame=0.1,crashes=3,seed=42``.
+    ``"default"`` (or an empty string) is :data:`DEFAULT_PLAN`;
+    comma-separated ``field=value`` pairs override its fields, e.g.
+    ``--chaos frame_fault_probability=0.1,crash_count=3,seed=42``.
     """
-    values: dict[str, str] = {}
-    if spec and spec != "default":
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, sep, raw = part.partition("=")
-            key = key.strip()
-            if not sep or key not in _SPEC_KEYS:
-                raise ValueError(
-                    f"bad --chaos entry {part!r}; known keys: "
-                    f"{', '.join(sorted(_SPEC_KEYS))}"
-                )
-            values[key] = raw.strip()
-
-    def fget(key: str, default: float) -> float:
-        return float(values.get(key, default))
-
-    def iget(key: str, default: int) -> int:
-        return int(values.get(key, default))
-
-    plan = FaultPlan(
-        seed=iget("seed", 17),
-        max_attempts=iget("attempts", 4),
-        backoff_base=fget("backoff", 0.02),
-        backoff_jitter=fget("jitter", 0.5),
-        net=NetFaultSpec(
-            connect_refusal_probability=fget("connect", 0.05),
-            frame_fault_probability=fget("frame", 0.05),
-        ),
-    )
-    settings = SoakSettings(
-        crashes=iget("crashes", 2),
-        restart_lag=iget("lag", 0),
-        partition=bool(iget("partition", 1)),
-        subscribers=iget("subscribers", 2),
-        settle_rounds=iget("settle", 8),
-    )
-    return plan, settings
+    plan_values, net_values = {}, {}
+    for part in spec.split(",") if spec != "default" else ():
+        part = part.strip()
+        if not part:
+            continue
+        key, sep, raw = part.partition("=")
+        key = key.strip()
+        if not sep or key not in _SPEC_KEYS:
+            raise ValueError(
+                f"bad --chaos entry {part!r}; known keys: "
+                f"{', '.join(sorted(_SPEC_KEYS))}"
+            )
+        values, record = (
+            (net_values, DEFAULT_PLAN.net) if key in _NET_KEYS else (plan_values, DEFAULT_PLAN)
+        )
+        values[key] = type(getattr(record, key))(raw.strip())
+    return replace(DEFAULT_PLAN, **plan_values, net=replace(DEFAULT_PLAN.net, **net_values))

@@ -30,10 +30,12 @@ it::
 
 which exits non-zero on any divergence.  With ``--chaos`` the same
 command runs the fault-tolerance soak (:mod:`repro.net.chaos`) through
-this same driver: seeded connection faults, one partition episode and
-live crash/restarts fire at publish indexes of the stream, and after
-recovery the run must still equal the fault-free simulator digest with
-zero duplicate notifications.
+this same driver: seeded connection faults, and the fault plan's
+partition episode and live crash/restarts at publish indexes of the
+stream (:func:`repro.faults.schedule.churn_schedule`); after recovery
+the run must still equal the fault-free simulator digest with zero
+duplicate notifications, and its row carries the soak's counters as
+``live["chaos"]``.
 
 The committed live points are ``live`` rows of ``BENCH_baseline.json``:
 ``python -m repro.expdb gate`` re-runs them through
@@ -46,12 +48,13 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import inspect
 import json
 import random
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..bench.rows import RunReport
 from ..chord.network import ChordNetwork
@@ -427,7 +430,7 @@ class LiveCluster:
         workload: Workload,
         *,
         origins: Optional[Sequence[ChordNode]] = None,
-        schedule: Optional[Mapping[int, Sequence[Callable[[], Awaitable]]]] = None,
+        schedule: Optional[Mapping[int, Sequence[Callable[[], object]]]] = None,
     ) -> RunReport:
         """Replay ``workload``: install the queries and drain, stream the
         tuples gated only by the credit budget, drain once, measure.  The
@@ -437,8 +440,10 @@ class LiveCluster:
         from ``origins``: a fixed, identifier-ordered tuple of nodes, the
         whole ring by default (``nodes[rng.randrange(n)]`` is the node
         ``network.random_node(rng)`` draws).  ``schedule`` maps publish
-        indexes of the tuple stream to actions awaited just before that
-        publish (a chaos soak's crashes, restarts and partition).  With a
+        indexes of the tuple stream to actions called just before that
+        publish, each awaited when it returns an awaitable (a chaos soak's
+        :func:`~repro.faults.schedule.churn_schedule`: async crashes,
+        restarts and partition beside a sync lease refresh).  With a
         chaos layer installed every drain is tolerant.  A windowed engine
         is refused before the first event.
         """
@@ -488,7 +493,9 @@ class LiveCluster:
         for index, event in enumerate(tuple_events):
             if schedule is not None:
                 for action in schedule.get(index, ()):
-                    await action()
+                    result = action()
+                    if inspect.isawaitable(result):
+                        await result
             await self.in_flight.wait_below_budget(timeout)
             engine.clock.advance_to(event.time)
             origin = origins[rng.randrange(n_origins)]
@@ -592,9 +599,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the fault-tolerance soak instead: the same stream "
         "under seeded connection faults, a partition episode and live "
         "crash/restarts.  SPEC is 'default' or comma-separated "
-        "key=value pairs (frame=0.05,connect=0.05,crashes=2,partition=1,"
-        "seed=17,attempts=4,backoff=0.02,jitter=0.5,subscribers=2,"
-        "lag=0,settle=8)",
+        "field=value pairs overriding the default fault plan's fields "
+        "(times in workload time units, the k-th tuple publishes at "
+        "time k: connect_refusal_probability=0.05,"
+        "frame_fault_probability=0.05,crash_every=17,crash_count=2,"
+        "restart_after=6,partition_at=16,partition_for=5,seed=17,"
+        "max_attempts=4,backoff_base=0.02,backoff_jitter=0.5)",
     )
     parser.add_argument(
         "--compare-sim",
@@ -613,10 +623,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     algorithms = ALGORITHMS if args.algorithm == "all" else (args.algorithm,)
-    if args.chaos is not None:
-        from .chaos import parse_chaos_spec, run_chaos_soak
+    soaking = args.chaos is not None
+    if soaking:
+        from .chaos import SUBSCRIBERS, parse_chaos_spec, run_chaos_soak, soak_ok, soak_summary
 
-        plan, settings = parse_chaos_spec(args.chaos)
+        plan = parse_chaos_spec(args.chaos)
     workload = build_workload(
         WorkloadParams(
             n_queries=args.queries,
@@ -628,34 +639,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     status = 0
     for algorithm in algorithms:
         shape = dict(algorithm=algorithm, n_nodes=args.nodes, seed=args.seed)
-        if args.chaos is None:
-            soak = None
+        if soaking:
+            config = ClusterConfig(
+                **shape, net=NetConfig.from_fault_plan(plan), health=HealthConfig()
+            )
+            report = asyncio.run(run_chaos_soak(workload, config=config, plan=plan))
+        else:
             report = asyncio.run(
                 run_live(
                     workload,
                     ClusterConfig(**shape, net=NetConfig(credit_budget=CREDIT_BUDGET)),
                 )
             )
-        else:
-            config = ClusterConfig(
-                **shape, net=NetConfig.from_fault_plan(plan), health=HealthConfig()
-            )
-            soak = asyncio.run(
-                run_chaos_soak(workload, config=config, plan=plan, settings=settings)
-            )
-            report = soak.run
         payload = {"algorithm": algorithm, **report.to_row()}
-        ok = True
-        if soak is not None:
-            payload["soak"] = soak.as_dict()
-            ok = soak.ok
+        ok = not soaking or soak_ok(report)
         if args.compare_sim:
             sim_digest, sim_delivered = simulate_reference(
                 workload,
                 algorithm=algorithm,
                 n_nodes=args.nodes,
                 seed=args.seed,
-                subscribers=None if soak is None else soak.subscribers,
+                subscribers=SUBSCRIBERS if soaking else None,
             )
             answers = (report.notification_digest, report.notifications_delivered)
             matches = answers == (sim_digest, sim_delivered)
@@ -669,8 +673,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(json.dumps(payload, sort_keys=True))
             continue
         print(live_summary(report))
-        if soak is not None:
-            print(soak.summary())
+        if soaking:
+            print(soak_summary(report))
         if args.compare_sim:
             print(
                 f"simulator digest {sim_digest[:12]} ({sim_delivered} "

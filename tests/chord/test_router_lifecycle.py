@@ -179,6 +179,39 @@ def test_perturbing_injector_switches_to_the_object_walk():
     assert ChordNetwork.build(12, injector=FaultInjector(LOSSY)).snapshot is None
 
 
+def lossy_lookups(network: ChordNetwork) -> list[tuple[int, int]]:
+    rng = random.Random(5)
+    nodes = network.nodes
+    lookups = []
+    for _ in range(300):
+        start = nodes[rng.randrange(len(nodes))]
+        owner, hops = network.router.find_successor(start, rng.randrange(network.space.size))
+        lookups.append((owner.ident, hops))
+    return lookups
+
+
+def test_a_lazy_finger_ring_builds_its_fingers_for_a_perturbing_injector():
+    """The object walk reads finger tables: a ``fast_routing`` ring that
+    a perturbing injector moves off the snapshot must build them first,
+    whether the injector comes with ``build`` or through the setter —
+    else lookups crawl along successors and run out of hops."""
+    routed = {}
+    for lazy in (False, True):
+        for entry in ("build", "setter"):
+            if entry == "build":
+                network = ChordNetwork.build(
+                    400, injector=FaultInjector(LOSSY), fast_routing=lazy
+                )
+            else:
+                network = ChordNetwork.build(400, fast_routing=lazy)
+                network.injector = FaultInjector(LOSSY)
+            assert network.snapshot is None
+            assert all(node.fingers is not NO_FINGERS for node in network)
+            routed[lazy, entry] = lossy_lookups(network)
+    for entry in ("build", "setter"):
+        assert routed[True, entry] == routed[False, entry]
+
+
 def test_chaos_harness_installs_its_injector_through_the_network():
     network = ChordNetwork.build(12)
     engine = ContinuousQueryEngine(network, EngineConfig(algorithm="sai"))

@@ -64,6 +64,14 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(backoff_base=-0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"crash_count": -1}, {"lease_refresh_every": -3.0}]
+    )
+    def test_rejects_negative_churn_knobs(self, kwargs):
+        # A negative crash_count used to claim churn and schedule no crash.
+        with pytest.raises(ValueError):
+            FaultPlan(crash_every=5.0, **kwargs)
+
     def test_plan_is_immutable(self):
         with pytest.raises(AttributeError):
             FaultPlan().loss_probability = 0.5
@@ -78,10 +86,16 @@ class TestNetFaultSpec:
         [
             {"connect_refusal_probability": 0.1},
             {"frame_fault_probability": 0.1},
+            {"partition_for": 5.0},
         ],
     )
     def test_any_wire_knob_is_not_noop(self, kwargs):
         assert not NetFaultSpec(**kwargs).is_noop
+
+    @pytest.mark.parametrize("name", ["partition_at", "partition_for"])
+    def test_rejects_a_negative_partition_window(self, name):
+        with pytest.raises(ValueError):
+            NetFaultSpec(**{name: -1.0})
 
     @pytest.mark.parametrize("value", [-0.01, 1.0, 1.5])
     def test_rejects_bad_probabilities(self, value):

@@ -9,18 +9,18 @@ deliveries and a peak in-flight load inside the credit budget.
 
 import asyncio
 import json
-from dataclasses import fields
 
 import pytest
 
 from repro.faults.plan import FaultPlan, NetFaultSpec
 from repro.net.chaos import (
     _SPEC_KEYS,
-    ChaosSoakReport,
+    DEFAULT_PLAN,
+    SUBSCRIBERS,
     LiveChaos,
-    SoakSettings,
     parse_chaos_spec,
     run_chaos_soak,
+    soak_ok,
 )
 from repro.net.cluster import (
     ClusterConfig,
@@ -43,11 +43,29 @@ SOAK_PLAN = FaultPlan(
     max_attempts=4,
     backoff_base=0.02,
     backoff_jitter=0.5,
+    crash_every=17.0,
+    crash_count=2,
+    restart_after=6.0,
     net=NetFaultSpec(
         connect_refusal_probability=0.05,
         frame_fault_probability=0.05,
+        partition_at=16.0,
+        partition_for=5.0,
     ),
 )
+
+#: What a soak adds to its run's ``live`` block.
+CHAOS_KEYS = {
+    "crashes",
+    "restarts",
+    "suspicions",
+    "crash_frame_losses",
+    "frames_written_off",
+    "absorbed_faults",
+    "wire",
+    "delivered_duplicates",
+    "credit_budget",
+}
 
 FAST_HEALTH = HealthConfig(
     heartbeat_interval=0.05,
@@ -76,39 +94,35 @@ class TestChaosSoak:
         workload = build_workload(
             WorkloadParams(n_queries=8, n_tuples=40, domain_size=25, seed=7)
         )
-        settings = SoakSettings(crashes=2, partition=True, subscribers=2)
         report = asyncio.run(
-            run_chaos_soak(
-                workload,
-                config=soak_config(algorithm),
-                plan=SOAK_PLAN,
-                settings=settings,
-            )
+            run_chaos_soak(workload, config=soak_config(algorithm), plan=SOAK_PLAN)
         )
-        assert isinstance(report, ChaosSoakReport)
+        assert report.kind == "live"  # the run's own report
+        soak = report.live["chaos"]
+        wire = soak["wire"]
         # The chaos really bit: wire faults, a partition, live crashes.
         wire_faults = (
-            report.chaos.get("connects_refused", 0)
-            + report.chaos.get("frames_reset", 0)
-            + report.chaos.get("frames_truncated", 0)
-            + report.chaos.get("frames_garbled", 0)
+            wire.get("connects_refused", 0)
+            + wire.get("frames_reset", 0)
+            + wire.get("frames_truncated", 0)
+            + wire.get("frames_garbled", 0)
         )
         assert wire_faults > 0
-        assert report.chaos.get("partitions", 0) >= 1
-        assert report.chaos.get("blocked_sends", 0) > 0
-        assert report.crashes == 2
-        assert report.restarts == 2
-        assert report.suspicions > 0
+        assert wire.get("partitions", 0) >= 1
+        assert wire.get("blocked_sends", 0) > 0
+        assert soak["crashes"] == 2
+        assert soak["restarts"] == 2
+        assert soak["suspicions"] > 0
         # ... and the system still converged, exactly once, in budget,
         # without a drain ever waiting out its timeout.
-        run = report.run
-        assert (run.notification_digest, run.notifications_delivered) == simulate_reference(
-            workload, algorithm=algorithm, n_nodes=5, seed=7, subscribers=2
+        assert (report.notification_digest, report.notifications_delivered) == simulate_reference(
+            workload, algorithm=algorithm, n_nodes=5, seed=7, subscribers=SUBSCRIBERS
         )
-        assert report.delivered_duplicates == 0
-        assert report.within_budget
-        assert report.run.live["peak_in_flight"] > 0
-        assert "QuiesceTimeout" not in report.absorbed_faults
+        assert soak["delivered_duplicates"] == 0
+        assert report.live["peak_in_flight"] <= soak["credit_budget"]
+        assert soak_ok(report)
+        assert report.live["peak_in_flight"] > 0
+        assert "QuiesceTimeout" not in soak["absorbed_faults"]
 
 
 class TestLiveRestart:
@@ -275,19 +289,25 @@ class TestLiveChaosUnit:
             decode(bad[HEADER_SIZE:])
 
     def test_spec_parsing(self):
-        plan, settings = parse_chaos_spec("default")
+        plan = parse_chaos_spec("default")
+        assert plan == DEFAULT_PLAN
         assert plan.net.connect_refusal_probability >= 0.05
         assert plan.net.frame_fault_probability >= 0.05
         assert plan.backoff_jitter > 0
-        assert settings.crashes == 2 and settings.partition
+        assert plan.crash_count == 2 and plan.net.partition_for > 0
 
-        plan, settings = parse_chaos_spec("frame=0.2,crashes=3,partition=0,seed=5")
+        plan = parse_chaos_spec(
+            "frame_fault_probability=0.2,crash_count=3,partition_for=0,seed=5"
+        )
         assert plan.net.frame_fault_probability == 0.2
         assert plan.seed == 5
-        assert settings.crashes == 3 and not settings.partition
+        assert plan.crash_count == 3 and plan.net.partition_for == 0
+        assert plan.crash_every == DEFAULT_PLAN.crash_every  # the rest is the preset
 
         with pytest.raises(ValueError):
             parse_chaos_spec("bogus_key=1")
+        with pytest.raises(ValueError):
+            parse_chaos_spec("crash_count=-1")  # the plan's own checks
 
     def test_chaos_help_names_every_spec_key(self):
         (chaos,) = [a for a in build_parser()._actions if a.dest == "chaos"]
@@ -295,7 +315,7 @@ class TestLiveChaosUnit:
 
     def test_cli_json_is_the_whole_report(self, capsys):
         """The CI point whose drains used to wait out two 30 s quiesce
-        timeouts: one driver, one row, the soak's own block beside it."""
+        timeouts: one driver, one row, the soak's counters inside it."""
         point = [
             "--algorithm", "sai", "--nodes", "4", "--queries", "10",
             "--tuples", "50", "--seed", "1", "--compare-sim", "--json",
@@ -306,9 +326,122 @@ class TestLiveChaosUnit:
         benign = json.loads(capsys.readouterr().out)
         assert status == 0
         assert soaked["ok"] is True and soaked["matches_simulator"] is True
-        assert set(soaked) == set(benign) | {"soak"}
-        assert set(soaked["soak"]) == {f.name for f in fields(ChaosSoakReport)} - {"run"}
-        assert "QuiesceTimeout" not in soaked["soak"]["absorbed_faults"]
+        assert set(soaked) == set(benign)
+        assert set(soaked["live"]) == set(benign["live"]) | {"chaos"}
+        assert set(soaked["live"]["chaos"]) == CHAOS_KEYS
+        assert "QuiesceTimeout" not in soaked["live"]["chaos"]["absorbed_faults"]
+
+
+class TestOneSchedule:
+    """One fault plan compiles to one schedule on either driver."""
+
+    PLAN = FaultPlan(
+        crash_every=6.0, crash_count=2, restart_after=3.0, lease_refresh_every=10.0, seed=3
+    )
+
+    @staticmethod
+    def kinds(schedule):
+        return {
+            index: [action.__name__ for action in actions]
+            for index, actions in sorted(schedule.items())
+        }
+
+    def test_sim_harness_and_live_controller_get_the_same_schedule(self):
+        from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig
+        from repro.faults import ChaosHarness, FaultInjector, churn_schedule
+        from repro.net.chaos import ChaosController
+
+        workload = build_workload(
+            WorkloadParams(n_queries=4, n_tuples=30, domain_size=10, seed=2)
+        )
+        injector = FaultInjector(self.PLAN)
+        engine = ContinuousQueryEngine(
+            ChordNetwork.build(6, injector=injector), EngineConfig("sai")
+        )
+        sim = churn_schedule(self.PLAN, ChaosHarness(engine, injector), workload)
+
+        chaos = LiveChaos(self.PLAN)
+        cluster = LiveCluster(ClusterConfig(n_nodes=6))  # never started
+        controller = ChaosController(
+            cluster, ChaosHarness(cluster.engine, chaos.injector), chaos
+        )
+        live = churn_schedule(self.PLAN, controller, workload)
+
+        assert self.kinds(sim) == self.kinds(live) == {
+            5: ["crash"],
+            8: ["restart"],
+            9: ["refresh_leases"],
+            11: ["crash"],
+            14: ["restart"],
+            19: ["refresh_leases"],
+            29: ["refresh_leases"],
+        }
+        # The live actions hand their coroutines to the driver.
+        restart = live[8][0]()
+        assert asyncio.iscoroutine(restart)
+        restart.close()
+
+    def test_partitions_are_scheduled_for_a_live_controller(self):
+        from repro.faults import churn_schedule
+
+        workload = build_workload(
+            WorkloadParams(n_queries=2, n_tuples=40, domain_size=10, seed=2)
+        )
+        schedule = churn_schedule(DEFAULT_PLAN, _Recorder(), workload)
+        assert self.kinds(schedule) == {
+            15: ["begin_partition"],
+            16: ["crash"],
+            20: ["heal_partition"],
+            22: ["restart"],
+            33: ["crash"],
+            39: ["restart"],
+        }
+
+    def test_run_calls_sync_actions_and_awaits_async_ones(self):
+        workload = build_workload(
+            WorkloadParams(n_queries=3, n_tuples=6, domain_size=10, seed=1)
+        )
+        calls = []
+
+        def sync():
+            calls.append("sync")
+
+        async def later():
+            await asyncio.sleep(0)
+            calls.append("async")
+
+        async def scenario():
+            cluster = LiveCluster(ClusterConfig(n_nodes=3))
+            await cluster.start()
+            try:
+                return await cluster.run(
+                    workload, schedule={0: [sync, later], 4: [later, sync]}
+                )
+            finally:
+                await cluster.stop()
+
+        report = asyncio.run(scenario())
+        assert calls == ["sync", "async", "async", "sync"]
+        assert report.events == workload.n_queries + workload.n_tuples
+
+
+class _Recorder:
+    """The harness surface ``churn_schedule`` reads, with no ring."""
+
+    engine = type("Engine", (), {"queries": {}, "refresh_leases": lambda self: None})()
+    protected: set = set()
+
+    def crash(self):
+        pass
+
+    def restart(self):
+        pass
+
+    def begin_partition(self):
+        pass
+
+    def heal_partition(self):
+        pass
 
 
 class TestExactlyOnceUnderWireFaults:

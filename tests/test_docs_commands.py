@@ -38,7 +38,8 @@ COMMAND_SOURCES = (
 #: chaos soak's own replay loop and reference, the three run report
 #: classes the one ``RunReport`` replaced, with their helpers, and the
 #: heap scheduler beside the one serial replay loop, with its fault
-#: wiring.
+#: wiring, and the chaos soak's own settings record and report beside
+#: the one fault plan and run report.
 DELETED = (
     "EventRing",
     "run_stream",
@@ -88,6 +89,8 @@ DELETED = (
     "attach_faults",
     "schedule_stabilization",
     "DeferredDelivery",
+    "SoakSettings",
+    "ChaosSoakReport",
 )
 
 
