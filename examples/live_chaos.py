@@ -60,8 +60,8 @@ PLAN = FaultPlan(
     net=NetFaultSpec(
         connect_refusal_probability=0.05,
         frame_fault_probability=0.05,
-        partition_at=16.0,  # one-way split around the first crash
-        partition_for=5.0,
+        partition_at=22.0,  # one-way split over the first restart
+        partition_for=7.0,
     ),
 )
 

@@ -61,9 +61,8 @@ class ChaosHarness:
         """Exempt ``node`` from random crash selection."""
         self.protected.add(node.ident)
 
-    def choose_victim(self, rng=None, *, spare: int = 0) -> Optional["ChordNode"]:
-        """A random live, unprotected crash candidate (or ``None``, also
-        when no more than ``spare`` unprotected nodes are live).
+    def choose_victim(self, rng=None) -> Optional["ChordNode"]:
+        """A random live, unprotected crash candidate (or ``None``).
 
         Uses the injector's RNG unless ``rng`` is given — the live
         chaos controller passes its own seeded stream so victim
@@ -73,7 +72,7 @@ class ChaosHarness:
         victims = [
             n for n in self.network.nodes if n.ident not in self.protected
         ]
-        if len(self.network) <= 1 or len(victims) <= spare:
+        if len(self.network) <= 1 or not victims:
             return None
         chooser = rng if rng is not None else self.injector.rng
         return victims[chooser.randrange(len(victims))]

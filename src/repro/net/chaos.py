@@ -1,9 +1,8 @@
 """Chaos over TCP: seeded wire faults + crash/restart for live clusters.
 
-The simulator's fault framework (PR-1, :mod:`repro.faults`) injects
-*logical* faults — message drops, delays, node crashes — under the
-routing layer.  This module is its live-transport counterpart: the same
-seeded :class:`~repro.faults.plan.FaultPlan` drives faults at the **TCP
+The live counterpart of :mod:`repro.faults`, whose simulator faults sit
+under the routing layer: the same seeded
+:class:`~repro.faults.plan.FaultPlan` drives faults at the **TCP
 boundary** of a :class:`~repro.net.cluster.LiveCluster`:
 
 * **connect refusals** — a dial attempt fails as if the listener were
@@ -12,45 +11,35 @@ boundary** of a :class:`~repro.net.cluster.LiveCluster`:
   frame of a batched write) — before any clean byte of the attempt hits
   the wire the connection is *reset*, the batch's first frame is
   *truncated* mid-write, or it is *garbled* (full length, corrupted
-  payload, so the receiver's decoder — not just the framing — must
-  cope); the write path itself is the shipped one, batching and raw
-  relay included;
-* **partitions** — an (optionally asymmetric) set of blocked
-  ``(src, dst)`` edges whose writes fail like timeouts
-  (``plan.net.partition_at`` / ``partition_for``);
-* **live crash/restart** — a peer's server dies, its pooled
-  connections are aborted, its queued frames are settled as lost, the
-  ring repairs around it (:class:`~repro.faults.recovery.ChaosHarness`
-  is the ring-side half), and later the node rejoins through the
-  bootstrap handshake on a fresh port (``plan.crash_every`` /
-  ``crash_count`` / ``restart_after``).
+  payload, so the receiver's decoder must cope); the write path is the
+  shipped one, batching and raw relay included;
+* **partitions** — a one-way set of blocked ``(src, dst)`` edges whose
+  writes fail like timeouts (``plan.net.partition_at`` /
+  ``partition_for``);
+* **live crash/restart** — a peer's server dies, its connections are
+  aborted, its queued frames are settled as lost, the ring repairs
+  around it (:class:`~repro.faults.recovery.ChaosHarness` is the
+  ring-side half), and later the node rejoins on a fresh port
+  (``plan.crash_every`` / ``crash_count`` / ``restart_after``).
 
-Partitions, crashes and restarts are timed by the one schedule builder
-the serial replay uses too,
-:func:`~repro.faults.schedule.churn_schedule`, with a
-:class:`ChaosController` as its harness.
+Partitions, crashes and restarts are timed by the serial replay's one
+schedule builder, :func:`~repro.faults.schedule.churn_schedule`, with a
+:class:`ChaosController` as its harness.  Every fault is decided
+*before* clean bytes are written, so a faulted attempt was certainly not
+delivered and retries cannot duplicate; exactly-once delivery rests on
+the simulator's soft-state recovery model — leases, republication and
+subscriber-side dedup.
 
-Every fault is decided *before* clean bytes are written, so a faulted
-attempt was certainly not delivered and the retry path cannot create
-duplicates; exactly-once delivery then rests on the same soft-state
-recovery model the simulator proves out — leases, windowed
-republication, and subscriber-side dedup.
-
-The proof obligation is :func:`run_chaos_soak`: stream a workload
-through the one live driver (:meth:`~repro.net.cluster.LiveCluster.run`)
-under sustained faults, heal, recover, and end with a notification
-digest **equal to the fault-free simulator's**
-(:func:`~repro.net.cluster.simulate_reference`: same workload, same
-seed, same origin pool and draws), zero duplicate notifications, and a
-peak in-flight load within the configured credit budget.  Runnable via
-``python -m repro.net.cluster --chaos default --compare-sim``.
-
-Determinism note: the fault *plan* is seeded, and victim selection,
-schedule placement and origin picks replay exactly; the per-write fault
-draws happen in event-loop completion order, which the OS scheduler
-perturbs.  The guarantee is therefore *convergence* (digest equality
-after recovery), not a bit-identical fault trace — matching the PR-1
-framework's contract.
+The proof obligation is :func:`run_chaos_soak` (``python -m
+repro.net.cluster --chaos default --compare-sim``): stream a workload
+through the one live driver under sustained faults, heal, recover, and
+end with the fault-free simulator's notification digest
+(:func:`~repro.net.cluster.simulate_reference`: same workload, seed,
+origin pool and draws), zero duplicates, and peak in-flight within the
+credit budget.  Victims, schedule and origins replay exactly, but the
+per-write fault draws follow event-loop completion order, which the OS
+scheduler perturbs: the guarantee is convergence, not a bit-identical
+fault trace.
 """
 
 from __future__ import annotations
@@ -142,11 +131,7 @@ class LiveChaos:
 
     # -- partitions ----------------------------------------------------
     def partition(
-        self,
-        side_a: Sequence[int],
-        side_b: Sequence[int],
-        *,
-        asymmetric: bool = False,
+        self, side_a: Sequence[int], side_b: Sequence[int], *, asymmetric: bool = False
     ) -> None:
         """Block every edge from ``side_a`` to ``side_b`` (and back,
         unless ``asymmetric`` — then B can still reach A, the case only
@@ -205,16 +190,13 @@ class ChaosController:
     fault plan compiles to one schedule on either driver.
     """
 
-    def __init__(
-        self,
-        cluster: "LiveCluster",
-        harness: ChaosHarness,
-        chaos: LiveChaos,
-    ):
+    def __init__(self, cluster: "LiveCluster", harness: ChaosHarness, chaos: LiveChaos):
         self.cluster = cluster
         self.harness = harness
         self.chaos = chaos
         self.victim_rng = random.Random(chaos.plan.seed ^ 0xC4A54)
+        #: At most all but one of the unprotected nodes ever crash.
+        self.max_crashes = len(cluster.network) - len(harness.protected) - 1
         self.crashes = 0
         self.restarts = 0
 
@@ -229,11 +211,13 @@ class ChaosController:
     async def crash(self) -> Optional["ChordNode"]:
         """Kill one live node: server down, state gone, ring repaired.
 
-        The victim is never the last live unprotected node, so
-        overlapping crash/restart cycles cannot empty the ring of
-        everything but subscribers.
+        A soak crashes at most :attr:`max_crashes` nodes, so the victim
+        is never the last live unprotected node and a 4-node soak (two
+        subscribers) runs one crash/restart cycle.
         """
-        node = self.harness.choose_victim(self.victim_rng, spare=1)
+        if self.crashes >= self.max_crashes:
+            return None
+        node = self.harness.choose_victim(self.victim_rng)
         if node is None:
             return None
         peer = self.cluster.peers.pop(node.ident, None)
@@ -266,15 +250,21 @@ class ChaosController:
 
     async def begin_partition(self) -> None:
         """Split the current ring in half (identifier order), one way:
-        the second half still reaches the first."""
+        the second half still reaches the first, which holds every
+        protected node (a lost notification is never re-created)."""
         idents = [node.ident for node in self.cluster.network.nodes]
-        half = max(1, len(idents) // 2)
-        self.chaos.partition(idents[:half], idents[half:], asymmetric=True)
+        near = set(idents[: max(1, len(idents) // 2)]) | self.protected
+        far = [ident for ident in idents if ident not in near]
+        self.chaos.partition(sorted(near), far, asymmetric=True)
 
     async def heal_partition(self) -> None:
+        """Unblock every link; every live peer re-announces its address
+        (what the partition kept from a restart's fan-out)."""
         self.chaos.heal()
+        for peer in self.cluster.peers.values():
+            peer.announce()
 
-    async def settle(self, *, max_rounds: int = SETTLE_ROUNDS) -> str:
+    async def settle(self) -> str:
         """Refresh-and-drain until the digest is stable and a whole
         round passed without absorbing any new fault.  Plan faults stay
         active throughout — the retry path absorbs them — exactly like
@@ -285,7 +275,7 @@ class ChaosController:
         engine = cluster.engine
         previous = None
         digest = notification_digest(engine)
-        for _ in range(max(1, max_rounds)):
+        for _ in range(SETTLE_ROUNDS):
             faults_before = len(cluster.fault_log)
             cluster.network.run_stabilization(2, fix_all_fingers=True)
             engine.refresh_leases()
@@ -307,7 +297,9 @@ async def run_chaos_soak(
     Wire faults run for the whole workload; the plan's crashes,
     restarts and partition window fire at publish indexes of the tuple
     stream (:func:`~repro.faults.schedule.churn_schedule` with this
-    soak's :class:`ChaosController`).  Every origin is drawn from the
+    soak's :class:`ChaosController`); a plan whose ``crash_count``
+    crashes or partition the stream ends before is refused with
+    ``ValueError``.  Every origin is drawn from the
     protected subscriber pool — the first :data:`SUBSCRIBERS` nodes in
     identifier order, never crashed: query keys embed the origin's node
     key, and a subscriber holds the query leases and the
@@ -334,9 +326,15 @@ async def run_chaos_soak(
             engine, chaos.injector, protect=[node.ident for node in pool]
         )
         controller = ChaosController(cluster, harness, chaos)
-        report = await cluster.run(
-            workload, origins=pool, schedule=churn_schedule(plan, controller, workload)
-        )
+        schedule = churn_schedule(plan, controller, workload)
+        kinds = Counter(act.__name__ for acts in schedule.values() for act in acts)
+        if kinds["crash"] < plan.crash_count or kinds["begin_partition"] < bool(
+            plan.net.partition_for
+        ):
+            raise ValueError(
+                f"the plan's churn falls past a {workload.n_tuples}-tuple stream"
+            )
+        report = await cluster.run(workload, origins=pool, schedule=schedule)
         await controller.heal_partition()
         await controller.restart_all()
         await controller.settle()
@@ -432,10 +430,9 @@ def soak_summary(report: "RunReport") -> str:
 
 #: ``--chaos default``, the acceptance preset: 5% connect refusals, 5%
 #: frame faults, jittered 4-attempt retries, two crash/restart cycles
-#: and one asymmetric partition episode (tuple k publishes at time k).
-#: The partition (16-21) covers the first crash: a stream within its
-#: credit budget yields to the event loop only in awaited actions, and a
-#: restart's drain inside it can outlast the quiesce timeout (DESIGN §12).
+#: and one asymmetric partition episode (tuple k publishes at time k):
+#: crashes at 17 and 34, restarts at 23 and 40, the partition 22-29
+#: over the first restart's drain.
 DEFAULT_PLAN = FaultPlan(
     seed=17,
     max_attempts=4,
@@ -447,8 +444,8 @@ DEFAULT_PLAN = FaultPlan(
     net=NetFaultSpec(
         connect_refusal_probability=0.05,
         frame_fault_probability=0.05,
-        partition_at=16.0,
-        partition_for=5.0,
+        partition_at=22.0,
+        partition_for=7.0,
     ),
 )
 

@@ -603,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(times in workload time units, the k-th tuple publishes at "
         "time k: connect_refusal_probability=0.05,"
         "frame_fault_probability=0.05,crash_every=17,crash_count=2,"
-        "restart_after=6,partition_at=16,partition_for=5,seed=17,"
+        "restart_after=6,partition_at=22,partition_for=7,seed=17,"
         "max_attempts=4,backoff_base=0.02,backoff_jitter=0.5)",
     )
     parser.add_argument(
@@ -643,7 +643,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             config = ClusterConfig(
                 **shape, net=NetConfig.from_fault_plan(plan), health=HealthConfig()
             )
-            report = asyncio.run(run_chaos_soak(workload, config=config, plan=plan))
+            try:
+                report = asyncio.run(run_chaos_soak(workload, config=config, plan=plan))
+            except ValueError as exc:
+                build_parser().error(str(exc))
         else:
             report = asyncio.run(
                 run_live(

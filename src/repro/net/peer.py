@@ -1280,17 +1280,25 @@ class NetPeer:
         changed = self.book.get(info.ident) != info
         self.book[info.ident] = info
         if changed:
-            update = MemberUpdate(members=(info,))
-            for member_ident in list(self.book):
-                if member_ident in (info.ident, self.node.ident):
-                    continue
-                if self.cluster.is_dead(member_ident):
-                    continue
-                self.cluster.in_flight.inc("control")
-                self.post(member_ident, update, weight=1)
+            self.announce(info)
         return JoinReply(
             members=tuple(self.book[ident] for ident in sorted(self.book))
         )
+
+    def announce(self, info: Optional[PeerInfo] = None) -> None:
+        """Post ``info`` (this peer's own address by default) to every
+        other live member.  A spent :class:`MemberUpdate` is not
+        retried, so after a partition that blocked a restart's fan-out
+        every peer re-announces itself; an unchanged row is a no-op."""
+        info = info or self.info
+        update = MemberUpdate(members=(info,))
+        for member_ident in list(self.book):
+            if member_ident in (info.ident, self.node.ident):
+                continue
+            if self.cluster.is_dead(member_ident):
+                continue
+            self.cluster.in_flight.inc("control")
+            self.post(member_ident, update, weight=1)
 
 
 class SocketTransport(Transport):

@@ -41,15 +41,6 @@ class TestHarnessChurn:
         assert protected.alive
         assert len(network) == 1
 
-    def test_a_spare_keeps_the_last_unprotected_node(self):
-        # The live chaos controller's rule: never crash the last live
-        # unprotected node (``spare=1``).
-        _, network, engine, injector = _setup(n_nodes=4)
-        harness = ChaosHarness(engine, injector, protect=[network.nodes[0].ident])
-        while (victim := harness.choose_victim(spare=1)) is not None:
-            harness.crash(victim)
-        assert len(network) == 2 and network.nodes[0].ident in harness.protected
-
     def test_restart_rejoins_under_old_key(self):
         _, network, engine, injector = _setup()
         harness = ChaosHarness(engine, injector)

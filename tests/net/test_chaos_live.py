@@ -38,22 +38,6 @@ from repro.workload.generator import WorkloadParams, build_workload
 
 ALGORITHMS = ("sai", "dai-q", "dai-t", "dai-v")
 
-SOAK_PLAN = FaultPlan(
-    seed=17,
-    max_attempts=4,
-    backoff_base=0.02,
-    backoff_jitter=0.5,
-    crash_every=17.0,
-    crash_count=2,
-    restart_after=6.0,
-    net=NetFaultSpec(
-        connect_refusal_probability=0.05,
-        frame_fault_probability=0.05,
-        partition_at=16.0,
-        partition_for=5.0,
-    ),
-)
-
 #: What a soak adds to its run's ``live`` block.
 CHAOS_KEYS = {
     "crashes",
@@ -82,7 +66,7 @@ def soak_config(algorithm, n_nodes=5, seed=7):
         seed=seed,
         quiesce_timeout=20.0,
         net=NetConfig.from_fault_plan(
-            SOAK_PLAN, connect_timeout=1.0, io_timeout=2.0
+            DEFAULT_PLAN, connect_timeout=1.0, io_timeout=2.0
         ),
         health=FAST_HEALTH,
     )
@@ -95,7 +79,7 @@ class TestChaosSoak:
             WorkloadParams(n_queries=8, n_tuples=40, domain_size=25, seed=7)
         )
         report = asyncio.run(
-            run_chaos_soak(workload, config=soak_config(algorithm), plan=SOAK_PLAN)
+            run_chaos_soak(workload, config=soak_config(algorithm), plan=DEFAULT_PLAN)
         )
         assert report.kind == "live"  # the run's own report
         soak = report.live["chaos"]
@@ -254,6 +238,106 @@ class TestBackpressure:
         asyncio.run(scenario())
 
 
+def _chaos_cluster(n_nodes):
+    """A cluster with a fault-free chaos layer (partitions only) and a
+    controller whose protected pool is the soak's."""
+    from repro.faults import ChaosHarness
+    from repro.net.chaos import ChaosController
+
+    chaos = LiveChaos(FaultPlan(seed=1))
+    cluster = LiveCluster(
+        ClusterConfig(
+            n_nodes=n_nodes,
+            quiesce_timeout=10.0,
+            net=NetConfig(connect_timeout=0.5, io_timeout=1.0, backoff_base=0.01),
+        )
+    )
+    cluster.install_chaos(chaos)
+    pool = [node.ident for node in cluster.network.nodes[:SUBSCRIBERS]]
+    harness = ChaosHarness(cluster.engine, chaos.injector, protect=pool)
+    return cluster, ChaosController(cluster, harness, chaos), chaos
+
+
+class TestPartitionRecovery:
+    def test_a_soak_crashes_all_but_one_unprotected_node(self):
+        """Four nodes, two protected: one crash/restart cycle, however
+        many crashes the plan schedules."""
+
+        async def scenario():
+            cluster, controller, _ = _chaos_cluster(4)
+            await cluster.start()
+            try:
+                assert controller.max_crashes == 1
+                first = await controller.crash()
+                second = await controller.crash()
+                await controller.restart_all()
+                return first, second, controller
+            finally:
+                cluster.errors.clear()
+                await cluster.stop()
+
+        first, second, controller = asyncio.run(scenario())
+        assert first is not None and second is None
+        assert (controller.crashes, controller.restarts) == (1, 1)
+
+    def test_a_partition_never_cuts_a_node_off_from_a_subscriber(self):
+        """Three live nodes, two of them subscribers: the lower half
+        alone would leave a subscriber on the blocked side, where no
+        notification could reach it."""
+        cluster, controller, chaos = _chaos_cluster(3)  # never started
+        asyncio.run(controller.begin_partition())
+        assert chaos._blocked
+        assert {dst for _, dst in chaos._blocked}.isdisjoint(controller.protected)
+
+    def test_a_restart_inside_a_partition_reaches_every_book_after_heal(self):
+        """The bootstrap's MemberUpdate fan-out to the far side of a
+        partition is lost; healing re-announces every address, so no
+        peer keeps dialing the restarted node's dead port."""
+
+        def stale(cluster):
+            return {
+                (ident, member)
+                for ident, peer in cluster.peers.items()
+                for member, info in peer.book.items()
+                if cluster.peers[member].info != info
+            }
+
+        async def scenario():
+            cluster, controller, _ = _chaos_cluster(4)
+            await cluster.start()
+            try:
+                await controller.crash()
+                await controller.begin_partition()
+                await controller.restart()
+                during = stale(cluster)
+                await controller.heal_partition()
+                await cluster.drain(tolerate_failures=True)
+                return during, stale(cluster)
+            finally:
+                cluster.errors.clear()
+                await cluster.stop()
+
+        during, after = asyncio.run(scenario())
+        assert during  # the partition really kept an update from someone
+        assert after == set()
+
+    def test_a_stream_too_short_for_the_plan_is_refused(self, capsys):
+        workload = build_workload(
+            WorkloadParams(n_queries=3, n_tuples=15, domain_size=10, seed=1)
+        )
+        config = ClusterConfig(
+            n_nodes=4, net=NetConfig.from_fault_plan(DEFAULT_PLAN)
+        )
+        with pytest.raises(ValueError, match="past a 15-tuple stream"):
+            asyncio.run(run_chaos_soak(workload, config=config, plan=DEFAULT_PLAN))
+        with pytest.raises(SystemExit) as exit_info:
+            cluster_main(
+                ["--chaos", "default", "--nodes", "4", "--queries", "3", "--tuples", "15"]
+            )
+        assert exit_info.value.code == 2
+        assert "past a 15-tuple stream" in capsys.readouterr().err
+
+
 class TestLiveChaosUnit:
     def test_partition_blocks_directionally(self):
         chaos = LiveChaos(FaultPlan(seed=1))
@@ -389,10 +473,10 @@ class TestOneSchedule:
         )
         schedule = churn_schedule(DEFAULT_PLAN, _Recorder(), workload)
         assert self.kinds(schedule) == {
-            15: ["begin_partition"],
             16: ["crash"],
-            20: ["heal_partition"],
-            22: ["restart"],
+            21: ["begin_partition"],
+            22: ["restart"],  # the first restart drains inside the partition
+            28: ["heal_partition"],
             33: ["crash"],
             39: ["restart"],
         }
