@@ -2,16 +2,15 @@
 
 Not a paper figure — the thesis names multi-way joins as future work.
 This benchmark measures the pipeline decomposition of
-``repro.core.multiway``: traffic per inserted tuple grows with the
+``examples/multiway/``: traffic per inserted tuple grows with the
 chain length (each intermediate match is re-published and re-indexed),
 and the answers always equal the brute-force ground truth.
 """
 
 import random
 
+from multiway import brute_force_rows, parse_multiway_query, subscribe_multiway
 from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema
-from repro.core.multiway import brute_force_rows, subscribe_multiway
-from repro.sql.multiway import parse_multiway_query
 
 SCHEMA = Schema.from_dict(
     {

@@ -1,11 +1,9 @@
-#!/usr/bin/env python3
 """Continuous 4-way chain join via the pipeline extension.
 
 The paper evaluates two-way joins and leaves multi-way joins as future
-work; this example runs the extension of ``repro.core.multiway``: a
-4-way supply-chain monitor decomposed into a pipeline of ordinary
-two-way continuous queries whose intermediate results are re-published
-into the overlay.
+work; this program runs the pipeline of this package: a 4-way
+supply-chain monitor decomposed into ordinary two-way continuous
+queries whose intermediate results are re-published into the overlay.
 
 Query: alert when an *order* for an *item* that is in *stock* at a
 *depot* can be assigned to a carrier serving that depot::
@@ -16,13 +14,14 @@ Query: alert when an *order* for an *item* that is in *stock* at a
 
 Run with::
 
-    python examples/multiway_pipeline.py
+    PYTHONPATH=src:examples python -m multiway
 """
 
 import random
 
 from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema
-from repro.core.multiway import subscribe_multiway
+
+from .pipeline import subscribe_multiway
 
 SCHEMA = Schema.from_dict(
     {

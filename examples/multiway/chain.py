@@ -1,18 +1,11 @@
-"""N-way chain join queries (extension; the thesis' future work).
+"""N-way chain join queries: the query model of the pipeline.
 
-The paper evaluates two-way joins and names multi-way joins as future
-work — the authors' follow-up ("Continuous multi-way joins over DHTs",
-Idreos/Liarou/Koubarakis) decomposes an N-way join into a pipeline of
-two-way joins whose intermediate results are re-published into the
-network.  This module provides the query model for that extension:
-
-* a :class:`MultiwayQuery` joins ``n >= 2`` relations with ``n - 1``
-  equality conditions over bare attributes, plus optional local
-  filters;
-* the join graph must be a **path** (a chain): every relation connects
-  to at most two others, so the pipeline order is unambiguous.
-
-The evaluation machinery lives in :mod:`repro.core.multiway`.
+A :class:`MultiwayQuery` joins ``n >= 2`` relations with ``n - 1``
+equality conditions over bare attributes, plus optional local filters.
+The join graph must be a **path** (a chain): every relation connects to
+at most two others, so the pipeline order is unambiguous.  The text is
+parsed by the library's one SQL grammar (:func:`repro.sql.parser.parse_clauses`);
+only the chain rules live here.
 """
 
 from __future__ import annotations
@@ -20,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..errors import QueryError
-from .expr import AttrRef, Expression, is_single_attribute
-from .parser import _Parser, tokenize
-from .query import LocalFilter
-from .schema import Schema
+from repro import QueryError, Schema
+from repro.sql import AttrRef, Expression, LocalFilter
+from repro.sql.parser import parse_clauses
 
 
 @dataclass(frozen=True)
@@ -53,9 +44,7 @@ class MultiwayQuery:
     """An N-way chain equi-join.
 
     ``relations`` is ordered along the chain; ``conditions[k]`` links
-    ``relations[k]`` (or an earlier relation — conditions may reference
-    any already-joined relation, but chain shape restricts this to the
-    adjacent one) with ``relations[k + 1]``.
+    ``relations[k]`` with ``relations[k + 1]``.
     """
 
     select: tuple[AttrRef, ...]
@@ -88,9 +77,7 @@ class MultiwayQuery:
         select = ", ".join(str(ref) for ref in self.select)
         conjuncts = [str(c) for c in self.conditions]
         for relation in self.relations:
-            conjuncts.extend(
-                f"{relation}.{f}" for f in self.filters_for(relation)
-            )
+            conjuncts.extend(f"{relation}.{f}" for f in self.filters_for(relation))
         return (
             f"SELECT {select} FROM {', '.join(self.relations)} "
             f"WHERE {' AND '.join(conjuncts)}"
@@ -98,7 +85,7 @@ class MultiwayQuery:
 
 
 def _order_chain(
-    relations: list[str], raw_conditions: list[tuple[Expression, Expression]]
+    relations: tuple[str, ...], raw_conditions: tuple[tuple[Expression, Expression], ...]
 ) -> tuple[tuple[str, ...], tuple[ChainCondition, ...]]:
     """Order the relations along the join path.
 
@@ -107,7 +94,7 @@ def _order_chain(
     """
     conditions: list[ChainCondition] = []
     for left, right in raw_conditions:
-        if not (is_single_attribute(left) and is_single_attribute(right)):
+        if not (isinstance(left, AttrRef) and isinstance(right, AttrRef)):
             raise QueryError(
                 "multiway join conditions must be bare attribute equalities"
             )
@@ -132,33 +119,25 @@ def _order_chain(
         raise QueryError(
             "join graph must be a chain (a relation joins at most two others)"
         )
-    endpoints = [name for name, degree in degrees.items() if degree == 1]
+    endpoints = [name for name in relations if degrees[name] == 1]
     if len(relations) > 2 and len(endpoints) != 2:
         raise QueryError("join graph must be an acyclic chain")
 
     # Walk the path from a deterministic endpoint (FROM-clause order).
-    start = next(name for name in relations if degrees[name] == 1) if len(
-        relations
-    ) > 2 else relations[0]
-    ordered = [start]
+    current = endpoints[0] if len(relations) > 2 else relations[0]
+    ordered = [current]
     ordered_conditions: list[ChainCondition] = []
     used: set[frozenset[str]] = set()
-    current = start
     while len(ordered) < len(relations):
-        next_condition = None
-        for condition in adjacency[current]:
-            if condition.relations() not in used:
-                next_condition = condition
-                break
-        if next_condition is None:
-            raise QueryError("join graph is disconnected")
-        used.add(next_condition.relations())
-        other = next(
-            name for name in next_condition.relations() if name != current
+        step = next(
+            (c for c in adjacency[current] if c.relations() not in used), None
         )
-        ordered.append(other)
-        ordered_conditions.append(next_condition)
-        current = other
+        if step is None:
+            raise QueryError("join graph is disconnected")
+        used.add(step.relations())
+        current = next(name for name in step.relations() if name != current)
+        ordered.append(current)
+        ordered_conditions.append(step)
     return tuple(ordered), tuple(ordered_conditions)
 
 
@@ -173,12 +152,6 @@ def parse_multiway_query(
     >>> q.relations
     ('R', 'S', 'T')
     """
-    parser = _Parser(tokenize(text), schema)
-    select, relations, raw_conditions, filters = parser.parse_multiway_parts()
-    ordered_relations, conditions = _order_chain(relations, raw_conditions)
-    return MultiwayQuery(
-        select=tuple(select),
-        relations=ordered_relations,
-        conditions=conditions,
-        filters={name: tuple(f) for name, f in filters.items()},
-    )
+    clauses = parse_clauses(text, schema)
+    relations, conditions = _order_chain(clauses.relations, clauses.join_conjuncts)
+    return MultiwayQuery(clauses.select, relations, conditions, clauses.filters)

@@ -1,27 +1,29 @@
-"""Continuous N-way chain joins via two-way pipelines (extension).
+"""Continuous N-way chain joins via two-way pipelines.
 
-The thesis names multi-way joins as future work; the authors' follow-up
-paper evaluates them by decomposing the join into a pipeline of two-way
-joins whose **intermediate results are re-published into the network**.
-This module implements that strategy on top of the unmodified two-way
-engine:
+The paper evaluates two-way joins and names multi-way joins as future
+work; the authors' follow-up evaluates them by decomposing the join
+into a pipeline of two-way joins whose **intermediate results are
+re-published into the network**.  This module implements that strategy
+as a client of the unmodified two-way engine's public API:
 
 * an N-way chain ``R1 ⋈ R2 ⋈ ... ⋈ Rn`` becomes ``n - 1`` ordinary
   two-way continuous queries;
 * stage ``k`` joins the intermediate relation ``I_{k-1}`` (or ``R1``
   for the first stage) with ``R_{k+1}``;
 * the subscriber node acts as the **pipeline coordinator**: whenever a
-  stage query delivers a new answer row, the coordinator publishes it
-  as a tuple of the next intermediate relation, which flows through the
-  standard tuple-indexing machinery and triggers the next stage.
+  stage query delivers a new answer row
+  (:meth:`~repro.ContinuousQueryEngine.add_notification_listener`), the
+  coordinator publishes it as a tuple of the next intermediate
+  relation, which flows through the standard tuple-indexing machinery
+  and triggers the next stage.
 
 Every stage query is type T1 (bare attribute equalities), so the
 pipeline runs under any of the four algorithms.  Limitations, by
 design of the strategy:
 
-* intermediate relation names embed the user query key, so intermediate
-  streams of different multiway queries never interfere (and never
-  group — the cost the follow-up paper optimizes);
+* intermediate relation names carry the pipeline's ordinal on its
+  engine, so intermediate streams of different pipelines never
+  interfere (and never group — the cost the follow-up paper optimizes);
 * sliding windows are rejected: an intermediate tuple's publication
   time is the pipeline's reaction time, not its constituents' times,
   which would skew window semantics.
@@ -29,19 +31,31 @@ design of the strategy:
 
 from __future__ import annotations
 
-import zlib
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Union
+from weakref import WeakKeyDictionary
 
-from ..chord.node import ChordNode
-from ..errors import QueryError
-from ..sql.expr import AttrRef
-from ..sql.multiway import MultiwayQuery, parse_multiway_query
-from ..sql.query import JoinQuery, QuerySide
-from ..sql.schema import Relation, Schema
-from ..sql.tuples import DataTuple
-from .engine import ContinuousQueryEngine
-from .notifications import Notification
+from repro import (
+    ChordNode,
+    ContinuousQueryEngine,
+    DataTuple,
+    JoinQuery,
+    Notification,
+    QueryError,
+    Relation,
+    Schema,
+)
+from repro.sql import AttrRef, QuerySide
+
+from .chain import MultiwayQuery, parse_multiway_query
+
+#: Per engine, a counter of the pipelines built on it.  The ordinal names
+#: a pipeline's intermediate relations, and those names decide where
+#: their rewriters and evaluators hash to: a sequence of calls gives the
+#: same names, hence the same traffic, in every process, and a pipeline
+#: subscribed after another was cancelled still gets names of its own.
+_ORDINALS: WeakKeyDictionary = WeakKeyDictionary()
 
 
 @dataclass
@@ -51,6 +65,7 @@ class MultiwaySubscription:
     key: str
     query: MultiwayQuery
     coordinator: ChordNode
+    engine: ContinuousQueryEngine
     #: The internal two-way stage queries, in pipeline order.
     stage_queries: list[JoinQuery]
     #: Intermediate relations fed by the coordinator (one per non-final
@@ -62,15 +77,12 @@ class MultiwaySubscription:
     notifications: list[Notification] = field(default_factory=list)
     #: Intermediate tuples re-published into the network, per stage.
     republished: list[int] = field(default_factory=list)
-    _engine: Optional[ContinuousQueryEngine] = None
 
     def cancel(self) -> None:
         """Best-effort teardown of every stage subscription."""
-        if self._engine is None:
-            return
         for stage_query in self.stage_queries:
-            if stage_query.key in self._engine.queries:
-                self._engine.unsubscribe(self.coordinator, stage_query)
+            if stage_query.key in self.engine.queries:
+                self.engine.unsubscribe(self.coordinator, stage_query)
 
 
 def _intermediate_attr(relation: str, attribute: str) -> str:
@@ -95,18 +107,13 @@ class _PipelineBuilder:
         self.engine = engine
         self.origin = origin
         self.query = query
-        # A stable tag keeps intermediate relation names unique per
-        # subscription without leaking unbounded key text into names.
-        self.tag = format(
-            zlib.crc32(f"{origin.key}/{id(self)}/{query}".encode()), "08x"
-        )
+        self.ordinal = next(_ORDINALS.setdefault(engine, itertools.count()))
 
     # ------------------------------------------------------------------
     def build(self) -> MultiwaySubscription:
         path = self.query.relations
         stage_queries: list[JoinQuery] = []
         intermediates: list[Relation] = []
-        stage_selects: list[tuple[AttrRef, ...]] = []
 
         for step in range(len(path) - 1):
             select = self._stage_select(step, intermediates)
@@ -115,20 +122,9 @@ class _PipelineBuilder:
                 left=self._left_side(step, intermediates),
                 right=self._right_side(step),
             )
-            stage_selects.append(select)
             stage_queries.append(stage_query)
             if step < len(path) - 2:
                 intermediates.append(self._intermediate_relation(step, select))
-
-        subscription = MultiwaySubscription(
-            key="",
-            query=self.query,
-            coordinator=self.origin,
-            stage_queries=[],
-            intermediate_relations=intermediates,
-            republished=[0] * max(0, len(path) - 2),
-            _engine=self.engine,
-        )
 
         # Subscribe every stage *before* wiring listeners so all stages
         # share one insertion time (tuples older than the subscription
@@ -137,12 +133,19 @@ class _PipelineBuilder:
             self.engine.subscribe(self.origin, stage_query)
             for stage_query in stage_queries
         ]
-        subscription.stage_queries = bound_queries
-        subscription.key = bound_queries[-1].key
+        subscription = MultiwaySubscription(
+            key=bound_queries[-1].key,
+            query=self.query,
+            coordinator=self.origin,
+            engine=self.engine,
+            stage_queries=bound_queries,
+            intermediate_relations=intermediates,
+            republished=[0] * len(intermediates),
+        )
 
         for step, bound in enumerate(bound_queries[:-1]):
             relation = intermediates[step]
-            select = stage_selects[step]
+            select = stage_queries[step].select
 
             def republish(
                 notification: Notification,
@@ -151,14 +154,10 @@ class _PipelineBuilder:
                 _select=select,
                 _step=step,
             ) -> None:
-                values = {}
-                for ref, value in zip(_select, notification.row):
-                    name = (
-                        ref.attribute
-                        if ref.relation not in self.query.relations
-                        else _intermediate_attr(ref.relation, ref.attribute)
-                    )
-                    values[name] = value
+                values = {
+                    self._column(ref): value
+                    for ref, value in zip(_select, notification.row)
+                }
                 subscription.republished[_step] += 1
                 self.engine.publish(self.origin, _relation, values)
 
@@ -194,16 +193,14 @@ class _PipelineBuilder:
         attribute = condition.attribute_for(prefix_relation)
         expr = self._prefix_ref(step, intermediates, prefix_relation, attribute)
         filters = self.query.filters_for(prefix_relation) if step == 0 else ()
-        return QuerySide(self._entity_name(step, intermediates), expr, tuple(filters))
+        return QuerySide(self._entity_name(step, intermediates), expr, filters)
 
     def _right_side(self, step: int) -> QuerySide:
         condition = self.query.condition_for_step(step)
         relation = self.query.relations[step + 1]
         attribute = condition.attribute_for(relation)
         return QuerySide(
-            relation,
-            AttrRef(relation, attribute),
-            tuple(self.query.filters_for(relation)),
+            relation, AttrRef(relation, attribute), self.query.filters_for(relation)
         )
 
     def _needed_from_prefix(self, step: int) -> list[tuple[str, str]]:
@@ -211,59 +208,43 @@ class _PipelineBuilder:
         ``step``: the user's select attributes plus the next chain
         condition's prefix-side attribute."""
         prefix = set(self.query.relations[: step + 2])
-        needed: list[tuple[str, str]] = []
-        for ref in self.query.select:
-            if ref.relation in prefix:
-                needed.append((ref.relation, ref.attribute))
+        needed = [
+            (ref.relation, ref.attribute)
+            for ref in self.query.select
+            if ref.relation in prefix
+        ]
         if step + 1 < len(self.query.conditions):
             next_condition = self.query.condition_for_step(step + 1)
             bridge = self.query.relations[step + 1]
             needed.append((bridge, next_condition.attribute_for(bridge)))
-        deduped = []
-        for item in needed:
-            if item not in deduped:
-                deduped.append(item)
-        return deduped
+        return list(dict.fromkeys(needed))
 
     def _stage_select(
         self, step: int, intermediates: list[Relation]
     ) -> tuple[AttrRef, ...]:
         path = self.query.relations
-        if step == len(path) - 2:
-            # Final stage: produce the user's rows directly.
-            refs = []
-            for ref in self.query.select:
-                if ref.relation == path[-1]:
-                    refs.append(ref)
-                else:
-                    refs.append(
-                        self._prefix_ref(step, intermediates, ref.relation, ref.attribute)
-                    )
-            return tuple(refs)
-        refs = []
-        right_relation = path[step + 1]
-        for relation, attribute in self._needed_from_prefix(step):
-            if relation == right_relation:
-                refs.append(AttrRef(relation, attribute))
-            else:
-                refs.append(
-                    self._prefix_ref(step, intermediates, relation, attribute)
-                )
-        return tuple(refs)
+        if step == len(path) - 2:  # final stage: the user's rows directly
+            needed = [(ref.relation, ref.attribute) for ref in self.query.select]
+        else:
+            needed = self._needed_from_prefix(step)
+        return tuple(
+            AttrRef(relation, attribute)
+            if relation == path[step + 1]
+            else self._prefix_ref(step, intermediates, relation, attribute)
+            for relation, attribute in needed
+        )
+
+    def _column(self, ref: AttrRef) -> str:
+        """The name a stage's select item takes in an intermediate relation."""
+        if ref.relation in self.query.relations:
+            return _intermediate_attr(ref.relation, ref.attribute)
+        return ref.attribute
 
     def _intermediate_relation(
         self, step: int, select: tuple[AttrRef, ...]
     ) -> Relation:
-        names = []
-        for ref in select:
-            name = (
-                ref.attribute
-                if ref.relation not in self.query.relations
-                else _intermediate_attr(ref.relation, ref.attribute)
-            )
-            if name not in names:
-                names.append(name)
-        return Relation(f"I{step}_{self.tag}", tuple(names))
+        names = dict.fromkeys(self._column(ref) for ref in select)
+        return Relation(f"I{step}_{self.ordinal}", tuple(names))
 
 
 def subscribe_multiway(

@@ -31,9 +31,7 @@ from .core import (
     ContinuousQueryEngine,
     EngineConfig,
     LoadSnapshot,
-    MultiwaySubscription,
     Notification,
-    subscribe_multiway,
 )
 from .errors import (
     DeliveryError,
@@ -49,10 +47,8 @@ from .sim import LogicalClock, TrafficStats
 from .sql import (
     DataTuple,
     JoinQuery,
-    MultiwayQuery,
     Relation,
     Schema,
-    parse_multiway_query,
     parse_query,
 )
 
@@ -76,8 +72,6 @@ __all__ = [
     "JoinQuery",
     "LoadSnapshot",
     "LogicalClock",
-    "MultiwayQuery",
-    "MultiwaySubscription",
     "NetworkError",
     "Notification",
     "ParseError",
@@ -89,8 +83,6 @@ __all__ = [
     "Schema",
     "SchemaError",
     "TrafficStats",
-    "parse_multiway_query",
     "parse_query",
-    "subscribe_multiway",
     "__version__",
 ]

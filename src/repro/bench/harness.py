@@ -108,6 +108,8 @@ def run_workload(
     quiesces twice: after the installs (before the stream's traffic
     snapshot) and after the stream (before the final eviction).
     """
+    if evict_every < 1:
+        raise ValueError("evict_every must be >= 1")
     rng = random.Random(seed)
     if origins is None:
         draw = engine.network.random_node

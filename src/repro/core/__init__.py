@@ -21,11 +21,6 @@ from .index_choice import (
 )
 from .jfrt import JoinFingersRoutingTable
 from .metrics import LoadSnapshot, snapshot
-from .multiway import (
-    MultiwaySubscription,
-    brute_force_rows,
-    subscribe_multiway,
-)
 from .notifications import Notification, group_by_subscriber
 from .oracle import CentralizedOracle
 from .replication import ReplicationScheme
@@ -46,7 +41,6 @@ __all__ = [
     "LoadSnapshot",
     "MaxRateChoice",
     "MinRateChoice",
-    "MultiwaySubscription",
     "NodeState",
     "Notification",
     "RandomChoice",
@@ -54,10 +48,8 @@ __all__ = [
     "SingleAttributeIndex",
     "StorageBreakdown",
     "UniformityChoice",
-    "brute_force_rows",
     "group_by_subscriber",
     "make_algorithm",
     "make_strategy",
     "snapshot",
-    "subscribe_multiway",
 ]

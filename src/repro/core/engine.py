@@ -96,6 +96,12 @@ class EngineConfig:
     daiv_keyed: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        if self.window is not None and self.window < 0:
+            raise ValueError("window must be >= 0 (None = unbounded)")
+        if self.jfrt_capacity < 0:
+            raise ValueError("jfrt_capacity must be >= 0 (0 = off)")
+
 
 class ContinuousQueryEngine:
     """Continuous two-way equi-join processing over a Chord overlay."""
@@ -141,7 +147,8 @@ class ContinuousQueryEngine:
         #: crash-recovery duplicate-suppression path).
         self.suppressed_renotifications = 0
         #: Callbacks fired on first delivery of each answer identity,
-        #: keyed by query key (used by the multiway-join pipeline).
+        #: keyed by query key (the N-way pipeline of
+        #: ``examples/multiway/`` builds on them).
         self._notification_listeners: dict[str, list] = {}
         #: Interception point for sharded execution: when set, evaluator
         #: output is handed to ``gateway(from_node, notifications)``
@@ -463,7 +470,8 @@ class ContinuousQueryEngine:
         """Invoke ``callback(notification)`` on each *new* answer identity.
 
         Listeners see every distinct answer exactly once, in delivery
-        order — the reactive hook the multiway-join pipeline builds on.
+        order — the reactive hook the N-way pipeline of
+        ``examples/multiway/`` builds on.
         """
         self._notification_listeners.setdefault(query_key, []).append(callback)
 

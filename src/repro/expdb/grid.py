@@ -83,6 +83,8 @@ class GridSpec:
         for spec_field in fields(self):
             if not getattr(self, spec_field.name):
                 raise ValueError(f"axis {spec_field.name!r} is empty")
+        if any(every < 1 for every in self.evict_everys):
+            raise ValueError("evict_every must be >= 1")
 
     def size(self) -> int:
         """Number of experiments the expansion yields."""

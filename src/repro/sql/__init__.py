@@ -1,7 +1,6 @@
 """Relational data model, expressions, queries, and the SQL parser."""
 
 from .expr import AttrRef, BinaryOp, Const, Expression, Negate, evaluate, substitute
-from .multiway import ChainCondition, MultiwayQuery, parse_multiway_query
 from .parser import parse_query
 from .query import (
     LEFT,
@@ -19,9 +18,6 @@ from .tuples import DataTuple, ProjectedTuple
 
 __all__ = [
     "AttrRef",
-    "ChainCondition",
-    "MultiwayQuery",
-    "parse_multiway_query",
     "BinaryOp",
     "BoundValue",
     "Const",

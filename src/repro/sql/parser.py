@@ -3,7 +3,7 @@
 Grammar (case-insensitive keywords)::
 
     query      := SELECT select_list
-                  FROM relation [AS alias] "," relation [AS alias]
+                  FROM relation [AS alias] ("," relation [AS alias])+
                   WHERE conjunct (AND conjunct)*
     select_list:= attr ("," attr)*
     conjunct   := expr "=" expr
@@ -12,17 +12,19 @@ Grammar (case-insensitive keywords)::
     factor     := NUMBER | STRING | attr | "(" expr ")" | "-" factor
     attr       := IDENT "." IDENT
 
-Exactly one conjunct must relate the two relations (the join
-condition); every other conjunct must be a local equality filter of the
-form ``attr = literal`` (or ``literal = attr``) over a single relation,
-like ``A.Surname = 'Smith'`` in the paper's e-learning example.
+A conjunct over two relations is a join conjunct; every other
+conjunct must be a local equality filter of the form ``attr = literal``
+(or ``literal = attr``) over a single relation, like ``A.Surname =
+'Smith'`` in the paper's e-learning example.  :func:`parse_clauses`
+returns these parts for any number of relations; :func:`parse_query`
+adds the two-way rules: exactly two relations, one join conjunct.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..errors import ParseError, QueryError
 from .expr import AttrRef, BinaryOp, Const, Expression, Negate, relations_of
@@ -71,6 +73,17 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+class Clauses(NamedTuple):
+    """A parsed query before the two-way rules: the select list, the
+    FROM relations in order, every join conjunct (an equality that
+    relates two relations) and the local filters by relation."""
+
+    select: tuple[AttrRef, ...]
+    relations: tuple[str, ...]
+    join_conjuncts: tuple[tuple[Expression, Expression], ...]
+    filters: dict[str, tuple[LocalFilter, ...]]
+
+
 class _Parser:
     """Recursive-descent parser over a token list."""
 
@@ -107,7 +120,7 @@ class _Parser:
         return None
 
     # -- grammar --------------------------------------------------------
-    def parse_query(self) -> JoinQuery:
+    def parse_clauses(self) -> Clauses:
         self.expect("keyword", "select")
         # FROM must be parsed before the select refs can be resolved
         # against aliases, so scan ahead: find the FROM clause first.
@@ -133,53 +146,18 @@ class _Parser:
 
         self.expect("keyword", "where")
         join_conjuncts, filters = self._parse_where()
-        left_relation, right_relation = self._relations_in_order()
-        left_expr, right_expr = self._orient(join_conjuncts[0], left_relation)
-        query = JoinQuery(
-            select=tuple(select),
-            left=QuerySide(
-                left_relation, left_expr, tuple(filters.get(left_relation, []))
-            ),
-            right=QuerySide(
-                right_relation, right_expr, tuple(filters.get(right_relation, []))
-            ),
-        )
         self.expect("eof")
-        return query
-
-    def parse_multiway_parts(self):
-        """Parse an N-way query into its raw parts.
-
-        Used by :func:`repro.sql.multiway.parse_multiway_query`; returns
-        ``(select, relations, join_conjuncts, filters)`` with the chain
-        validation left to the multiway module.
-        """
-        self.expect("keyword", "select")
-        select_start = self.index
-        while not (
-            self.current.kind == "keyword" and self.current.text == "from"
-        ):
-            if self.current.kind == "eof":
-                raise ParseError("missing FROM clause")
-            self.advance()
-        from_index = self.index
-        self.expect("keyword", "from")
-        self._parse_from(max_relations=None)
-        where_index = self.index
-
-        self.index = select_start
-        select = self._parse_select_list(stop_at=from_index)
-        self.index = where_index
-
-        self.expect("keyword", "where")
-        join_conjuncts, filters = self._parse_where(multiway=True)
-        self.expect("eof")
-        relations = list(dict.fromkeys(self.aliases.values()))
+        relations = tuple(dict.fromkeys(self.aliases.values()))
         if len(relations) != len(self.aliases):
             raise ParseError("self-joins are not supported")
-        return select, relations, join_conjuncts, filters
+        return Clauses(
+            tuple(select),
+            relations,
+            tuple(join_conjuncts),
+            {name: tuple(found) for name, found in filters.items()},
+        )
 
-    def _parse_from(self, max_relations: int = 2) -> None:
+    def _parse_from(self) -> None:
         while True:
             name = self.expect("ident").text
             if self.schema is not None and name not in self.schema:
@@ -192,19 +170,8 @@ class _Parser:
             self.aliases[alias] = name
             if not self.accept("symbol", ","):
                 break
-        if max_relations is not None and len(self.aliases) > max_relations:
-            raise ParseError(
-                f"at most {max_relations} relations allowed here, "
-                f"got {len(self.aliases)}"
-            )
         if len(self.aliases) < 2:
             raise ParseError("at least two relations are required in FROM")
-
-    def _relations_in_order(self) -> tuple[str, str]:
-        names = list(self.aliases.values())
-        if names[0] == names[1]:
-            raise ParseError("self-joins are not supported")
-        return names[0], names[1]
 
     def _parse_select_list(self, stop_at: int) -> list[AttrRef]:
         refs = [self._parse_attr()]
@@ -231,7 +198,7 @@ class _Parser:
                 )
         return AttrRef(relation, attribute)
 
-    def _parse_where(self, *, multiway: bool = False):
+    def _parse_where(self):
         join_conjuncts: list[tuple[Expression, Expression]] = []
         filters: dict[str, list[LocalFilter]] = {}
         while True:
@@ -240,8 +207,6 @@ class _Parser:
             right = self._parse_expr()
             relations = relations_of(left) | relations_of(right)
             if len(relations) == 2:
-                if join_conjuncts and not multiway:
-                    raise ParseError("only one join condition is supported")
                 join_conjuncts.append((left, right))
             elif len(relations) == 1:
                 relation = next(iter(relations))
@@ -269,27 +234,6 @@ class _Parser:
         raise ParseError(
             f"local predicates must be attribute = literal (relation {relation})"
         )
-
-    @staticmethod
-    def _orient(
-        join_conjunct: tuple[Expression, Expression], left_relation: str
-    ) -> tuple[Expression, Expression]:
-        """Return (left-relation expr, right-relation expr).
-
-        Rejects conjuncts whose sides mix relations — each side of the
-        equality may reference only one relation (Section 3.2).
-        """
-        first, second = join_conjunct
-        first_rels = relations_of(first)
-        second_rels = relations_of(second)
-        if len(first_rels) != 1 or len(second_rels) != 1:
-            raise ParseError(
-                "each side of the join condition may reference exactly one "
-                "relation"
-            )
-        if first_rels == {left_relation}:
-            return first, second
-        return second, first
 
     # -- expressions ----------------------------------------------------
     def _parse_expr(self) -> Expression:
@@ -337,6 +281,17 @@ class _Parser:
         )
 
 
+def parse_clauses(text: str, schema: Optional[Schema] = None) -> Clauses:
+    """Parse SQL text into its :class:`Clauses`, over any number of
+    relations and join conjuncts (:func:`parse_query` adds the two-way
+    rules).
+
+    >>> parse_clauses("SELECT R.A FROM R, S, T WHERE R.B = S.E AND S.F = T.Y").relations
+    ('R', 'S', 'T')
+    """
+    return _Parser(tokenize(text), schema).parse_clauses()
+
+
 def parse_query(text: str, schema: Optional[Schema] = None) -> JoinQuery:
     """Parse SQL text into a :class:`~repro.sql.query.JoinQuery`.
 
@@ -351,7 +306,30 @@ def parse_query(text: str, schema: Optional[Schema] = None) -> JoinQuery:
     'T1'
     """
     try:
-        return _Parser(tokenize(text), schema).parse_query()
+        clauses = parse_clauses(text, schema)
+        if len(clauses.relations) > 2:
+            raise ParseError(
+                f"at most 2 relations allowed here, got {len(clauses.relations)}"
+            )
+        if len(clauses.join_conjuncts) > 1:
+            raise ParseError("only one join condition is supported")
+        # Orient the join condition: each side may reference exactly one
+        # relation (Section 3.2), the left one first.
+        left, right = clauses.relations
+        first, second = clauses.join_conjuncts[0]
+        first_rels, second_rels = relations_of(first), relations_of(second)
+        if len(first_rels) != 1 or len(second_rels) != 1:
+            raise ParseError(
+                "each side of the join condition may reference exactly one "
+                "relation"
+            )
+        if first_rels != {left}:
+            first, second = second, first
+        return JoinQuery(
+            select=clauses.select,
+            left=QuerySide(left, first, clauses.filters.get(left, ())),
+            right=QuerySide(right, second, clauses.filters.get(right, ())),
+        )
     except QueryError as exc:
         if isinstance(exc, ParseError):
             raise

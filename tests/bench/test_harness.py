@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import EngineConfig
 from repro.bench.configs import SCALES, Scale, current_scale
 from repro.bench.harness import make_engine, run_standard, run_workload, workload_for
 from repro.core.oracle import CentralizedOracle
@@ -115,6 +116,13 @@ class TestHarness:
             windowed.load.total_evaluator_storage
             < unbounded.load.total_evaluator_storage / 2
         )
+
+    @pytest.mark.parametrize("every", [0, -5])
+    def test_evict_every_below_one_rejected(self, every):
+        engine = make_engine(TINY, EngineConfig(window=10.0))
+        with pytest.raises(ValueError, match="evict_every"):
+            run_workload(engine, workload_for(TINY), evict_every=every)
+        assert engine.traffic.hops == 0
 
     def test_shared_workload_gives_identical_results(self):
         workload = workload_for(TINY)

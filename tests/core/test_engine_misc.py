@@ -24,6 +24,20 @@ class TestConfig:
                 small_network, EngineConfig(index_choice="clairvoyant")
             )
 
+    @pytest.mark.parametrize("setting", [{"window": -5.0}, {"jfrt_capacity": -1}])
+    def test_negative_window_or_jfrt_capacity_rejected(self, setting):
+        from repro.bench.configs import SCALES
+        from repro.bench.harness import run_standard
+
+        with pytest.raises(ValueError):
+            EngineConfig(**setting)
+        with pytest.raises(ValueError):
+            run_standard("dai-t", SCALES["smoke"], config_overrides=setting)
+
+    def test_zero_window_and_capacity_stay_legal(self):
+        config = EngineConfig(window=0.0, jfrt_capacity=0)
+        assert (config.window, config.jfrt_capacity) == (0.0, 0)
+
 
 class TestAdoption:
     def test_adopt_idempotent(self, engine_factory):

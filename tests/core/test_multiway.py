@@ -4,10 +4,9 @@ import random
 
 import pytest
 
+from multiway import brute_force_rows, parse_multiway_query, subscribe_multiway
 from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig, Schema
-from repro.core.multiway import brute_force_rows, subscribe_multiway
 from repro.errors import QueryError
-from repro.sql.multiway import parse_multiway_query
 
 SCHEMA = Schema.from_dict(
     {
@@ -316,3 +315,46 @@ class TestPipelineMechanics:
             ],
         )
         assert subscription.results == set()
+
+    def test_traffic_repeats_across_live_engines(self):
+        # Both engines stay alive, so nothing about one pipeline's
+        # identity can be recycled into the other's intermediate names.
+        runs = []
+        for _ in range(2):
+            engine = make_engine("dai-t")
+            rng = random.Random(11)
+            subscription = subscribe_multiway(
+                engine, engine.network.nodes[0], THREE_WAY, SCHEMA
+            )
+            for _ in range(80):
+                engine.clock.advance(1)
+                relation = SCHEMA.relation(rng.choice("RST"))
+                values = {attr: rng.randrange(4) for attr in relation.attributes}
+                engine.publish(engine.network.random_node(rng), relation, values)
+            runs.append((engine, subscription))
+        (first, first_sub), (second, second_sub) = runs
+        assert first.traffic.hops == second.traffic.hops
+        assert first_sub.results == second_sub.results
+
+    def test_resubscribing_after_cancel_gets_fresh_names(self):
+        engine = make_engine("sai")
+        first = subscribe_multiway(
+            engine, engine.network.nodes[0], THREE_WAY, SCHEMA
+        )
+        first.cancel()
+        second = subscribe_multiway(
+            engine, engine.network.nodes[0], THREE_WAY, SCHEMA
+        )
+        assert {r.name for r in first.intermediate_relations}.isdisjoint(
+            r.name for r in second.intermediate_relations
+        )
+        publish_all(
+            engine,
+            [
+                ("R", {"A": 1, "B": 7}),
+                ("S", {"E": 7, "F": 3}),
+                ("T", {"Y": 3, "Z": 9}),
+            ],
+        )
+        assert first.results == set()
+        assert second.results == {(1, 3, 9)}

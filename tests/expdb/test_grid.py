@@ -54,6 +54,15 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="empty"):
             GridSpec(seeds=())
 
+    @pytest.mark.parametrize("every", [0, -5])
+    def test_evict_every_below_one_rejected(self, every):
+        # The staged executor refuses it too; the grid must not expand a
+        # ``sim`` row that runs and a ``shard`` row that fails.
+        with pytest.raises(ValueError, match="evict_every"):
+            GridSpec(transports=("sim", "shard"), evict_everys=(64, every))
+        with pytest.raises(ValueError, match="evict_every"):
+            GridSpec.from_dict({"evict_everys": every})
+
 
 class TestGridSpecJSON:
     def test_round_trip(self):

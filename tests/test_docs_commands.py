@@ -38,8 +38,10 @@ COMMAND_SOURCES = (
 #: chaos soak's own replay loop and reference, the three run report
 #: classes the one ``RunReport`` replaced, with their helpers, and the
 #: heap scheduler beside the one serial replay loop, with its fault
-#: wiring, and the chaos soak's own settings record and report beside
-#: the one fault plan and run report.
+#: wiring, the chaos soak's own settings record and report beside
+#: the one fault plan and run report, and the N-way pipeline modules and
+#: second parse path that moved out of the library to
+#: ``examples/multiway/``.
 DELETED = (
     "EventRing",
     "run_stream",
@@ -91,6 +93,9 @@ DELETED = (
     "DeferredDelivery",
     "SoakSettings",
     "ChaosSoakReport",
+    "repro.core.multiway",
+    "repro.sql.multiway",
+    "parse_multiway_parts",
 )
 
 

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from multiway.__main__ import main as multiway_main
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
@@ -68,7 +69,7 @@ class TestExamples:
         assert "dai-v" in output
 
     def test_multiway_pipeline(self, capsys):
-        load_example("multiway_pipeline").main()
+        multiway_main()
         output = capsys.readouterr().out
         assert "pipeline installed" in output
         assert "stage 2" in output
