@@ -107,40 +107,38 @@ class NodeState:
         )
 
     def evict_expired(self, cutoff: float) -> int:
-        """Sliding-window eviction of value-level state.
+        """Sliding-window eviction of value-level state: the VLQT's
+        cohort store and the two list-bucket stores (VLTT, DAI-V
+        projections), each behind its lazy heap.
 
-        Guarded by :meth:`~repro.core.tables.ValueLevelQueryTable.pending_before`
-        peeks: eviction rounds sweep every adopted node, and on large
-        rings almost all of them hold nothing old enough to evict.
+        Guarded by ``pending_before`` peeks: eviction rounds sweep every
+        adopted node, and on large rings almost all of them hold nothing
+        old enough to evict.
         """
         total = 0
-        if self.vlqt.pending_before(cutoff):
-            total += self.vlqt.evict_older_than(cutoff)
-        if self.vltt.pending_before(cutoff):
-            total += self.vltt.evict_older_than(cutoff)
-        if self.projections.pending_before(cutoff):
-            total += self.projections.evict_older_than(cutoff)
+        for table in (self.vlqt, self.vltt, self.projections):
+            if table.pending_before(cutoff):
+                total += table.evict_older_than(cutoff)
         return total
 
     def transfer_to(self, other: "NodeState", should_move) -> int:
-        """Move items whose routing identifier satisfies ``should_move``.
+        """Move items whose routing identifier satisfies ``should_move``;
+        returns how many (VLQT members, not cohorts).
 
         Implements the application side of Chord key handoff on node
         join (partial transfer) and voluntary leave (full transfer).
         """
         moved = 0
-        for stored_query in self.alqt.pop_matching(should_move):
-            other.alqt.add(stored_query)
-            moved += 1
-        for cohort in self.vlqt.pop_matching(should_move):
-            other.vlqt.insert_cohort(cohort)
-            moved += len(cohort)
-        for stored_tuple in self.vltt.pop_matching(should_move):
-            other.vltt.add(stored_tuple)
-            moved += 1
-        for stored_projection in self.projections.pop_matching(should_move):
-            other.projections.add(stored_projection)
-            moved += 1
+        for table, insert in (
+            (self.alqt, other.alqt.add),
+            (self.vlqt, other.vlqt.insert_cohort),
+            (self.vltt, other.vltt.add),
+            (self.projections, other.projections.add),
+        ):
+            before = len(table)
+            for stored in table.pop_matching(should_move):
+                insert(stored)
+            moved += before - len(table)
         for subscriber_ident in list(self.parked):
             if should_move(subscriber_ident):
                 batch = self.parked.pop(subscriber_ident)

@@ -342,6 +342,7 @@ class ContinuousQueryEngine:
         if query.key not in self.queries:
             raise QueryError(f"unknown query {query.key!r}")
         del self.queries[query.key]
+        self._notification_listeners.pop(query.key, None)
         message = UnsubscribeMessage(query_key=query.key)
         labels = self._query_labels.pop(query.key, None)
         if labels is None:
@@ -471,7 +472,8 @@ class ContinuousQueryEngine:
 
         Listeners see every distinct answer exactly once, in delivery
         order — the reactive hook the N-way pipeline of
-        ``examples/multiway/`` builds on.
+        ``examples/multiway/`` builds on.  :meth:`unsubscribe` drops the
+        query's listeners.
         """
         self._notification_listeners.setdefault(query_key, []).append(callback)
 

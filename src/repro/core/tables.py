@@ -3,13 +3,25 @@
 Rewriter nodes keep queries in the **attribute-level query table**
 (ALQT); evaluator nodes keep rewritten queries in the **value-level
 query table** (VLQT) and tuples in the **value-level tuple table**
-(VLTT).  All three are two-level hash tables, so every incoming message
-reaches its match candidates in two dictionary steps — the number of
-candidates actually examined is what the filtering-load metric counts.
+(VLTT); DAI-V evaluators keep trigger projections in a
+:class:`ProjectionStore` of the same shape (Section 4.5).  All are
+two-level hash tables, so every incoming message reaches its match
+candidates in two dictionary steps — the number of candidates actually
+examined is what the filtering-load metric counts.
 
 Every stored item remembers the routing identifier it was addressed to,
 so responsibility handoff on node join/leave is a filter over the
 tables (Chord transfers "all data related to Id(n)").
+
+The value level has two stores.  The VLTT and the projection store are
+one list-bucket store (:class:`_ListBucketStore`) with two add rules: a
+tuple is appended; a projection whose content is already stored
+collapses onto that copy, which takes the newer ``pub_time``.  The VLQT
+keeps its own *cohort* store: its stored item is the members of one
+group record that were stored together (see :class:`StoredCohort`), so
+a record of N similar queries costs one object and one heap record,
+while ``len()``, eviction counts and the filtering load keep counting
+members.
 
 Sliding-window eviction (``evict_older_than``) is driven by per-table
 lazy min-heaps of ``(time, seq, locator...)`` records instead of
@@ -23,11 +35,6 @@ or below its current time — only the work is proportional to the number
 of expirations, not the table size.  ``pop_matching`` (responsibility
 handoff) stays a scan: it filters by routing identifier, which no
 time-ordered structure helps with, and runs only on churn events.
-
-The VLQT's stored item is the *cohort* — the members of one group record
-that were stored together (see :class:`StoredCohort`) — so a record of N
-similar queries costs one object and one heap record, while ``len()``,
-eviction counts and the filtering load keep counting members.
 """
 
 from __future__ import annotations
@@ -624,64 +631,56 @@ class ValueLevelQueryTable:
 
 
 # ----------------------------------------------------------------------
-# Value level: tuples at evaluators
+# Value level: list buckets shared by the VLTT and DAI-V's projections
 # ----------------------------------------------------------------------
 
-@dataclass(slots=True)
-class StoredTuple:
-    """A tuple at an evaluator, remembered under its index attribute."""
+class _ListBucketStore:
+    """Two-level hash table of entries kept in per-value lists.
 
-    tuple: DataTuple
-    index_attribute: str
-    routing_ident: int
+    Subclasses fix the level-1 key and the add rule; this class owns the
+    buckets, the count and the lazy eviction heap of
+    ``(time, seq, level1, value, entry)`` records.  An entry exposes
+    ``time`` (its publication time) and ``routing_ident``.  A record is
+    stale once its entry left the bucket (handoff); an entry whose
+    ``time`` is at or past the cutoff is kept and re-armed — never the
+    case for a tuple, whose time never changes, but for a projection a
+    newer duplicate moves it forward.
+    """
 
-
-class ValueLevelTupleTable:
-    """VLTT: level 1 = tuple's index attribute, level 2 = its value."""
+    #: ``PERF`` counter of evicted entries.
+    _evicted_counter = ""
 
     def __init__(self):
-        self._buckets: dict[tuple[str, str], dict[Any, list[StoredTuple]]] = {}
+        self._buckets: dict[tuple[str, str], dict[Any, list]] = {}
         self._count = 0
-        #: Lazy eviction queue; tuple publication times never change, so
-        #: records only go stale when an entry is handed off on churn.
-        self._evict_heap: list[tuple[float, int, tuple[str, str], Any, StoredTuple]] = []
+        self._evict_heap: list[tuple[float, int, tuple[str, str], Any, Any]] = []
         self._evict_seq = 0
 
-    def add(self, stored: StoredTuple) -> None:
-        level1 = (stored.tuple.relation.name, stored.index_attribute)
-        value = stored.tuple.value(stored.index_attribute)
+    def _append(self, level1: tuple[str, str], value: Any, stored) -> None:
         self._buckets.setdefault(level1, {}).setdefault(value, []).append(stored)
         self._count += 1
+        self._arm(stored.time, level1, value, stored)
+
+    def _arm(self, time: float, level1: tuple[str, str], value: Any, stored) -> None:
         self._evict_seq += 1
-        heapq.heappush(
-            self._evict_heap,
-            (stored.tuple.pub_time, self._evict_seq, level1, value, stored),
-        )
-
-    def candidates(self, relation: str, attribute: str, value: Any) -> list[StoredTuple]:
-        """Tuples a rewritten query over ``relation.attribute = value``
-        can possibly match."""
-        level2 = self._buckets.get((relation, attribute))
-        if not level2:
-            return []
-        return list(level2.get(value, ()))
-
-    def contains(self, tup: DataTuple, attribute: str) -> bool:
-        """True when this exact tuple is already stored under
-        ``attribute`` (used to deduplicate crash-recovery republication)."""
-        level2 = self._buckets.get((tup.relation.name, attribute))
-        if not level2:
-            return False
-        return any(
-            stored.tuple == tup for stored in level2.get(tup.value(attribute), ())
-        )
+        heapq.heappush(self._evict_heap, (time, self._evict_seq, level1, value, stored))
 
     def pending_before(self, cutoff: float) -> bool:
         """True when :meth:`evict_older_than` could evict anything."""
         heap = self._evict_heap
         return bool(heap) and heap[0][0] < cutoff
 
+    def candidates(self, first: str, second: str, value: Any) -> list:
+        """Entries under level-1 key ``(first, second)`` and ``value``,
+        in the order they were stored."""
+        level2 = self._buckets.get((first, second))
+        if not level2:
+            return []
+        return list(level2.get(value, ()))
+
     def evict_older_than(self, cutoff: float) -> int:
+        """Drop entries whose ``time`` is before ``cutoff``; returns how
+        many.  Pops only heap records older than the cutoff."""
         heap = self._evict_heap
         buckets = self._buckets
         evicted = 0
@@ -693,6 +692,10 @@ class ValueLevelTupleTable:
                 continue  # stale record: bucket drained by handoff
             for index, candidate in enumerate(bucket):
                 if candidate is stored:
+                    time = stored.time
+                    if time >= cutoff:
+                        self._arm(time, level1, value, stored)
+                        break
                     del bucket[index]
                     evicted += 1
                     if not bucket:
@@ -702,11 +705,11 @@ class ValueLevelTupleTable:
                     break
         self._count -= evicted
         if PERF.enabled:
-            PERF.count("vltt.evicted", evicted)
+            PERF.count(self._evicted_counter, evicted)
         return evicted
 
-    def pop_matching(self, should_move: Callable[[int], bool]) -> list[StoredTuple]:
-        moved: list[StoredTuple] = []
+    def pop_matching(self, should_move: Callable[[int], bool]) -> list:
+        moved = []
         for level1 in list(self._buckets):
             level2 = self._buckets[level1]
             for value in list(level2):
@@ -728,10 +731,45 @@ class ValueLevelTupleTable:
     def __len__(self) -> int:
         return self._count
 
-    def __iter__(self) -> Iterator[StoredTuple]:
+    def __iter__(self) -> Iterator:
         for level2 in self._buckets.values():
-            for stored_list in level2.values():
-                yield from stored_list
+            for bucket in level2.values():
+                yield from bucket
+
+
+@dataclass(slots=True)
+class StoredTuple:
+    """A tuple at an evaluator, remembered under its index attribute."""
+
+    tuple: DataTuple
+    index_attribute: str
+    routing_ident: int
+
+    @property
+    def time(self) -> float:
+        return self.tuple.pub_time
+
+
+class ValueLevelTupleTable(_ListBucketStore):
+    """VLTT: level 1 = tuple's index attribute, level 2 = its value."""
+
+    _evicted_counter = "vltt.evicted"
+    # Bound here, not only inherited: joinbench's tracer wraps the
+    # methods a class defines itself.
+    candidates = _ListBucketStore.candidates
+    evict_older_than = _ListBucketStore.evict_older_than
+
+    def add(self, stored: StoredTuple) -> None:
+        level1 = (stored.tuple.relation.name, stored.index_attribute)
+        self._append(level1, stored.tuple.value(stored.index_attribute), stored)
+
+    def contains(self, tup: DataTuple, attribute: str) -> bool:
+        """True when this exact tuple is already stored under
+        ``attribute`` (used to deduplicate crash-recovery republication)."""
+        return any(
+            stored.tuple == tup
+            for stored in self.candidates(tup.relation.name, attribute, tup.value(attribute))
+        )
 
 
 # ----------------------------------------------------------------------
@@ -747,8 +785,12 @@ class StoredProjection:
     value: Any
     routing_ident: int
 
+    @property
+    def time(self) -> float:
+        return self.projection.pub_time
 
-class ProjectionStore:
+
+class ProjectionStore(_ListBucketStore):
     """DAI-V storage: level 1 = (group, relation), level 2 = join value.
 
     The join value is re-checked on match, so identifier collisions
@@ -756,100 +798,18 @@ class ProjectionStore:
     never create false notifications.
     """
 
-    def __init__(self):
-        self._buckets: dict[tuple[str, str], dict[Any, list[StoredProjection]]] = {}
-        self._count = 0
-        #: Lazy eviction queue.  A duplicate ``add`` can replace an
-        #: entry's projection with a *newer* publication time, so
-        #: eviction re-arms records whose entry has outlived them.
-        self._evict_heap: list[tuple[float, int, tuple[str, str], Any, StoredProjection]] = []
-        self._evict_seq = 0
-
-    def _arm(self, time: float, level1, value, stored: StoredProjection) -> None:
-        self._evict_seq += 1
-        heapq.heappush(self._evict_heap, (time, self._evict_seq, level1, value, stored))
+    _evicted_counter = "projections.evicted"
+    # Bound here for joinbench's tracer, as in the VLTT.
+    evict_older_than = _ListBucketStore.evict_older_than
 
     def add(self, stored: StoredProjection) -> bool:
-        """Store a projection; duplicates (same content) are collapsed."""
+        """Store a projection; duplicates (same content) are collapsed
+        onto the stored copy, which takes the newer publication time."""
         level1 = (stored.group_signature, stored.projection.relation_name)
-        bucket = self._buckets.setdefault(level1, {}).setdefault(stored.value, [])
-        for existing in bucket:
+        for existing in self.candidates(*level1, stored.value):
             if existing.projection.items == stored.projection.items:
-                if stored.projection.pub_time > existing.projection.pub_time:
+                if stored.time > existing.time:
                     existing.projection = stored.projection
                 return False
-        bucket.append(stored)
-        self._count += 1
-        self._arm(stored.projection.pub_time, level1, stored.value, stored)
+        self._append(level1, stored.value, stored)
         return True
-
-    def candidates(
-        self, group_signature: str, relation: str, value: Any
-    ) -> list[StoredProjection]:
-        level2 = self._buckets.get((group_signature, relation))
-        if not level2:
-            return []
-        return list(level2.get(value, ()))
-
-    def pending_before(self, cutoff: float) -> bool:
-        """True when :meth:`evict_older_than` could evict anything."""
-        heap = self._evict_heap
-        return bool(heap) and heap[0][0] < cutoff
-
-    def evict_older_than(self, cutoff: float) -> int:
-        heap = self._evict_heap
-        buckets = self._buckets
-        evicted = 0
-        while heap and heap[0][0] < cutoff:
-            _, _, level1, value, stored = heapq.heappop(heap)
-            level2 = buckets.get(level1)
-            bucket = level2.get(value) if level2 is not None else None
-            if not bucket:
-                continue
-            for index, candidate in enumerate(bucket):
-                if candidate is stored:
-                    current_time = stored.projection.pub_time
-                    if current_time >= cutoff:
-                        # Replaced by a newer duplicate since this
-                        # record was armed: keep it, re-arm.
-                        self._arm(current_time, level1, value, stored)
-                        break
-                    del bucket[index]
-                    evicted += 1
-                    if not bucket:
-                        del level2[value]
-                        if not level2:
-                            del buckets[level1]
-                    break
-        self._count -= evicted
-        if PERF.enabled:
-            PERF.count("projections.evicted", evicted)
-        return evicted
-
-    def pop_matching(self, should_move: Callable[[int], bool]) -> list[StoredProjection]:
-        moved: list[StoredProjection] = []
-        for level1 in list(self._buckets):
-            level2 = self._buckets[level1]
-            for value in list(level2):
-                keep = []
-                for stored in level2[value]:
-                    if should_move(stored.routing_ident):
-                        moved.append(stored)
-                    else:
-                        keep.append(stored)
-                if keep:
-                    level2[value] = keep
-                else:
-                    del level2[value]
-            if not level2:
-                del self._buckets[level1]
-        self._count -= len(moved)
-        return moved
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self) -> Iterator[StoredProjection]:
-        for level2 in self._buckets.values():
-            for stored_list in level2.values():
-                yield from stored_list

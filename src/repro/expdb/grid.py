@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
+from ..core.engine import EngineConfig
 from .db import TRANSPORTS, normalize_params
 
 #: Algorithms a grid may name (presentation order).
@@ -85,6 +86,11 @@ class GridSpec:
                 raise ValueError(f"axis {spec_field.name!r} is empty")
         if any(every < 1 for every in self.evict_everys):
             raise ValueError("evict_every must be >= 1")
+        # The engine's own rules, applied before ``fill`` stores a row.
+        for window in self.windows:
+            EngineConfig(window=window)
+        for capacity in self.jfrt_capacities:
+            EngineConfig(jfrt_capacity=capacity)
 
     def size(self) -> int:
         """Number of experiments the expansion yields."""

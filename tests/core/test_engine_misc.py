@@ -1,5 +1,8 @@
 """Miscellaneous engine behaviour: adoption, accounting, config."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig
@@ -130,6 +133,26 @@ class TestDeliveredBookkeeping:
         # An identical S tuple: same row identity, listener must not refire.
         engine.publish(engine.network.nodes[3], S, {"D": 2, "E": 7, "F": 0})
         assert seen == [(1, 2)]
+
+    def test_unsubscribe_releases_listeners(
+        self, engine_factory, two_relation_schema, simple_join_sql
+    ):
+        engine = engine_factory(algorithm="sai")
+        query = engine.subscribe(
+            engine.network.nodes[0], simple_join_sql, two_relation_schema
+        )
+
+        class Owner:
+            def on_answer(self, notification):
+                pass
+
+        owner = Owner()
+        engine.add_notification_listener(query.key, owner.on_answer)
+        alive = weakref.ref(owner)
+        del owner
+        engine.unsubscribe(engine.network.nodes[0], query)
+        gc.collect()
+        assert alive() is None
 
     def test_notifications_carry_query_key(
         self, engine_factory, two_relation_schema, simple_join_sql

@@ -352,6 +352,7 @@ projection_ops = st.lists(
     st.one_of(
         st.tuples(st.just("add"), values, values, times, idents),
         st.tuples(st.just("evict"), times),
+        st.tuples(st.just("pop"), idents),
         st.tuples(st.just("candidates"), values),
     ),
     max_size=60,
@@ -383,6 +384,11 @@ class NaiveProjections:
         self.entries = [s for s in self.entries if s.projection.pub_time >= cutoff]
         return len(dead)
 
+    def pop_matching(self, should_move) -> list:
+        moved = [s for s in self.entries if should_move(s.routing_ident)]
+        self.entries = [s for s in self.entries if not should_move(s.routing_ident)]
+        return moved
+
     def candidates(self, value: int) -> list:
         return [s for s in self.entries if s.value == value]
 
@@ -412,6 +418,17 @@ def test_projection_store_matches_naive_reference(ops):
             assert store.add(make()) == naive.add(make())
         elif op[0] == "evict":
             assert store.evict_older_than(op[1]) == naive.evict_older_than(op[1])
+        elif op[0] == "pop":
+            threshold = op[1]
+            moved = store.pop_matching(lambda ident: ident <= threshold)
+            expected_moved = naive.pop_matching(lambda ident: ident <= threshold)
+            assert sorted(
+                (s.value, s.projection.items, s.projection.pub_time, s.routing_ident)
+                for s in moved
+            ) == sorted(
+                (s.value, s.projection.items, s.projection.pub_time, s.routing_ident)
+                for s in expected_moved
+            )
         else:
             got = store.candidates("sig", "R", op[1])
             expected = naive.candidates(op[1])

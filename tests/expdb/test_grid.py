@@ -63,6 +63,14 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="evict_every"):
             GridSpec.from_dict({"evict_everys": every})
 
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError, match="window"):
+            GridSpec(algorithms=("sai",), windows=(None, -5.0))
+
+    def test_negative_jfrt_capacity_rejected(self):
+        with pytest.raises(ValueError, match="jfrt_capacity"):
+            GridSpec(algorithms=("sai",), jfrt_capacities=(8, -1))
+
 
 class TestGridSpecJSON:
     def test_round_trip(self):
