@@ -2,11 +2,14 @@
 
 Every benchmark (one per paper table/figure) goes through
 :func:`run_workload`, so traffic and load are always measured the same
-way:
+way; the staged and live drivers replay in the same
+:class:`ReplayOrder`, so they split them the same way too:
 
-* *install traffic* — hops spent indexing the continuous queries;
-* *stream traffic* — hops spent inserting tuples (including all
-  triggered rewriting/reindexing and notification delivery);
+* *install traffic* — hops spent indexing the continuous queries (and
+  any warm-up tuples published before them);
+* *stream traffic* — hops spent inserting the tuples from the first one
+  after a query on (including all triggered rewriting/reindexing and
+  notification delivery);
 * *per-tuple hop series* — hops of each individual insertion, for
   convergence plots such as the JFRT warm-up (Figure 5.2);
 * a final :class:`~repro.core.metrics.LoadSnapshot` with the per-node
@@ -17,7 +20,7 @@ way:
 from __future__ import annotations
 
 import random
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..chord.network import ChordNetwork
 from ..chord.node import ChordNode
@@ -25,7 +28,7 @@ from ..core.engine import ContinuousQueryEngine, EngineConfig
 from ..sim.collector import CollectorPause
 from .configs import Scale, current_scale
 from .rows import RunReport
-from ..workload.generator import Workload, WorkloadParams, build_workload
+from ..workload.generator import Workload, WorkloadEvent, WorkloadParams, build_workload
 
 
 def make_engine(
@@ -80,6 +83,79 @@ def workload_for(
     return build_workload(workload_params_for(scale, **overrides))
 
 
+class ReplayOrder:
+    """The one order in which every driver replays a workload.
+
+    The triggering rule (``pubT(t) >= insT(q)``) makes event order part
+    of the answer, so :func:`run_workload`,
+    :func:`repro.sim.shard.run_sharded` and
+    :meth:`repro.net.cluster.LiveCluster.run` all take it from here.
+    Iterating yields the events in workload order and sets, for the
+    current one:
+
+    * :attr:`boundary` — True on the first tuple after a query, where
+      the install phase (warm-up tuples included) ends and the stream
+      begins; a query after it raises :class:`ValueError`;
+    * :attr:`actions` — ``schedule``'s actions for the tuple's publish
+      index (:func:`repro.faults.schedule.churn_schedule`), to run
+      before its publish; empty for a query;
+    * :attr:`evict_due` — whether the eviction cadence (every
+      ``evict_every`` events of the whole replay) falls due after it.
+
+    The driver then calls :meth:`origin` — after the actions, since a
+    crash changes the ring — and dispatches the event itself.
+    """
+
+    def __init__(
+        self,
+        engine: ContinuousQueryEngine,
+        events: Iterable[WorkloadEvent],
+        *,
+        seed: int = 1,
+        origins: Optional[Sequence[ChordNode]] = None,
+        evict_every: int = 64,
+        schedule: Optional[Mapping[int, Sequence[Callable[[], object]]]] = None,
+    ):
+        if evict_every < 1:
+            raise ValueError("evict_every must be >= 1")
+        self._events, self._engine = events, engine
+        self._rng = random.Random(seed)
+        self._pool = None if origins is None else tuple(origins)
+        self._evict_every, self._schedule = evict_every, schedule or {}
+        #: Events and tuples yielded so far, the current one included.
+        self.events = self.published = 0
+        self.boundary = self.evict_due = False
+        self.actions: Sequence[Callable[[], object]] = ()
+
+    def __iter__(self) -> Iterator[WorkloadEvent]:
+        queried = streaming = False
+        for event in self._events:
+            self.events += 1
+            self.evict_due = self.events % self._evict_every == 0
+            if event.kind == "query":
+                if streaming:
+                    raise ValueError("workloads must install all queries first")
+                queried = True
+                self.boundary, self.actions = False, ()
+            else:
+                self.boundary, streaming = queried and not streaming, queried
+                self.actions = self._schedule.get(self.published, ())
+                self.published += 1
+            yield event
+
+    def origin(self, event: WorkloadEvent) -> ChordNode:
+        """Advance the engine clock to ``event.time`` and draw the node
+        that subscribes or publishes it: uniformly (every node may pose
+        queries and insert data), one draw per event, from ``origins``
+        — a fixed, identifier-ordered pool such as a chaos soak's
+        protected subscribers — when given, else from the live ring."""
+        self._engine.clock.advance_to(event.time)
+        pool = self._pool
+        if pool is None:
+            return self._engine.network.random_node(self._rng)
+        return pool[self._rng.randrange(len(pool))]
+
+
 def run_workload(
     engine: ContinuousQueryEngine,
     workload: Workload,
@@ -92,33 +168,25 @@ def run_workload(
 ) -> RunReport:
     """Replay a workload against an engine and collect measurements.
 
-    Origin nodes for subscriptions/insertions are drawn uniformly (the
-    system model lets every node insert data and pose queries), one
-    draw per event: from ``origins`` (a fixed, identifier-ordered pool,
-    e.g. a chaos soak's protected subscribers) when given, else from the
-    live ring.  When a sliding window is configured, value-level state
-    is evicted every ``evict_every`` events so storage gauges track the
-    window.  ``schedule`` maps publish indexes of the tuple stream to
-    actions called just before that publish (crashes, restarts, lease
-    refreshes — :func:`repro.faults.schedule.churn_schedule`), as
-    :meth:`repro.net.cluster.LiveCluster.run` takes it.
+    Events are dispatched synchronously in :class:`ReplayOrder` (which
+    takes ``seed``, ``origins``, ``evict_every`` and ``schedule``); the
+    install/stream traffic split is taken at its boundary.  When a
+    sliding window is configured, value-level state is evicted whenever
+    the cadence falls due, so storage gauges track the window.
 
     When the ring's injector perturbs delivery, deferred deliveries
     land before each event that is due at or after them, and the run
-    quiesces twice: after the installs (before the stream's traffic
+    quiesces twice: at the boundary (before the stream's traffic
     snapshot) and after the stream (before the final eviction).
     """
-    if evict_every < 1:
-        raise ValueError("evict_every must be >= 1")
-    rng = random.Random(seed)
-    if origins is None:
-        draw = engine.network.random_node
-    else:
-        pool = tuple(origins)
-
-        def draw(rng) -> ChordNode:
-            return pool[rng.randrange(len(pool))]
-
+    replay = ReplayOrder(
+        engine,
+        workload,
+        seed=seed,
+        origins=origins,
+        evict_every=evict_every,
+        schedule=schedule,
+    )
     injector = engine.network.injector
     lands = injector is not None and injector.perturbs_delivery
     window = engine.config.window
@@ -126,46 +194,30 @@ def run_workload(
 
     install_start = engine.traffic.snapshot()
     stream_start = install_start
-    queried = False
-    in_stream_phase = False
-    events = 0
-    published = 0
-    events_since_evict = 0
     evictions = 0
 
     # The replay makes no reference cycles, so the cycle collector never
     # runs inside; each barrier freezes survivors (see repro.sim.collector).
     with CollectorPause() as pause:
-        for event in workload:
+        for event in replay:
             if lands:
                 injector.land_before(event.time)
             if event.kind == "query":
-                if in_stream_phase:
-                    raise ValueError("workloads must install all queries first")
-                engine.clock.advance_to(event.time)
-                engine.subscribe(draw(rng), event.payload)
-                queried = True
+                engine.subscribe(replay.origin(event), event.payload)
             else:
-                if queried and not in_stream_phase:
-                    in_stream_phase = True
+                if replay.boundary:
                     if lands:
                         injector.flush_deferred()
                     stream_start = engine.traffic.snapshot()
-                if schedule is not None:
-                    for action in schedule.get(published, ()):
-                        action()
-                    published += 1
-                engine.clock.advance_to(event.time)
-                origin = draw(rng)
+                for action in replay.actions:
+                    action()
+                origin = replay.origin(event)
                 before = engine.traffic.hops if collect_per_tuple_hops else 0
                 relation, values = event.payload
                 engine.publish(origin, relation, values)
                 if collect_per_tuple_hops:
                     per_tuple_hops.append(engine.traffic.hops - before)
-            events += 1
-            events_since_evict += 1
-            if events_since_evict >= evict_every:
-                events_since_evict = 0
+            if replay.evict_due:
                 if window is not None:
                     evictions += engine.evict_expired()
                 pause.freeze_survivors()
@@ -180,7 +232,7 @@ def run_workload(
             engine=engine,
             install_traffic=stream_start - install_start,
             stream_traffic=end - stream_start,
-            events=events,
+            events=replay.events,
             evictions=evictions,
             suppressed_renotifications=engine.suppressed_renotifications,
             duplicate_deliveries=engine.duplicate_deliveries,

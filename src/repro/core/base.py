@@ -43,6 +43,7 @@ from .tables import (
     ProjectionStore,
     QueryGroup,
     StoredQuery,
+    StoredTuple,
     ValueLevelQueryTable,
     ValueLevelTupleTable,
 )
@@ -414,6 +415,22 @@ class Algorithm:
     # ------------------------------------------------------------------
     # Shared value-level helpers
     # ------------------------------------------------------------------
+    def _store_tuple(
+        self, engine: "ContinuousQueryEngine", state: NodeState, msg: VLIndexMessage
+    ) -> bool:
+        """Store a ``vl-index`` tuple in the VLTT under its routing
+        identifier, unless it is a crash-recovery republication
+        (``msg.refresh``) of a tuple already stored, so surviving
+        evaluators do not inflate their VLTT.  True when it stored."""
+        tup, attribute = msg.tuple, msg.index_attribute
+        if msg.refresh and state.vltt.contains(tup, attribute):
+            return False
+        ident = engine.network.hash.hash_parts(
+            tup.relation.name, attribute, canonical_value(tup.value(attribute))
+        )
+        state.vltt.add(StoredTuple(tup, attribute, ident))
+        return True
+
     def _notify(
         self,
         engine: "ContinuousQueryEngine",

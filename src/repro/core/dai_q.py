@@ -16,12 +16,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sql.expr import canonical_value
 from ..chord.node import ChordNode
 from ..sim.messages import JoinMessage, VLIndexMessage
 from .base import dis_key
 from .dai_base import DoubleAttributeIndex
-from .tables import StoredTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import ContinuousQueryEngine
@@ -58,17 +56,12 @@ class DAIQuery(DoubleAttributeIndex):
         tuples (``msg.refresh``) are stored only when missing."""
         state = engine.state(node)
         state.load.messages_processed += 1
-        tup, attribute = msg.tuple, msg.index_attribute
-        if msg.refresh and state.vltt.contains(tup, attribute):
+        if not self._store_tuple(engine, state, msg):
             return
-        value = tup.value(attribute)
-        ident = engine.network.hash.hash_parts(
-            tup.relation.name, attribute, canonical_value(value)
-        )
-        state.vltt.add(StoredTuple(tup, attribute, ident))
         if state.held:
+            tup, attribute = msg.tuple, msg.index_attribute
             notifications = []
-            key = (tup.relation.name, attribute, value)
+            key = (tup.relation.name, attribute, tup.value(attribute))
             for record in engine.held(state, key, tup.pub_time):
                 notifications.extend(
                     self._match_rewritten_against_tuples(engine, state, record, [tup])

@@ -26,7 +26,7 @@ import logging
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import Any, Iterable, Iterator, Mapping, Optional, Union
 
 from ..chord.network import ChordNetwork
 from ..chord.node import ChordNode
@@ -418,24 +418,49 @@ class ContinuousQueryEngine:
     def deliver_notifications(
         self, from_node: ChordNode, notifications: Iterable[Notification]
     ) -> None:
-        """Ship notifications to their subscribers (Section 4.6).
-
-        Identities the subscriber has already received are filtered out
-        before the network hop: a restarted evaluator loses its
-        ``emitted`` memory, so crash-recovery replay can legitimately
-        re-create an answer — the filter keeps delivery exactly-once.
-        """
+        """Ship notifications to their subscribers (Section 4.6), as
+        :meth:`notification_messages` filters and addresses them: directly
+        to an online subscriber, else routed to its identifier."""
         gateway = self.notification_gateway
         if gateway is not None:
             gateway(from_node, notifications)
             return
+        if not notifications:  # most evaluator messages answer nothing
+            return
+        transport = self.transport
+        for message, target in self.notification_messages(
+            notifications, self._delivered_identities
+        ):
+            if target is not None:
+                transport.send_direct(from_node, message, target)
+            else:
+                transport.send(from_node, message, message.subscriber_ident)
+
+    def notification_messages(
+        self, notifications: Iterable[Notification], seen: dict[str, set]
+    ) -> Iterator[tuple[NotificationMessage, Optional[ChordNode]]]:
+        """The pre-hop filter: yield, lazily, one subscriber at a time,
+        a message with what is left to ship to that subscriber, and the
+        subscriber's node when it is online (``None`` otherwise).
+
+        A notification is dropped when its query is gone, and counted in
+        :attr:`suppressed_renotifications` when its identity is already
+        in ``seen`` (identities by query key): a restarted evaluator
+        loses its ``emitted`` memory, so crash-recovery replay can
+        legitimately re-create an answer, and this filter keeps delivery
+        exactly-once.  ``seen`` is the engine's own delivered set, which
+        a synchronous delivery updates before the next subscriber is
+        examined, or the sharded executor's mirror of it
+        (:mod:`repro.sim.shard`), which the caller updates likewise.
+        """
+        queries = self.queries
         for subscriber_ident, batch in group_by_subscriber(notifications).items():
             live = []
             for notification in batch:
-                if notification.query_key not in self.queries:
+                if notification.query_key not in queries:
                     continue
-                seen = self._delivered_identities.get(notification.query_key)
-                if seen is not None and notification.identity in seen:
+                identities = seen.get(notification.query_key)
+                if identities is not None and notification.identity in identities:
                     self.suppressed_renotifications += 1
                     continue
                 live.append(notification)
@@ -445,14 +470,12 @@ class ContinuousQueryEngine:
                 notifications=tuple(live), subscriber_ident=subscriber_ident
             )
             target = self._subscriber_nodes.get(subscriber_ident)
-            if (
+            online = (
                 target is not None
                 and target.alive
                 and self._presence.get(subscriber_ident, False)
-            ):
-                self.transport.send_direct(from_node, message, target)
-            else:
-                self.transport.send(from_node, message, subscriber_ident)
+            )
+            yield message, target if online else None
 
     def _on_notification(self, node: ChordNode, msg: NotificationMessage) -> None:
         state = self.state(node)

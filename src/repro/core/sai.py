@@ -21,12 +21,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sql.expr import canonical_value
 from ..chord.node import ChordNode
 from ..sim.messages import JoinMessage, VLIndexMessage
 from ..sql.query import JoinQuery
 from .base import Algorithm
-from .tables import StoredTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import ContinuousQueryEngine
@@ -78,20 +76,13 @@ class SingleAttributeIndex(Algorithm):
         """Match the tuple against VLQT, then store it in VLTT.
 
         A crash-recovery republication (``msg.refresh``) still matches —
-        the evaluator may have lost its VLQT — but skips the store when
-        the identical tuple is already held, so surviving evaluators do
-        not inflate their VLTT.
+        the evaluator may have lost its VLQT — but is stored only when
+        missing (:meth:`~repro.core.base.Algorithm._store_tuple`).
         """
         state = engine.state(node)
         state.load.messages_processed += 1
         notifications = self._match_tuple_against_rewritten(
             engine, state, msg.tuple, msg.index_attribute
         )
-        if not (msg.refresh and state.vltt.contains(msg.tuple, msg.index_attribute)):
-            ident = engine.network.hash.hash_parts(
-                msg.tuple.relation.name,
-                msg.index_attribute,
-                canonical_value(msg.tuple.value(msg.index_attribute)),
-            )
-            state.vltt.add(StoredTuple(msg.tuple, msg.index_attribute, ident))
+        self._store_tuple(engine, state, msg)
         engine.deliver_notifications(node, notifications)

@@ -7,7 +7,8 @@ A plan times its churn in logical time units: crash a node every
 ``plan.net.partition_at`` for ``plan.net.partition_for``.
 :func:`churn_schedule` turns each of those instants into the publish
 index of the first tuple published at or after it — the ``{publish
-index: actions}`` shape both drivers take
+index: actions}`` shape :class:`repro.bench.harness.ReplayOrder` keys
+on for both drivers that take it
 (:func:`repro.bench.harness.run_workload` and
 :meth:`repro.net.cluster.LiveCluster.run`).  It is the only code that
 builds a fault schedule: the serial replay passes a

@@ -5,19 +5,21 @@ uses (``ChordNetwork.build``), gives every node a :class:`NetPeer` with
 a real TCP server, runs the bootstrap handshake so every peer's address
 book converges, and swaps the network's transport for the
 :class:`~repro.net.peer.SocketTransport`.  :meth:`LiveCluster.run`
-replays a :class:`~repro.workload.generator.Workload` with the
-harness's seeded origin draws and clock advances, **pipelined**: the
-queries are installed and drained, the tuples stream gated only by the
-in-flight credit budget (``config.net.credit_budget``), and one drain
-ends the run.  Every delivered notification is timestamped against the
-wall-clock instant the *later* of its two tuples was published — the
-publish that completed the answer, the first instant the system could
-have known it.
+replays a :class:`~repro.workload.generator.Workload` in the
+simulator's order (:class:`~repro.bench.harness.ReplayOrder`: seeded
+origin draws, clock advances, warm-up tuples before the queries),
+**pipelined**: every event is gated only by the in-flight credit budget
+(``config.net.credit_budget``), one drain closes the install phase at
+the first tuple after a query, and one drain ends the run.  Every
+delivered notification is timestamped against the wall-clock instant
+the *later* of its two tuples was published — the publish that
+completed the answer, the first instant the system could have known it.
 
 Why pipelining cannot change the answers: the digest is a *set* digest
 (:func:`repro.bench.rows.notification_digest`), queries are fully
 installed before the stream starts, and every tuple carries its own
-``pub_time``, so answer identity never depends on arrival order.  DAI-Q
+``pub_time`` — the simulator's, since both replay one order — so answer
+identity never depends on arrival order.  DAI-Q
 and DAI-T, which let only one side of a tuple pair match, decide that
 side by the publish times the messages carry and hold an arriving half
 while an older publish is still in flight (:mod:`repro.core.dai_q`,
@@ -56,6 +58,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
+from ..bench.harness import ReplayOrder, run_workload
 from ..bench.rows import RunReport
 from ..chord.network import ChordNetwork
 from ..chord.node import ChordNode
@@ -432,16 +435,17 @@ class LiveCluster:
         origins: Optional[Sequence[ChordNode]] = None,
         schedule: Optional[Mapping[int, Sequence[Callable[[], object]]]] = None,
     ) -> RunReport:
-        """Replay ``workload``: install the queries and drain, stream the
-        tuples gated only by the credit budget, drain once, measure.  The
-        install/stream traffic split is taken at the post-install drain.
+        """Replay ``workload`` in :class:`~repro.bench.harness.ReplayOrder`
+        (seeded origin draws, clock advances, the install/stream boundary
+        and ``schedule``'s publish indexes, as the simulator replays it),
+        each event gated only by the credit budget; drain at the boundary,
+        where the install/stream traffic split is taken, and once at the
+        end, then measure.
 
-        Origins are drawn with the run seed, queries first, then tuples,
-        from ``origins``: a fixed, identifier-ordered tuple of nodes, the
-        whole ring by default (``nodes[rng.randrange(n)]`` is the node
-        ``network.random_node(rng)`` draws).  ``schedule`` maps publish
-        indexes of the tuple stream to actions called just before that
-        publish, each awaited when it returns an awaitable (a chaos soak's
+        ``origins`` is a fixed, identifier-ordered tuple of nodes to draw
+        from, the live ring by default.  ``schedule`` maps publish indexes
+        of the tuples to actions called just before that publish, each
+        awaited when it returns an awaitable (a chaos soak's
         :func:`~repro.faults.schedule.churn_schedule`: async crashes,
         restarts and partition beside a sync lease refresh).  With a
         chaos layer installed every drain is tolerant.  A windowed engine
@@ -456,14 +460,12 @@ class LiveCluster:
                 "a run could never pass the oracle check; use transport="
                 "'sim' or 'shard' for windowed sweep points"
             )
-        rng = random.Random(self.config.seed)
+        replay = ReplayOrder(
+            engine, workload, seed=self.config.seed, origins=origins, schedule=schedule
+        )
         clock = time.perf_counter
         timeout = self.config.quiesce_timeout
         tolerate = self.chaos is not None
-        origins = tuple(self.network.nodes if origins is None else origins)
-        n_origins = len(origins)
-        query_events = [event for event in workload if event.kind == "query"]
-        tuple_events = [event for event in workload if event.kind == "tuple"]
 
         # Publish wall times by sim pub_time; a notification's latency is
         # measured from the *later* of its two contributing publishes.
@@ -477,31 +479,28 @@ class LiveCluster:
             if started is not None:
                 latencies.append(clock() - started)
 
-        install_start = clock()
-        traffic_start = self.stats.snapshot()
-        for event in query_events:
+        install_start = stream_start = clock()
+        traffic_start = installed = self.stats.snapshot()
+        install_tuples = 0
+        for event in replay:
+            if replay.boundary:
+                await self.drain(tolerate_failures=tolerate)
+                installed = self.stats.snapshot()
+                stream_start = clock()
+                install_tuples = replay.published - 1
+            for action in replay.actions:
+                result = action()
+                if inspect.isawaitable(result):
+                    await result
             await self.in_flight.wait_below_budget(timeout)
-            engine.clock.advance_to(event.time)
-            origin = origins[rng.randrange(n_origins)]
-            bound = engine.subscribe(origin, event.payload)
-            engine.add_notification_listener(bound.key, on_notification)
-        await self.drain(tolerate_failures=tolerate)
-        installed = self.stats.snapshot()
-        install_seconds = clock() - install_start
-
-        stream_start = clock()
-        for index, event in enumerate(tuple_events):
-            if schedule is not None:
-                for action in schedule.get(index, ()):
-                    result = action()
-                    if inspect.isawaitable(result):
-                        await result
-            await self.in_flight.wait_below_budget(timeout)
-            engine.clock.advance_to(event.time)
-            origin = origins[rng.randrange(n_origins)]
-            relation, values = event.payload
-            publish_wall[event.time] = clock()
-            engine.publish(origin, relation, values)
+            origin = replay.origin(event)
+            if event.kind == "query":
+                bound = engine.subscribe(origin, event.payload)
+                engine.add_notification_listener(bound.key, on_notification)
+            else:
+                relation, values = event.payload
+                publish_wall[event.time] = clock()
+                engine.publish(origin, relation, values)
         await self.drain(tolerate_failures=tolerate)
         stream_seconds = clock() - stream_start
 
@@ -511,14 +510,16 @@ class LiveCluster:
             engine=engine,
             install_traffic=installed - traffic_start,
             stream_traffic=self.stats.snapshot() - installed,
-            events=len(query_events) + len(tuple_events),
+            events=replay.events,
             evictions=0,
             suppressed_renotifications=engine.suppressed_renotifications,
             duplicate_deliveries=engine.duplicate_deliveries,
             live={
-                "install_seconds": round(install_seconds, 4),
+                "install_seconds": round(stream_start - install_start, 4),
                 "stream_seconds": round(stream_seconds, 4),
-                "stream_tuples_per_sec": _per_second(len(tuple_events), stream_seconds),
+                "stream_tuples_per_sec": _per_second(
+                    replay.published - install_tuples, stream_seconds
+                ),
                 "notifications_per_sec": _per_second(
                     sum(map(len, engine.delivered.values())), stream_seconds
                 ),
@@ -558,8 +559,6 @@ def simulate_reference(
     whole ring, or — ``subscribers`` given — from the first that many
     nodes in identifier order, a chaos soak's protected pool.
     """
-    from ..bench.harness import run_workload
-
     engine = ContinuousQueryEngine(
         ChordNetwork.build(n_nodes),
         EngineConfig(algorithm=algorithm, seed=seed),

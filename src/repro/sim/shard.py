@@ -46,8 +46,9 @@ versions rejected outright now run sharded, each carried by a named
 mechanism (see :func:`shard_capabilities`):
 
 * *barrier-aligned eviction* — sliding-window eviction happens only at
-  stage barriers, on the serial ``evict_every`` schedule: epochs are
-  clipped so each eviction boundary falls exactly at an epoch end, and
+  stage barriers, on the serial replay's cadence (one
+  :class:`~repro.bench.harness.ReplayOrder` counts ``evict_every`` for
+  both): an epoch ends wherever the cadence falls due, and
   the driver replays the eviction with the serial cutoff
   (``clock.now - window``), broadcast to forked workers which each
   sweep only the nodes they own.  Exact because eviction commutes with
@@ -79,19 +80,17 @@ for all four algorithms, both in-process and forked.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import multiprocessing
-import random
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from ..bench.harness import ReplayOrder
 from ..bench.rows import RunReport, delivered_pairs
 from ..chord.routing import Router
 from ..chord.snapshot import SegmentMap
 from ..core.metrics import LoadSnapshot, snapshot
-from ..core.notifications import group_by_subscriber
 from ..perf import PERF
 from .collector import CollectorPause
-from .messages import NotificationMessage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import ContinuousQueryEngine
@@ -263,72 +262,6 @@ def _process_stage(engine, transport: ShardTransport, items: list, phase: str) -
         nodes[ident].deliver(message)
 
 
-class _Resolver:
-    """Replays the serial pre-hop suppression at the B→C barrier.
-
-    Mirrors :meth:`ContinuousQueryEngine.deliver_notifications` over a
-    driver-local identity filter (separate from the engine's, which the
-    subscriber-side ``_record_delivery`` still maintains at stage C):
-    candidates are visited in global ``ts`` order, each subscriber
-    group is filtered, surviving identities join the mirror *before*
-    the next group is examined — exactly the serial interleaving of
-    filtering and synchronous delivery.
-    """
-
-    def __init__(self, engine):
-        self.engine = engine
-        self.mirror: dict[str, set] = {}
-        self.suppressed = 0
-
-    def resolve(self, candidates: list, stats) -> list:
-        """Turn candidates into stage-C items, billing notification hops."""
-        candidates.sort(key=lambda c: c[0])
-        engine = self.engine
-        queries = engine.queries
-        subscriber_nodes = engine._subscriber_nodes
-        presence = engine._presence
-        mirror = self.mirror
-        items = []
-        for ts, time, from_ident, notifications in candidates:
-            for index, (subscriber_ident, batch) in enumerate(
-                group_by_subscriber(notifications).items()
-            ):
-                live = []
-                for notification in batch:
-                    if notification.query_key not in queries:
-                        continue
-                    seen = mirror.get(notification.query_key)
-                    if seen is not None and notification.identity in seen:
-                        self.suppressed += 1
-                        continue
-                    live.append(notification)
-                if not live:
-                    continue
-                for notification in live:
-                    mirror.setdefault(notification.query_key, set()).add(
-                        notification.identity
-                    )
-                target = subscriber_nodes.get(subscriber_ident)
-                if (
-                    target is None
-                    or not target.alive
-                    or not presence.get(subscriber_ident, False)
-                ):
-                    raise ShardError(
-                        "sharded execution requires online, fault-free "
-                        "subscribers (routed notification fallback is a "
-                        "faulted-run path)"
-                    )
-                message = NotificationMessage(
-                    notifications=tuple(live), subscriber_ident=subscriber_ident
-                )
-                # ``send_direct`` accounting: one point-to-point hop,
-                # zero when the evaluator is the subscriber.
-                stats.record(message.type, 0 if from_ident == subscriber_ident else 1)
-                items.append((ts + (index,), time, subscriber_ident, message))
-        return items
-
-
 #: Engine features that once were blanket ``ShardError`` preconditions,
 #: mapped to the lifted execution mode that now carries each of them
 #: (mechanisms in the module docstring / DESIGN.md §15).
@@ -392,21 +325,20 @@ def run_sharded(
     ``events`` is any iterable of
     :class:`~repro.workload.generator.WorkloadEvent` (a materialized
     :class:`~repro.workload.generator.Workload` or the streaming
-    :func:`~repro.workload.generator.iter_workload_events`).  The
-    warmup/install prefix — everything up to the last query — is
-    replayed serially in-process, exactly like
-    :func:`repro.bench.harness.run_workload` (same RNG draw order for
-    origin nodes).  The remaining tuple stream runs in epochs of
+    :func:`~repro.workload.generator.iter_workload_events`), replayed
+    in :class:`~repro.bench.harness.ReplayOrder` — the origin draws,
+    install/stream boundary and eviction cadence of
+    :func:`~repro.bench.harness.run_workload`.  The install phase
+    (warm-up tuples and queries) runs serially in-process; from the
+    boundary on, the tuple stream runs in epochs of at most
     ``batch_size`` events through the staged pipeline described in the
     module docstring, on ``shards`` forked workers (``1`` = staged but
     in-process, which is also the portability fallback when fork is
     unavailable).
 
-    With a sliding window configured, ``evict_every`` replays the
-    serial eviction schedule of :func:`~repro.bench.harness.run_workload`
-    at stage barriers: the event counter spans the install prefix and
-    the stream, epochs are clipped so boundaries land exactly between
-    epochs, and a final sweep runs after the last event.
+    With a sliding window configured, an epoch also ends wherever the
+    cadence falls due, and the sweep runs at that barrier; a final
+    sweep runs after the last event.
 
     Returns a :class:`~repro.bench.rows.RunReport` bit-comparable with
     a serial :func:`~repro.bench.harness.run_workload` of the same engine
@@ -415,7 +347,7 @@ def run_sharded(
     Forked workers send their answers and their own nodes' load back at
     the end; in process both are read off ``engine`` on first use.
     """
-    # One pause around the install prefix, the fork and every epoch:
+    # One pause around the install phase, the fork and every epoch:
     # the workers are forked inside it and inherit the paused collector.
     with CollectorPause() as pause:
         return _run_staged(
@@ -428,125 +360,196 @@ def _run_staged(
 ) -> RunReport:
     """The body of :func:`run_sharded`, inside its collector pause."""
     _validate(engine)
-    if evict_every < 1 or batch_size < 1:
-        raise ShardError("evict_every and batch_size must be >= 1")
-    features = shard_capabilities(engine)
-    network = engine.network
-    rng = random.Random(seed)
-    clock = engine.clock
-    window = engine.config.window
-
-    # ------------------------------------------------------------------
-    # Serial install phase: warmup tuples + query subscriptions.
-    # ------------------------------------------------------------------
-    source: Iterator = iter(events)
-    seen_query = False
-    install_events = 0
-    events_since_evict = 0
-    evictions = 0
-    for event in source:
-        if event.kind == "tuple" and seen_query:
-            source = itertools.chain((event,), source)  # put the first back
-            break
-        clock.advance_to(event.time)
-        origin = network.random_node(rng)
-        install_events += 1
-        if event.kind == "query":
-            seen_query = True
-            engine.subscribe(origin, event.payload)
-        else:
-            relation, values = event.payload
-            engine.publish(origin, relation, values)
-        events_since_evict += 1
-        if events_since_evict >= evict_every:
-            events_since_evict = 0
-            if window is not None:
-                evictions += engine.evict_expired()
-            pause.freeze_survivors()
-    install_snapshot = network.stats.snapshot()
-
+    if batch_size < 1:
+        raise ShardError("batch_size must be >= 1")
+    try:
+        replay = ReplayOrder(engine, events, seed=seed, evict_every=evict_every)
+    except ValueError as error:  # the replay's own ``evict_every`` check
+        raise ShardError(str(error)) from None
     if shards > 1 and not fork_available():  # pragma: no cover - platform
         shards = 1
+    features = shard_capabilities(engine)
+    network = engine.network
+    window = engine.config.window
+    install_snapshot = stream = None
+    epoch = evictions = 0
+    try:
+        for event in replay:
+            if replay.boundary:
+                install_snapshot = network.stats.snapshot()
+                stream = _Stream(engine, pause, shards)
+            origin = replay.origin(event)
+            if stream is None:  # the install phase runs serially
+                if event.kind == "query":
+                    engine.subscribe(origin, event.payload)
+                else:
+                    relation, values = event.payload
+                    engine.publish(origin, relation, values)
+                if replay.evict_due:
+                    if window is not None:
+                        evictions += engine.evict_expired()
+                    pause.freeze_survivors()
+                continue
+            stream.publish(origin, event)
+            epoch += 1
+            due = window is not None and replay.evict_due
+            if epoch == batch_size or due:
+                stream.barrier(epoch)
+                if due:
+                    evictions += stream.evict()
+                pause.freeze_survivors()
+                epoch = 0
+        if epoch:
+            stream.barrier(epoch)
+            pause.freeze_survivors()
+        if install_snapshot is None:
+            install_snapshot = network.stats.snapshot()
+        if window is not None:
+            # The serial replay's unconditional final sweep.
+            evictions += engine.evict_expired() if stream is None else stream.evict()
 
-    # Shard ownership: contiguous segments of the sorted identifier
-    # array, resolved by bisect on demand (no per-ident dict — at 10^6
-    # members that dict alone would dwarf the workload's state).  The
-    # map is created before the fork so workers share the array.
-    segment = SegmentMap(network._sorted_idents, shards)
-    shard_of = segment.shard_of
+        stream_snapshot = network.stats.since(install_snapshot)
+        duplicate_deliveries = engine.duplicate_deliveries
+        gathered_pairs = gathered_load = None
+        if stream is not None and stream.pool is not None:
+            gathered_pairs, loads = {}, []
+            for _, delta, pairs, duplicates, load in stream.finish():
+                stream_snapshot += delta
+                gathered_pairs.update(pairs)
+                duplicate_deliveries += duplicates
+                loads.append(load)
+            gathered_load = LoadSnapshot.union(loads)
+    finally:
+        if stream is not None:
+            stream.close()
 
-    transport = ShardTransport(network)
-    previous_transport = network.use_transport(transport)
-    engine.notification_gateway = transport.gateway
-    resolver = _Resolver(engine)
+    return RunReport(
+        kind="shard",
+        engine=engine,
+        install_traffic=install_snapshot,
+        stream_traffic=stream_snapshot,
+        events=replay.events,
+        evictions=evictions,
+        suppressed_renotifications=engine.suppressed_renotifications,
+        duplicate_deliveries=duplicate_deliveries,
+        shard={
+            "shards": shards,
+            "exchange_records": 0 if stream is None else stream.exchange_records,
+            "features": list(features),
+        },
+        gathered_pairs=gathered_pairs,
+        gathered_load=gathered_load,
+    )
 
-    pool = None
-    if shards > 1:
-        def worker_main(conn, index):
-            worker_transport = ShardTransport(network)
-            network.use_transport(worker_transport)
-            engine.notification_gateway = worker_transport.gateway
-            baseline = network.stats.snapshot()
-            duplicates_baseline = engine.duplicate_deliveries
-            try:
-                while True:
-                    command = conn.recv()
-                    if command[0] == "stage":
-                        _, phase, items = command
-                        _process_stage(engine, worker_transport, items, phase)
-                        a, b, c, candidates = worker_transport.drain()
-                        conn.send(("produced", a + b + c, candidates))
-                        pause.freeze_survivors()
-                    elif command[0] == "evict":
-                        # Barrier-aligned eviction: sweep only the nodes
-                        # this shard owns, against the driver's cutoff
-                        # (worker clocks can lag the boundary when the
-                        # last events produced no work for them).
-                        _, cutoff = command
-                        evicted = 0
-                        for ident, state in engine.adopted_states():
-                            if shard_of(ident) == index:
-                                evicted += state.evict_expired(cutoff)
-                        conn.send(("evicted", evicted))
-                    elif command[0] == "finish":
-                        delivered = {
-                            key: pairs
-                            for key, pairs in delivered_pairs(engine).items()
-                            if shard_of(engine.queries[key].subscriber.ident) == index
-                        }
-                        own = [node for node in network if shard_of(node.ident) == index]
-                        conn.send(
-                            (
-                                "final",
-                                network.stats.since(baseline),
-                                delivered,
-                                engine.duplicate_deliveries - duplicates_baseline,
-                                snapshot(engine, own),
-                            )
-                        )
-                        return
-                    else:  # pragma: no cover - protocol guard
-                        raise ShardError(f"unknown command {command[0]!r}")
-            except Exception as error:  # pragma: no cover - debug aid
-                import traceback
 
-                conn.send(("error", f"{error}\n{traceback.format_exc()}"))
-                raise
-            finally:
-                conn.close()
+class _Stream:
+    """The staged pipeline of one run's stream phase.
 
-        pool = ShardPool(shards, worker_main)
+    Built at the install/stream boundary, so that forked workers inherit
+    the installed engine: swaps in the :class:`ShardTransport` and the
+    notification gateway, forks ``shards`` workers when there is more
+    than one, and runs one epoch's stages per :meth:`barrier`.
+    """
 
-    exchange_records = 0
+    def __init__(self, engine, pause: CollectorPause, shards: int):
+        network = engine.network
+        self.engine = engine
+        # Shard ownership: contiguous segments of the sorted identifier
+        # array, resolved by bisect on demand (no per-ident dict — at 10^6
+        # members that dict alone would dwarf the workload's state).  The
+        # map is created before the fork so workers share the array.
+        self.shard_of = SegmentMap(network._sorted_idents, shards).shard_of
+        self.transport = ShardTransport(network)
+        self.previous_transport = network.use_transport(self.transport)
+        engine.notification_gateway = self.transport.gateway
+        #: Identities by query key that stage C will deliver: the mirror
+        #: of the engine's delivered set that :meth:`resolve` filters on.
+        self.mirror: dict[str, set] = {}
+        self.sequence = 0
+        self.exchange_records = 0
+        self.pool = None
+        if shards > 1:
+            self.pool = ShardPool(
+                shards, functools.partial(_worker_main, engine, pause, self.shard_of)
+            )
 
-    def run_stage(phase: str, items: list) -> tuple[list, list]:
+    def publish(self, origin, event) -> None:
+        """Stage 0: publish one stream tuple under the next causal stamp."""
+        transport = self.transport
+        transport.allowed = PRODUCES["publish"]
+        self.sequence += 1
+        transport.begin((self.sequence,), event.time)
+        relation, values = event.payload
+        self.engine.publish(origin, relation, values)
+
+    def barrier(self, count: int) -> None:
+        """Run stages A, B, the resolution and C over the epoch's
+        ``count`` publishes."""
+        if PERF.enabled:
+            PERF.count("shard.epochs")
+            PERF.count("shard.batch.events", count)
+        stage_a, stage_b, stage_c, candidates = self.transport.drain()
+        if stage_c or candidates:  # pragma: no cover - protocol guard
+            raise ShardError("publishing produced post-barrier work")
+        produced, candidates_a = self._run_stage("A", stage_a)
+        if any(STAGE_BY_TYPE[item[3].type] == "A" for item in produced):
+            raise ShardError(  # pragma: no cover - protocol guard
+                "stage A produced attribute-level messages"
+            )
+        produced_b, candidates_b = self._run_stage("B", stage_b + produced)
+        if produced_b:  # pragma: no cover - protocol guard
+            raise ShardError("stage B produced staged messages")
+        produced_c, candidates_c = self._run_stage(
+            "C", self.resolve(candidates_a + candidates_b)
+        )
+        if produced_c or candidates_c:  # pragma: no cover - protocol guard
+            raise ShardError("stage C produced further work")
+
+    def resolve(self, candidates: list) -> list:
+        """Replay the serial pre-hop suppression at the B→C barrier: turn
+        notification candidates into stage-C items, billing their hops.
+
+        Runs :meth:`ContinuousQueryEngine.notification_messages` over
+        :attr:`mirror` (the engine's own delivered set is maintained by
+        the subscriber-side ``_record_delivery`` at stage C): candidates
+        are visited in global ``ts`` order, and each subscriber group's
+        survivors join the mirror *before* the next group is examined —
+        exactly the serial interleaving of filtering and synchronous
+        delivery.  Suppressions count on the engine.
+        """
+        candidates.sort(key=lambda c: c[0])
+        engine, mirror = self.engine, self.mirror
+        stats = engine.network.stats
+        items = []
+        for ts, time, from_ident, notifications in candidates:
+            for index, (message, target) in enumerate(
+                engine.notification_messages(notifications, mirror)
+            ):
+                if target is None:
+                    raise ShardError(
+                        "sharded execution requires online, fault-free "
+                        "subscribers (routed notification fallback is a "
+                        "faulted-run path)"
+                    )
+                for notification in message.notifications:
+                    mirror.setdefault(notification.query_key, set()).add(
+                        notification.identity
+                    )
+                # ``send_direct`` accounting: one point-to-point hop,
+                # zero when the evaluator is the subscriber.
+                ident = message.subscriber_ident
+                stats.record(message.type, 0 if from_ident == ident else 1)
+                items.append((ts + (index,), time, ident, message))
+        return items
+
+    def _run_stage(self, phase: str, items: list) -> tuple[list, list]:
         """Execute one stage everywhere; returns (produced, candidates)."""
-        nonlocal exchange_records
+        pool, shard_of = self.pool, self.shard_of
         if pool is None:
-            _process_stage(engine, transport, items, phase)
-            a, b, c, candidates = transport.drain()
+            _process_stage(self.engine, self.transport, items, phase)
+            a, b, c, candidates = self.transport.drain()
             return a + b + c, candidates
-        partitions: list[list] = [[] for _ in range(shards)]
+        partitions: list[list] = [[] for _ in range(pool.n_shards)]
         for item in items:
             partitions[shard_of(item[2])].append(item)
         pool.scatter([("stage", phase, part) for part in partitions])
@@ -555,140 +558,103 @@ def _run_staged(
             PERF.count("shard.barrier.items", len(items))
         produced: list = []
         candidates: list = []
-        for index, reply in enumerate(pool.gather()):
-            if reply[0] == "error":
-                raise ShardError(f"shard worker failed:\n{reply[1]}")
+        for index, reply in enumerate(self._gather()):
             # Owner-aware exchange: records whose next-stage owner is a
             # different shard cross segments through these pipes — the
             # cross-shard join batches, replica probes and JFRT direct
             # sends that used to be rejected outright.
             crossed = sum(1 for item in reply[1] if shard_of(item[2]) != index)
             if crossed:
-                exchange_records += crossed
+                self.exchange_records += crossed
                 if PERF.enabled:
                     PERF.count("shard.exchange.records", crossed)
             produced.extend(reply[1])
             candidates.extend(reply[2])
         return produced, candidates
 
-    def barrier_evict() -> int:
-        """One serial-schedule eviction sweep, replayed at a barrier."""
-        cutoff = clock.now - window
+    def evict(self) -> int:
+        """One eviction sweep at a barrier, against the driver's cutoff."""
+        engine = self.engine
+        cutoff = engine.clock.now - engine.config.window
         if PERF.enabled:
             PERF.count("shard.evictions.replayed")
-        if pool is None:
+        if self.pool is None:
             return engine.evict_expired(cutoff)
-        pool.broadcast(("evict", cutoff))
-        evicted = 0
-        for reply in pool.gather():
+        self.pool.broadcast(("evict", cutoff))
+        return sum(reply[1] for reply in self._gather())
+
+    def finish(self) -> list:
+        """Each worker's ``("final", stream traffic, answers, duplicate
+        count, load)``, in shard order."""
+        self.pool.broadcast(("finish",))
+        return self._gather()
+
+    def _gather(self) -> list:
+        replies = self.pool.gather()
+        for reply in replies:
             if reply[0] == "error":
                 raise ShardError(f"shard worker failed:\n{reply[1]}")
-            evicted += reply[1]
-        return evicted
+        return replies
 
-    def split_stages(items: list) -> tuple[list, list]:
-        stage_a, stage_b = [], []
-        for item in items:
-            (stage_a if STAGE_BY_TYPE[item[3].type] == "A" else stage_b).append(item)
-        return stage_a, stage_b
+    def close(self) -> None:
+        """Restore the ring's transport and reap the workers."""
+        self.engine.network.use_transport(self.previous_transport)
+        self.engine.notification_gateway = None
+        if self.pool is not None:
+            self.pool.close()
 
-    # ------------------------------------------------------------------
-    # Epoch loop over the tuple stream: the next ``batch_size`` events,
-    # clipped so that barrier-aligned eviction boundaries always
-    # coincide with epoch ends.
-    # ------------------------------------------------------------------
-    stream_events = 0
-    sequence = 0
+
+def _worker_main(engine, pause: CollectorPause, shard_of, conn, index: int) -> None:
+    """One forked shard: run the driver's commands over the nodes it owns."""
+    network = engine.network
+    worker_transport = ShardTransport(network)
+    network.use_transport(worker_transport)
+    engine.notification_gateway = worker_transport.gateway
+    baseline = network.stats.snapshot()
+    duplicates_baseline = engine.duplicate_deliveries
     try:
         while True:
-            limit = batch_size
-            if window is not None:
-                limit = min(limit, evict_every - events_since_evict)
-            epoch = list(itertools.islice(source, limit))
-            if not epoch:
-                break
-            count = len(epoch)
-            transport.allowed = PRODUCES["publish"]
-            for event in epoch:
-                if event.kind != "tuple":
-                    raise ShardError(
-                        "query subscriptions after the stream began are "
-                        "not supported in sharded execution"
+            command = conn.recv()
+            if command[0] == "stage":
+                _, phase, items = command
+                _process_stage(engine, worker_transport, items, phase)
+                a, b, c, candidates = worker_transport.drain()
+                conn.send(("produced", a + b + c, candidates))
+                pause.freeze_survivors()
+            elif command[0] == "evict":
+                # Barrier-aligned eviction: sweep only the nodes this
+                # shard owns, against the driver's cutoff (worker clocks
+                # can lag the boundary when the last events produced no
+                # work for them).
+                _, cutoff = command
+                evicted = 0
+                for ident, state in engine.adopted_states():
+                    if shard_of(ident) == index:
+                        evicted += state.evict_expired(cutoff)
+                conn.send(("evicted", evicted))
+            elif command[0] == "finish":
+                delivered = {
+                    key: pairs
+                    for key, pairs in delivered_pairs(engine).items()
+                    if shard_of(engine.queries[key].subscriber.ident) == index
+                }
+                own = [node for node in network if shard_of(node.ident) == index]
+                conn.send(
+                    (
+                        "final",
+                        network.stats.since(baseline),
+                        delivered,
+                        engine.duplicate_deliveries - duplicates_baseline,
+                        snapshot(engine, own),
                     )
-                clock.advance_to(event.time)
-                origin = network.random_node(rng)
-                sequence += 1
-                transport.begin((sequence,), event.time)
-                relation, values = event.payload
-                engine.publish(origin, relation, values)
-            stream_events += count
-            events_since_evict += count
-            if PERF.enabled:
-                PERF.count("shard.epochs")
-                PERF.count("shard.batch.events", count)
-            stage_a, stage_b, stage_c, candidates = transport.drain()
-            if stage_c or candidates:  # pragma: no cover - protocol guard
-                raise ShardError("publishing produced post-barrier work")
-            produced, candidates_a = run_stage("A", stage_a)
-            misplaced, joins = split_stages(produced)
-            if misplaced:  # pragma: no cover - protocol guard
-                raise ShardError("stage A produced attribute-level messages")
-            produced_b, candidates_b = run_stage("B", stage_b + joins)
-            if produced_b:  # pragma: no cover - protocol guard
-                raise ShardError("stage B produced staged messages")
-            stage_c_items = resolver.resolve(
-                candidates_a + candidates_b, network.stats
-            )
-            produced_c, candidates_c = run_stage("C", stage_c_items)
-            if produced_c or candidates_c:  # pragma: no cover - protocol guard
-                raise ShardError("stage C produced further work")
-            if window is not None and events_since_evict >= evict_every:
-                evictions += barrier_evict()
-                events_since_evict = 0
-            pause.freeze_survivors()
-        if window is not None:
-            # The serial replay's unconditional final sweep.
-            evictions += barrier_evict()
+                )
+                return
+            else:  # pragma: no cover - protocol guard
+                raise ShardError(f"unknown command {command[0]!r}")
+    except Exception as error:  # pragma: no cover - debug aid
+        import traceback
 
-        # --------------------------------------------------------------
-        # Merge
-        # --------------------------------------------------------------
-        stream_snapshot = network.stats.since(install_snapshot)
-        duplicate_deliveries = engine.duplicate_deliveries
-        gathered_pairs = gathered_load = None
-        if pool is not None:
-            pool.broadcast(("finish",))
-            gathered_pairs, loads = {}, []
-            for reply in pool.gather():
-                if reply[0] == "error":
-                    raise ShardError(f"shard worker failed:\n{reply[1]}")
-                _, delta, worker_delivered, worker_duplicates, worker_load = reply
-                stream_snapshot += delta
-                gathered_pairs.update(worker_delivered)
-                duplicate_deliveries += worker_duplicates
-                loads.append(worker_load)
-            gathered_load = LoadSnapshot.union(loads)
+        conn.send(("error", f"{error}\n{traceback.format_exc()}"))
+        raise
     finally:
-        network.use_transport(previous_transport)
-        engine.notification_gateway = None
-        if pool is not None:
-            pool.close()
-
-    return RunReport(
-        kind="shard",
-        engine=engine,
-        install_traffic=install_snapshot,
-        stream_traffic=stream_snapshot,
-        events=install_events + stream_events,
-        evictions=evictions,
-        suppressed_renotifications=engine.suppressed_renotifications
-        + resolver.suppressed,
-        duplicate_deliveries=duplicate_deliveries,
-        shard={
-            "shards": shards,
-            "exchange_records": exchange_records,
-            "features": list(features),
-        },
-        gathered_pairs=gathered_pairs,
-        gathered_load=gathered_load,
-    )
+        conn.close()

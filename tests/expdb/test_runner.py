@@ -169,6 +169,31 @@ class TestOneRowShape:
         assert rows["live"]["notification_digest"] == sim["notification_digest"]
 
 
+    def test_warm_up_tuples_replay_in_one_order_on_every_transport(self):
+        """Warm-up tuples come before the queries; every driver publishes
+        them there, so the live row passes its simulator check and all
+        three rows give one answer set."""
+        point = dict(
+            algorithm="dai-t", n_nodes=6, n_queries=10, n_tuples=40, domain_size=12,
+            seed=1, overrides={"workload": {"warmup_tuples": 8}},
+        )
+        rows = {
+            transport: run_experiment(decoded(**point, transport=transport), shards=1)
+            for transport in ("sim", "shard", "live")
+        }
+        answers = {
+            transport: (
+                outcome.metrics["notification_digest"],
+                outcome.metrics["notifications_delivered"],
+            )
+            for transport, outcome in rows.items()
+        }
+        assert len(set(answers.values())) == 1, answers
+        assert answers["sim"][1] > 0
+        for phase in ("install_traffic", "stream_traffic"):
+            assert rows["live"].metrics[phase]["messages_by_type"]["al-index"] > 0
+
+
 class TestShardTransport:
     def test_shard_run_carries_the_stable_row(self):
         outcome = run_experiment(

@@ -61,19 +61,33 @@ class TestHarnessChurn:
 
 class TestLeaseRecovery:
     def test_refresh_is_idempotent_on_healthy_ring(self):
-        schema, network, engine, injector = _setup()
-        subscriber = network.nodes[0]
-        engine.subscribe(
-            subscriber, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E", schema
-        )
-        storage_before = engine.load_snapshot().total_storage
-        # A join moves keys but loses nothing: the refresh it triggers
-        # (membership changed) must change nothing either.
-        network.join("late")
-        refreshed = engine.refresh_leases()
-        assert refreshed["queries"] == 1
-        assert engine.load_snapshot().total_storage == storage_before
-        assert engine.load_snapshot().total_lease_reinstalls == 0
+        def vltt_items(engine):
+            return sum(len(engine.state(node).vltt) for node in engine.network)
+
+        for algorithm in ("dai-t", "sai", "dai-q"):
+            schema, network, engine, injector = _setup(algorithm)
+            subscriber = network.nodes[0]
+            engine.subscribe(
+                subscriber, "SELECT R.A, S.D FROM R, S WHERE R.B = S.E", schema
+            )
+            R, S = schema.relation("R"), schema.relation("S")
+            for k in range(4):
+                engine.clock.advance(1.0)
+                engine.publish(network.nodes[1 + k], R, {"A": k, "B": k % 2})
+                engine.clock.advance(1.0)
+                engine.publish(network.nodes[5 + k], S, {"D": k, "E": k % 2})
+            assert engine.delivered  # the tuples met the query
+            storage_before = engine.load_snapshot().total_storage
+            vltt_before = vltt_items(engine)
+            # A join moves keys but loses nothing: the refresh it triggers
+            # (membership changed) must change nothing either.
+            network.join("late")
+            refreshed = engine.refresh_leases()
+            assert refreshed == {"queries": 1, "tuples": 8}, algorithm
+            assert vltt_items(engine) == vltt_before, algorithm
+            assert engine.load_snapshot().total_storage == storage_before, algorithm
+            assert engine.load_snapshot().total_lease_reinstalls == 0, algorithm
+        assert vltt_before > 0  # DAI-Q stores tuples at the value level
 
     def test_crashed_rewriter_state_reinstalled(self):
         schema, network, engine, injector = _setup()

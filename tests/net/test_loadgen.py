@@ -33,6 +33,7 @@ from repro.net.cluster import (
 )
 from repro.net.peer import NetConfig
 from repro.perf import PERF
+from repro.sim.shard import run_sharded
 from repro.workload.generator import WorkloadParams, build_workload
 
 from ..expdb.gate_fakes import export_rows
@@ -138,28 +139,45 @@ def test_pipelined_run_equals_simulator_without_settle(algorithm, seed, budget):
 
 
 def test_default_origins_are_the_random_node_draws(monkeypatch):
-    """With the default origins, ``LiveCluster.run`` and
-    ``simulate_reference`` draw, event by event, the nodes
-    ``network.random_node`` draws for the same seed."""
+    """With the default origins, ``LiveCluster.run``, ``run_sharded`` and
+    ``simulate_reference`` draw, event by event in workload order —
+    warm-up tuples before the queries — the nodes ``network.random_node``
+    draws for the same seed."""
     drawn = []
     for name in ("subscribe", "publish"):
         real = getattr(ContinuousQueryEngine, name)
 
-        def spy(self, origin, *args, _real=real, **kwargs):
-            drawn.append(origin.ident)
+        def spy(self, origin, *args, _real=real, _name=name, **kwargs):
+            drawn.append((_name, origin.ident))
             return _real(self, origin, *args, **kwargs)
 
         monkeypatch.setattr(ContinuousQueryEngine, name, spy)
-    workload = point_workload(3)
-    asyncio.run(run_live(workload, config("sai", 3)))
-    live = drawn[:]
-    drawn.clear()
-    simulate_reference(workload, algorithm="sai", n_nodes=N_NODES, seed=3)
-    network = ChordNetwork.build(N_NODES)
-    rng = random.Random(3)
-    expected = [network.random_node(rng).ident for _ in workload]
-    assert live == drawn == expected
-    assert len(set(expected)) > 1
+    call = {"query": "subscribe", "tuple": "publish"}
+    for warmup in (0, 8):
+        workload = build_workload(
+            WorkloadParams(
+                n_queries=8, n_tuples=48, domain_size=16, seed=3, warmup_tuples=warmup
+            )
+        )
+        assert [event.kind for event in workload][:warmup] == ["tuple"] * warmup
+        drawn.clear()
+        asyncio.run(run_live(workload, config("sai", 3)))
+        live = drawn[:]
+        drawn.clear()
+        simulate_reference(workload, algorithm="sai", n_nodes=N_NODES, seed=3)
+        simulated = drawn[:]
+        drawn.clear()
+        engine = ContinuousQueryEngine(
+            ChordNetwork.build(N_NODES), EngineConfig(algorithm="sai", seed=3)
+        )
+        run_sharded(engine, workload, seed=3)
+        network = ChordNetwork.build(N_NODES)
+        rng = random.Random(3)
+        expected = [
+            (call[event.kind], network.random_node(rng).ident) for event in workload
+        ]
+        assert live == simulated == drawn == expected, warmup
+        assert len({ident for _, ident in expected}) > 1
 
 
 def test_a_live_row_that_leaves_the_simulator_cannot_finish(monkeypatch):
