@@ -95,7 +95,8 @@ class ReplayOrder:
 
     * :attr:`boundary` — True on the first tuple after a query, where
       the install phase (warm-up tuples included) ends and the stream
-      begins; a query after it raises :class:`ValueError`;
+      begins; :attr:`streaming` stays True from there on, and a query
+      after it raises :class:`ValueError`;
     * :attr:`actions` — ``schedule``'s actions for the tuple's publish
       index (:func:`repro.faults.schedule.churn_schedule`), to run
       before its publish; empty for a query;
@@ -103,7 +104,8 @@ class ReplayOrder:
       ``evict_every`` events of the whole replay) falls due after it.
 
     The driver then calls :meth:`origin` — after the actions, since a
-    crash changes the ring — and dispatches the event itself.
+    crash changes the ring — and dispatches the event itself; at the
+    end, :meth:`split` divides what it measured between the phases.
     """
 
     def __init__(
@@ -124,24 +126,33 @@ class ReplayOrder:
         self._evict_every, self._schedule = evict_every, schedule or {}
         #: Events and tuples yielded so far, the current one included.
         self.events = self.published = 0
-        self.boundary = self.evict_due = False
+        self.boundary = self.streaming = self.evict_due = False
         self.actions: Sequence[Callable[[], object]] = ()
 
     def __iter__(self) -> Iterator[WorkloadEvent]:
-        queried = streaming = False
+        queried = False
         for event in self._events:
             self.events += 1
             self.evict_due = self.events % self._evict_every == 0
             if event.kind == "query":
-                if streaming:
+                if self.streaming:
                     raise ValueError("workloads must install all queries first")
                 queried = True
                 self.boundary, self.actions = False, ()
             else:
-                self.boundary, streaming = queried and not streaming, queried
+                self.boundary, self.streaming = queried and not self.streaming, queried
                 self.actions = self._schedule.get(self.published, ())
                 self.published += 1
             yield event
+
+    def split(self, start, boundary, end) -> tuple:
+        """``(install, stream)`` of one measure — traffic snapshots,
+        clock readings, counts — read at the start of the replay, at its
+        boundary and at its end.  Everything before the boundary is
+        install, so a replay whose boundary never fired (no query, or no
+        tuple after one) is all install."""
+        boundary = boundary if self.streaming else end
+        return boundary - start, end - boundary
 
     def origin(self, event: WorkloadEvent) -> ChordNode:
         """Advance the engine clock to ``event.time`` and draw the node
@@ -170,9 +181,10 @@ def run_workload(
 
     Events are dispatched synchronously in :class:`ReplayOrder` (which
     takes ``seed``, ``origins``, ``evict_every`` and ``schedule``); the
-    install/stream traffic split is taken at its boundary.  When a
-    sliding window is configured, value-level state is evicted whenever
-    the cadence falls due, so storage gauges track the window.
+    install/stream traffic split is taken at its boundary
+    (:meth:`ReplayOrder.split`).  When a sliding window is configured,
+    value-level state is evicted whenever the cadence falls due, so
+    storage gauges track the window.
 
     When the ring's injector perturbs delivery, deferred deliveries
     land before each event that is due at or after them, and the run
@@ -226,12 +238,14 @@ def run_workload(
             injector.flush_deferred()
         if window is not None:
             evictions += engine.evict_expired()
-        end = engine.traffic.snapshot()
+        install_traffic, stream_traffic = replay.split(
+            install_start, stream_start, engine.traffic.snapshot()
+        )
         return RunReport(
             kind="run",
             engine=engine,
-            install_traffic=stream_start - install_start,
-            stream_traffic=end - stream_start,
+            install_traffic=install_traffic,
+            stream_traffic=stream_traffic,
             events=replay.events,
             evictions=evictions,
             suppressed_renotifications=engine.suppressed_renotifications,

@@ -7,9 +7,11 @@ Every executor — the serial simulator
 :class:`RunReport`, and :meth:`RunReport.to_row` turns it into one
 **stable, versioned, JSON-safe** row (plain ints/floats/strings/dicts —
 never pickled objects) of the same shape.  :func:`exact_columns` is what
-a re-run must repeat bit for bit, for the experiment database's gate
-(:mod:`repro.expdb`) and the sharded differential
-(:mod:`repro.bench.scale`) alike.
+a re-run must repeat bit for bit, and :func:`differences` the one
+comparison over it, for the experiment database's gate and its
+cross-executor diff (:mod:`repro.expdb.gate`) alike; the diff and the
+runner's answer check hold a row to its ``sim`` sibling through
+:func:`sibling_differences`, less the paths :data:`MAY_DIFFER` allows.
 The notification digest every executor reports is hashed here too, and
 :func:`aggregate` is the one group-and-average every reader of stored
 rows goes through (``expdb report --group-by``, the figures).
@@ -27,7 +29,7 @@ import hashlib
 import statistics
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..sim.stats import TrafficSnapshot
 
@@ -273,3 +275,68 @@ def exact_columns(metrics: Mapping) -> dict:
         if part in metrics:
             exact[part] = metrics[part]
     return exact
+
+
+#: The columns that say which answers a run delivered.
+ANSWER_COLUMNS = ("notification_digest", "notifications_delivered")
+
+_SERIAL = "the per-tuple hop series is the serial replay's"
+_BILLING = "live bills each sweep forward once, as multisend; sim splits it by type"
+_WRAP = "a sim sweep walks back round the ring to deliver the source's own pairs"
+_ORDER = "live handlers run in arrival order, so answers batch into other messages"
+
+#: Column paths in which a row may differ from its ``sim`` sibling, by
+#: ``(transport, algorithm)`` (``None``: every algorithm), each with why
+#: (DESIGN.md §16).  An entry covers its path and all under it.
+MAY_DIFFER: dict[tuple, dict[str, str]] = {
+    ("shard", None): {
+        "exchange_records": "records that crossed between forked shards; 0 in process",
+        "load.fifth": _SERIAL,
+    },
+    ("live", None): {
+        "load.fifth": _SERIAL,
+        "hops": "install_traffic.hops + stream_traffic.hops",
+        "messages": "stream_traffic.messages",
+        "install_traffic.hops": _WRAP,
+        "install_traffic.hops_by_type": _BILLING,
+        "stream_traffic.hops": _WRAP + "; notifications; DAI-T's send-once memory",
+        "stream_traffic.hops_by_type": _BILLING,
+        "stream_traffic.messages": _ORDER,
+        "stream_traffic.messages_by_type.notification": _ORDER,
+    },
+    ("live", "dai-v"): {
+        "load.TF": "load.vl_filtering",
+        "load.vl_filtering": "a join counts the projections stored when it arrives",
+        "load.filtering": "load.vl_filtering, per node",
+    },
+}
+
+
+def differences(expected, got, path: str = "") -> Iterator[tuple]:
+    """``(column path, expected, got)`` for every leaf that differs."""
+    if isinstance(expected, dict) and isinstance(got, dict):
+        for key in sorted(set(expected) | set(got)):
+            yield from differences(
+                expected.get(key), got.get(key), f"{path}.{key}" if path else key
+            )
+    elif expected != got:
+        yield path, expected, got
+
+
+def sibling_differences(
+    sim_metrics: Mapping, metrics: Mapping, params: Mapping, columns=None
+) -> list[tuple]:
+    """``(column path, sim, this)`` for every exact column (or every one
+    of ``columns``) in which the row of ``params`` differs from its
+    ``sim`` sibling, less what :data:`MAY_DIFFER` allows its transport."""
+    keys = [(params["transport"], None), (params["transport"], params["algorithm"])]
+    allowed = [path for key in keys for path in MAY_DIFFER.get(key, ())]
+    expected, got = exact_columns(sim_metrics), exact_columns(metrics)
+    names = expected if columns is None else columns
+    return [
+        (path, old, new)
+        for path, old, new in differences(
+            {name: expected[name] for name in names}, {name: got.get(name) for name in names}
+        )
+        if not any(path == entry or path.startswith(entry + ".") for entry in allowed)
+    ]

@@ -220,9 +220,7 @@ class Algorithm:
         if len(idents) == 1:
             transport.send(origin, messages[0], idents[0])
         else:
-            transport.multisend(
-                origin, messages, idents, recursive=engine.config.recursive_multisend
-            )
+            transport.multisend(origin, messages, idents)
         return labels
 
     def on_query(
@@ -279,9 +277,7 @@ class Algorithm:
                 messages.append(
                     VLIndexMessage(tuple=tup, index_attribute=attribute, refresh=refresh)
                 )
-        engine.transport.multisend(
-            origin, messages, idents, recursive=engine.config.recursive_multisend
-        )
+        engine.transport.multisend(origin, messages, idents)
 
     # ------------------------------------------------------------------
     # Attribute level: trigger, rewrite, reindex (Section 4.3.2)
@@ -389,12 +385,7 @@ class Algorithm:
                 routed_idents.append(ident)
                 routed_messages.append(message)
         if routed_idents:
-            targets = transport.multisend(
-                node,
-                routed_messages,
-                routed_idents,
-                recursive=engine.config.recursive_multisend,
-            )
+            targets = transport.multisend(node, routed_messages, routed_idents)
             if state.jfrt is not None:
                 for ident, target in zip(routed_idents, targets):
                     state.jfrt.learn(ident, target)

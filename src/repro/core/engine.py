@@ -78,7 +78,8 @@ class EngineConfig:
 
     Defaults reproduce the paper's baseline setting: SAI with the
     min-rate index-attribute choice, no replication, no JFRT, unbounded
-    window, recursive ``multisend``.
+    window.  ``multisend`` is always the recursive sweep (Section 2.3);
+    E1 measures the iterative one on the router directly.
     """
 
     algorithm: str = "sai"
@@ -90,8 +91,6 @@ class EngineConfig:
     jfrt_capacity: int = 0
     #: Sliding window over tuple publication times; ``None`` = unbounded.
     window: Optional[float] = None
-    #: Use the recursive multisend (Section 2.3); False = iterative.
-    recursive_multisend: bool = True
     #: DAI-V keyed variant (``Hash(Key(q) + valJC)``, Section 4.5 end).
     daiv_keyed: bool = False
     seed: int = 0

@@ -29,6 +29,12 @@ Commands
     Re-run every row of an ``export --json`` file and fail unless the
     counted metrics repeat exactly and each wall stays within budget
     (:mod:`repro.expdb.gate` — the CI perf gate).
+``diff``
+    Run a grid (the ``fill`` flags) without a database and fail unless
+    every row equals its ``sim`` sibling in every exact column but
+    those :data:`repro.bench.rows.MAY_DIFFER` names — the
+    cross-executor differential; ``shard`` rows run in process and
+    over forked shards, in epochs of 64 events.
 ``figure``
     Print tables and figures of the paper (``figure E6 E7``): fill each
     one's grids at ``--scale`` over ``--seeds``, drain what is still
@@ -61,7 +67,7 @@ from .db import (
     read_export,
     row_label,
 )
-from .gate import gate_rows
+from .gate import diff_rows, gate_rows
 from .grid import ALGORITHMS, GridSpec, parse_axis
 from .worker import WorkerConfig, default_worker_id, run_worker
 
@@ -360,6 +366,20 @@ def cmd_gate(args) -> int:
 
 
 # ----------------------------------------------------------------------
+# diff
+# ----------------------------------------------------------------------
+
+def cmd_diff(args) -> int:
+    failed = 0
+    for label, problems in diff_rows(_grid_from_args(args).expand()):
+        print(f"{'FAIL' if problems else 'ok':4s} {label}")
+        for problem in problems:
+            print(f"DIFF FAIL: {label}: {problem}", file=sys.stderr)
+        failed += bool(problems)
+    return 1 if failed else 0
+
+
+# ----------------------------------------------------------------------
 # figure
 # ----------------------------------------------------------------------
 
@@ -383,6 +403,23 @@ def cmd_figure(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+def _add_grid_flags(command: argparse.ArgumentParser) -> None:
+    """The grid flags ``fill`` and ``diff`` read (:func:`_grid_from_args`)."""
+    command.add_argument("--grid", help="grid spec JSON file (axes: see GridSpec)")
+    command.add_argument("--transports", help=f"comma list of {TRANSPORTS}")
+    command.add_argument("--algorithms", help=f"comma list of {ALGORITHMS}")
+    command.add_argument("--nodes", help="comma list of ring sizes")
+    command.add_argument("--queries", help="comma list of query counts")
+    command.add_argument("--tuples", help="comma list of tuple counts")
+    command.add_argument("--domains", help="comma list of domain sizes")
+    command.add_argument("--zipf", help="comma list of Zipf exponents")
+    command.add_argument("--windows", help="comma list of windows ('none' = unbounded)")
+    command.add_argument("--replication", help="comma list of replication factors")
+    command.add_argument("--jfrt", help="comma list of JFRT capacities")
+    command.add_argument("--evict-every", help="comma list of eviction schedules")
+    command.add_argument("--seeds", help="comma list of seeds")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.expdb",
@@ -394,20 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     fill = commands.add_parser("fill", help="expand a grid and upsert it")
-    fill.add_argument("--grid", help="grid spec JSON file (axes: see GridSpec)")
-    fill.add_argument("--transports", help=f"comma list of {TRANSPORTS}")
-    fill.add_argument("--algorithms", help=f"comma list of {ALGORITHMS}")
-    fill.add_argument("--nodes", help="comma list of ring sizes")
-    fill.add_argument("--queries", help="comma list of query counts")
-    fill.add_argument("--tuples", help="comma list of tuple counts")
-    fill.add_argument("--domains", help="comma list of domain sizes")
-    fill.add_argument("--zipf", help="comma list of Zipf exponents")
-    fill.add_argument("--windows", help="comma list of windows ('none' = unbounded)")
-    fill.add_argument("--replication", help="comma list of replication factors")
-    fill.add_argument("--jfrt", help="comma list of JFRT capacities")
-    fill.add_argument("--evict-every", help="comma list of eviction schedules")
-    fill.add_argument("--seeds", help="comma list of seeds")
+    _add_grid_flags(fill)
     fill.set_defaults(handler=cmd_fill)
+
+    diff = commands.add_parser(
+        "diff", help="run a grid; every row must equal its sim sibling"
+    )
+    _add_grid_flags(diff)
+    diff.set_defaults(handler=cmd_diff)
 
     worker = commands.add_parser("worker", help="pull and execute open experiments")
     worker.add_argument("--worker-id", default=None, help="default: host:pid")

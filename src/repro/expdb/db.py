@@ -252,9 +252,11 @@ def decode_params(row: dict) -> dict:
 
 
 def row_label(row_id, params: dict) -> str:
-    """How log lines and gate failures name one experiment."""
+    """How log lines and gate failures name one experiment (a row
+    that is in no database has ``row_id`` None)."""
     return (
-        f"#{row_id} {params['transport']}/{params['algorithm']} "
+        ("" if row_id is None else f"#{row_id} ")
+        + f"{params['transport']}/{params['algorithm']} "
         f"n={params['n_nodes']} seed={params['seed']}"
     )
 

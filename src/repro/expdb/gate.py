@@ -1,5 +1,13 @@
-"""The gate: re-run a committed baseline row by row and hold today's
-code to it (``python -m repro.expdb gate BENCH_baseline.json``).
+"""The gate and the diff: re-run rows and hold today's code to them.
+
+``python -m repro.expdb gate BENCH_baseline.json`` holds every row of a
+committed baseline to what it stored; ``python -m repro.expdb diff``
+holds every row of a grid to its ``sim`` sibling, the same parameters
+on the serial simulator (:func:`diff_rows`).  Both compare through one
+function over :func:`~repro.bench.rows.exact_columns`
+(:func:`~repro.bench.rows.differences`), and the only columns a sibling
+may differ in are the entries of :data:`~repro.bench.rows.MAY_DIFFER`,
+each with its reason.
 
 A baseline is an ``export --json`` file.  Every row in it is decoded
 back to its parameters, run through the same
@@ -24,10 +32,11 @@ it grows monotonically across rows and is not gated.
 from __future__ import annotations
 
 import traceback
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from ..bench.rows import METRIC_FIELDS, exact_columns
-from .db import decode_done_row, row_label
+from ..bench.rows import METRIC_FIELDS, differences, exact_columns, sibling_differences
+from ..sim.shard import fork_available
+from .db import PARAM_FIELDS, decode_done_row, decode_params, row_label
 from .runner import ExperimentOutcome, run_experiment
 
 #: Today's wall may be this many times the stored one.  Both sides are
@@ -45,17 +54,6 @@ WALL_SLACK = 1.5
 #: runs in a row all land in.  Every run made must repeat the exact
 #: columns.
 MAX_RUNS = 3
-
-
-def _differences(stored, fresh, path: str = "") -> Iterator[tuple]:
-    """``(column path, stored, fresh)`` for every leaf that differs."""
-    if isinstance(stored, dict) and isinstance(fresh, dict):
-        for key in sorted(set(stored) | set(fresh)):
-            yield from _differences(
-                stored.get(key), fresh.get(key), f"{path}.{key}" if path else key
-            )
-    elif stored != fresh:
-        yield path, stored, fresh
 
 
 class _GatedRow:
@@ -95,7 +93,7 @@ class _GatedRow:
             against, verdict = self.first, "non-deterministic, differs between runs"
         self.problems.extend(
             f"{self.label}: {column} {verdict}: {old!r} -> {new!r}"
-            for column, old, new in _differences(
+            for column, old, new in differences(
                 against, {name: exact.get(name) for name in against}
             )
         )
@@ -145,3 +143,60 @@ def gate_rows(
         )
         report(entry.row, entry.kept, entry.problems)
     return [problem for entry in gated for problem in entry.problems]
+
+
+#: Forked shards a ``shard`` row of the diff runs over, besides in process.
+DIFF_SHARDS = 4
+
+#: Events per staged epoch of a diff's ``shard`` rows, well below the
+#: executor's default so that a small grid still crosses many epoch
+#: barriers (CI's 800-tuple grids: 13 each, not 2).
+DIFF_BATCH = 64
+
+
+def diff_rows(rows: Iterable[Mapping]) -> Iterator[tuple[str, list[str]]]:
+    """``(label, problems)`` per run of a grid's rows, each held to its
+    ``sim`` sibling (``python -m repro.expdb diff``; no problems: agreed).
+
+    ``rows`` are normalized parameter rows, as
+    :meth:`~repro.expdb.grid.GridSpec.expand` gives them.  They are
+    grouped by identity minus ``transport``, and each group's ``sim``
+    row runs first, named by the grid or not; if it fails, nothing else
+    in the group runs.  A ``shard`` row runs in process and, where fork
+    is available, over :data:`DIFF_SHARDS` forked shards, in epochs of
+    :data:`DIFF_BATCH` events.  A label names, besides what
+    :func:`~repro.expdb.db.row_label` says, every parameter that is
+    not the same on all rows.
+    """
+    rows = list(rows)
+    named = ("transport", "algorithm", "n_nodes", "seed")  # by row_label
+    varying = [n for n in PARAM_FIELDS if n not in named and len({r[n] for r in rows}) > 1]
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        identity = tuple(sorted((k, v) for k, v in row.items() if k != "transport"))
+        groups.setdefault(identity, []).append(row)
+    forks = (1, DIFF_SHARDS) if fork_available() else (1,)
+    for members in groups.values():
+        runs = [({**members[0], "transport": "sim"}, None)] + [
+            (row, shards)
+            for row in members
+            if row["transport"] != "sim"
+            for shards in (forks if row["transport"] == "shard" else (None,))
+        ]
+        sim = None
+        for row, shards in runs:
+            params = decode_params(row)
+            label = " ".join([row_label(None, params)] + [f"{n}={row[n]}" for n in varying])
+            label += f" shards={shards}" if shards else ""
+            try:
+                metrics = run_experiment(params, shards=shards, batch_size=DIFF_BATCH).metrics
+            except Exception:
+                yield label, [f"run failed:\n{traceback.format_exc()}"]
+                if sim is None:
+                    break
+                continue
+            sim = sim or metrics  # the group's first run is its sim row
+            yield label, [
+                f"{column} differs from sim: {old!r} -> {new!r}"
+                for column, old, new in sibling_differences(sim, metrics, params)
+            ]

@@ -25,12 +25,14 @@ columns — wall seconds, peak RSS, events over wall seconds.
   :meth:`repro.net.cluster.LiveCluster.run` at
   :data:`repro.net.cluster.CREDIT_BUDGET`.
 
-Every ``live`` row and every faulted ``sim`` row is checked against
-:func:`reference`, the fault-free serial replay; a digest or delivered
-count that differs raises, so such a row can only become ``done`` if it
-equals the simulator.  The metrics are reproducible from the parameters
-alone — the ``live`` block of a live row aside — so re-running a row
-must give byte-identical metrics.  ``wall_seconds`` is the whole path a
+Every ``live`` row and every faulted ``sim`` row is held to the
+fault-free serial replay of its parameters by the comparison the gate
+and the diff use (:func:`repro.bench.rows.sibling_differences`, on the
+answer columns): a digest or delivered count that differs raises, so
+such a row can only become ``done`` if it equals the simulator.  The
+metrics are reproducible from the parameters alone — the ``live``
+block of a live row aside — so re-running a row must give
+byte-identical metrics.  ``wall_seconds`` is the whole path a
 user pays for: ring build + install + stream for the simulators (plus
 restart and settle on a churn row), install + stream for the live
 cluster.
@@ -56,8 +58,8 @@ from typing import Optional
 
 from ..bench.configs import Scale
 from ..bench.harness import make_engine, run_workload, workload_for
-from ..bench.rows import RunReport
-from ..bench.scale import peak_rss_kb, run_scale_point
+from ..bench.rows import ANSWER_COLUMNS, RunReport, sibling_differences
+from ..bench.scale import DEFAULT_BATCH_SIZE, peak_rss_kb, run_scale_point
 from ..chord.hashing import hash_key_cache_clear
 from ..core.engine import EngineConfig
 from ..faults import ChaosHarness, DelaySpec, FaultInjector, FaultPlan, churn_schedule
@@ -100,10 +102,10 @@ def scale_for(params: dict) -> Scale:
 
 def engine_overrides(params: dict) -> dict:
     """EngineConfig overrides encoded by the feature columns and the
-    ``overrides.engine`` section (comparisons between algorithms use
-    the random index choice unless a row says otherwise; a ``live`` row
-    keeps the cluster's own default)."""
-    overrides: dict = {} if params["transport"] == "live" else {"index_choice": "random"}
+    ``overrides.engine`` section, alike on every transport (comparisons
+    between algorithms use the random index choice unless a row says
+    otherwise)."""
+    overrides: dict = {"index_choice": "random"}
     if params["window"]:
         overrides["window"] = params["window"]
     if params["replication_factor"] != 1:
@@ -128,7 +130,7 @@ def row_workload(params: dict) -> Workload:
     return workload_for(scale_for(params), **drawn)
 
 
-def _sim(params: dict, shards: Optional[int]) -> tuple[RunReport, float]:
+def _sim(params: dict, shards: Optional[int], batch_size: int) -> tuple[RunReport, float]:
     plan = fault_plan_from_dict(params["fault_plan"]) if params["fault_plan"] else None
     injector = FaultInjector(plan) if plan is not None else None
     start = time.perf_counter()
@@ -158,19 +160,20 @@ def _sim(params: dict, shards: Optional[int]) -> tuple[RunReport, float]:
     return report, time.perf_counter() - start
 
 
-def _shard(params: dict, shards: Optional[int]) -> tuple[RunReport, float]:
+def _shard(params: dict, shards: Optional[int], batch_size: int) -> tuple[RunReport, float]:
     return run_scale_point(
         params["algorithm"],
         scale_for(params),
         seed=params["seed"],
         shards=shards,
+        batch_size=batch_size,
         config_overrides=engine_overrides(params),
         workload_overrides=workload_overrides(params),
         evict_every=params["evict_every"],
     )
 
 
-def _live(params: dict, shards: Optional[int]) -> tuple[RunReport, float]:
+def _live(params: dict, shards: Optional[int], batch_size: int) -> tuple[RunReport, float]:
     from ..net.cluster import CREDIT_BUDGET, ClusterConfig, run_live
     from ..net.peer import NetConfig
 
@@ -185,7 +188,8 @@ def _live(params: dict, shards: Optional[int]) -> tuple[RunReport, float]:
     return report, report.live["install_seconds"] + report.live["stream_seconds"]
 
 
-#: Transport → executor: ``(params, shards) -> (report, wall seconds)``.
+#: Transport → executor: ``(params, shards, batch_size) -> (report, wall
+#: seconds)``; the shard count and epoch size stage a ``shard`` row.
 EXECUTORS = {"sim": _sim, "shard": _shard, "live": _live}
 
 
@@ -199,16 +203,13 @@ REFUSED_FAULTS = {
 }
 
 
-def reference(params: dict) -> tuple[str, int]:
-    """Digest and delivered count of the row's fault-free serial replay:
-    the same workload, seed and engine configuration on the simulator."""
-    report, _ = _sim({**params, "fault_plan": ""}, None)
-    return report.notification_digest, report.notifications_delivered
-
-
-def run_experiment(params: dict, *, shards: Optional[int] = None) -> ExperimentOutcome:
+def run_experiment(
+    params: dict, *, shards: Optional[int] = None, batch_size: int = DEFAULT_BATCH_SIZE
+) -> ExperimentOutcome:
     """One claimed row, executed; raises on any error (the worker
-    records the traceback in the row)."""
+    records the traceback in the row).  ``shards`` and ``batch_size``
+    stage a ``shard`` row (:func:`~repro.bench.scale.run_scale_point`)
+    and change none of its exact columns but ``exchange_records``."""
     transport = params["transport"]
     execute = EXECUTORS.get(transport)
     if execute is None:
@@ -219,18 +220,19 @@ def run_experiment(params: dict, *, shards: Optional[int] = None) -> ExperimentO
         raise ValueError(REFUSED_FAULTS[transport])
     hash_key_cache_clear()
     gc.collect()
-    report, wall = execute(params, shards)
+    report, wall = execute(params, shards, batch_size)
+    metrics = report.to_row()
     if transport == "live" or plan:
-        got = (report.notification_digest, report.notifications_delivered)
-        expected = reference(params)
-        if got != expected:
+        clean, _ = _sim({**params, "fault_plan": None}, None, batch_size)
+        diverged = sibling_differences(clean.to_row(), metrics, params, ANSWER_COLUMNS)
+        if diverged:
             raise RuntimeError(
                 f"{transport} {params['algorithm']} run diverged from the "
-                f"simulator: digest {got[0][:12]} / {got[1]} delivered "
-                f"!= {expected[0][:12]} / {expected[1]}"
+                "simulator: "
+                + ", ".join(f"{c} {sim!r} != {got!r}" for c, sim, got in diverged)
             )
     return ExperimentOutcome(
-        metrics=report.to_row(),
+        metrics=metrics,
         resources={
             "wall_seconds": round(wall, 4),
             "peak_rss_kb": peak_rss_kb(),

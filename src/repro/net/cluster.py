@@ -439,8 +439,9 @@ class LiveCluster:
         (seeded origin draws, clock advances, the install/stream boundary
         and ``schedule``'s publish indexes, as the simulator replays it),
         each event gated only by the credit budget; drain at the boundary,
-        where the install/stream traffic split is taken, and once at the
-        end, then measure.
+        where the install/stream split is taken (:meth:`ReplayOrder.split`
+        — a replay whose boundary never fires is all install), and once
+        at the end, then measure.
 
         ``origins`` is a fixed, identifier-ordered tuple of nodes to draw
         from, the live ring by default.  ``schedule`` maps publish indexes
@@ -502,24 +503,26 @@ class LiveCluster:
                 publish_wall[event.time] = clock()
                 engine.publish(origin, relation, values)
         await self.drain(tolerate_failures=tolerate)
-        stream_seconds = clock() - stream_start
+        install_seconds, stream_seconds = replay.split(install_start, stream_start, clock())
+        install_traffic, stream_traffic = replay.split(
+            traffic_start, installed, self.stats.snapshot()
+        )
+        _, stream_tuples = replay.split(0, install_tuples, replay.published)
 
         peers = self.peers.values()
         return RunReport(
             kind="live",
             engine=engine,
-            install_traffic=installed - traffic_start,
-            stream_traffic=self.stats.snapshot() - installed,
+            install_traffic=install_traffic,
+            stream_traffic=stream_traffic,
             events=replay.events,
             evictions=0,
             suppressed_renotifications=engine.suppressed_renotifications,
             duplicate_deliveries=engine.duplicate_deliveries,
             live={
-                "install_seconds": round(stream_start - install_start, 4),
+                "install_seconds": round(install_seconds, 4),
                 "stream_seconds": round(stream_seconds, 4),
-                "stream_tuples_per_sec": _per_second(
-                    replay.published - install_tuples, stream_seconds
-                ),
+                "stream_tuples_per_sec": _per_second(stream_tuples, stream_seconds),
                 "notifications_per_sec": _per_second(
                     sum(map(len, engine.delivered.values())), stream_seconds
                 ),

@@ -1334,17 +1334,11 @@ class SocketTransport(Transport):
         source: "ChordNode",
         messages: Sequence[Message] | Message,
         idents: Sequence[int],
-        *,
-        recursive: bool = True,
     ) -> list["ChordNode"]:
         cluster = self.cluster
         message_list = Router._pair_messages(messages, idents)
         owners = [cluster.network.responsible_node(ident) for ident in idents]
         if not idents:
-            return owners
-        if not recursive:
-            for message, ident in zip(message_list, idents):
-                self.send(source, message, ident)
             return owners
         size = cluster.network.space.size
         start = source.ident

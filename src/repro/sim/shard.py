@@ -371,6 +371,7 @@ def _run_staged(
     features = shard_capabilities(engine)
     network = engine.network
     window = engine.config.window
+    start = network.stats.snapshot()
     install_snapshot = stream = None
     epoch = evictions = 0
     try:
@@ -402,19 +403,19 @@ def _run_staged(
         if epoch:
             stream.barrier(epoch)
             pause.freeze_survivors()
-        if install_snapshot is None:
-            install_snapshot = network.stats.snapshot()
         if window is not None:
             # The serial replay's unconditional final sweep.
             evictions += engine.evict_expired() if stream is None else stream.evict()
 
-        stream_snapshot = network.stats.since(install_snapshot)
+        install_traffic, stream_traffic = replay.split(
+            start, install_snapshot, network.stats.snapshot()
+        )
         duplicate_deliveries = engine.duplicate_deliveries
         gathered_pairs = gathered_load = None
         if stream is not None and stream.pool is not None:
             gathered_pairs, loads = {}, []
             for _, delta, pairs, duplicates, load in stream.finish():
-                stream_snapshot += delta
+                stream_traffic += delta
                 gathered_pairs.update(pairs)
                 duplicate_deliveries += duplicates
                 loads.append(load)
@@ -426,8 +427,8 @@ def _run_staged(
     return RunReport(
         kind="shard",
         engine=engine,
-        install_traffic=install_snapshot,
-        stream_traffic=stream_snapshot,
+        install_traffic=install_traffic,
+        stream_traffic=stream_traffic,
         events=replay.events,
         evictions=evictions,
         suppressed_renotifications=engine.suppressed_renotifications,

@@ -31,7 +31,8 @@ Contract notes (normative for implementations):
   costs one hop (zero when ``source is target``) and is never routed.
 * ``multisend`` accepts one message for all identifiers or one message
   per identifier, and returns the recipient per identifier in input
-  order.  The recursive variant sweeps the ring clockwise once.
+  order, sweeping the ring clockwise once (the recursive variant of
+  Section 2.3; the router keeps the iterative one for bench E1).
 * ``lookup`` resolves ``Successor(ident)`` *without* delivering
   anything, billing its hops to ``account`` (rate probes, §4.3.6).
 * Messages must stay semantically immutable in transit: a transport
@@ -127,10 +128,9 @@ class Transport(ABC):
         source: "ChordNode",
         messages: "Sequence[Message] | Message",
         idents: Sequence[int],
-        *,
-        recursive: bool = True,
     ) -> list["ChordNode"]:
-        """Deliver ``messages[j]`` to ``Successor(idents[j])`` for all j."""
+        """Deliver ``messages[j]`` to ``Successor(idents[j])`` for all j,
+        in one clockwise sweep."""
 
     @abstractmethod
     def lookup(

@@ -95,7 +95,7 @@ class TestNotificationDigest:
 
 class TestMetricSummary:
     def test_scale_fields_include_evictions(self):
-        # What bench.scale --verify and the gate compare, alike.
+        # What expdb diff and the gate compare, alike.
         exact = exact_columns(tiny_result().to_row())
         assert {"evictions", "install_traffic", "stream_traffic", "load"} <= set(exact)
 

@@ -1,5 +1,5 @@
 """The sharded sweep point: its sample, its row under the gate, the
-committed baselines and the ``--verify`` differential."""
+committed baselines and the ``diff`` differential at a small ring."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.configs import Scale
-from repro.bench.scale import run_scale_point, scale_point, verify_equivalence
+from repro.bench.scale import run_scale_point
 from repro.expdb.db import (
     PARAM_FIELDS,
     decode_done_row,
@@ -18,8 +18,10 @@ from repro.expdb.db import (
     normalize_params,
     read_export,
 )
-from repro.expdb.gate import gate_rows
+from repro.expdb.cli import main as expdb_main
+from repro.expdb.gate import DIFF_BATCH, gate_rows
 from repro.expdb.runner import run_experiment
+from repro.sim.shard import _Stream
 
 from ..expdb.gate_fakes import export_rows
 
@@ -140,13 +142,13 @@ class TestGate:
 class TestCommittedBaseline:
     POINTS = {
         "sim": (512, 200, 350, 900, 0.75),
+        "shard": (20_000, 400, 800, 900, 0.75),
         "live": (16, 30, 400, 40, 0.9),
     }
 
     def test_baseline_matches_cli_defaults(self):
         """BENCH_baseline.json holds exactly the three gated points plus
-        one faulted ``sim`` row, and its ``shard`` rows are the point
-        ``bench.scale`` runs by default."""
+        one faulted ``sim`` row."""
         rows = read_export(str(REPO_ROOT / "BENCH_baseline.json"))
         (faulted,) = [row for row in rows if row["fault_plan"]]
         assert (faulted["transport"], faulted["algorithm"], faulted["n_nodes"]) == (
@@ -158,17 +160,6 @@ class TestCommittedBaseline:
             for transport in ("sim", "shard", "live")
             for algorithm in ("sai", "dai-q", "dai-t", "dai-v")
         )
-        default = scale_point(20_000)
-        points = {
-            **self.POINTS,
-            "shard": (
-                default.n_nodes,
-                default.n_queries,
-                default.n_tuples,
-                default.domain_size,
-                default.zipf_s,
-            ),
-        }
         for row in rows:
             assert (
                 row["n_nodes"],
@@ -176,7 +167,7 @@ class TestCommittedBaseline:
                 row["n_tuples"],
                 row["domain_size"],
                 row["zipf_s"],
-            ) == points[row["transport"]]
+            ) == self.POINTS[row["transport"]]
             assert row["seed"] == 1
             assert row["notification_digest"] and row["wall_seconds"] > 0
 
@@ -213,7 +204,30 @@ class TestCommittedBaseline:
         assert params["overrides"] is None and resources["shards"] == 1
 
 
-class TestVerifySmall:
-    def test_verify_equivalence_at_small_ring(self):
-        """The --verify differential at unit-test scale, one algorithm."""
-        assert verify_equivalence(n_nodes=64, algorithms=("sai",)) == []
+class TestDiffSmall:
+    def test_diff_holds_shard_to_sim_at_small_ring(self, capsys, monkeypatch):
+        """CI's ``diff`` differential at unit-test scale, one algorithm:
+        the staged executor, in process and forked, equals the serial
+        simulator on every exact column the table does not exempt,
+        across an epoch barrier every ``DIFF_BATCH`` events."""
+        barriers = []
+        real_barrier = _Stream.barrier
+
+        def counting(stream, size):
+            barriers.append(size)
+            return real_barrier(stream, size)
+
+        monkeypatch.setattr(_Stream, "barrier", counting)
+        code = expdb_main(
+            [
+                "diff", "--transports", "sim,shard", "--algorithms", "sai",
+                "--nodes", "64", "--queries", "400", "--tuples", "800",
+                "--domains", "900", "--zipf", "0.75",
+            ]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[:2] == ["ok   sim/sai n=64 seed=1", "ok   shard/sai n=64 seed=1 shards=1"]
+        assert lines[2:] in ([], ["ok   shard/sai n=64 seed=1 shards=4"])
+        runs = len(lines) - 1
+        assert len(barriers) == 13 * runs and set(barriers) == {DIFF_BATCH, 800 % DIFF_BATCH}

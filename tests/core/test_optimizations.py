@@ -129,24 +129,3 @@ class TestReplicationIntegration:
         baseline_storage = sum(baseline.load.attribute_level_storage.values())
         replicated_storage = sum(replicated.load.attribute_level_storage.values())
         assert replicated_storage == 4 * baseline_storage
-
-
-class TestRecursiveMultisendIntegration:
-    def test_iterative_mode_same_answers_more_hops(self, shared_workload):
-        recursive = run_standard(
-            "dai-t",
-            SMOKE,
-            config_overrides={"index_choice": "random"},
-            workload=shared_workload,
-        )
-        iterative = run_standard(
-            "dai-t",
-            SMOKE,
-            config_overrides={"index_choice": "random", "recursive_multisend": False},
-            workload=shared_workload,
-        )
-        for key in recursive.engine.delivered:
-            assert recursive.engine.delivered_rows(key) == iterative.engine.delivered_rows(
-                key
-            )
-        assert recursive.stream_traffic.hops < iterative.stream_traffic.hops

@@ -180,23 +180,63 @@ def test_default_origins_are_the_random_node_draws(monkeypatch):
         assert len({ident for _, ident in expected}) > 1
 
 
+@pytest.mark.parametrize("n_queries, n_tuples", [(0, 10), (10, 0)])
+def test_a_replay_without_a_boundary_is_all_install(n_queries, n_tuples):
+    """``ReplayOrder.split`` is the one phase split: no query, or no
+    tuple after one, and the boundary never fires, so the serial, the
+    staged and the live driver all bill the whole replay as install."""
+    workload = build_workload(
+        WorkloadParams(n_queries=n_queries, n_tuples=n_tuples, domain_size=20, seed=1)
+    )
+    engine_config = EngineConfig(algorithm="sai", seed=1, index_choice="random")
+
+    def engine():
+        return ContinuousQueryEngine(ChordNetwork.build(16), engine_config)
+
+    reports = [
+        run_workload(engine(), workload, seed=1),
+        run_sharded(engine(), workload, seed=1),
+        asyncio.run(
+            run_live(
+                workload,
+                ClusterConfig(
+                    algorithm="sai",
+                    n_nodes=16,
+                    seed=1,
+                    engine_overrides={"index_choice": "random"},
+                ),
+            )
+        ),
+    ]
+    for report in reports:
+        assert report.install_traffic.hops > 0, report.kind
+        assert report.stream_traffic.hops == report.stream_traffic.messages == 0
+    assert reports[0].install_traffic == reports[1].install_traffic
+    assert reports[2].live["stream_seconds"] == 0
+    assert reports[2].live["stream_tuples_per_sec"] == 0
+
+
 def test_a_live_row_that_leaves_the_simulator_cannot_finish(monkeypatch):
     """A live row raises on a digest or a count the oracle does not
     confirm, so the worker records an error and the gate a failure."""
     import repro.expdb.runner as runner_module
 
     params = decode_params(normalize_params(LIVE_ROW))
-    real = runner_module.reference
-    for tamper in (
-        lambda digest, delivered: ("0" * 40, delivered),
-        lambda digest, delivered: (digest, delivered + 1),
+    real = runner_module._sim
+    for column, tamper in (
+        ("notification_digest", lambda digest: "0" * 40),
+        ("notifications_delivered", lambda delivered: delivered + 1),
     ):
-        monkeypatch.setattr(
-            runner_module,
-            "reference",
-            lambda *args, **kwargs: tamper(*real(*args, **kwargs)),
-        )
-        with pytest.raises(RuntimeError, match="diverged from the simulator"):
+
+        def tampered(*args, column=column, tamper=tamper, **kwargs):
+            report, wall = real(*args, **kwargs)
+            setattr(report, column, tamper(getattr(report, column)))
+            return report, wall
+
+        # The live row runs through EXECUTORS; only the fault-free
+        # serial replay it is held to is looked up by name.
+        monkeypatch.setattr(runner_module, "_sim", tampered)
+        with pytest.raises(RuntimeError, match=f"diverged from the simulator: {column}"):
             run_experiment(params)
 
 

@@ -5,8 +5,8 @@ serial simulator — same hop and message counters per type, same
 delivered notifications, same suppression counts (DESIGN.md §14).
 These tests replay one seeded workload per algorithm three ways
 (serial harness, staged in-process, forked shards) and require
-bit-identical metrics, mirroring ``python -m repro.bench.scale
---verify`` at test-suite scale.
+bit-identical metrics, mirroring ``python -m repro.expdb diff
+--transports sim,shard`` at test-suite scale.
 """
 
 from __future__ import annotations

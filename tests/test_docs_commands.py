@@ -39,9 +39,11 @@ COMMAND_SOURCES = (
 #: classes the one ``RunReport`` replaced, with their helpers, and the
 #: heap scheduler beside the one serial replay loop, with its fault
 #: wiring, the chaos soak's own settings record and report beside
-#: the one fault plan and run report, and the N-way pipeline modules and
+#: the one fault plan and run report, the N-way pipeline modules and
 #: second parse path that moved out of the library to
-#: ``examples/multiway/``.
+#: ``examples/multiway/``, and the sharded differential, the runner's
+#: own reference check and the engine's iterative-multisend switch that
+#: ``expdb diff`` and the one recursive sweep replaced.
 DELETED = (
     "EventRing",
     "run_stream",
@@ -96,6 +98,12 @@ DELETED = (
     "repro.core.multiway",
     "repro.sql.multiway",
     "parse_multiway_parts",
+    "repro.bench.scale --verify",
+    "verify_equivalence",
+    "runner.reference",
+    "recursive_multisend",
+    "VERIFY_FEATURED",
+    "HEADLINE_ALGORITHMS",
 )
 
 
@@ -152,6 +160,17 @@ def test_the_gate_and_the_import_are_among_them():
     imported = [args.files for args in ci if args.command == "import-json"]
     assert gated == ["BENCH_baseline.json"]
     assert imported == [["BENCH_baseline.json", "BENCH_history.json"]]
+
+
+def test_ci_diffs_both_shard_configurations_and_the_live_point():
+    ci = [parse(arguments) for arguments in expdb_commands(".github/workflows/ci.yml")]
+    diffs = [args for args in ci if args.command == "diff"]
+    shard = [args for args in diffs if args.transports == "sim,shard"]
+    assert [(args.nodes, args.windows, args.replication, args.jfrt) for args in shard] == [
+        ("512", None, None, None),
+        ("512", "240", "2", "8"),
+    ]
+    assert [args.nodes for args in diffs if args.transports == "sim,shard,live"] == ["16"]
 
 
 @pytest.mark.parametrize("relative", COMMAND_SOURCES)
