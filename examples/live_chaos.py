@@ -2,15 +2,16 @@
 """Chaos over TCP: a live ring surviving injected wire faults.
 
 Boots a 6-node cluster of real asyncio TCP peers, then streams a seeded
-workload through the one live driver (``LiveCluster.run``) while a
+workload through the one live driver (``run_live``) while a
 :class:`~repro.net.chaos.LiveChaos` layer attacks the transport with the
 acceptance preset: 5% of connection attempts refused, 5% of frames
 faulted on write (reset / truncated / garbled), one asymmetric network
 partition mid-stream, and two live crash/restart cycles.  One
-``FaultPlan`` holds every knob; the partition window and the churn are
-in workload time units (the k-th tuple publishes at time k), and
-``churn_schedule`` — the same builder the serial simulator uses — places
-them at publish indexes of the tuple stream.  Each crash kills a node's
+``FaultPlan``, the cluster's ``fault_plan``, holds every knob — retry
+ladder included; the partition window and the churn are in workload
+time units (the k-th tuple publishes at time k), and ``churn_schedule``
+— the same builder the serial simulator uses — places them at publish
+indexes of the tuple stream.  Each crash kills a node's
 server and event loop tasks for real, each restart rejoins on a fresh
 port and recovers its state through the soft-state lease protocol.
 
@@ -37,10 +38,8 @@ overrides individual plan fields (see ``parse_chaos_spec``).
 import asyncio
 
 from repro.faults.plan import FaultPlan, NetFaultSpec
-from repro.net.chaos import SUBSCRIBERS, run_chaos_soak, soak_ok, soak_summary
-from repro.net.cluster import ClusterConfig, live_summary, simulate_reference
-from repro.net.health import HealthConfig
-from repro.net.peer import NetConfig
+from repro.net.chaos import SUBSCRIBERS, soak_ok, soak_summary
+from repro.net.cluster import ClusterConfig, live_summary, run_live, simulate_reference
 from repro.workload.generator import WorkloadParams, build_workload
 
 ALGORITHM = "dai-v"
@@ -81,14 +80,8 @@ def main() -> None:
         f"({ALGORITHM}, {N_QUERIES} queries, {N_TUPLES} tuples, "
         f"{PLAN.crash_count} crash/restart cycles)..."
     )
-    config = ClusterConfig(
-        algorithm=ALGORITHM,
-        n_nodes=N_NODES,
-        seed=SEED,
-        net=NetConfig.from_fault_plan(PLAN),
-        health=HealthConfig(),
-    )
-    report = asyncio.run(run_chaos_soak(workload, config=config, plan=PLAN))
+    config = ClusterConfig(algorithm=ALGORITHM, n_nodes=N_NODES, seed=SEED, fault_plan=PLAN)
+    report = asyncio.run(run_live(workload, config))
 
     reference_digest, reference_delivered = simulate_reference(
         workload,

@@ -171,7 +171,6 @@ def run_workload(
     engine: ContinuousQueryEngine,
     workload: Workload,
     *,
-    collect_per_tuple_hops: bool = False,
     evict_every: int = 64,
     seed: int = 1,
     origins: Optional[Sequence[ChordNode]] = None,
@@ -184,7 +183,8 @@ def run_workload(
     install/stream traffic split is taken at its boundary
     (:meth:`ReplayOrder.split`).  When a sliding window is configured,
     value-level state is evicted whenever the cadence falls due, so
-    storage gauges track the window.
+    storage gauges track the window.  Every publish's hop count goes
+    into ``per_tuple_hops`` (one int per tuple; the row's ``load.fifth``).
 
     When the ring's injector perturbs delivery, deferred deliveries
     land before each event that is due at or after them, and the run
@@ -224,11 +224,10 @@ def run_workload(
                 for action in replay.actions:
                     action()
                 origin = replay.origin(event)
-                before = engine.traffic.hops if collect_per_tuple_hops else 0
+                before = engine.traffic.hops
                 relation, values = event.payload
                 engine.publish(origin, relation, values)
-                if collect_per_tuple_hops:
-                    per_tuple_hops.append(engine.traffic.hops - before)
+                per_tuple_hops.append(engine.traffic.hops - before)
             if replay.evict_due:
                 if window is not None:
                     evictions += engine.evict_expired()
@@ -261,7 +260,6 @@ def run_standard(
     config_overrides: Optional[dict] = None,
     workload: Workload | None = None,
     seed: int = 1,
-    collect_per_tuple_hops: bool = False,
     evict_every: int = 64,
     **workload_overrides,
 ) -> RunReport:
@@ -283,6 +281,5 @@ def run_standard(
         engine,
         workload,
         seed=seed,
-        collect_per_tuple_hops=collect_per_tuple_hops,
         evict_every=evict_every,
     )

@@ -145,7 +145,6 @@ def _sim(params: dict, shards: Optional[int], batch_size: int) -> tuple[RunRepor
         engine,
         workload,
         seed=params["seed"],
-        collect_per_tuple_hops=True,
         evict_every=params["evict_every"],
         schedule=churn_schedule(plan, harness, workload) if churns else None,
     )

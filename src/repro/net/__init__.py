@@ -8,8 +8,10 @@ sockets.  The pieces:
   format for every overlay message and its payload records;
 * :mod:`repro.net.frames` — routing envelopes and the bootstrap/join
   control frames exchanged between peers;
+* :mod:`repro.net.link` — the one dial (``open_link``) and its
+  timeouts;
 * :mod:`repro.net.peer` — one asyncio peer per overlay node: TCP
-  server, pooled outbound connections, timeouts, retry/backoff with
+  server, pooled outbound connections, retry/backoff with
   successor fallback, and the bounded in-flight credit ledger;
 * :mod:`repro.net.health` — heartbeat failure detection: suspect silent
   peers, route around them, probe until they return;

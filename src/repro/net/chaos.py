@@ -30,7 +30,8 @@ delivered and retries cannot duplicate; exactly-once delivery rests on
 the simulator's soft-state recovery model — leases, republication and
 subscriber-side dedup.
 
-The proof obligation is :func:`run_chaos_soak` (``python -m
+The proof obligation is :func:`soak`, which
+:func:`~repro.net.cluster.run_live` runs for such a plan (``python -m
 repro.net.cluster --chaos default --compare-sim``): stream a workload
 through the one live driver under sustained faults, heal, recover, and
 end with the fault-free simulator's notification digest
@@ -60,7 +61,7 @@ from .codec import HEADER_SIZE
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chord.node import ChordNode
     from ..bench.rows import RunReport
-    from .cluster import ClusterConfig, LiveCluster
+    from .cluster import LiveCluster
 
 
 class LiveChaos:
@@ -68,14 +69,14 @@ class LiveChaos:
 
     Owns the :class:`~repro.faults.injector.FaultInjector` whose seeded
     RNG decides refusals and frame faults, plus the current partition
-    (a set of blocked directed edges).  Installed on a cluster with
-    :meth:`~repro.net.cluster.LiveCluster.install_chaos` **before**
-    ``start()``.
+    (a set of blocked directed edges).  A
+    :class:`~repro.net.cluster.LiveCluster` builds one when its fault
+    plan faults the wire or churns the ring.
     """
 
-    def __init__(self, plan: FaultPlan, injector: Optional[FaultInjector] = None):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.injector = injector if injector is not None else FaultInjector(plan)
+        self.injector = FaultInjector(plan)
         self._blocked: set[tuple[int, int]] = set()
         self.counters: Counter = Counter()
 
@@ -288,11 +289,10 @@ class ChaosController:
         return digest
 
 
-async def run_chaos_soak(
-    workload: Workload, *, config: "ClusterConfig", plan: FaultPlan
-) -> "RunReport":
-    """Stream ``workload`` through :meth:`LiveCluster.run` under
-    sustained chaos; the run's report, read after recovery.
+async def soak(cluster: "LiveCluster", workload: Workload) -> "RunReport":
+    """Stream ``workload`` through a started cluster's
+    :meth:`~repro.net.cluster.LiveCluster.run` under its chaos layer;
+    the run's report, read after recovery.
 
     Wire faults run for the whole workload; the plan's crashes,
     restarts and partition window fire at publish indexes of the tuple
@@ -313,58 +313,49 @@ async def run_chaos_soak(
     checks the report against ``simulate_reference(...,
     subscribers=SUBSCRIBERS)`` (the CLI and CI do).
     """
-    from .cluster import LiveCluster
-
-    chaos = LiveChaos(plan)
-    cluster = LiveCluster(config)
-    cluster.install_chaos(chaos)
-    await cluster.start()
-    try:
-        engine = cluster.engine
-        pool = cluster.network.nodes[:SUBSCRIBERS]
-        harness = ChaosHarness(
-            engine, chaos.injector, protect=[node.ident for node in pool]
+    chaos = cluster.chaos
+    plan = chaos.plan
+    engine = cluster.engine
+    pool = cluster.network.nodes[:SUBSCRIBERS]
+    harness = ChaosHarness(engine, chaos.injector, protect=[node.ident for node in pool])
+    controller = ChaosController(cluster, harness, chaos)
+    schedule = churn_schedule(plan, controller, workload)
+    kinds = Counter(act.__name__ for acts in schedule.values() for act in acts)
+    if kinds["crash"] < plan.crash_count or kinds["begin_partition"] < bool(
+        plan.net.partition_for
+    ):
+        raise ValueError(
+            f"the plan's churn falls past a {workload.n_tuples}-tuple stream"
         )
-        controller = ChaosController(cluster, harness, chaos)
-        schedule = churn_schedule(plan, controller, workload)
-        kinds = Counter(act.__name__ for acts in schedule.values() for act in acts)
-        if kinds["crash"] < plan.crash_count or kinds["begin_partition"] < bool(
-            plan.net.partition_for
-        ):
-            raise ValueError(
-                f"the plan's churn falls past a {workload.n_tuples}-tuple stream"
-            )
-        report = await cluster.run(workload, origins=pool, schedule=schedule)
-        await controller.heal_partition()
-        await controller.restart_all()
-        await controller.settle()
+    report = await cluster.run(workload, origins=pool, schedule=schedule)
+    await controller.heal_partition()
+    await controller.restart_all()
+    await controller.settle()
 
-        soak = {
-            "crashes": controller.crashes,
-            "restarts": controller.restarts,
-            "suspicions": sum(
-                peer.detector.suspicions
-                for peer in cluster.peers.values()
-                if peer.detector is not None
-            ),
-            "crash_frame_losses": cluster.crash_frame_losses,
-            "frames_written_off": cluster.frames_written_off,
-            # Failures the tolerant drains absorbed, by exception type.
-            "absorbed_faults": dict(
-                Counter(type(fault).__name__ for fault in cluster.fault_log)
-            ),
-            "wire": dict(chaos.counters),
-            "delivered_duplicates": delivered_duplicates(engine),
-            "credit_budget": cluster.in_flight.budget,
-        }
-        return replace(
-            report,
-            suppressed_renotifications=engine.suppressed_renotifications,
-            duplicate_deliveries=engine.duplicate_deliveries,
-            live={**report.live, "peak_in_flight": cluster.in_flight.peak, "chaos": soak},
-        )
-    finally:
-        await cluster.stop()
+    measured = {
+        "crashes": controller.crashes,
+        "restarts": controller.restarts,
+        "suspicions": sum(
+            peer.detector.suspicions
+            for peer in cluster.peers.values()
+            if peer.detector is not None
+        ),
+        "crash_frame_losses": cluster.crash_frame_losses,
+        "frames_written_off": cluster.frames_written_off,
+        # Failures the tolerant drains absorbed, by exception type.
+        "absorbed_faults": dict(
+            Counter(type(fault).__name__ for fault in cluster.fault_log)
+        ),
+        "wire": dict(chaos.counters),
+        "delivered_duplicates": delivered_duplicates(engine),
+        "credit_budget": cluster.in_flight.budget,
+    }
+    return replace(
+        report,
+        suppressed_renotifications=engine.suppressed_renotifications,
+        duplicate_deliveries=engine.duplicate_deliveries,
+        live={**report.live, "peak_in_flight": cluster.in_flight.peak, "chaos": measured},
+    )
 
 
 def _within_budget(report: "RunReport") -> bool:

@@ -30,13 +30,16 @@ it::
 
     python -m repro.net.cluster --algorithm all --nodes 6 --compare-sim
 
-which exits non-zero on any divergence.  With ``--chaos`` the same
-command runs the fault-tolerance soak (:mod:`repro.net.chaos`) through
-this same driver: seeded connection faults, and the fault plan's
-partition episode and live crash/restarts at publish indexes of the
-stream (:func:`repro.faults.schedule.churn_schedule`); after recovery
-the run must still equal the fault-free simulator digest with zero
-duplicate notifications, and its row carries the soak's counters as
+which exits non-zero on any divergence.  A run's one fault input is
+:attr:`ClusterConfig.fault_plan`: its retry ladder always, and when it
+faults the wire or churns the ring (``--chaos``), the wire-fault layer,
+the failure detectors and the fault-tolerance soak
+(:func:`repro.net.chaos.soak`) through this same driver: seeded
+connection faults, and the plan's partition episode and live
+crash/restarts at publish indexes of the stream
+(:func:`repro.faults.schedule.churn_schedule`); after recovery the run
+must still equal the fault-free simulator digest with zero duplicate
+notifications, and its row carries the soak's counters as
 ``live["chaos"]``.
 
 The committed live points are ``live`` rows of ``BENCH_baseline.json``:
@@ -64,12 +67,14 @@ from ..chord.network import ChordNetwork
 from ..chord.node import ChordNode
 from ..core.engine import ContinuousQueryEngine, EngineConfig
 from ..errors import NetworkError, QuiesceTimeout
+from ..faults.plan import FaultPlan
 from ..sim.stats import TrafficStats
 from ..workload.generator import Workload, WorkloadParams, build_workload
+from . import link
+from .chaos import SUBSCRIBERS, LiveChaos, parse_chaos_spec, soak, soak_ok, soak_summary
 from .codec import encode_frame, read_frame
 from .frames import JoinReply, JoinRequest, MultiFrame, RouteFrame
-from .health import HealthConfig
-from .peer import InFlight, NetConfig, NetPeer, SocketTransport, set_nodelay
+from .peer import InFlight, NetConfig, NetPeer, SocketTransport
 
 #: What ``--algorithm all`` runs, in presentation order.
 ALGORITHMS = ("sai", "dai-q", "dai-t", "dai-v")
@@ -80,6 +85,10 @@ CREDIT_BUDGET = 256
 
 #: Latency percentiles reported, as fractions.
 PERCENTILES = (0.50, 0.95, 0.99)
+
+#: The plan of a cluster configured without one: no faults, and the
+#: retry ladder a dead peer meets (3 attempts, 0.05 s base, no jitter).
+DEFAULT_RETRIES = FaultPlan(max_attempts=3)
 
 
 @dataclass
@@ -97,8 +106,9 @@ class ClusterConfig:
     #: replication_factor, ...).
     engine_overrides: dict = field(default_factory=dict)
     net: NetConfig = field(default_factory=NetConfig)
-    #: When set, every peer runs a heartbeat failure detector.
-    health: Optional[HealthConfig] = None
+    #: The run's one fault input (:class:`LiveCluster`); loss and delay
+    #: are refused: only the simulator injects them.
+    fault_plan: Optional[FaultPlan] = None
 
 
 def latency_ms(seconds: Sequence[float]) -> dict:
@@ -156,6 +166,16 @@ class LiveCluster:
 
     def __init__(self, config: Optional[ClusterConfig] = None):
         self.config = config if config is not None else ClusterConfig()
+        plan = self.config.fault_plan
+        if plan is not None and plan.perturbs_delivery:
+            raise ValueError(
+                "the live transport cannot inject loss_probability or delay "
+                "(per-delivery faults of the simulator's router); use "
+                "transport='sim' for such a plan"
+            )
+        #: Source of the retry ladder (``max_attempts``, ``backoff_base``,
+        #: ``backoff_jitter``) and of every fault.
+        self.plan = plan if plan is not None else DEFAULT_RETRIES
         self.network = ChordNetwork.build(self.config.n_nodes)
         self.engine = ContinuousQueryEngine(
             self.network,
@@ -167,7 +187,19 @@ class LiveCluster:
         )
         self.net_config = self.config.net
         self.stats = TrafficStats()
+        #: The wire-fault layer, built when the plan faults the wire or
+        #: churns the ring (``None``: a benign run); such a cluster also
+        #: runs a failure detector on every peer.
+        self.chaos = (
+            LiveChaos(self.plan)
+            if self.plan.perturbs_wire or self.plan.schedules_churn
+            else None
+        )
         self.in_flight = InFlight(budget=self.net_config.credit_budget)
+        # A node crash can settle a frame as lost in the same instant its
+        # sender's write completes; under chaos that benign double
+        # settlement must not abort the experiment.
+        self.in_flight.allow_slack = self.chaos is not None
         self.transport = SocketTransport(self)
         self.max_hops = self.network.router.max_hops
         self.peers: dict[int, NetPeer] = {}
@@ -178,8 +210,6 @@ class LiveCluster:
         #: Overlay identifiers of currently-crashed nodes; outbound
         #: writes toward them fail fast instead of timing out.
         self.dead: set[int] = set()
-        #: Installed :class:`~repro.net.chaos.LiveChaos`, or ``None``.
-        self.chaos = None
         self.crash_frame_losses = 0
         self.frames_written_off = 0
         self.codec_faults = 0
@@ -197,14 +227,13 @@ class LiveCluster:
         return ident in self.dead
 
     def jittered(self, pause: float) -> float:
-        """Stretch a retry pause by ``net_config.backoff_jitter`` (seeded).
+        """Stretch a retry pause by the plan's ``backoff_jitter`` (seeded).
 
         The draw comes from a cluster RNG derived from the run seed,
-        with or without chaos (``NetConfig.from_fault_plan`` lifts the
-        plan's jitter).  Zero jitter takes no draw at all, so the
+        with or without chaos.  Zero jitter takes no draw at all, so the
         deterministic backoff sequence is bit-identical.
         """
-        jitter = self.net_config.backoff_jitter
+        jitter = self.plan.backoff_jitter
         if jitter <= 0.0 or pause <= 0.0:
             return pause
         return pause * (1.0 + self._jitter_rng.random() * jitter)
@@ -286,17 +315,6 @@ class LiveCluster:
                 return candidate.ident
         return None
 
-    def install_chaos(self, chaos) -> None:
-        """Attach a :class:`~repro.net.chaos.LiveChaos` wire-fault layer.
-
-        Must happen before :meth:`start`.  Also relaxes the in-flight
-        ledger (``allow_slack``): a node crash can settle a frame as
-        lost in the same instant its sender's write completes, and that
-        benign double-settlement must not abort the experiment.
-        """
-        self.chaos = chaos
-        self.in_flight.allow_slack = True
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -319,22 +337,17 @@ class LiveCluster:
                     f"{len(peer.book)}/{expected} addresses"
                 )
         self._previous_transport = self.network.use_transport(self.transport)
-        if self.config.health is not None:
+        if self.chaos is not None:
             for peer in self.peers.values():
-                peer.enable_health(self.config.health)
+                peer.enable_health()
 
     async def _join_via(self, peer: NetPeer, bootstrap) -> None:
         """One joiner's handshake: JoinRequest over TCP, JoinReply back."""
-        net = self.net_config
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(bootstrap.host, bootstrap.port),
-            net.connect_timeout,
-        )
-        set_nodelay(writer)
+        reader, writer = await link.open_link(bootstrap, link.CONNECT_TIMEOUT)
         try:
             writer.write(encode_frame(JoinRequest(info=peer.info)))
-            await asyncio.wait_for(writer.drain(), net.io_timeout)
-            reply = await read_frame(reader, timeout=net.io_timeout)
+            await asyncio.wait_for(writer.drain(), link.IO_TIMEOUT)
+            reply = await read_frame(reader, timeout=link.IO_TIMEOUT)
         finally:
             writer.close()
             try:
@@ -372,8 +385,8 @@ class LiveCluster:
         if bootstrap is None:  # pragma: no cover - defensive
             raise NetworkError("no live peer to bootstrap a restart from")
         await self._join_via(peer, bootstrap.info)
-        if self.config.health is not None:
-            peer.enable_health(self.config.health)
+        if self.chaos is not None:
+            peer.enable_health()
         return peer
 
     async def stop(self) -> None:
@@ -539,11 +552,15 @@ class LiveCluster:
 async def run_live(
     workload: Workload, config: Optional[ClusterConfig] = None
 ) -> RunReport:
-    """Start a cluster, :meth:`~LiveCluster.run` ``workload``, always tear down."""
+    """Start a cluster, run ``workload``, always tear down: the benign
+    :meth:`~LiveCluster.run`, or — when the plan faults the wire or
+    churns the ring — the soak (:func:`repro.net.chaos.soak`)."""
     cluster = LiveCluster(config)
     await cluster.start()
     try:
-        return await cluster.run(workload)
+        if cluster.chaos is None:
+            return await cluster.run(workload)
+        return await soak(cluster, workload)
     finally:
         await cluster.stop()
 
@@ -625,11 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     algorithms = ALGORITHMS if args.algorithm == "all" else (args.algorithm,)
-    soaking = args.chaos is not None
-    if soaking:
-        from .chaos import SUBSCRIBERS, parse_chaos_spec, run_chaos_soak, soak_ok, soak_summary
-
-        plan = parse_chaos_spec(args.chaos)
+    plan = None if args.chaos is None else parse_chaos_spec(args.chaos)
+    # A soak keeps NetConfig's larger credit budget: its recovery drains
+    # peak above CREDIT_BUDGET.
+    net = NetConfig(credit_budget=CREDIT_BUDGET) if plan is None else NetConfig()
     workload = build_workload(
         WorkloadParams(
             n_queries=args.queries,
@@ -640,22 +656,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     status = 0
     for algorithm in algorithms:
-        shape = dict(algorithm=algorithm, n_nodes=args.nodes, seed=args.seed)
-        if soaking:
-            config = ClusterConfig(
-                **shape, net=NetConfig.from_fault_plan(plan), health=HealthConfig()
-            )
-            try:
-                report = asyncio.run(run_chaos_soak(workload, config=config, plan=plan))
-            except ValueError as exc:
-                build_parser().error(str(exc))
-        else:
-            report = asyncio.run(
-                run_live(
-                    workload,
-                    ClusterConfig(**shape, net=NetConfig(credit_budget=CREDIT_BUDGET)),
-                )
-            )
+        config = ClusterConfig(
+            algorithm=algorithm, n_nodes=args.nodes, seed=args.seed, net=net, fault_plan=plan
+        )
+        try:
+            report = asyncio.run(run_live(workload, config))
+        except ValueError as exc:
+            build_parser().error(str(exc))
+        soaking = "chaos" in report.live
         payload = {"algorithm": algorithm, **report.to_row()}
         ok = not soaking or soak_ok(report)
         if args.compare_sim:

@@ -6,17 +6,16 @@ Heartbeat` frame to every peer in its address book and (b) checks how
 long ago it last *heard* from each of them.  "Heard" means any of: a
 heartbeat frame arrived from that peer, a frame write to that peer
 succeeded, or a reconnection probe reached its server.  A peer that has
-been silent longer than ``suspicion_timeout`` — or whose writes failed
-``failure_threshold`` times in a row — becomes **suspect**:
+been silent longer than :data:`SUSPICION_TIMEOUT` — or whose writes failed
+:data:`FAILURE_THRESHOLD` times in a row — becomes **suspect**:
 
 * routing stops using it as a forwarding hop (the next-hop rule falls
   back to the successor, exactly like the simulator's
   :class:`~repro.chord.routing.Router` treats a dead finger);
 * a probe task starts re-dialing its server with jittered exponential
-  backoff (jitter seeded from the fault plan's RNG when chaos is
-  installed) until a connect succeeds, at which point the peer is
-  restored and pooled connections re-establish lazily on the next
-  write.
+  backoff (:meth:`~repro.net.cluster.LiveCluster.jittered`) until a
+  connect succeeds, at which point the peer is restored and pooled
+  connections re-establish lazily on the next write.
 
 Because heartbeats are one-way, an *asymmetric* partition is detected
 on exactly the side that matters: if A can no longer reach B, B stops
@@ -27,52 +26,37 @@ Detection is advisory, never authoritative: a suspect peer's frames are
 still retried (a false suspicion costs only a detour through the
 successor), and the definitive state — membership, key ownership —
 stays with the ring and its stabilization protocol.
+
+A cluster runs detectors when its fault plan faults the wire or churns
+the ring (:class:`~repro.net.cluster.LiveCluster`).  The timings below
+are tuned for localhost clusters (tens of milliseconds); a WAN
+deployment would scale them up together.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .codec import encode_frame
 from .frames import Heartbeat
+from .link import open_link
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .peer import NetPeer
 
-#: Detector states for one remote peer.
-ALIVE = "alive"
-SUSPECT = "suspect"
-
-
-@dataclass(frozen=True)
-class HealthConfig:
-    """Knobs of the per-peer failure detector.
-
-    The defaults are tuned for localhost test clusters (tens of
-    milliseconds); a WAN deployment would scale every field up
-    together.
-    """
-
-    #: Period of the heartbeat/suspicion-check loop.
-    heartbeat_interval: float = 0.05
-    #: Silence longer than this marks a peer suspect.
-    suspicion_timeout: float = 0.3
-    #: Consecutive write failures that mark a peer suspect immediately.
-    failure_threshold: int = 2
-    #: First reconnection-probe pause; doubles per failed probe.
-    probe_backoff_base: float = 0.05
-    #: Ceiling on the probe pause.
-    probe_backoff_max: float = 1.0
-    #: Per-probe connect timeout.
-    probe_timeout: float = 1.0
-
-    def __post_init__(self):
-        if self.heartbeat_interval <= 0 or self.suspicion_timeout <= 0:
-            raise ValueError("heartbeat_interval/suspicion_timeout must be > 0")
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
+#: Period of the heartbeat/suspicion-check loop.
+HEARTBEAT_INTERVAL = 0.05
+#: Silence longer than this marks a peer suspect.
+SUSPICION_TIMEOUT = 0.3
+#: Consecutive write failures that mark a peer suspect immediately.
+FAILURE_THRESHOLD = 2
+#: First reconnection-probe pause; doubles per failed probe.
+PROBE_BACKOFF_BASE = 0.05
+#: Ceiling on the probe pause.
+PROBE_BACKOFF_MAX = 1.0
+#: Per-probe connect timeout.
+PROBE_TIMEOUT = 1.0
 
 
 class FailureDetector:
@@ -82,9 +66,8 @@ class FailureDetector:
     happen on the event loop, so no locking is needed.
     """
 
-    def __init__(self, peer: "NetPeer", config: HealthConfig):
+    def __init__(self, peer: "NetPeer"):
         self.peer = peer
-        self.config = config
         self._loop = asyncio.get_running_loop()
         now = self._loop.time()
         #: ident -> monotonic timestamp of the last sign of life.
@@ -134,7 +117,7 @@ class FailureDetector:
         """One failed write/connect toward ``ident``."""
         count = self._failures.get(ident, 0) + 1
         self._failures[ident] = count
-        if count >= self.config.failure_threshold:
+        if count >= FAILURE_THRESHOLD:
             self._suspect(ident)
 
     def is_suspect(self, ident: int) -> bool:
@@ -170,9 +153,8 @@ class FailureDetector:
     # Tasks
     # ------------------------------------------------------------------
     async def _run(self) -> None:
-        config = self.config
         while True:
-            await asyncio.sleep(config.heartbeat_interval)
+            await asyncio.sleep(HEARTBEAT_INTERVAL)
             now = self._loop.time()
             for ident in list(self.peer.book):
                 if ident == self.peer.node.ident or ident in self._suspects:
@@ -182,7 +164,7 @@ class FailureDetector:
                     # already fail fast and the restart path revives it.
                     continue
                 last = self.last_heard.setdefault(ident, now)
-                if now - last > config.suspicion_timeout:
+                if now - last > SUSPICION_TIMEOUT:
                     self._suspect(ident)
                     continue
                 self.peer.post_heartbeat(ident)
@@ -190,16 +172,10 @@ class FailureDetector:
 
     async def _probe(self, ident: int) -> None:
         """Re-dial a suspect until its server answers, then restore it."""
-        from .peer import set_nodelay  # circular at module import time
-
-        config = self.config
         attempt = 1
         beacon = encode_frame(Heartbeat(sender=self.peer.node.ident))
         while ident in self._suspects:
-            pause = min(
-                config.probe_backoff_base * (2 ** (attempt - 1)),
-                config.probe_backoff_max,
-            )
+            pause = min(PROBE_BACKOFF_BASE * (2 ** (attempt - 1)), PROBE_BACKOFF_MAX)
             await asyncio.sleep(self.peer.cluster.jittered(pause))
             info = self.peer.book.get(ident)
             if info is None or self.peer.cluster.is_dead(ident):
@@ -213,13 +189,9 @@ class FailureDetector:
                 continue
             writer = None
             try:
-                _, writer = await asyncio.wait_for(
-                    asyncio.open_connection(info.host, info.port),
-                    config.probe_timeout,
-                )
-                set_nodelay(writer)
+                _, writer = await open_link(info, PROBE_TIMEOUT)
                 writer.write(beacon)
-                await asyncio.wait_for(writer.drain(), config.probe_timeout)
+                await asyncio.wait_for(writer.drain(), PROBE_TIMEOUT)
             except (OSError, asyncio.TimeoutError):
                 attempt += 1
                 continue

@@ -27,7 +27,7 @@ contract over those peers.  Delivery semantics:
   delivery is marked done, so the cluster-wide :class:`InFlight`
   counter reaches zero only when an event's full causal cascade has
   landed;
-* write failures retry with the fault-injection backoff shape of PR-1
+* write failures retry with the cluster's fault-plan backoff shape
   (``backoff_base * 2**(attempt-1)``, optionally jittered, up to
   ``max_attempts``); exhausted *routed* frames fall back to the
   target's ring successor before surfacing as a
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import asyncio
 import logging
-import socket
 from collections import Counter, deque
 from contextlib import suppress
 from dataclasses import dataclass
@@ -69,6 +68,7 @@ from ..errors import (
 )
 from ..transport import PublishLedger, Transport
 from ..sim.messages import Message
+from . import link
 from .codec import (
     HEADER_SIZE,
     MESSAGE_TYPE_BY_TAG,
@@ -94,7 +94,7 @@ from .frames import (
     peek_route,
     splice_multi,
 )
-from .health import FailureDetector, HealthConfig
+from .health import FailureDetector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..chord.node import ChordNode
@@ -126,55 +126,16 @@ MAX_BATCH_FRAMES = 64
 MAX_BATCH_BYTES = 256 * 1024
 
 
-def set_nodelay(stream) -> None:
-    """Disable Nagle's algorithm on the socket under a stream writer or
-    a transport (one without a real socket is left alone).
-
-    Batching is *our* policy (the outbox coalesces frames explicitly);
-    letting the kernel hold small writes back as well would stack an
-    uncontrolled delay on top.
-    """
-    sock = stream.get_extra_info("socket")
-    if sock is not None:
-        with suppress(OSError, AttributeError):
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
 @dataclass
 class NetConfig:
-    """Socket-layer knobs of a live cluster.
+    """Backpressure knobs of a live cluster (DESIGN.md §12); the retry
+    ladder and every fault come from the cluster's fault plan."""
 
-    The retry shape mirrors the PR-1 fault plan
-    (:class:`repro.faults.plan.FaultPlan`): up to ``max_attempts``
-    delivery attempts with exponential backoff
-    ``backoff_base * 2**(attempt-1)`` between them (each pause
-    stretched by up to ``backoff_jitter`` of itself, so synchronized
-    retries after a partition heal spread out), then successor fallback
-    and a typed :class:`~repro.errors.DeliveryError` — except the
-    sleeps are real seconds and the drops are real socket errors, not
-    injected ones.
-    """
-
-    connect_timeout: float = 5.0
-    #: Per-frame write/drain timeout (also the bootstrap reply timeout).
-    io_timeout: float = 10.0
-    max_attempts: int = 3
-    backoff_base: float = 0.05
-    #: Uniform multiplicative jitter on retry pauses (0 = deterministic).
-    backoff_jitter: float = 0.0
     #: Per-peer outbound backlog bound; data frames beyond it are shed
     #: (and recovered by the lease refresh) instead of buffered forever.
     send_window: int = 1024
     #: Cluster-wide ceiling on in-flight deliveries (the credit budget).
     credit_budget: int = 4096
-
-    @classmethod
-    def from_fault_plan(cls, plan, **overrides) -> "NetConfig":
-        """Lift the retry knobs off a fault plan (same names, same shape)."""
-        overrides.setdefault("max_attempts", plan.max_attempts)
-        overrides.setdefault("backoff_base", plan.backoff_base)
-        overrides.setdefault("backoff_jitter", plan.backoff_jitter)
-        return cls(**overrides)
 
 
 class InFlight:
@@ -563,7 +524,7 @@ class _Outbox:
         raised this).  A batch gets one attempt as a whole; if that
         fails (a chaos fault drawn for any of its frames included) every
         frame of it — like a frame that travelled alone — gets the full
-        ladder: up to ``max_attempts`` writes with exponential back-off,
+        ladder: up to ``cluster.plan.max_attempts`` writes with back-off,
         then :meth:`NetPeer._exhausted`.  A heartbeat is a one-shot
         beacon: the detector saw the failure, nothing is retried.
         (Benign runs never fail a write — a localhost write only fails
@@ -571,7 +532,7 @@ class _Outbox:
         """
         peer = self.peer
         cluster = peer.cluster
-        config = cluster.net_config
+        plan = cluster.plan
         batch = self.current
         whole, attempt = len(batch) > 1, 1
         retries = rerouted = 0
@@ -590,16 +551,12 @@ class _Outbox:
                     if info is not None:
                         if PERF.enabled:
                             PERF.count("net.connects")
-                        self.reader, self.writer = await asyncio.wait_for(
-                            asyncio.open_connection(info.host, info.port),
-                            config.connect_timeout,
+                        self.reader, self.writer = await link.open_link(
+                            info, link.CONNECT_TIMEOUT
                         )
-                        set_nodelay(self.writer)
                     if owed or not self._write(items):
                         owed = False
-                        await asyncio.wait_for(
-                            self.writer.drain(), config.io_timeout
-                        )
+                        await asyncio.wait_for(self.writer.drain(), link.IO_TIMEOUT)
                         self._sent(items, sum(len(i.data) for i in items))
                 except (OSError, asyncio.TimeoutError, InjectedWireFault) as exc:
                     if not batch:
@@ -616,7 +573,7 @@ class _Outbox:
                     item = batch[0]
                     if type(item.frame) is Heartbeat:
                         pass
-                    elif attempt >= config.max_attempts:
+                    elif attempt >= plan.max_attempts:
                         rerouted += peer._exhausted(
                             self.target_ident, item, attempt
                         )
@@ -626,9 +583,7 @@ class _Outbox:
                         )
                         retries += 1
                         await asyncio.sleep(
-                            cluster.jittered(
-                                config.backoff_base * (2 ** (attempt - 1))
-                            )
+                            cluster.jittered(plan.backoff_base * (2 ** (attempt - 1)))
                         )
                         attempt += 1
                         continue
@@ -677,7 +632,7 @@ class _Inbound(asyncio.Protocol):
     def connection_made(self, transport) -> None:
         self.transport = transport
         self.peer._inbound.add(self)
-        set_nodelay(transport)
+        link.set_nodelay(transport)
 
     def data_received(self, data: bytes) -> None:
         self.peer._last_inbound = self._clock()
@@ -812,9 +767,9 @@ class NetPeer:
             with suppress(OSError):
                 await server.wait_closed()
 
-    def enable_health(self, config: HealthConfig) -> FailureDetector:
+    def enable_health(self) -> FailureDetector:
         """Attach and start a failure detector for this peer."""
-        self.detector = FailureDetector(self, config)
+        self.detector = FailureDetector(self)
         self.detector.start()
         return self.detector
 

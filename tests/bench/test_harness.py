@@ -87,7 +87,7 @@ class TestHarness:
 
     def test_per_tuple_hops_collected(self):
         engine = make_engine(TINY)
-        result = run_workload(engine, workload_for(TINY), collect_per_tuple_hops=True)
+        result = run_workload(engine, workload_for(TINY))
         assert len(result.per_tuple_hops) == TINY.n_tuples
         assert all(hops >= 0 for hops in result.per_tuple_hops)
 

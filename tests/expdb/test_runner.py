@@ -298,7 +298,6 @@ class TestSeedColumn:
                 scale,
                 config_overrides=config,
                 seed=seed,
-                collect_per_tuple_hops=True,
                 evict_every=row["evict_every"],
             ).to_row()
             for seed in (2, 3)

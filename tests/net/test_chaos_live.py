@@ -9,32 +9,36 @@ deliveries and a peak in-flight load inside the credit budget.
 
 import asyncio
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.faults.plan import FaultPlan, NetFaultSpec
+from repro.errors import DeliveryError
+from repro.faults.plan import DelaySpec, FaultPlan, NetFaultSpec
+from repro.net import health
 from repro.net.chaos import (
     _SPEC_KEYS,
     DEFAULT_PLAN,
     SUBSCRIBERS,
     LiveChaos,
     parse_chaos_spec,
-    run_chaos_soak,
     soak_ok,
 )
 from repro.net.cluster import (
+    DEFAULT_RETRIES,
     ClusterConfig,
     LiveCluster,
     build_parser,
+    run_live,
     simulate_reference,
 )
 from repro.net.cluster import main as cluster_main
-from repro.net.frames import DirectFrame
-from repro.net.health import HealthConfig
+from repro.net.frames import DirectFrame, PeerInfo
 from repro.net.peer import NetConfig, _Outbox
 from repro.perf import PERF
 from repro.sim.messages import UnsubscribeMessage
 from repro.workload.generator import WorkloadParams, build_workload
+from tests.net.test_peer import closed_port
 
 ALGORITHMS = ("sai", "dai-q", "dai-t", "dai-v")
 
@@ -51,36 +55,22 @@ CHAOS_KEYS = {
     "credit_budget",
 }
 
-FAST_HEALTH = HealthConfig(
-    heartbeat_interval=0.05,
-    suspicion_timeout=0.3,
-    probe_backoff_base=0.05,
-    probe_backoff_max=0.2,
-)
-
-
-def soak_config(algorithm, n_nodes=5, seed=7):
-    return ClusterConfig(
-        algorithm=algorithm,
-        n_nodes=n_nodes,
-        seed=seed,
-        quiesce_timeout=20.0,
-        net=NetConfig.from_fault_plan(
-            DEFAULT_PLAN, connect_timeout=1.0, io_timeout=2.0
-        ),
-        health=FAST_HEALTH,
-    )
-
 
 class TestChaosSoak:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_soak_converges_to_fault_free_digest(self, algorithm):
+    def test_soak_converges_to_fault_free_digest(self, algorithm, monkeypatch):
+        monkeypatch.setattr(health, "PROBE_BACKOFF_MAX", 0.2)
         workload = build_workload(
             WorkloadParams(n_queries=8, n_tuples=40, domain_size=25, seed=7)
         )
-        report = asyncio.run(
-            run_chaos_soak(workload, config=soak_config(algorithm), plan=DEFAULT_PLAN)
+        config = ClusterConfig(
+            algorithm=algorithm,
+            n_nodes=5,
+            seed=7,
+            quiesce_timeout=20.0,
+            fault_plan=DEFAULT_PLAN,
         )
+        report = asyncio.run(run_live(workload, config))
         assert report.kind == "live"  # the run's own report
         soak = report.live["chaos"]
         wire = soak["wire"]
@@ -119,12 +109,7 @@ class TestLiveRestart:
                 ClusterConfig(
                     n_nodes=4,
                     quiesce_timeout=10.0,
-                    net=NetConfig(
-                        connect_timeout=0.5,
-                        io_timeout=1.0,
-                        backoff_base=0.05,
-                        max_attempts=6,
-                    ),
+                    fault_plan=FaultPlan(max_attempts=6, backoff_base=0.05),
                 )
             )
             await cluster.start()
@@ -177,6 +162,122 @@ class TestLiveRestart:
         asyncio.run(scenario())
 
 
+async def restart_a_peer(cluster):
+    """Socket-side restart of one non-bootstrap node: stop its peer and
+    bring it back on a fresh port through ``restart_peer``."""
+    node = cluster.network.nodes[1]
+    await cluster.peers[node.ident].stop()
+    return await cluster.restart_peer(node)
+
+
+class TestThePlanIsTheOneFaultInput:
+    """What a cluster derives from ``ClusterConfig.fault_plan``."""
+
+    @staticmethod
+    def detectors(cluster):
+        return [peer.detector is not None for peer in cluster.peers.values()]
+
+    @pytest.mark.parametrize(
+        "plan",
+        [None, FaultPlan(max_attempts=5, backoff_base=0.02, backoff_jitter=0.5)],
+        ids=["no-plan", "retry-only"],
+    )
+    def test_a_benign_cluster_has_no_chaos_layer_and_no_detector(self, plan):
+        async def scenario():
+            cluster = LiveCluster(ClusterConfig(n_nodes=4, fault_plan=plan))
+            assert cluster.plan is (plan or DEFAULT_RETRIES)
+            assert cluster.chaos is None
+            assert not cluster.in_flight.allow_slack
+            await cluster.start()
+            try:
+                started = self.detectors(cluster)
+                restarted = await restart_a_peer(cluster)
+                await cluster.drain()
+                return started, self.detectors(cluster), restarted.detector
+            finally:
+                await cluster.stop()
+
+        started, after_restart, restarted = asyncio.run(scenario())
+        assert started == after_restart == [False] * 4
+        assert restarted is None
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(crash_every=17.0, crash_count=1, restart_after=6.0),
+            FaultPlan(net=NetFaultSpec(connect_refusal_probability=0.05)),
+        ],
+        ids=["churn", "wire"],
+    )
+    def test_a_faulting_plan_runs_a_detector_on_every_peer(self, plan):
+        async def scenario():
+            cluster = LiveCluster(ClusterConfig(n_nodes=4, fault_plan=plan))
+            assert cluster.chaos is not None and cluster.chaos.plan is plan
+            assert cluster.in_flight.allow_slack
+            await cluster.start()
+            try:
+                started = self.detectors(cluster)
+                restarted = await restart_a_peer(cluster)
+                await cluster.drain(tolerate_failures=True)
+                return started, self.detectors(cluster), restarted.detector
+            finally:
+                await cluster.stop()
+
+        started, after_restart, restarted = asyncio.run(scenario())
+        assert started == after_restart == [True] * 4
+        assert restarted is not None
+
+    @pytest.mark.parametrize(
+        "plan, attempts",
+        [
+            (None, 3),  # the live default the dead-peer tests are timed for
+            (FaultPlan(max_attempts=1), 1),
+            (FaultPlan(max_attempts=5, backoff_base=0.001), 5),
+        ],
+        ids=["no-plan", "one", "five"],
+    )
+    def test_the_write_ladder_follows_the_plan(self, plan, attempts):
+        async def scenario():
+            cluster = LiveCluster(ClusterConfig(n_nodes=2, fault_plan=plan))
+            await cluster.start()
+            try:
+                peer, other = cluster.peers.values()
+                dead = peer.book[other.node.ident]
+                peer.book[dead.ident] = PeerInfo(dead.ident, dead.host, closed_port())
+                peer._outboxes.pop(dead.ident, None)
+                cluster.in_flight.inc("unsubscribe")
+                peer.post(
+                    dead.ident,
+                    DirectFrame(message=UnsubscribeMessage(query_key="k")),
+                    weight=1,
+                )
+                await cluster.drain(tolerate_failures=True)
+                return cluster.fault_log, cluster.stats.snapshot().retries
+            finally:
+                await cluster.stop()
+
+        (failure,), retries = asyncio.run(scenario())
+        assert isinstance(failure, DeliveryError)
+        assert failure.attempts == attempts
+        assert retries == attempts - 1
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(loss_probability=0.3),
+            FaultPlan(delay=DelaySpec(probability=0.5, maximum=2.0)),
+            replace(DEFAULT_PLAN, loss_probability=0.3),
+        ],
+        ids=["loss", "delay", "default-plus-loss"],
+    )
+    def test_loss_and_delay_are_refused_on_the_wire(self, plan):
+        """The wire carries no per-delivery loss or delay; before the
+        refusal such a plan ran unfaulted, and its injector on the ring
+        router switched snapshot routing off for every live hop."""
+        with pytest.raises(ValueError, match="transport='sim'"):
+            LiveCluster(ClusterConfig(n_nodes=4, fault_plan=plan))
+
+
 class TestBackpressure:
     def test_full_send_window_sheds_instead_of_buffering(self):
         async def scenario():
@@ -184,13 +285,9 @@ class TestBackpressure:
                 ClusterConfig(
                     n_nodes=3,
                     quiesce_timeout=10.0,
-                    net=NetConfig(
-                        connect_timeout=0.3,
-                        io_timeout=1.0,
-                        backoff_base=0.2,  # slow retries keep the queue full
-                        max_attempts=3,
-                        send_window=4,
-                    ),
+                    net=NetConfig(send_window=4),
+                    # Slow retries keep the queue full.
+                    fault_plan=FaultPlan(max_attempts=3, backoff_base=0.2),
                 )
             )
             await cluster.start()
@@ -239,20 +336,17 @@ class TestBackpressure:
 
 
 def _chaos_cluster(n_nodes):
-    """A cluster with a fault-free chaos layer (partitions only) and a
-    controller whose protected pool is the soak's."""
+    """A cluster with a chaos layer that injects no wire fault (its plan
+    only names a partition window, which the tests open themselves) and
+    a controller whose protected pool is the soak's."""
     from repro.faults import ChaosHarness
     from repro.net.chaos import ChaosController
 
-    chaos = LiveChaos(FaultPlan(seed=1))
-    cluster = LiveCluster(
-        ClusterConfig(
-            n_nodes=n_nodes,
-            quiesce_timeout=10.0,
-            net=NetConfig(connect_timeout=0.5, io_timeout=1.0, backoff_base=0.01),
-        )
+    plan = FaultPlan(
+        seed=1, max_attempts=3, backoff_base=0.01, net=NetFaultSpec(partition_for=1.0)
     )
-    cluster.install_chaos(chaos)
+    cluster = LiveCluster(ClusterConfig(n_nodes=n_nodes, quiesce_timeout=10.0, fault_plan=plan))
+    chaos = cluster.chaos
     pool = [node.ident for node in cluster.network.nodes[:SUBSCRIBERS]]
     harness = ChaosHarness(cluster.engine, chaos.injector, protect=pool)
     return cluster, ChaosController(cluster, harness, chaos), chaos
@@ -325,11 +419,9 @@ class TestPartitionRecovery:
         workload = build_workload(
             WorkloadParams(n_queries=3, n_tuples=15, domain_size=10, seed=1)
         )
-        config = ClusterConfig(
-            n_nodes=4, net=NetConfig.from_fault_plan(DEFAULT_PLAN)
-        )
+        config = ClusterConfig(n_nodes=4, fault_plan=DEFAULT_PLAN)
         with pytest.raises(ValueError, match="past a 15-tuple stream"):
-            asyncio.run(run_chaos_soak(workload, config=config, plan=DEFAULT_PLAN))
+            asyncio.run(run_live(workload, config))
         with pytest.raises(SystemExit) as exit_info:
             cluster_main(
                 ["--chaos", "default", "--nodes", "4", "--queries", "3", "--tuples", "15"]
@@ -444,8 +536,8 @@ class TestOneSchedule:
         )
         sim = churn_schedule(self.PLAN, ChaosHarness(engine, injector), workload)
 
-        chaos = LiveChaos(self.PLAN)
-        cluster = LiveCluster(ClusterConfig(n_nodes=6))  # never started
+        cluster = LiveCluster(ClusterConfig(n_nodes=6, fault_plan=self.PLAN))  # never started
+        chaos = cluster.chaos
         controller = ChaosController(
             cluster, ChaosHarness(cluster.engine, chaos.injector), chaos
         )
@@ -543,15 +635,8 @@ class TestExactlyOnceUnderWireFaults:
                 net=NetFaultSpec(frame_fault_probability=0.3),
             )
             cluster = LiveCluster(
-                ClusterConfig(
-                    n_nodes=6,
-                    quiesce_timeout=20.0,
-                    net=NetConfig.from_fault_plan(
-                        plan, connect_timeout=1.0, io_timeout=2.0
-                    ),
-                )
+                ClusterConfig(n_nodes=6, quiesce_timeout=20.0, fault_plan=plan)
             )
-            cluster.install_chaos(LiveChaos(plan))
             await cluster.start()
             try:
                 received = []
@@ -632,23 +717,22 @@ class TestBatchFaultRule:
         ``_recover``'s failed-batch branch then retries every frame
         alone, and each is delivered exactly once."""
         n_frames, k = 5, 2
+        # No heartbeat may take a scripted draw.
+        monkeypatch.setattr(health, "HEARTBEAT_INTERVAL", 60.0)
 
         async def scenario():
-            injector = _ScriptedInjector()
-            chaos = LiveChaos(FaultPlan(seed=1), injector=injector)
-            cluster = LiveCluster(
-                ClusterConfig(
-                    n_nodes=2,
-                    quiesce_timeout=10.0,
-                    net=NetConfig(
-                        connect_timeout=1.0,
-                        io_timeout=2.0,
-                        backoff_base=0.01,
-                        max_attempts=4,
-                    ),
-                )
+            plan = FaultPlan(
+                seed=1,
+                max_attempts=4,
+                backoff_base=0.01,
+                net=NetFaultSpec(frame_fault_probability=0.5),
             )
-            cluster.install_chaos(chaos)
+            cluster = LiveCluster(
+                ClusterConfig(n_nodes=2, quiesce_timeout=10.0, fault_plan=plan)
+            )
+            injector = _ScriptedInjector()
+            chaos = cluster.chaos
+            chaos.injector = injector
             await cluster.start()
             try:
                 received = []

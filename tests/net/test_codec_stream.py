@@ -12,14 +12,14 @@ example spins up live TCP servers.
 
 import asyncio
 import logging
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.cluster import ClusterConfig, LiveCluster
+from repro.net.cluster import DEFAULT_RETRIES, ClusterConfig, LiveCluster
 from repro.net.codec import HEADER_SIZE, encode, encode_frame, frame_for_payload
 from repro.net.frames import DirectFrame
-from repro.net.peer import NetConfig
 from repro.sim.messages import ALIndexMessage, UnsubscribeMessage
 from repro.sql.schema import Relation
 from repro.sql.tuples import DataTuple
@@ -38,7 +38,7 @@ def make_cluster():
         ClusterConfig(
             n_nodes=2,
             quiesce_timeout=5.0,
-            net=NetConfig(connect_timeout=0.5, io_timeout=1.0, backoff_base=0.01),
+            fault_plan=replace(DEFAULT_RETRIES, backoff_base=0.01),
         )
     )
 

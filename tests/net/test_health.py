@@ -1,19 +1,20 @@
 """Failure-detector tests: suspicion, probing, recovery, routing impact.
 
 Timings are aggressive (tens of milliseconds) because everything runs
-against localhost servers inside one event loop; the production-shaped
-defaults live in :class:`repro.net.health.HealthConfig`.
+against localhost servers inside one event loop; the shipped timings
+are the constants of :mod:`repro.net.health`, which the tests
+monkeypatch.
 """
 
 import asyncio
 import socket
+from dataclasses import replace
 
 import pytest
 
-from repro.net.cluster import ClusterConfig, LiveCluster
+from repro.net import health
+from repro.net.cluster import DEFAULT_RETRIES, ClusterConfig, LiveCluster
 from repro.net.frames import DirectFrame, PeerInfo
-from repro.net.health import HealthConfig
-from repro.net.peer import NetConfig
 from repro.sim.messages import UnsubscribeMessage
 
 
@@ -23,55 +24,55 @@ def closed_port() -> int:
         return sock.getsockname()[1]
 
 
-def make_cluster(n_nodes=3, health=None, **net_kwargs):
-    net_kwargs.setdefault("connect_timeout", 0.5)
-    net_kwargs.setdefault("io_timeout", 1.0)
-    net_kwargs.setdefault("backoff_base", 0.01)
+def make_cluster(n_nodes=3, **retries):
     return LiveCluster(
         ClusterConfig(
             n_nodes=n_nodes,
             quiesce_timeout=5.0,
-            net=NetConfig(**net_kwargs),
-            health=health,
+            fault_plan=replace(DEFAULT_RETRIES, backoff_base=0.01, **retries),
         )
     )
 
 
-FAST = HealthConfig(
-    heartbeat_interval=0.02,
-    suspicion_timeout=0.12,
-    failure_threshold=2,
-    probe_backoff_base=0.02,
-    probe_backoff_max=0.1,
-    probe_timeout=0.5,
-)
+def detector_timings(monkeypatch, **timings):
+    """Set :mod:`repro.net.health` constants by lower-case name."""
+    for name, value in timings.items():
+        monkeypatch.setattr(health, name.upper(), value)
 
 
-class TestHealthConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HealthConfig(heartbeat_interval=0.0)
-        with pytest.raises(ValueError):
-            HealthConfig(suspicion_timeout=-1.0)
-        with pytest.raises(ValueError):
-            HealthConfig(failure_threshold=0)
+@pytest.fixture
+def fast(monkeypatch):
+    detector_timings(
+        monkeypatch,
+        heartbeat_interval=0.02,
+        suspicion_timeout=0.12,
+        failure_threshold=2,
+        probe_backoff_base=0.02,
+        probe_backoff_max=0.1,
+        probe_timeout=0.5,
+    )
+
+
+@pytest.fixture
+def quiet(monkeypatch):
+    """No background heartbeats, no silence suspicion, no probe."""
+    detector_timings(
+        monkeypatch,
+        heartbeat_interval=5.0,
+        suspicion_timeout=60.0,
+        failure_threshold=2,
+        probe_backoff_base=60.0,
+    )
 
 
 class TestWriteFailureSuspicion:
-    def test_consecutive_write_failures_mark_suspect(self):
+    def test_consecutive_write_failures_mark_suspect(self, quiet):
         async def scenario():
             cluster = make_cluster(max_attempts=4)
             await cluster.start()
             try:
                 peer = next(iter(cluster.peers.values()))
-                detector = peer.enable_health(
-                    HealthConfig(
-                        heartbeat_interval=5.0,  # no background traffic
-                        suspicion_timeout=60.0,
-                        failure_threshold=2,
-                        probe_backoff_base=60.0,  # probe never fires
-                    )
-                )
+                detector = peer.enable_health()
                 other = next(
                     ident for ident in peer.book if ident != peer.node.ident
                 )
@@ -101,13 +102,13 @@ class TestWriteFailureSuspicion:
 
 
 class TestSilenceAndProbe:
-    def test_server_outage_is_detected_and_probe_restores(self):
+    def test_server_outage_is_detected_and_probe_restores(self, fast):
         async def scenario():
             cluster = make_cluster(n_nodes=3)
             await cluster.start()
             try:
                 peer = next(iter(cluster.peers.values()))
-                detector = peer.enable_health(FAST)
+                detector = peer.enable_health()
                 victim_ident = next(
                     ident for ident in peer.book if ident != peer.node.ident
                 )
@@ -138,13 +139,13 @@ class TestSilenceAndProbe:
 
         asyncio.run(scenario())
 
-    def test_pure_silence_trips_the_suspicion_timeout(self):
+    def test_pure_silence_trips_the_suspicion_timeout(self, fast):
         async def scenario():
             cluster = make_cluster(n_nodes=3)
             await cluster.start()
             try:
                 peer = next(iter(cluster.peers.values()))
-                detector = peer.enable_health(FAST)
+                detector = peer.enable_health()
                 # Mute this peer's heartbeats: with no writes succeeding
                 # (and none failing), the only evidence left is silence.
                 peer.post_heartbeat = lambda ident: None
@@ -172,11 +173,13 @@ class TestSilenceAndProbe:
 
         asyncio.run(scenario())
 
-    def test_mutual_heartbeats_prevent_suspicion(self):
+    def test_mutual_heartbeats_prevent_suspicion(self, fast):
         async def scenario():
-            cluster = make_cluster(n_nodes=3, health=FAST)
+            cluster = make_cluster(n_nodes=3)
             await cluster.start()
             try:
+                for peer in cluster.peers.values():
+                    peer.enable_health()
                 # Every peer heartbeats every other: after several
                 # suspicion windows nobody should be suspect.
                 await asyncio.sleep(0.5)
@@ -191,20 +194,14 @@ class TestSilenceAndProbe:
 
 
 class TestRoutingAroundSuspects:
-    def test_next_hop_skips_suspected_finger(self):
+    def test_next_hop_skips_suspected_finger(self, quiet):
         async def scenario():
             cluster = make_cluster(n_nodes=6)
             await cluster.start()
             try:
                 peer = next(iter(cluster.peers.values()))
                 node = peer.node
-                detector = peer.enable_health(
-                    HealthConfig(
-                        heartbeat_interval=5.0,
-                        suspicion_timeout=60.0,
-                        probe_backoff_base=60.0,
-                    )
-                )
+                detector = peer.enable_health()
                 # Find a target whose next hop is a finger (not the
                 # successor), then suspect that finger.
                 successor = node.successor

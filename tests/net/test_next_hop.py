@@ -14,10 +14,10 @@ import pytest
 
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import ChaosHarness
-from repro.net.chaos import ChaosController, LiveChaos, delivered_duplicates
+from repro.net.chaos import ChaosController, delivered_duplicates
 from repro.net.cluster import ClusterConfig, LiveCluster, simulate_reference
-from repro.net.health import FailureDetector, HealthConfig
-from repro.net.peer import NetConfig, NetPeer
+from repro.net.health import FailureDetector
+from repro.net.peer import NetPeer
 from repro.workload.generator import WorkloadParams, build_workload
 
 
@@ -67,7 +67,7 @@ class TestSnapshotEqualsFingerScan:
             target = (peer.node.ident + size // 2) % size
             finger = peer._next_hop(target)
             assert finger is not successor and finger is not peer.node
-            peer.detector = FailureDetector(peer, HealthConfig())
+            peer.detector = FailureDetector(peer)
             peer.detector._suspects.add(finger.ident)
             snapshot = network.snapshot
             assert peer._next_hop(target) is successor
@@ -90,22 +90,19 @@ class TestCrashDropsTheSnapshot:
         workload = build_workload(
             WorkloadParams(n_queries=8, n_tuples=40, domain_size=25, seed=7)
         )
-        plan = FaultPlan(seed=17, max_attempts=4, backoff_base=0.02)
+        # A churning plan gives the cluster its chaos layer; the scenario
+        # places the one crash and restart itself.
+        plan = FaultPlan(
+            seed=17, max_attempts=4, backoff_base=0.02, crash_every=13.0, crash_count=1
+        )
 
         async def scenario():
-            chaos = LiveChaos(plan)
             cluster = LiveCluster(
                 ClusterConfig(
-                    algorithm="dai-t",
-                    n_nodes=4,
-                    seed=7,
-                    quiesce_timeout=20.0,
-                    net=NetConfig.from_fault_plan(
-                        plan, connect_timeout=1.0, io_timeout=2.0
-                    ),
+                    algorithm="dai-t", n_nodes=4, seed=7, quiesce_timeout=20.0, fault_plan=plan
                 )
             )
-            cluster.install_chaos(chaos)
+            chaos = cluster.chaos
             await cluster.start()
             try:
                 engine = cluster.engine

@@ -8,27 +8,24 @@ it down inside ``asyncio.run``.
 import asyncio
 import logging
 import socket
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import DeliveryError, NetworkError
-from repro.net.cluster import ClusterConfig, LiveCluster
+from repro.faults.plan import FaultPlan
+from repro.net.cluster import DEFAULT_RETRIES, ClusterConfig, LiveCluster
 from repro.net.frames import DirectFrame, PeerInfo
-from repro.net.peer import InFlight, NetConfig
+from repro.net.peer import InFlight
 from repro.sim.messages import UnsubscribeMessage
 
 
-def make_cluster(n_nodes=4, **net_kwargs):
+def make_cluster(n_nodes=4, **retries):
     return LiveCluster(
         ClusterConfig(
             n_nodes=n_nodes,
             quiesce_timeout=5.0,
-            net=NetConfig(
-                connect_timeout=1.0,
-                io_timeout=2.0,
-                backoff_base=0.01,
-                **net_kwargs,
-            ),
+            fault_plan=replace(DEFAULT_RETRIES, backoff_base=0.01, **retries),
         )
     )
 
@@ -153,12 +150,8 @@ class TestInFlight:
                 ClusterConfig(
                     n_nodes=2,
                     quiesce_timeout=0.2,
-                    net=NetConfig(
-                        connect_timeout=1.0,
-                        io_timeout=2.0,
-                        backoff_base=0.5,  # retries outlive the deadline
-                        max_attempts=6,
-                    ),
+                    # Retries outlive the deadline.
+                    fault_plan=FaultPlan(max_attempts=6, backoff_base=0.5),
                 )
             )
             await cluster.start()

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CodecError
-from repro.net.cluster import ClusterConfig, LiveCluster
+from repro.net.cluster import DEFAULT_RETRIES, ClusterConfig, LiveCluster
 from repro.net.codec import (
     HEADER_SIZE,
     TAG_SEALED_SHAPE,
@@ -40,7 +40,7 @@ from repro.net.frames import (
     peek_route,
     splice_multi,
 )
-from repro.net.peer import MAX_BATCH_FRAMES, NetConfig
+from repro.net.peer import MAX_BATCH_FRAMES
 from repro.sim.messages import ALIndexMessage, JoinMessage, UnsubscribeMessage
 from repro.sql.expr import AttrRef
 from repro.sql.query import (
@@ -281,13 +281,13 @@ class TestGoldenWireBytes:
             assert repr(decoded) == repr(sample), name  # 1 vs 1.0
 
 
-def make_cluster(**net_kwargs):
+def make_cluster(**retries):
     return LiveCluster(
         ClusterConfig(
             n_nodes=2,
             quiesce_timeout=10.0,
-            net=NetConfig(
-                connect_timeout=0.5, io_timeout=2.0, backoff_base=0.01, **net_kwargs
+            fault_plan=dataclasses.replace(
+                DEFAULT_RETRIES, backoff_base=0.01, **retries
             ),
         )
     )

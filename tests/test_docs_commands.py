@@ -43,7 +43,9 @@ COMMAND_SOURCES = (
 #: second parse path that moved out of the library to
 #: ``examples/multiway/``, and the sharded differential, the runner's
 #: own reference check and the engine's iterative-multisend switch that
-#: ``expdb diff`` and the one recursive sweep replaced.
+#: ``expdb diff`` and the one recursive sweep replaced, and the live
+#: fault inputs beside ``ClusterConfig.fault_plan`` with the per-tuple
+#: hop switch.
 DELETED = (
     "EventRing",
     "run_stream",
@@ -104,6 +106,11 @@ DELETED = (
     "recursive_multisend",
     "VERIFY_FEATURED",
     "HEADLINE_ALGORITHMS",
+    "HealthConfig",
+    "from_fault_plan",
+    "install_chaos",
+    "run_chaos_soak",
+    "collect_per_tuple_hops",
 )
 
 
