@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from ..chord.network import ChordNetwork
 from ..chord.node import ChordNode
 from ..core.engine import ContinuousQueryEngine, EngineConfig
+from ..faults.plan import check_support
 from ..sim.collector import CollectorPause
 from .configs import Scale, current_scale
 from .rows import RunReport
@@ -186,10 +187,13 @@ def run_workload(
     storage gauges track the window.  Every publish's hop count goes
     into ``per_tuple_hops`` (one int per tuple; the row's ``load.fifth``).
 
-    When the ring's injector perturbs delivery, deferred deliveries
-    land before each event that is due at or after them, and the run
-    quiesces twice: at the boundary (before the stream's traffic
-    snapshot) and after the stream (before the final eviction).
+    A plan field on the ring's injector that the ``sim`` column of
+    :data:`~repro.faults.plan.FAULT_SUPPORT` lacks (the ``net`` wire
+    faults) is refused by name.  When the injector perturbs delivery,
+    deferred deliveries land before each event that is due at or after
+    them, and the run quiesces twice: at the boundary (before the
+    stream's traffic snapshot) and after the stream (before the final
+    eviction).
     """
     replay = ReplayOrder(
         engine,
@@ -200,6 +204,8 @@ def run_workload(
         schedule=schedule,
     )
     injector = engine.network.injector
+    if injector is not None:
+        check_support(injector.plan, "sim")
     lands = injector is not None and injector.perturbs_delivery
     window = engine.config.window
     per_tuple_hops: list[int] = []

@@ -60,7 +60,8 @@ class GridSpec:
     jfrt_capacities: tuple = (0,)
     evict_everys: tuple = (64,)
     #: ``None`` = fault-free; otherwise a FaultPlan kwargs dict (the
-    #: ``delay`` sub-dict maps to DelaySpec kwargs).
+    #: ``delay`` and ``net`` sub-dicts map to DelaySpec / NetFaultSpec
+    #: kwargs; a field the row's transport does not carry is refused).
     fault_plans: tuple = (None,)
     #: ``None`` = none; otherwise ``{"engine": {...}, "workload": {...}}``
     #: (see :data:`repro.expdb.db.OVERRIDABLE`).

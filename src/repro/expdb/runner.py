@@ -3,8 +3,10 @@
 The worker hands this module a decoded parameter dict (see
 :func:`repro.expdb.db.decode_params`).  :func:`run_experiment` is one
 body for every transport: refuse what the row's transport cannot
-honour, run the row's executor from :data:`EXECUTORS`, check its
-answers where they can diverge, and write the one row shape
+honour (a fault plan field by name, through
+:func:`repro.faults.plan.check_support`), run the row's executor from
+:data:`EXECUTORS`, check its answers where they can diverge, and
+write the one row shape
 (:meth:`~repro.bench.rows.RunReport.to_row`) beside three resource
 columns — wall seconds, peak RSS, events over wall seconds.
 
@@ -13,17 +15,22 @@ columns — wall seconds, peak RSS, events over wall seconds.
   series, so the row's ``load`` block can say how the stream's first
   and last fifth compare), optionally with a seeded
   :class:`~repro.faults.FaultPlan` wired into the ring's router (the
-  only transport that takes a fault plan).  The replay lands injected
-  delays as it goes; a plan's churn knobs run as a
+  only transport whose rows take a fault plan; its ``net`` fields are
+  refused).  The replay lands injected delays as it goes; a plan's
+  churn knobs run as a
   :func:`~repro.faults.schedule.churn_schedule`, after which every
   crashed node restarts and the :class:`~repro.faults.ChaosHarness`
   settles, as a live chaos soak does;
 * ``shard`` — the staged/sharded executor via
-  :func:`repro.bench.scale.run_scale_point` (fault plans refused, as
-  :func:`repro.sim.shard.shard_capabilities` documents);
+  :func:`repro.bench.scale.run_scale_point` (its column of
+  :data:`~repro.faults.plan.FAULT_SUPPORT` is empty: every plan field
+  is refused);
 * ``live`` — the real-TCP cluster via
   :meth:`repro.net.cluster.LiveCluster.run` at
-  :data:`repro.net.cluster.CREDIT_BUDGET`.
+  :data:`repro.net.cluster.CREDIT_BUDGET`.  A plan the ``live`` column
+  carries still runs only through ``python -m repro.net.cluster
+  --chaos``: a chaos soak's counters follow event-loop timing, so a
+  faulted ``live`` row would not repeat (ROADMAP item 7).
 
 Every ``live`` row and every faulted ``sim`` row is held to the
 fault-free serial replay of its parameters by the comparison the gate
@@ -63,6 +70,7 @@ from ..bench.scale import DEFAULT_BATCH_SIZE, peak_rss_kb, run_scale_point
 from ..chord.hashing import hash_key_cache_clear
 from ..core.engine import EngineConfig
 from ..faults import ChaosHarness, DelaySpec, FaultInjector, FaultPlan, churn_schedule
+from ..faults.plan import NetFaultSpec, check_support
 from ..workload.generator import Workload
 from .db import canonical_overrides
 
@@ -78,13 +86,13 @@ class ExperimentOutcome:
 
 
 def fault_plan_from_dict(spec: dict) -> FaultPlan:
-    """A :class:`FaultPlan` from its JSON form (``delay`` → DelaySpec)."""
+    """A :class:`FaultPlan` from its JSON form (``delay`` → DelaySpec,
+    ``net`` → NetFaultSpec)."""
     kwargs = dict(spec)
-    delay = kwargs.pop("delay", None)
-    if delay is not None:
-        kwargs["delay"] = DelaySpec(**delay)
-    if "net" in kwargs:
-        raise ValueError("net fault specs are live-cluster only; not supported here")
+    for name, record in (("delay", DelaySpec), ("net", NetFaultSpec)):
+        leaves = kwargs.pop(name, None)
+        if leaves is not None:
+            kwargs[name] = record(**leaves)
     return FaultPlan(**kwargs)
 
 
@@ -139,7 +147,7 @@ def _sim(params: dict, shards: Optional[int], batch_size: int) -> tuple[RunRepor
     )
     workload = row_workload(params)
     engine = make_engine(scale_for(params), config, injector=injector)
-    churns = plan is not None and (plan.crash_every > 0 or plan.lease_refresh_every > 0)
+    churns = plan is not None and plan.schedules_churn
     harness = ChaosHarness(engine, injector) if churns else None
     report = run_workload(
         engine,
@@ -192,16 +200,6 @@ def _live(params: dict, shards: Optional[int], batch_size: int) -> tuple[RunRepo
 EXECUTORS = {"sim": _sim, "shard": _shard, "live": _live}
 
 
-#: Why a transport refuses any fault plan.
-REFUSED_FAULTS = {
-    "shard": "the shard transport refuses perturbing fault plans "
-    "(see repro.sim.shard.shard_capabilities); use transport='sim'",
-    "live": "fault plans on the live transport go through python -m "
-    "repro.net.cluster --chaos, not the experiment database; use "
-    "transport='sim' for faulted sweep points",
-}
-
-
 def run_experiment(
     params: dict, *, shards: Optional[int] = None, batch_size: int = DEFAULT_BATCH_SIZE
 ) -> ExperimentOutcome:
@@ -214,9 +212,16 @@ def run_experiment(
     if execute is None:
         raise ValueError(f"unknown transport {transport!r}")
     canonical_overrides(params["overrides"])  # refuses by field name
-    plan = params["fault_plan"] or {}
-    if plan and transport in REFUSED_FAULTS:
-        raise ValueError(REFUSED_FAULTS[transport])
+    plan = params["fault_plan"]
+    if plan:
+        check_support(fault_plan_from_dict(plan), transport)
+        if transport == "live":
+            # A chaos soak converges on the right answers, but its
+            # counters follow event-loop timing, so the row would not
+            # repeat; refused until the live stack runs on virtual
+            # time (ROADMAP item 7).  ``repro.net.cluster --chaos``
+            # soaks such a plan.
+            raise ValueError("a faulted live row does not repeat (see repro.net.cluster --chaos)")
     hash_key_cache_clear()
     gc.collect()
     report, wall = execute(params, shards, batch_size)

@@ -6,7 +6,10 @@ package supplies the adversarial counterpart: a declarative, seedable
 the :class:`FaultInjector` the router consults, the
 :class:`ChaosHarness` recovery choreography (stabilize → refresh
 leases → flush) that restores oracle-exact answer sets after crashes,
-and :func:`churn_schedule`, which times a plan's churn in publishes.
+:func:`churn_schedule`, which times a plan's churn in publishes, and
+:data:`~repro.faults.plan.FAULT_SUPPORT`, the one table of which
+executor carries which plan field
+(:func:`~repro.faults.plan.check_support` refuses the rest by name).
 """
 
 from .injector import FaultInjector

@@ -15,11 +15,20 @@ the live chaos soak's alike.
 An all-defaults plan is a guaranteed no-op: the router takes exactly
 the code path it takes without an injector, so hop and message counts
 are bit-identical to a fault-free run.
+
+Which executor carries which field is one table, :data:`FAULT_SUPPORT`;
+every entry point — :func:`~repro.bench.harness.run_workload`,
+:func:`~repro.sim.shard.run_sharded`,
+:class:`~repro.net.cluster.LiveCluster`,
+:func:`~repro.expdb.runner.run_experiment` and
+:func:`~repro.faults.schedule.churn_schedule` — passes its plan through
+:func:`check_support`, which refuses by name any set field the
+executor's column lacks, so no part of a plan is dropped in silence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -52,10 +61,11 @@ class NetFaultSpec:
     """Wire-level fault knobs of the live (TCP) chaos layer.
 
     These only matter to :class:`repro.net.chaos.LiveChaos`; the
-    simulator never consults them.  All faults are injected on the
-    *send* side, before any bytes of the affected attempt reach the
-    wire, so a faulted attempt is never partially delivered — the
-    retry loop can re-send it without risking duplicate delivery.
+    simulators refuse them (:data:`FAULT_SUPPORT`).  All faults are
+    injected on the *send* side, before any bytes of the affected
+    attempt reach the wire, so a faulted attempt is never partially
+    delivered — the retry loop can re-send it without risking
+    duplicate delivery.
 
     Parameters
     ----------
@@ -139,7 +149,8 @@ class FaultPlan:
         stay reproducible from the plan seed.
     net:
         Wire-level fault knobs for the live TCP chaos layer (see
-        :class:`NetFaultSpec`); ignored by the simulator.
+        :class:`NetFaultSpec`); refused by the simulators
+        (:data:`FAULT_SUPPORT`).
     seed:
         Seed of the injector's private RNG; fault decisions never touch
         workload or engine RNG streams, so runs are reproducible.
@@ -179,20 +190,63 @@ class FaultPlan:
 
     @property
     def schedules_churn(self) -> bool:
-        """True when the plan asks the driver to crash/restart nodes."""
-        return self.crash_every > 0.0
+        """True when the plan asks the driver to run a churn schedule:
+        crashes, lease refreshes or a partition window
+        (:func:`~repro.faults.schedule.churn_schedule`)."""
+        periods = (self.crash_every, self.lease_refresh_every, self.net.partition_for)
+        return any(period > 0.0 for period in periods)
 
     @property
     def perturbs_wire(self) -> bool:
         """True when the live chaos layer must fault connections/frames."""
         return not self.net.is_noop
 
-    @property
-    def is_noop(self) -> bool:
-        """An empty plan changes nothing about a run."""
-        return (
-            not self.perturbs_delivery
-            and not self.schedules_churn
-            and not self.perturbs_wire
-            and self.backoff_jitter == 0.0
-        )
+
+_LADDER = ("max_attempts", "backoff_base", "backoff_jitter")
+_CRASHES = ("crash_every", "crash_count", "restart_after")
+_WIRE = ("net.connect_refusal_probability", "net.frame_fault_probability")
+_PARTITION = ("net.partition_at", "net.partition_for")
+
+#: Transport → ``{plan field: the mechanism that carries it}``, over the
+#: leaf names :func:`check_support` gives a plan's fields (``delay`` is
+#: one leaf, ``net.*`` four).  A field without an entry is refused.
+#: ``shard`` carries none: its staged replay orders deliveries by causal
+#: timestamp, which drops, delays and crashes between barriers break,
+#: and nothing in it runs a churn schedule.  ``sim`` has no partition;
+#: ``live`` has no per-delivery loss or delay (the wire injects
+#: neither) and no lease refresh (no soak has run one).  Lifting any of
+#: these is ROADMAP item 6(b).
+FAULT_SUPPORT: dict[str, dict[str, str]] = {
+    "sim": {
+        "loss_probability": "FaultInjector drops, retried by the Router",
+        "delay": "FaultInjector deferrals, landed by run_workload",
+        **dict.fromkeys((*_CRASHES, "lease_refresh_every"), "churn_schedule over a ChaosHarness"),
+        **dict.fromkeys(_LADDER, "the Router's retry ladder"),
+        "seed": "the FaultInjector's RNG",
+    },
+    "shard": {},
+    "live": {
+        "seed": "the LiveChaos injector's RNG and the ChaosController's victims",
+        **dict.fromkeys(_LADDER, "the NetPeer outboxes' retry ladder"),
+        **dict.fromkeys((*_CRASHES, *_PARTITION), "churn_schedule over a ChaosController"),
+        **dict.fromkeys(_WIRE, "LiveChaos, on every dial and write"),
+    },
+}
+
+
+def check_support(plan: FaultPlan, transport: str) -> tuple[str, ...]:
+    """The leaf fields ``plan`` sets away from their defaults — its own
+    in declaration order, ``delay`` as one, then ``net.*`` one by one —
+    once :data:`FAULT_SUPPORT` shows ``transport`` carries every one.
+
+    Raises ``ValueError`` naming the transport and the first field it
+    does not carry: no executor runs a plan it would drop part of.
+    """
+    default, leaves = asdict(FaultPlan()), asdict(plan)
+    for record in (default, leaves):
+        record.update((f"net.{name}", value) for name, value in record.pop("net").items())
+    names = tuple(name for name, value in leaves.items() if value != default[name])
+    for name in names:
+        if name not in FAULT_SUPPORT[transport]:
+            raise ValueError(f"the {transport} transport cannot carry fault plan field {name!r}")
+    return names

@@ -39,6 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class ChaosHarness:
     """Drive crashes and recovery over one engine + injector pair."""
 
+    #: The :data:`~repro.faults.plan.FAULT_SUPPORT` column a schedule
+    #: built on this harness is checked against.
+    transport = "sim"
+
     def __init__(
         self,
         engine: "ContinuousQueryEngine",

@@ -3,12 +3,15 @@
 A plan times its churn in logical time units: crash a node every
 ``plan.crash_every`` (at most ``plan.crash_count``), restart it
 ``plan.restart_after`` later, refresh the soft-state leases every
-``plan.lease_refresh_every``, and — live only — partition the ring from
-``plan.net.partition_at`` for ``plan.net.partition_for``.
-:func:`churn_schedule` turns each of those instants into the publish
-index of the first tuple published at or after it — the ``{publish
-index: actions}`` shape :class:`repro.bench.harness.ReplayOrder` keys
-on for both drivers that take it
+``plan.lease_refresh_every`` (``sim`` only), and — ``live`` only —
+partition the ring from ``plan.net.partition_at`` for
+``plan.net.partition_for``: the harness's transport column of
+:data:`~repro.faults.plan.FAULT_SUPPORT` decides, before any action is
+built.  :func:`churn_schedule` turns each of those instants into the
+publish index of the first tuple published at or after it — the
+``{publish index: actions}`` shape
+:class:`repro.bench.harness.ReplayOrder` keys on for both drivers that
+take it
 (:func:`repro.bench.harness.run_workload` and
 :meth:`repro.net.cluster.LiveCluster.run`).  It is the only code that
 builds a fault schedule: the serial replay passes a
@@ -25,7 +28,7 @@ import bisect
 from collections import defaultdict
 from typing import TYPE_CHECKING, Callable, Union
 
-from .plan import FaultPlan
+from .plan import FaultPlan, check_support
 from .recovery import ChaosHarness
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,15 +45,18 @@ def churn_schedule(
     lease refreshes and partition window through ``harness`` over
     ``workload``'s stream.
 
-    ``harness`` offers ``engine``, ``protected``, ``crash()`` and
-    ``restart()`` (plus ``begin_partition()`` / ``heal_partition()``
-    when the plan partitions); every action returns what the harness
-    returns, so a live controller's coroutines reach the driver.  A
+    ``harness`` offers ``transport``, ``engine``, ``protected``,
+    ``crash()`` and ``restart()`` (plus ``begin_partition()`` /
+    ``heal_partition()`` on ``live``, the one transport that
+    partitions); every action returns what the harness returns, so a
+    live controller's coroutines reach the driver.  A
     victim is never a subscriber: query keys embed the subscriber's key
     and the subscriber holds the leases (the rule a chaos soak's
     protected pool follows), so each crash first protects every node
-    that posed a query.
+    that posed a query.  A plan field the harness's ``transport`` does
+    not carry is refused by name (:func:`~repro.faults.plan.check_support`).
     """
+    check_support(plan, harness.transport)
     times = [event.time for event in workload if event.kind == "tuple"]
     schedule: dict[int, list[Callable[[], object]]] = defaultdict(list)
     if not times:

@@ -47,12 +47,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..core.engine import ContinuousQueryEngine
 from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan, NetFaultSpec
+from ..faults.plan import FAULT_SUPPORT, FaultPlan, NetFaultSpec
 from ..faults.recovery import ChaosHarness
 from ..faults.schedule import churn_schedule
 from ..workload.generator import Workload
@@ -191,6 +191,10 @@ class ChaosController:
     fault plan compiles to one schedule on either driver.
     """
 
+    #: The :data:`~repro.faults.plan.FAULT_SUPPORT` column a schedule
+    #: built on this controller is checked against.
+    transport = "live"
+
     def __init__(self, cluster: "LiveCluster", harness: ChaosHarness, chaos: LiveChaos):
         self.cluster = cluster
         self.harness = harness
@@ -321,12 +325,9 @@ async def soak(cluster: "LiveCluster", workload: Workload) -> "RunReport":
     controller = ChaosController(cluster, harness, chaos)
     schedule = churn_schedule(plan, controller, workload)
     kinds = Counter(act.__name__ for acts in schedule.values() for act in acts)
-    if kinds["crash"] < plan.crash_count or kinds["begin_partition"] < bool(
-        plan.net.partition_for
-    ):
-        raise ValueError(
-            f"the plan's churn falls past a {workload.n_tuples}-tuple stream"
-        )
+    partitions = bool(plan.net.partition_for)
+    if kinds["crash"] < plan.crash_count or kinds["begin_partition"] < partitions:
+        raise ValueError(f"the plan's churn falls past a {workload.n_tuples}-tuple stream")
     report = await cluster.run(workload, origins=pool, schedule=schedule)
     await controller.heal_partition()
     await controller.restart_all()
@@ -440,12 +441,9 @@ DEFAULT_PLAN = FaultPlan(
     ),
 )
 
-#: The ``--chaos`` keys: the plan fields a soak reads, by name.
-_NET_KEYS = tuple(f.name for f in fields(NetFaultSpec))
-_SPEC_KEYS = (
-    "seed", "max_attempts", "backoff_base", "backoff_jitter",
-    "crash_every", "crash_count", "restart_after", *_NET_KEYS,
-)
+#: The ``--chaos`` keys: the plan fields the ``live`` transport carries,
+#: ``net.`` prefixes dropped.
+_SPEC_KEYS = tuple(name.removeprefix("net.") for name in FAULT_SUPPORT["live"])
 
 
 def parse_chaos_spec(spec: str) -> FaultPlan:
@@ -467,8 +465,7 @@ def parse_chaos_spec(spec: str) -> FaultPlan:
                 f"bad --chaos entry {part!r}; known keys: "
                 f"{', '.join(sorted(_SPEC_KEYS))}"
             )
-        values, record = (
-            (net_values, DEFAULT_PLAN.net) if key in _NET_KEYS else (plan_values, DEFAULT_PLAN)
-        )
+        net = f"net.{key}" in FAULT_SUPPORT["live"]
+        values, record = (net_values, DEFAULT_PLAN.net) if net else (plan_values, DEFAULT_PLAN)
         values[key] = type(getattr(record, key))(raw.strip())
     return replace(DEFAULT_PLAN, **plan_values, net=replace(DEFAULT_PLAN.net, **net_values))

@@ -67,7 +67,7 @@ from ..chord.network import ChordNetwork
 from ..chord.node import ChordNode
 from ..core.engine import ContinuousQueryEngine, EngineConfig
 from ..errors import NetworkError, QuiesceTimeout
-from ..faults.plan import FaultPlan
+from ..faults.plan import FaultPlan, check_support
 from ..sim.stats import TrafficStats
 from ..workload.generator import Workload, WorkloadParams, build_workload
 from . import link
@@ -106,8 +106,9 @@ class ClusterConfig:
     #: replication_factor, ...).
     engine_overrides: dict = field(default_factory=dict)
     net: NetConfig = field(default_factory=NetConfig)
-    #: The run's one fault input (:class:`LiveCluster`); loss and delay
-    #: are refused: only the simulator injects them.
+    #: The run's one fault input (:class:`LiveCluster`); a field the
+    #: ``live`` column of :data:`repro.faults.plan.FAULT_SUPPORT` lacks
+    #: (loss, delay, lease refresh) is refused by name.
     fault_plan: Optional[FaultPlan] = None
 
 
@@ -167,15 +168,10 @@ class LiveCluster:
     def __init__(self, config: Optional[ClusterConfig] = None):
         self.config = config if config is not None else ClusterConfig()
         plan = self.config.fault_plan
-        if plan is not None and plan.perturbs_delivery:
-            raise ValueError(
-                "the live transport cannot inject loss_probability or delay "
-                "(per-delivery faults of the simulator's router); use "
-                "transport='sim' for such a plan"
-            )
         #: Source of the retry ladder (``max_attempts``, ``backoff_base``,
         #: ``backoff_jitter``) and of every fault.
         self.plan = plan if plan is not None else DEFAULT_RETRIES
+        check_support(self.plan, "live")
         self.network = ChordNetwork.build(self.config.n_nodes)
         self.engine = ContinuousQueryEngine(
             self.network,
@@ -190,11 +186,8 @@ class LiveCluster:
         #: The wire-fault layer, built when the plan faults the wire or
         #: churns the ring (``None``: a benign run); such a cluster also
         #: runs a failure detector on every peer.
-        self.chaos = (
-            LiveChaos(self.plan)
-            if self.plan.perturbs_wire or self.plan.schedules_churn
-            else None
-        )
+        faulted = self.plan.perturbs_wire or self.plan.schedules_churn
+        self.chaos = LiveChaos(self.plan) if faulted else None
         self.in_flight = InFlight(budget=self.net_config.credit_budget)
         # A node crash can settle a frame as lost in the same instant its
         # sender's write completes; under chaos that benign double

@@ -69,13 +69,17 @@ mechanism (see :func:`shard_capabilities`):
   its cache) lives in exactly one shard and learns from the same
   ``ts``-ordered message subsequence as the serial run.
 
-The one genuinely unsupported configuration is a perturbing fault
-injector: drops/delays/crashes make delivery order nondeterministic,
-which the staged replay cannot reproduce.  The differential tests in
-``tests/sim/test_shard.py`` and ``tests/sim/test_shard_features.py``
-assert bit-identical traffic counters, eviction counts and
-notification digests against :func:`repro.bench.harness.run_workload`
-for all four algorithms, both in-process and forked.
+The one genuinely unsupported configuration is a fault plan: drops
+and delays reorder deliveries, and crashes or lease refreshes between
+barriers interleave with the stages, which the staged replay cannot
+reproduce — and nothing in it would run a crash schedule.
+:func:`run_sharded` refuses any plan that sets a field, by name, off
+the empty ``shard`` column of :data:`repro.faults.plan.FAULT_SUPPORT`.
+The differential tests in ``tests/sim/test_shard.py`` and
+``tests/sim/test_shard_features.py`` assert bit-identical traffic
+counters, eviction counts and notification digests against
+:func:`repro.bench.harness.run_workload` for all four algorithms, both
+in-process and forked.
 """
 
 from __future__ import annotations
@@ -89,6 +93,7 @@ from ..bench.rows import RunReport, delivered_pairs
 from ..chord.routing import Router
 from ..chord.snapshot import SegmentMap
 from ..core.metrics import LoadSnapshot, snapshot
+from ..faults.plan import check_support
 from ..perf import PERF
 from .collector import CollectorPause
 
@@ -291,26 +296,6 @@ def shard_capabilities(engine) -> tuple[str, ...]:
     return tuple(features)
 
 
-def _validate(engine) -> None:
-    """Reject the one configuration no lifted mode can carry.
-
-    A perturbing fault injector (drops, delays, crashes) makes delivery
-    order — and therefore the causal-timestamp replay — nondeterministic
-    at the transport, so faulted studies must run through the serial
-    simulator.  Everything else, including sliding windows, replication
-    and the JFRT, is handled by the lifted modes named in
-    :func:`shard_capabilities`.
-    """
-    injector = engine.network.injector
-    if injector is not None and injector.perturbs_delivery:
-        raise ShardError(
-            "sharded execution is fault-free only: a perturbing fault "
-            "injector reorders deliveries, which the staged "
-            "causal-timestamp replay cannot reproduce; run faulted "
-            "configurations through the serial simulator"
-        )
-
-
 def run_sharded(
     engine: "ContinuousQueryEngine",
     events: "Iterable[WorkloadEvent]",
@@ -340,6 +325,11 @@ def run_sharded(
     cadence falls due, and the sweep runs at that barrier; a final
     sweep runs after the last event.
 
+    A fault injector on ``engine``'s network is refused as soon as its
+    plan sets any field (the ``shard`` column of
+    :data:`~repro.faults.plan.FAULT_SUPPORT` is empty), with a
+    ``ValueError`` naming the first.
+
     Returns a :class:`~repro.bench.rows.RunReport` bit-comparable with
     a serial :func:`~repro.bench.harness.run_workload` of the same engine
     configuration and ``evict_every``: traffic counters, notification
@@ -347,6 +337,8 @@ def run_sharded(
     Forked workers send their answers and their own nodes' load back at
     the end; in process both are read off ``engine`` on first use.
     """
+    if engine.network.injector is not None:
+        check_support(engine.network.injector.plan, "shard")
     # One pause around the install phase, the fork and every epoch:
     # the workers are forked inside it and inherit the paused collector.
     with CollectorPause() as pause:
@@ -359,7 +351,6 @@ def _run_staged(
     engine, events, pause: CollectorPause, shards, batch_size, seed, evict_every
 ) -> RunReport:
     """The body of :func:`run_sharded`, inside its collector pause."""
-    _validate(engine)
     if batch_size < 1:
         raise ShardError("batch_size must be >= 1")
     try:

@@ -131,7 +131,7 @@ def test_windowed_schedule_with_eviction(algorithm):
 # A stream whose first publishes are due before the installs have landed
 # publishes them at the clock the install quiesce left behind: several
 # tuples share one publish time, and DAI-Q/DAI-T then lose or suppress
-# answers (ROADMAP item 3; the same loss at the faulted-row point is
+# answers (ROADMAP item 2; the same loss at the faulted-row point is
 # pinned in tests/expdb/test_runner.py).
 @pytest.mark.xfail(strict=True, reason="publishes sharing one time lose pairs")
 @pytest.mark.parametrize("algorithm", ["dai-q", "dai-t"])

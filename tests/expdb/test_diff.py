@@ -272,7 +272,8 @@ class TestDiffRows:
         assert verdicts[0] == ("sim/dai-t n=24 seed=1", [])
         failed = [(label, problems) for label, problems in verdicts if problems]
         assert failed and all(label.startswith("shard/dai-t") for label, _ in failed)
-        assert "refuses perturbing fault plans" in failed[0][1][0]
+        refusal = "shard transport cannot carry fault plan field 'loss_probability'"
+        assert refusal in failed[0][1][0]
 
     def test_a_failed_sim_sibling_ends_its_group(self, monkeypatch):
         def failing(params, **staging):

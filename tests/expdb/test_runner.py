@@ -21,7 +21,7 @@ from repro.expdb.runner import (
     run_experiment,
     scale_for,
 )
-from repro.faults import DelaySpec, FaultInjector
+from repro.faults import DelaySpec, FaultInjector, NetFaultSpec
 from repro.net.cluster import simulate_reference
 
 TINY_SIM = {
@@ -137,7 +137,7 @@ class TestFaultedSimRows:
     # Wider delays leave the clock the install quiesce reached (5.8 on
     # DAI-T plan seed 3) past the stream's first publishes, which then
     # share one publish time; DAI-Q/DAI-T lose a pair of them (5238 or
-    # 5239 of 5240; nothing held, no duplicate).  ROADMAP item 3.
+    # 5239 of 5240; nothing held, no duplicate).  ROADMAP item 2.
     @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="publishes sharing one time lose pairs")
     @pytest.mark.parametrize("algorithm, plan_seed", [("dai-t", 3), ("dai-q", 7)])
     def test_wide_delays_keep_every_answer(self, algorithm, plan_seed):
@@ -207,7 +207,8 @@ class TestShardTransport:
         assert outcome.resources["events_per_sec"] > 0
 
     def test_fault_plans_are_refused(self):
-        with pytest.raises(ValueError, match="refuses perturbing fault plans"):
+        refusal = "the shard transport cannot carry fault plan field 'loss_probability'"
+        with pytest.raises(ValueError, match=refusal):
             run_experiment(
                 decoded(transport="shard", fault_plan={"loss_probability": 0.1}),
                 shards=1,
@@ -239,10 +240,17 @@ class TestLiveTransport:
         assert "latency_ms" in outcome.metrics["live"]
 
     def test_fault_plans_are_refused(self):
-        with pytest.raises(ValueError, match="live"):
+        refusal = "the live transport cannot carry fault plan field 'loss_probability'"
+        with pytest.raises(ValueError, match=refusal):
             run_experiment(
                 decoded(transport="live", fault_plan={"loss_probability": 0.1})
             )
+
+    def test_a_plan_the_wire_carries_is_refused_as_a_row(self):
+        # A chaos soak's counters follow event-loop timing: the row
+        # would not repeat.
+        with pytest.raises(ValueError, match="faulted live row does not repeat"):
+            run_experiment(decoded(transport="live", fault_plan={"crash_every": 5.0}))
 
     def test_windowed_rows_are_refused(self):
         # The pipelined driver loses windowed answers, so such a row
@@ -434,5 +442,8 @@ class TestDispatchHelpers:
         assert plan.delay == DelaySpec(probability=0.2, minimum=1.0, maximum=3.0)
 
     def test_net_fault_specs_are_live_only(self):
-        with pytest.raises(ValueError, match="live-cluster only"):
-            fault_plan_from_dict({"net": {"disconnect_rate": 0.1}})
+        plan = {"net": {"frame_fault_probability": 0.1}}
+        assert fault_plan_from_dict(plan).net == NetFaultSpec(frame_fault_probability=0.1)
+        refusal = "the sim transport cannot carry fault plan field 'net.frame_fault_probability'"
+        with pytest.raises(ValueError, match=refusal):
+            run_experiment(decoded(transport="sim", fault_plan=plan))

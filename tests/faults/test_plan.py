@@ -1,8 +1,10 @@
-"""FaultPlan / DelaySpec / NetFaultSpec: validation and no-op guarantees."""
+"""FaultPlan / DelaySpec / NetFaultSpec: validation, no-op guarantees
+and the one fault-support table."""
 
 import pytest
 
 from repro.faults import DelaySpec, FaultPlan, NetFaultSpec
+from repro.faults.plan import check_support
 
 
 class TestDelaySpec:
@@ -29,7 +31,7 @@ class TestDelaySpec:
 class TestFaultPlan:
     def test_default_plan_is_noop(self):
         plan = FaultPlan()
-        assert plan.is_noop
+        assert check_support(plan, "shard") == ()  # sets no field at all
         assert not plan.perturbs_delivery
         assert not plan.schedules_churn
 
@@ -45,7 +47,16 @@ class TestFaultPlan:
         plan = FaultPlan(crash_every=10.0)
         assert plan.schedules_churn
         assert not plan.perturbs_delivery
-        assert not plan.is_noop
+
+    @pytest.mark.parametrize(
+        "plan",
+        [FaultPlan(lease_refresh_every=10.0), FaultPlan(net=NetFaultSpec(partition_for=3.0))],
+        ids=["lease-refresh", "partition"],
+    )
+    def test_every_churn_knob_schedules_churn(self, plan):
+        # Lease refresh alone once read as "no churn", so a live run
+        # built no chaos layer and dropped the refreshes.
+        assert plan.schedules_churn
 
     @pytest.mark.parametrize("probability", [-0.01, 1.0])
     def test_rejects_bad_loss_probability(self, probability):
@@ -109,13 +120,12 @@ class TestNetFaultSpec:
         assert plan.perturbs_wire
         assert not plan.perturbs_delivery
         assert not plan.schedules_churn
-        assert not plan.is_noop
 
     def test_jitter_alone_breaks_noop(self):
         # Jitter changes retry timing even with no injected faults, so a
         # jittered plan must not be treated as "changes nothing".
         plan = FaultPlan(backoff_jitter=0.5)
-        assert not plan.is_noop
+        assert check_support(plan, "sim") == ("backoff_jitter",)
         assert not plan.perturbs_wire
 
     def test_rejects_negative_jitter(self):

@@ -274,7 +274,15 @@ class TestThePlanIsTheOneFaultInput:
         """The wire carries no per-delivery loss or delay; before the
         refusal such a plan ran unfaulted, and its injector on the ring
         router switched snapshot routing off for every live hop."""
-        with pytest.raises(ValueError, match="transport='sim'"):
+        with pytest.raises(ValueError, match="live transport cannot carry fault plan field"):
+            LiveCluster(ClusterConfig(n_nodes=4, fault_plan=plan))
+
+    def test_lease_refresh_is_refused_by_name(self):
+        # Before the table such a plan built a benign cluster
+        # (``chaos is None``) and run_live dropped its refreshes.
+        plan = FaultPlan(lease_refresh_every=10.0)
+        refusal = "live transport cannot carry fault plan field 'lease_refresh_every'"
+        with pytest.raises(ValueError, match=refusal):
             LiveCluster(ClusterConfig(n_nodes=4, fault_plan=plan))
 
 
@@ -511,9 +519,9 @@ class TestLiveChaosUnit:
 class TestOneSchedule:
     """One fault plan compiles to one schedule on either driver."""
 
-    PLAN = FaultPlan(
-        crash_every=6.0, crash_count=2, restart_after=3.0, lease_refresh_every=10.0, seed=3
-    )
+    # Crash and restart are the churn both transports carry: lease
+    # refresh is sim-only, partitions live-only (FAULT_SUPPORT).
+    PLAN = FaultPlan(crash_every=6.0, crash_count=2, restart_after=3.0, seed=3)
 
     @staticmethod
     def kinds(schedule):
@@ -546,11 +554,8 @@ class TestOneSchedule:
         assert self.kinds(sim) == self.kinds(live) == {
             5: ["crash"],
             8: ["restart"],
-            9: ["refresh_leases"],
             11: ["crash"],
             14: ["restart"],
-            19: ["refresh_leases"],
-            29: ["refresh_leases"],
         }
         # The live actions hand their coroutines to the driver.
         restart = live[8][0]()
@@ -604,6 +609,7 @@ class TestOneSchedule:
 class _Recorder:
     """The harness surface ``churn_schedule`` reads, with no ring."""
 
+    transport = "live"
     engine = type("Engine", (), {"queries": {}, "refresh_leases": lambda self: None})()
     protected: set = set()
 

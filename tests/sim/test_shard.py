@@ -148,7 +148,18 @@ class TestCapabilities:
 
         engine = self._engine()
         engine.network.injector = FaultInjector(FaultPlan(loss_probability=0.1))
-        with pytest.raises(ShardError, match="fault-free"):
+        with pytest.raises(ValueError, match="shard transport cannot carry .* 'loss_probability'"):
+            run_sharded(engine, workload)
+
+    def test_a_crash_plan_is_refused_not_ignored(self, workload):
+        # Before the table the staged replay ran such a plan without a
+        # single crash and reported the fault-free answers.
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan
+
+        engine = self._engine()
+        engine.network.injector = FaultInjector(FaultPlan(crash_every=5.0))
+        with pytest.raises(ValueError, match="shard transport cannot carry .* 'crash_every'"):
             run_sharded(engine, workload)
 
     def test_bad_evict_every_rejected(self, workload):
