@@ -182,9 +182,10 @@ def run_workload(
     Events are dispatched synchronously in :class:`ReplayOrder` (which
     takes ``seed``, ``origins``, ``evict_every`` and ``schedule``); the
     install/stream traffic split is taken at its boundary
-    (:meth:`ReplayOrder.split`).  When a sliding window is configured,
-    value-level state is evicted whenever the cadence falls due, so
-    storage gauges track the window.  Every publish's hop count goes
+    (:meth:`ReplayOrder.split`).  Value-level state older than the
+    engine's :meth:`~repro.core.engine.ContinuousQueryEngine.window_cutoff`
+    is evicted whenever the cadence falls due, so storage gauges track
+    the window.  Every publish's hop count goes
     into ``per_tuple_hops`` (one int per tuple; the row's ``load.fifth``).
 
     A plan field on the ring's injector that the ``sim`` column of
@@ -207,7 +208,6 @@ def run_workload(
     if injector is not None:
         check_support(injector.plan, "sim")
     lands = injector is not None and injector.perturbs_delivery
-    window = engine.config.window
     per_tuple_hops: list[int] = []
 
     install_start = engine.traffic.snapshot()
@@ -235,14 +235,12 @@ def run_workload(
                 engine.publish(origin, relation, values)
                 per_tuple_hops.append(engine.traffic.hops - before)
             if replay.evict_due:
-                if window is not None:
-                    evictions += engine.evict_expired()
+                evictions += engine.evict_expired()
                 pause.freeze_survivors()
 
         if lands:
             injector.flush_deferred()
-        if window is not None:
-            evictions += engine.evict_expired()
+        evictions += engine.evict_expired()
         install_traffic, stream_traffic = replay.split(
             install_start, stream_start, engine.traffic.snapshot()
         )

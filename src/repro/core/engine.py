@@ -278,11 +278,13 @@ class ContinuousQueryEngine:
         otherwise: the refresh is crash recovery (DESIGN.md §8).
 
         ``kind`` is ``"query"`` or ``"tuple"``; calling ``replay()``
-        re-sends that one item with ``refresh=True``.  The generator is
-        lazy so a live driver can pace the replay against its in-flight
-        budget (firing every step of a large publication log at once
-        overflows send windows); :meth:`refresh_leases` is the one-shot
-        consumer.
+        re-sends that one item with ``refresh=True``.  Tuples are
+        replayed from :meth:`window_cutoff` on, so a refresh while
+        publishes are in flight keeps what their halves can still meet.
+        The generator is lazy so a live driver can pace the replay
+        against its in-flight budget (firing every step of a large
+        publication log at once overflows send windows);
+        :meth:`refresh_leases` is the one-shot consumer.
         """
         network = self.network
         (generation, losses) = mark = (network._membership_generation, network.losses)
@@ -303,8 +305,7 @@ class ContinuousQueryEngine:
             yield "query", partial(
                 algorithm.index_query, self, origin, query, labels=labels, refresh=True
             )
-        window = self.config.window
-        horizon = None if window is None else self.clock.now - window
+        horizon = self.window_cutoff()
         for tup in self._publications:
             if horizon is None or tup.pub_time >= horizon:
                 origin = network.responsible_node(network.hash(tup.relation.name))
@@ -561,19 +562,27 @@ class ContinuousQueryEngine:
             if members.get(ident) is state.node:
                 yield ident, state
 
-    def evict_expired(self, cutoff: float | None = None) -> int:
-        """Apply sliding-window eviction on every adopted node (no-op
-        when the window is unbounded); returns the evicted-item count.
+    def window_cutoff(self) -> float | None:
+        """The sliding-window horizon: state published before it can
+        meet nothing still to arrive (``None``: unbounded window).
 
-        ``cutoff`` defaults to ``clock.now - window``; the sharded
-        executor passes it explicitly so barrier replicas evict against
-        the driver's clock rather than their own (possibly lagging)
-        copy.
+        ``min(clock.now, transport.low_watermark()) - window``: an
+        in-flight publish's halves can still pair with anything inside
+        the window of *its* time.  A causal transport answers ``inf``,
+        so the horizon is ``clock.now - window`` there.
         """
-        if self.config.window is None:
-            return 0
+        window = self.config.window
+        if window is None:
+            return None
+        return min(self.clock.now, self.transport.low_watermark()) - window
+
+    def evict_expired(self) -> int:
+        """Evict value-level state older than :meth:`window_cutoff` on
+        every adopted node (no-op when the window is unbounded); returns
+        the evicted-item count."""
+        cutoff = self.window_cutoff()
         if cutoff is None:
-            cutoff = self.clock.now - self.config.window
+            return 0
         return sum(state.evict_expired(cutoff) for _, state in self.adopted_states())
 
     def load_snapshot(self) -> LoadSnapshot:

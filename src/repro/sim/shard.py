@@ -48,14 +48,15 @@ mechanism (see :func:`shard_capabilities`):
 * *barrier-aligned eviction* — sliding-window eviction happens only at
   stage barriers, on the serial replay's cadence (one
   :class:`~repro.bench.harness.ReplayOrder` counts ``evict_every`` for
-  both): an epoch ends wherever the cadence falls due, and
-  the driver replays the eviction with the serial cutoff
-  (``clock.now - window``), broadcast to forked workers which each
-  sweep only the nodes they own.  Exact because eviction commutes with
-  everything between two boundaries: entries only leave a window heap
-  when no future event could match them (event times are monotone), so
-  deferring the sweep to the barrier removes the *same* entries the
-  serial mid-epoch sweep would have removed.
+  both): an epoch ends wherever the cadence falls due, and the driver
+  sweeps at the engine's
+  :meth:`~repro.core.engine.ContinuousQueryEngine.window_cutoff` (the
+  staged transport is causal, so ``clock.now - window``), broadcast to
+  forked workers which each sweep only the nodes they own.  The epoch is
+  clipped there, not at the next ``batch_size`` barrier: the answers
+  would not change, but a cohort that slid out before a deferred sweep
+  is refreshed in place by a later arrival instead of evicted, so the
+  eviction count would (DESIGN.md §15).
 * *owner-aware replica exchange* — replica placements
   (``Hash(R+A+"#j")``) land on arbitrary segments, but every replica
   store/probe is staged as an ``(ts, time, owner_ident, message)``
@@ -378,8 +379,7 @@ def _run_staged(
                     relation, values = event.payload
                     engine.publish(origin, relation, values)
                 if replay.evict_due:
-                    if window is not None:
-                        evictions += engine.evict_expired()
+                    evictions += engine.evict_expired()
                     pause.freeze_survivors()
                 continue
             stream.publish(origin, event)
@@ -565,14 +565,14 @@ class _Stream:
         return produced, candidates
 
     def evict(self) -> int:
-        """One eviction sweep at a barrier, against the driver's cutoff."""
+        """One eviction sweep at a barrier, against the driver's
+        :meth:`~repro.core.engine.ContinuousQueryEngine.window_cutoff`."""
         engine = self.engine
-        cutoff = engine.clock.now - engine.config.window
         if PERF.enabled:
             PERF.count("shard.evictions.replayed")
         if self.pool is None:
-            return engine.evict_expired(cutoff)
-        self.pool.broadcast(("evict", cutoff))
+            return engine.evict_expired()
+        self.pool.broadcast(("evict", engine.window_cutoff()))
         return sum(reply[1] for reply in self._gather())
 
     def finish(self) -> list:

@@ -10,7 +10,8 @@ before the stream.  Without any lease refresh each run must deliver
 exactly the centralized oracle's rows, create no answer twice (the
 queries select a unique id from each side, so every answer row has one
 tuple pair behind it: a duplicate would be the mirror race) and leave
-nothing held once quiescent.
+nothing held once quiescent.  With a sliding window and eviction every
+four events the same holds against the windowed oracle.
 
 Before the order-independent DAI-Q/DAI-T value nodes every one of the
 200 schedules below lost answers for both algorithms, plain and
@@ -46,7 +47,7 @@ CONFIGS = {"plain": {}, "replicated": {"replication_factor": 2, "jfrt_capacity":
 STREAM_START = DELAY.maximum + 1.0
 
 
-def workload(seed, start):
+def workload(seed, start, queries=QUERIES):
     """24 tuples, half R and half S on average, over a 3-value domain."""
     rng = random.Random(seed)
     tuples = []
@@ -56,10 +57,13 @@ def workload(seed, start):
             tuples.append(("R", {"A": index, "B": a, "C": b}))
         else:
             tuples.append(("S", {"D": index, "E": a, "F": b}))
-    return scripted(SCHEMA, QUERIES, tuples, start=start)
+    return scripted(SCHEMA, queries, tuples, start=start)
 
 
-def explore(algorithm, seed, *, window=None, evict_every=64, start=STREAM_START, **config):
+def explore(
+    algorithm, seed, *, window=None, evict_every=64, start=STREAM_START,
+    queries=QUERIES, **config,
+):
     """Replay one schedule to quiescence; returns ``(engine, oracle, keys)``."""
     injector = FaultInjector(FaultPlan(delay=DELAY, seed=seed))
     network = ChordNetwork.build(12, injector=injector)
@@ -67,16 +71,18 @@ def explore(algorithm, seed, *, window=None, evict_every=64, start=STREAM_START,
         network,
         EngineConfig(algorithm, index_choice="random", window=window, seed=seed, **config),
     )
-    run_workload(engine, workload(seed, start), seed=seed, evict_every=evict_every)
+    run_workload(engine, workload(seed, start, queries), seed=seed, evict_every=evict_every)
     return engine, oracle_of(engine, window), list(engine.queries)
 
 
-def failures(algorithm, seeds, **options):
+def failures(algorithm, seeds, *, queries=QUERIES, **options):
     """``(seed, missing, extra, duplicates, suppressed, held)`` per schedule
-    that went wrong."""
+    that went wrong.  Suppressions count only for :data:`QUERIES`, whose
+    answer rows each have one tuple pair behind them; select lists that
+    repeat rows suppress the repeats legitimately."""
     bad = []
     for seed in seeds:
-        engine, oracle, keys = explore(algorithm, seed, **options)
+        engine, oracle, keys = explore(algorithm, seed, queries=queries, **options)
         missing = sum(len(oracle.rows_for(k) - engine.delivered_rows(k)) for k in keys)
         extra = sum(len(engine.delivered_rows(k) - oracle.rows_for(k)) for k in keys)
         held = sum(
@@ -86,7 +92,7 @@ def failures(algorithm, seeds, **options):
         )
         counts = (
             missing, extra, engine.duplicate_deliveries,
-            engine.suppressed_renotifications, held,
+            engine.suppressed_renotifications if queries is QUERIES else 0, held,
         )
         if any(counts):
             bad.append((seed, *counts))
@@ -118,14 +124,34 @@ def test_schedules_really_reorder_pairs():
     assert 0 < counters["engine.reorder.peak"] <= counters["engine.reorder.buffered"]
 
 
-# Windowed schedules still lose answers, every algorithm alike: eviction
-# cuts at ``clock.now - window`` while older publishes are in flight,
-# so an entry can leave a table before the half it pairs with lands
-# (ROADMAP item 1(b)) — not an arrival-order question the rule decides.
-@pytest.mark.xfail(strict=True, reason="windowed eviction outruns in-flight halves")
+@pytest.mark.parametrize("config", CONFIGS, ids=str)
 @pytest.mark.parametrize("algorithm", ["sai", "dai-q", "dai-t", "dai-v"])
-def test_windowed_schedule_with_eviction(algorithm):
-    assert failures(algorithm, [0], window=10.0, evict_every=4) == []
+def test_windowed_schedule_with_eviction(algorithm, config):
+    """Eviction cuts at the engine's window cutoff, which waits for the
+    oldest publish still in flight: no entry leaves a table before the
+    half it pairs with lands."""
+    options = dict(window=10.0, evict_every=4, **CONFIGS[config])
+    assert failures(algorithm, SCHEDULES, **options) == []
+
+
+#: Select lists under which several tuple pairs give one answer row.
+REPEATED_ROWS = (
+    "SELECT R.C, S.F FROM R, S WHERE R.B = S.E",
+    "SELECT S.F FROM R, S WHERE R.B = S.E",
+    "SELECT R.B, S.D FROM R, S WHERE R.C = S.F",
+)
+
+
+# With a window, SAI and DAI-T miss answers of select lists that repeat
+# rows: 20 and 47 of 100 schedules with no mid-run sweep, none without
+# a window.  Suspected, not shown: ``ValueLevelQueryTable._add``
+# refreshes a stored cohort under one ``latest_trigger_time``, as if a
+# key's records landed in trigger order.
+@pytest.mark.xfail(strict=True, reason="windowed value nodes miss repeated rows")
+@pytest.mark.parametrize("algorithm, seed", [("sai", 9), ("sai", 19), ("dai-t", 1)])
+def test_windowed_schedule_with_repeated_rows(algorithm, seed):
+    options = dict(queries=REPEATED_ROWS, window=10.0, evict_every=10**9)
+    assert failures(algorithm, [seed], **options) == []
 
 
 # A stream whose first publishes are due before the installs have landed

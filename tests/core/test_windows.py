@@ -1,6 +1,11 @@
-"""Sliding-window semantics: matching, eviction, DAI-T resend mode."""
+"""Sliding-window semantics: matching, eviction, the window cutoff on
+each transport, DAI-T resend mode."""
 
 import pytest
+
+from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig
+from repro.faults import DelaySpec, FaultInjector, FaultPlan
+from repro.net.cluster import ClusterConfig, LiveCluster
 
 ALGORITHMS = ["sai", "dai-q", "dai-t", "dai-v"]
 
@@ -79,6 +84,66 @@ class TestEviction:
         engine.publish(engine.network.nodes[1], R, {"A": 1, "B": 7, "C": 0})
         engine.clock.advance(1000)
         assert engine.evict_expired() == 0
+
+
+class TestWindowCutoff:
+    """``window_cutoff()`` waits for the oldest publish still in flight."""
+
+    WINDOW = 5.0
+
+    def delayed(self, schema):
+        """A windowed SAI engine whose publish at T = 15 is deferred by
+        100 time units while the publishes at 1..25 around it land at
+        once; the clock ends at 25."""
+        delay = DelaySpec(probability=1.0, minimum=100.0, maximum=100.0)
+        injector = FaultInjector(FaultPlan(delay=delay, seed=1))
+        network = ChordNetwork.build(12, injector=injector)
+        engine = ContinuousQueryEngine(network, EngineConfig("sai", window=self.WINDOW))
+        R = schema.relation("R")
+        for time in range(1, 26):
+            engine.clock.advance_to(time)
+            if time == 15:
+                engine.publish(network.nodes[1], R, {"A": time, "B": 7, "C": 0})
+            else:
+                with injector.quiesce():
+                    engine.publish(network.nodes[1], R, {"A": time, "B": 7, "C": 0})
+        return engine, injector
+
+    def test_unbounded_window_has_no_cutoff(self, engine_factory):
+        engine = engine_factory(algorithm="sai")
+        engine.clock.advance(50)
+        assert engine.window_cutoff() is None
+
+    def test_bare_router_cuts_at_the_clock(self, engine_factory):
+        engine = engine_factory(algorithm="sai", window=self.WINDOW)
+        engine.clock.advance(50)
+        assert engine.window_cutoff() == 50 - self.WINDOW
+
+    def test_deferred_publish_holds_the_cutoff(self, two_relation_schema):
+        engine, injector = self.delayed(two_relation_schema)
+        assert injector.pending_deliveries > 0
+        assert engine.window_cutoff() == 15 - self.WINDOW
+        injector.flush_deferred()
+        assert engine.clock.now > 25
+        assert engine.window_cutoff() == engine.clock.now - self.WINDOW
+
+    def test_live_credit_holds_the_cutoff(self):
+        cluster = LiveCluster(
+            ClusterConfig(n_nodes=4, engine_overrides={"window": self.WINDOW})
+        )
+        engine = cluster.engine
+        cluster.network.use_transport(cluster.transport)
+        engine.clock.advance_to(40)
+        cluster.in_flight.inc("vl-index", 1, 30.0)
+        assert engine.window_cutoff() == 30.0 - self.WINDOW
+
+    def test_refresh_replays_what_an_in_flight_half_can_meet(self, two_relation_schema):
+        """The refresh replays the publishes at 10..25, not 20..25: the
+        one at 15 is still in flight and pairs with any back to 10."""
+        engine, _ = self.delayed(two_relation_schema)
+        engine.network.note_loss()
+        tuples = [replay for kind, replay in engine.lease_refresh_steps() if kind == "tuple"]
+        assert len(tuples) == 16
 
 
 class TestDAITResendUnderWindows:

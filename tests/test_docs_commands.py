@@ -45,7 +45,8 @@ COMMAND_SOURCES = (
 #: own reference check and the engine's iterative-multisend switch that
 #: ``expdb diff`` and the one recursive sweep replaced, and the live
 #: fault inputs beside ``ClusterConfig.fault_plan`` with the per-tuple
-#: hop switch.
+#: hop switch, and the engine's explicit eviction cutoff that
+#: ``window_cutoff()`` replaced.
 DELETED = (
     "EventRing",
     "run_stream",
@@ -111,6 +112,7 @@ DELETED = (
     "install_chaos",
     "run_chaos_soak",
     "collect_per_tuple_hops",
+    "evict_expired(cutoff",
 )
 
 
