@@ -6,11 +6,12 @@ node-by-node finger walk with closed-form bisect resolution over a
 identical ring and lookup set, so the speedup is directly visible; the
 hop counts are asserted equal (the Hypothesis differential test covers
 the full equivalence).  The object-walk side is a ``Router`` with no
-ring: the network's own router is on the snapshot while the ring is
+ring over the ring created whole (``network.nodes``), so it walks real
+pointers: the network's own router is on the snapshot while the ring is
 exact.
 
 Two more rows time the snapshot router where joinbench's ``sim_route``
-runs it — a 20k-node deferred-finger ring: one ``find_successor`` (a
+runs it — a 20k-node ring whose members are created on first touch: one ``find_successor`` (a
 single routed leg) and one 8-target recursive ``multisend`` sweep, so
 the cost per leg of the sweep can be read against the cost of a lone
 lookup.
@@ -33,6 +34,7 @@ SWEEP_TARGETS = 8
 def run(n_nodes: int = 4096, lookups: int = 5_000) -> list[dict]:
     rng = random.Random(13)
     network = ChordNetwork.build(n_nodes)
+    network.nodes  # every member created: the object walk reads real pointers
     snapshot = network.snapshot
     targets = [rng.randrange(network.space.size) for _ in range(lookups)]
     sources = [network.random_node(rng) for _ in range(lookups)]
@@ -79,7 +81,7 @@ def run(n_nodes: int = 4096, lookups: int = 5_000) -> list[dict]:
 def run_large_ring(n_nodes: int = 20_000, walks: int = 5_000) -> list[dict]:
     """One lookup and one 8-target sweep on the ``sim_route`` ring."""
     rng = random.Random(13)
-    network = ChordNetwork.build(n_nodes, fast_routing=True)
+    network = ChordNetwork.build(n_nodes)
     snapshot = network.snapshot
     size = network.space.size
     sources = [network.random_node(rng) for _ in range(walks)]
@@ -99,8 +101,9 @@ def run_large_ring(n_nodes: int = 20_000, walks: int = 5_000) -> list[dict]:
         )
     ]
 
-    for node in network:
-        node.register_handler("message", lambda node, message: None)
+    network.adopt_hook = lambda node: node.register_handler(
+        "message", lambda node, message: None
+    )
     sweeps = walks // SWEEP_TARGETS
     batches = [
         [rng.randrange(size) for _ in range(SWEEP_TARGETS)] for _ in range(sweeps)

@@ -5,8 +5,8 @@ bottleneck.  This module pushes the network-size axis into the
 10^5-node range by combining the three scaling mechanisms of
 DESIGN.md §14:
 
-* ring snapshots routing a ring whose finger tables are deferred
-  (``ChordNetwork.build(fast_routing=True)``),
+* ring snapshots routing a ring whose members are created on first
+  touch (``ChordNetwork.build``),
 * streaming workload generation (:func:`iter_workload_events`), and
 * sharded staged execution of the stream (:func:`repro.sim.shard.run_sharded`).
 
@@ -87,7 +87,7 @@ def run_scale_point(
     )
     schema = synthetic_schema(params.n_relations, params.attributes_per_relation)
     start = time.perf_counter()
-    network = ChordNetwork.build(point.n_nodes, fast_routing=True)
+    network = ChordNetwork.build(point.n_nodes)
     engine = ContinuousQueryEngine(
         network,
         EngineConfig(

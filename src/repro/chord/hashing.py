@@ -34,18 +34,23 @@ DEFAULT_M = 32
 HASH_CACHE_SIZE = 1 << 16
 
 
+def digest(key: str) -> int:
+    """The full 160-bit SHA-1 digest of ``key``, as an integer."""
+    return int.from_bytes(hashlib.sha1(key.encode("utf-8")).digest(), "big")
+
+
 @lru_cache(maxsize=HASH_CACHE_SIZE)
 def hash_key(key: str) -> int:
-    """The full 160-bit SHA-1 digest of ``key``, as an integer.
+    """:func:`digest`, memoized.
 
-    Memoized: every routing identifier in the system is derived from
-    this digest, and under the paper's skewed workloads the same keys
-    recur constantly (hot attribute values, per-relation keys, lease
+    Every routing identifier in the system is derived from this digest,
+    and under the paper's skewed workloads the same keys recur
+    constantly (hot attribute values, per-relation keys, lease
     renewals).  The digest is cached *unreduced* so one entry serves
     every identifier-space size ``m`` — reducing modulo ``2**m`` is a
     cheap mask applied by the caller.
     """
-    return int.from_bytes(hashlib.sha1(key.encode("utf-8")).digest(), "big")
+    return digest(key)
 
 
 def hash_key_cache_info():
@@ -94,6 +99,12 @@ class ConsistentHash:
 
     def __call__(self, key: str) -> int:
         return hash_key(key) % self.modulus
+
+    def node_ident(self, key: str) -> int:
+        """``Hash(Key(n))`` of a node key, not memoized: a member key is
+        hashed once, and caching it would only push workload keys out of
+        the memo (a 2**16-node build would fill it)."""
+        return digest(key) % self.modulus
 
     def hash_parts(self, *parts: object) -> int:
         """Hash the concatenation of ``parts`` (``Hash(R + A + v)``)."""

@@ -4,10 +4,13 @@
 router and traffic statistics, plus the node registry.  It supports two
 construction modes:
 
-* :meth:`ChordNetwork.build` creates a stable ring directly (correct
-  successors, predecessors and finger tables) — the setting of the
-  paper's experiments, which evaluate query processing rather than ring
-  maintenance;
+* :meth:`ChordNetwork.build` creates a stable ring directly — the
+  setting of the paper's experiments, which evaluate query processing
+  rather than ring maintenance.  An exact ring is its sorted identifier
+  array plus each member's key: a ``ChordNode`` is created when
+  something asks for that member, with the pointers a full build would
+  give it, and every member is created (and every pointer set) when the
+  ring is about to stop being exact or a caller asks for all members;
 * incremental :meth:`join` / :meth:`leave` / :meth:`fail` plus
   :meth:`run_stabilization` exercise the actual Chord maintenance
   protocol (stabilize, fix fingers, check predecessor) for
@@ -32,7 +35,7 @@ from ..sim.stats import TrafficStats
 from ..transport import Transport
 from .hashing import DEFAULT_M, ConsistentHash
 from .idspace import IdentifierSpace
-from .node import DEFAULT_SUCCESSOR_LIST_SIZE, ChordNode
+from .node import DEFAULT_SUCCESSOR_LIST_SIZE, POINTERS, ChordNode
 from .routing import Router
 from .snapshot import RingSnapshot
 from . import stabilize as maintenance
@@ -40,8 +43,9 @@ from . import stabilize as maintenance
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
 
-#: One INFO record per change of router (see ``_choose_router``), never
-#: one per message; silent unless the application configures logging.
+#: One INFO record per change of router (see ``_choose_router``) and per
+#: ring materialization (see ``_materialize``), never one per message;
+#: silent unless the application configures logging.
 logger = logging.getLogger("repro.chord")
 logger.addHandler(logging.NullHandler())
 
@@ -70,9 +74,15 @@ class ChordNetwork:
         #: the engine or algorithms noticing.
         self.transport: Transport = self.router
         self.successor_list_size = successor_list_size
+        #: Created members by identifier.
         self._nodes: dict[int, ChordNode] = {}
+        #: Every member's identifier, sorted.
         self._sorted_idents: list[int] = []
+        #: Built members' keys by identifier, in build order, until
+        #: :meth:`_materialize` has created them all (then empty).
+        self._keys: dict[int, str] = {}
         self.transfer_hook: Optional[TransferHook] = None
+        self._adopt_hook: Optional[Callable[[ChordNode], object]] = None
         #: True while every node's pointers match the membership exactly
         #: (as after :meth:`build` / :meth:`rebuild_ring_state`); any
         #: membership change clears it until the next full rebuild.
@@ -81,13 +91,6 @@ class ChordNetwork:
         #: :class:`RingSnapshot` that routes this ring, or ``None``
         #: while the object walk does.  Routers read it per message.
         self.snapshot: Optional[RingSnapshot] = None
-        #: Finger tables deferred (``build(fast_routing=True)``): the
-        #: snapshot never reads them, and building them dominates ring
-        #: construction time and a third of its memory, so nodes share
-        #: one empty placeholder.  Materialized on the first membership
-        #: change (or maintenance round), before the object walk — which
-        #: does read them — can take over.
-        self._lazy_fingers = False
         #: Bumped on every membership change; names the ring in the log.
         self._membership_generation = 0
         self._losses = 0
@@ -113,6 +116,18 @@ class ChordNetwork:
 
     def note_loss(self) -> None:
         self._losses += 1
+
+    @property
+    def adopt_hook(self) -> Optional[Callable[[ChordNode], object]]:
+        """The engine's lazy-adoption callback, given to every member as
+        it is created (``ChordNode.adopt_hook``)."""
+        return self._adopt_hook
+
+    @adopt_hook.setter
+    def adopt_hook(self, hook: Optional[Callable[[ChordNode], object]]) -> None:
+        self._adopt_hook = hook
+        for node in self._nodes.values():
+            node.adopt_hook = hook
 
     @property
     def injector(self) -> Optional["FaultInjector"]:
@@ -145,53 +160,92 @@ class ChordNetwork:
         Node keys are ``"{key_prefix}-{i}"``; identifier collisions
         (possible at small ``m``) are resolved by salting the key, so
         the ring always has exactly ``n_nodes`` distinct identifiers.
+        No node is created here (see the module docstring).
 
-        ``fast_routing=True`` defers finger-table construction, which
-        dominates build time at large ``n_nodes``, until a membership
-        change or maintenance round needs the tables — nothing else.
-        Which router serves the ring never depended on who built it
-        (see :meth:`_choose_router`); the keyword keeps its name only
-        because ``benchmarks/joinbench/drivers.py`` passes it.
+        ``fast_routing`` is accepted and ignored: it once deferred the
+        finger tables, which every build now does, and
+        ``benchmarks/joinbench/drivers.py`` still passes it.
         """
+        del fast_routing
         if n_nodes < 1:
             raise NetworkError("a network needs at least one node")
         network = cls(
             m=m, successor_list_size=successor_list_size, injector=injector
         )
-        nodes = network._nodes
-        hash_fn = network.hash
+        keys = network._keys
+        node_ident = network.hash.node_ident
         for index in range(n_nodes):
             key = f"{key_prefix}-{index}"
             salt = 0
-            ident = hash_fn(key)
-            while ident in nodes:
+            ident = node_ident(key)
+            while ident in keys:
                 salt += 1
-                ident = hash_fn(f"{key}~{salt}")
-            nodes[ident] = ChordNode(
-                key if salt == 0 else f"{key}~{salt}",
-                ident,
-                network.space,
-                successor_list_size=successor_list_size,
-                defer_fingers=fast_routing,
-            )
+                ident = node_ident(f"{key}~{salt}")
+            keys[ident] = key if salt == 0 else f"{key}~{salt}"
         # Bulk registration: one sort instead of n_nodes insorts (the
         # repeated-memmove cost is what made >=100k-node builds crawl).
-        network._sorted_idents = sorted(nodes)
+        network._sorted_idents = sorted(keys)
         network._membership_generation += 1
-        network._lazy_fingers = fast_routing
-        network.rebuild_ring_state()
+        network._ring_exact = True
+        network._choose_router("rebuild")
         return network
+
+    def _create(self, ident: int) -> ChordNode:
+        """Create built member ``ident`` (KeyError if there is none)."""
+        size = self.successor_list_size
+        node = ChordNode(self._keys[ident], ident, self.space, successor_list_size=size, ring=self)
+        node.adopt_hook = self._adopt_hook
+        self._nodes[ident] = node
+        return node
+
+    def set_pointer(self, node: ChordNode, name: str, position: int | None = None) -> None:
+        """Set ``node``'s pointer ``name`` (one of
+        :data:`~repro.chord.node.POINTERS`) as global knowledge would;
+        ``position`` is its rank, if known."""
+        idents = self._sorted_idents
+        count = len(idents)
+        if position is None:
+            position = bisect.bisect_left(idents, node.ident)
+        if name == "predecessor":
+            node.predecessor = self.node_at(idents[position - 1]) if count > 1 else node
+        elif name == "successor_list":
+            node.successor_list = [
+                self.node_at(idents[(position + offset) % count])
+                for offset in range(1, min(count, node.successor_list_size + 1))
+            ]
+        else:
+            successor = self._oracle_successor
+            node.fingers = [successor(node.finger_start(j)) for j in range(self.space.m)]
+
+    def _materialize(self, cause: str) -> None:
+        """Create every member not created yet and set every pointer
+        exactly, keeping the nodes already handed out; nothing once
+        every member exists.
+
+        Called while the ring is still exact, before anything that ends
+        that (a membership change, a maintenance round, a perturbing
+        injector) and for a caller that asks for all members.
+        """
+        keys = self._keys
+        if not keys:
+            return
+        nodes = self._nodes
+        created = len(nodes)
+        self._nodes = {ident: nodes.get(ident) or self._create(ident) for ident in keys}
+        self._keys = {}
+        self._set_pointers()
+        PERF.count("ring.materialized")  # rare: no need to test PERF.enabled first
+        message = "ring materialized (%s): %d nodes, %d created on first touch"
+        logger.info(message, cause, len(keys), created)
 
     def _register(self, node: ChordNode) -> None:
         if node.ident in self._nodes:
             raise NetworkError(f"identifier collision at {node.ident}")
-        self._materialize_fingers()
         self._nodes[node.ident] = node
         bisect.insort(self._sorted_idents, node.ident)
         self._membership_changed("join")
 
     def _unregister(self, node: ChordNode, cause: str) -> None:
-        self._materialize_fingers()
         del self._nodes[node.ident]
         index = bisect.bisect_left(self._sorted_idents, node.ident)
         self._sorted_idents.pop(index)
@@ -202,43 +256,24 @@ class ChordNetwork:
         self._ring_exact = False
         self._choose_router(cause)
 
-    def _materialize_fingers(self) -> None:
-        """Build the deferred finger tables before the object walk needs
-        them.
-
-        A lazy-finger ring loses snapshot routing the moment membership
-        changes (the ring is no longer exact) or a perturbing injector
-        arrives, so the object walk — which reads real finger tables —
-        must be ready first.  Deferred tables only exist on an exact
-        ring, so the oracle's fingers are the right ones.
-        """
-        if self._lazy_fingers:
-            self._lazy_fingers = False
-            for node in self._nodes.values():
-                node.fingers = self._exact_fingers(node)
-
-    def _exact_fingers(self, node: ChordNode) -> list[ChordNode]:
-        return [self._oracle_successor(node.finger_start(j)) for j in range(self.space.m)]
+    def _set_pointers(self) -> None:
+        nodes = self._nodes
+        for position, ident in enumerate(self._sorted_idents):
+            node = nodes[ident]
+            for name in POINTERS:
+                self.set_pointer(node, name, position)
 
     def rebuild_ring_state(self) -> None:
-        """Set every pointer (successors, predecessors, fingers) exactly.
+        """Create every member and set every pointer (successors,
+        predecessors, fingers) exactly.
 
-        Equivalent to letting stabilization run to quiescence; used by
-        :meth:`build` and available to tests that damage the ring.
+        Equivalent to letting stabilization run to quiescence; available
+        to tests that damage the ring.
         """
-        idents = self._sorted_idents
-        count = len(idents)
-        lazy = self._lazy_fingers
-        for position, ident in enumerate(idents):
-            node = self._nodes[ident]
-            successors = [
-                self._nodes[idents[(position + offset) % count]]
-                for offset in range(1, min(count, node.successor_list_size + 1))
-            ]
-            node.successor_list = successors
-            node.predecessor = self._nodes[idents[(position - 1) % count]] if count > 1 else node
-            if not lazy:
-                node.fingers = self._exact_fingers(node)
+        if self._keys:
+            self._materialize("rebuild")
+        else:
+            self._set_pointers()
         self._ring_exact = True
         self._choose_router("rebuild")
 
@@ -256,10 +291,10 @@ class ChordNetwork:
         injector = self.router.injector
         if (
             not self._ring_exact
-            or not self._nodes
+            or not self._sorted_idents
             or (injector is not None and injector.perturbs_delivery)
         ):
-            self._materialize_fingers()
+            self._materialize(cause)
             self.snapshot = None
         elif previous is None:
             self.snapshot = RingSnapshot(
@@ -275,7 +310,7 @@ class ChordNetwork:
             "router -> %s (%s): %d nodes, membership generation %d",
             "object walk" if previous is not None else "snapshot",
             cause,
-            len(self._nodes),
+            len(self._sorted_idents),
             self._membership_generation,
         )
 
@@ -285,35 +320,40 @@ class ChordNetwork:
         index = bisect.bisect_left(idents, ident)
         if index == len(idents):
             index = 0
-        return self._nodes[idents[index]]
+        return self.node_at(idents[index])
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._sorted_idents)
 
     def __iter__(self) -> Iterator[ChordNode]:
+        """Every live node (all created first), in build and join order."""
+        self._materialize("iteration")
         return iter(self._nodes.values())
 
     @property
     def nodes(self) -> list[ChordNode]:
-        """Live nodes in identifier order."""
+        """Live nodes in identifier order (all created first)."""
+        self._materialize("nodes")
         return [self._nodes[ident] for ident in self._sorted_idents]
 
     def node_at(self, ident: int) -> ChordNode:
-        """The node with exactly this identifier (KeyError if absent)."""
-        return self._nodes[ident]
+        """The node with exactly this identifier (KeyError if absent),
+        created on first touch."""
+        node = self._nodes.get(ident)
+        return node if node is not None else self._create(ident)
 
     def responsible_node(self, ident: int) -> ChordNode:
         """Ground-truth ``Successor(ident)`` (oracle; not a routed lookup)."""
-        if not self._nodes:
+        if not self._sorted_idents:
             raise NetworkError("network is empty")
         return self._oracle_successor(ident % self.space.size)
 
     def random_node(self, rng) -> ChordNode:
         """A uniformly random live node, using the caller's RNG."""
-        return self._nodes[self._sorted_idents[rng.randrange(len(self._sorted_idents))]]
+        return self.node_at(self._sorted_idents[rng.randrange(len(self._sorted_idents))])
 
     # ------------------------------------------------------------------
     # Membership changes
@@ -326,11 +366,12 @@ class ChordNetwork:
         it now owns (``transfer_hook``).  Remaining pointers converge
         through :meth:`run_stabilization`.
         """
-        ident = self.hash(key)
+        self._materialize("join")
+        ident = self.hash.node_ident(key)
         salt = 0
         while ident in self._nodes:
             salt += 1
-            ident = self.hash(f"{key}~{salt}")
+            ident = self.hash.node_ident(f"{key}~{salt}")
         node = ChordNode(
             key if salt == 0 else f"{key}~{salt}",
             ident,
@@ -366,6 +407,7 @@ class ChordNetwork:
     def leave(self, node: ChordNode) -> None:
         """Voluntary departure: keys move to the successor (Section 2.2)."""
         self._require_member(node)
+        self._materialize("leave")
         if len(self._nodes) == 1:
             self._unregister(node, "leave")
             node.alive = False
@@ -391,6 +433,7 @@ class ChordNetwork:
         and stabilization restore routing.
         """
         self._require_member(node)
+        self._materialize("fail")
         self._unregister(node, "fail")
         node.alive = False
 
@@ -399,7 +442,7 @@ class ChordNetwork:
     # ------------------------------------------------------------------
     def run_stabilization(self, rounds: int = 1, *, fix_all_fingers: bool = False) -> None:
         """Run the periodic maintenance protocol on every live node."""
-        self._materialize_fingers()  # fix_finger writes into the tables
+        self._materialize("stabilization")
         for _ in range(rounds):
             for node in list(self._nodes.values()):
                 maintenance.check_predecessor(node)
@@ -412,12 +455,11 @@ class ChordNetwork:
 
     def ring_is_consistent(self) -> bool:
         """Check that successors/predecessors match the oracle ordering."""
-        idents = self._sorted_idents
-        count = len(idents)
-        for position, ident in enumerate(idents):
-            node = self._nodes[ident]
-            expected_successor = self._nodes[idents[(position + 1) % count]]
-            expected_predecessor = self._nodes[idents[(position - 1) % count]]
+        nodes = self.nodes
+        count = len(nodes)
+        for position, node in enumerate(nodes):
+            expected_successor = nodes[(position + 1) % count]
+            expected_predecessor = nodes[position - 1]
             if count > 1 and node.successor is not expected_successor:
                 return False
             if count > 1 and node.predecessor is not expected_predecessor:

@@ -26,13 +26,9 @@ DEFAULT_SUCCESSOR_LIST_SIZE = 4
 
 MessageHandler = Callable[["ChordNode", "Message"], None]
 
-#: The finger table every node of a deferred-finger ring shares until
-#: the ring materializes real ones (``ChordNetwork.build(fast_routing=
-#: True)``): snapshot routing never reads fingers, and ``[None] * m``
-#: per node is a third of such a ring's memory.  Empty, so the finger
-#: scan falls through to the successor list exactly as it does over a
-#: table of ``None``.
-NO_FINGERS: tuple = ()
+#: The pointers a member created on first touch starts without (see
+#: :meth:`ChordNode.__getattr__`).
+POINTERS = ("predecessor", "successor_list", "fingers")
 
 
 class ChordNode:
@@ -48,10 +44,10 @@ class ChordNode:
         the same hash function.
     space:
         The shared identifier space.
-    defer_fingers:
-        Start on the shared :data:`NO_FINGERS` placeholder instead of
-        allocating a finger table (the owning network assigns one when
-        it materializes fingers).
+    ring:
+        The exact ring that created this member on first touch, or
+        ``None``.  Such a member starts with none of its
+        :data:`POINTERS` set; the ring sets each on its first read.
     """
 
     __slots__ = (
@@ -68,6 +64,7 @@ class ChordNode:
         "_handlers",
         "app",
         "adopt_hook",
+        "ring",
     )
 
     def __init__(
@@ -77,18 +74,18 @@ class ChordNode:
         space: IdentifierSpace,
         ip: str | None = None,
         successor_list_size: int = DEFAULT_SUCCESSOR_LIST_SIZE,
-        defer_fingers: bool = False,
+        ring=None,
     ):
         self.key = key
         self.ident = space.validate(ident)
         self.space = space
         self.ip = ip if ip is not None else f"10.0.0.0/{key}"
         self.alive = True
-        self.predecessor: Optional[ChordNode] = None
-        self.fingers: list[Optional[ChordNode]] | tuple = (
-            NO_FINGERS if defer_fingers else [None] * space.m
-        )
-        self.successor_list: list[ChordNode] = []
+        self.ring = ring
+        if ring is None:
+            self.predecessor: Optional[ChordNode] = None
+            self.fingers: list[Optional[ChordNode]] = [None] * space.m
+            self.successor_list: list[ChordNode] = []
         self.successor_list_size = successor_list_size
         #: Round-robin position of the periodic finger refresh
         #: (``fix_next_finger``); node-local so rings never share it.
@@ -101,6 +98,21 @@ class ChordNode:
         #: handler registration until a first message arrives
         #: (``deliver`` calls ``adopt_hook(self)`` before giving up).
         self.adopt_hook: Callable[["ChordNode"], object] | None = None
+
+    def __getattr__(self, name: str):
+        """Set a pointer of a member created on first touch, on its first
+        read.
+
+        Python calls this only when ordinary lookup fails, which for a
+        slot means it was never set: every node but such a member has
+        all its :data:`POINTERS`, so their reads never get here.  Its
+        ring is still exact (any change creates and points every member
+        first), so the pointer it sets is the one a full build sets.
+        """
+        if name in POINTERS and self.ring is not None:
+            self.ring.set_pointer(self, name)
+            return getattr(self, name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # ------------------------------------------------------------------
     # Ring pointers

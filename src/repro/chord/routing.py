@@ -93,7 +93,7 @@ class Router(Transport):
         snapshot = ring.snapshot if ring is not None else None
         if snapshot is not None and start.ident in snapshot:
             owner, hops = snapshot.find_successor(start.ident, ident)
-            return ring._nodes[snapshot.idents[owner]], hops
+            return ring.node_at(snapshot.idents[owner]), hops
         size = self.space.size
         max_hops = self.max_hops
         current = start
@@ -301,14 +301,13 @@ class Router(Transport):
 
         The source sorts the identifiers clockwise from its own position
         (a stable sort of their indices, so duplicate identifiers are
-        delivered in input order).  The node the batch has reached keeps
-        every identifier it owns; for the next one it does not, the
-        batch takes one ordinary ``send`` leg (:meth:`find_successor`,
-        which routes by the ring snapshot while the ring is exact).  A
-        leg's target is delivered where the leg ends even unclaimed —
-        beside a crash not yet stabilized nobody owns the victim's
-        range, and ``send`` delivers where its walk ends too — so the
-        sweep always moves.
+        delivered in input order).  Each identifier is one ordinary
+        ``send`` leg (:meth:`find_successor`, which routes by the ring
+        snapshot while the ring is exact) from the node the batch has
+        reached: zero hops when that node owns it.  A leg's target is
+        delivered where the leg ends even unclaimed — beside a crash not
+        yet stabilized nobody owns the victim's range, and ``send``
+        delivers where its walk ends too — so the sweep always moves.
         """
         size = self.space.size
         origin = source.ident
@@ -319,10 +318,8 @@ class Router(Transport):
         current = source
         total_hops = 0
         for index in order:
-            ident = idents[index]
-            if not current.owns(ident):
-                current, hops = find_successor(current, ident)
-                total_hops += hops
+            current, hops = find_successor(current, idents[index])
+            total_hops += hops
             targets[index] = deliver(messages[index], current)
         self._record_mixed_batch(messages, total_hops)
         return targets

@@ -180,10 +180,9 @@ class ContinuousQueryEngine:
         )
 
         # State and handlers attach on a node's first delivery (or first
-        # ``state(node)``): large sweeps touch a sparse subset of nodes.
-        adopt = self.adopt
-        for node in network:
-            node.adopt_hook = adopt
+        # ``state(node)``): large sweeps touch a sparse subset of nodes,
+        # and the ring creates the rest only if asked for all of them.
+        network.adopt_hook = self.adopt
         network.transfer_hook = self._transfer
 
     @property

@@ -93,9 +93,10 @@ class LoadSnapshot:
         return distribution.participation(self.filtering.values())
 
 
-def snapshot(engine: "ContinuousQueryEngine", nodes=None) -> LoadSnapshot:
-    """Collect the current load vectors from every live node (or from
-    ``nodes``, a forked shard's own)."""
+def snapshot(engine: "ContinuousQueryEngine", idents=None) -> LoadSnapshot:
+    """Collect the current load vectors of every live member (or of
+    ``idents``, a forked shard's own), read off the ring's identifier
+    array: a member is neither created nor adopted here."""
     filtering: dict[int, int] = {}
     al_filtering: dict[int, int] = {}
     vl_filtering: dict[int, int] = {}
@@ -106,14 +107,16 @@ def snapshot(engine: "ContinuousQueryEngine", nodes=None) -> LoadSnapshot:
     created: dict[int, int] = {}
     processed: dict[int, int] = {}
     reinstalls: dict[int, int] = {}
-    for node in engine.network if nodes is None else nodes:
-        ident = node.ident
-        state = node.app
+    network = engine.network
+    members = network._nodes
+    for ident in network._sorted_idents if idents is None else idents:
+        node = members.get(ident)
+        state = None if node is None else node.app
         if not isinstance(state, NodeState):
-            # A node no message ever reached holds no engine state, so
-            # its load row is all zeros — recorded explicitly to keep
-            # the distribution vectors (Gini, participation, ...) over
-            # the whole node population.
+            # A member no message ever reached holds no engine state (it
+            # may not even be created), so its load row is all zeros —
+            # recorded explicitly to keep the distribution vectors (Gini,
+            # participation, ...) over the whole node population.
             filtering[ident] = 0
             al_filtering[ident] = 0
             vl_filtering[ident] = 0

@@ -260,12 +260,12 @@ def _process_stage(engine, transport: ShardTransport, items: list, phase: str) -
     """Run one shard's inbox for one stage, in causal (``ts``) order."""
     items.sort(key=lambda item: item[0])
     transport.allowed = PRODUCES[phase]
-    nodes = engine.network._nodes
+    node_at = engine.network.node_at
     clock = engine.clock
     for ts, time, ident, message in items:
         clock.advance_to(time)
         transport.begin(ts, time)
-        nodes[ident].deliver(message)
+        node_at(ident).deliver(message)
 
 
 #: Engine features that once were blanket ``ShardError`` preconditions,
@@ -630,7 +630,7 @@ def _worker_main(engine, pause: CollectorPause, shard_of, conn, index: int) -> N
                     for key, pairs in delivered_pairs(engine).items()
                     if shard_of(engine.queries[key].subscriber.ident) == index
                 }
-                own = [node for node in network if shard_of(node.ident) == index]
+                own = [ident for ident in network._sorted_idents if shard_of(ident) == index]
                 conn.send(
                     (
                         "final",

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chord import ChordNetwork
-from repro.chord.node import NO_FINGERS
+from repro.chord.hashing import hash_key, hash_key_cache_clear, hash_key_cache_info
+from repro.chord.node import POINTERS, ChordNode
 from repro.chord.routing import Router
 from repro.errors import NetworkError
+from repro.faults import FaultInjector, FaultPlan
 
 
 class TestBuild:
@@ -142,43 +144,142 @@ class TestJoin:
         assert a.ident != b.ident
 
 
-class TestDeferredFingers:
-    """``build(fast_routing=True)`` defers the finger tables — and their
-    allocation: every node shares one empty placeholder until a
-    membership change or a maintenance round needs real tables."""
+def whole(network: ChordNetwork) -> ChordNetwork:
+    """``network`` with every member created: a reference whose object
+    walk reads real pointers."""
+    network.nodes
+    return network
 
-    def test_lazy_ring_allocates_no_finger_tables(self):
-        network = ChordNetwork.build(24, fast_routing=True)
-        assert all(node.fingers is NO_FINGERS for node in network)
-        eager = ChordNetwork.build(24)
-        assert all(len(node.fingers) == eager.space.m for node in eager)
 
-    def test_object_walk_on_lazy_ring_is_the_successor_list_walk(self, rng):
-        """Hop for hop what a ring of all-``None`` finger tables does."""
-        lazy = ChordNetwork.build(40, fast_routing=True)
-        blank = ChordNetwork.build(40)
-        for node in blank:
-            node.fingers = [None] * blank.space.m
-        # Ringless routers: the object walk, fingers still deferred.
+def unset(node: ChordNode, name: str) -> bool:
+    """True while ``node`` has never set pointer ``name`` (a plain
+    ``getattr`` would set it)."""
+    try:
+        getattr(ChordNode, name).__get__(node, ChordNode)
+    except AttributeError:
+        return True
+    return False
+
+
+def assert_exact(network: ChordNetwork, node: ChordNode) -> None:
+    """Every pointer of ``node`` is the one global knowledge sets."""
+    idents = sorted(network._sorted_idents)
+    position = idents.index(node.ident)
+    count = len(idents)
+    assert node.predecessor.ident == idents[position - 1]
+    assert [entry.ident for entry in node.successor_list] == [
+        idents[(position + offset) % count]
+        for offset in range(1, min(count, node.successor_list_size + 1))
+    ]
+    assert [finger.ident for finger in node.fingers] == [
+        network.responsible_node(node.finger_start(j)).ident
+        for j in range(network.space.m)
+    ]
+
+
+#: Everything that creates every member: ``(name, action(network))``.
+TRIGGERS = {
+    "join": lambda network: network.join("late"),
+    "leave": lambda network: network.leave(network.node_at(network._sorted_idents[3])),
+    "fail": lambda network: network.fail(network.node_at(network._sorted_idents[3])),
+    "injector": lambda network: setattr(network, "injector", FaultInjector(LOSSY)),
+    "stabilization": lambda network: network.run_stabilization(1),
+    "rebuild": lambda network: network.rebuild_ring_state(),
+    "nodes": lambda network: network.nodes,
+    "iteration": lambda network: list(network),
+}
+
+LOSSY = FaultPlan(loss_probability=0.1, seed=3)
+
+
+class TestCreateOnFirstTouch:
+    """An exact ring is its identifier array: a member is created when
+    something asks for it, and answers what a full build's would."""
+
+    def test_build_creates_no_node_and_routes_by_the_snapshot(self):
+        network = ChordNetwork.build(24)
+        assert not network._nodes and len(network) == 24
+        # The snapshot serves a ring none of whose members exists yet.
+        assert network.snapshot is not None
+        assert ChordNetwork.build(24, fast_routing=True).snapshot.idents == (
+            network.snapshot.idents
+        )
+
+    def test_touches_create_one_member_each_without_pointers(self, rng):
+        network = ChordNetwork.build(40)
+        touched = {
+            network.random_node(rng).ident,
+            network.node_at(network._sorted_idents[7]).ident,
+            network.responsible_node(12345).ident,
+        }
+        source = network.node_at(network._sorted_idents[0])
+        target, _ = network.router.find_successor(source, 2**31)
+        touched |= {source.ident, target.ident}
+        assert set(network._nodes) == touched
+        for node in network._nodes.values():
+            assert all(unset(node, name) for name in POINTERS)
+
+    def test_a_created_member_owns_exactly_its_range(self, rng):
+        """No pointer must not mean "alone on the ring": that member
+        would own every identifier and a sweep through it bill 0 hops."""
+        network = ChordNetwork.build(40)
+        reference = whole(ChordNetwork.build(40))
+        for node in [network.random_node(rng) for _ in range(4)]:
+            for ident in [node.ident, node.ident + 1, *rng.sample(range(2**32), 50)]:
+                owner = reference.responsible_node(ident)
+                assert node.owns(ident % 2**32) == (owner.ident == node.ident)
+        assert len(network._nodes) <= 8  # 4 members and their predecessors
+        for node in list(network._nodes.values()):
+            assert_exact(network, node)
+
+    def test_object_walk_over_created_members_is_the_full_builds(self, rng):
+        """A ringless router over members created on first touch walks
+        the pointers a ring forced whole holds, hop for hop."""
+        lazy = ChordNetwork.build(40)
+        reference = whole(ChordNetwork.build(40))
         walker = Router(lazy.space)
         for _ in range(60):
             ident = rng.randrange(lazy.space.size)
             start = lazy.random_node(rng)
             found, hops = walker.find_successor(start, ident)
             expected, expected_hops = walker.find_successor(
-                blank.node_at(start.ident), ident
+                reference.node_at(start.ident), ident
             )
             assert found is lazy.responsible_node(ident)
             assert (found.ident, hops) == (expected.ident, expected_hops)
-        assert all(node.fingers is NO_FINGERS for node in lazy)
+
+    @pytest.mark.parametrize("trigger", sorted(TRIGGERS))
+    def test_trigger_creates_every_member_with_exact_pointers(self, trigger, rng):
+        network = ChordNetwork.build(40)
+        handed = [network.random_node(rng) for _ in range(5)]
+        handed.append(network.responsible_node(handed[0].ident + 1))
+        old = network._sorted_idents[:]
+        TRIGGERS[trigger](network)
+        assert len(network._nodes) == len(network)
+        for node in handed:
+            if node.alive:
+                assert network.node_at(node.ident) is node
+        if trigger in ("join", "leave", "fail"):
+            # Set exactly for the membership before the change, which
+            # moves only the ring pointers next to it.
+            reference = whole(ChordNetwork.build(40))
+            for ident in old:
+                if ident in network._nodes:
+                    assert [f.ident for f in network.node_at(ident).fingers] == [
+                        f.ident for f in reference.node_at(ident).fingers
+                    ]
+        else:
+            assert network.ring_is_consistent()
+            for node in network.nodes:
+                assert_exact(network, node)
 
     def test_join_on_lazy_ring_materializes_exact_fingers(self, rng):
-        network = ChordNetwork.build(24, fast_routing=True)
-        exact = ChordNetwork.build(24)  # same keys, fingers built eagerly
+        network = ChordNetwork.build(24)
+        exact = whole(ChordNetwork.build(24))
         newcomer = network.join("late")
         assert len(newcomer.fingers) == network.space.m
-        # Materialized before the newcomer registered: every old node
-        # holds the exact fingers of the old membership.
+        # Created before the newcomer registered: every old node holds
+        # the exact fingers of the old membership.
         for node in exact:
             assert [f.ident for f in network.node_at(node.ident).fingers] == [
                 f.ident for f in node.fingers
@@ -191,13 +292,24 @@ class TestDeferredFingers:
             assert found is network.responsible_node(ident)
 
     def test_maintenance_round_on_lazy_ring_materializes_first(self):
-        network = ChordNetwork.build(16, fast_routing=True)
+        network = ChordNetwork.build(16)
         network.run_stabilization(1)
         for node in network:
             assert [f.ident for f in node.fingers] == [
                 network.responsible_node(node.finger_start(j)).ident
                 for j in range(network.space.m)
             ]
+
+    def test_member_keys_are_hashed_once_outside_the_memo(self):
+        hash_key_cache_clear()
+        network = ChordNetwork.build(2_000)
+        assert hash_key_cache_info().currsize == 0
+        modulus = network.space.size
+        for node in network.nodes:
+            assert node.ident == hash_key(node.key) % modulus
+        hash_key_cache_clear()
+        network.join("late")
+        assert hash_key_cache_info().currsize == 0
 
 
 class TestLeave:

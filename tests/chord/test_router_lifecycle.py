@@ -18,7 +18,6 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro import ChordNetwork, ContinuousQueryEngine, EngineConfig
-from repro.chord.node import NO_FINGERS
 from repro.chord.routing import Router
 from repro.errors import DeliveryError, RoutingError
 from repro.faults import ChaosHarness, FaultInjector, FaultPlan
@@ -30,9 +29,10 @@ from .test_snapshot_differential import _Blue, _Red
 
 def assert_pointers_equal_oracle(network: ChordNetwork) -> None:
     """What ``_ring_exact`` claims, checked: the snapshot lists exactly
-    the live members, and every successor list, predecessor and
-    (materialized) finger is the one global knowledge would set."""
-    idents = sorted(node.ident for node in network)
+    the live members, and every successor list, predecessor and finger
+    is the one global knowledge would set — on members created on first
+    touch, read here first, as on members created whole."""
+    idents = sorted(network._sorted_idents)
     assert network.snapshot.idents == idents
     count = len(idents)
     for position, ident in enumerate(idents):
@@ -43,11 +43,10 @@ def assert_pointers_equal_oracle(network: ChordNetwork) -> None:
             idents[(position + offset) % count] for offset in range(1, reach + 1)
         ]
         assert node.predecessor.ident == idents[position - 1]
-        if node.fingers is not NO_FINGERS:
-            assert [finger.ident for finger in node.fingers] == [
-                network.responsible_node(node.finger_start(j)).ident
-                for j in range(network.space.m)
-            ]
+        assert [finger.ident for finger in node.fingers] == [
+            network.responsible_node(node.finger_start(j)).ident
+            for j in range(network.space.m)
+        ]
 
 
 def route_everything(router: Router, source, targets, deliveries) -> tuple:
@@ -82,15 +81,15 @@ def check_phase(
     network: ChordNetwork, *, exact: bool, rng, targets, deliveries, walk_on=None
 ) -> list:
     """(a) the router the phase calls for serves, (b) it agrees with the
-    ringless object walk (over ``walk_on``, a twin of the ring, while the
-    ring's own finger tables are deferred), (c) a snapshot only over
-    oracle-exact pointers."""
+    ringless object walk (over ``walk_on``, a twin of the ring created
+    whole, while the ring itself may have members not created yet), (c)
+    a snapshot only over oracle-exact pointers."""
     assert (network.snapshot is not None) == exact
-    if exact:
-        assert_pointers_equal_oracle(network)
     walk_on = walk_on if walk_on is not None else network
     source = network.random_node(rng)
     served = route_everything(network.router, source, targets, deliveries)
+    if exact:
+        assert_pointers_equal_oracle(network)
     walked = route_everything(
         Router(walk_on.space), walk_on.node_at(source.ident), targets, deliveries
     )
@@ -101,7 +100,7 @@ def check_phase(
 @settings(max_examples=60, deadline=None)
 @given(
     n_nodes=st.integers(min_value=1, max_value=16),
-    defer_fingers=st.booleans(),
+    created_whole=st.booleans(),
     churn=st.lists(
         st.tuples(st.sampled_from(["join", "leave", "fail"]), st.integers(0, 63)),
         min_size=1,
@@ -116,7 +115,7 @@ def check_phase(
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_router_follows_ring_exactness(
-    n_nodes, defer_fingers, churn, rounds, targets, seed
+    n_nodes, created_whole, churn, rounds, targets, seed
 ):
     rng = random.Random(seed)
     deliveries: list[tuple[int, int]] = []
@@ -127,16 +126,19 @@ def test_router_follows_ring_exactness(
                 kind, lambda n, message: deliveries.append((n.ident, message.tag))
             )
 
-    network = ChordNetwork.build(n_nodes, m=8, fast_routing=defer_fingers)
-    # The snapshot routes by the fingers an exact ring holds, deferred or
-    # not; the object walk needs them built, so it walks an eager twin.
+    network = ChordNetwork.build(n_nodes, m=8)
+    network.adopt_hook = listen  # a member listens once it is created
+    if created_whole:
+        network.nodes
+    # The snapshot routes whether or not the members exist; the
+    # reference object walk walks a twin created whole.
     twin = ChordNetwork.build(n_nodes, m=8)
-    for node in (*network, *twin):
+    for node in twin:
         listen(node)
     phase = dict(rng=rng, targets=targets, deliveries=deliveries)
 
+    assert len(network._nodes) == (n_nodes if created_whole else 0)
     check_phase(network, exact=True, walk_on=twin, **phase)
-    assert all(node.fingers is NO_FINGERS for node in network) == defer_fingers
 
     changed = False
     for kind, pick in churn:
@@ -190,26 +192,25 @@ def lossy_lookups(network: ChordNetwork) -> list[tuple[int, int]]:
     return lookups
 
 
-def test_a_lazy_finger_ring_builds_its_fingers_for_a_perturbing_injector():
-    """The object walk reads finger tables: a ``fast_routing`` ring that
-    a perturbing injector moves off the snapshot must build them first,
-    whether the injector comes with ``build`` or through the setter —
-    else lookups crawl along successors and run out of hops."""
+def test_a_perturbing_injector_creates_every_member_first():
+    """The object walk reads every pointer: a ring that a perturbing
+    injector moves off the snapshot must create its members, with exact
+    pointers, first — whether the injector comes with ``build`` or
+    through the setter, and whatever was created before — else lookups
+    crawl along successors and run out of hops."""
     routed = {}
-    for lazy in (False, True):
-        for entry in ("build", "setter"):
-            if entry == "build":
-                network = ChordNetwork.build(
-                    400, injector=FaultInjector(LOSSY), fast_routing=lazy
-                )
-            else:
-                network = ChordNetwork.build(400, fast_routing=lazy)
-                network.injector = FaultInjector(LOSSY)
-            assert network.snapshot is None
-            assert all(node.fingers is not NO_FINGERS for node in network)
-            routed[lazy, entry] = lossy_lookups(network)
-    for entry in ("build", "setter"):
-        assert routed[True, entry] == routed[False, entry]
+    for entry in ("build", "setter", "setter on a whole ring"):
+        if entry == "build":
+            network = ChordNetwork.build(400, injector=FaultInjector(LOSSY))
+        else:
+            network = ChordNetwork.build(400)
+            if entry != "setter":
+                network.nodes
+            network.injector = FaultInjector(LOSSY)
+        assert network.snapshot is None
+        assert len(network._nodes) == 400
+        routed[entry] = lossy_lookups(network)
+    assert routed["build"] == routed["setter"] == routed["setter on a whole ring"]
 
 
 def test_chaos_harness_installs_its_injector_through_the_network():
@@ -225,10 +226,12 @@ def test_crash_mid_run_is_oracle_exact_with_the_first_phase_on_the_snapshot(capl
         "dai-t", seed=9, plan=FaultPlan(), n_events=80, crash_every=40
     )
     assert harness.injector.crashes == 2 and engine.network.snapshot is None
-    # Snapshot from the build to the first crash, the object walk since.
+    # Snapshot from the build to the first crash, the object walk since;
+    # the crash picks its victim among all members, which creates them.
     changes = [r.getMessage() for r in caplog.records if r.name == "repro.chord"]
     assert [change.split(":")[0] for change in changes] == [
         "router -> snapshot (rebuild)",
+        "ring materialized (nodes)",
         "router -> object walk (fail)",
     ]
     for query in queries:
@@ -265,6 +268,7 @@ def test_router_changes_are_logged_with_their_cause(caplog):
     assert all(r.levelno == logging.INFO for r in records)
     assert [r.getMessage() for r in records] == [
         "router -> snapshot (rebuild): 10 nodes, membership generation 1",
+        "ring materialized (join): 10 nodes, 0 created on first touch",
         "router -> object walk (join): 11 nodes, membership generation 2",
         "router -> snapshot (rebuild): 12 nodes, membership generation 3",
         "router -> object walk (leave): 11 nodes, membership generation 4",
@@ -276,6 +280,7 @@ def test_router_changes_are_logged_with_their_cause(caplog):
     ]
     assert counters["router.fallbacks"] == 4
     assert counters["snapshot.rebuilds"] == 5
+    assert counters["ring.materialized"] == 1  # once: the ring is whole since
 
 
 def test_library_logger_is_silent_by_default():

@@ -33,6 +33,7 @@ def ring_of(n_nodes: int) -> ChordNetwork:
     network = _RINGS.get(n_nodes)
     if network is None:
         network = ChordNetwork.build(n_nodes)
+        network.nodes  # every member created: the object walk reads real pointers
         _RINGS[n_nodes] = network
     return network
 
@@ -86,7 +87,7 @@ def test_closest_preceding_finger_matches_object_scan(case):
     n_nodes, source, targets = case
     network = ring_of(n_nodes)
     snapshot = snapshot_of(network)
-    node = network._nodes[source]
+    node = network.node_at(source)
     pos = snapshot.position(source)
     for target in targets:
         expected = node.closest_preceding_finger(target).ident
@@ -103,7 +104,7 @@ def test_find_successor_and_walk_match_hop_for_hop(case):
     network = ring_of(n_nodes)
     snapshot = snapshot_of(network)
     router = object_walk(network)
-    node = network._nodes[source]
+    node = network.node_at(source)
     for target in targets:
         expected_node, expected_hops = router.find_successor(node, target)
         got_pos, got_hops = snapshot.find_successor(source, target)
@@ -131,7 +132,7 @@ def assert_routes_match(network: ChordNetwork, source: int, target: int) -> int:
     """Snapshot ≡ object walk from ``source`` toward ``target``: next
     hop, owner and hop count.  Returns the hop count."""
     snapshot = snapshot_of(network)
-    node = network._nodes[source]
+    node = network.node_at(source)
     pos = snapshot.position(source)
     assert (
         snapshot.idents[snapshot.closest_preceding_finger_pos(pos, target)]

@@ -33,8 +33,8 @@ class TestSnapshot:
         engine = engine_factory(algorithm="sai")
         fire_small_workload(engine, two_relation_schema)
         load = snapshot(engine)
-        nodes = list(engine.network)
-        parts = [snapshot(engine, nodes[r::3]) for r in range(3)]
+        idents = engine.network._sorted_idents
+        parts = [snapshot(engine, idents[r::3]) for r in range(3)]
         assert sum(len(part.filtering) for part in parts) == len(load.filtering)
         assert type(load).union(parts) == load
 

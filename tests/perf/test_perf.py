@@ -338,7 +338,7 @@ class TestInstrumentedSites:
         PERF.enable()
         try:
             # The snapshot is built when the ring is, not on first use.
-            network = ChordNetwork.build(tiny.n_nodes, fast_routing=True)
+            network = ChordNetwork.build(tiny.n_nodes)
             engine = ContinuousQueryEngine(
                 network, EngineConfig(algorithm="sai", index_choice="random", seed=1)
             )
@@ -364,7 +364,7 @@ class TestInstrumentedSites:
         tiny = Scale("tiny", n_nodes=24, n_queries=8, n_tuples=20, domain_size=30)
         workload = workload_for(tiny)
         shards = 2 if fork_available() else 1
-        network = ChordNetwork.build(tiny.n_nodes, fast_routing=True)
+        network = ChordNetwork.build(tiny.n_nodes)
         engine = ContinuousQueryEngine(
             network,
             EngineConfig(
@@ -404,7 +404,7 @@ class TestInstrumentedSites:
         from repro.sim.shard import run_sharded
 
         tiny = Scale("tiny", n_nodes=24, n_queries=8, n_tuples=20, domain_size=30)
-        network = ChordNetwork.build(tiny.n_nodes, fast_routing=True)
+        network = ChordNetwork.build(tiny.n_nodes)
         # The featured configuration drives the §15 sites too (barrier
         # eviction replay, owner-aware exchange) — still zero recording.
         engine = ContinuousQueryEngine(

@@ -74,7 +74,7 @@ class CollectionProbe:
 
 def build(algorithm: str, executor: str, overrides: dict, *, on_delivery=None):
     """A fresh engine for WORKLOAD, ``on_delivery`` listening to every query."""
-    network = ChordNetwork.build(POINT.n_nodes, fast_routing=executor != "serial")
+    network = ChordNetwork.build(POINT.n_nodes)
     engine = ContinuousQueryEngine(
         network,
         EngineConfig(algorithm=algorithm, index_choice="random", seed=1, **overrides),
@@ -262,7 +262,7 @@ class TestCollectorPause:
         assert gc.isenabled()
 
     def test_replay_loops_restore_when_an_event_raises(self):
-        network = ChordNetwork.build(8, fast_routing=True)
+        network = ChordNetwork.build(8)
         for run in (run_workload, run_sharded):
             engine = ContinuousQueryEngine(network, EngineConfig(algorithm="sai"))
             engine.publish = None  # the first tuple event raises TypeError
@@ -311,16 +311,16 @@ class TestCollectorPause:
         del tail
 
     def test_entry_freezes_a_freshly_built_ring(self):
-        """The build finding (DESIGN.md §17): a build leaves every
-        successor list young, yet the young counter, which nets out the
-        empty lists they replace, never reaches its threshold.  Entry
-        keeps all of it without a walk: the young counter reads zero and
-        nothing built before entry is collectable until exit."""
+        """The build finding (DESIGN.md §17) is gone: a build allocates
+        no node, so no successor list either.  A ring forced whole
+        holds them all, young or not.  Entry keeps all of it without a
+        walk: the young counter reads zero and nothing built before
+        entry is collectable until exit."""
         gc.collect()
-        network = ChordNetwork.build(2_000, fast_routing=True)
+        network = ChordNetwork.build(2_000)
+        assert not network._nodes
         successor_lists = {id(node.successor_list) for node in network.nodes}
-        assert successor_lists <= {id(obj) for obj in gc.get_objects(0)}
-        assert gc.get_count()[0] < gc.get_threshold()[0] < len(successor_lists)
+        assert len(successor_lists) == 2_000
         dropped: list = []
         dropped.append(dropped)  # garbage made before entry
         del dropped

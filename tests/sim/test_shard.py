@@ -50,8 +50,10 @@ def serial_reference(algorithm, workload, seed=1):
     }
 
 
-def sharded_run(algorithm, workload, *, shards, seed=1, fast_routing=True):
-    network = ChordNetwork.build(POINT.n_nodes, fast_routing=fast_routing)
+def sharded_run(algorithm, workload, *, shards, seed=1, whole=False):
+    network = ChordNetwork.build(POINT.n_nodes)
+    if whole:
+        network.nodes  # every member created before the run
     engine = ContinuousQueryEngine(
         network, EngineConfig(algorithm=algorithm, index_choice="random", seed=seed)
     )
@@ -81,9 +83,9 @@ class TestStagedEquivalence:
         assert result.duplicate_deliveries == 0
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_staged_without_fast_routing_matches_serial(self, algorithm, workload):
+    def test_staged_on_a_ring_created_whole_matches_serial(self, algorithm, workload):
         expected = serial_reference(algorithm, workload)
-        _, got = sharded_run(algorithm, workload, shards=1, fast_routing=False)
+        _, got = sharded_run(algorithm, workload, shards=1, whole=True)
         assert got == expected
 
 
@@ -106,7 +108,7 @@ class TestCapabilities:
     """
 
     def _engine(self, **overrides):
-        network = ChordNetwork.build(64, fast_routing=True)
+        network = ChordNetwork.build(64)
         config = EngineConfig(algorithm="sai", index_choice="random", **overrides)
         return ContinuousQueryEngine(network, config)
 

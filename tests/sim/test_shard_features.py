@@ -85,7 +85,7 @@ def sharded_row(
     batch_size: int = 16,
     evict_every: int = 64,
 ):
-    network = ChordNetwork.build(POINT.n_nodes, fast_routing=True)
+    network = ChordNetwork.build(POINT.n_nodes)
     engine = ContinuousQueryEngine(
         network,
         EngineConfig(algorithm=algorithm, index_choice="random", seed=1, **overrides),

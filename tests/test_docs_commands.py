@@ -45,8 +45,9 @@ COMMAND_SOURCES = (
 #: own reference check and the engine's iterative-multisend switch that
 #: ``expdb diff`` and the one recursive sweep replaced, and the live
 #: fault inputs beside ``ClusterConfig.fault_plan`` with the per-tuple
-#: hop switch, and the engine's explicit eviction cutoff that
-#: ``window_cutoff()`` replaced.
+#: hop switch, the engine's explicit eviction cutoff that
+#: ``window_cutoff()`` replaced, and the finger-table deferral that
+#: creating members on first touch replaced.
 DELETED = (
     "EventRing",
     "run_stream",
@@ -113,6 +114,9 @@ DELETED = (
     "run_chaos_soak",
     "collect_per_tuple_hops",
     "evict_expired(cutoff",
+    "NO_FINGERS",
+    "defer_fingers",
+    "_materialize_fingers",
 )
 
 
@@ -178,6 +182,7 @@ def test_ci_diffs_both_shard_configurations_and_the_live_point():
     assert [(args.nodes, args.windows, args.replication, args.jfrt) for args in shard] == [
         ("512", None, None, None),
         ("512", "240", "2", "8"),
+        ("20000", None, None, None),
     ]
     assert [args.nodes for args in diffs if args.transports == "sim,shard,live"] == ["16"]
 
