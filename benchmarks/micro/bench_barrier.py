@@ -70,6 +70,10 @@ def _loaded_state(ident: int, n_items: int, rng: random.Random) -> NodeState:
             self.tuple = tup
             self.index_attribute = "A"
 
+        @property
+        def time(self) -> float:  # what the store's eviction heap keys on
+            return self.tuple.pub_time
+
     for i in range(n_items):
         table.add(_Stored(_Tuple(rng.randrange(64), float(i))))
     return state

@@ -14,7 +14,10 @@ Two more rows time the snapshot router where joinbench's ``sim_route``
 runs it — a 20k-node ring whose members are created on first touch: one ``find_successor`` (a
 single routed leg) and one 8-target recursive ``multisend`` sweep, so
 the cost per leg of the sweep can be read against the cost of a lone
-lookup.
+lookup.  The last pair counts one ``sim_route`` epoch of sweep legs
+(about 5,600, as at a staged barrier) both ways: the scalar
+``route_hops`` per leg, and the batched ``route_hops_many`` the staged
+executor bills them with; the hop totals are asserted equal.
 """
 
 from __future__ import annotations
@@ -26,9 +29,13 @@ from repro.chord.network import ChordNetwork
 from repro.chord.routing import Router
 from repro.sim.messages import Message
 
-from _common import report
+from _common import best_of, report
 
 SWEEP_TARGETS = 8
+
+#: Legs one staged ``sim_route`` epoch routes (512 events; the largest
+#: barrier flush of its four algorithms at seed 1).
+EPOCH_LEGS = 5_600
 
 
 def run(n_nodes: int = 4096, lookups: int = 5_000) -> list[dict]:
@@ -124,7 +131,42 @@ def run_large_ring(n_nodes: int = 20_000, walks: int = 5_000) -> list[dict]:
             mean_hops=round((network.stats.hops - before) / sweeps, 2),
         )
     )
+    rows.extend(run_epoch_legs(snapshot, rng))
     return rows
+
+
+def run_epoch_legs(snapshot, rng: random.Random) -> list[dict]:
+    """One epoch of sweep legs, scalar ``route_hops`` vs the kernel."""
+    starts, owners = [], []
+    while len(owners) < EPOCH_LEGS:
+        rank = rng.randrange(snapshot.n)
+        origin = snapshot.idents[rank]
+        batch = [rng.randrange(snapshot.size) for _ in range(SWEEP_TARGETS)]
+        for target in sorted(batch, key=lambda ident: (ident - origin) % snapshot.size):
+            starts.append(rank)
+            rank = snapshot.owner_pos(target)
+            owners.append(rank)
+    snapshot.route_hops_many(starts[:1], owners[:1])  # builds the int64 idents
+
+    def scalar():
+        return sum(map(snapshot.route_hops, starts, owners))
+
+    def batched():
+        return int(snapshot.route_hops_many(starts, owners).sum())
+
+    if scalar() != batched():
+        raise AssertionError("kernel/scalar hop divergence over one epoch")
+    hops = scalar()
+    legs = len(owners)
+    return [
+        report(
+            f"snapshot.epoch_legs_{name}",
+            best_of(fn, loops=1, repeats=5) / legs,
+            legs=legs,
+            mean_hops=round(hops / legs, 2),
+        )
+        for name, fn in (("scalar", scalar), ("kernel", batched))
+    ]
 
 
 if __name__ == "__main__":

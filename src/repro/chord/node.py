@@ -48,13 +48,14 @@ class ChordNode:
         The exact ring that created this member on first touch, or
         ``None``.  Such a member starts with none of its
         :data:`POINTERS` set; the ring sets each on its first read.
+        Its identifier came from the ring's own hash, so it is not
+        validated again.
     """
 
     __slots__ = (
         "key",
         "ident",
         "space",
-        "ip",
         "alive",
         "predecessor",
         "fingers",
@@ -72,14 +73,12 @@ class ChordNode:
         key: str,
         ident: int,
         space: IdentifierSpace,
-        ip: str | None = None,
         successor_list_size: int = DEFAULT_SUCCESSOR_LIST_SIZE,
         ring=None,
     ):
         self.key = key
-        self.ident = space.validate(ident)
+        self.ident = space.validate(ident) if ring is None else ident
         self.space = space
-        self.ip = ip if ip is not None else f"10.0.0.0/{key}"
         self.alive = True
         self.ring = ring
         if ring is None:
@@ -98,6 +97,12 @@ class ChordNode:
         #: handler registration until a first message arrives
         #: (``deliver`` calls ``adopt_hook(self)`` before giving up).
         self.adopt_hook: Callable[["ChordNode"], object] | None = None
+
+    @property
+    def ip(self) -> str:
+        """The node's address, derived from its key (notifications are
+        sent to a subscriber's address, Section 4.6)."""
+        return f"10.0.0.0/{self.key}"
 
     def __getattr__(self, name: str):
         """Set a pointer of a member created on first touch, on its first

@@ -309,20 +309,24 @@ class Router(Transport):
         yet stabilized nobody owns the victim's range, and ``send``
         delivers where its walk ends too — so the sweep always moves.
         """
-        size = self.space.size
-        origin = source.ident
-        order = sorted(range(len(idents)), key=lambda i: (idents[i] - origin) % size)
         targets: list = [None] * len(idents)
         find_successor = self.find_successor
         deliver = self._deliver
         current = source
         total_hops = 0
-        for index in order:
+        for index in self._clockwise(source, idents):
             current, hops = find_successor(current, idents[index])
             total_hops += hops
             targets[index] = deliver(messages[index], current)
         self._record_mixed_batch(messages, total_hops)
         return targets
+
+    def _clockwise(self, source: ChordNode, idents: Sequence[int]) -> list[int]:
+        """Indices of ``idents`` in sweep order: clockwise from ``source``,
+        stable, so duplicate identifiers keep their input order."""
+        size = self.space.size
+        origin = source.ident
+        return sorted(range(len(idents)), key=lambda i: (idents[i] - origin) % size)
 
     def _record_mixed_batch(self, messages: list[Message], total_hops: int) -> None:
         """Attribute a shared routing path to each message type.

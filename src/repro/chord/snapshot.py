@@ -30,7 +30,10 @@ while the ring is exact) is the thin entry to that one loop;
 ``closest_preceding_finger_pos`` is one step of it.  A ring with a stale
 finger, a dead member or a half-joined node satisfies none of the four,
 which is why churn, stabilization and perturbing fault injectors stay on
-the object walk.
+the object walk.  :meth:`RingSnapshot.route_hops_many` runs the same
+rule over int64 rank arrays, one numpy step per hop for a whole batch
+of legs: the staged executor bills an epoch's legs with it at the
+barrier (:mod:`repro.sim.shard`).
 
 Validity is the caller's contract: a snapshot describes one membership
 of a ring whose pointers are exact (as after ``ChordNetwork.build`` /
@@ -46,7 +49,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
+import numpy as np
+
 from ..errors import RoutingError
+
+#: Widest identifier space :meth:`RingSnapshot.route_hops_many` takes:
+#: a finger start (``current + 2**j``, below ``2 * 2**m``) must fit int64.
+KERNEL_MAX_M = 62
+
+#: Legs per kernel pass: bounds its temporaries to a few hundred KB.
+KERNEL_CHUNK = 1 << 14
 
 
 class RingSnapshot:
@@ -73,6 +85,7 @@ class RingSnapshot:
         "max_hops",
         "_pos",
         "_successor_reach",
+        "_ident_array",
     )
 
     def __init__(
@@ -93,6 +106,8 @@ class RingSnapshot:
         self._pos = {ident: index for index, ident in enumerate(idents)}
         #: Deepest successor-list entry a member has: ``min(r, n - 1)``.
         self._successor_reach = min(successor_list_size, self.n - 1)
+        #: ``idents`` as int64, built by the first batched route.
+        self._ident_array: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Membership / positions
@@ -180,6 +195,73 @@ class RingSnapshot:
                 f"{self.max_hops} hops; ring snapshot is inconsistent"
             )
         return hops + 1
+
+    def route_hops_many(self, pos, owner) -> np.ndarray:
+        """:meth:`route_hops` of every leg ``pos[i] -> owner[i]`` (rank
+        sequences of equal length), as an int64 array.
+
+        The loop of :meth:`_forward`, one numpy step per hop over the
+        legs still under way, in chunks of :data:`KERNEL_CHUNK` legs.
+        Raises ``RoutingError`` as :meth:`route_hops` does, and
+        ``ValueError`` on a space wider than :data:`KERNEL_MAX_M` bits.
+        """
+        if self.m > KERNEL_MAX_M:
+            raise ValueError(
+                f"route_hops_many takes at most {KERNEL_MAX_M}-bit identifiers, "
+                f"not {self.m}"
+            )
+        if self._ident_array is None:
+            self._ident_array = np.array(self.idents, dtype=np.int64)
+        pos = np.asarray(pos, dtype=np.int64)
+        owner = np.asarray(owner, dtype=np.int64)
+        hops = np.empty(len(pos), dtype=np.int64)
+        for low in range(0, len(pos), KERNEL_CHUNK):
+            high = low + KERNEL_CHUNK
+            hops[low:high] = self._route_chunk(pos[low:high], owner[low:high])
+        return hops
+
+    def _route_chunk(self, pos: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """:meth:`route_hops_many` over one chunk."""
+        idents = self._ident_array
+        n, cap, mask = self.n, self._successor_reach, self.size - 1
+        hops = (pos != owner).astype(np.int64)  # the final handover
+        inside = owner - pos - 1
+        inside[inside < 0] += n
+        # Only legs with members left to pass walk; the rest keep their
+        # handover (or, at the owner already, zero).
+        live = np.flatnonzero(hops & (inside != 0))
+        pos, inside = pos[live], inside[live]
+        last = idents[owner[live] - 1]  # -1 wraps to rank n - 1
+        for taken in range(1, self.max_hops + 1):
+            if not live.size:
+                return hops
+            current = idents[pos]
+            distance = (last - current) & mask
+            # Highest power of two not above ``distance``: float64's
+            # exponent, one step too high where rounding reached 2**k.
+            exponent = np.frexp(distance.astype(np.float64))[1] - 1
+            # ``frexp``'s exponents are int32: widen them, or NumPy 1.x
+            # shifts in int32 and a 32-bit or wider step wraps.
+            top = np.left_shift(np.int64(1), exponent.astype(np.int64))
+            top[top > distance] >>= 1
+            step = np.searchsorted(idents, (current + top) & mask) - pos
+            step[step <= 0] += n  # == n wraps to rank 0
+            short = step < cap
+            step[short] = np.minimum(cap, inside[short])
+            pos += step
+            pos[pos >= n] -= n
+            inside -= step
+            done = inside == 0
+            if done.any():
+                hops[live[done]] += taken
+                going = ~done
+                live, pos, inside, last = live[going], pos[going], inside[going], last[going]
+        if live.size:
+            raise RoutingError(
+                f"routing toward rank {int(owner[live[0]])} exceeded "
+                f"{self.max_hops} hops; ring snapshot is inconsistent"
+            )
+        return hops
 
     def find_successor(self, start_ident: int, ident: int) -> tuple[int, int]:
         """``(owner position, hops)`` — mirrors ``Router.find_successor``."""

@@ -8,8 +8,12 @@ contiguous ring segments:
 * **stage 0** (driver): publish each tuple — compute its ``al-index``/
   ``vl-index`` identifiers and route the multisend over the ring
   snapshot.  Routing touches topology only, so it commutes with every
-  handler effect and is billed to the driver's traffic counters
-  exactly as a serial run would bill it.
+  handler effect, and nothing reads a hop count before the barrier:
+  each leg resolves its owner at once, and the epoch's hops are counted
+  in one vectorized pass at the barrier and billed to the driver's
+  traffic counters with the same counts a serial run bills
+  (:class:`BarrierBilledTransport`).  Every stage bills its own legs
+  the same way when it ends.
 * **stage A** (workers): rewriters process ``al-index`` messages and
   emit ``join`` messages.
 * **stage B** (workers): evaluators process ``vl-index`` and ``join``
@@ -89,10 +93,12 @@ import functools
 import multiprocessing
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+import numpy as np
+
 from ..bench.harness import ReplayOrder
 from ..bench.rows import RunReport, delivered_pairs
 from ..chord.routing import Router
-from ..chord.snapshot import SegmentMap
+from ..chord.snapshot import KERNEL_MAX_M, SegmentMap
 from ..core.metrics import LoadSnapshot, snapshot
 from ..faults.plan import check_support
 from ..perf import PERF
@@ -204,7 +210,9 @@ class ShardTransport(Router):
     by type and appends ``(ts, time, target_ident, message)`` to the
     stage buffer, to be processed at that node's shard after the next
     barrier.  The ``ts`` counter is shared between deliveries and
-    gateway calls so both inherit the serial depth-first order.
+    gateway calls so both inherit the serial depth-first order.  It
+    serves rings the snapshot kernel cannot route;
+    :class:`BarrierBilledTransport` serves the rest.
     """
 
     def __init__(self, network):
@@ -255,6 +263,76 @@ class ShardTransport(Router):
         self.staged[stage].append((self.next_ts(), self.time, target.ident, message))
         return target
 
+    def flush(self) -> None:
+        """Bill the legs routed since the last flush; every leg of this
+        class is billed as it is routed, so there is nothing to do."""
+
+
+class BarrierBilledTransport(ShardTransport):
+    """A :class:`ShardTransport` that bills an epoch's hops in one
+    vectorized pass over the ring snapshot.
+
+    A leg resolves its owner at once (``owner_pos``, ``node_at``), so
+    targets, ``ts`` order and first-touch creation are those of the
+    per-leg walk; only its hop count waits.  The leg is kept as ``(start
+    rank, owner rank)`` and each bill as the end of its leg range plus
+    the stats call it makes: ``stats.record`` for a ``send``,
+    :meth:`~repro.chord.routing.Router._record_mixed_batch` for a
+    recursive sweep.  :meth:`flush` counts every pending leg with
+    :meth:`~repro.chord.snapshot.RingSnapshot.route_hops_many` and makes
+    those calls in order, with the hops a per-leg walk would have billed.
+    Anything else (a ``lookup``) is billed at once by the inherited
+    router.
+    """
+
+    def __init__(self, network):
+        super().__init__(network)
+        snapshot = network.snapshot
+        self.snapshot = snapshot
+        self._rank = snapshot.position
+        self._owner_pos = snapshot.owner_pos
+        self._idents = snapshot.idents
+        self._node_at = network.node_at
+        self._starts: list[int] = []
+        self._owners: list[int] = []
+        #: ``(end of leg range, stats call, its first argument)``.
+        self._bills: list[tuple] = []
+
+    def _leg(self, start: int, ident: int) -> int:
+        """Route one leg from rank ``start`` to ``Successor(ident)``;
+        returns the owner's rank."""
+        owner = self._owner_pos(ident)
+        self._starts.append(start)
+        self._owners.append(owner)
+        return owner
+
+    def send(self, source, message, ident):
+        owner = self._leg(self._rank(source.ident), ident)
+        self._bills.append((len(self._owners), self.stats.record, message.type))
+        return self._deliver(message, self._node_at(self._idents[owner]))
+
+    def _multisend_recursive(self, source, messages, idents):
+        targets: list = [None] * len(idents)
+        leg, deliver, node_at, ranked = self._leg, self._deliver, self._node_at, self._idents
+        rank = self._rank(source.ident)
+        for index in self._clockwise(source, idents):
+            rank = leg(rank, idents[index])
+            targets[index] = deliver(messages[index], node_at(ranked[rank]))
+        self._bills.append((len(self._owners), self._record_mixed_batch, messages))
+        return targets
+
+    def flush(self) -> None:
+        bills = self._bills
+        if not bills:
+            return
+        hops = self.snapshot.route_hops_many(self._starts, self._owners)
+        billed = [0, *np.cumsum(hops).tolist()]  # hops of the first k legs
+        start = 0
+        for end, bill, first in bills:
+            bill(first, billed[end] - billed[start])
+            start = end
+        self._starts, self._owners, self._bills = [], [], []
+
 
 def _process_stage(engine, transport: ShardTransport, items: list, phase: str) -> None:
     """Run one shard's inbox for one stage, in causal (``ts``) order."""
@@ -266,6 +344,7 @@ def _process_stage(engine, transport: ShardTransport, items: list, phase: str) -
         clock.advance_to(time)
         transport.begin(ts, time)
         node_at(ident).deliver(message)
+    transport.flush()
 
 
 #: Engine features that once were blanket ``ShardError`` preconditions,
@@ -451,7 +530,16 @@ class _Stream:
         # members that dict alone would dwarf the workload's state).  The
         # map is created before the fork so workers share the array.
         self.shard_of = SegmentMap(network._sorted_idents, shards).shard_of
-        self.transport = ShardTransport(network)
+        # How hops are billed, for the driver and every worker alike: at
+        # the barrier by the snapshot kernel, or per leg by the inherited
+        # router on a ring without a snapshot (or too wide for int64).
+        snapshot = network.snapshot
+        transport_type = (
+            BarrierBilledTransport
+            if snapshot is not None and snapshot.m <= KERNEL_MAX_M
+            else ShardTransport
+        )
+        self.transport = transport_type(network)
         self.previous_transport = network.use_transport(self.transport)
         engine.notification_gateway = self.transport.gateway
         #: Identities by query key that stage C will deliver: the mirror
@@ -462,7 +550,10 @@ class _Stream:
         self.pool = None
         if shards > 1:
             self.pool = ShardPool(
-                shards, functools.partial(_worker_main, engine, pause, self.shard_of)
+                shards,
+                functools.partial(
+                    _worker_main, engine, pause, self.shard_of, transport_type
+                ),
             )
 
     def publish(self, origin, event) -> None:
@@ -480,6 +571,7 @@ class _Stream:
         if PERF.enabled:
             PERF.count("shard.epochs")
             PERF.count("shard.batch.events", count)
+        self.transport.flush()  # stage 0's publishes
         stage_a, stage_b, stage_c, candidates = self.transport.drain()
         if stage_c or candidates:  # pragma: no cover - protocol guard
             raise ShardError("publishing produced post-barrier work")
@@ -596,10 +688,12 @@ class _Stream:
             self.pool.close()
 
 
-def _worker_main(engine, pause: CollectorPause, shard_of, conn, index: int) -> None:
+def _worker_main(
+    engine, pause: CollectorPause, shard_of, transport_type, conn, index: int
+) -> None:
     """One forked shard: run the driver's commands over the nodes it owns."""
     network = engine.network
-    worker_transport = ShardTransport(network)
+    worker_transport = transport_type(network)
     network.use_transport(worker_transport)
     engine.notification_gateway = worker_transport.gateway
     baseline = network.stats.snapshot()

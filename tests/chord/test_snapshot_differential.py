@@ -7,10 +7,13 @@ every node, same hop counts.  Hypothesis drives random memberships,
 and wrap-around targets through both implementations side by side; any
 divergence is a routing bug, not a tolerance issue.  The object side is
 a ``Router`` with no ring, which keeps the object walk on any ring.
+The batched kernel (``RingSnapshot.route_hops_many``) is held to the
+scalar rank walk it vectorizes, leg by leg.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -20,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.chord.network import ChordNetwork
 from repro.chord.node import ChordNode
 from repro.chord.routing import Router
-from repro.chord.snapshot import RingSnapshot
+from repro.chord.snapshot import KERNEL_CHUNK, KERNEL_MAX_M, RingSnapshot
 from repro.errors import RoutingError
 from repro.sim.messages import Message
 
@@ -280,3 +283,73 @@ def test_fast_sweep_matches_object_sweep(n_nodes, source_rank, targets, repeat):
         )
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == [network.responsible_node(i).ident for i in idents]
+
+
+# ----------------------------------------------------------------------
+# The batched kernel: ``route_hops_many`` ≡ ``route_hops``, leg by leg
+# ----------------------------------------------------------------------
+def _kernel_matches_scalar(snapshot: RingSnapshot, starts, owners) -> None:
+    expected = [snapshot.route_hops(start, owner) for start, owner in zip(starts, owners)]
+    assert snapshot.route_hops_many(starts, owners).tolist() == expected
+
+
+@pytest.mark.parametrize("successor_list_size", [1, 4])
+@pytest.mark.parametrize("n_nodes", [1, 2, 3, 17, 200])
+def test_kernel_matches_route_hops_on_every_pair(n_nodes, successor_list_size):
+    """Every ``(pos, owner)`` pair of a ring in the 256-identifier space
+    (200 members is a dense one), through both the scalar walk and one
+    batched call."""
+    idents = sorted(random.Random(n_nodes).sample(range(256), n_nodes))
+    snapshot = RingSnapshot(idents, m=8, successor_list_size=successor_list_size)
+    starts = [pos for pos in range(n_nodes) for _ in range(n_nodes)]
+    owners = [owner for _ in range(n_nodes) for owner in range(n_nodes)]
+    _kernel_matches_scalar(snapshot, starts, owners)
+
+
+def test_kernel_matches_route_hops_on_random_legs_of_a_20k_ring():
+    """``sim_route``'s ring (m = 32): more legs than one kernel chunk."""
+    snapshot = ChordNetwork.build(20_000).snapshot
+    rng = random.Random(7)
+    legs = KERNEL_CHUNK + 3_000
+    starts = [rng.randrange(snapshot.n) for _ in range(legs)]
+    owners = [rng.randrange(snapshot.n) for _ in range(legs)]
+    _kernel_matches_scalar(snapshot, starts, owners)
+
+
+@pytest.mark.parametrize("m", [40, KERNEL_MAX_M])
+def test_kernel_matches_route_hops_in_wide_spaces(m):
+    """Past 32 bits a finger's offset no longer fits int32, and past 53
+    bits a distance no longer fits a float64 mantissa exactly."""
+    rng = random.Random(m)
+    idents = sorted(rng.sample(range(1 << m), 2_000))
+    snapshot = RingSnapshot(idents, m=m, successor_list_size=4)
+    starts = [rng.randrange(2_000) for _ in range(3_000)]
+    owners = [rng.randrange(2_000) for _ in range(3_000)]
+    _kernel_matches_scalar(snapshot, starts, owners)
+
+
+def test_kernel_finger_past_float64_precision():
+    """A distance of ``2**61 - 1`` rounds up to ``2**61`` in float64; the
+    finger start must still be ``2**60`` ahead, not ``2**61``."""
+    top = 1 << 61
+    idents = [0, 1 << 59, 1 << 60, top - 1, top + 5, top + (1 << 60)]
+    snapshot = RingSnapshot(idents, m=KERNEL_MAX_M, successor_list_size=1)
+    pairs = [(start, owner) for start in range(6) for owner in range(6)]
+    _kernel_matches_scalar(snapshot, *zip(*pairs))
+
+
+def test_kernel_raises_where_route_hops_does():
+    """The never-sorted snapshot: both give up at the ``4 m + 8`` bound."""
+    snapshot = RingSnapshot(list(range(200, 0, -1)), m=8, successor_list_size=1)
+    for start, target in ((100, 50), (150, 149)):
+        leg = (snapshot.position(start), snapshot.owner_pos(target))
+        with pytest.raises(RoutingError, match="exceeded 40 hops"):
+            snapshot.route_hops(*leg)
+        with pytest.raises(RoutingError, match="exceeded 40 hops"):
+            snapshot.route_hops_many([leg[0]], [leg[1]])
+
+
+def test_kernel_refuses_identifiers_wider_than_int64():
+    snapshot = RingSnapshot([5, 1 << 70], m=KERNEL_MAX_M + 18, successor_list_size=4)
+    with pytest.raises(ValueError, match=f"at most {KERNEL_MAX_M}-bit"):
+        snapshot.route_hops_many([0], [1])
